@@ -27,7 +27,16 @@
 //!    only clones a pre-rendered snapshot string — the design bet of
 //!    the observability plane is that scrapes never touch the hot
 //!    path, and this cell is where that bet is priced. Feature-off the
-//!    no-op server binds nothing and both sides are the bare flood.
+//!    no-op server binds nothing and both sides are the bare flood;
+//! 7. `crc32_16k` — the frame checksum over one 16 KiB command: the
+//!    one-table bytewise loop (kept here as the reference) vs the
+//!    shipped slice-by-8 [`icc_types::frame::crc32`];
+//! 8. `block_id_100k` — the id of a block of 6 × 16 KiB commands on a
+//!    replica that also needs the command digests for dedup, digests
+//!    cold on both sides: streaming the payload through the block hash
+//!    and then hashing each command again (the pre-payload-root scheme,
+//!    reference kept here) vs the shipped `Block::hash`, whose only
+//!    pass over the payload *is* the command digests.
 //!
 //! Hand-rolled harness (`harness = false`): `--smoke` shrinks the
 //! iteration counts for CI while still emitting the JSON report.
@@ -75,8 +84,59 @@ fn time_ns(reps: usize, iters: usize, mut f: impl FnMut()) -> f64 {
         }
         samples.push(start.elapsed().as_nanos() as f64 / iters as f64);
     }
+    median(samples)
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
     samples[samples.len() / 2]
+}
+
+/// The IEEE CRC-32 lookup table (built once, outside the clock).
+fn crc32_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    for (i, slot) in table.iter_mut().enumerate() {
+        let mut crc = i as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+        *slot = crc;
+    }
+    table
+}
+
+/// Reference for cell 7: the one-table, byte-at-a-time CRC-32 (IEEE)
+/// that `icc_types::frame::crc32` used before slice-by-8.
+fn crc32_bytewise(table: &[u32; 256], data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
+    }
+    !crc
+}
+
+/// Reference for cell 8: the pre-payload-root block id — the block's
+/// canonical encoding, every payload byte included, streamed through
+/// one SHA-256 under the `"block"` domain.
+fn streamed_block_hash(block: &Block) -> icc_crypto::Hash256 {
+    use icc_types::codec::Encode;
+    let mut h = icc_crypto::Sha256::new();
+    h.update(5u32.to_le_bytes());
+    h.update(b"block");
+    h.update((block.encoded_len() as u64).to_le_bytes());
+    h.update(block.round().get().to_le_bytes());
+    h.update(block.proposer().get().to_le_bytes());
+    h.update(block.parent().as_bytes());
+    h.update((block.payload().len() as u64).to_le_bytes());
+    for c in block.payload().commands() {
+        h.update((c.len() as u64).to_le_bytes());
+        h.update(c.bytes());
+    }
+    h.finalize()
 }
 
 fn main() {
@@ -321,6 +381,66 @@ fn main() {
         what: "round's share flood with /metrics under continuous scrape vs no admin plane",
         baseline_ns: quiet,
         optimised_ns: under_scrape,
+    });
+
+    // 7. CRC-32 over one 16 KiB command's worth of frame payload.
+    let buf: Vec<u8> = (0..16 * 1024u32).map(|i| (i * 31 + 7) as u8).collect();
+    let table = crc32_table();
+    assert_eq!(crc32_bytewise(&table, &buf), icc_types::frame::crc32(&buf));
+    let baseline = time_ns(reps, iters, || {
+        black_box(crc32_bytewise(&table, black_box(&buf)));
+    });
+    let optimised = time_ns(reps, iters, || {
+        black_box(icc_types::frame::crc32(black_box(&buf)));
+    });
+    results.push(AbResult {
+        name: "crc32_16k",
+        what: "CRC-32 of a 16 KiB payload: bytewise table vs slice-by-8",
+        baseline_ns: baseline,
+        optimised_ns: optimised,
+    });
+
+    // 8. Block id + dedup digests for 6 × 16 KiB commands. Fresh
+    // `Command`s every iteration (outside the clock) keep the digest
+    // cache cold, as it is when a proposal has just been decoded.
+    let bulk_block = || {
+        let commands = (0..6u8)
+            .map(|i| Command::new(vec![i.wrapping_mul(41); 16 * 1024]))
+            .collect();
+        Block::new(
+            Round::new(9),
+            NodeIndex::new(2),
+            icc_crypto::Hash256([7; 32]),
+            Payload::from_commands(commands),
+        )
+    };
+    let bulk_iters = iters.min(100);
+    let time_cold = |f: &dyn Fn(&Block)| {
+        let samples = (0..reps * bulk_iters).map(|_| {
+            let block = bulk_block();
+            let start = Instant::now();
+            f(black_box(&block));
+            start.elapsed().as_nanos() as f64
+        });
+        median(samples.collect())
+    };
+    let baseline = time_cold(&|block| {
+        black_box(streamed_block_hash(block));
+        for c in block.payload().commands() {
+            black_box(c.digest());
+        }
+    });
+    let optimised = time_cold(&|block| {
+        black_box(block.hash());
+        for c in block.payload().commands() {
+            black_box(c.digest());
+        }
+    });
+    results.push(AbResult {
+        name: "block_id_100k",
+        what: "block id + dedup digests, 6 x 16 KiB commands, cold: stream payload then digest vs payload root",
+        baseline_ns: baseline,
+        optimised_ns: optimised,
     });
 
     // Report: aligned table + BENCH_hotpath.json.

@@ -49,7 +49,7 @@ use crate::recovery::EpochTransition;
 use icc_crypto::beacon::BeaconValue;
 use icc_crypto::Hash256;
 use icc_types::codec::{
-    decode_from_slice, decode_seq, encode_seq, encode_to_vec, CodecError, Decode, Encode, Reader,
+    decode_from_slice, decode_seq, encode_seq, CodecError, Decode, Encode, Reader,
 };
 use icc_types::messages::{BlockProposal, Finalization, Notarization};
 use icc_types::Round;
@@ -328,7 +328,6 @@ impl StorageBackend for MemBackend {
 pub struct FileBackend {
     dir: PathBuf,
     wal: Wal,
-    max_record_len: u32,
     /// What recovery found, handed out once via [`StorageBackend::load`].
     recovered: Option<(Option<Checkpoint>, Vec<WalEntry>)>,
 }
@@ -420,7 +419,6 @@ impl FileBackend {
         FileBackend {
             dir: dir.to_path_buf(),
             wal,
-            max_record_len: opts.max_record_len,
             recovered: Some((checkpoint, entries)),
         }
     }
@@ -437,19 +435,18 @@ impl StorageBackend for FileBackend {
     }
 
     fn persist_entry(&mut self, entry: &WalEntry) {
-        let bytes = encode_to_vec(entry);
-        if bytes.len() as u64 + 8 > self.max_record_len as u64 {
-            self.wal.counters_mut().io_errors += 1;
-            return;
-        }
-        if self.wal.append(entry.round().get(), &bytes).is_err() {
+        // An entry over `max_record_len` is refused by the log itself.
+        let round = entry.round().get();
+        let appended = self.wal.append_with(round, |buf| entry.encode(buf));
+        if appended.is_err() {
             self.wal.counters_mut().io_errors += 1;
         }
     }
 
     fn persist_checkpoint(&mut self, cp: &Checkpoint) {
-        let bytes = encode_to_vec(cp);
-        if icc_wal::save_checkpoint(&self.dir, &bytes, self.wal.counters_mut()).is_err() {
+        let saved =
+            icc_wal::save_checkpoint(&self.dir, |buf| cp.encode(buf), self.wal.counters_mut());
+        if saved.is_err() {
             self.wal.counters_mut().io_errors += 1;
             // Without a durable checkpoint the covered segments must
             // stay: compacting now would lose the only copy.

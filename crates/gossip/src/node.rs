@@ -157,6 +157,12 @@ impl PushedArtifact {
     /// Encodes the artifact once, deriving its dedup id from the bytes.
     pub fn new(msg: ConsensusMessage) -> Self {
         let bytes = Bytes::from(encode_to_vec(&msg));
+        PushedArtifact::with_encoding(msg, bytes)
+    }
+
+    /// Pairs `msg` with `bytes`, its canonical encoding; the dedup id
+    /// is always derived here, from the bytes.
+    fn with_encoding(msg: ConsensusMessage, bytes: Bytes) -> Self {
         let id = hash_parts("gossip-push", &[&bytes]);
         PushedArtifact { msg, bytes, id }
     }
@@ -241,10 +247,15 @@ impl Encode for PushedArtifact {
 
 impl Decode for PushedArtifact {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        // Rebuild through the constructor so the shared buffer and the
-        // flood-dedup id are recomputed from canonical bytes — a peer
-        // cannot ship a mismatched (bytes, id) pair.
-        Ok(PushedArtifact::new(ConsensusMessage::decode(r)?))
+        // The shared buffer is the span the decoder just consumed — the
+        // codec admits one wire form per artifact, so these are the
+        // canonical bytes without re-encoding — and the flood-dedup id
+        // is recomputed from them: a peer cannot ship a mismatched
+        // (bytes, id) pair.
+        let mark = r.position();
+        let msg = ConsensusMessage::decode(r)?;
+        let bytes = Bytes::copy_from_slice(r.consumed_since(mark));
+        Ok(PushedArtifact::with_encoding(msg, bytes))
     }
 }
 
@@ -1197,6 +1208,14 @@ impl CoreAccess for GossipNode {
 mod tests {
     use super::*;
 
+    /// The transport's in-place framing of `msg` is byte-identical to
+    /// framing its separately encoded `bytes`.
+    fn assert_framed_in_place(msg: &GossipMessage, bytes: &[u8]) {
+        let mut in_place = Vec::new();
+        icc_types::frame::frame(&mut in_place, |buf| msg.encode(buf));
+        assert_eq!(in_place, icc_types::frame::encode_frame(bytes));
+    }
+
     #[test]
     fn gossip_message_sizes() {
         let advert = GossipMessage::Advert {
@@ -1231,6 +1250,7 @@ mod tests {
         let roundtrip = |msg: GossipMessage| {
             let bytes = encode_to_vec(&msg);
             assert_eq!(bytes.len(), Encode::encoded_len(&msg), "encoded_len drift");
+            assert_framed_in_place(&msg, &bytes);
             let back: GossipMessage = decode_from_slice(&bytes).unwrap();
             assert_eq!(back, msg);
         };
@@ -1286,6 +1306,7 @@ mod tests {
         };
         let bytes = encode_to_vec(&msg);
         assert_eq!(bytes.len(), Encode::encoded_len(&msg));
+        assert_framed_in_place(&msg, &bytes);
         let back: GossipMessage = decode_from_slice(&bytes).unwrap();
         assert_eq!(back, msg);
     }
@@ -1324,5 +1345,18 @@ mod tests {
         let again = PushedArtifact::new(msg);
         assert_eq!(push.id(), again.id());
         assert_eq!(push.clone().id(), push.id());
+        // A decoded push takes its buffer from the received span, not a
+        // re-encode, and lands on the same (bytes, id) pair.
+        let wire = encode_to_vec(&push);
+        let decoded: PushedArtifact = icc_types::codec::decode_from_slice(&wire).unwrap();
+        assert_eq!(decoded, push);
+        assert_eq!(decoded.id(), push.id());
+        // The one non-canonical form the span could have smuggled in —
+        // an unreduced signature value for the same share — is refused
+        // by the codec, so no second id for one artifact exists.
+        let mut forged = wire;
+        let at = forged.len() - 48;
+        forged[at..at + 8].copy_from_slice(&(icc_crypto::field::P + 7).to_le_bytes());
+        assert!(icc_types::codec::decode_from_slice::<PushedArtifact>(&forged).is_err());
     }
 }

@@ -36,8 +36,8 @@ use crate::links::{LinkGauges, PeerLinkSnapshot};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use icc_sim::{RecvError, Transport, TransportEvent};
-use icc_types::codec::{decode_from_slice, encode_to_vec, Decode, Encode};
-use icc_types::frame::{encode_frame, FrameBuffer, DEFAULT_MAX_FRAME_LEN};
+use icc_types::codec::{decode_from_slice, Decode, Encode};
+use icc_types::frame::{encode_frame, frame, FrameBuffer, DEFAULT_MAX_FRAME_LEN, HEADER_LEN};
 use icc_types::NodeIndex;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -47,8 +47,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Wire protocol version carried in the hello frame; bumped on any
-/// frame- or codec-layer change.
-pub const PROTO_VERSION: u32 = 1;
+/// frame-, codec- or id-layer change (2: payload-root block ids).
+pub const PROTO_VERSION: u32 = 2;
 
 /// Tuning for a [`TcpTransport`].
 #[derive(Debug, Clone, Copy)]
@@ -337,20 +337,21 @@ where
                 .send(TransportEvent::Msg { from: self.me, msg });
             return;
         }
-        let payload = encode_to_vec(&msg);
-        let framed = Bytes::from(encode_frame(&payload));
-        self.enqueue(to.as_usize(), framed, payload.len());
+        let mut framed = Vec::with_capacity(HEADER_LEN + msg.encoded_len());
+        let payload_len = frame(&mut framed, |buf| msg.encode(buf));
+        self.enqueue(to.as_usize(), Bytes::from(framed), payload_len);
     }
 
-    /// Encode-once fan-out: the frame is built a single time and every
-    /// peer queue shares the same buffer (cloning [`Bytes`] is a
-    /// refcount bump); self-delivery bypasses the sockets.
+    /// Encode-once fan-out: the message is encoded into its frame a
+    /// single time and every peer queue shares that buffer (cloning
+    /// [`Bytes`] is a refcount bump); self-delivery bypasses the sockets.
     fn broadcast(&mut self, msg: M) {
-        let payload = encode_to_vec(&msg);
-        let framed = Bytes::from(encode_frame(&payload));
+        let mut framed = Vec::with_capacity(HEADER_LEN + msg.encoded_len());
+        let payload_len = frame(&mut framed, |buf| msg.encode(buf));
+        let framed = Bytes::from(framed);
         for p in 0..self.n {
             if p != self.me.as_usize() {
-                self.enqueue(p, framed.clone(), payload.len());
+                self.enqueue(p, framed.clone(), payload_len);
             }
         }
         let _ = self
@@ -399,10 +400,7 @@ impl<M, X> Drop for TcpTransport<M, X> {
 
 /// The hello frame a dialer sends first: protocol version + its index.
 fn hello_frame(me: NodeIndex) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(8);
-    payload.extend_from_slice(&PROTO_VERSION.to_le_bytes());
-    payload.extend_from_slice(&me.get().to_le_bytes());
-    encode_frame(&payload)
+    encode_frame(&[PROTO_VERSION.to_le_bytes(), me.get().to_le_bytes()].concat())
 }
 
 /// Dial-and-drain loop for one peer: connect (with capped exponential
@@ -592,6 +590,7 @@ fn reader_loop<M, X>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icc_types::codec::encode_to_vec;
 
     /// Builds an in-process mesh of `n` transports over ephemeral
     /// ports: bind `:0` listeners first, derive the spec from the
@@ -850,6 +849,20 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(t1.counters().frame_errors, 1);
+
+        // A peer from before the block-id change (hello version 1) is
+        // refused at the hello: it must not join and fork silently.
+        let mut old = TcpStream::connect(addr1).unwrap();
+        let v1_hello = [1u32.to_le_bytes(), 0u32.to_le_bytes()].concat();
+        old.write_all(&encode_frame(&v1_hello)).unwrap();
+        old.write_all(&encode_frame(&encode_to_vec(&b"from v1".to_vec())))
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while t1.counters().frame_errors == 1 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(t1.counters().frame_errors, 2);
+        assert_eq!(t1.counters().frames_recv, 0, "v1 frame was delivered");
 
         // …and the transport still serves honest peers. Drive t0 in a
         // helper thread so its own mesh stays live.

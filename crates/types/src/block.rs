@@ -6,13 +6,14 @@
 //! round-0 block `root` is represented as an ordinary [`Block`] produced
 //! by [`Block::genesis`]; the protocol special-cases its validity.
 //!
-//! Blocks are hashed over their canonical [`codec`](crate::codec)
-//! encoding; [`HashedBlock`] caches the digest so large payloads are
-//! hashed once.
+//! A block's id commits to its payload through the command digests
+//! (see [`Block::hash`]), so a replica hashes each command's bytes once
+//! — for exactly-once dedup — and the block id reuses that digest;
+//! [`HashedBlock`] caches the id.
 
 use crate::codec::{decode_seq, encode_seq, CodecError, Decode, Encode, Reader};
 use crate::ids::{NodeIndex, Round};
-use icc_crypto::{hash_parts, Hash256, Sha256};
+use icc_crypto::{hash_parts, Hash256};
 use std::fmt;
 use std::sync::Arc;
 
@@ -52,8 +53,10 @@ impl Command {
         self.bytes.is_empty()
     }
 
-    /// The command's identity digest (for exactly-once deduplication),
-    /// computed lazily once and shared across clones.
+    /// The command's identity digest, `hash_parts("cmd", bytes)`:
+    /// the exactly-once dedup key and this command's leaf in the block
+    /// id ([`Block::hash`]). Computed lazily once and shared across
+    /// clones — the only SHA pass a replica makes over the bytes.
     pub fn digest(&self) -> Hash256 {
         *self
             .digest
@@ -239,36 +242,31 @@ impl Block {
         &self.payload
     }
 
-    /// The canonical block hash `H(B)`: SHA-256 over the canonical
-    /// encoding, domain-separated.
+    /// The block id `H(B)`: the header fields and the **payload root**,
     ///
-    /// Streams the encoding straight into the hasher — no intermediate
-    /// `encode_to_vec` allocation, however large the payload. The digest
-    /// is bit-identical to `hash_parts("block", &[&encode_to_vec(b)])`
-    /// (pinned by a test), so ids on the wire are unchanged.
-    #[inline]
+    /// ```text
+    /// hash_parts("block", [round ‖ proposer ‖ parent, d₁ ‖ … ‖ dₙ])
+    /// ```
+    ///
+    /// with `dᵢ =` [`Command::digest`] of the `i`-th command. The
+    /// length-framed second part fixes `n`, each `dᵢ` is itself
+    /// length-framed over one command's bytes, so order, boundaries and
+    /// every payload byte are bound. The payload bytes are hashed only
+    /// through the cached command digests: the SHA pass made for dedup
+    /// is the one the id uses. The id is protocol state (parent links,
+    /// certificates): changing this definition needs a
+    /// `PROTO_VERSION` bump in `icc-net`.
     pub fn hash(&self) -> Hash256 {
-        const DOMAIN: &str = "block";
-        let mut h = Sha256::new();
-        // Mirror `hash_parts`' framing: domain tag, then the one part
-        // (the canonical encoding) length-prefixed.
-        h.update((DOMAIN.len() as u32).to_le_bytes());
-        h.update(DOMAIN.as_bytes());
-        h.update((self.encoded_len() as u64).to_le_bytes());
-        // Header fields through their canonical `Encode` impls (44 B).
-        let mut head: Vec<u8> = Vec::with_capacity(44);
-        self.round.encode(&mut head);
-        self.proposer.encode(&mut head);
-        self.parent.encode(&mut head);
-        h.update(&head);
-        // Payload: `encode_seq` framing, with each command's bytes fed
-        // to the hasher directly from its shared buffer.
-        h.update((self.payload.commands.len() as u64).to_le_bytes());
+        const HEAD: usize = 8 + 4 + 32;
+        let mut pre = Vec::with_capacity(HEAD + 32 * self.payload.commands.len());
+        self.round.encode(&mut pre);
+        self.proposer.encode(&mut pre);
+        self.parent.encode(&mut pre);
         for c in &self.payload.commands {
-            h.update((c.len() as u64).to_le_bytes());
-            h.update(c.bytes());
+            pre.extend_from_slice(c.digest().as_bytes());
         }
-        h.finalize()
+        let (head, root) = pre.split_at(HEAD);
+        hash_parts("block", &[head, root])
     }
 
     /// Wraps the block with its cached hash and cached encoded length.
@@ -400,6 +398,15 @@ mod tests {
         )
     }
 
+    fn with_commands(base: &Block, commands: &[&[u8]]) -> Block {
+        Block::new(
+            base.round(),
+            base.proposer(),
+            base.parent(),
+            Payload::from_commands(commands.iter().map(|c| Command::new(c.to_vec())).collect()),
+        )
+    }
+
     #[test]
     fn block_roundtrip() {
         let b = sample_block();
@@ -437,10 +444,19 @@ mod tests {
                 base.parent(),
                 Payload::empty(),
             ),
+            // One flipped payload byte.
+            with_commands(&base, &[&[1, 2, 2], &[]]),
+            // Swapped command order.
+            with_commands(&base, &[&[], &[1, 2, 3]]),
         ];
         for v in variants {
             assert_ne!(v.hash(), h);
         }
+        // Moved command boundaries: same concatenated bytes.
+        assert_ne!(
+            with_commands(&base, &[b"ab", b"c"]).hash(),
+            with_commands(&base, &[b"a", b"bc"]).hash()
+        );
     }
 
     #[test]
@@ -452,9 +468,8 @@ mod tests {
     }
 
     #[test]
-    fn streaming_hash_matches_buffered_reference() {
-        // The streamed `Block::hash` must stay bit-identical to the
-        // original buffered definition — block ids are protocol state.
+    fn hash_is_header_plus_payload_root() {
+        // Pin the id's definition: built here from `hash_parts` alone.
         for block in [
             Block::genesis(),
             sample_block(),
@@ -465,8 +480,40 @@ mod tests {
                 Payload::synthetic(100, 1024, Round::new(77)),
             ),
         ] {
-            let reference = hash_parts("block", &[&encode_to_vec(&block)]);
-            assert_eq!(block.hash(), reference);
+            let mut head = block.round().get().to_le_bytes().to_vec();
+            head.extend_from_slice(&block.proposer().get().to_le_bytes());
+            head.extend_from_slice(block.parent().as_bytes());
+            let root: Vec<u8> = block
+                .payload()
+                .commands()
+                .iter()
+                .flat_map(|c| hash_parts("cmd", &[c.bytes()]).0)
+                .collect();
+            assert_eq!(block.hash(), hash_parts("block", &[&head, &root]));
+        }
+    }
+
+    #[test]
+    fn decoded_proposal_has_every_command_digest_ready() {
+        // Decoding derives the block id, which derives every command
+        // digest: the commit path (dedup, WAL `Committed` record) finds
+        // them cached and does no further SHA work over the payload.
+        use crate::messages::BlockProposal;
+        let proposal = BlockProposal {
+            block: Block::new(
+                Round::new(4),
+                NodeIndex::new(2),
+                Hash256([5u8; 32]),
+                Payload::synthetic(6, 512, Round::new(4)),
+            )
+            .into_hashed(),
+            authenticator: icc_crypto::sig::Signature::from_value(7),
+            parent_notarization: None,
+        };
+        let back: BlockProposal = decode_from_slice(&encode_to_vec(&proposal)).unwrap();
+        assert_eq!(back.block.hash(), proposal.block.hash());
+        for c in back.block.block().payload().commands() {
+            assert!(c.digest.get().is_some(), "digest not initialised by decode");
         }
     }
 

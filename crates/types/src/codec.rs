@@ -2,8 +2,9 @@
 //!
 //! Two things depend on this module being exact:
 //!
-//! 1. **Hashing** — blocks are hashed over their canonical encoding, so
-//!    encoding must be deterministic and injective;
+//! 1. **Hashing** — command digests, block ids and gossip dedup ids are
+//!    hashes of canonically encoded fields, so encoding must be
+//!    deterministic and injective;
 //! 2. **Traffic metering** — the simulator charges each transmitted
 //!    artifact its encoded length, which is how the Table-1 traffic
 //!    numbers are reproduced. Signatures and signature shares occupy the
@@ -53,6 +54,14 @@ pub enum CodecError {
     },
     /// The fixed zero padding of a signature was non-zero.
     BadPadding,
+    /// The bytes decode to a value whose canonical encoding differs
+    /// (an unreduced field element, stray or trailing-zero bitmap bits).
+    /// Rejected so that an artifact has exactly one wire form: ids
+    /// hashed over received bytes equal ids hashed over re-encoded ones.
+    NonCanonical {
+        /// The type being decoded.
+        ty: &'static str,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -68,6 +77,7 @@ impl fmt::Display for CodecError {
             CodecError::TrailingBytes { count } => write!(f, "{count} trailing bytes after decode"),
             CodecError::LengthOverflow { len } => write!(f, "length prefix {len} exceeds limit"),
             CodecError::BadPadding => write!(f, "non-zero signature padding"),
+            CodecError::NonCanonical { ty } => write!(f, "non-canonical encoding of {ty}"),
         }
     }
 }
@@ -97,6 +107,17 @@ impl<'a> Reader<'a> {
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
+    }
+
+    /// Bytes consumed so far: a mark for [`consumed_since`](Self::consumed_since).
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// The input bytes consumed since an earlier [`position`](Self::position)
+    /// — the exact wire form of whatever was decoded in between.
+    pub fn consumed_since(&self, mark: usize) -> &'a [u8] {
+        &self.data[mark..self.pos]
     }
 
     /// Takes exactly `n` bytes.
@@ -332,6 +353,9 @@ impl Decode for Signature {
         if pad.iter().any(|&b| b != 0) {
             return Err(CodecError::BadPadding);
         }
+        if v >= icc_crypto::field::P {
+            return Err(CodecError::NonCanonical { ty: "Signature" });
+        }
         Ok(Signature::from_value(v))
     }
 }
@@ -402,6 +426,12 @@ impl Decode for MultiSig {
         let signature = Signature::decode(r)?;
         let bits = u16::decode(r)? as usize;
         let bitmap = r.take(bits.div_ceil(8))?;
+        // Canonical form: `bits` is the highest signer + 1, so the last
+        // byte shifted down to that signer's bit is exactly 1 — the bit
+        // is set and nothing sits above it.
+        if bits > 0 && bitmap[(bits - 1) / 8] >> ((bits - 1) % 8) != 1 {
+            return Err(CodecError::NonCanonical { ty: "MultiSig" });
+        }
         let mut signers = Vec::new();
         for i in 0..bits {
             if bitmap[i / 8] & (1 << (i % 8)) != 0 {
@@ -543,6 +573,36 @@ mod tests {
         roundtrip(ms.clone());
         // 48 sig + 2 count + ceil(39/8)=5 bitmap bytes
         assert_eq!(ms.encoded_len(), 55);
+    }
+
+    #[test]
+    fn non_canonical_encodings_rejected() {
+        // An unreduced signature value.
+        let mut bytes = encode_to_vec(&Signature::from_value(1));
+        bytes[..8].copy_from_slice(&(icc_crypto::field::P + 1).to_le_bytes());
+        assert_eq!(
+            decode_from_slice::<Signature>(&bytes),
+            Err(CodecError::NonCanonical { ty: "Signature" })
+        );
+        // Signers {0, 3}: canonical is 4 bits, bitmap 0b1001.
+        let ms = MultiSig {
+            signature: Signature::from_value(9),
+            signers: vec![0, 3].into(),
+        };
+        let canonical = encode_to_vec(&ms);
+        assert_eq!(decode_from_slice::<MultiSig>(&canonical).unwrap(), ms);
+        // Same signers, a stray bit above the declared count.
+        let mut stray = canonical.clone();
+        stray[50] |= 0b1000_0000;
+        // Same signers, declared count padded with a zero top bit.
+        let mut padded = canonical.clone();
+        padded[48..50].copy_from_slice(&5u16.to_le_bytes());
+        for bytes in [stray, padded] {
+            assert_eq!(
+                decode_from_slice::<MultiSig>(&bytes),
+                Err(CodecError::NonCanonical { ty: "MultiSig" })
+            );
+        }
     }
 
     #[test]

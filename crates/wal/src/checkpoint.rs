@@ -25,22 +25,25 @@ use std::path::Path;
 pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 const CHECKPOINT_TMP: &str = "checkpoint.tmp";
 
-/// Atomically replaces the checkpoint at `dir` with `payload`.
+/// Atomically replaces the checkpoint at `dir` with the payload `fill`
+/// appends (encoded straight into the checkpoint's frame).
 pub fn save_checkpoint(
     dir: &Path,
-    payload: &[u8],
+    fill: impl FnOnce(&mut Vec<u8>),
     counters: &mut StorageCounters,
 ) -> io::Result<()> {
     fs::create_dir_all(dir)?;
     let tmp = dir.join(CHECKPOINT_TMP);
     let mut file = File::create(&tmp)?;
-    file.write_all(&frame::encode_frame(payload))?;
+    let mut framed = Vec::new();
+    let payload_len = frame::frame(&mut framed, fill);
+    file.write_all(&framed)?;
     file.sync_all()?;
     drop(file);
     fs::rename(&tmp, dir.join(CHECKPOINT_FILE))?;
     sync_dir(dir)?;
     counters.checkpoints_written += 1;
-    counters.checkpoint_bytes += payload.len() as u64;
+    counters.checkpoint_bytes += payload_len as u64;
     Ok(())
 }
 
@@ -111,17 +114,21 @@ mod tests {
         dir
     }
 
+    fn save(dir: &Path, payload: &[u8], c: &mut StorageCounters) {
+        save_checkpoint(dir, |buf| buf.extend_from_slice(payload), c).unwrap();
+    }
+
     #[test]
     fn save_load_roundtrip_and_replace() {
         let dir = tmp_dir("roundtrip");
         let mut c = StorageCounters::default();
         assert_eq!(load_checkpoint(&dir, 1 << 20, &mut c).unwrap(), None);
-        save_checkpoint(&dir, b"state v1", &mut c).unwrap();
+        save(&dir, b"state v1", &mut c);
         assert_eq!(
             load_checkpoint(&dir, 1 << 20, &mut c).unwrap().as_deref(),
             Some(&b"state v1"[..])
         );
-        save_checkpoint(&dir, b"state v2 (bigger)", &mut c).unwrap();
+        save(&dir, b"state v2 (bigger)", &mut c);
         assert_eq!(
             load_checkpoint(&dir, 1 << 20, &mut c).unwrap().as_deref(),
             Some(&b"state v2 (bigger)"[..])
@@ -135,7 +142,7 @@ mod tests {
     fn corrupt_checkpoint_treated_as_absent() {
         let dir = tmp_dir("corrupt");
         let mut c = StorageCounters::default();
-        save_checkpoint(&dir, b"good state", &mut c).unwrap();
+        save(&dir, b"good state", &mut c);
         let path = dir.join(CHECKPOINT_FILE);
 
         // Bit flip.
@@ -147,13 +154,13 @@ mod tests {
         assert_eq!(c.checkpoint_corruptions, 1);
 
         // Truncation (torn write without the atomic rename).
-        save_checkpoint(&dir, b"good state", &mut c).unwrap();
+        save(&dir, b"good state", &mut c);
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         assert_eq!(load_checkpoint(&dir, 1 << 20, &mut c).unwrap(), None);
 
         // Trailing garbage after a valid frame.
-        save_checkpoint(&dir, b"good state", &mut c).unwrap();
+        save(&dir, b"good state", &mut c);
         let mut bytes = fs::read(&path).unwrap();
         bytes.extend_from_slice(b"junk");
         fs::write(&path, &bytes).unwrap();
@@ -166,7 +173,7 @@ mod tests {
     fn stale_tmp_swept_and_ignored() {
         let dir = tmp_dir("staletmp");
         let mut c = StorageCounters::default();
-        save_checkpoint(&dir, b"committed", &mut c).unwrap();
+        save(&dir, b"committed", &mut c);
         // A crash mid-save leaves a tmp file; it must not shadow the
         // committed checkpoint.
         fs::write(dir.join(CHECKPOINT_TMP), b"half written ...").unwrap();

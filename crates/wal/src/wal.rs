@@ -296,27 +296,31 @@ impl Wal {
         Ok((wal, records))
     }
 
-    /// Appends one record and applies the fsync policy. Returns whether
-    /// the record is durable (synced) when the call returns.
+    /// Appends one record of already-encoded bytes; see
+    /// [`append_with`](Wal::append_with).
     pub fn append(&mut self, round: u64, payload: &[u8]) -> io::Result<bool> {
-        if payload.len() as u64 + 8 > self.opts.max_record_len as u64 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "record payload {} exceeds max_record_len {}",
-                    payload.len(),
-                    self.opts.max_record_len
-                ),
-            ));
+        self.append_with(round, |buf| buf.extend_from_slice(payload))
+    }
+
+    /// Appends one record and applies the fsync policy. Returns whether
+    /// the record is durable (synced) when the call returns. `fill`
+    /// appends the payload straight into the record's frame (after the
+    /// round prefix), so an entry is encoded, checksummed and written
+    /// without an intermediate copy.
+    pub fn append_with(&mut self, round: u64, fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<bool> {
+        self.scratch.clear();
+        let len = frame::frame(&mut self.scratch, |buf| {
+            buf.extend_from_slice(&round.to_le_bytes());
+            fill(buf);
+        });
+        let max = self.opts.max_record_len;
+        if len as u64 > max as u64 {
+            let why = format!("record of {len} bytes exceeds max_record_len {max}");
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
         }
         if self.active.is_none() {
             self.start_segment()?;
         }
-        self.scratch.clear();
-        let mut inner = Vec::with_capacity(8 + payload.len());
-        inner.extend_from_slice(&round.to_le_bytes());
-        inner.extend_from_slice(payload);
-        frame::frame_into(&inner, &mut self.scratch);
 
         let file = self.active.as_mut().expect("active segment");
         file.write_all(&self.scratch)?;
@@ -331,18 +335,13 @@ impl Wal {
 
         let mut synced = self.maybe_sync()?;
         if self.active_len >= self.opts.segment_max_bytes {
-            // Rotation seals the segment through sync_now(), so every
+            // Rotation seals the segment through sync(), so every
             // pending record is durable at return even if the policy
             // alone would not have synced yet.
             self.rotate()?;
             synced = true;
         }
         Ok(synced)
-    }
-
-    /// Forces pending records durable regardless of policy.
-    pub fn sync(&mut self) -> io::Result<()> {
-        self.sync_now()
     }
 
     /// Deletes every sealed segment whose records are all at or below
@@ -405,7 +404,7 @@ impl Wal {
         // Seal only fully-durable segments: sync first so a sealed
         // segment can never carry a torn tail (recovery relies on torn
         // tails appearing only in the newest segment).
-        self.sync_now()?;
+        self.sync()?;
         self.active = None;
         self.sealed.push(Sealed {
             path: std::mem::take(&mut self.active_path),
@@ -430,12 +429,13 @@ impl Wal {
             FsyncPolicy::Periodic { interval } => self.last_sync.elapsed() >= interval,
         };
         if due {
-            self.sync_now()?;
+            self.sync()?;
         }
         Ok(due)
     }
 
-    fn sync_now(&mut self) -> io::Result<()> {
+    /// Forces pending records durable regardless of policy.
+    pub fn sync(&mut self) -> io::Result<()> {
         if let Some(file) = self.active.as_mut() {
             if self.pending_records > 0 {
                 let started = Instant::now();

@@ -14,7 +14,7 @@ use icc_gossip::{GossipConfig, GossipNode, Overlay};
 use icc_sim::delay::FixedDelay;
 use icc_types::block::{Block, Payload};
 use icc_types::codec::{decode_from_slice, encode_to_vec, Encode};
-use icc_types::frame::{encode_frame, FrameBuffer, HEADER_LEN};
+use icc_types::frame::{encode_frame, frame, FrameBuffer, HEADER_LEN};
 use icc_types::messages::{BlockProposal, BlockRef, Finalization, Notarization};
 use icc_types::{NodeIndex, Round, SimDuration};
 use icc_wal::fault::{self, DiskFault, FaultFs};
@@ -157,6 +157,14 @@ proptest! {
         let mut record = e.round().get().to_le_bytes().to_vec();
         record.extend_from_slice(&bytes);
         let wire = encode_frame(&record);
+        // …which the in-place writer (`Wal::append_with`) reproduces
+        // byte for byte without the intermediate `bytes`/`record`.
+        let mut in_place = Vec::new();
+        frame(&mut in_place, |buf| {
+            buf.extend_from_slice(&e.round().get().to_le_bytes());
+            e.encode(buf);
+        });
+        prop_assert_eq!(&in_place, &wire);
         let mut buf = FrameBuffer::new();
         buf.extend(&wire);
         let payload = buf.next_frame().unwrap().expect("one whole frame");
@@ -166,7 +174,8 @@ proptest! {
         prop_assert_eq!(disk, e);
     }
 
-    /// The same roundtrip through a real file: append, reopen, compare.
+    /// The same roundtrip through a real file: append (encoding in
+    /// place, as `FileBackend` does), reopen, compare.
     #[test]
     fn prop_wal_entry_survives_real_disk(
         round in 1u64..1_000_000,
@@ -176,11 +185,10 @@ proptest! {
     ) {
         let dir = scratch("disk_roundtrip");
         let e = entry(round, variant, cmds, size);
-        let bytes = encode_to_vec(&e);
         {
             let (mut wal, recovered) = Wal::open(&dir, per_commit()).unwrap();
             prop_assert!(recovered.is_empty());
-            wal.append(e.round().get(), &bytes).unwrap();
+            wal.append_with(e.round().get(), |buf| e.encode(buf)).unwrap();
         }
         let (_, recovered) = Wal::open(&dir, per_commit()).unwrap();
         prop_assert_eq!(recovered.len(), 1);
