@@ -1,15 +1,14 @@
 //! Criterion benchmarks of whole consensus rounds: how much *simulator*
 //! wall-clock one protocol round costs end-to-end at the paper's subnet
 //! sizes, for ICC0, ICC1 (gossip) and ICC2 (erasure RBC), plus a
-//! duplicate-heavy artifact-pool insert workload comparing the two-tier
-//! pipeline (verification cache on/off) against the eager-verify
-//! reference pool.
+//! duplicate-heavy artifact-pool insert workload comparing the pool
+//! against the eager-verify reference pool.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use icc_core::artifacts;
 use icc_core::cluster::ClusterBuilder;
 use icc_core::keys::{generate_keys, NodeKeys, PublicSetup};
-use icc_core::pool::{EagerPool, Pool, PoolConfig};
+use icc_core::pool::{EagerPool, Pool};
 use icc_erasure::{icc2_cluster, Icc2Config};
 use icc_gossip::{gossip_cluster, GossipConfig, Overlay};
 use icc_sim::delay::FixedDelay;
@@ -101,8 +100,8 @@ fn notarization_of(keys: &[NodeKeys], block_ref: BlockRef) -> Notarization {
 /// shares, aggregates) plus a *sub-threshold* set of round-1 beacon
 /// shares, each artifact repeated [`DUP_FACTOR`] times round-robin.
 /// Sub-threshold beacon shares mean every combine attempt re-examines
-/// the held shares — through the cache when it is enabled, through
-/// `S_sig.verify` when it is not, which is exactly the ablation.
+/// the held shares — already checked in the pool, through `S_sig.verify`
+/// again in the eager reference.
 fn duplicate_stream() -> (Arc<PublicSetup>, Vec<ConsensusMessage>) {
     let n = 4usize;
     let keys = generate_keys(SubnetConfig::new(n), 9);
@@ -159,17 +158,11 @@ fn duplicate_stream() -> (Arc<PublicSetup>, Vec<ConsensusMessage>) {
     (setup, stream)
 }
 
-/// Drives the whole stream through a two-tier pool, attempting a beacon
+/// Drives the whole stream through the pool, attempting a beacon
 /// combine every 16 inserts (gossip nodes poll like this), and returns
 /// `verify_calls`.
-fn run_two_tier(setup: &Arc<PublicSetup>, stream: &[ConsensusMessage], cache: bool) -> u64 {
-    let mut pool = Pool::with_config(
-        Arc::clone(setup),
-        PoolConfig {
-            cache_enabled: cache,
-            ..PoolConfig::default()
-        },
-    );
+fn run_pool(setup: &Arc<PublicSetup>, stream: &[ConsensusMessage]) -> u64 {
+    let mut pool = Pool::new(Arc::clone(setup));
     for (i, msg) in stream.iter().enumerate() {
         pool.insert(msg);
         if i % 16 == 0 {
@@ -196,28 +189,22 @@ fn bench_pool_duplicate_inserts(c: &mut Criterion) {
 
     // Verification economics, printed once alongside the timings: the
     // counts are deterministic, so a single run each is exact.
-    let cache_on = run_two_tier(&setup, &stream, true);
-    let cache_off = run_two_tier(&setup, &stream, false);
+    let pool = run_pool(&setup, &stream);
     let eager = run_eager(&setup, &stream);
     println!(
         "pool_duplicate_inserts: {} inserts ({} unique x{DUP_FACTOR}) — verify_calls: \
-         two_tier_cache_on {cache_on}, two_tier_cache_off {cache_off}, eager {eager}",
+         pool {pool}, eager {eager}",
         stream.len(),
         stream.len() / DUP_FACTOR,
     );
     assert!(
-        cache_on <= cache_off && cache_off < eager,
-        "cache must only remove verifications: {cache_on} <= {cache_off} < {eager}"
+        pool < eager,
+        "duplicates must not reach verification: {pool} < {eager}"
     );
 
     let mut g = c.benchmark_group("pool_duplicate_inserts");
     g.throughput(Throughput::Elements(stream.len() as u64));
-    g.bench_function("two_tier_cache_on", |b| {
-        b.iter(|| run_two_tier(&setup, &stream, true))
-    });
-    g.bench_function("two_tier_cache_off", |b| {
-        b.iter(|| run_two_tier(&setup, &stream, false))
-    });
+    g.bench_function("pool", |b| b.iter(|| run_pool(&setup, &stream)));
     g.bench_function("eager_reference", |b| b.iter(|| run_eager(&setup, &stream)));
     g.finish();
 }

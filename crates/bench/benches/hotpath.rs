@@ -1,5 +1,10 @@
 //! **Hot-path micro-benchmark** — A/B measurements of the three
-//! overhaul layers, written to `BENCH_hotpath.json`:
+//! overhaul layers, written to `BENCH_hotpath.json`. Cells 1–3 price
+//! `icc-crypto` functions (`verify_share_digest`, `verify_batch_digest`)
+//! over a whole share flood held at once. No product code calls them
+//! that way: the pool verifies each share as it arrives, with
+//! `verify_share`, and stops at the quorum (DESIGN.md §5a), so these
+//! cells describe the library, not a round.
 //!
 //! 1. `digest_cache` — per-share verification of a 40-node
 //!    notarization-share flood with the `(scheme, block)` digest
@@ -8,10 +13,8 @@
 //! 2. `batch_verify` — one random-linear-combination equation over the
 //!    whole flood (`verify_batch_digest`) vs per-share checks on the
 //!    same precomputed digest;
-//! 3. `combined` — the acceptance metric: batching *and* digest cache
-//!    on (one hash + one RLC equation) vs both off (k hashes + 2k
-//!    multiplications), which is exactly what the pool's ChangeSet step
-//!    does before/after the overhaul;
+//! 3. `combined` — batching *and* digest cache on (one hash + one RLC
+//!    equation) vs both off (k hashes + 2k multiplications);
 //! 4. `arc_fanout` — fanning a large block proposal out to the 39 other
 //!    parties by `HashedBlock` clone (an `Arc` refcount bump) vs a deep
 //!    copy of the block body (what a by-value fan-out would pay);
@@ -199,8 +202,8 @@ fn main() {
         optimised_ns: optimised,
     });
 
-    // 3. Combined (the acceptance metric): everything off vs everything
-    // on — what the ChangeSet step pays per (scheme, block) flood.
+    // 3. Combined: everything off vs everything on, per (scheme, block)
+    // flood.
     let baseline = time_ns(reps, iters, || {
         for s in &shares {
             assert!(black_box(scheme.verify_share(black_box(msg), s)));

@@ -161,14 +161,13 @@ fn run(sc: &Scenario) -> Vec<String> {
     let gap = committed.iter().max().unwrap() - committed.iter().min().unwrap();
     assert!(gap <= 3, "{}: final gap {gap} ({committed:?})", sc.name);
 
-    let mean_latency_ms = rec.catch_up_latency_us as f64 / rec.catch_up_applied.max(1) as f64 / 1e3;
     vec![
         sc.name.into(),
         format!("{}", rec.restarts),
         format!("{}", rec.catch_up_applied),
         format!("{}", rec.catch_up_rejected),
         format!("{}", rec.rounds_behind_total),
-        fmt_f(mean_latency_ms, 1),
+        fmt_f(rec.mean_catch_up_latency_ms(), 1),
         fmt_f(rec.catch_up_bytes as f64 / 1024.0, 1),
         format!("{}", rec.checkpoints),
         format!("{}", rec.wal_appends),

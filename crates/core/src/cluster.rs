@@ -50,6 +50,21 @@ impl CoreAccess for IccNode {
     }
 }
 
+/// What [`Cluster::metrics_summary`] returns: traffic totals and every
+/// layer's counters summed over all nodes.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ClusterSummary {
+    /// The simulation engine's traffic totals.
+    pub traffic: icc_sim::MetricsSummary,
+    /// Pool counters summed over all nodes.
+    pub pool: crate::pool::PoolStats,
+    /// Recovery counters summed over all nodes.
+    pub recovery: crate::recovery::RecoveryStats,
+    /// Gossip/overlay counters summed over all nodes (all zeros when
+    /// the cluster runs without a dissemination layer).
+    pub gossip: icc_sim::GossipCounters,
+}
+
 /// Which delay policy the nodes run.
 #[derive(Debug, Clone, Copy)]
 enum DelayChoice {
@@ -480,26 +495,22 @@ impl<N: Node<External = Command, Output = NodeEvent> + CoreAccess> Cluster<N> {
         self.sim.node(node).core().recovery_stats()
     }
 
-    /// Copies every node's current pool and recovery counters into the
-    /// simulation's [`Metrics`](icc_sim::Metrics), making them visible
-    /// per node and in the aggregate [`summary`](icc_sim::Metrics::summary).
-    pub fn sample_pool_metrics(&mut self) {
-        for i in 0..self.n() {
-            let stats = self.pool_stats(i);
-            self.sim.metrics_mut().set_pool_counters(i, stats.into());
-            let rec = self.recovery_stats(i);
-            self.sim.metrics_mut().set_recovery_counters(i, rec.into());
-            if let Some(g) = self.sim.node(i).gossip_counters() {
-                self.sim.metrics_mut().set_gossip_counters(i, g);
+    /// The aggregate of the run so far: the engine's traffic totals
+    /// plus every node's pool, recovery and gossip counters, read from
+    /// the nodes now and merged.
+    pub fn metrics_summary(&self) -> ClusterSummary {
+        let mut summary = ClusterSummary {
+            traffic: self.sim.metrics().summary(),
+            ..ClusterSummary::default()
+        };
+        for node in self.sim.nodes() {
+            summary.pool.merge(&node.core().pool().stats());
+            summary.recovery.merge(&node.core().recovery_stats());
+            if let Some(g) = node.gossip_counters() {
+                summary.gossip.merge(&g);
             }
         }
-    }
-
-    /// Samples pool counters and returns the aggregate metrics summary
-    /// (traffic + pool) for the run so far.
-    pub fn metrics_summary(&mut self) -> icc_sim::MetricsSummary {
-        self.sample_pool_metrics();
-        self.sim.metrics().summary()
+        summary
     }
 
     /// Every flight-recorder event across the cluster: each node's

@@ -434,7 +434,9 @@ impl ConsensusCore {
         let entries: Vec<WalEntry> = self.store.wal().to_vec();
         for entry in entries {
             match entry {
-                WalEntry::Beacon(r, v) => self.pool.install_beacon_trusted(r, v),
+                WalEntry::Beacon(r, v) => {
+                    self.pool.install_beacon_trusted(r, v);
+                }
                 WalEntry::Notarized {
                     proposal,
                     notarization,
@@ -720,8 +722,7 @@ impl ConsensusCore {
     /// Broadcasts `msg` and inserts it into the local pool immediately
     /// (a party's own messages reach its own pool, §3.1). Own artifacts
     /// take the trusted path: they were signed locally a moment ago, so
-    /// the ChangeSet step moves them to the validated section without
-    /// re-verifying.
+    /// the pool classifies them without verifying a signature.
     fn emit(&mut self, msg: ConsensusMessage, step: &mut Step) {
         self.pool.insert_owned(&msg);
         step.broadcasts.push(msg);

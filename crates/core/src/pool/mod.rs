@@ -1,38 +1,23 @@
-//! The two-tier artifact pool (paper §3.1, §3.4).
+//! The artifact pool (paper §3.1, §3.4).
 //!
 //! Each party holds a pool of all artifacts it has received (including
 //! from itself); nothing is ever deleted (§3.1 — an optional
 //! [`Pool::purge_below`] implements the optimization the paper mentions
-//! but elides). Artifacts flow through an explicit two-section
-//! pipeline, mirroring the unvalidated/validated split of production
-//! Internet Computer replicas:
+//! but elides). Messages are verified one at a time, on arrival, by one
+//! write path ([`Pool::insert`]); for each artifact of the message:
 //!
 //! ```text
-//!                    ┌──────────────────────────────────────────────┐
-//!   network/self ──▶ │ UNVALIDATED SECTION (unvalidated.rs)         │
-//!                    │  structural checks · dedup by artifact hash  │
-//!                    │  per-peer quota (flooders evict themselves)  │
-//!                    └───────────────────┬──────────────────────────┘
-//!                                        │ process_changes()
-//!                                        ▼
-//!                    ┌──────────────────────────────────────────────┐
-//!                    │ CHANGESET STEP (changeset.rs)                │
-//!                    │  VerificationCache lookup (cache.rs)         │
-//!                    │  batch signature verify per (round, block)   │
-//!                    │  → MoveToValidated | RemoveFromUnvalidated   │
-//!                    │    | PurgeBelow                              │
-//!                    └───────────────────┬──────────────────────────┘
-//!                                        │ apply_changes()
-//!                                        ▼
-//!                    ┌──────────────────────────────────────────────┐
-//!                    │ VALIDATED SECTION (validated.rs)             │
-//!                    │  §3.4 classifier: authentic → valid →        │
-//!                    │  notarized → finalized (fixpoint recheck)    │
-//!                    │  share accumulators · beacon combine         │
-//!                    └──────────────────────────────────────────────┘
+//!   duplicate of what is held ──────────────▶ dropped, no crypto
+//!   structural check (round, signer index) ─▶ rejected, no crypto
+//!   own / WAL-replayed artifact ────────────▶ trusted, no crypto
+//!   epoch-membership gate ──────────────────▶ rejected, no crypto
+//!   share after its quorum or aggregate ────▶ dropped unverified
+//!   ONE signature check ────────────────────▶ rejected on failure
+//!   insert into the §3.4 classifier (validated.rs)
 //! ```
 //!
-//! The §3.4 classification itself is unchanged from the seed:
+//! followed by one `recheck_validity` fixpoint per message. The §3.4
+//! classification is the paper's:
 //!
 //! * **authentic** — an authenticator (valid `S_auth` signature by the
 //!   claimed proposer) is present;
@@ -42,92 +27,179 @@
 //! * **notarized** — valid with a verified `(n−t)` notarization present;
 //! * **finalized** — valid with a verified `(n−t)` finalization present.
 //!
-//! What changed is *when* signatures are verified: once per distinct
-//! artifact, in the ChangeSet step, instead of eagerly on every insert.
-//! Duplicates are dropped at admission with zero verifications, and the
-//! [`VerificationCache`](cache::VerificationCache) remembers artifact
-//! hashes across re-sends. Beacon shares remain the one exception: they
-//! can only be verified once the *previous* beacon value is known
-//! (§3.4), so they are held and verified (through the cache) at combine
-//! time.
+//! Two artifact kinds cannot be checked on arrival, because the message
+//! they sign chains from the *previous* beacon value (§3.4): beacon
+//! shares are held unchecked and verified at combine time (each at most
+//! once — a held share remembers that it was checked), and combined
+//! beacon values whose predecessor is unknown wait in a small bounded
+//! list until it lands.
 //!
-//! The seed's eager-verify pool survives as
-//! [`reference::EagerPool`], the differential-testing model.
+//! The seed's eager-verify pool survives as [`reference::EagerPool`],
+//! the differential-testing model.
 
-pub mod cache;
-pub mod changeset;
 pub mod reference;
 pub mod stats;
-pub mod unvalidated;
 mod validated;
 
-pub use changeset::{ChangeAction, ChangeSet, RejectReason};
 pub use reference::EagerPool;
 pub use stats::PoolStats;
-pub use unvalidated::{ArtifactId, UnvalidatedArtifact};
 
 use crate::keys::PublicSetup;
 use crate::recovery::{CatchUpError, CatchUpPackage};
 use crate::storage::Checkpoint;
-use cache::VerificationCache;
 use icc_crypto::beacon::{beacon_sign_message, BeaconValue};
+use icc_crypto::sig::Signature;
+use icc_crypto::threshold::ThresholdSigShare;
 use icc_crypto::Hash256;
 use icc_types::block::HashedBlock;
-use icc_types::messages::{domains, BlockRef, ConsensusMessage, Finalization, Notarization};
+use icc_types::messages::{
+    domains, Beacon, BeaconShare, BlockRef, ConsensusMessage, Finalization, FinalizationShare,
+    Notarization, NotarizationShare,
+};
 use icc_types::Round;
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
-use unvalidated::UnvalidatedSection;
-use validated::ValidatedSection;
 
-/// Tuning knobs for the two-tier pool.
+/// Combined beacon values that may wait for their predecessor at once;
+/// beyond it the oldest is dropped.
+const MAX_PARKED_BEACONS: usize = 1024;
+
+/// One artifact of a wire message, borrowed for the length of the
+/// write path (a proposal carries two: its parent's notarization and
+/// the block itself).
 #[derive(Debug, Clone, Copy)]
-pub struct PoolConfig {
-    /// Maximum artifacts a single peer may hold in the unvalidated
-    /// section; beyond it, that peer's oldest artifact is evicted.
-    pub per_peer_cap: usize,
-    /// Whether the verification cache is consulted (the ablation switch
-    /// for the duplicate-heavy benchmark).
-    pub cache_enabled: bool,
+enum Artifact<'a> {
+    Block {
+        block: &'a HashedBlock,
+        authenticator: &'a Signature,
+    },
+    Notarization(&'a Notarization),
+    Finalization(&'a Finalization),
+    NotarizationShare(&'a NotarizationShare),
+    FinalizationShare(&'a FinalizationShare),
+    BeaconShare(&'a BeaconShare),
+    Beacon(&'a Beacon),
 }
 
-impl Default for PoolConfig {
-    fn default() -> PoolConfig {
-        PoolConfig {
-            per_peer_cap: 1024,
-            cache_enabled: true,
+impl<'a> Artifact<'a> {
+    /// Decomposes a wire message into its artifacts.
+    fn of(msg: &'a ConsensusMessage) -> [Option<Artifact<'a>>; 2] {
+        match msg {
+            ConsensusMessage::Proposal(p) => [
+                p.parent_notarization.as_ref().map(Artifact::Notarization),
+                Some(Artifact::Block {
+                    block: &p.block,
+                    authenticator: &p.authenticator,
+                }),
+            ],
+            ConsensusMessage::NotarizationShare(s) => [Some(Artifact::NotarizationShare(s)), None],
+            ConsensusMessage::Notarization(n) => [Some(Artifact::Notarization(n)), None],
+            ConsensusMessage::FinalizationShare(s) => [Some(Artifact::FinalizationShare(s)), None],
+            ConsensusMessage::Finalization(f) => [Some(Artifact::Finalization(f)), None],
+            ConsensusMessage::BeaconShare(b) => [Some(Artifact::BeaconShare(b)), None],
+            ConsensusMessage::Beacon(b) => [Some(Artifact::Beacon(b)), None],
         }
     }
+
+    /// The block reference a signed artifact is over, if any.
+    fn block_ref(&self) -> Option<BlockRef> {
+        match self {
+            Artifact::Block { block, .. } => Some(BlockRef::of_hashed(block)),
+            Artifact::Notarization(n) => Some(n.block_ref),
+            Artifact::Finalization(f) => Some(f.block_ref),
+            Artifact::NotarizationShare(s) => Some(s.block_ref),
+            Artifact::FinalizationShare(s) => Some(s.block_ref),
+            Artifact::BeaconShare(_) | Artifact::Beacon(_) => None,
+        }
+    }
+}
+
+/// A beacon share as held: it signs a message that chains from the
+/// previous beacon value, so it is checked at combine time, once.
+#[derive(Debug, Clone, Copy)]
+struct HeldBeaconShare {
+    share: ThresholdSigShare,
+    /// Already verified (or self-signed): a later combine attempt
+    /// costs no crypto for it.
+    checked: bool,
 }
 
 /// The per-party artifact pool and block classifier.
 #[derive(Debug)]
 pub struct Pool {
     setup: Arc<PublicSetup>,
-    unvalidated: UnvalidatedSection,
-    validated: ValidatedSection,
-    cache: VerificationCache,
     stats: PoolStats,
+    blocks: HashMap<Hash256, HashedBlock>,
+    by_round: BTreeMap<Round, Vec<Hash256>>,
+    authentic: HashSet<Hash256>,
+    valid: HashSet<Hash256>,
+    notarized: HashSet<Hash256>,
+    finalized: HashSet<Hash256>,
+    authenticators: HashMap<Hash256, Signature>,
+    notarizations: HashMap<Hash256, Notarization>,
+    finalizations: HashMap<Hash256, Finalization>,
+    notarization_shares: HashMap<Hash256, BTreeMap<u32, NotarizationShare>>,
+    finalization_shares: HashMap<Hash256, BTreeMap<u32, FinalizationShare>>,
+    /// Round index over finalization-share targets, so the Fig. 2 scan
+    /// is O(active rounds), not O(history).
+    finalization_share_rounds: BTreeMap<Round, HashSet<Hash256>>,
+    /// Aggregates whose block is not yet valid, awaiting promotion.
+    pending_notarized: HashSet<Hash256>,
+    pending_finalized: HashSet<Hash256>,
+    refs: HashMap<Hash256, BlockRef>,
+    beacon_shares: BTreeMap<Round, BTreeMap<u32, HeldBeaconShare>>,
+    beacons: BTreeMap<Round, BeaconValue>,
+    /// Combined beacon values whose predecessor is not yet known, in
+    /// arrival order (at most [`MAX_PARKED_BEACONS`]).
+    parked_beacons: VecDeque<Beacon>,
+    /// Blocks that are authentic but not yet valid (awaiting ancestors).
+    pending_validity: HashSet<Hash256>,
+    /// Finalized blocks indexed by round (P2 guarantees at most one).
+    finalized_by_round: BTreeMap<Round, Hash256>,
 }
 
 impl Pool {
-    /// An empty pool for a party of the given setup, with the default
-    /// [`PoolConfig`]. The genesis block is pre-inserted as valid,
-    /// notarized and finalized (§3.4: `root` serves as its own
-    /// authenticator, notarization and finalization), and `R_0` as the
-    /// round-0 beacon.
+    /// An empty pool for a party of the given setup. The genesis block
+    /// is pre-inserted as valid, notarized and finalized (§3.4: `root`
+    /// serves as its own authenticator, notarization and finalization),
+    /// and `R_0` as the round-0 beacon.
     pub fn new(setup: Arc<PublicSetup>) -> Pool {
-        Pool::with_config(setup, PoolConfig::default())
-    }
-
-    /// An empty pool with explicit tuning knobs.
-    pub fn with_config(setup: Arc<PublicSetup>, config: PoolConfig) -> Pool {
-        Pool {
-            validated: ValidatedSection::new(Arc::clone(&setup)),
-            unvalidated: UnvalidatedSection::new(config.per_peer_cap),
-            cache: VerificationCache::new(config.cache_enabled),
-            setup,
+        let genesis = setup.genesis.clone();
+        let ghash = genesis.hash();
+        let mut pool = Pool {
             stats: PoolStats::default(),
-        }
+            blocks: HashMap::new(),
+            by_round: BTreeMap::new(),
+            authentic: HashSet::new(),
+            authenticators: HashMap::new(),
+            valid: HashSet::new(),
+            notarized: HashSet::new(),
+            finalized: HashSet::new(),
+            notarizations: HashMap::new(),
+            finalizations: HashMap::new(),
+            notarization_shares: HashMap::new(),
+            finalization_shares: HashMap::new(),
+            finalization_share_rounds: BTreeMap::new(),
+            pending_notarized: HashSet::new(),
+            pending_finalized: HashSet::new(),
+            refs: HashMap::new(),
+            beacon_shares: BTreeMap::new(),
+            beacons: BTreeMap::new(),
+            parked_beacons: VecDeque::new(),
+            pending_validity: HashSet::new(),
+            finalized_by_round: BTreeMap::new(),
+            setup,
+        };
+        pool.beacons
+            .insert(Round::GENESIS, pool.setup.genesis_beacon);
+        pool.blocks.insert(ghash, genesis);
+        pool.by_round.insert(Round::GENESIS, vec![ghash]);
+        pool.authentic.insert(ghash);
+        pool.valid.insert(ghash);
+        pool.notarized.insert(ghash);
+        pool.finalized.insert(ghash);
+        pool.finalized_by_round.insert(Round::GENESIS, ghash);
+        pool
     }
 
     /// The pool's observability counters.
@@ -135,277 +207,231 @@ impl Pool {
         self.stats
     }
 
-    /// Number of artifacts rejected for failing structural checks or
-    /// verification.
-    pub fn rejected_count(&self) -> u64 {
-        self.stats.rejected
-    }
-
-    /// Artifacts currently queued in the unvalidated section.
-    pub fn unvalidated_len(&self) -> usize {
-        self.unvalidated.len()
-    }
-
-    /// Entries in the verification cache.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
     // ------------------------------------------------------------------
-    // The pipeline
+    // The write path
     // ------------------------------------------------------------------
 
-    /// Inserts an incoming message's artifacts through the full
-    /// pipeline (admit → process → apply). Returns `true` if anything
-    /// new entered the validated section.
+    /// Verifies and inserts an incoming message's artifacts. Returns
+    /// `true` if anything new entered the classifier.
     pub fn insert(&mut self, msg: &ConsensusMessage) -> bool {
         self.insert_inner(msg, false)
     }
 
-    /// Inserts an artifact this party produced and signed itself: it
-    /// still flows through the pipeline (dedup, cache, classification)
-    /// but skips signature verification.
+    /// Inserts an artifact this party produced and signed itself, or
+    /// replays from its own WAL: the same path (dedup, structural
+    /// check, classification) minus every signature verification.
     pub fn insert_owned(&mut self, msg: &ConsensusMessage) -> bool {
         self.insert_inner(msg, true)
     }
 
     fn insert_inner(&mut self, msg: &ConsensusMessage, trusted: bool) -> bool {
-        if !self.insert_unvalidated(msg, trusted) {
-            return false;
-        }
-        let changes = self.process_changes();
-        self.apply_changes(changes)
-    }
-
-    /// Stage 1: admits the message's artifacts into the unvalidated
-    /// section (structural checks, dedup against both sections, per-peer
-    /// quota). Returns `true` if anything was admitted.
-    pub fn insert_unvalidated(&mut self, msg: &ConsensusMessage, trusted: bool) -> bool {
-        let n_parties = self.setup.config.n();
-        let mut any = false;
-        for artifact in Self::artifacts_of(msg) {
-            if self.is_duplicate(&artifact) {
+        let mut admitted = false;
+        let mut changed = false;
+        for artifact in Artifact::of(msg).into_iter().flatten() {
+            if self.holds(&artifact) {
                 self.stats.duplicates_dropped += 1;
                 continue;
             }
-            any |= self
-                .unvalidated
-                .admit(artifact, trusted, n_parties, &mut self.stats);
-        }
-        any
-    }
-
-    /// Stage 2: computes the [`ChangeSet`] for everything queued —
-    /// verification (batched per `(round, block)`, through the cache)
-    /// happens here and only here.
-    pub fn process_changes(&mut self) -> ChangeSet {
-        changeset::process_changes(
-            &self.unvalidated,
-            &self.validated,
-            &self.setup,
-            &mut self.cache,
-            &mut self.stats,
-        )
-    }
-
-    /// Stage 3: executes a [`ChangeSet`], moving verified artifacts
-    /// into the validated section and re-running the §3.4 fixpoint once
-    /// per batch. Returns `true` if the validated section changed.
-    pub fn apply_changes(&mut self, changes: ChangeSet) -> bool {
-        let mut changed = false;
-        for action in changes {
-            match action {
-                ChangeAction::MoveToValidated(artifact) => {
-                    self.unvalidated.remove(&artifact.id());
-                    changed |= self.validated.insert_verified(artifact);
+            if !self.plausible(&artifact) {
+                self.stats.rejected += 1;
+                continue;
+            }
+            admitted = true;
+            if let (Artifact::Beacon(b), false) = (artifact, trusted) {
+                // Checked below, once the predecessor is known.
+                if self.parked_beacons.len() == MAX_PARKED_BEACONS {
+                    self.parked_beacons.pop_front();
                 }
-                ChangeAction::RemoveFromUnvalidated { id, .. } => {
-                    self.unvalidated.remove(&id);
-                }
-                ChangeAction::PurgeBelow(round) => {
-                    self.validated.purge_below(round);
-                    self.unvalidated.purge_below(round);
-                    self.cache.purge_below(round);
-                }
+                self.parked_beacons.push_back(*b);
+            } else if trusted || self.verify(&artifact) {
+                changed |= self.store(artifact, trusted);
             }
         }
+        // Parked beacon values (one just admitted included) are tried
+        // whenever a message brought something new.
+        if admitted {
+            changed |= self.settle_parked_beacons();
+        }
         if changed {
-            self.validated.recheck_validity();
+            self.recheck_validity();
         }
         changed
     }
 
-    /// Decomposes a wire message into pool artifacts (a proposal
-    /// carries its parent's notarization piggybacked).
-    fn artifacts_of(msg: &ConsensusMessage) -> Vec<UnvalidatedArtifact> {
-        match msg {
-            ConsensusMessage::Proposal(p) => {
-                let mut artifacts = Vec::with_capacity(2);
-                if let Some(n) = &p.parent_notarization {
-                    artifacts.push(UnvalidatedArtifact::Notarization(n.clone()));
-                }
-                artifacts.push(UnvalidatedArtifact::Block {
-                    block: p.block.clone(),
-                    authenticator: p.authenticator,
-                });
-                artifacts
-            }
-            ConsensusMessage::NotarizationShare(s) => {
-                vec![UnvalidatedArtifact::NotarizationShare(*s)]
-            }
-            ConsensusMessage::Notarization(n) => {
-                vec![UnvalidatedArtifact::Notarization(n.clone())]
-            }
-            ConsensusMessage::FinalizationShare(s) => {
-                vec![UnvalidatedArtifact::FinalizationShare(*s)]
-            }
-            ConsensusMessage::Finalization(f) => {
-                vec![UnvalidatedArtifact::Finalization(f.clone())]
-            }
-            ConsensusMessage::BeaconShare(b) => vec![UnvalidatedArtifact::BeaconShare(*b)],
-            ConsensusMessage::Beacon(b) => vec![UnvalidatedArtifact::Beacon(*b)],
-        }
-    }
-
-    /// Whether an identical artifact is already held in either section.
-    /// Duplicates never reach verification.
-    fn is_duplicate(&self, artifact: &UnvalidatedArtifact) -> bool {
-        let in_validated = match artifact {
-            UnvalidatedArtifact::Block { block, .. } => self.validated.has_block(&block.hash()),
-            UnvalidatedArtifact::Notarization(n) => {
-                self.validated.has_notarization(&n.block_ref.hash)
-            }
-            UnvalidatedArtifact::Finalization(f) => {
-                self.validated.has_finalization(&f.block_ref.hash)
-            }
-            UnvalidatedArtifact::NotarizationShare(s) => self
-                .validated
-                .has_notarization_share(&s.block_ref.hash, s.share.signer),
-            UnvalidatedArtifact::FinalizationShare(s) => self
-                .validated
-                .has_finalization_share(&s.block_ref.hash, s.share.signer),
-            UnvalidatedArtifact::BeaconShare(b) => {
-                self.validated.has_beacon_share(b.round, b.share.signer)
-            }
+    /// Whether an identical artifact is already held. Duplicates never
+    /// reach verification.
+    fn holds(&self, artifact: &Artifact<'_>) -> bool {
+        match artifact {
+            Artifact::Block { block, .. } => self.authentic.contains(&block.hash()),
+            Artifact::Notarization(n) => self.notarizations.contains_key(&n.block_ref.hash),
+            Artifact::Finalization(f) => self.finalizations.contains_key(&f.block_ref.hash),
+            Artifact::NotarizationShare(s) => self
+                .notarization_shares
+                .get(&s.block_ref.hash)
+                .is_some_and(|m| m.contains_key(&s.share.signer)),
+            Artifact::FinalizationShare(s) => self
+                .finalization_shares
+                .get(&s.block_ref.hash)
+                .is_some_and(|m| m.contains_key(&s.share.signer)),
+            Artifact::BeaconShare(b) => self
+                .beacon_shares
+                .get(&b.round)
+                .is_some_and(|m| m.contains_key(&b.share.signer)),
             // Any value for an already-known round is redundant: the
             // beacon scheme is unique, so a verified competitor would be
             // byte-identical anyway.
-            UnvalidatedArtifact::Beacon(b) => self.validated.beacon(b.round).is_some(),
+            Artifact::Beacon(b) => {
+                self.beacons.contains_key(&b.round) || self.parked_beacons.contains(b)
+            }
+        }
+    }
+
+    /// Structural checks: no crypto, just plausibility.
+    fn plausible(&self, artifact: &Artifact<'_>) -> bool {
+        let n = self.setup.config.n();
+        match artifact {
+            Artifact::Block { block, .. } => {
+                !block.round().is_genesis() && block.proposer().as_usize() < n
+            }
+            Artifact::NotarizationShare(s) => (s.share.signer as usize) < n,
+            Artifact::FinalizationShare(s) => (s.share.signer as usize) < n,
+            Artifact::BeaconShare(b) => (b.share.signer as usize) < n,
+            // Non-genesis rounds only ever carry Signature values; the
+            // genesis seed is baked into every party's setup.
+            Artifact::Beacon(b) => {
+                !b.round.is_genesis() && matches!(b.value, BeaconValue::Signature(_))
+            }
+            Artifact::Notarization(_) | Artifact::Finalization(_) => true,
+        }
+    }
+
+    /// The cryptographic half of the write path for one network
+    /// artifact: `true` if it may enter the classifier.
+    ///
+    /// Per-epoch signer sets: the proposer of a block, every signer of
+    /// an aggregate, and every share signer must be a *member* of the
+    /// epoch governing the artifact's round. Departed (or
+    /// not-yet-joined) parties hold valid universe keys, so the
+    /// membership gate — not signature verification — is what refuses
+    /// them.
+    fn verify(&mut self, artifact: &Artifact<'_>) -> bool {
+        // Beacon shares are verified at combine time (§3.4).
+        let Some(block_ref) = artifact.block_ref() else {
+            return true;
         };
-        in_validated || self.unvalidated.contains(&artifact.id())
+        let hash = block_ref.hash;
+        let epoch = self.setup.epoch_of(block_ref.round);
+        let ok = match artifact {
+            Artifact::Block { authenticator, .. } => {
+                let proposer = block_ref.proposer;
+                match self.setup.auth_keys.get(proposer.as_usize()) {
+                    Some(pk) if epoch.is_member(proposer.get()) => {
+                        self.stats.verify_calls += 1;
+                        pk.verify(domains::AUTH, &block_ref.sign_bytes(), authenticator)
+                    }
+                    _ => false,
+                }
+            }
+            Artifact::Notarization(n) => {
+                self.stats.verify_calls += 1;
+                self.setup.notary.verify_subset(
+                    &block_ref.sign_bytes(),
+                    &n.sig,
+                    epoch.notarization_threshold(),
+                    &epoch.members,
+                )
+            }
+            Artifact::Finalization(f) => {
+                self.stats.verify_calls += 1;
+                self.setup.finality.verify_subset(
+                    &block_ref.sign_bytes(),
+                    &f.sig,
+                    epoch.finalization_threshold(),
+                    &epoch.members,
+                )
+            }
+            // Early stop: once the pool holds the aggregate — or a full
+            // quorum of shares — for a block, further shares cannot
+            // change any decision and are dropped unverified (not a
+            // failure: never counted as rejected). This is what keeps
+            // per-round signature work bounded by the threshold instead
+            // of the subnet size.
+            Artifact::NotarizationShare(s) => {
+                if !epoch.is_member(s.share.signer) {
+                    false
+                } else if self.notarizations.contains_key(&hash)
+                    || self.notarization_shares.get(&hash).map_or(0, BTreeMap::len)
+                        >= epoch.notarization_threshold()
+                {
+                    self.stats.shares_skipped_after_quorum += 1;
+                    return false;
+                } else {
+                    self.stats.verify_calls += 1;
+                    self.setup
+                        .notary
+                        .verify_share(&block_ref.sign_bytes(), &s.share)
+                }
+            }
+            Artifact::FinalizationShare(s) => {
+                if !epoch.is_member(s.share.signer) {
+                    false
+                } else if self.finalizations.contains_key(&hash)
+                    || self.finalization_shares.get(&hash).map_or(0, BTreeMap::len)
+                        >= epoch.finalization_threshold()
+                {
+                    self.stats.shares_skipped_after_quorum += 1;
+                    return false;
+                } else {
+                    self.stats.verify_calls += 1;
+                    self.setup
+                        .finality
+                        .verify_share(&block_ref.sign_bytes(), &s.share)
+                }
+            }
+            Artifact::BeaconShare(_) | Artifact::Beacon(_) => {
+                unreachable!("handled above: no block_ref")
+            }
+        };
+        if !ok {
+            self.stats.rejected += 1;
+        }
+        ok
     }
 
-    /// Inserts a notarization (also used by the node after combining
-    /// shares itself) through the pipeline.
-    pub fn insert_notarization(&mut self, n: Notarization) -> bool {
-        self.insert(&ConsensusMessage::Notarization(n))
-    }
-
-    /// Inserts a finalization (also used after combining) through the
-    /// pipeline.
-    pub fn insert_finalization(&mut self, f: Finalization) -> bool {
-        self.insert(&ConsensusMessage::Finalization(f))
-    }
-
-    // ------------------------------------------------------------------
-    // Queries (validated section)
-    // ------------------------------------------------------------------
-
-    /// The block body for `hash`, if present.
-    pub fn block(&self, hash: &Hash256) -> Option<&HashedBlock> {
-        self.validated.block(hash)
-    }
-
-    /// The stored authenticator for `hash` (needed to echo a block).
-    pub fn authenticator_of(&self, hash: &Hash256) -> Option<icc_crypto::sig::Signature> {
-        self.validated.authenticator_of(hash)
-    }
-
-    /// Whether `hash` is valid for this party.
-    pub fn is_valid(&self, hash: &Hash256) -> bool {
-        self.validated.is_valid(hash)
-    }
-
-    /// Whether `hash` is notarized for this party.
-    pub fn is_notarized(&self, hash: &Hash256) -> bool {
-        self.validated.is_notarized(hash)
-    }
-
-    /// Whether `hash` is finalized for this party.
-    pub fn is_finalized(&self, hash: &Hash256) -> bool {
-        self.validated.is_finalized(hash)
-    }
-
-    /// All valid blocks of `round`, in insertion order.
-    pub fn valid_blocks(&self, round: Round) -> Vec<&HashedBlock> {
-        self.validated.valid_blocks(round)
-    }
-
-    /// Any notarized block of `round` (the first to become notarized
-    /// in this pool), with its notarization.
-    pub fn notarized_block(&self, round: Round) -> Option<(&HashedBlock, &Notarization)> {
-        self.validated.notarized_block(round)
-    }
-
-    /// All notarized blocks of `round`.
-    pub fn notarized_blocks(&self, round: Round) -> Vec<&HashedBlock> {
-        self.validated.notarized_blocks(round)
-    }
-
-    /// The notarization for `hash`, if present.
-    pub fn notarization_of(&self, hash: &Hash256) -> Option<&Notarization> {
-        self.validated.notarization_of(hash)
-    }
-
-    /// The finalization for `hash`, if present.
-    pub fn finalization_of(&self, hash: &Hash256) -> Option<&Finalization> {
-        self.validated.finalization_of(hash)
-    }
-
-    /// A *valid but non-notarized* block of `round` holding a full set
-    /// of `n − t` notarization shares; combines them (Fig. 1 clause (a)).
-    pub fn completable_notarization(&self, round: Round) -> Option<Notarization> {
-        self.validated.completable_notarization(round)
-    }
-
-    /// A *valid but non-finalized* block of round > `above` holding a
-    /// full set of finalization shares; combines them (Fig. 2 case ii).
-    pub fn completable_finalization(&self, above: Round) -> Option<Finalization> {
-        self.validated.completable_finalization(above)
-    }
-
-    /// The highest finalized block with round > `above`, if any
-    /// (Fig. 2 case i).
-    pub fn finalized_above(&self, above: Round) -> Option<&HashedBlock> {
-        self.validated.finalized_above(above)
-    }
-
-    /// The chain of blocks `(above, k]` ending at `block` (ancestors
-    /// first). Returns `None` if any ancestor body is missing — which
-    /// cannot happen for a block that is valid for this party.
-    pub fn chain_back_to(&self, block: &HashedBlock, above: Round) -> Option<Vec<HashedBlock>> {
-        self.validated.chain_back_to(block, above)
-    }
-
-    /// The highest finalized non-genesis block, if any.
-    pub fn latest_finalized_block(&self) -> Option<&HashedBlock> {
-        self.validated.latest_finalized_block()
-    }
-
-    /// The highest finalized round (genesis if nothing finalized).
-    pub fn latest_finalized_round(&self) -> Round {
-        self.validated.latest_finalized_round()
-    }
-
-    /// The highest round holding a notarized block (genesis if none).
-    pub fn highest_notarized_round(&self) -> Round {
-        self.validated.highest_notarized_round()
-    }
-
-    /// The highest finalized non-genesis block with round < `below`, if
-    /// any — the handoff block of an epoch whose boundary is `below`.
-    pub fn finalized_below(&self, below: Round) -> Option<&HashedBlock> {
-        self.validated.finalized_below(below)
+    /// Decides every parked beacon value against the beacon chain as it
+    /// stands: redundant once its round is known, verified (one group
+    /// signature check) once its predecessor is, left waiting
+    /// otherwise. All decisions of one pass read the same chain; the
+    /// accepted values are installed after it.
+    fn settle_parked_beacons(&mut self) -> bool {
+        let mut accepted = Vec::new();
+        let (beacons, setup, stats) = (&self.beacons, &self.setup, &mut self.stats);
+        self.parked_beacons.retain(|b| {
+            if beacons.contains_key(&b.round) {
+                return false;
+            }
+            let Some(prev) = b.round.prev().and_then(|p| beacons.get(&p)) else {
+                return true;
+            };
+            // `plausible` admitted Signature values only.
+            if let BeaconValue::Signature(sig) = b.value {
+                stats.verify_calls += 1;
+                if setup
+                    .beacon
+                    .verify(&beacon_sign_message(b.round.get(), prev), &sig)
+                {
+                    accepted.push(*b);
+                } else {
+                    stats.rejected += 1;
+                }
+            }
+            false
+        });
+        let mut changed = false;
+        for b in accepted {
+            changed |= self.install_beacon_trusted(b.round, b.value);
+        }
+        changed
     }
 
     // ------------------------------------------------------------------
@@ -417,56 +443,26 @@ impl Pool {
     /// parent chain — the finalization vouches for the prefix) and its
     /// beacon value anchors the restored beacon chain. Trusted path —
     /// no verification; the certificates were verified (or produced)
-    /// before the checkpoint was written. The artifacts are recorded in
-    /// the verification cache so network echoes of them never verify.
+    /// before the checkpoint was written. Network echoes of them are
+    /// duplicates of what is then held, so they never verify either.
     pub fn install_checkpoint(&mut self, cp: &Checkpoint) {
-        let round = cp.round();
-        self.record_certified(cp.proposal.clone(), &cp.notarization, &cp.finalization);
-        self.validated.install_certified_root(
+        self.install_certified_root(
             cp.proposal.block.clone(),
             cp.proposal.authenticator,
             cp.notarization.clone(),
             cp.finalization.clone(),
         );
-        self.validated.install_beacon(round, cp.beacon);
-        self.validated.recheck_validity();
-    }
-
-    /// Installs an already-known-good beacon value (WAL replay).
-    pub fn install_beacon_trusted(&mut self, round: Round, value: BeaconValue) {
-        self.validated.install_beacon(round, value);
-    }
-
-    /// Records a certified block + certificates in the verification
-    /// cache, so later network copies are cache hits.
-    fn record_certified(
-        &mut self,
-        proposal: icc_types::messages::BlockProposal,
-        notarization: &Notarization,
-        finalization: &Finalization,
-    ) {
-        let round = proposal.block.round();
-        let block_art = UnvalidatedArtifact::Block {
-            block: proposal.block,
-            authenticator: proposal.authenticator,
-        };
-        self.cache.record(block_art.id(), round);
-        self.cache.record(
-            UnvalidatedArtifact::Notarization(notarization.clone()).id(),
-            round,
-        );
-        self.cache.record(
-            UnvalidatedArtifact::Finalization(finalization.clone()).id(),
-            round,
-        );
+        self.install_beacon_trusted(cp.round(), cp.beacon);
+        self.recheck_validity();
     }
 
     /// Verifies a [`CatchUpPackage`] against the subnet's public keys
     /// and, on success, installs its block as a certified root and its
-    /// beacon segment. Verification goes through the two-tier pipeline's
-    /// cache semantics: certificates already verified once are cache
-    /// hits, everything else counts into `verify_calls`, and any failure
-    /// rejects the whole package with nothing installed.
+    /// beacon segment. A certificate equal to the one this pool already
+    /// holds for the block was verified when it entered and is not
+    /// verified again (counted in `verify_cache_hits`); everything else
+    /// counts into `verify_calls`, and any failure rejects the whole
+    /// package with nothing installed.
     ///
     /// When the package's block lies in a later epoch than this
     /// replica's finalized knowledge, the package must carry one
@@ -479,11 +475,35 @@ impl Pool {
         &mut self,
         pkg: &CatchUpPackage,
     ) -> Result<usize, CatchUpError> {
+        let verified = self.verify_catch_up(pkg);
+        if verified.is_err() {
+            self.stats.rejected += 1;
+        }
+        let (crossed, beacons) = verified?;
+        self.install_certified_root(
+            pkg.proposal.block.clone(),
+            pkg.proposal.authenticator,
+            pkg.notarization.clone(),
+            pkg.finalization.clone(),
+        );
+        for (r, v) in beacons {
+            self.install_beacon_trusted(r, v);
+        }
+        self.recheck_validity();
+        Ok(crossed)
+    }
+
+    /// The read-only half of catch-up: every check of the package,
+    /// returning the epoch boundaries crossed and the verified beacon
+    /// segment to install.
+    fn verify_catch_up(
+        &mut self,
+        pkg: &CatchUpPackage,
+    ) -> Result<(usize, Vec<(Round, BeaconValue)>), CatchUpError> {
         let block = &pkg.proposal.block;
         let round = block.round();
         let bref = BlockRef::of_hashed(block);
         if pkg.notarization.block_ref != bref || pkg.finalization.block_ref != bref {
-            self.stats.rejected += 1;
             return Err(CatchUpError::Mismatched);
         }
         let sign_bytes = bref.sign_bytes();
@@ -492,28 +512,22 @@ impl Pool {
         // checks assume the target epoch is reachable from what this
         // replica already finalized.
         let target_epoch = self.setup.epoch_index_of(round);
-        let local_epoch = self
-            .setup
-            .epoch_index_of(self.validated.latest_finalized_round());
+        let local_epoch = self.setup.epoch_index_of(self.latest_finalized_round());
         if !pkg.transitions.windows(2).all(|w| w[0].epoch < w[1].epoch) {
-            self.stats.rejected += 1;
             return Err(CatchUpError::BadTransition);
         }
         let mut crossed = 0usize;
         for e in (local_epoch + 1)..=target_epoch {
             let Some(link) = pkg.transitions.iter().find(|t| t.epoch == e as u64) else {
-                self.stats.rejected += 1;
                 return Err(CatchUpError::MissingTransition);
             };
             if link.notarization.block_ref != link.finalization.block_ref {
-                self.stats.rejected += 1;
                 return Err(CatchUpError::BadTransition);
             }
             // The handoff block must belong to the outgoing epoch.
             let out = &self.setup.epochs[e - 1];
             let lr = link.round();
             if lr < out.start_round || lr >= self.setup.epochs[e].start_round {
-                self.stats.rejected += 1;
                 return Err(CatchUpError::BadTransition);
             }
             let link_bytes = link.finalization.block_ref.sign_bytes();
@@ -530,7 +544,6 @@ impl Pool {
                 &out.members,
             );
             if !ok {
-                self.stats.rejected += 1;
                 return Err(CatchUpError::BadTransition);
             }
             crossed += 1;
@@ -540,12 +553,7 @@ impl Pool {
 
         // Authenticator (S_auth by the claimed proposer, who must be a
         // member of the block's epoch).
-        let block_id = UnvalidatedArtifact::Block {
-            block: block.clone(),
-            authenticator: pkg.proposal.authenticator,
-        }
-        .id();
-        if self.cache.contains(&block_id) {
+        if self.authenticators.get(&bref.hash) == Some(&pkg.proposal.authenticator) {
             self.stats.verify_cache_hits += 1;
         } else {
             self.stats.verify_calls += 1;
@@ -558,15 +566,12 @@ impl Pool {
                         pk.verify(domains::AUTH, &sign_bytes, &pkg.proposal.authenticator)
                     });
             if !ok {
-                self.stats.rejected += 1;
                 return Err(CatchUpError::BadAuthenticator);
             }
-            self.cache.record(block_id, round);
         }
 
         // Notarization aggregate, under the epoch's signer set.
-        let notz_id = UnvalidatedArtifact::Notarization(pkg.notarization.clone()).id();
-        if self.cache.contains(&notz_id) {
+        if self.notarizations.get(&bref.hash) == Some(&pkg.notarization) {
             self.stats.verify_cache_hits += 1;
         } else {
             self.stats.verify_calls += 1;
@@ -576,15 +581,12 @@ impl Pool {
                 epoch.notarization_threshold(),
                 &epoch.members,
             ) {
-                self.stats.rejected += 1;
                 return Err(CatchUpError::BadNotarization);
             }
-            self.cache.record(notz_id, round);
         }
 
         // Finalization aggregate — the actual catch-up certificate.
-        let fin_id = UnvalidatedArtifact::Finalization(pkg.finalization.clone()).id();
-        if self.cache.contains(&fin_id) {
+        if self.finalizations.get(&bref.hash) == Some(&pkg.finalization) {
             self.stats.verify_cache_hits += 1;
         } else {
             self.stats.verify_calls += 1;
@@ -594,10 +596,8 @@ impl Pool {
                 epoch.finalization_threshold(),
                 &epoch.members,
             ) {
-                self.stats.rejected += 1;
                 return Err(CatchUpError::BadFinalization);
             }
-            self.cache.record(fin_id, round);
         }
 
         // Beacon segment: consecutive, anchored at a locally-known
@@ -605,25 +605,21 @@ impl Pool {
         // predecessor.
         let mut staged: Vec<(Round, BeaconValue)> = Vec::with_capacity(pkg.beacons.len());
         if let Some(&(first, _)) = pkg.beacons.first() {
-            let Some(anchor) = first.prev().and_then(|p| self.validated.beacon(p)).copied() else {
-                self.stats.rejected += 1;
+            let Some(anchor) = first.prev().and_then(|p| self.beacon(p)).copied() else {
                 return Err(CatchUpError::BadBeacon);
             };
             let mut prev = anchor;
             let mut expected = first;
             for &(r, v) in &pkg.beacons {
                 let BeaconValue::Signature(sig) = v else {
-                    self.stats.rejected += 1;
                     return Err(CatchUpError::BadBeacon);
                 };
                 if r != expected {
-                    self.stats.rejected += 1;
                     return Err(CatchUpError::BadBeacon);
                 }
                 let msg = beacon_sign_message(r.get(), &prev);
                 self.stats.verify_calls += 1;
                 if !self.setup.beacon.verify(&msg, &sig) {
-                    self.stats.rejected += 1;
                     return Err(CatchUpError::BadBeacon);
                 }
                 staged.push((r, v));
@@ -636,67 +632,11 @@ impl Pool {
         let covered = staged
             .last()
             .map_or(Round::GENESIS, |(r, _)| *r)
-            .max(self.validated.latest_beacon_round());
+            .max(self.latest_beacon_round());
         if covered < round.next() {
-            self.stats.rejected += 1;
             return Err(CatchUpError::Truncated);
         }
-
-        // Everything verified: install.
-        self.validated.install_certified_root(
-            block.clone(),
-            pkg.proposal.authenticator,
-            pkg.notarization.clone(),
-            pkg.finalization.clone(),
-        );
-        for (r, v) in staged {
-            self.validated.install_beacon(r, v);
-        }
-        self.validated.recheck_validity();
-        Ok(crossed)
-    }
-
-    // ------------------------------------------------------------------
-    // Beacon
-    // ------------------------------------------------------------------
-
-    /// The computed beacon value for `round`, if known.
-    pub fn beacon(&self, round: Round) -> Option<&BeaconValue> {
-        self.validated.beacon(round)
-    }
-
-    /// The highest round whose beacon value is known.
-    pub fn latest_beacon_round(&self) -> Round {
-        self.validated.latest_beacon_round()
-    }
-
-    /// All known beacon values of rounds ≥ `from`, ascending.
-    pub fn beacons_from(&self, from: Round) -> Vec<(Round, BeaconValue)> {
-        self.validated.beacons_from(from)
-    }
-
-    /// Attempts to compute the round-`round` beacon from held shares.
-    /// Requires `R_{round−1}`; invalid shares are discarded on the way.
-    /// Returns the value if newly computed.
-    pub fn try_compute_beacon(&mut self, round: Round) -> Option<BeaconValue> {
-        self.validated
-            .try_compute_beacon(round, &mut self.cache, &mut self.stats)
-    }
-
-    /// Number of (unverified) shares held for the round-`round` beacon.
-    pub fn beacon_share_count(&self, round: Round) -> usize {
-        self.validated.beacon_share_count(round)
-    }
-
-    /// Discards artifacts strictly below `round` in every section (and
-    /// the cache) — the garbage-collection optimization §3.1 alludes to.
-    pub fn purge_below(&mut self, round: Round) {
-        self.apply_changes(vec![ChangeAction::PurgeBelow(round)]);
-    }
-
-    /// Total number of block bodies held (diagnostics).
-    pub fn block_count(&self) -> usize {
-        self.validated.block_count()
+        Ok((crossed, staged))
     }
 }
 
@@ -706,7 +646,6 @@ mod tests {
     use crate::artifacts;
     use crate::keys::{generate_keys, NodeKeys};
     use icc_types::block::{Block, Payload};
-    use icc_types::messages::{domains, BlockRef};
     use icc_types::SubnetConfig;
 
     fn keys() -> Vec<NodeKeys> {
@@ -796,12 +735,10 @@ mod tests {
         let mut p = artifacts::proposal(&ks[1], b, None);
         p.authenticator = ks[2].auth.sign(domains::AUTH, b"junk");
         assert!(!pool.insert(&ConsensusMessage::Proposal(p)));
-        assert_eq!(pool.rejected_count(), 1);
+        assert_eq!(pool.stats().rejected, 1);
         assert!(pool.valid_blocks(Round::new(1)).is_empty());
-        // The forgery never entered any section — and never entered the
-        // cache either.
-        assert_eq!(pool.unvalidated_len(), 0);
-        assert_eq!(pool.cache_len(), 0);
+        // The forgery left nothing behind.
+        assert_eq!(pool.block_count(), 1);
     }
 
     #[test]
@@ -847,7 +784,7 @@ mod tests {
         assert_eq!(n.block_ref.hash, b.hash());
         assert!(ks[0].setup.notary.verify(&r.sign_bytes(), &n.sig));
         // Once notarized, it is no longer "completable".
-        pool.insert_notarization(n);
+        pool.insert(&ConsensusMessage::Notarization(n));
         assert!(pool.completable_notarization(Round::new(1)).is_none());
     }
 
@@ -860,7 +797,65 @@ mod tests {
         let mut s = artifacts::notarization_share(&ks[1], r);
         s.share.signer = 2; // claim someone else produced it
         assert!(!pool.insert(&ConsensusMessage::NotarizationShare(s)));
-        assert_eq!(pool.rejected_count(), 1);
+        let st = pool.stats();
+        assert_eq!(
+            (st.rejected, st.verify_calls),
+            (1, 1),
+            "one check, one reject"
+        );
+    }
+
+    /// The property the old batch fallback existed for: a forged share
+    /// arriving ahead of the valid ones costs them nothing — not even
+    /// the forger's own later, genuine share.
+    #[test]
+    fn forged_share_ahead_of_valid_ones_still_completes_quorum() {
+        let ks = keys();
+        let mut pool = Pool::new(Arc::clone(&ks[0].setup));
+        let b = block_at(&ks[0], 1, ks[0].setup.genesis.hash(), 1);
+        let r = BlockRef::of_hashed(&b);
+        pool.insert(&ConsensusMessage::Proposal(artifacts::proposal(
+            &ks[0],
+            b.clone(),
+            None,
+        )));
+        let mut forged = artifacts::notarization_share(&ks[3], r);
+        forged.share.signer = 1;
+        assert!(!pool.insert(&ConsensusMessage::NotarizationShare(forged)));
+        for k in &ks[..3] {
+            assert!(pool.insert(&ConsensusMessage::NotarizationShare(
+                artifacts::notarization_share(k, r)
+            )));
+        }
+        assert_eq!(pool.stats().rejected, 1);
+        assert!(pool.completable_notarization(Round::new(1)).is_some());
+    }
+
+    /// The early stop: a share that arrives once its block's quorum or
+    /// aggregate is held is dropped without a signature check.
+    #[test]
+    fn shares_after_quorum_or_aggregate_skip_verification() {
+        let ks = keys();
+        let mut pool = Pool::new(Arc::clone(&ks[0].setup));
+        let b = block_at(&ks[0], 1, ks[0].setup.genesis.hash(), 1);
+        let r = BlockRef::of_hashed(&b);
+        let share =
+            |k: &NodeKeys| ConsensusMessage::FinalizationShare(artifacts::finalization_share(k, r));
+        for k in &ks[..3] {
+            assert!(pool.insert(&share(k)));
+        }
+        assert_eq!(pool.stats().verify_calls, 3);
+        // Fourth share of a quorum of three.
+        assert!(!pool.insert(&share(&ks[3])));
+        // Any notarization share once the notarization itself is held.
+        pool.insert(&ConsensusMessage::Notarization(notarize(&ks, &b)));
+        assert!(!pool.insert(&ConsensusMessage::NotarizationShare(
+            artifacts::notarization_share(&ks[0], r)
+        )));
+        let st = pool.stats();
+        assert_eq!(st.verify_calls, 4, "three shares and the aggregate");
+        assert_eq!(st.shares_skipped_after_quorum, 2);
+        assert_eq!(st.rejected, 0, "a skipped share is not a failure");
     }
 
     #[test]
@@ -925,12 +920,10 @@ mod tests {
         // A garbage share (wrong round message) plus one good one: not
         // enough.
         let bad = artifacts::beacon_share(&ks[3], Round::new(2), &prev);
-        pool.insert(&ConsensusMessage::BeaconShare(
-            icc_types::messages::BeaconShare {
-                round: r1,
-                share: bad.share,
-            },
-        ));
+        pool.insert(&ConsensusMessage::BeaconShare(BeaconShare {
+            round: r1,
+            share: bad.share,
+        }));
         pool.insert(&ConsensusMessage::BeaconShare(artifacts::beacon_share(
             &ks[0], r1, &prev,
         )));
@@ -1002,6 +995,48 @@ mod tests {
         assert!(pool.block(&b2.hash()).is_some());
     }
 
+    /// `refs` is pruned with every other map, and a share whose block
+    /// body never arrived leaves no dangling round-index entry for the
+    /// Fig. 2 scan to trip over.
+    #[test]
+    fn purge_prunes_refs_and_share_index() {
+        let ks = keys();
+        let genesis = ks[0].setup.genesis.hash();
+        let mut pool = Pool::new(Arc::clone(&ks[0].setup));
+        let mut parent = genesis;
+        for round in 1..=4u64 {
+            let b = block_at(&ks[1], round, parent, round as u8);
+            let notarization = (parent != genesis).then(|| pool.notarizations[&parent].clone());
+            pool.insert(&ConsensusMessage::Proposal(artifacts::proposal(
+                &ks[1],
+                b.clone(),
+                notarization,
+            )));
+            pool.insert(&ConsensusMessage::Notarization(notarize(&ks, &b)));
+            pool.insert(&ConsensusMessage::FinalizationShare(
+                artifacts::finalization_share(&ks[0], BlockRef::of_hashed(&b)),
+            ));
+            parent = b.hash();
+        }
+        // A finalization share for a round-5 block this pool never sees.
+        let unseen = block_at(&ks[2], 5, parent, 99);
+        pool.insert(&ConsensusMessage::FinalizationShare(
+            artifacts::finalization_share(&ks[2], BlockRef::of_hashed(&unseen)),
+        ));
+        assert_eq!(pool.refs.len(), 5);
+
+        pool.purge_below(Round::new(3));
+        assert!(
+            pool.refs
+                .iter()
+                .all(|(h, r)| r.round >= Round::new(3) || *h == genesis),
+            "{:?}",
+            pool.refs
+        );
+        assert_eq!(pool.refs.len(), 2, "rounds 3 and 4");
+        assert!(pool.completable_finalization(Round::GENESIS).is_none());
+    }
+
     #[test]
     fn duplicate_inserts_are_noops() {
         let ks = keys();
@@ -1018,12 +1053,8 @@ mod tests {
         assert!(!pool.insert(&s));
     }
 
-    // --------------------------------------------------------------
-    // Pipeline-specific tests (two-tier behavior)
-    // --------------------------------------------------------------
-
-    /// The ISSUE's acceptance criterion: re-inserting an already-pooled
-    /// artifact performs **zero** signature verifications.
+    /// Re-inserting an already-pooled artifact performs **zero**
+    /// signature verifications.
     #[test]
     fn reinsert_performs_zero_verifications() {
         let ks = keys();
@@ -1047,76 +1078,10 @@ mod tests {
         assert_eq!(st.duplicates_dropped, 20);
     }
 
-    /// The cache skips verification for an artifact re-learned through
-    /// a different wire message (a share seen standalone and then again
-    /// after the validated copy was purged).
-    #[test]
-    fn cache_hit_after_section_purge() {
-        let ks = keys();
-        let mut pool = Pool::new(Arc::clone(&ks[0].setup));
-        let b2 = block_at(&ks[1], 2, ks[0].setup.genesis.hash(), 7);
-        let s = ConsensusMessage::NotarizationShare(artifacts::notarization_share(
-            &ks[0],
-            BlockRef::of_hashed(&b2),
-        ));
-        assert!(pool.insert(&s));
-        let verifies = pool.stats().verify_calls;
-        // Purge below round 2 keeps round-2 artifacts and their cache
-        // entries; purge below 3 drops the share but we re-learn it
-        // while its cache entry is... also dropped. So instead purge
-        // the *validated* copy only by purging below round 2 after
-        // manufacturing a stale duplicate path: simplest observable
-        // cache effect is via the unvalidated batch path below.
-        let _ = verifies;
-        // Batched path: admit the same share twice *within one batch*
-        // via insert_unvalidated — the second admission dedups in the
-        // unvalidated section itself.
-        let dup_before = pool.stats().duplicates_dropped;
-        assert!(!pool.insert_unvalidated(&s, false));
-        assert_eq!(pool.stats().duplicates_dropped, dup_before + 1);
-    }
-
-    /// Explicit three-stage pipeline: admit without processing, then
-    /// process and apply one batch.
-    #[test]
-    fn explicit_changeset_pipeline() {
-        let ks = keys();
-        let mut pool = Pool::new(Arc::clone(&ks[0].setup));
-        let b = block_at(&ks[1], 1, ks[0].setup.genesis.hash(), 1);
-        let p = ConsensusMessage::Proposal(artifacts::proposal(&ks[1], b.clone(), None));
-        let r = BlockRef::of_hashed(&b);
-        assert!(pool.insert_unvalidated(&p, false));
-        for k in &ks[..3] {
-            assert!(pool.insert_unvalidated(
-                &ConsensusMessage::NotarizationShare(artifacts::notarization_share(k, r)),
-                false,
-            ));
-        }
-        assert_eq!(pool.unvalidated_len(), 4);
-        assert!(!pool.is_valid(&b.hash()), "nothing classified yet");
-        let changes = pool.process_changes();
-        assert_eq!(changes.len(), 4);
-        assert!(changes
-            .iter()
-            .all(|c| matches!(c, ChangeAction::MoveToValidated(_))));
-        assert!(pool.apply_changes(changes));
-        assert_eq!(pool.unvalidated_len(), 0);
-        assert!(pool.is_valid(&b.hash()));
-        assert!(pool.completable_notarization(Round::new(1)).is_some());
-        // Batched verification: 4 artifacts over one (round, block) —
-        // the authenticator verifies individually, the 3 notarization
-        // shares collapse into ONE RLC batch equation.
-        assert_eq!(pool.stats().verify_calls, 2);
-        assert_eq!(pool.stats().batch_verifies, 1);
-        assert_eq!(pool.stats().batched_shares, 3);
-    }
-
-    /// Regression: the verification-cache key and the ChangeSet digest
-    /// memo key derive from the **same cached block digest**. An
-    /// artifact re-learned from its wire encoding — which builds a
-    /// fresh `HashedBlock` whose digest is recomputed by the streaming
-    /// hasher — must map to the identical cache key, so the PR-1 cache
-    /// and the digest cache can never disagree about one artifact.
+    /// The duplicate probe keys on the block digest a [`HashedBlock`]
+    /// caches. A proposal re-learned from its wire encoding — whose
+    /// digest the receiver recomputes from scratch — is a duplicate of
+    /// the original: zero further verifications.
     #[test]
     fn cache_key_derives_from_cached_digest() {
         use icc_types::codec::{decode_from_slice, encode_to_vec};
@@ -1125,55 +1090,15 @@ mod tests {
         let ks = keys();
         let mut pool = Pool::new(Arc::clone(&ks[0].setup));
         let b = block_at(&ks[1], 1, ks[0].setup.genesis.hash(), 1);
-        let prop = artifacts::proposal(&ks[1], b.clone(), None);
-        let share = artifacts::notarization_share(&ks[0], BlockRef::of_hashed(&b));
+        let prop = artifacts::proposal(&ks[1], b, None);
         pool.insert(&ConsensusMessage::Proposal(prop.clone()));
-        pool.insert(&ConsensusMessage::NotarizationShare(share));
-        let verifies = pool.stats().verify_calls;
-        assert!(verifies > 0);
+        let before = pool.stats();
 
-        // Codec round trip: the decoded proposal re-derives its block
-        // digest from scratch (receiver side), yet ids — and therefore
-        // cache keys — must coincide with the sender's.
         let decoded: BlockProposal = decode_from_slice(&encode_to_vec(&prop)).unwrap();
-        assert_eq!(decoded.block.hash(), prop.block.hash());
-        let (orig_arts, dec_arts) = (
-            Pool::artifacts_of(&ConsensusMessage::Proposal(prop)),
-            Pool::artifacts_of(&ConsensusMessage::Proposal(decoded.clone())),
-        );
-        for (a, d) in orig_arts.iter().zip(dec_arts.iter()) {
-            assert_eq!(a.id(), d.id(), "wire round trip must preserve cache keys");
-        }
-
-        // Consequently a re-learned copy is absorbed without a single
-        // additional signature verification.
-        pool.insert(&ConsensusMessage::Proposal(decoded));
-        let reshare = artifacts::notarization_share(&ks[0], BlockRef::of_hashed(&b));
-        pool.insert(&ConsensusMessage::NotarizationShare(reshare));
-        assert_eq!(pool.stats().verify_calls, verifies);
-    }
-
-    /// A forged share inside a batch is removed from the unvalidated
-    /// section by its RemoveFromUnvalidated action.
-    #[test]
-    fn forged_share_removed_by_changeset() {
-        let ks = keys();
-        let mut pool = Pool::new(Arc::clone(&ks[0].setup));
-        let b = block_at(&ks[1], 1, ks[0].setup.genesis.hash(), 1);
-        let mut s = artifacts::notarization_share(&ks[1], BlockRef::of_hashed(&b));
-        s.share.signer = 3; // forged attribution
-        assert!(pool.insert_unvalidated(&ConsensusMessage::NotarizationShare(s), false));
-        let changes = pool.process_changes();
-        assert!(matches!(
-            changes.as_slice(),
-            [ChangeAction::RemoveFromUnvalidated {
-                reason: RejectReason::BadSignature,
-                ..
-            }]
-        ));
-        assert!(!pool.apply_changes(changes));
-        assert_eq!(pool.unvalidated_len(), 0);
-        assert_eq!(pool.rejected_count(), 1);
+        assert!(!pool.insert(&ConsensusMessage::Proposal(decoded)));
+        let after = pool.stats();
+        assert_eq!(after.verify_calls, before.verify_calls);
+        assert_eq!(after.duplicates_dropped, before.duplicates_dropped + 1);
     }
 
     /// Own artifacts skip verification entirely but still classify.
@@ -1194,41 +1119,8 @@ mod tests {
         assert_eq!(st.duplicates_dropped, 1);
     }
 
-    /// A flooding peer can only evict its own queued artifacts.
-    #[test]
-    fn per_peer_quota_evicts_flooder_only() {
-        let ks = keys();
-        let mut pool = Pool::with_config(
-            Arc::clone(&ks[0].setup),
-            PoolConfig {
-                per_peer_cap: 2,
-                cache_enabled: true,
-            },
-        );
-        // Park a victim artifact from peer 2 in the unvalidated queue.
-        let victim_block = block_at(&ks[2], 5, ks[0].setup.genesis.hash(), 0);
-        let victim = ConsensusMessage::NotarizationShare(artifacts::notarization_share(
-            &ks[2],
-            BlockRef::of_hashed(&victim_block),
-        ));
-        assert!(pool.insert_unvalidated(&victim, false));
-        // Peer 1 floods distinct shares for distinct blocks.
-        for tag in 0..10u8 {
-            let blk = block_at(&ks[1], 5, ks[0].setup.genesis.hash(), tag);
-            let msg = ConsensusMessage::NotarizationShare(artifacts::notarization_share(
-                &ks[1],
-                BlockRef::of_hashed(&blk),
-            ));
-            pool.insert_unvalidated(&msg, false);
-        }
-        let st = pool.stats();
-        assert_eq!(st.unvalidated_evictions, 8, "10 admitted into cap 2");
-        // victim (1) + flooder's cap (2)
-        assert_eq!(pool.unvalidated_len(), 3);
-    }
-
-    /// Beacon share re-verification across combine attempts goes
-    /// through the cache: a below-threshold attempt's work is reused.
+    /// A beacon share is verified once: a below-threshold combine
+    /// attempt's work is reused by the next.
     #[test]
     fn beacon_shares_verify_once_across_attempts() {
         let ks = keys();
@@ -1240,7 +1132,7 @@ mod tests {
         )));
         assert!(pool.try_compute_beacon(r1).is_none());
         assert_eq!(pool.stats().verify_calls, 1);
-        // Second attempt with no new shares: pure cache hit.
+        // Second attempt with no new shares: no crypto.
         assert!(pool.try_compute_beacon(r1).is_none());
         let st = pool.stats();
         assert_eq!(st.verify_calls, 1);
@@ -1255,19 +1147,61 @@ mod tests {
         assert_eq!(st.verify_cache_hits, 2);
     }
 
-    /// purge_below clears the cache in lock-step with the sections.
+    /// Combined beacon values for future rounds cost nothing until
+    /// their predecessor is known, cannot pile up without bound, and
+    /// are accepted by the first insert after the predecessor lands.
     #[test]
-    fn purge_clears_cache_rounds() {
+    fn parked_beacon_values_are_bounded_and_settle_on_predecessor() {
         let ks = keys();
-        let mut pool = Pool::new(Arc::clone(&ks[0].setup));
-        let b1 = block_at(&ks[1], 1, ks[0].setup.genesis.hash(), 1);
+        let setup = Arc::clone(&ks[0].setup);
+        let mut pool = Pool::new(Arc::clone(&setup));
+        // The genuine values of rounds 1..=3.
+        let mut chain = vec![setup.genesis_beacon];
+        for round in 1..=3u64 {
+            let msg = beacon_sign_message(round, chain.last().unwrap());
+            let shares = ks[..2].iter().map(|k| k.beacon().sign_share(&msg));
+            let sig = setup.beacon.combine(&msg, shares).unwrap();
+            chain.push(BeaconValue::Signature(sig));
+        }
+        let value = |round: u64, v: BeaconValue| {
+            ConsensusMessage::Beacon(Beacon {
+                round: Round::new(round),
+                value: v,
+            })
+        };
+
+        // 2 000 values, round 3 genuine and the rest junk: every
+        // predecessor unknown.
+        assert!(!pool.insert(&value(3, chain[3])));
+        for round in 4..2003u64 {
+            assert!(!pool.insert(&value(round, chain[1])));
+        }
+        assert_eq!(pool.parked_beacons.len(), MAX_PARKED_BEACONS);
+        let st = pool.stats();
+        assert_eq!((st.verify_calls, st.rejected), (0, 0), "nothing checked");
+        assert_eq!(pool.latest_beacon_round(), Round::GENESIS, "none inserted");
+        // FIFO: the oldest went first — park round 3 again.
+        assert!(!pool.parked_beacons.iter().any(|b| b.round == Round::new(3)));
+        assert!(!pool.insert(&value(3, chain[3])));
+        // A re-sent parked value is a duplicate.
+        assert!(!pool.insert(&value(3, chain[3])));
+        assert_eq!(pool.stats().duplicates_dropped, 1);
+
+        // Round 1 arrives with its predecessor (genesis) known.
+        assert!(pool.insert(&value(1, chain[1])));
+        assert_eq!(pool.stats().verify_calls, 1);
+        // Round 2 lands; round 3, parked, is taken on the next insert.
+        assert!(pool.insert(&value(2, chain[2])));
+        assert_eq!(pool.beacon(Round::new(3)), None);
+        let b = block_at(&ks[1], 1, setup.genesis.hash(), 1);
         pool.insert(&ConsensusMessage::Proposal(artifacts::proposal(
-            &ks[1],
-            b1.clone(),
-            None,
+            &ks[1], b, None,
         )));
-        assert!(pool.cache_len() > 0);
-        pool.purge_below(Round::new(2));
-        assert_eq!(pool.cache_len(), 0);
+        assert_eq!(pool.beacon(Round::new(3)), Some(&chain[3]));
+        // A junk value whose predecessor is known is checked at once.
+        assert_eq!(pool.stats().rejected, 0);
+        assert!(!pool.insert(&value(4, chain[1])));
+        assert_eq!(pool.stats().rejected, 1);
+        assert_eq!(pool.beacon(Round::new(4)), None);
     }
 }

@@ -2,13 +2,12 @@
 //! model.
 //!
 //! [`EagerPool`] verifies every signature at insertion time, exactly as
-//! the pre-refactor pool did. It exists for two purposes:
+//! the seed's pool did. It exists for two purposes:
 //!
-//! * the differential property test asserts that the two-tier pipeline
+//! * the differential property test asserts that the pool
 //!   ([`super::Pool`]) reaches the **same classification** (§3.4) as
 //!   this model on arbitrary artifact streams;
-//! * the duplicate-heavy benchmark uses it as the eager baseline
-//!   against the pipeline with the verification cache on and off.
+//! * the duplicate-heavy benchmark uses it as the eager baseline.
 
 use crate::keys::PublicSetup;
 use icc_crypto::beacon::{beacon_sign_message, BeaconValue};
@@ -23,7 +22,7 @@ use icc_types::Round;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-/// The eager-verification pool (pre-refactor behavior).
+/// The eager-verification pool (the seed's behavior).
 #[derive(Debug)]
 pub struct EagerPool {
     setup: Arc<PublicSetup>,

@@ -1,185 +1,60 @@
-//! The validated section: §3.4 classification over verified artifacts.
+//! The §3.4 classifier and the pool's read side.
 //!
-//! Everything in this section has already passed signature verification
-//! in the ChangeSet step (beacon shares excepted — they verify at
-//! combine time, when the previous beacon value is finally known), so
-//! the classifier here does **no** signature checks on insertion: it
-//! only maintains the authentic / valid / notarized / finalized sets of
-//! §3.4 and the share accumulators the combine paths read.
+//! Everything that reaches these inserts has already passed the write
+//! path in `mod.rs` (beacon shares excepted — they verify at combine
+//! time, when the previous beacon value is finally known), so nothing
+//! here checks a signature on insertion: it only maintains the
+//! authentic / valid / notarized / finalized sets of §3.4 and the share
+//! accumulators the combine paths read.
 
 use icc_crypto::beacon::{beacon_sign_message, BeaconValue};
-use icc_crypto::threshold::ThresholdSigShare;
+use icc_crypto::sig::Signature;
 use icc_crypto::Hash256;
 use icc_types::block::HashedBlock;
 use icc_types::messages::{
     BlockRef, Finalization, FinalizationShare, Notarization, NotarizationShare,
 };
 use icc_types::Round;
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashSet};
 
-use super::cache::VerificationCache;
-use super::stats::PoolStats;
-use super::unvalidated::{beacon_share_id, UnvalidatedArtifact};
-use crate::keys::PublicSetup;
+use super::{Artifact, HeldBeaconShare, Pool};
 
-/// The classified store of verified artifacts.
-#[derive(Debug)]
-pub(crate) struct ValidatedSection {
-    setup: Arc<PublicSetup>,
-    blocks: HashMap<Hash256, HashedBlock>,
-    by_round: BTreeMap<Round, Vec<Hash256>>,
-    authentic: HashSet<Hash256>,
-    valid: HashSet<Hash256>,
-    notarized: HashSet<Hash256>,
-    finalized: HashSet<Hash256>,
-    authenticators: HashMap<Hash256, icc_crypto::sig::Signature>,
-    notarizations: HashMap<Hash256, Notarization>,
-    finalizations: HashMap<Hash256, Finalization>,
-    notarization_shares: HashMap<Hash256, BTreeMap<u32, NotarizationShare>>,
-    finalization_shares: HashMap<Hash256, BTreeMap<u32, FinalizationShare>>,
-    /// Round index over finalization-share targets, so the Fig. 2 scan
-    /// is O(active rounds), not O(history).
-    finalization_share_rounds: BTreeMap<Round, HashSet<Hash256>>,
-    /// Aggregates whose block is not yet valid, awaiting promotion.
-    pending_notarized: HashSet<Hash256>,
-    pending_finalized: HashSet<Hash256>,
-    refs: HashMap<Hash256, BlockRef>,
-    beacon_shares: BTreeMap<Round, BTreeMap<u32, ThresholdSigShare>>,
-    beacons: BTreeMap<Round, BeaconValue>,
-    /// Blocks that are authentic but not yet valid (awaiting ancestors).
-    pending_validity: HashSet<Hash256>,
-    /// Finalized blocks indexed by round (P2 guarantees at most one).
-    finalized_by_round: BTreeMap<Round, Hash256>,
-}
-
-impl ValidatedSection {
-    /// An empty section with the genesis block pre-classified as valid,
-    /// notarized and finalized (§3.4: `root` serves as its own
-    /// authenticator, notarization and finalization), and `R_0` as the
-    /// round-0 beacon.
-    pub fn new(setup: Arc<PublicSetup>) -> ValidatedSection {
-        let genesis = setup.genesis.clone();
-        let ghash = genesis.hash();
-        let mut v = ValidatedSection {
-            setup,
-            blocks: HashMap::new(),
-            by_round: BTreeMap::new(),
-            authentic: HashSet::new(),
-            authenticators: HashMap::new(),
-            valid: HashSet::new(),
-            notarized: HashSet::new(),
-            finalized: HashSet::new(),
-            notarizations: HashMap::new(),
-            finalizations: HashMap::new(),
-            notarization_shares: HashMap::new(),
-            finalization_shares: HashMap::new(),
-            finalization_share_rounds: BTreeMap::new(),
-            pending_notarized: HashSet::new(),
-            pending_finalized: HashSet::new(),
-            refs: HashMap::new(),
-            beacon_shares: BTreeMap::new(),
-            beacons: BTreeMap::new(),
-            pending_validity: HashSet::new(),
-            finalized_by_round: BTreeMap::new(),
-        };
-        v.beacons.insert(Round::GENESIS, v.setup.genesis_beacon);
-        v.blocks.insert(ghash, genesis);
-        v.by_round.insert(Round::GENESIS, vec![ghash]);
-        v.authentic.insert(ghash);
-        v.valid.insert(ghash);
-        v.notarized.insert(ghash);
-        v.finalized.insert(ghash);
-        v.finalized_by_round.insert(Round::GENESIS, ghash);
-        v
-    }
-
+impl Pool {
     // ------------------------------------------------------------------
-    // Duplicate probes (admission-time, before any verification)
+    // Inserts (artifacts the write path has let through)
     // ------------------------------------------------------------------
 
-    pub fn has_block(&self, hash: &Hash256) -> bool {
-        self.authentic.contains(hash)
-    }
-
-    pub fn has_notarization(&self, hash: &Hash256) -> bool {
-        self.notarizations.contains_key(hash)
-    }
-
-    pub fn has_finalization(&self, hash: &Hash256) -> bool {
-        self.finalizations.contains_key(hash)
-    }
-
-    pub fn has_notarization_share(&self, hash: &Hash256, signer: u32) -> bool {
-        self.notarization_shares
-            .get(hash)
-            .is_some_and(|m| m.contains_key(&signer))
-    }
-
-    pub fn has_finalization_share(&self, hash: &Hash256, signer: u32) -> bool {
-        self.finalization_shares
-            .get(hash)
-            .is_some_and(|m| m.contains_key(&signer))
-    }
-
-    pub fn has_beacon_share(&self, round: Round, signer: u32) -> bool {
-        self.beacon_shares
-            .get(&round)
-            .is_some_and(|m| m.contains_key(&signer))
-    }
-
-    /// Distinct validated notarization shares held for `hash` — the
-    /// quorum progress the ChangeSet early-stop consults.
-    pub fn notarization_share_count(&self, hash: &Hash256) -> usize {
-        self.notarization_shares.get(hash).map_or(0, BTreeMap::len)
-    }
-
-    /// Distinct validated finalization shares held for `hash`.
-    pub fn finalization_share_count(&self, hash: &Hash256) -> usize {
-        self.finalization_shares.get(hash).map_or(0, BTreeMap::len)
-    }
-
-    // ------------------------------------------------------------------
-    // Inserts (artifacts already verified by the ChangeSet step)
-    // ------------------------------------------------------------------
-
-    /// Inserts a verified artifact. The caller runs
-    /// [`recheck_validity`](Self::recheck_validity) once per batch.
-    pub fn insert_verified(&mut self, artifact: UnvalidatedArtifact) -> bool {
+    /// Inserts an artifact into the classifier; `checked` marks a
+    /// beacon share as needing no verification at combine time. The
+    /// caller runs [`recheck_validity`](Self::recheck_validity) once
+    /// per message.
+    pub(super) fn store(&mut self, artifact: Artifact<'_>, checked: bool) -> bool {
         match artifact {
-            UnvalidatedArtifact::Block {
+            Artifact::Block {
                 block,
                 authenticator,
-            } => self.insert_block(block, authenticator),
-            UnvalidatedArtifact::Notarization(n) => self.insert_notarization(n),
-            UnvalidatedArtifact::Finalization(f) => self.insert_finalization(f),
-            UnvalidatedArtifact::NotarizationShare(s) => self.insert_notarization_share(s),
-            UnvalidatedArtifact::FinalizationShare(s) => self.insert_finalization_share(s),
-            UnvalidatedArtifact::BeaconShare(b) => self
+            } => self.insert_block(block.clone(), *authenticator),
+            Artifact::Notarization(n) => self.insert_notarization(n.clone()),
+            Artifact::Finalization(f) => self.insert_finalization(f.clone()),
+            Artifact::NotarizationShare(s) => self.insert_notarization_share(*s),
+            Artifact::FinalizationShare(s) => self.insert_finalization_share(*s),
+            Artifact::BeaconShare(b) => self
                 .beacon_shares
                 .entry(b.round)
                 .or_default()
-                .insert(b.share.signer, b.share)
+                .insert(
+                    b.share.signer,
+                    HeldBeaconShare {
+                        share: b.share,
+                        checked,
+                    },
+                )
                 .is_none(),
-            // Verified in the ChangeSet step against the previous value
-            // and the group key; first value per round wins (the scheme
-            // is unique, so any verified competitor is identical).
-            UnvalidatedArtifact::Beacon(b) => {
-                if let std::collections::btree_map::Entry::Vacant(e) = self.beacons.entry(b.round) {
-                    e.insert(b.value);
-                    true
-                } else {
-                    false
-                }
-            }
+            Artifact::Beacon(b) => self.install_beacon_trusted(b.round, b.value),
         }
     }
 
-    fn insert_block(
-        &mut self,
-        block: HashedBlock,
-        authenticator: icc_crypto::sig::Signature,
-    ) -> bool {
+    fn insert_block(&mut self, block: HashedBlock, authenticator: Signature) -> bool {
         let hash = block.hash();
         if self.authentic.contains(&hash) {
             return false;
@@ -249,7 +124,7 @@ impl ValidatedSection {
     /// Recomputes the valid / notarized / finalized classification to a
     /// fixpoint (§3.4). Cheap: only blocks whose status can still change
     /// are revisited.
-    pub fn recheck_validity(&mut self) {
+    pub(super) fn recheck_validity(&mut self) {
         let genesis_hash = self.setup.genesis.hash();
         loop {
             let mut newly_valid = Vec::new();
@@ -305,16 +180,16 @@ impl ValidatedSection {
 
     /// Installs a block with full certificates directly as valid,
     /// notarized and finalized — the generalization of the genesis
-    /// pre-classification in [`new`](Self::new) to a certified non-root
+    /// pre-classification in [`Pool::new`] to a certified non-root
     /// block. Its parent body may be absent: the `n − t` finalization is
     /// what vouches for the prefix, exactly as `root` vouches for
     /// itself. The caller must have verified (or produced) the
     /// certificates, and runs [`recheck_validity`](Self::recheck_validity)
     /// afterwards so waiting children cascade.
-    pub fn install_certified_root(
+    pub(super) fn install_certified_root(
         &mut self,
         block: HashedBlock,
-        authenticator: icc_crypto::sig::Signature,
+        authenticator: Signature,
         notarization: Notarization,
         finalization: Finalization,
     ) {
@@ -337,35 +212,48 @@ impl ValidatedSection {
         self.mark_finalized(hash);
     }
 
-    /// Installs an already-known-good beacon value (restore/catch-up).
-    pub fn install_beacon(&mut self, round: Round, value: BeaconValue) {
-        self.beacons.entry(round).or_insert(value);
+    /// Installs a beacon value the caller knows to be good (verified,
+    /// or replayed from its own WAL) unless the round already has one
+    /// (the scheme is unique, so any verified competitor is identical).
+    /// Returns whether it was new.
+    pub fn install_beacon_trusted(&mut self, round: Round, value: BeaconValue) -> bool {
+        if self.beacons.contains_key(&round) {
+            return false;
+        }
+        self.beacons.insert(round, value);
+        true
     }
 
     // ------------------------------------------------------------------
     // Queries
     // ------------------------------------------------------------------
 
+    /// The block body for `hash`, if present.
     pub fn block(&self, hash: &Hash256) -> Option<&HashedBlock> {
         self.blocks.get(hash)
     }
 
-    pub fn authenticator_of(&self, hash: &Hash256) -> Option<icc_crypto::sig::Signature> {
+    /// The stored authenticator for `hash` (needed to echo a block).
+    pub fn authenticator_of(&self, hash: &Hash256) -> Option<Signature> {
         self.authenticators.get(hash).copied()
     }
 
+    /// Whether `hash` is valid for this party.
     pub fn is_valid(&self, hash: &Hash256) -> bool {
         self.valid.contains(hash)
     }
 
+    /// Whether `hash` is notarized for this party.
     pub fn is_notarized(&self, hash: &Hash256) -> bool {
         self.notarized.contains(hash)
     }
 
+    /// Whether `hash` is finalized for this party.
     pub fn is_finalized(&self, hash: &Hash256) -> bool {
         self.finalized.contains(hash)
     }
 
+    /// All valid blocks of `round`, in insertion order.
     pub fn valid_blocks(&self, round: Round) -> Vec<&HashedBlock> {
         self.by_round
             .get(&round)
@@ -376,6 +264,8 @@ impl ValidatedSection {
             .collect()
     }
 
+    /// Any notarized block of `round` (the first to become notarized
+    /// in this pool), with its notarization.
     pub fn notarized_block(&self, round: Round) -> Option<(&HashedBlock, &Notarization)> {
         self.by_round
             .get(&round)
@@ -390,6 +280,7 @@ impl ValidatedSection {
             })
     }
 
+    /// All notarized blocks of `round`.
     pub fn notarized_blocks(&self, round: Round) -> Vec<&HashedBlock> {
         self.by_round
             .get(&round)
@@ -400,10 +291,12 @@ impl ValidatedSection {
             .collect()
     }
 
+    /// The notarization for `hash`, if present.
     pub fn notarization_of(&self, hash: &Hash256) -> Option<&Notarization> {
         self.notarizations.get(hash)
     }
 
+    /// The finalization for `hash`, if present.
     pub fn finalization_of(&self, hash: &Hash256) -> Option<&Finalization> {
         self.finalizations.get(hash)
     }
@@ -428,7 +321,7 @@ impl ValidatedSection {
                             shares.values().map(|s| s.share),
                             need,
                         )
-                        .expect("shares were verified in the ChangeSet step");
+                        .expect("held shares were verified on the way in");
                     return Some(Notarization { block_ref, sig });
                 }
             }
@@ -455,7 +348,7 @@ impl ValidatedSection {
                         shares.values().map(|s| s.share),
                         need,
                     )
-                    .expect("shares were verified in the ChangeSet step");
+                    .expect("held shares were verified on the way in");
                 return Some(Finalization { block_ref, sig });
             }
         }
@@ -533,20 +426,18 @@ impl ValidatedSection {
     // Beacon
     // ------------------------------------------------------------------
 
+    /// The computed beacon value for `round`, if known.
     pub fn beacon(&self, round: Round) -> Option<&BeaconValue> {
         self.beacons.get(&round)
     }
 
     /// Attempts to compute the round-`round` beacon from held shares.
-    /// Requires `R_{round−1}`. This is where beacon shares are finally
-    /// verified — through the cache, so a share checked on an earlier
-    /// (below-threshold) attempt is not re-verified on the next one.
-    pub fn try_compute_beacon(
-        &mut self,
-        round: Round,
-        cache: &mut VerificationCache,
-        stats: &mut PoolStats,
-    ) -> Option<BeaconValue> {
+    /// Requires `R_{round−1}`; returns the value if newly computed.
+    /// This is where beacon shares are finally verified, each once: a
+    /// share checked on an earlier (below-threshold) attempt, or signed
+    /// by this party, costs no crypto on the next one. Shares that fail
+    /// are discarded.
+    pub fn try_compute_beacon(&mut self, round: Round) -> Option<BeaconValue> {
         if self.beacons.contains_key(&round) {
             return None;
         }
@@ -557,36 +448,32 @@ impl ValidatedSection {
         // share (same party, pre-reshare position) fails here even
         // though the group key never changes.
         let epoch = self.setup.epoch_of(round);
-        // Drop shares that fail verification now that we can check them.
-        let mut dropped = 0u64;
-        shares.retain(|_, s| {
-            let id = beacon_share_id(round, s);
-            if cache.contains(&id) {
+        let stats = &mut self.stats;
+        shares.retain(|_, held| {
+            if held.checked {
                 stats.verify_cache_hits += 1;
-                return true;
-            }
-            stats.verify_calls += 1;
-            let ok = epoch.beacon.verify_share(&msg, s);
-            if ok {
-                cache.record(id, round);
             } else {
-                dropped += 1;
+                stats.verify_calls += 1;
+                held.checked = epoch.beacon.verify_share(&msg, &held.share);
+                if !held.checked {
+                    stats.rejected += 1;
+                }
             }
-            ok
+            held.checked
         });
-        stats.rejected += dropped;
         if shares.len() < epoch.beacon_threshold() {
             return None;
         }
         let sig = epoch
             .beacon
-            .combine(&msg, shares.values().copied())
+            .combine(&msg, shares.values().map(|held| held.share))
             .expect("verified shares combine");
         let value = BeaconValue::Signature(sig);
         self.beacons.insert(round, value);
         Some(value)
     }
 
+    /// Number of shares held for the round-`round` beacon.
     pub fn beacon_share_count(&self, round: Round) -> usize {
         self.beacon_shares.get(&round).map_or(0, BTreeMap::len)
     }
@@ -606,8 +493,8 @@ impl ValidatedSection {
     }
 
     /// Discards artifacts strictly below `round` — the garbage-collection
-    /// optimization §3.1 alludes to. Never discards finalized chain
-    /// entries' bodies at or below the bar that later rounds reference.
+    /// optimization §3.1 alludes to — along with everything that refers
+    /// to a block whose body is not held. Genesis is kept.
     pub fn purge_below(&mut self, round: Round) {
         let keep: HashSet<Hash256> = self
             .blocks
@@ -626,10 +513,14 @@ impl ValidatedSection {
         self.finalizations.retain(|h, _| keep.contains(h));
         self.notarization_shares.retain(|h, _| keep.contains(h));
         self.finalization_shares.retain(|h, _| keep.contains(h));
-        self.finalization_share_rounds.retain(|r, _| *r >= round);
+        self.finalization_share_rounds.retain(|r, hashes| {
+            hashes.retain(|h| keep.contains(h));
+            *r >= round && !hashes.is_empty()
+        });
         self.pending_notarized.retain(|h| keep.contains(h));
         self.pending_finalized.retain(|h| keep.contains(h));
         self.pending_validity.retain(|h| keep.contains(h));
+        self.refs.retain(|h, _| keep.contains(h));
         self.finalized_by_round
             .retain(|r, _| *r >= round || r.is_genesis());
         self.beacon_shares.retain(|r, _| *r >= round);
@@ -637,8 +528,10 @@ impl ValidatedSection {
         // chains from it.
         let last_needed = round.prev().unwrap_or(Round::GENESIS);
         self.beacons.retain(|r, _| *r >= last_needed);
+        self.parked_beacons.retain(|b| b.round >= round);
     }
 
+    /// Total number of block bodies held (diagnostics).
     pub fn block_count(&self) -> usize {
         self.blocks.len()
     }

@@ -260,7 +260,8 @@ impl std::error::Error for CatchUpError {}
 icc_telemetry::counter_set! {
     /// Per-replica recovery counters, surfaced through
     /// [`ConsensusCore::recovery_stats`](crate::ConsensusCore::recovery_stats)
-    /// and mirrored into `icc-sim`'s [`RecoveryCounters`](icc_sim::RecoveryCounters).
+    /// and merged over a cluster by
+    /// [`Cluster::metrics_summary`](crate::cluster::Cluster::metrics_summary).
     ///
     /// Generated by [`icc_telemetry::counter_set!`], so `merge` can
     /// never drift from the field list.
@@ -298,20 +299,63 @@ icc_telemetry::counter_set! {
     }
 }
 
-impl From<RecoveryStats> for icc_sim::RecoveryCounters {
-    fn from(s: RecoveryStats) -> icc_sim::RecoveryCounters {
-        icc_sim::RecoveryCounters {
-            restarts: s.restarts,
-            rounds_behind_total: s.rounds_behind_total,
-            catch_up_applied: s.catch_up_applied,
-            catch_up_rejected: s.catch_up_rejected,
-            catch_up_bytes: s.catch_up_bytes,
-            catch_up_latency_us: s.catch_up_latency_us,
-            wal_appends: s.wal_appends,
-            checkpoints: s.checkpoints,
-            restore_verifications: s.restore_verifications,
-            cross_epoch_catch_ups: s.cross_epoch_catch_ups,
-            epoch_transitions: s.epoch_transitions,
+impl RecoveryStats {
+    /// Mean milliseconds from first catch-up request to a package
+    /// being applied, per applied catch-up; 0.0 when no catch-up was
+    /// applied.
+    pub fn mean_catch_up_latency_ms(&self) -> f64 {
+        if self.catch_up_applied == 0 {
+            0.0
+        } else {
+            self.catch_up_latency_us as f64 / 1000.0 / self.catch_up_applied as f64
         }
+    }
+}
+
+impl fmt::Display for RecoveryStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} restarts ({} rounds behind), {} catch-ups applied, {} rejected, \
+             {} catch-up bytes, {:.1} ms mean catch-up latency, {} WAL appends, \
+             {} checkpoints, {} restore verifications, {} cross-epoch catch-ups, \
+             {} epoch transitions",
+            self.restarts,
+            self.rounds_behind_total,
+            self.catch_up_applied,
+            self.catch_up_rejected,
+            self.catch_up_bytes,
+            self.mean_catch_up_latency_ms(),
+            self.wal_appends,
+            self.checkpoints,
+            self.restore_verifications,
+            self.cross_epoch_catch_ups,
+            self.epoch_transitions
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn recovery_latency_displayed_as_mean_per_catch_up() {
+        let rec = RecoveryStats {
+            catch_up_applied: 4,
+            catch_up_latency_us: 8_000, // 8 ms summed over 4 catch-ups
+            ..RecoveryStats::default()
+        };
+        assert!((rec.mean_catch_up_latency_ms() - 2.0).abs() < 1e-9);
+        let text = rec.to_string();
+        assert!(text.contains("2.0 ms mean catch-up latency"), "{text}");
+
+        // Div-by-zero guard: latency recorded but nothing applied.
+        let none = RecoveryStats {
+            catch_up_latency_us: 500,
+            ..RecoveryStats::default()
+        };
+        assert_eq!(none.mean_catch_up_latency_ms(), 0.0);
+        assert!(none.to_string().contains("0.0 ms mean"), "{none}");
     }
 }

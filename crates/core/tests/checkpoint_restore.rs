@@ -7,8 +7,8 @@
 //! the crash — same committed round, same latest finalized block, same
 //! highest notarized round — **with zero signature re-verification**:
 //! every WAL artifact was verified (or produced) before it was logged,
-//! so replay goes through the pool's trusted insert path and the
-//! verification cache, never the crypto.
+//! so replay goes through the pool's trusted insert path, never the
+//! crypto.
 
 use icc_core::byzantine::Behavior;
 use icc_core::consensus::ConsensusCore;

@@ -16,7 +16,6 @@
 //! allows ("must either be set up by a trusted party or a secure
 //! distributed key generation protocol", §3.1).
 
-use crate::batch::{verify_batch_digest, BatchVerdict};
 use crate::field::{random_fp, Fp};
 use crate::shamir::{self, LagrangeCache, Share};
 use crate::sig::{MessageDigest, PublicKey, SecretKey, Signature};
@@ -270,38 +269,6 @@ impl ThresholdPublic {
         }
     }
 
-    /// Batch-verifies `k` shares on one message with a single field
-    /// equation (see [`crate::batch`]); unknown signer indices are
-    /// reported without entering the equation, and an equation failure
-    /// falls back to per-share localisation.
-    pub fn verify_batch(&self, msg: &[u8], shares: &[ThresholdSigShare]) -> BatchVerdict {
-        self.verify_batch_digest(self.digest(msg), shares)
-    }
-
-    /// Hash-free variant of [`verify_batch`](Self::verify_batch).
-    pub fn verify_batch_digest(
-        &self,
-        digest: MessageDigest,
-        shares: &[ThresholdSigShare],
-    ) -> BatchVerdict {
-        let mut bad: Vec<u32> = Vec::new();
-        let mut known: Vec<(u32, PublicKey, Signature)> = Vec::with_capacity(shares.len());
-        for share in shares {
-            match self.share_publics.get(share.signer as usize) {
-                Some(&pk) => known.push((share.signer, pk, share.signature)),
-                None => bad.push(share.signer),
-            }
-        }
-        if let BatchVerdict::Invalid { bad_signers } = verify_batch_digest(digest, &known) {
-            bad.extend(bad_signers);
-        }
-        if bad.is_empty() {
-            BatchVerdict::AllValid
-        } else {
-            BatchVerdict::Invalid { bad_signers: bad }
-        }
-    }
-
     /// Cache statistics of the Lagrange LRU: `(hits, misses)`.
     pub fn lagrange_cache_stats(&self) -> (u64, u64) {
         (self.lagrange.hits(), self.lagrange.misses())
@@ -510,22 +477,6 @@ mod tests {
         let (hits, misses) = p.lagrange_cache_stats();
         assert_eq!(misses, 1, "same signer set should be computed once");
         assert_eq!(hits, 4);
-    }
-
-    #[test]
-    fn batch_verify_matches_per_share() {
-        let d = deal(3, 7);
-        let p = d.public();
-        let msg = b"beacon round";
-        let mut shares: Vec<_> = (0..7).map(|i| d.signer(i).sign_share(msg)).collect();
-        assert!(p.verify_batch(msg, &shares).is_valid());
-        shares[3].signature = Signature::from_value(shares[3].signature.value() ^ 1);
-        assert_eq!(
-            p.verify_batch(msg, &shares),
-            crate::batch::BatchVerdict::Invalid {
-                bad_signers: vec![3]
-            }
-        );
     }
 
     #[test]

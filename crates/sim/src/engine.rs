@@ -262,12 +262,6 @@ impl<N: Node> Simulation<N> {
         &self.metrics
     }
 
-    /// Mutable metrics access, for harnesses that push node-level
-    /// counters sampled outside the engine (e.g. artifact-pool stats).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
-    }
-
     /// Resets traffic metrics (e.g. after a warm-up period, so a
     /// measurement window starts clean). Also clears the engine-level
     /// flight recorder.

@@ -76,8 +76,6 @@ pub mod runtime;
 
 pub use engine::{Simulation, SimulationBuilder};
 pub use fault::{FaultPlan, LifecycleEvent};
-pub use metrics::{
-    GossipCounters, Metrics, MetricsSummary, NodeMetrics, PoolCounters, RecoveryCounters,
-};
+pub use metrics::{GossipCounters, Metrics, MetricsSummary, NodeMetrics};
 pub use node::{Context, Node, WireMessage};
 pub use runtime::{drive, RecvError, Transport, TransportEvent};

@@ -60,10 +60,9 @@ pub use serve::{
 /// Generate a plain-old-data counter-set struct whose aggregation can
 /// never drift from its field list.
 ///
-/// The previous hand-rolled `merge()` impls on the simulator's
-/// `PoolCounters`/`RecoveryCounters` had to name every field a second
-/// time, so adding a counter could silently skip aggregation. This
-/// macro expands one field list into:
+/// A hand-rolled `merge()` has to name every field a second time, so
+/// adding a counter can silently skip aggregation. This macro expands
+/// one field list into:
 ///
 /// * the struct itself (`Debug, Default, Clone, Copy, PartialEq, Eq`),
 /// * `merge(&mut self, &Self)` summing **every** field,

@@ -342,7 +342,7 @@ fn render_metrics(
     );
     snap.counter_series(
         "icc_replica_pool",
-        "Two-tier artifact pool counters (verification economy).",
+        "Artifact pool counters (verification economy).",
         "field",
         &core.pool().stats().fields(),
     );

@@ -269,7 +269,6 @@ where
     println!("pool verifications      {}", pool.verify_calls);
     println!("pool cache hits         {}", pool.verify_cache_hits);
     println!("pool duplicates dropped {}", pool.duplicates_dropped);
-    println!("pool evictions          {}", pool.unvalidated_evictions);
     println!("pool rejected           {}", pool.rejected);
     println!(
         "pool skipped at quorum  {}",
@@ -411,7 +410,7 @@ where
         );
         snap.counter_series(
             "icc_pool_counters",
-            "Two-tier artifact pool counters (aggregate).",
+            "Artifact pool counters (aggregate).",
             "field",
             &pool.fields(),
         );

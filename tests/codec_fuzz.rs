@@ -340,5 +340,5 @@ fn corrupted_artifacts_rejected_by_pool_not_crashing_it() {
     // Any mutation must break either the authenticator (header bytes)
     // or the block hash the authenticator covers (payload bytes).
     assert_eq!(accepted, 0, "corrupted artifact accepted");
-    assert!(pool.rejected_count() > 0);
+    assert!(pool.stats().rejected > 0);
 }

@@ -4,8 +4,10 @@
 use icc_core::cluster::ClusterBuilder;
 use icc_core::Behavior;
 use icc_core::BlockPolicy;
-use icc_gossip::{gossip_cluster, routed_gossip_cluster, GossipConfig, Overlay};
-use icc_sim::delay::FixedDelay;
+use icc_gossip::{
+    gossip_cluster, routed_gossip_cluster, subnet_overlay_seed, GossipConfig, Overlay,
+};
+use icc_sim::delay::{FixedDelay, UniformDelay};
 use icc_tests::{assert_chains_consistent, committed_commands};
 use icc_types::{Round, SimDuration, SimTime};
 
@@ -181,8 +183,7 @@ fn routed_mode_finalizes_same_chain_as_full_fanout() {
 
     // The point of the exercise: routed shares were used, and the pool
     // skipped share verifications once quorums stood.
-    routed.sample_pool_metrics();
-    let totals = routed.sim.metrics().gossip_totals();
+    let totals = routed.metrics_summary().gossip;
     assert!(totals.shares_routed > 0, "no shares routed: {totals:?}");
 }
 
@@ -213,4 +214,44 @@ fn routed_mode_survives_aggregator_crash() {
         min_round > stalled_round.get() + 3,
         "stalled at round {min_round} (aggregators of round {stalled_round} were crashed)"
     );
+}
+
+/// Counter parity across pool refactors: node 0's verification economy
+/// after 5 simulated seconds, on the configuration the repo benchmark's
+/// simulated workloads run (flooding `GossipNode`, every proposal by
+/// advert, δ 9–11 ms). The values were recorded at 14665a9, when the
+/// pool still queued, batched and cached; a pool that decides any
+/// artifact differently — one more check, one fewer duplicate caught,
+/// one share not skipped at quorum — moves them.
+#[test]
+fn pool_counters_match_recorded_reference() {
+    for (n, expected) in [
+        (4, [972, 128, 557, 251, 0]),
+        (13, [3585, 135, 2737, 988, 0]),
+    ] {
+        let b = ClusterBuilder::new(n)
+            .seed(1)
+            .network(UniformDelay::new(ms(9), ms(11)))
+            .protocol_delays(ms(30), SimDuration::ZERO);
+        let config = GossipConfig {
+            inline_threshold: 0,
+            ..GossipConfig::default()
+        };
+        let overlay = Overlay::for_subnet(n, subnet_overlay_seed(n));
+        let mut cluster = gossip_cluster(b, overlay, config);
+        cluster.run_for(SimDuration::from_secs(5));
+        let s = cluster.pool_stats(0);
+        assert_eq!(
+            [
+                s.verify_calls,
+                s.verify_cache_hits,
+                s.duplicates_dropped,
+                s.shares_skipped_after_quorum,
+                s.rejected,
+            ],
+            expected,
+            "n = {n}: verify_calls / verify_cache_hits / duplicates_dropped / \
+             shares_skipped_after_quorum / rejected"
+        );
+    }
 }

@@ -87,7 +87,7 @@ fn restart_catches_up_via_certified_packages() {
     assert!(r0 > 50, "mesh barely progressed: {r0}");
     cluster.assert_safety();
 
-    // The counters surface through the simulation metrics.
+    // The counters surface through the cluster summary.
     let summary = cluster.metrics_summary();
     assert_eq!(summary.recovery.restarts, 1);
     assert!(summary.recovery.catch_up_applied >= 1);
