@@ -5,6 +5,7 @@ Runs the two simulated workloads of the repo benchmark at a fixed seed and
 compares five end-to-end metrics, character for character, with the committed
 .github/sim_golden.json. A PR that means to change behaviour regenerates the
 file in its own diff:  python3 .github/sim_golden.py --write
+(which prints old → new for every number).
 """
 import json
 import pathlib
@@ -33,10 +34,14 @@ def measure(workload):
 
 
 now = {w: measure(w) for w in WORKLOADS}
+golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
 if "--write" in sys.argv:
+    # The table for the description of the PR that meant to move them.
+    for w in WORKLOADS:
+        for m in METRICS:
+            print(f"{w}.{m}: {golden.get(w, {}).get(m, '-')} → {now[w][m]}")
     GOLDEN.write_text(json.dumps(now, indent=2) + "\n")
     sys.exit(0)
-golden = json.loads(GOLDEN.read_text())
 diff = [
     f"{w}.{m}: golden {golden[w][m]}  now {now[w][m]}"
     for w in WORKLOADS

@@ -7,7 +7,9 @@
 //! (degree `⌈log₂ n⌉ + 2`, clamped to `[6, 16]`), signature shares
 //! *unicast* to a rotating per-round aggregator set instead of
 //! broadcast, and only the compact certificates (notarizations,
-//! finalizations, combined beacon values) flooded by once-only relay.
+//! finalizations, combined beacon values) flooded — relayed once by a
+//! node that holds none for the block yet, and not sent again when its
+//! own core broadcasts the same bytes.
 //! Expected shapes: round rate flat (the critical path is still 2δ
 //! plus a few overlay hops, independent of n); **per-node traffic
 //! ~flat in n** — each node sends O(1) shares per round plus

@@ -138,15 +138,16 @@ pub struct Pool {
     authenticators: HashMap<Hash256, Signature>,
     notarizations: HashMap<Hash256, Notarization>,
     finalizations: HashMap<Hash256, Finalization>,
-    notarization_shares: HashMap<Hash256, BTreeMap<u32, NotarizationShare>>,
-    finalization_shares: HashMap<Hash256, BTreeMap<u32, FinalizationShare>>,
-    /// Round index over finalization-share targets, so the Fig. 2 scan
-    /// is O(active rounds), not O(history).
-    finalization_share_rounds: BTreeMap<Round, HashSet<Hash256>>,
+    /// Shares by the reference they *sign* (and were verified over),
+    /// not by block hash alone: a share over `{other round or proposer,
+    /// H}` verifies on its own, but must never count towards — or be
+    /// combined with — the quorum of the real block `H`. It sits in a
+    /// bucket of its own that no honest party adds to.
+    notarization_shares: HashMap<BlockRef, BTreeMap<u32, NotarizationShare>>,
+    finalization_shares: HashMap<BlockRef, BTreeMap<u32, FinalizationShare>>,
     /// Aggregates whose block is not yet valid, awaiting promotion.
     pending_notarized: HashSet<Hash256>,
     pending_finalized: HashSet<Hash256>,
-    refs: HashMap<Hash256, BlockRef>,
     beacon_shares: BTreeMap<Round, BTreeMap<u32, HeldBeaconShare>>,
     beacons: BTreeMap<Round, BeaconValue>,
     /// Combined beacon values whose predecessor is not yet known, in
@@ -179,10 +180,8 @@ impl Pool {
             finalizations: HashMap::new(),
             notarization_shares: HashMap::new(),
             finalization_shares: HashMap::new(),
-            finalization_share_rounds: BTreeMap::new(),
             pending_notarized: HashSet::new(),
             pending_finalized: HashSet::new(),
-            refs: HashMap::new(),
             beacon_shares: BTreeMap::new(),
             beacons: BTreeMap::new(),
             parked_beacons: VecDeque::new(),
@@ -267,11 +266,11 @@ impl Pool {
             Artifact::Finalization(f) => self.finalizations.contains_key(&f.block_ref.hash),
             Artifact::NotarizationShare(s) => self
                 .notarization_shares
-                .get(&s.block_ref.hash)
+                .get(&s.block_ref)
                 .is_some_and(|m| m.contains_key(&s.share.signer)),
             Artifact::FinalizationShare(s) => self
                 .finalization_shares
-                .get(&s.block_ref.hash)
+                .get(&s.block_ref)
                 .is_some_and(|m| m.contains_key(&s.share.signer)),
             Artifact::BeaconShare(b) => self
                 .beacon_shares
@@ -360,7 +359,10 @@ impl Pool {
                 if !epoch.is_member(s.share.signer) {
                     false
                 } else if self.notarizations.contains_key(&hash)
-                    || self.notarization_shares.get(&hash).map_or(0, BTreeMap::len)
+                    || self
+                        .notarization_shares
+                        .get(&block_ref)
+                        .map_or(0, BTreeMap::len)
                         >= epoch.notarization_threshold()
                 {
                     self.stats.shares_skipped_after_quorum += 1;
@@ -376,7 +378,10 @@ impl Pool {
                 if !epoch.is_member(s.share.signer) {
                     false
                 } else if self.finalizations.contains_key(&hash)
-                    || self.finalization_shares.get(&hash).map_or(0, BTreeMap::len)
+                    || self
+                        .finalization_shares
+                        .get(&block_ref)
+                        .map_or(0, BTreeMap::len)
                         >= epoch.finalization_threshold()
                 {
                     self.stats.shares_skipped_after_quorum += 1;
@@ -995,11 +1000,10 @@ mod tests {
         assert!(pool.block(&b2.hash()).is_some());
     }
 
-    /// `refs` is pruned with every other map, and a share whose block
-    /// body never arrived leaves no dangling round-index entry for the
-    /// Fig. 2 scan to trip over.
+    /// Share buckets go with their round, and a share whose block body
+    /// never arrived leaves nothing for the Fig. 2 scan to trip over.
     #[test]
-    fn purge_prunes_refs_and_share_index() {
+    fn purge_prunes_share_buckets() {
         let ks = keys();
         let genesis = ks[0].setup.genesis.hash();
         let mut pool = Pool::new(Arc::clone(&ks[0].setup));
@@ -1018,23 +1022,91 @@ mod tests {
             ));
             parent = b.hash();
         }
-        // A finalization share for a round-5 block this pool never sees.
+        // A finalization share for a round-5 block this pool never sees,
+        // and one over a made-up round-1 reference to the round-4 block.
         let unseen = block_at(&ks[2], 5, parent, 99);
         pool.insert(&ConsensusMessage::FinalizationShare(
             artifacts::finalization_share(&ks[2], BlockRef::of_hashed(&unseen)),
         ));
-        assert_eq!(pool.refs.len(), 5);
+        let made_up = BlockRef {
+            round: Round::new(1),
+            proposer: ks[1].index,
+            hash: parent,
+        };
+        pool.insert(&ConsensusMessage::FinalizationShare(
+            artifacts::finalization_share(&ks[3], made_up),
+        ));
+        assert_eq!(pool.finalization_shares.len(), 6);
 
         pool.purge_below(Round::new(3));
-        assert!(
-            pool.refs
-                .iter()
-                .all(|(h, r)| r.round >= Round::new(3) || *h == genesis),
-            "{:?}",
-            pool.refs
-        );
-        assert_eq!(pool.refs.len(), 2, "rounds 3 and 4");
+        let mut rounds: Vec<u64> = pool
+            .finalization_shares
+            .keys()
+            .map(|r| r.round.get())
+            .collect();
+        rounds.sort_unstable();
+        assert_eq!(rounds, [3, 4], "{:?}", pool.finalization_shares);
         assert!(pool.completable_finalization(Round::GENESIS).is_none());
+    }
+
+    /// One Byzantine member signs `{other round or proposer, H}` for a
+    /// real block `H`: the share verifies on its own. Wherever it lands
+    /// in the stream — ahead of, between or behind the genuine shares —
+    /// it neither joins `H`'s quorum nor poisons the combine (at the
+    /// parent commit it did both, and the combine panicked).
+    #[test]
+    fn forged_ref_shares_never_join_the_real_quorum() {
+        let ks = keys();
+        let b = block_at(&ks[0], 1, ks[0].setup.genesis.hash(), 1);
+        let real = BlockRef::of_hashed(&b);
+        let other_round = BlockRef {
+            round: Round::new(2),
+            ..real
+        };
+        let other_proposer = BlockRef {
+            proposer: ks[2].index,
+            ..real
+        };
+        for position in 0..=3 {
+            let mut pool = Pool::new(Arc::clone(&ks[0].setup));
+            pool.insert(&ConsensusMessage::Proposal(artifacts::proposal(
+                &ks[0],
+                b.clone(),
+                None,
+            )));
+            let forge = |pool: &mut Pool| {
+                for r in [other_round, other_proposer] {
+                    assert!(pool.insert(&ConsensusMessage::NotarizationShare(
+                        artifacts::notarization_share(&ks[3], r)
+                    )));
+                    assert!(pool.insert(&ConsensusMessage::FinalizationShare(
+                        artifacts::finalization_share(&ks[3], r)
+                    )));
+                }
+            };
+            for (i, k) in ks[..3].iter().enumerate() {
+                if i == position {
+                    forge(&mut pool);
+                }
+                assert!(pool.completable_notarization(Round::new(1)).is_none());
+                assert!(pool.completable_finalization(Round::GENESIS).is_none());
+                pool.insert(&ConsensusMessage::NotarizationShare(
+                    artifacts::notarization_share(k, real),
+                ));
+                pool.insert(&ConsensusMessage::FinalizationShare(
+                    artifacts::finalization_share(k, real),
+                ));
+            }
+            if position == 3 {
+                forge(&mut pool);
+            }
+            let n = pool.completable_notarization(Round::new(1)).unwrap();
+            let f = pool.completable_finalization(Round::GENESIS).unwrap();
+            assert_eq!((n.block_ref, f.block_ref), (real, real));
+            assert!(ks[0].setup.notary.verify(&real.sign_bytes(), &n.sig));
+            assert!(ks[0].setup.finality.verify(&real.sign_bytes(), &f.sig));
+            assert_eq!(pool.stats().rejected, 0, "position {position}");
+        }
     }
 
     #[test]

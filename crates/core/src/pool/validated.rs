@@ -8,16 +8,38 @@
 //! accumulators the combine paths read.
 
 use icc_crypto::beacon::{beacon_sign_message, BeaconValue};
+use icc_crypto::multisig::{MultiSig, MultiSigScheme, MultiSigShare};
 use icc_crypto::sig::Signature;
 use icc_crypto::Hash256;
 use icc_types::block::HashedBlock;
 use icc_types::messages::{
-    BlockRef, Finalization, FinalizationShare, Notarization, NotarizationShare,
+    BlockRef, ConsensusMessage, Finalization, FinalizationShare, Notarization, NotarizationShare,
 };
 use icc_types::Round;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
-use super::{Artifact, HeldBeaconShare, Pool};
+use super::{Artifact, HeldBeaconShare, Pool, PoolStats};
+
+/// Combines the shares filed under `block_ref`. Each was verified over
+/// that very reference on the way in, so a failure is unreachable short
+/// of a bug; it is counted, and the bucket discarded so that fresh
+/// shares can still form the quorum.
+fn combine_bucket<S>(
+    scheme: &MultiSigScheme,
+    buckets: &mut HashMap<BlockRef, BTreeMap<u32, S>>,
+    stats: &mut PoolStats,
+    block_ref: BlockRef,
+    need: usize,
+    share: impl Fn(&S) -> MultiSigShare,
+) -> Option<MultiSig> {
+    let shares = buckets.get(&block_ref)?.values().map(share);
+    let combined = scheme.combine_with_threshold(&block_ref.sign_bytes(), shares, need);
+    if combined.is_err() {
+        stats.rejected += 1;
+        buckets.remove(&block_ref);
+    }
+    combined.ok()
+}
 
 impl Pool {
     // ------------------------------------------------------------------
@@ -59,8 +81,6 @@ impl Pool {
         if self.authentic.contains(&hash) {
             return false;
         }
-        let block_ref = BlockRef::of_hashed(&block);
-        self.refs.insert(hash, block_ref);
         self.blocks.insert(hash, block.clone());
         self.by_round.entry(block.round()).or_default().push(hash);
         self.authentic.insert(hash);
@@ -74,7 +94,6 @@ impl Pool {
             return false;
         }
         let hash = n.block_ref.hash;
-        self.refs.insert(hash, n.block_ref);
         self.notarizations.insert(hash, n);
         if self.valid.contains(&hash) {
             self.notarized.insert(hash);
@@ -89,7 +108,6 @@ impl Pool {
             return false;
         }
         let hash = f.block_ref.hash;
-        self.refs.insert(hash, f.block_ref);
         self.finalizations.insert(hash, f);
         if self.valid.contains(&hash) {
             self.mark_finalized(hash);
@@ -100,22 +118,16 @@ impl Pool {
     }
 
     fn insert_notarization_share(&mut self, s: NotarizationShare) -> bool {
-        self.refs.insert(s.block_ref.hash, s.block_ref);
         self.notarization_shares
-            .entry(s.block_ref.hash)
+            .entry(s.block_ref)
             .or_default()
             .insert(s.share.signer, s)
             .is_none()
     }
 
     fn insert_finalization_share(&mut self, s: FinalizationShare) -> bool {
-        self.refs.insert(s.block_ref.hash, s.block_ref);
-        self.finalization_share_rounds
-            .entry(s.block_ref.round)
-            .or_default()
-            .insert(s.block_ref.hash);
         self.finalization_shares
-            .entry(s.block_ref.hash)
+            .entry(s.block_ref)
             .or_default()
             .insert(s.share.signer, s)
             .is_none()
@@ -195,8 +207,6 @@ impl Pool {
     ) {
         let hash = block.hash();
         if !self.authentic.contains(&hash) {
-            let block_ref = BlockRef::of_hashed(&block);
-            self.refs.insert(hash, block_ref);
             self.by_round.entry(block.round()).or_default().push(hash);
             self.blocks.insert(hash, block);
             self.authentic.insert(hash);
@@ -301,58 +311,77 @@ impl Pool {
         self.finalizations.get(hash)
     }
 
+    /// Whether this pool holds what makes `msg` redundant: the
+    /// aggregate, for a notarization / finalization share or another
+    /// aggregate of the same kind for the same block; the round's
+    /// beacon, for a beacon share or combined value. The dissemination
+    /// layer relays only what is not superseded.
+    pub fn supersedes(&self, msg: &ConsensusMessage) -> bool {
+        match msg {
+            ConsensusMessage::Proposal(_) => false,
+            ConsensusMessage::NotarizationShare(s) => {
+                self.notarizations.contains_key(&s.block_ref.hash)
+            }
+            ConsensusMessage::Notarization(n) => self.notarizations.contains_key(&n.block_ref.hash),
+            ConsensusMessage::FinalizationShare(s) => {
+                self.finalizations.contains_key(&s.block_ref.hash)
+            }
+            ConsensusMessage::Finalization(f) => self.finalizations.contains_key(&f.block_ref.hash),
+            ConsensusMessage::BeaconShare(b) => self.beacons.contains_key(&b.round),
+            ConsensusMessage::Beacon(b) => self.beacons.contains_key(&b.round),
+        }
+    }
+
     /// A *valid but non-notarized* block of `round` holding a full set
     /// of `m − t` notarization shares for the round's epoch; combines
-    /// them (Fig. 1 clause (a)).
-    pub fn completable_notarization(&self, round: Round) -> Option<Notarization> {
+    /// them (Fig. 1 clause (a)). The shares combined are those filed
+    /// under the block's own reference, taken from its body.
+    pub fn completable_notarization(&mut self, round: Round) -> Option<Notarization> {
         let need = self.setup.epoch_of(round).notarization_threshold();
-        for h in self.by_round.get(&round).into_iter().flatten() {
+        let block_ref = self.by_round.get(&round)?.iter().find_map(|h| {
             if !self.valid.contains(h) || self.notarized.contains(h) {
-                continue;
+                return None;
             }
-            if let Some(shares) = self.notarization_shares.get(h) {
-                if shares.len() >= need {
-                    let block_ref = self.refs[h];
-                    let sig = self
-                        .setup
-                        .notary
-                        .combine_with_threshold(
-                            &block_ref.sign_bytes(),
-                            shares.values().map(|s| s.share),
-                            need,
-                        )
-                        .expect("held shares were verified on the way in");
-                    return Some(Notarization { block_ref, sig });
-                }
-            }
-        }
-        None
+            let block_ref = BlockRef::of_hashed(&self.blocks[h]);
+            let shares = self.notarization_shares.get(&block_ref)?;
+            (shares.len() >= need).then_some(block_ref)
+        })?;
+        let sig = combine_bucket(
+            &self.setup.notary,
+            &mut self.notarization_shares,
+            &mut self.stats,
+            block_ref,
+            need,
+            |s| s.share,
+        )?;
+        Some(Notarization { block_ref, sig })
     }
 
     /// A *valid but non-finalized* block of round > `above` holding a
     /// full set of finalization shares; combines them (Fig. 2 case ii).
-    pub fn completable_finalization(&self, above: Round) -> Option<Finalization> {
-        for (round, hashes) in self.finalization_share_rounds.range(above.next()..) {
-            let need = self.setup.epoch_of(*round).finalization_threshold();
-            for h in hashes {
-                let shares = &self.finalization_shares[h];
-                if shares.len() < need || !self.valid.contains(h) || self.finalized.contains(h) {
-                    continue;
+    pub fn completable_finalization(&mut self, above: Round) -> Option<Finalization> {
+        let (block_ref, need) = self
+            .by_round
+            .range(above.next()..)
+            .flat_map(|(round, hashes)| hashes.iter().map(move |h| (round, h)))
+            .find_map(|(round, h)| {
+                if !self.valid.contains(h) || self.finalized.contains(h) {
+                    return None;
                 }
-                let block_ref = self.refs[h];
-                let sig = self
-                    .setup
-                    .finality
-                    .combine_with_threshold(
-                        &block_ref.sign_bytes(),
-                        shares.values().map(|s| s.share),
-                        need,
-                    )
-                    .expect("held shares were verified on the way in");
-                return Some(Finalization { block_ref, sig });
-            }
-        }
-        None
+                let need = self.setup.epoch_of(*round).finalization_threshold();
+                let block_ref = BlockRef::of_hashed(&self.blocks[h]);
+                let shares = self.finalization_shares.get(&block_ref)?;
+                (shares.len() >= need).then_some((block_ref, need))
+            })?;
+        let sig = combine_bucket(
+            &self.setup.finality,
+            &mut self.finalization_shares,
+            &mut self.stats,
+            block_ref,
+            need,
+            |s| s.share,
+        )?;
+        Some(Finalization { block_ref, sig })
     }
 
     /// The highest finalized non-genesis block, if any.
@@ -511,16 +540,15 @@ impl Pool {
         self.finalized.retain(|h| keep.contains(h));
         self.notarizations.retain(|h, _| keep.contains(h));
         self.finalizations.retain(|h, _| keep.contains(h));
-        self.notarization_shares.retain(|h, _| keep.contains(h));
-        self.finalization_shares.retain(|h, _| keep.contains(h));
-        self.finalization_share_rounds.retain(|r, hashes| {
-            hashes.retain(|h| keep.contains(h));
-            *r >= round && !hashes.is_empty()
-        });
+        // By the round a share signs as well: a share over a made-up
+        // reference to a held block goes with its claimed round.
+        self.notarization_shares
+            .retain(|r, _| r.round >= round && keep.contains(&r.hash));
+        self.finalization_shares
+            .retain(|r, _| r.round >= round && keep.contains(&r.hash));
         self.pending_notarized.retain(|h| keep.contains(h));
         self.pending_finalized.retain(|h| keep.contains(h));
         self.pending_validity.retain(|h| keep.contains(h));
-        self.refs.retain(|h, _| keep.contains(h));
         self.finalized_by_round
             .retain(|r, _| *r >= round || r.is_genesis());
         self.beacon_shares.retain(|r, _| *r >= round);

@@ -3,8 +3,9 @@
 //! eager-verification pool on arbitrary artifact streams — any
 //! interleaving, duplicates and replays, forged artifacts, blocks
 //! arriving before the parent notarization that makes them valid
-//! (pending promotions), and whole share floods with a forged share in
-//! front, shares past the quorum and shares behind the aggregate.
+//! (pending promotions), whole share floods with a forged share in
+//! front, shares past the quorum and shares behind the aggregate, and
+//! genuine signatures over made-up references to real blocks.
 //!
 //! The eager model ([`EagerPool`]) is the seed's implementation kept
 //! verbatim in `pool::reference`: it checks every signature of every
@@ -33,8 +34,8 @@ struct Universe {
     keys: Vec<NodeKeys>,
     /// Every message in the universe, duplicated freely by the stream.
     messages: Vec<ConsensusMessage>,
-    /// Hashes of all real (non-forged) blocks.
-    block_hashes: Vec<Hash256>,
+    /// References of all real (non-forged) blocks.
+    blocks: Vec<BlockRef>,
     /// One notarization and one finalization share flood per real block.
     floods: Vec<Flood>,
 }
@@ -144,7 +145,7 @@ fn build_universe(seed: u64) -> Universe {
     let keys = generate_keys(SubnetConfig::new(n), seed);
     let setup = keys[0].setup.clone();
     let mut messages = Vec::new();
-    let mut block_hashes = Vec::new();
+    let mut blocks = Vec::new();
     let mut floods = Vec::new();
 
     let mut parent = setup.genesis.clone();
@@ -178,7 +179,7 @@ fn build_universe(seed: u64) -> Universe {
         let finalization = finalization_of(&keys, ref_a);
         for (block, proposal) in &forks {
             let block_ref = BlockRef::of_hashed(block);
-            block_hashes.push(block.hash());
+            blocks.push(block_ref);
             messages.push(ConsensusMessage::Proposal(proposal.clone()));
             // Shares from every party over both forks, plus one that
             // party 3 signed and attributes to party 0.
@@ -250,14 +251,27 @@ fn build_universe(seed: u64) -> Universe {
     transplanted.block_ref = BlockRef {
         round: Round::new(1),
         proposer: NodeIndex::new(1),
-        hash: block_hashes[0],
+        hash: blocks[0].hash,
     };
     messages.push(ConsensusMessage::NotarizationShare(transplanted));
+    // (3) Genuine signatures by party 3 over a made-up reference to a
+    // real block: each verifies on its own and must count towards
+    // nothing — least of all the real block's quorum.
+    let made_up = BlockRef {
+        round: Round::new(2),
+        ..blocks[0]
+    };
+    messages.push(ConsensusMessage::NotarizationShare(
+        artifacts::notarization_share(&keys[3], made_up),
+    ));
+    messages.push(ConsensusMessage::FinalizationShare(
+        artifacts::finalization_share(&keys[3], made_up),
+    ));
 
     Universe {
         keys,
         messages,
-        block_hashes,
+        blocks,
         floods,
     }
 }
@@ -279,9 +293,10 @@ proptest! {
         let setup = universe.keys[0].setup.clone();
         let mut pipeline = Pool::new(Arc::clone(&setup));
         let mut eager = EagerPool::new(Arc::clone(&setup));
-        // Distinct signers whose *genuine* share for a block the stream
-        // has presented, per scheme: what a quorum can be built from.
-        type Signers = HashMap<Hash256, BTreeSet<u32>>;
+        // Distinct signers whose *genuine* share over a reference the
+        // stream has presented, per scheme: what a quorum can be built
+        // from.
+        type Signers = HashMap<BlockRef, BTreeSet<u32>>;
         let mut notarizers: Signers = HashMap::new();
         let mut finalizers: Signers = HashMap::new();
 
@@ -292,12 +307,12 @@ proptest! {
                 ConsensusMessage::NotarizationShare(s)
                     if setup.notary.verify_share(&s.block_ref.sign_bytes(), &s.share) =>
                 {
-                    notarizers.entry(s.block_ref.hash).or_default().insert(s.share.signer);
+                    notarizers.entry(s.block_ref).or_default().insert(s.share.signer);
                 }
                 ConsensusMessage::FinalizationShare(s)
                     if setup.finality.verify_share(&s.block_ref.sign_bytes(), &s.share) =>
                 {
-                    finalizers.entry(s.block_ref.hash).or_default().insert(s.share.signer);
+                    finalizers.entry(s.block_ref).or_default().insert(s.share.signer);
                 }
                 _ => {}
             }
@@ -311,7 +326,7 @@ proptest! {
         pipeline.try_compute_beacon(Round::new(1));
         eager.try_compute_beacon(Round::new(1));
 
-        for hash in &universe.block_hashes {
+        for hash in universe.blocks.iter().map(|b| &b.hash) {
             prop_assert_eq!(
                 pipeline.is_valid(hash), eager.is_valid(hash),
                 "valid mismatch for {:?}", hash
@@ -337,33 +352,39 @@ proptest! {
         // dropped past the quorum. (A valid block that is not yet
         // notarized has no aggregate held, so no share of it was
         // skipped for that reason; likewise for finalized.)
-        let open = |b: &Hash256, certified: bool, signers: &Signers, need: usize| {
-            pipeline.is_valid(b) && !certified && signers.get(b).map_or(0, BTreeSet::len) >= need
+        let open = |valid: bool, certified: bool, signers: Option<&BTreeSet<u32>>, need: usize| {
+            valid && !certified && signers.map_or(0, BTreeSet::len) >= need
         };
-        for (i, forks) in universe.block_hashes.chunks(2).enumerate() {
+        for (i, forks) in universe.blocks.chunks(2).enumerate() {
             let round = Round::new(i as u64 + 1);
             let need = setup.config.notarization_threshold();
-            let expected: Vec<&Hash256> = forks
+            let expected: Vec<&BlockRef> = forks
                 .iter()
-                .filter(|b| open(b, pipeline.is_notarized(b), &notarizers, need))
+                .filter(|b| {
+                    let (valid, done) = (pipeline.is_valid(&b.hash), pipeline.is_notarized(&b.hash));
+                    open(valid, done, notarizers.get(b), need)
+                })
                 .collect();
             match pipeline.completable_notarization(round) {
                 Some(n) => {
-                    prop_assert!(expected.contains(&&n.block_ref.hash), "round {}", round);
+                    prop_assert!(expected.contains(&&n.block_ref), "round {}", round);
                     prop_assert!(setup.notary.verify(&n.block_ref.sign_bytes(), &n.sig));
                 }
                 None => prop_assert!(expected.is_empty(), "round {} quorum lost", round),
             }
         }
         let need = setup.config.finalization_threshold();
-        let expected: Vec<&Hash256> = universe
-            .block_hashes
+        let expected: Vec<&BlockRef> = universe
+            .blocks
             .iter()
-            .filter(|b| open(b, pipeline.is_finalized(b), &finalizers, need))
+            .filter(|b| {
+                let (valid, done) = (pipeline.is_valid(&b.hash), pipeline.is_finalized(&b.hash));
+                open(valid, done, finalizers.get(b), need)
+            })
             .collect();
         match pipeline.completable_finalization(Round::GENESIS) {
             Some(f) => {
-                prop_assert!(expected.contains(&&f.block_ref.hash));
+                prop_assert!(expected.contains(&&f.block_ref));
                 prop_assert!(setup.finality.verify(&f.block_ref.sign_bytes(), &f.sig));
             }
             None => prop_assert!(expected.is_empty(), "finalization quorum lost"),

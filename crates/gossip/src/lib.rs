@@ -9,8 +9,16 @@
 //!
 //! * **small artifacts** (signature shares, notarizations,
 //!   finalizations, beacon shares — a few dozen bytes each) are
-//!   *flooded*: pushed to overlay neighbors and forwarded once by every
-//!   node;
+//!   *pushed*: the party that produces one sends it once to every
+//!   overlay neighbor, and a node that receives one for the first time
+//!   sends it on only while it can still be news there — never on a
+//!   complete overlay (one hop already reached everyone; the layer then
+//!   is the paper's broadcast primitive), and not once this node holds
+//!   what supersedes it (the aggregate a share was for, a first
+//!   aggregate for the same block, the round's beacon). Nothing a
+//!   neighbor can still need is withheld: each node passes on every
+//!   share it had before the aggregate, and then the aggregate. The
+//!   three rules and the liveness argument are in [`node`];
 //! * **large artifacts** (block proposals) travel by *advert / request /
 //!   deliver*: the holder announces the block hash and size to its
 //!   neighbors; a node lacking the body requests it from one advertiser

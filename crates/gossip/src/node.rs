@@ -1,11 +1,47 @@
 //! The gossip dissemination node wrapping a [`ConsensusCore`].
 //!
 //! See the crate docs for the dissemination rules. A node's *outgoing*
-//! consensus artifacts are intercepted here: small ones become flooded
+//! consensus artifacts are intercepted here: small ones become
 //! [`GossipMessage::Push`]es, block proposals become
 //! [`GossipMessage::Advert`]s served on demand. Incoming artifacts are
 //! fed to the core exactly as ICC0 would deliver them — the consensus
 //! logic cannot tell the difference.
+//!
+//! # What a push is sent on to
+//!
+//! Every first-seen push is ingested. It is *relayed* — sent on to
+//! every neighbor but the one it came from — only while it can still be
+//! news there, in either [`DisseminationMode`]:
+//!
+//! * **(a) never on a complete overlay.** Relays exist to reach nodes
+//!   the sender is not adjacent to. When every node is adjacent to
+//!   every other ([`Overlay::is_complete`], decided once per node from
+//!   the graph) this layer *is* the paper's broadcast primitive, and a
+//!   Byzantine sender that addresses only some parties is covered the
+//!   way ICC0 covers it, by what the core does anyway: it echoes the
+//!   proposals it supports and broadcasts every notarization and
+//!   finalization it obtains (Fig. 1, Fig. 2).
+//! * **(b) not when superseded at this node**
+//!   ([`Pool::supersedes`](icc_core::pool::Pool::supersedes)): a
+//!   notarization / finalization share, or a second (byte-different)
+//!   aggregate, for a block whose aggregate of that kind the pool
+//!   holds; a beacon share or combined value for a round whose beacon
+//!   is known.
+//! * **(c) the core's own output goes once to every neighbor**, except
+//!   when this node relayed the identical bytes to every neighbor on
+//!   arrival — the seen set remembers "sent to all" per id.
+//!
+//! *Liveness.* A node relays every share that reaches it before it
+//! holds the aggregate (the beacon), and each way of coming to hold
+//! one sends it on: received as a push, it was relayed on arrival;
+//! combined locally, the core broadcasts it in the same step; carried
+//! by a child block's proposal, that proposal is advertised to every
+//! neighbor and the core broadcasts the aggregate on finishing the
+//! round. So each neighbor obtains from this node alone either the
+//! aggregate or every share this node ever had towards it — what is
+//! withheld is only what that neighbor can no longer need. (A replica
+//! that learnt an aggregate from a catch-up package or its own WAL was
+//! behind the subnet, which has it already.)
 
 use bytes::Bytes;
 use icc_core::cluster::CoreAccess;
@@ -26,14 +62,20 @@ use crate::overlay::Overlay;
 /// How small artifacts travel across the overlay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DisseminationMode {
-    /// Every push floods hop-by-hop with once-only relay. Per-node
-    /// traffic for a share round is `O(n · degree)`: each of the `n`
-    /// share floods crosses every node once. Right for small subnets.
+    /// Every push floods hop-by-hop under the relay rules of the
+    /// [module docs](self): not at all on a complete overlay (one hop
+    /// reaches everyone: `n − 1` sends per artifact, as ICC0); on a
+    /// bounded-degree overlay each share crosses a node once *until
+    /// that node holds the aggregate*, and one aggregate per block and
+    /// kind follows — at most `O(n · degree)` per node and share round,
+    /// less the further the aggregate overtakes the shares. Right for
+    /// small subnets.
     Flood,
     /// Signature and beacon shares are *unicast* to a small rotating
     /// per-round aggregator set instead of flooding; only the compact
     /// round certificates (notarization / finalization aggregates,
-    /// combined beacon values) flood. Per-node traffic goes ~flat in
+    /// combined beacon values) flood, one per block and kind past each
+    /// node. Per-node traffic goes ~flat in
     /// `n`, which is what makes n = 1000 feasible. Requires cores built
     /// with beacon-value broadcast so non-aggregators still learn the
     /// beacon.
@@ -411,11 +453,14 @@ struct PendingRequest {
 pub struct GossipNode {
     core: ConsensusCore,
     overlay: Arc<Overlay>,
+    /// Whether this node relays at all: not on a complete overlay.
+    relays: bool,
     config: GossipConfig,
-    /// Flood dedup: ids of small artifacts already forwarded. Two
+    /// Flood dedup: the id of every push received or emitted, mapped to
+    /// whether this node has sent it to every neighbor. Two
     /// generations, rotated when full, bound memory on long runs.
-    seen_pushes: HashSet<Hash256>,
-    seen_pushes_old: HashSet<Hash256>,
+    seen_pushes: HashMap<Hash256, bool>,
+    seen_pushes_old: HashMap<Hash256, bool>,
     /// Proposal bodies this node can serve, by block hash, with FIFO
     /// eviction order.
     offered: HashMap<Hash256, BlockProposal>,
@@ -464,10 +509,11 @@ impl GossipNode {
     pub fn new(core: ConsensusCore, overlay: Arc<Overlay>, config: GossipConfig) -> GossipNode {
         GossipNode {
             core,
+            relays: !overlay.is_complete(),
             overlay,
             config,
-            seen_pushes: HashSet::new(),
-            seen_pushes_old: HashSet::new(),
+            seen_pushes: HashMap::new(),
+            seen_pushes_old: HashMap::new(),
             offered: HashMap::new(),
             offered_order: std::collections::VecDeque::new(),
             adverted: HashSet::new(),
@@ -528,16 +574,46 @@ impl GossipNode {
         self.counters
     }
 
-    /// Flood dedup with bounded memory: rotate generations at 100k ids.
-    fn mark_seen(&mut self, id: Hash256) -> bool {
-        if self.seen_pushes.contains(&id) || self.seen_pushes_old.contains(&id) {
-            return false;
-        }
+    /// The flood-dedup record of `id`: `None` if this node never saw
+    /// it, else whether it has gone to every neighbor.
+    fn seen(&self, id: &Hash256) -> Option<bool> {
+        let found = self.seen_pushes.get(id);
+        found.or_else(|| self.seen_pushes_old.get(id)).copied()
+    }
+
+    /// Records `id` as seen and whether it has now gone to every
+    /// neighbor. Bounded memory: rotate generations at 100k ids (the
+    /// newer generation shadows the older on lookup).
+    fn mark_seen(&mut self, id: Hash256, sent_to_all: bool) {
         if self.seen_pushes.len() >= 100_000 {
             self.seen_pushes_old = std::mem::take(&mut self.seen_pushes);
         }
-        self.seen_pushes.insert(id);
-        true
+        self.seen_pushes.insert(id, sent_to_all);
+    }
+
+    /// Sends `artifact` to every neighbor except `except` (the peer it
+    /// came from, if any); returns how many copies went out.
+    fn push_to_neighbors(
+        &self,
+        ctx: &mut Context<'_, GossipMessage, NodeEvent>,
+        artifact: &PushedArtifact,
+        hops: u8,
+        except: Option<NodeIndex>,
+    ) -> u64 {
+        let mut sent = 0;
+        for &nb in self.overlay.neighbors(ctx.me()) {
+            if Some(nb) != except {
+                ctx.send(
+                    nb,
+                    GossipMessage::Push {
+                        artifact: artifact.clone(),
+                        hops,
+                    },
+                );
+                sent += 1;
+            }
+        }
+        sent
     }
 
     /// Advert dedup with the same two-generation rotation.
@@ -594,12 +670,12 @@ impl GossipNode {
                 };
                 // Encode once; every recipient shares the same buffer.
                 let push = PushedArtifact::new(other);
-                self.mark_seen(push.id());
                 match routed_k {
                     // Routed: the share travels to the round's
                     // aggregators only — O(k) sends instead of a flood
                     // crossing every overlay edge.
                     Some(k) => {
+                        self.mark_seen(push.id(), false);
                         let round = push.msg().round();
                         let me = ctx.me();
                         for agg in aggregators_for(round, self.overlay.n(), k) {
@@ -616,17 +692,14 @@ impl GossipNode {
                         }
                         self.remember_routed(round, push);
                     }
+                    // Rule (c): once to every neighbor, unless the
+                    // identical bytes went to all of them on arrival.
+                    None if self.seen(&push.id()) == Some(true) => {
+                        self.counters.emits_already_sent += 1;
+                    }
                     None => {
-                        let overlay = Arc::clone(&self.overlay);
-                        for &nb in overlay.neighbors(ctx.me()) {
-                            ctx.send(
-                                nb,
-                                GossipMessage::Push {
-                                    artifact: push.clone(),
-                                    hops: 0,
-                                },
-                            );
-                        }
+                        self.mark_seen(push.id(), true);
+                        self.push_to_neighbors(ctx, &push, 0, None);
                     }
                 }
             }
@@ -930,39 +1003,37 @@ impl Node for GossipNode {
                 // Dedup id and encoded bytes travel with the artifact:
                 // forwarding a flood costs refcount bumps, never a
                 // re-encode or re-hash per hop.
-                if !self.mark_seen(artifact.id()) {
+                if self.seen(&artifact.id()).is_some() {
                     self.counters.pushes_deduped += 1;
                     return;
                 }
-                // Routed shares terminate here (this node is one of the
-                // round's aggregators); everything else floods on with
-                // once-only relay.
-                let relay = match self.config.mode {
-                    DisseminationMode::Flood => true,
-                    DisseminationMode::Routed { .. } => !is_share(artifact.msg()),
-                };
-                if relay {
-                    self.counters.relayed_first_seen += 1;
-                    self.counters.relay_hops_total += u64::from(hops) + 1;
-                    let overlay = Arc::clone(&self.overlay);
-                    let fwd_hops = hops.saturating_add(1);
-                    for &nb in overlay.neighbors(ctx.me()) {
-                        if nb != from {
-                            ctx.send(
-                                nb,
-                                GossipMessage::Push {
-                                    artifact: artifact.clone(),
-                                    hops: fwd_hops,
-                                },
-                            );
-                            self.counters.pushes_relayed += 1;
-                        }
-                    }
-                } else {
+                let routed_share = matches!(self.config.mode, DisseminationMode::Routed { .. })
+                    && is_share(artifact.msg());
+                if routed_share {
+                    // Routed shares terminate here (this node is one of
+                    // the round's aggregators).
+                    self.mark_seen(artifact.id(), false);
                     let round = artifact.msg().round();
                     if round > self.last_aggregated_round {
                         self.last_aggregated_round = round;
                         self.counters.aggregator_rounds += 1;
+                    }
+                } else {
+                    // Everything else floods on while it can still be
+                    // news (rules (a) and (b) of the module docs).
+                    self.counters.relayed_first_seen += 1;
+                    self.counters.relay_hops_total += u64::from(hops) + 1;
+                    let superseded = self.relays && self.core.pool().supersedes(artifact.msg());
+                    self.counters.relays_suppressed += u64::from(superseded);
+                    let relay = self.relays && !superseded;
+                    self.mark_seen(artifact.id(), relay);
+                    if relay {
+                        self.counters.pushes_relayed += self.push_to_neighbors(
+                            ctx,
+                            &artifact,
+                            hops.saturating_add(1),
+                            Some(from),
+                        );
                     }
                 }
                 self.ingest(ctx, artifact.msg());
@@ -1309,6 +1380,224 @@ mod tests {
         assert_framed_in_place(&msg, &bytes);
         let back: GossipMessage = decode_from_slice(&bytes).unwrap();
         assert_eq!(back, msg);
+    }
+
+    // ------------------------------------------------------------------
+    // The relay rules, one node against a scripted transport
+    // ------------------------------------------------------------------
+
+    use icc_core::artifacts;
+    use icc_core::delays::StaticDelays;
+    use icc_core::keys::{generate_keys, NodeKeys};
+    use icc_core::Behavior;
+    use icc_sim::{drive, RecvError, Transport, TransportEvent};
+    use icc_types::block::{Block, Payload};
+    use icc_types::messages::{BlockRef, Notarization};
+    use icc_types::SubnetConfig;
+    use std::cell::RefCell;
+    use std::collections::VecDeque;
+    use std::rc::Rc;
+
+    type Sent = Vec<(NodeIndex, GossipMessage)>;
+
+    /// Pre-loaded events in, every send recorded out, then `Closed`.
+    struct Script {
+        me: NodeIndex,
+        n: usize,
+        events: VecDeque<TransportEvent<GossipMessage, Command>>,
+        sent: Rc<RefCell<Sent>>,
+    }
+
+    impl Transport for Script {
+        type Msg = GossipMessage;
+        type External = Command;
+        fn me(&self) -> NodeIndex {
+            self.me
+        }
+        fn n(&self) -> usize {
+            self.n
+        }
+        fn send(&mut self, to: NodeIndex, msg: GossipMessage) {
+            self.sent.borrow_mut().push((to, msg));
+        }
+        fn recv(
+            &mut self,
+            _timeout: std::time::Duration,
+        ) -> Result<TransportEvent<GossipMessage, Command>, RecvError> {
+            self.events.pop_front().ok_or(RecvError::Closed)
+        }
+    }
+
+    /// Key material is deterministic in the seed, so a node's own keys
+    /// (not `Clone`) are simply generated again.
+    fn subnet(n: usize) -> Vec<NodeKeys> {
+        generate_keys(SubnetConfig::new(n), 3)
+    }
+
+    /// Starts node 0 of `keys`' subnet over `overlay`, delivers `pushes`
+    /// in order (each a hop-0 push from `from`) and returns the node
+    /// with everything it sent.
+    fn run_node_0(
+        keys: &[NodeKeys],
+        overlay: Overlay,
+        from: NodeIndex,
+        pushes: &[ConsensusMessage],
+    ) -> (GossipNode, Sent) {
+        let delays = StaticDelays::new(SimDuration::from_secs(10), SimDuration::ZERO);
+        let own = subnet(keys.len()).swap_remove(0);
+        let core = ConsensusCore::new(own, delays, Behavior::Honest);
+        let node = GossipNode::new(core, Arc::new(overlay), GossipConfig::default());
+        let sent = Rc::new(RefCell::new(Vec::new()));
+        let events = pushes.iter().map(|msg| TransportEvent::Msg {
+            from,
+            msg: GossipMessage::Push {
+                artifact: PushedArtifact::new(msg.clone()),
+                hops: 0,
+            },
+        });
+        let script = Script {
+            me: keys[0].index,
+            n: keys.len(),
+            events: events.collect(),
+            sent: Rc::clone(&sent),
+        };
+        let node = drive(node, script, std::time::Instant::now(), |_| {});
+        let sent = sent.borrow().clone();
+        (node, sent)
+    }
+
+    /// Who was sent a push of exactly `msg`, in send order.
+    fn recipients(sent: &Sent, msg: &ConsensusMessage) -> Vec<NodeIndex> {
+        let pushed = |m: &GossipMessage| matches!(m, GossipMessage::Push { artifact, .. } if artifact.msg() == msg);
+        let hits = sent.iter().filter(|(_, m)| pushed(m));
+        hits.map(|(to, _)| *to).collect()
+    }
+
+    /// A round-1 block by party 1 and what parties sign over it.
+    struct Round1 {
+        proposal: ConsensusMessage,
+        block_ref: BlockRef,
+    }
+
+    impl Round1 {
+        fn new(keys: &[NodeKeys]) -> Round1 {
+            let genesis = keys[0].setup.genesis.hash();
+            let block =
+                Block::new(Round::new(1), keys[1].index, genesis, Payload::empty()).into_hashed();
+            Round1 {
+                block_ref: BlockRef::of_hashed(&block),
+                proposal: ConsensusMessage::Proposal(artifacts::proposal(&keys[1], block, None)),
+            }
+        }
+
+        fn share(&self, k: &NodeKeys) -> ConsensusMessage {
+            ConsensusMessage::NotarizationShare(artifacts::notarization_share(k, self.block_ref))
+        }
+
+        /// The notarization combined from `signers`' shares: a different
+        /// signer set gives different bytes for the same block.
+        fn notarization(&self, signers: &[NodeKeys]) -> ConsensusMessage {
+            let shares = signers
+                .iter()
+                .map(|k| artifacts::notarization_share(k, self.block_ref).share);
+            let sig = signers[0]
+                .setup
+                .notary
+                .combine(&self.block_ref.sign_bytes(), shares)
+                .unwrap();
+            ConsensusMessage::Notarization(Notarization {
+                block_ref: self.block_ref,
+                sig,
+            })
+        }
+    }
+
+    fn beacon_share(k: &NodeKeys) -> ConsensusMessage {
+        let share = artifacts::beacon_share(k, Round::new(1), &k.setup.genesis_beacon);
+        ConsensusMessage::BeaconShare(share)
+    }
+
+    /// Rule (a): on a complete overlay nothing is relayed, and an
+    /// aggregate that arrived from the network is still broadcast by the
+    /// core, once, to all n − 1 neighbors.
+    #[test]
+    fn complete_overlay_relays_nothing_and_emits_a_received_aggregate_once() {
+        let keys = subnet(4);
+        let r1 = Round1::new(&keys);
+        let notarization = r1.notarization(&keys[1..]);
+        let pushes = [
+            beacon_share(&keys[1]), // with its own: round 1 entered
+            r1.share(&keys[2]),
+            notarization.clone(),
+            r1.proposal.clone(), // block valid: round 1 finishes
+            r1.share(&keys[3]),
+        ];
+        let (node, sent) = run_node_0(&keys, Overlay::full_mesh(4), keys[1].index, &pushes);
+        let c = node.gossip_counters();
+        assert_eq!((c.pushes_relayed, c.relays_suppressed), (0, 0), "{c:?}");
+        assert_eq!(c.emits_already_sent, 0);
+        assert_eq!((c.relayed_first_seen, c.relay_hops_total), (5, 5));
+        let everyone: Vec<NodeIndex> = keys[1..].iter().map(|k| k.index).collect();
+        assert_eq!(recipients(&sent, &notarization), everyone);
+        assert!(recipients(&sent, &r1.share(&keys[2])).is_empty());
+        assert!(recipients(&sent, &r1.proposal).is_empty());
+    }
+
+    /// Rules (b) and (c) on a bounded-degree overlay: every share that
+    /// arrives before the aggregate is relayed, none after; a second,
+    /// byte-different aggregate for the held block is not; and the
+    /// aggregate relayed on arrival is not sent again when the core
+    /// broadcasts it.
+    #[test]
+    fn sparse_overlay_relays_until_the_aggregate_is_held() {
+        let keys = subnet(7);
+        let overlay = Overlay::random_regular(7, 3, 1);
+        assert!(!overlay.is_complete());
+        let neighbors = overlay.neighbors(keys[0].index).to_vec();
+        let from = neighbors[0];
+        let others = &neighbors[1..];
+        assert!(!others.is_empty());
+
+        let r1 = Round1::new(&keys);
+        let first = r1.notarization(&keys[..5]);
+        let second = r1.notarization(&keys[2..]);
+        assert_ne!(first, second);
+        let pushes = [
+            r1.share(&keys[1]),
+            r1.share(&keys[2]),
+            first.clone(),
+            r1.share(&keys[3]), // superseded
+            r1.share(&keys[4]), // superseded
+            second.clone(),     // superseded
+            beacon_share(&keys[1]),
+            beacon_share(&keys[2]), // with its own: round 1 entered
+            beacon_share(&keys[3]), // superseded
+            r1.proposal.clone(),    // block valid: round 1 finishes
+        ];
+        let (node, sent) = run_node_0(&keys, overlay, from, &pushes);
+
+        for relayed in [0, 1, 2, 6, 7, 9] {
+            assert_eq!(
+                recipients(&sent, &pushes[relayed]),
+                others,
+                "push {relayed}"
+            );
+        }
+        for withheld in [3, 4, 5, 8] {
+            assert!(
+                recipients(&sent, &pushes[withheld]).is_empty(),
+                "push {withheld}"
+            );
+        }
+        let c = node.gossip_counters();
+        assert_eq!(c.pushes_relayed, 6 * others.len() as u64);
+        assert_eq!(c.relays_suppressed, 4);
+        // The core finished round 1 on `first` and broadcast it: the
+        // copies counted above are the relay's, and there are no more.
+        assert!(node.core().pool().is_notarized(&r1.block_ref.hash));
+        assert_eq!(c.emits_already_sent, 1);
+        assert_eq!((c.relayed_first_seen, c.relay_hops_total), (10, 10));
+        assert_eq!(c.pushes_deduped, 0);
     }
 
     #[test]

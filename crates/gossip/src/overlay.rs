@@ -96,6 +96,14 @@ impl Overlay {
         &self.neighbors[node.as_usize()]
     }
 
+    /// Whether every node is adjacent to every other. Gossip over a
+    /// complete overlay *is* direct broadcast: every push reaches every
+    /// node in one hop, so there is nobody left to relay to.
+    pub fn is_complete(&self) -> bool {
+        let n = self.n();
+        self.neighbors.iter().all(|nb| nb.len() + 1 == n)
+    }
+
     /// Maximum degree in the graph.
     pub fn max_degree(&self) -> usize {
         self.neighbors.iter().map(Vec::len).max().unwrap_or(0)
@@ -135,6 +143,17 @@ mod tests {
         let o = Overlay::full_mesh(4);
         assert_eq!(o.neighbors(NodeIndex::new(0)).len(), 3);
         assert_eq!(o.diameter(), 1);
+    }
+
+    /// Completeness is read off the graph, not off the constructor.
+    #[test]
+    fn completeness_is_a_property_of_the_graph() {
+        assert!(Overlay::full_mesh(13).is_complete());
+        assert!(Overlay::for_subnet(32, 1).is_complete());
+        assert!(!Overlay::for_subnet(33, 1).is_complete());
+        assert!(!Overlay::random_regular(7, 3, 1).is_complete());
+        // Ring plus chords at degree n − 1 leaves no edge out.
+        assert!(Overlay::random_regular(3, 2, 1).is_complete());
     }
 
     #[test]
