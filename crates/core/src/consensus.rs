@@ -36,7 +36,7 @@ use icc_crypto::beacon::RankPermutation;
 use icc_crypto::{hash_parts, Hash256};
 use icc_telemetry::{SpanEvent, SpanKind};
 use icc_types::block::{Block, HashedBlock, Payload};
-use icc_types::messages::{Beacon, BlockProposal, BlockRef, ConsensusMessage};
+use icc_types::messages::{Beacon, BlockRef, ConsensusMessage};
 use icc_types::{Command, Rank, Round, SimTime};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -615,15 +615,12 @@ impl ConsensusCore {
     /// transition certificate this replica has not archived — the
     /// requester then rotates to another peer.
     pub fn build_catch_up_package(&self, have_round: Round) -> Option<CatchUpPackage> {
-        let block = self.pool.latest_finalized_block()?.clone();
-        let round = block.round();
+        let tip = self.pool.latest_finalized_block()?;
+        let round = tip.round();
         if round <= have_round {
             return None;
         }
-        let hash = block.hash();
-        let authenticator = self.pool.authenticator_of(&hash)?;
-        let notarization = self.pool.notarization_of(&hash)?.clone();
-        let finalization = self.pool.finalization_of(&hash)?.clone();
+        let tip = self.pool.certified_block(&tip.hash())?;
         let beacons = self.pool.beacons_from(have_round.next());
         // The segment must chain from the requester's tip and cover
         // entering `round + 1`.
@@ -646,13 +643,9 @@ impl ConsensusCore {
             transitions.push(self.transition_certs.get(&(e as u64))?.clone());
         }
         Some(CatchUpPackage {
-            proposal: BlockProposal {
-                block,
-                authenticator,
-                parent_notarization: None,
-            },
-            notarization,
-            finalization,
+            proposal: tip.proposal,
+            notarization: tip.notarization?.clone(),
+            finalization: tip.finalization?.clone(),
             beacons,
             transitions,
         })
@@ -882,18 +875,9 @@ impl ConsensusCore {
         let block_ref = notarization.block_ref;
         // WAL: the round's notarized block (body + certificate) is what
         // replay rebuilds the validated chain from.
-        if let (Some(b), Some(auth)) = (
-            self.pool.block(&block_ref.hash).cloned(),
-            self.pool.authenticator_of(&block_ref.hash),
-        ) {
-            self.store.append_block(
-                BlockProposal {
-                    block: b,
-                    authenticator: auth,
-                    parent_notarization: None,
-                },
-                Some(notarization.clone()),
-            );
+        if let Some(b) = self.pool.certified_block(&block_ref.hash) {
+            self.store
+                .append_block(b.proposal, Some(notarization.clone()));
         }
         if self.notarizations_broadcast.insert(block_ref.hash) {
             self.emit(ConsensusMessage::Notarization(notarization), step);
@@ -1093,26 +1077,10 @@ impl ConsensusCore {
             rs.n_set.insert(rank, block.hash());
         }
         if should_echo {
-            let authenticator = self
-                .pool
-                .authenticator_of(&block.hash())
-                .expect("valid blocks have authenticators");
-            let parent_notarization = if block.round() == Round::new(1) {
-                None
-            } else {
-                Some(
-                    self.pool
-                        .notarization_of(&block.parent())
-                        .expect("valid blocks have notarized parents")
-                        .clone(),
-                )
-            };
-            step.broadcasts
-                .push(ConsensusMessage::Proposal(BlockProposal {
-                    block: block.clone(),
-                    authenticator,
-                    parent_notarization,
-                }));
+            // A valid block has its authenticator and a notarized parent.
+            if let Some(proposal) = self.pool.proposal_of(&block.hash()) {
+                step.broadcasts.push(ConsensusMessage::Proposal(proposal));
+            }
         }
         if !already_shared_this_rank && i_am_member && self.behavior.shares_notarization() {
             let share = artifacts::notarization_share(&self.keys, block_ref);
@@ -1136,14 +1104,14 @@ impl ConsensusCore {
                 continue;
             }
             // Case (i): a finalized block with round > kmax.
-            let Some(block) = self.pool.finalized_above(self.kmax).cloned() else {
+            let tip = self.pool.finalized_above(self.kmax);
+            let Some(tip) = tip.and_then(|b| self.pool.certified_block(&b.hash())) else {
                 break;
             };
-            let finalization = self
-                .pool
-                .finalization_of(&block.hash())
-                .expect("finalized blocks have finalizations")
-                .clone();
+            let Some(finalization) = tip.finalization.cloned() else {
+                break;
+            };
+            let block = tip.proposal.block;
             // WAL: the finalization certificate plus the finalized chain
             // bodies (the finalized branch is what replay must rebuild;
             // the branch logged in `try_finish_round` may differ).
@@ -1157,15 +1125,9 @@ impl ConsensusCore {
                 .chain_back_to(&block, self.kmax)
                 .expect("finalized blocks have complete chains");
             for b in chain {
-                if let Some(auth) = self.pool.authenticator_of(&b.hash()) {
-                    self.store.append_block(
-                        BlockProposal {
-                            block: b.clone(),
-                            authenticator: auth,
-                            parent_notarization: None,
-                        },
-                        self.pool.notarization_of(&b.hash()).cloned(),
-                    );
+                if let Some(held) = self.pool.certified_block(&b.hash()) {
+                    self.store
+                        .append_block(held.proposal, held.notarization.cloned());
                 }
                 let digests: Vec<Hash256> = b
                     .block()
@@ -1246,17 +1208,16 @@ impl ConsensusCore {
             if block.round() < out_start {
                 continue;
             }
-            let hash = block.hash();
-            let (Some(notarization), Some(finalization)) = (
-                self.pool.notarization_of(&hash).cloned(),
-                self.pool.finalization_of(&hash).cloned(),
-            ) else {
+            let held = self.pool.certified_block(&block.hash());
+            let Some((notarization, finalization)) =
+                held.and_then(|b| b.notarization.zip(b.finalization))
+            else {
                 continue;
             };
             let t = EpochTransition {
                 epoch: e,
-                notarization,
-                finalization,
+                notarization: notarization.clone(),
+                finalization: finalization.clone(),
             };
             self.store.append_epoch_transition(t.clone());
             self.transition_certs.insert(e, t);
@@ -1277,28 +1238,23 @@ impl ConsensusCore {
         if self.kmax.get().saturating_sub(base.get()) < self.checkpoint_interval {
             return;
         }
-        let Some(block) = self.pool.latest_finalized_block().cloned() else {
+        let tip = self.pool.latest_finalized_block();
+        let Some(tip) = tip.and_then(|b| self.pool.certified_block(&b.hash())) else {
             return;
         };
-        let hash = block.hash();
-        let round = block.round();
-        let (Some(auth), Some(notarization), Some(finalization), Some(beacon)) = (
-            self.pool.authenticator_of(&hash),
-            self.pool.notarization_of(&hash).cloned(),
-            self.pool.finalization_of(&hash).cloned(),
-            self.pool.beacon(round).copied(),
+        let (Some(notarization), Some(finalization), Some(beacon)) = (
+            tip.notarization.cloned(),
+            tip.finalization.cloned(),
+            self.pool.beacon(tip.proposal.block.round()).copied(),
         ) else {
             return;
         };
+        let proposal = tip.proposal;
         // Deterministic order for the committed-digest set.
         let mut committed: Vec<Hash256> = self.committed_cmds.iter().copied().collect();
         committed.sort();
         self.store.install_checkpoint(Checkpoint {
-            proposal: BlockProposal {
-                block,
-                authenticator: auth,
-                parent_notarization: None,
-            },
+            proposal,
             notarization,
             finalization,
             beacon,

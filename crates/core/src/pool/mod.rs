@@ -3,8 +3,25 @@
 //! Each party holds a pool of all artifacts it has received (including
 //! from itself); nothing is ever deleted (§3.1 — an optional
 //! [`Pool::purge_below`] implements the optimization the paper mentions
-//! but elides). Messages are verified one at a time, on arrival, by one
-//! write path ([`Pool::insert`]); for each artifact of the message:
+//! but elides). §3.4's block properties are properties *of a block*, and
+//! are held that way: one `BlockEntry` per block hash carries all the
+//! pool knows about it, and the classification is read off that record:
+//!
+//! * **authentic** — the body is held, with its authenticator (a valid
+//!   `S_auth` signature by the claimed proposer);
+//! * **valid** — authentic, and its parent is a *notarized* block of the
+//!   previous round in this pool; a property of the whole ancestor
+//!   chain, so the one flag the record stores;
+//! * **notarized** / **finalized** — valid with a verified `(n−t)`
+//!   notarization / finalization held (`root` is both by definition).
+//!
+//! Three indexes answer what the table cannot: `by_round` (the blocks
+//! of round k, in arrival order), `pending_validity` (the bodies the
+//! fixpoint can still promote) and `finalized_by_round` (the finalized
+//! frontier). Messages are verified one at a time, on arrival, by one
+//! write path ([`Pool::insert`]) with one route per artifact *shape*;
+//! which certificate a share or aggregate belongs to (`Cert`) only
+//! selects the scheme, the quorum and the share buckets. Per artifact:
 //!
 //! ```text
 //!   duplicate of what is held ──────────────▶ dropped, no crypto
@@ -13,48 +30,46 @@
 //!   epoch-membership gate ──────────────────▶ rejected, no crypto
 //!   share after its quorum or aggregate ────▶ dropped unverified
 //!   ONE signature check ────────────────────▶ rejected on failure
-//!   insert into the §3.4 classifier (validated.rs)
+//!   insert into the block's record (validated.rs)
 //! ```
 //!
-//! followed by one `recheck_validity` fixpoint per message. The §3.4
-//! classification is the paper's:
-//!
-//! * **authentic** — an authenticator (valid `S_auth` signature by the
-//!   claimed proposer) is present;
-//! * **valid** — authentic, and its parent is a *notarized* block of the
-//!   previous round in this pool (`root` for round 1); validity is a
-//!   property of the whole ancestor chain;
-//! * **notarized** — valid with a verified `(n−t)` notarization present;
-//! * **finalized** — valid with a verified `(n−t)` finalization present.
-//!
-//! Two artifact kinds cannot be checked on arrival, because the message
-//! they sign chains from the *previous* beacon value (§3.4): beacon
-//! shares are held unchecked and verified at combine time (each at most
-//! once — a held share remembers that it was checked), and combined
-//! beacon values whose predecessor is unknown wait in a small bounded
-//! list until it lands.
+//! followed by one `recheck_validity` fixpoint per message. Two kinds
+//! cannot be checked on arrival, because the message they sign chains
+//! from the *previous* beacon value (§3.4): beacon shares are held
+//! unchecked and verified at combine time (each at most once), and
+//! combined beacon values whose predecessor is unknown wait in a small
+//! bounded list until it lands.
 //!
 //! The seed's eager-verify pool survives as [`reference::EagerPool`],
 //! the differential-testing model.
 
+// Nothing a peer sends may panic the pool.
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::indexing_slicing)
+)]
+
+#[allow(clippy::expect_used, clippy::unwrap_used, clippy::indexing_slicing)]
 pub mod reference;
 pub mod stats;
 mod validated;
 
 pub use reference::EagerPool;
 pub use stats::PoolStats;
+pub use validated::CertifiedBlock;
 
+use crate::epoch::EpochInfo;
 use crate::keys::PublicSetup;
 use crate::recovery::{CatchUpError, CatchUpPackage};
 use crate::storage::Checkpoint;
 use icc_crypto::beacon::{beacon_sign_message, BeaconValue};
+use icc_crypto::multisig::{MultiSig, MultiSigScheme, MultiSigShare};
 use icc_crypto::sig::Signature;
 use icc_crypto::threshold::ThresholdSigShare;
 use icc_crypto::Hash256;
 use icc_types::block::HashedBlock;
 use icc_types::messages::{
-    domains, Beacon, BeaconShare, BlockRef, ConsensusMessage, Finalization, FinalizationShare,
-    Notarization, NotarizationShare,
+    domains, Beacon, BeaconShare, BlockRef, ConsensusMessage, Finalization, Notarization,
 };
 use icc_types::Round;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -64,19 +79,35 @@ use std::sync::Arc;
 /// beyond it the oldest is dropped.
 const MAX_PARKED_BEACONS: usize = 1024;
 
+/// Which of a block's two `(n − t)` certificates a share or aggregate
+/// belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cert {
+    Notary,
+    Finality,
+}
+use Cert::{Finality, Notary};
+
+impl Cert {
+    /// The signature scheme of this certificate and its `m − t` in
+    /// `epoch`.
+    fn signing<'a>(self, setup: &'a PublicSetup, epoch: &EpochInfo) -> (&'a MultiSigScheme, usize) {
+        match self {
+            Notary => (&setup.notary, epoch.notarization_threshold()),
+            Finality => (&setup.finality, epoch.finalization_threshold()),
+        }
+    }
+}
+
 /// One artifact of a wire message, borrowed for the length of the
 /// write path (a proposal carries two: its parent's notarization and
 /// the block itself).
 #[derive(Debug, Clone, Copy)]
 enum Artifact<'a> {
-    Block {
-        block: &'a HashedBlock,
-        authenticator: &'a Signature,
-    },
-    Notarization(&'a Notarization),
-    Finalization(&'a Finalization),
-    NotarizationShare(&'a NotarizationShare),
-    FinalizationShare(&'a FinalizationShare),
+    /// A block with its authenticator.
+    Block(&'a HashedBlock, &'a Signature),
+    Share(Cert, BlockRef, MultiSigShare),
+    Aggregate(Cert, BlockRef, &'a MultiSig),
     BeaconShare(&'a BeaconShare),
     Beacon(&'a Beacon),
 }
@@ -84,18 +115,23 @@ enum Artifact<'a> {
 impl<'a> Artifact<'a> {
     /// Decomposes a wire message into its artifacts.
     fn of(msg: &'a ConsensusMessage) -> [Option<Artifact<'a>>; 2] {
+        let notarization = |n: &'a Notarization| Artifact::Aggregate(Notary, n.block_ref, &n.sig);
         match msg {
             ConsensusMessage::Proposal(p) => [
-                p.parent_notarization.as_ref().map(Artifact::Notarization),
-                Some(Artifact::Block {
-                    block: &p.block,
-                    authenticator: &p.authenticator,
-                }),
+                p.parent_notarization.as_ref().map(notarization),
+                Some(Artifact::Block(&p.block, &p.authenticator)),
             ],
-            ConsensusMessage::NotarizationShare(s) => [Some(Artifact::NotarizationShare(s)), None],
-            ConsensusMessage::Notarization(n) => [Some(Artifact::Notarization(n)), None],
-            ConsensusMessage::FinalizationShare(s) => [Some(Artifact::FinalizationShare(s)), None],
-            ConsensusMessage::Finalization(f) => [Some(Artifact::Finalization(f)), None],
+            ConsensusMessage::NotarizationShare(s) => {
+                [Some(Artifact::Share(Notary, s.block_ref, s.share)), None]
+            }
+            ConsensusMessage::Notarization(n) => [Some(notarization(n)), None],
+            ConsensusMessage::FinalizationShare(s) => {
+                [Some(Artifact::Share(Finality, s.block_ref, s.share)), None]
+            }
+            ConsensusMessage::Finalization(f) => [
+                Some(Artifact::Aggregate(Finality, f.block_ref, &f.sig)),
+                None,
+            ],
             ConsensusMessage::BeaconShare(b) => [Some(Artifact::BeaconShare(b)), None],
             ConsensusMessage::Beacon(b) => [Some(Artifact::Beacon(b)), None],
         }
@@ -104,15 +140,55 @@ impl<'a> Artifact<'a> {
     /// The block reference a signed artifact is over, if any.
     fn block_ref(&self) -> Option<BlockRef> {
         match self {
-            Artifact::Block { block, .. } => Some(BlockRef::of_hashed(block)),
-            Artifact::Notarization(n) => Some(n.block_ref),
-            Artifact::Finalization(f) => Some(f.block_ref),
-            Artifact::NotarizationShare(s) => Some(s.block_ref),
-            Artifact::FinalizationShare(s) => Some(s.block_ref),
+            Artifact::Block(block, _) => Some(BlockRef::of_hashed(block)),
+            Artifact::Share(_, block_ref, _) | Artifact::Aggregate(_, block_ref, _) => {
+                Some(*block_ref)
+            }
             Artifact::BeaconShare(_) | Artifact::Beacon(_) => None,
         }
     }
 }
+
+/// Everything the pool holds about one block hash (§3.4). Whatever
+/// arrives first creates it.
+#[derive(Debug, Default)]
+struct BlockEntry {
+    /// The body: held ⇔ the block is authentic. Absent while only a
+    /// certificate for the hash has arrived.
+    body: Option<HashedBlock>,
+    /// `S_auth` by the proposer, verified before the body was stored
+    /// (`root` has none: it serves as its own).
+    authenticator: Option<Signature>,
+    /// Authentic, and the parent is a notarized block one round below.
+    valid: bool,
+    notarization: Option<Notarization>,
+    finalization: Option<Finalization>,
+}
+
+impl BlockEntry {
+    /// The held certificate of `kind`, as the reference and aggregate
+    /// signature it consists of.
+    fn cert(&self, kind: Cert) -> Option<(BlockRef, &MultiSig)> {
+        match kind {
+            Notary => self.notarization.as_ref().map(|n| (n.block_ref, &n.sig)),
+            Finality => self.finalization.as_ref().map(|f| (f.block_ref, &f.sig)),
+        }
+    }
+
+    /// Notarized / finalized (§3.4): valid with the certificate held;
+    /// `root` serves as its own notarization and finalization.
+    fn certified(&self, kind: Cert) -> bool {
+        let root = || self.body.as_ref().is_some_and(|b| b.round().is_genesis());
+        self.valid && (self.cert(kind).is_some() || root())
+    }
+}
+
+/// Shares by the reference they *sign* (and were verified over), not by
+/// block hash alone: a share over `{other round or proposer, H}`
+/// verifies on its own, but must never count towards — or be combined
+/// with — the quorum of the real block `H`. It sits in a bucket of its
+/// own that no honest party adds to.
+type ShareBuckets = HashMap<BlockRef, BTreeMap<u32, MultiSigShare>>;
 
 /// A beacon share as held: it signs a message that chains from the
 /// previous beacon value, so it is checked at combine time, once.
@@ -129,81 +205,84 @@ struct HeldBeaconShare {
 pub struct Pool {
     setup: Arc<PublicSetup>,
     stats: PoolStats,
-    blocks: HashMap<Hash256, HashedBlock>,
+    /// The one table of block state.
+    entries: HashMap<Hash256, BlockEntry>,
+    /// Held bodies by round, in arrival order.
     by_round: BTreeMap<Round, Vec<Hash256>>,
-    authentic: HashSet<Hash256>,
-    valid: HashSet<Hash256>,
-    notarized: HashSet<Hash256>,
-    finalized: HashSet<Hash256>,
-    authenticators: HashMap<Hash256, Signature>,
-    notarizations: HashMap<Hash256, Notarization>,
-    finalizations: HashMap<Hash256, Finalization>,
-    /// Shares by the reference they *sign* (and were verified over),
-    /// not by block hash alone: a share over `{other round or proposer,
-    /// H}` verifies on its own, but must never count towards — or be
-    /// combined with — the quorum of the real block `H`. It sits in a
-    /// bucket of its own that no honest party adds to.
-    notarization_shares: HashMap<BlockRef, BTreeMap<u32, NotarizationShare>>,
-    finalization_shares: HashMap<BlockRef, BTreeMap<u32, FinalizationShare>>,
-    /// Aggregates whose block is not yet valid, awaiting promotion.
-    pending_notarized: HashSet<Hash256>,
-    pending_finalized: HashSet<Hash256>,
+    /// Blocks that are authentic but not yet valid (awaiting ancestors).
+    pending_validity: HashSet<Hash256>,
+    /// Finalized blocks indexed by round (P2 guarantees at most one).
+    finalized_by_round: BTreeMap<Round, Hash256>,
+    notarization_shares: ShareBuckets,
+    finalization_shares: ShareBuckets,
     beacon_shares: BTreeMap<Round, BTreeMap<u32, HeldBeaconShare>>,
     beacons: BTreeMap<Round, BeaconValue>,
     /// Combined beacon values whose predecessor is not yet known, in
     /// arrival order (at most [`MAX_PARKED_BEACONS`]).
     parked_beacons: VecDeque<Beacon>,
-    /// Blocks that are authentic but not yet valid (awaiting ancestors).
-    pending_validity: HashSet<Hash256>,
-    /// Finalized blocks indexed by round (P2 guarantees at most one).
-    finalized_by_round: BTreeMap<Round, Hash256>,
+}
+
+/// Whether `value` is the round-`round` beacon: the unique threshold
+/// signature over its predecessor `prev` (one group signature check).
+fn beacon_value_ok(
+    setup: &PublicSetup,
+    stats: &mut PoolStats,
+    round: Round,
+    prev: &BeaconValue,
+    value: &BeaconValue,
+) -> bool {
+    let BeaconValue::Signature(sig) = value else {
+        return false;
+    };
+    stats.verify_calls += 1;
+    let msg = beacon_sign_message(round.get(), prev);
+    setup.beacon.verify(&msg, sig)
 }
 
 impl Pool {
     /// An empty pool for a party of the given setup. The genesis block
-    /// is pre-inserted as valid, notarized and finalized (§3.4: `root`
-    /// serves as its own authenticator, notarization and finalization),
-    /// and `R_0` as the round-0 beacon.
+    /// is pre-inserted as valid — hence notarized and finalized (§3.4:
+    /// `root` serves as its own authenticator, notarization and
+    /// finalization) — and `R_0` as the round-0 beacon.
     pub fn new(setup: Arc<PublicSetup>) -> Pool {
         let genesis = setup.genesis.clone();
         let ghash = genesis.hash();
-        let mut pool = Pool {
+        let root = BlockEntry {
+            body: Some(genesis),
+            valid: true,
+            ..BlockEntry::default()
+        };
+        Pool {
             stats: PoolStats::default(),
-            blocks: HashMap::new(),
-            by_round: BTreeMap::new(),
-            authentic: HashSet::new(),
-            authenticators: HashMap::new(),
-            valid: HashSet::new(),
-            notarized: HashSet::new(),
-            finalized: HashSet::new(),
-            notarizations: HashMap::new(),
-            finalizations: HashMap::new(),
+            entries: HashMap::from([(ghash, root)]),
+            by_round: BTreeMap::from([(Round::GENESIS, vec![ghash])]),
+            pending_validity: HashSet::new(),
+            finalized_by_round: BTreeMap::from([(Round::GENESIS, ghash)]),
             notarization_shares: HashMap::new(),
             finalization_shares: HashMap::new(),
-            pending_notarized: HashSet::new(),
-            pending_finalized: HashSet::new(),
             beacon_shares: BTreeMap::new(),
-            beacons: BTreeMap::new(),
+            beacons: BTreeMap::from([(Round::GENESIS, setup.genesis_beacon)]),
             parked_beacons: VecDeque::new(),
-            pending_validity: HashSet::new(),
-            finalized_by_round: BTreeMap::new(),
             setup,
-        };
-        pool.beacons
-            .insert(Round::GENESIS, pool.setup.genesis_beacon);
-        pool.blocks.insert(ghash, genesis);
-        pool.by_round.insert(Round::GENESIS, vec![ghash]);
-        pool.authentic.insert(ghash);
-        pool.valid.insert(ghash);
-        pool.notarized.insert(ghash);
-        pool.finalized.insert(ghash);
-        pool.finalized_by_round.insert(Round::GENESIS, ghash);
-        pool
+        }
     }
 
     /// The pool's observability counters.
     pub fn stats(&self) -> PoolStats {
         self.stats
+    }
+
+    fn buckets(&self, kind: Cert) -> &ShareBuckets {
+        match kind {
+            Notary => &self.notarization_shares,
+            Finality => &self.finalization_shares,
+        }
+    }
+
+    /// Whether the `kind` aggregate for `hash` is held (its block may
+    /// not be).
+    fn holds_cert(&self, kind: Cert, hash: &Hash256) -> bool {
+        self.entries.get(hash).and_then(|e| e.cert(kind)).is_some()
     }
 
     // ------------------------------------------------------------------
@@ -236,14 +315,20 @@ impl Pool {
                 continue;
             }
             admitted = true;
-            if let (Artifact::Beacon(b), false) = (artifact, trusted) {
+            if trusted {
+                changed |= self.store(artifact, true);
+            } else if let Artifact::Beacon(b) = artifact {
                 // Checked below, once the predecessor is known.
                 if self.parked_beacons.len() == MAX_PARKED_BEACONS {
                     self.parked_beacons.pop_front();
                 }
                 self.parked_beacons.push_back(*b);
-            } else if trusted || self.verify(&artifact) {
-                changed |= self.store(artifact, trusted);
+            } else {
+                match self.verify(&artifact) {
+                    Some(true) => changed |= self.store(artifact, false),
+                    Some(false) => self.stats.rejected += 1,
+                    None => self.stats.shares_skipped_after_quorum += 1,
+                }
             }
         }
         // Parked beacon values (one just admitted included) are tried
@@ -261,21 +346,16 @@ impl Pool {
     /// reach verification.
     fn holds(&self, artifact: &Artifact<'_>) -> bool {
         match artifact {
-            Artifact::Block { block, .. } => self.authentic.contains(&block.hash()),
-            Artifact::Notarization(n) => self.notarizations.contains_key(&n.block_ref.hash),
-            Artifact::Finalization(f) => self.finalizations.contains_key(&f.block_ref.hash),
-            Artifact::NotarizationShare(s) => self
-                .notarization_shares
-                .get(&s.block_ref)
-                .is_some_and(|m| m.contains_key(&s.share.signer)),
-            Artifact::FinalizationShare(s) => self
-                .finalization_shares
-                .get(&s.block_ref)
-                .is_some_and(|m| m.contains_key(&s.share.signer)),
-            Artifact::BeaconShare(b) => self
-                .beacon_shares
-                .get(&b.round)
-                .is_some_and(|m| m.contains_key(&b.share.signer)),
+            Artifact::Block(block, _) => self.block(&block.hash()).is_some(),
+            Artifact::Aggregate(kind, block_ref, _) => self.holds_cert(*kind, &block_ref.hash),
+            Artifact::Share(kind, block_ref, share) => {
+                let bucket = self.buckets(*kind).get(block_ref);
+                bucket.is_some_and(|m| m.contains_key(&share.signer))
+            }
+            Artifact::BeaconShare(b) => {
+                let bucket = self.beacon_shares.get(&b.round);
+                bucket.is_some_and(|m| m.contains_key(&b.share.signer))
+            }
             // Any value for an already-known round is redundant: the
             // beacon scheme is unique, so a verified competitor would be
             // byte-identical anyway.
@@ -289,23 +369,23 @@ impl Pool {
     fn plausible(&self, artifact: &Artifact<'_>) -> bool {
         let n = self.setup.config.n();
         match artifact {
-            Artifact::Block { block, .. } => {
+            Artifact::Block(block, _) => {
                 !block.round().is_genesis() && block.proposer().as_usize() < n
             }
-            Artifact::NotarizationShare(s) => (s.share.signer as usize) < n,
-            Artifact::FinalizationShare(s) => (s.share.signer as usize) < n,
+            Artifact::Share(_, _, share) => (share.signer as usize) < n,
             Artifact::BeaconShare(b) => (b.share.signer as usize) < n,
             // Non-genesis rounds only ever carry Signature values; the
             // genesis seed is baked into every party's setup.
             Artifact::Beacon(b) => {
                 !b.round.is_genesis() && matches!(b.value, BeaconValue::Signature(_))
             }
-            Artifact::Notarization(_) | Artifact::Finalization(_) => true,
+            Artifact::Aggregate(..) => true,
         }
     }
 
     /// The cryptographic half of the write path for one network
-    /// artifact: `true` if it may enter the classifier.
+    /// artifact: whether it may enter the classifier — or `None` for a
+    /// share that is dropped unverified.
     ///
     /// Per-epoch signer sets: the proposer of a block, every signer of
     /// an aggregate, and every share signer must be a *member* of the
@@ -313,15 +393,14 @@ impl Pool {
     /// not-yet-joined) parties hold valid universe keys, so the
     /// membership gate — not signature verification — is what refuses
     /// them.
-    fn verify(&mut self, artifact: &Artifact<'_>) -> bool {
+    fn verify(&mut self, artifact: &Artifact<'_>) -> Option<bool> {
         // Beacon shares are verified at combine time (§3.4).
         let Some(block_ref) = artifact.block_ref() else {
-            return true;
+            return Some(true);
         };
-        let hash = block_ref.hash;
         let epoch = self.setup.epoch_of(block_ref.round);
-        let ok = match artifact {
-            Artifact::Block { authenticator, .. } => {
+        Some(match *artifact {
+            Artifact::Block(_, authenticator) => {
                 let proposer = block_ref.proposer;
                 match self.setup.auth_keys.get(proposer.as_usize()) {
                     Some(pk) if epoch.is_member(proposer.get()) => {
@@ -331,76 +410,32 @@ impl Pool {
                     _ => false,
                 }
             }
-            Artifact::Notarization(n) => {
+            Artifact::Aggregate(kind, _, sig) => {
+                let (scheme, need) = kind.signing(&self.setup, epoch);
                 self.stats.verify_calls += 1;
-                self.setup.notary.verify_subset(
-                    &block_ref.sign_bytes(),
-                    &n.sig,
-                    epoch.notarization_threshold(),
-                    &epoch.members,
-                )
+                scheme.verify_subset(&block_ref.sign_bytes(), sig, need, &epoch.members)
             }
-            Artifact::Finalization(f) => {
+            Artifact::Share(kind, _, share) => {
+                let (scheme, need) = kind.signing(&self.setup, epoch);
+                if !epoch.is_member(share.signer) {
+                    return Some(false);
+                }
+                // Early stop: once the pool holds the aggregate — or a
+                // full quorum of shares — for a block, further shares
+                // cannot change any decision (not a failure: never
+                // counted as rejected). This is what keeps per-round
+                // signature work bounded by the threshold instead of the
+                // subnet size.
+                let held = || self.buckets(kind).get(&block_ref).map_or(0, BTreeMap::len);
+                if self.holds_cert(kind, &block_ref.hash) || held() >= need {
+                    return None;
+                }
                 self.stats.verify_calls += 1;
-                self.setup.finality.verify_subset(
-                    &block_ref.sign_bytes(),
-                    &f.sig,
-                    epoch.finalization_threshold(),
-                    &epoch.members,
-                )
+                scheme.verify_share(&block_ref.sign_bytes(), &share)
             }
-            // Early stop: once the pool holds the aggregate — or a full
-            // quorum of shares — for a block, further shares cannot
-            // change any decision and are dropped unverified (not a
-            // failure: never counted as rejected). This is what keeps
-            // per-round signature work bounded by the threshold instead
-            // of the subnet size.
-            Artifact::NotarizationShare(s) => {
-                if !epoch.is_member(s.share.signer) {
-                    false
-                } else if self.notarizations.contains_key(&hash)
-                    || self
-                        .notarization_shares
-                        .get(&block_ref)
-                        .map_or(0, BTreeMap::len)
-                        >= epoch.notarization_threshold()
-                {
-                    self.stats.shares_skipped_after_quorum += 1;
-                    return false;
-                } else {
-                    self.stats.verify_calls += 1;
-                    self.setup
-                        .notary
-                        .verify_share(&block_ref.sign_bytes(), &s.share)
-                }
-            }
-            Artifact::FinalizationShare(s) => {
-                if !epoch.is_member(s.share.signer) {
-                    false
-                } else if self.finalizations.contains_key(&hash)
-                    || self
-                        .finalization_shares
-                        .get(&block_ref)
-                        .map_or(0, BTreeMap::len)
-                        >= epoch.finalization_threshold()
-                {
-                    self.stats.shares_skipped_after_quorum += 1;
-                    return false;
-                } else {
-                    self.stats.verify_calls += 1;
-                    self.setup
-                        .finality
-                        .verify_share(&block_ref.sign_bytes(), &s.share)
-                }
-            }
-            Artifact::BeaconShare(_) | Artifact::Beacon(_) => {
-                unreachable!("handled above: no block_ref")
-            }
-        };
-        if !ok {
-            self.stats.rejected += 1;
-        }
-        ok
+            // No block reference: returned above.
+            Artifact::BeaconShare(_) | Artifact::Beacon(_) => true,
+        })
     }
 
     /// Decides every parked beacon value against the beacon chain as it
@@ -418,17 +453,10 @@ impl Pool {
             let Some(prev) = b.round.prev().and_then(|p| beacons.get(&p)) else {
                 return true;
             };
-            // `plausible` admitted Signature values only.
-            if let BeaconValue::Signature(sig) = b.value {
-                stats.verify_calls += 1;
-                if setup
-                    .beacon
-                    .verify(&beacon_sign_message(b.round.get(), prev), &sig)
-                {
-                    accepted.push(*b);
-                } else {
-                    stats.rejected += 1;
-                }
+            if beacon_value_ok(setup, stats, b.round, prev, &b.value) {
+                accepted.push(*b);
+            } else {
+                stats.rejected += 1;
             }
             false
         });
@@ -451,14 +479,8 @@ impl Pool {
     /// before the checkpoint was written. Network echoes of them are
     /// duplicates of what is then held, so they never verify either.
     pub fn install_checkpoint(&mut self, cp: &Checkpoint) {
-        self.install_certified_root(
-            cp.proposal.block.clone(),
-            cp.proposal.authenticator,
-            cp.notarization.clone(),
-            cp.finalization.clone(),
-        );
         self.install_beacon_trusted(cp.round(), cp.beacon);
-        self.recheck_validity();
+        self.install_certified_root(&cp.proposal, &cp.notarization, &cp.finalization);
     }
 
     /// Verifies a [`CatchUpPackage`] against the subnet's public keys
@@ -481,26 +503,25 @@ impl Pool {
         pkg: &CatchUpPackage,
     ) -> Result<usize, CatchUpError> {
         let verified = self.verify_catch_up(pkg);
-        if verified.is_err() {
-            self.stats.rejected += 1;
-        }
-        let (crossed, beacons) = verified?;
-        self.install_certified_root(
-            pkg.proposal.block.clone(),
-            pkg.proposal.authenticator,
-            pkg.notarization.clone(),
-            pkg.finalization.clone(),
-        );
+        let (crossed, beacons) = verified.inspect_err(|_| self.stats.rejected += 1)?;
         for (r, v) in beacons {
             self.install_beacon_trusted(r, v);
         }
-        self.recheck_validity();
+        self.install_certified_root(&pkg.proposal, &pkg.notarization, &pkg.finalization);
         Ok(crossed)
+    }
+
+    /// A catch-up certificate costs a cache hit if already `held`, the
+    /// write path's check otherwise.
+    fn held_or_verified(&mut self, held: bool, artifact: Artifact<'_>) -> bool {
+        self.stats.verify_cache_hits += u64::from(held);
+        held || self.verify(&artifact) == Some(true)
     }
 
     /// The read-only half of catch-up: every check of the package,
     /// returning the epoch boundaries crossed and the verified beacon
-    /// segment to install.
+    /// segment to install. Its certificates are the artifacts the write
+    /// path sees and take the same check ([`verify`](Self::verify)).
     fn verify_catch_up(
         &mut self,
         pkg: &CatchUpPackage,
@@ -511,137 +532,79 @@ impl Pool {
         if pkg.notarization.block_ref != bref || pkg.finalization.block_ref != bref {
             return Err(CatchUpError::Mismatched);
         }
-        let sign_bytes = bref.sign_bytes();
 
         // Cross-epoch certificate chain first: the later per-epoch
         // checks assume the target epoch is reachable from what this
         // replica already finalized.
         let target_epoch = self.setup.epoch_index_of(round);
         let local_epoch = self.setup.epoch_index_of(self.latest_finalized_round());
-        if !pkg.transitions.windows(2).all(|w| w[0].epoch < w[1].epoch) {
+        let links = &pkg.transitions;
+        let mut pairs = links.iter().zip(links.iter().skip(1));
+        if !pairs.all(|(a, b)| a.epoch < b.epoch) {
             return Err(CatchUpError::BadTransition);
         }
-        let mut crossed = 0usize;
         for e in (local_epoch + 1)..=target_epoch {
-            let Some(link) = pkg.transitions.iter().find(|t| t.epoch == e as u64) else {
+            let Some(link) = links.iter().find(|t| t.epoch == e as u64) else {
                 return Err(CatchUpError::MissingTransition);
             };
-            if link.notarization.block_ref != link.finalization.block_ref {
+            // The handoff block must belong to the outgoing epoch, so
+            // that is the signer set its certificates are checked under.
+            let link_ref = link.finalization.block_ref;
+            let certs = [
+                Artifact::Aggregate(Notary, link_ref, &link.notarization.sig),
+                Artifact::Aggregate(Finality, link_ref, &link.finalization.sig),
+            ];
+            if link.notarization.block_ref != link_ref
+                || self.setup.epoch_index_of(link_ref.round) + 1 != e
+                || !certs.iter().all(|c| self.verify(c) == Some(true))
+            {
                 return Err(CatchUpError::BadTransition);
             }
-            // The handoff block must belong to the outgoing epoch.
-            let out = &self.setup.epochs[e - 1];
-            let lr = link.round();
-            if lr < out.start_round || lr >= self.setup.epochs[e].start_round {
-                return Err(CatchUpError::BadTransition);
-            }
-            let link_bytes = link.finalization.block_ref.sign_bytes();
-            self.stats.verify_calls += 2;
-            let ok = self.setup.notary.verify_subset(
-                &link_bytes,
-                &link.notarization.sig,
-                out.notarization_threshold(),
-                &out.members,
-            ) && self.setup.finality.verify_subset(
-                &link_bytes,
-                &link.finalization.sig,
-                out.finalization_threshold(),
-                &out.members,
-            );
-            if !ok {
-                return Err(CatchUpError::BadTransition);
-            }
-            crossed += 1;
         }
 
-        let epoch = self.setup.epoch_of(round);
-
-        // Authenticator (S_auth by the claimed proposer, who must be a
-        // member of the block's epoch).
-        if self.authenticators.get(&bref.hash) == Some(&pkg.proposal.authenticator) {
-            self.stats.verify_cache_hits += 1;
-        } else {
-            self.stats.verify_calls += 1;
-            let ok = epoch.is_member(bref.proposer.get())
-                && self
-                    .setup
-                    .auth_keys
-                    .get(bref.proposer.as_usize())
-                    .is_some_and(|pk| {
-                        pk.verify(domains::AUTH, &sign_bytes, &pkg.proposal.authenticator)
-                    });
-            if !ok {
-                return Err(CatchUpError::BadAuthenticator);
-            }
+        // The block's authenticator (S_auth by the claimed proposer, a
+        // member of its epoch) and its two aggregates under the epoch's
+        // signer set; the finalization is the actual catch-up
+        // certificate. What equals the pool's own copy was verified on
+        // the way in.
+        let auth = &pkg.proposal.authenticator;
+        let (n, f) = (&pkg.notarization.sig, &pkg.finalization.sig);
+        let held = self.entries.get(&bref.hash);
+        let held_cert = |kind, sig| held.and_then(|e| e.cert(kind)) == Some((bref, sig));
+        let auth_held = held.and_then(|e| e.authenticator.as_ref()) == Some(auth);
+        let (n_held, f_held) = (held_cert(Notary, n), held_cert(Finality, f));
+        if !self.held_or_verified(auth_held, Artifact::Block(block, auth)) {
+            return Err(CatchUpError::BadAuthenticator);
+        }
+        if !self.held_or_verified(n_held, Artifact::Aggregate(Notary, bref, n)) {
+            return Err(CatchUpError::BadNotarization);
+        }
+        if !self.held_or_verified(f_held, Artifact::Aggregate(Finality, bref, f)) {
+            return Err(CatchUpError::BadFinalization);
         }
 
-        // Notarization aggregate, under the epoch's signer set.
-        if self.notarizations.get(&bref.hash) == Some(&pkg.notarization) {
-            self.stats.verify_cache_hits += 1;
-        } else {
-            self.stats.verify_calls += 1;
-            if !self.setup.notary.verify_subset(
-                &sign_bytes,
-                &pkg.notarization.sig,
-                epoch.notarization_threshold(),
-                &epoch.members,
-            ) {
-                return Err(CatchUpError::BadNotarization);
-            }
-        }
-
-        // Finalization aggregate — the actual catch-up certificate.
-        if self.finalizations.get(&bref.hash) == Some(&pkg.finalization) {
-            self.stats.verify_cache_hits += 1;
-        } else {
-            self.stats.verify_calls += 1;
-            if !self.setup.finality.verify_subset(
-                &sign_bytes,
-                &pkg.finalization.sig,
-                epoch.finalization_threshold(),
-                &epoch.members,
-            ) {
-                return Err(CatchUpError::BadFinalization);
-            }
-        }
-
-        // Beacon segment: consecutive, anchored at a locally-known
-        // value, each entry the unique threshold signature over its
-        // predecessor.
+        // Beacon segment: anchored at a locally-known value and
+        // consecutive from there, each entry the unique threshold
+        // signature over its predecessor.
         let mut staged: Vec<(Round, BeaconValue)> = Vec::with_capacity(pkg.beacons.len());
-        if let Some(&(first, _)) = pkg.beacons.first() {
-            let Some(anchor) = first.prev().and_then(|p| self.beacon(p)).copied() else {
-                return Err(CatchUpError::BadBeacon);
+        for &(r, v) in &pkg.beacons {
+            let prev = match staged.last() {
+                Some(&(last, value)) => (last.next() == r).then_some(value),
+                None => r.prev().and_then(|p| self.beacon(p)).copied(),
             };
-            let mut prev = anchor;
-            let mut expected = first;
-            for &(r, v) in &pkg.beacons {
-                let BeaconValue::Signature(sig) = v else {
-                    return Err(CatchUpError::BadBeacon);
-                };
-                if r != expected {
-                    return Err(CatchUpError::BadBeacon);
-                }
-                let msg = beacon_sign_message(r.get(), &prev);
-                self.stats.verify_calls += 1;
-                if !self.setup.beacon.verify(&msg, &sig) {
-                    return Err(CatchUpError::BadBeacon);
-                }
-                staged.push((r, v));
-                prev = v;
-                expected = expected.next();
+            let (setup, stats) = (&self.setup, &mut self.stats);
+            if !prev.is_some_and(|prev| beacon_value_ok(setup, stats, r, &prev, &v)) {
+                return Err(CatchUpError::BadBeacon);
             }
+            staged.push((r, v));
         }
         // Coverage: to *act* after catch-up the replica must be able to
         // enter round `round + 1`, which needs that round's beacon.
-        let covered = staged
-            .last()
-            .map_or(Round::GENESIS, |(r, _)| *r)
-            .max(self.latest_beacon_round());
-        if covered < round.next() {
+        let staged_upto = staged.last().map_or(Round::GENESIS, |(r, _)| *r);
+        if staged_upto.max(self.latest_beacon_round()) < round.next() {
             return Err(CatchUpError::Truncated);
         }
-        Ok((crossed, staged))
+        Ok((target_epoch.saturating_sub(local_epoch), staged))
     }
 }
 
@@ -1010,7 +973,7 @@ mod tests {
         let mut parent = genesis;
         for round in 1..=4u64 {
             let b = block_at(&ks[1], round, parent, round as u8);
-            let notarization = (parent != genesis).then(|| pool.notarizations[&parent].clone());
+            let notarization = pool.notarization_of(&parent).cloned();
             pool.insert(&ConsensusMessage::Proposal(artifacts::proposal(
                 &ks[1],
                 b.clone(),

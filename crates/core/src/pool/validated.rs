@@ -1,44 +1,38 @@
-//! The §3.4 classifier and the pool's read side.
+//! The §3.4 classifier and the pool's read side, over the one record
+//! per block (`BlockEntry`).
 //!
 //! Everything that reaches these inserts has already passed the write
 //! path in `mod.rs` (beacon shares excepted — they verify at combine
 //! time, when the previous beacon value is finally known), so nothing
-//! here checks a signature on insertion: it only maintains the
-//! authentic / valid / notarized / finalized sets of §3.4 and the share
-//! accumulators the combine paths read.
+//! here checks a signature on insertion. An insert fills a field of a
+//! block's record or a share bucket; the only derived state written is
+//! the record's `valid` flag and the `finalized_by_round` index.
+//! Notarized and finalized are computed from the record when asked for,
+//! and every read is a checked lookup.
 
 use icc_crypto::beacon::{beacon_sign_message, BeaconValue};
-use icc_crypto::multisig::{MultiSig, MultiSigScheme, MultiSigShare};
-use icc_crypto::sig::Signature;
+use icc_crypto::multisig::MultiSig;
 use icc_crypto::Hash256;
 use icc_types::block::HashedBlock;
-use icc_types::messages::{
-    BlockRef, ConsensusMessage, Finalization, FinalizationShare, Notarization, NotarizationShare,
-};
+use icc_types::messages::{BlockProposal, BlockRef, ConsensusMessage, Finalization, Notarization};
 use icc_types::Round;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
+use std::ops::RangeBounds;
 
-use super::{Artifact, HeldBeaconShare, Pool, PoolStats};
+use super::{Artifact, BlockEntry, Cert, Finality, HeldBeaconShare, Notary, Pool};
 
-/// Combines the shares filed under `block_ref`. Each was verified over
-/// that very reference on the way in, so a failure is unreachable short
-/// of a bug; it is counted, and the bucket discarded so that fresh
-/// shares can still form the quorum.
-fn combine_bucket<S>(
-    scheme: &MultiSigScheme,
-    buckets: &mut HashMap<BlockRef, BTreeMap<u32, S>>,
-    stats: &mut PoolStats,
-    block_ref: BlockRef,
-    need: usize,
-    share: impl Fn(&S) -> MultiSigShare,
-) -> Option<MultiSig> {
-    let shares = buckets.get(&block_ref)?.values().map(share);
-    let combined = scheme.combine_with_threshold(&block_ref.sign_bytes(), shares, need);
-    if combined.is_err() {
-        stats.rejected += 1;
-        buckets.remove(&block_ref);
-    }
-    combined.ok()
+/// A held block with whichever of its certificates the pool holds —
+/// what a caller would otherwise assemble from separate lookups.
+#[derive(Debug, Clone)]
+pub struct CertifiedBlock<'a> {
+    /// Body and authenticator as the WAL, a checkpoint and a catch-up
+    /// package carry them: without the parent's notarization, since the
+    /// block's own certificates vouch for the prefix.
+    pub proposal: BlockProposal,
+    /// Its notarization, if held.
+    pub notarization: Option<&'a Notarization>,
+    /// Its finalization, if held.
+    pub finalization: Option<&'a Finalization>,
 }
 
 impl Pool {
@@ -52,137 +46,101 @@ impl Pool {
     /// per message.
     pub(super) fn store(&mut self, artifact: Artifact<'_>, checked: bool) -> bool {
         match artifact {
-            Artifact::Block {
-                block,
-                authenticator,
-            } => self.insert_block(block.clone(), *authenticator),
-            Artifact::Notarization(n) => self.insert_notarization(n.clone()),
-            Artifact::Finalization(f) => self.insert_finalization(f.clone()),
-            Artifact::NotarizationShare(s) => self.insert_notarization_share(*s),
-            Artifact::FinalizationShare(s) => self.insert_finalization_share(*s),
-            Artifact::BeaconShare(b) => self
-                .beacon_shares
-                .entry(b.round)
-                .or_default()
-                .insert(
-                    b.share.signer,
-                    HeldBeaconShare {
-                        share: b.share,
-                        checked,
-                    },
-                )
-                .is_none(),
+            Artifact::Block(block, authenticator) => {
+                let hash = block.hash();
+                let entry = self.entries.entry(hash).or_default();
+                if entry.body.is_some() {
+                    return false;
+                }
+                entry.body = Some(block.clone());
+                entry.authenticator = Some(*authenticator);
+                self.by_round.entry(block.round()).or_default().push(hash);
+                self.pending_validity.insert(hash);
+                true
+            }
+            Artifact::Aggregate(kind, block_ref, sig) => {
+                let entry = self.entries.entry(block_ref.hash).or_default();
+                if entry.cert(kind).is_some() {
+                    return false;
+                }
+                let sig = sig.clone();
+                match kind {
+                    Notary => entry.notarization = Some(Notarization { block_ref, sig }),
+                    Finality => {
+                        entry.finalization = Some(Finalization { block_ref, sig });
+                        self.index_if_finalized(block_ref.hash);
+                    }
+                }
+                true
+            }
+            Artifact::Share(kind, block_ref, share) => {
+                let buckets = match kind {
+                    Notary => &mut self.notarization_shares,
+                    Finality => &mut self.finalization_shares,
+                };
+                let bucket = buckets.entry(block_ref).or_default();
+                bucket.insert(share.signer, share).is_none()
+            }
+            Artifact::BeaconShare(b) => {
+                let held = HeldBeaconShare {
+                    share: b.share,
+                    checked,
+                };
+                let bucket = self.beacon_shares.entry(b.round).or_default();
+                bucket.insert(b.share.signer, held).is_none()
+            }
             Artifact::Beacon(b) => self.install_beacon_trusted(b.round, b.value),
         }
     }
 
-    fn insert_block(&mut self, block: HashedBlock, authenticator: Signature) -> bool {
-        let hash = block.hash();
-        if self.authentic.contains(&hash) {
+    /// Files `hash` under its round if it is finalized. Called whenever
+    /// one of the two things that make it so — validity, the
+    /// finalization — has just been written.
+    fn index_if_finalized(&mut self, hash: Hash256) {
+        let entry = self.entries.get(&hash);
+        let finalized = entry.filter(|e| e.certified(Finality));
+        if let Some(block) = finalized.and_then(|e| e.body.as_ref()) {
+            self.finalized_by_round.insert(block.round(), hash);
+        }
+    }
+
+    /// Raises the `valid` flag of the held block `hash`.
+    fn mark_valid(&mut self, hash: Hash256) {
+        self.pending_validity.remove(&hash);
+        if let Some(entry) = self.entries.get_mut(&hash) {
+            entry.valid = true;
+        }
+        self.index_if_finalized(hash);
+    }
+
+    /// Whether the held body `hash` extends a notarized block of the
+    /// round below its own (`root` for round 1). The round is checked
+    /// as well as the link: a malicious proposer could reference a
+    /// notarized block of the wrong round.
+    fn extends_notarized(&self, hash: &Hash256) -> bool {
+        let Some(block) = self.block(hash) else {
             return false;
-        }
-        self.blocks.insert(hash, block.clone());
-        self.by_round.entry(block.round()).or_default().push(hash);
-        self.authentic.insert(hash);
-        self.authenticators.insert(hash, authenticator);
-        self.pending_validity.insert(hash);
-        true
+        };
+        let parent = self.entries.get(&block.parent());
+        let parent = parent.filter(|p| p.certified(Notary));
+        parent.is_some_and(|p| p.body.as_ref().map(|b| b.round().next()) == Some(block.round()))
     }
 
-    fn insert_notarization(&mut self, n: Notarization) -> bool {
-        if self.notarizations.contains_key(&n.block_ref.hash) {
-            return false;
-        }
-        let hash = n.block_ref.hash;
-        self.notarizations.insert(hash, n);
-        if self.valid.contains(&hash) {
-            self.notarized.insert(hash);
-        } else {
-            self.pending_notarized.insert(hash);
-        }
-        true
-    }
-
-    fn insert_finalization(&mut self, f: Finalization) -> bool {
-        if self.finalizations.contains_key(&f.block_ref.hash) {
-            return false;
-        }
-        let hash = f.block_ref.hash;
-        self.finalizations.insert(hash, f);
-        if self.valid.contains(&hash) {
-            self.mark_finalized(hash);
-        } else {
-            self.pending_finalized.insert(hash);
-        }
-        true
-    }
-
-    fn insert_notarization_share(&mut self, s: NotarizationShare) -> bool {
-        self.notarization_shares
-            .entry(s.block_ref)
-            .or_default()
-            .insert(s.share.signer, s)
-            .is_none()
-    }
-
-    fn insert_finalization_share(&mut self, s: FinalizationShare) -> bool {
-        self.finalization_shares
-            .entry(s.block_ref)
-            .or_default()
-            .insert(s.share.signer, s)
-            .is_none()
-    }
-
-    /// Recomputes the valid / notarized / finalized classification to a
-    /// fixpoint (§3.4). Cheap: only blocks whose status can still change
-    /// are revisited.
+    /// Recomputes validity to a fixpoint (§3.4). Cheap: only blocks
+    /// whose status can still change are revisited. Notarized and
+    /// finalized follow from the flag — a block whose certificate
+    /// arrived first becomes notarized the moment it becomes valid, and
+    /// may validate its children on the next iteration.
     pub(super) fn recheck_validity(&mut self) {
-        let genesis_hash = self.setup.genesis.hash();
         loop {
-            let mut newly_valid = Vec::new();
-            for &hash in &self.pending_validity {
-                let block = &self.blocks[&hash];
-                let parent_ok = if block.round() == Round::new(1) {
-                    block.parent() == genesis_hash
-                } else {
-                    self.notarized.contains(&block.parent())
-                };
-                // The parent must sit exactly one round below; the hash
-                // link plus per-round bookkeeping guarantees this when
-                // the parent is known, but a malicious proposer could
-                // reference a notarized block of the wrong round.
-                let depth_ok = parent_ok
-                    && self
-                        .blocks
-                        .get(&block.parent())
-                        .is_some_and(|p| p.round().next() == block.round());
-                if depth_ok {
-                    newly_valid.push(hash);
-                }
-            }
+            let pending = self.pending_validity.iter().copied();
+            let newly_valid: Vec<Hash256> = pending.filter(|h| self.extends_notarized(h)).collect();
             if newly_valid.is_empty() {
                 break;
             }
             for hash in newly_valid {
-                self.pending_validity.remove(&hash);
-                self.valid.insert(hash);
-                // Promote aggregates that arrived before validity; a
-                // newly notarized parent may validate children on the
-                // next fixpoint iteration.
-                if self.pending_notarized.remove(&hash) {
-                    self.notarized.insert(hash);
-                }
-                if self.pending_finalized.remove(&hash) {
-                    self.mark_finalized(hash);
-                }
+                self.mark_valid(hash);
             }
-        }
-    }
-
-    fn mark_finalized(&mut self, hash: Hash256) {
-        if self.finalized.insert(hash) {
-            let round = self.blocks[&hash].round();
-            self.finalized_by_round.insert(round, hash);
         }
     }
 
@@ -190,36 +148,26 @@ impl Pool {
     // Certified installs (checkpoint restore and catch-up)
     // ------------------------------------------------------------------
 
-    /// Installs a block with full certificates directly as valid,
-    /// notarized and finalized — the generalization of the genesis
+    /// Installs a block with full certificates directly as valid —
+    /// hence notarized and finalized: the generalization of the genesis
     /// pre-classification in [`Pool::new`] to a certified non-root
     /// block. Its parent body may be absent: the `n − t` finalization is
     /// what vouches for the prefix, exactly as `root` vouches for
     /// itself. The caller must have verified (or produced) the
-    /// certificates, and runs [`recheck_validity`](Self::recheck_validity)
-    /// afterwards so waiting children cascade.
+    /// certificates; what is already held stays, and waiting children
+    /// cascade.
     pub(super) fn install_certified_root(
         &mut self,
-        block: HashedBlock,
-        authenticator: Signature,
-        notarization: Notarization,
-        finalization: Finalization,
+        proposal: &BlockProposal,
+        notarization: &Notarization,
+        finalization: &Finalization,
     ) {
-        let hash = block.hash();
-        if !self.authentic.contains(&hash) {
-            self.by_round.entry(block.round()).or_default().push(hash);
-            self.blocks.insert(hash, block);
-            self.authentic.insert(hash);
-            self.authenticators.insert(hash, authenticator);
-        }
-        self.pending_validity.remove(&hash);
-        self.valid.insert(hash);
-        self.notarizations.entry(hash).or_insert(notarization);
-        self.pending_notarized.remove(&hash);
-        self.notarized.insert(hash);
-        self.finalizations.entry(hash).or_insert(finalization);
-        self.pending_finalized.remove(&hash);
-        self.mark_finalized(hash);
+        let (p, n, f) = (proposal, notarization, finalization);
+        self.store(Artifact::Block(&p.block, &p.authenticator), true);
+        self.store(Artifact::Aggregate(Notary, n.block_ref, &n.sig), true);
+        self.store(Artifact::Aggregate(Finality, f.block_ref, &f.sig), true);
+        self.mark_valid(p.block.hash());
+        self.recheck_validity();
     }
 
     /// Installs a beacon value the caller knows to be good (verified,
@@ -238,77 +186,89 @@ impl Pool {
     // Queries
     // ------------------------------------------------------------------
 
-    /// The block body for `hash`, if present.
-    pub fn block(&self, hash: &Hash256) -> Option<&HashedBlock> {
-        self.blocks.get(hash)
+    /// The records of the bodies held for `round`, in arrival order.
+    fn round_entries(&self, round: Round) -> impl Iterator<Item = &BlockEntry> {
+        let hashes = self.by_round.get(&round).into_iter().flatten();
+        hashes.filter_map(|h| self.entries.get(h))
     }
 
-    /// The stored authenticator for `hash` (needed to echo a block).
-    pub fn authenticator_of(&self, hash: &Hash256) -> Option<Signature> {
-        self.authenticators.get(hash).copied()
+    /// The block body for `hash`, if present.
+    pub fn block(&self, hash: &Hash256) -> Option<&HashedBlock> {
+        self.entries.get(hash)?.body.as_ref()
+    }
+
+    /// The block `hash` with its authenticator and the certificates
+    /// held for it; `None` without a body (or for `root`, which has no
+    /// authenticator).
+    pub fn certified_block(&self, hash: &Hash256) -> Option<CertifiedBlock<'_>> {
+        let entry = self.entries.get(hash)?;
+        Some(CertifiedBlock {
+            proposal: BlockProposal {
+                block: entry.body.clone()?,
+                authenticator: entry.authenticator?,
+                parent_notarization: None,
+            },
+            notarization: entry.notarization.as_ref(),
+            finalization: entry.finalization.as_ref(),
+        })
+    }
+
+    /// The block `hash` as a proposal that can be sent — body,
+    /// authenticator and (except in round 1) the parent's notarization,
+    /// which a valid block's parent always has.
+    pub fn proposal_of(&self, hash: &Hash256) -> Option<BlockProposal> {
+        let mut proposal = self.certified_block(hash)?.proposal;
+        if proposal.block.round() != Round::new(1) {
+            let parent = self.notarization_of(&proposal.block.parent())?;
+            proposal.parent_notarization = Some(parent.clone());
+        }
+        Some(proposal)
     }
 
     /// Whether `hash` is valid for this party.
     pub fn is_valid(&self, hash: &Hash256) -> bool {
-        self.valid.contains(hash)
+        self.entries.get(hash).is_some_and(|e| e.valid)
     }
 
     /// Whether `hash` is notarized for this party.
     pub fn is_notarized(&self, hash: &Hash256) -> bool {
-        self.notarized.contains(hash)
+        self.entries.get(hash).is_some_and(|e| e.certified(Notary))
     }
 
     /// Whether `hash` is finalized for this party.
     pub fn is_finalized(&self, hash: &Hash256) -> bool {
-        self.finalized.contains(hash)
+        self.entries
+            .get(hash)
+            .is_some_and(|e| e.certified(Finality))
     }
 
     /// All valid blocks of `round`, in insertion order.
     pub fn valid_blocks(&self, round: Round) -> Vec<&HashedBlock> {
-        self.by_round
-            .get(&round)
-            .into_iter()
-            .flatten()
-            .filter(|h| self.valid.contains(*h))
-            .map(|h| &self.blocks[h])
-            .collect()
+        let valid = self.round_entries(round).filter(|e| e.valid);
+        valid.filter_map(|e| e.body.as_ref()).collect()
     }
 
-    /// Any notarized block of `round` (the first to become notarized
-    /// in this pool), with its notarization.
+    /// Any notarized block of `round` (the first to arrive in this
+    /// pool), with its notarization.
     pub fn notarized_block(&self, round: Round) -> Option<(&HashedBlock, &Notarization)> {
-        self.by_round
-            .get(&round)
-            .into_iter()
-            .flatten()
-            .find_map(|h| {
-                if self.notarized.contains(h) {
-                    Some((&self.blocks[h], &self.notarizations[h]))
-                } else {
-                    None
-                }
-            })
+        let mut valid = self.round_entries(round).filter(|e| e.valid);
+        valid.find_map(|e| e.body.as_ref().zip(e.notarization.as_ref()))
     }
 
     /// All notarized blocks of `round`.
     pub fn notarized_blocks(&self, round: Round) -> Vec<&HashedBlock> {
-        self.by_round
-            .get(&round)
-            .into_iter()
-            .flatten()
-            .filter(|h| self.notarized.contains(*h))
-            .map(|h| &self.blocks[h])
-            .collect()
+        let notarized = self.round_entries(round).filter(|e| e.certified(Notary));
+        notarized.filter_map(|e| e.body.as_ref()).collect()
     }
 
     /// The notarization for `hash`, if present.
     pub fn notarization_of(&self, hash: &Hash256) -> Option<&Notarization> {
-        self.notarizations.get(hash)
+        self.entries.get(hash)?.notarization.as_ref()
     }
 
     /// The finalization for `hash`, if present.
     pub fn finalization_of(&self, hash: &Hash256) -> Option<&Finalization> {
-        self.finalizations.get(hash)
+        self.entries.get(hash)?.finalization.as_ref()
     }
 
     /// Whether this pool holds what makes `msg` redundant: the
@@ -317,88 +277,79 @@ impl Pool {
     /// beacon, for a beacon share or combined value. The dissemination
     /// layer relays only what is not superseded.
     pub fn supersedes(&self, msg: &ConsensusMessage) -> bool {
-        match msg {
-            ConsensusMessage::Proposal(_) => false,
-            ConsensusMessage::NotarizationShare(s) => {
-                self.notarizations.contains_key(&s.block_ref.hash)
+        // A proposal's last artifact is its block: never superseded.
+        match Artifact::of(msg).into_iter().flatten().last() {
+            Some(Artifact::Share(kind, block_ref, _) | Artifact::Aggregate(kind, block_ref, _)) => {
+                self.holds_cert(kind, &block_ref.hash)
             }
-            ConsensusMessage::Notarization(n) => self.notarizations.contains_key(&n.block_ref.hash),
-            ConsensusMessage::FinalizationShare(s) => {
-                self.finalizations.contains_key(&s.block_ref.hash)
-            }
-            ConsensusMessage::Finalization(f) => self.finalizations.contains_key(&f.block_ref.hash),
-            ConsensusMessage::BeaconShare(b) => self.beacons.contains_key(&b.round),
-            ConsensusMessage::Beacon(b) => self.beacons.contains_key(&b.round),
+            Some(Artifact::BeaconShare(b)) => self.beacons.contains_key(&b.round),
+            Some(Artifact::Beacon(b)) => self.beacons.contains_key(&b.round),
+            Some(Artifact::Block(..)) | None => false,
         }
+    }
+
+    /// The first *valid but not yet certified* block of `rounds`
+    /// holding a quorum of `kind` shares for its round's epoch, with the
+    /// aggregate combined from them. The shares are those filed under
+    /// the block's own reference, taken from its body; each was verified
+    /// over that very reference on the way in, so a failed combine is
+    /// unreachable short of a bug: it is counted, and the bucket
+    /// discarded so that fresh shares can still form the quorum.
+    fn completable(
+        &mut self,
+        kind: Cert,
+        rounds: impl RangeBounds<Round>,
+    ) -> Option<(BlockRef, MultiSig)> {
+        let in_range = self.by_round.range(rounds);
+        let mut candidates =
+            in_range.flat_map(|(round, hashes)| hashes.iter().map(move |h| (round, h)));
+        let (block_ref, need) = candidates.find_map(|(round, h)| {
+            let entry = self.entries.get(h).filter(|e| e.valid)?;
+            if entry.certified(kind) {
+                return None;
+            }
+            let (_, need) = kind.signing(&self.setup, self.setup.epoch_of(*round));
+            let block_ref = BlockRef::of_hashed(entry.body.as_ref()?);
+            let shares = self.buckets(kind).get(&block_ref)?;
+            (shares.len() >= need).then_some((block_ref, need))
+        })?;
+        let (scheme, buckets) = match kind {
+            Notary => (&self.setup.notary, &mut self.notarization_shares),
+            Finality => (&self.setup.finality, &mut self.finalization_shares),
+        };
+        let shares = buckets.get(&block_ref)?.values().copied();
+        let combined = scheme.combine_with_threshold(&block_ref.sign_bytes(), shares, need);
+        if combined.is_err() {
+            self.stats.rejected += 1;
+            buckets.remove(&block_ref);
+        }
+        Some((block_ref, combined.ok()?))
     }
 
     /// A *valid but non-notarized* block of `round` holding a full set
     /// of `m − t` notarization shares for the round's epoch; combines
-    /// them (Fig. 1 clause (a)). The shares combined are those filed
-    /// under the block's own reference, taken from its body.
+    /// them (Fig. 1 clause (a)).
     pub fn completable_notarization(&mut self, round: Round) -> Option<Notarization> {
-        let need = self.setup.epoch_of(round).notarization_threshold();
-        let block_ref = self.by_round.get(&round)?.iter().find_map(|h| {
-            if !self.valid.contains(h) || self.notarized.contains(h) {
-                return None;
-            }
-            let block_ref = BlockRef::of_hashed(&self.blocks[h]);
-            let shares = self.notarization_shares.get(&block_ref)?;
-            (shares.len() >= need).then_some(block_ref)
-        })?;
-        let sig = combine_bucket(
-            &self.setup.notary,
-            &mut self.notarization_shares,
-            &mut self.stats,
-            block_ref,
-            need,
-            |s| s.share,
-        )?;
+        let (block_ref, sig) = self.completable(Notary, round..=round)?;
         Some(Notarization { block_ref, sig })
     }
 
     /// A *valid but non-finalized* block of round > `above` holding a
     /// full set of finalization shares; combines them (Fig. 2 case ii).
     pub fn completable_finalization(&mut self, above: Round) -> Option<Finalization> {
-        let (block_ref, need) = self
-            .by_round
-            .range(above.next()..)
-            .flat_map(|(round, hashes)| hashes.iter().map(move |h| (round, h)))
-            .find_map(|(round, h)| {
-                if !self.valid.contains(h) || self.finalized.contains(h) {
-                    return None;
-                }
-                let need = self.setup.epoch_of(*round).finalization_threshold();
-                let block_ref = BlockRef::of_hashed(&self.blocks[h]);
-                let shares = self.finalization_shares.get(&block_ref)?;
-                (shares.len() >= need).then_some((block_ref, need))
-            })?;
-        let sig = combine_bucket(
-            &self.setup.finality,
-            &mut self.finalization_shares,
-            &mut self.stats,
-            block_ref,
-            need,
-            |s| s.share,
-        )?;
+        let (block_ref, sig) = self.completable(Finality, above.next()..)?;
         Some(Finalization { block_ref, sig })
     }
 
     /// The highest finalized non-genesis block, if any.
     pub fn latest_finalized_block(&self) -> Option<&HashedBlock> {
-        self.finalized_by_round
-            .iter()
-            .next_back()
-            .and_then(|(r, h)| (!r.is_genesis()).then(|| &self.blocks[h]))
+        self.finalized_above(Round::GENESIS)
     }
 
     /// The highest finalized round (genesis if nothing finalized).
     pub fn latest_finalized_round(&self) -> Round {
-        self.finalized_by_round
-            .keys()
-            .next_back()
-            .copied()
-            .unwrap_or(Round::GENESIS)
+        let last = self.finalized_by_round.last_key_value();
+        last.map_or(Round::GENESIS, |(round, _)| *round)
     }
 
     /// The highest round holding a notarized block (genesis if none).
@@ -406,26 +357,22 @@ impl Pool {
         self.by_round
             .iter()
             .rev()
-            .find_map(|(r, hs)| hs.iter().any(|h| self.notarized.contains(h)).then_some(*r))
+            .find_map(|(r, hs)| hs.iter().any(|h| self.is_notarized(h)).then_some(*r))
             .unwrap_or(Round::GENESIS)
     }
 
     /// The highest finalized non-genesis block with round < `below`, if
     /// any — the handoff block of an epoch whose boundary is `below`.
     pub fn finalized_below(&self, below: Round) -> Option<&HashedBlock> {
-        self.finalized_by_round
-            .range(..below)
-            .next_back()
-            .and_then(|(r, h)| (!r.is_genesis()).then(|| &self.blocks[h]))
+        let (round, hash) = self.finalized_by_round.range(..below).next_back()?;
+        self.block(hash).filter(|_| !round.is_genesis())
     }
 
     /// The highest finalized block with round > `above`, if any
     /// (Fig. 2 case i).
     pub fn finalized_above(&self, above: Round) -> Option<&HashedBlock> {
-        self.finalized_by_round
-            .range(above.next()..)
-            .next_back()
-            .map(|(_, h)| &self.blocks[h])
+        let (_, hash) = self.finalized_by_round.range(above.next()..).next_back()?;
+        self.block(hash)
     }
 
     /// The chain of blocks `(above, k]` ending at `block` (ancestors
@@ -433,19 +380,13 @@ impl Pool {
     /// cannot happen for a block that is valid for this party.
     pub fn chain_back_to(&self, block: &HashedBlock, above: Round) -> Option<Vec<HashedBlock>> {
         let mut chain = Vec::new();
-        let mut cur = block.clone();
+        let mut cur = block;
         while cur.round() > above {
-            let parent = cur.parent();
-            let next = if cur.round() == Round::new(1) {
-                None
-            } else {
-                Some(self.blocks.get(&parent)?.clone())
-            };
-            chain.push(cur);
-            match next {
-                Some(p) => cur = p,
-                None => break,
+            chain.push(cur.clone());
+            if cur.round() == Round::new(1) {
+                break;
             }
+            cur = self.block(&cur.parent())?;
         }
         chain.reverse();
         Some(chain)
@@ -465,7 +406,8 @@ impl Pool {
     /// This is where beacon shares are finally verified, each once: a
     /// share checked on an earlier (below-threshold) attempt, or signed
     /// by this party, costs no crypto on the next one. Shares that fail
-    /// are discarded.
+    /// are discarded — as is the whole set should verified shares ever
+    /// fail to combine (a bug, not an input: counted, not a panic).
     pub fn try_compute_beacon(&mut self, round: Round) -> Option<BeaconValue> {
         if self.beacons.contains_key(&round) {
             return None;
@@ -493,10 +435,14 @@ impl Pool {
         if shares.len() < epoch.beacon_threshold() {
             return None;
         }
-        let sig = epoch
+        let combined = epoch
             .beacon
-            .combine(&msg, shares.values().map(|held| held.share))
-            .expect("verified shares combine");
+            .combine(&msg, shares.values().map(|held| held.share));
+        let Ok(sig) = combined else {
+            stats.rejected += 1;
+            shares.clear();
+            return None;
+        };
         let value = BeaconValue::Signature(sig);
         self.beacons.insert(round, value);
         Some(value)
@@ -509,11 +455,8 @@ impl Pool {
 
     /// The highest round whose beacon value is known.
     pub fn latest_beacon_round(&self) -> Round {
-        self.beacons
-            .keys()
-            .next_back()
-            .copied()
-            .unwrap_or(Round::GENESIS)
+        let last = self.beacons.last_key_value();
+        last.map_or(Round::GENESIS, |(round, _)| *round)
     }
 
     /// All known beacon values of rounds ≥ `from`, ascending.
@@ -525,32 +468,20 @@ impl Pool {
     /// optimization §3.1 alludes to — along with everything that refers
     /// to a block whose body is not held. Genesis is kept.
     pub fn purge_below(&mut self, round: Round) {
-        let keep: HashSet<Hash256> = self
-            .blocks
-            .iter()
-            .filter(|(_, b)| b.round() >= round || b.round().is_genesis())
-            .map(|(h, _)| *h)
-            .collect();
-        self.blocks.retain(|h, _| keep.contains(h));
-        self.by_round.retain(|r, _| *r >= round || r.is_genesis());
-        self.authentic.retain(|h| keep.contains(h));
-        self.authenticators.retain(|h, _| keep.contains(h));
-        self.valid.retain(|h| keep.contains(h));
-        self.notarized.retain(|h| keep.contains(h));
-        self.finalized.retain(|h| keep.contains(h));
-        self.notarizations.retain(|h, _| keep.contains(h));
-        self.finalizations.retain(|h, _| keep.contains(h));
+        let live = |r: Round| r >= round || r.is_genesis();
+        self.entries
+            .retain(|_, e| e.body.as_ref().is_some_and(|b| live(b.round())));
+        // Every surviving record has its body, so the indexes follow by
+        // round and the rest by membership in the table.
+        let entries = &self.entries;
+        self.by_round.retain(|r, _| live(*r));
+        self.finalized_by_round.retain(|r, _| live(*r));
+        self.pending_validity.retain(|h| entries.contains_key(h));
         // By the round a share signs as well: a share over a made-up
         // reference to a held block goes with its claimed round.
-        self.notarization_shares
-            .retain(|r, _| r.round >= round && keep.contains(&r.hash));
-        self.finalization_shares
-            .retain(|r, _| r.round >= round && keep.contains(&r.hash));
-        self.pending_notarized.retain(|h| keep.contains(h));
-        self.pending_finalized.retain(|h| keep.contains(h));
-        self.pending_validity.retain(|h| keep.contains(h));
-        self.finalized_by_round
-            .retain(|r, _| *r >= round || r.is_genesis());
+        for buckets in [&mut self.notarization_shares, &mut self.finalization_shares] {
+            buckets.retain(|r, _| r.round >= round && entries.contains_key(&r.hash));
+        }
         self.beacon_shares.retain(|r, _| *r >= round);
         // Keep the last beacon below the bar: the next round's message
         // chains from it.
@@ -561,6 +492,6 @@ impl Pool {
 
     /// Total number of block bodies held (diagnostics).
     pub fn block_count(&self) -> usize {
-        self.blocks.len()
+        self.entries.values().filter(|e| e.body.is_some()).count()
     }
 }

@@ -581,14 +581,18 @@ impl DurableStore {
         )?)))
     }
 
+    /// Persists one record through the backend and mirrors it in memory.
+    fn append(&mut self, entry: WalEntry) {
+        self.backend.persist_entry(&entry);
+        self.wal.push(entry);
+        self.wal_appends += 1;
+    }
+
     /// Logs a round's beacon value (at most once per round).
     pub fn append_beacon(&mut self, round: Round, value: BeaconValue) {
         if round > self.beacon_upto {
             self.beacon_upto = round;
-            let entry = WalEntry::Beacon(round, value);
-            self.backend.persist_entry(&entry);
-            self.wal.push(entry);
-            self.wal_appends += 1;
+            self.append(WalEntry::Beacon(round, value));
         }
     }
 
@@ -598,45 +602,32 @@ impl DurableStore {
     pub fn append_block(&mut self, proposal: BlockProposal, notarization: Option<Notarization>) {
         let key = (proposal.block.hash(), notarization.is_some());
         if self.logged_blocks.insert(key) {
-            let entry = WalEntry::Notarized {
+            self.append(WalEntry::Notarized {
                 proposal,
                 notarization,
-            };
-            self.backend.persist_entry(&entry);
-            self.wal.push(entry);
-            self.wal_appends += 1;
+            });
         }
     }
 
     /// Logs a finalization certificate (at most once per block).
     pub fn append_finalization(&mut self, f: Finalization) {
         if self.logged_finalizations.insert(f.block_ref.hash) {
-            let entry = WalEntry::Finalization(f);
-            self.backend.persist_entry(&entry);
-            self.wal.push(entry);
-            self.wal_appends += 1;
+            self.append(WalEntry::Finalization(f));
         }
     }
 
     /// Logs an epoch-transition certificate (at most once per epoch).
     pub fn append_epoch_transition(&mut self, t: EpochTransition) {
         if self.logged_transitions.insert(t.epoch) {
-            let entry = WalEntry::EpochTransition(t);
-            self.backend.persist_entry(&entry);
-            self.wal.push(entry);
-            self.wal_appends += 1;
+            self.append(WalEntry::EpochTransition(t));
         }
     }
 
     /// Logs the command digests a block committed.
     pub fn append_committed(&mut self, round: Round, digests: Vec<Hash256>) {
-        if digests.is_empty() {
-            return;
+        if !digests.is_empty() {
+            self.append(WalEntry::Committed { round, digests });
         }
-        let entry = WalEntry::Committed { round, digests };
-        self.backend.persist_entry(&entry);
-        self.wal.push(entry);
-        self.wal_appends += 1;
     }
 
     /// Installs a checkpoint and compacts the log: entries at or below

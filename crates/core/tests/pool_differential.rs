@@ -399,4 +399,101 @@ proptest! {
             pipeline.stats().verify_calls, eager.verify_calls()
         );
     }
+
+    /// The same streams with `purge_below` at random points: after every
+    /// step every public read returns for every universe hash and round
+    /// (no read can find a block in one place and miss it in another),
+    /// and what the record implies holds.
+    #[test]
+    fn prop_reads_hold_across_purges(
+        seed in 0u64..500,
+        steps in proptest::collection::vec(any::<u16>().prop_map(Step::decode), 10..120),
+        purges in proptest::collection::vec(any::<u16>(), 1..6),
+    ) {
+        let universe = build_universe(seed);
+        let setup = universe.keys[0].setup.clone();
+        let genesis = setup.genesis.hash();
+        let mut pool = Pool::new(Arc::clone(&setup));
+        let rounds: Vec<Round> = (0..=4).map(Round::new).collect();
+
+        let stream = universe.stream(&steps);
+        for (i, msg) in stream.iter().enumerate() {
+            pool.insert(msg);
+            check_reads(&mut pool, &universe, &rounds);
+            // A purge (bar = v mod 6) after message v / 6 of the stream.
+            for v in purges.iter().filter(|v| (**v / 6) as usize % stream.len() == i) {
+                let bar = Round::new(u64::from(*v % 6));
+                pool.purge_below(bar);
+                check_reads(&mut pool, &universe, &rounds);
+                // Nothing below the bar but `root` survives.
+                prop_assert!(pool.is_finalized(&genesis) && pool.block(&genesis).is_some());
+                for b in universe.blocks.iter().filter(|b| b.round < bar) {
+                    prop_assert!(pool.block(&b.hash).is_none(), "{:?} survived", b);
+                    prop_assert!(!pool.is_valid(&b.hash));
+                    prop_assert!(pool.notarization_of(&b.hash).is_none());
+                    prop_assert!(pool.finalization_of(&b.hash).is_none());
+                    prop_assert!(pool.proposal_of(&b.hash).is_none());
+                }
+                prop_assert!(rounds.iter().all(|r| *r >= bar || r.is_genesis()
+                    || pool.valid_blocks(*r).is_empty() && pool.beacon_share_count(*r) == 0));
+                prop_assert!(pool.latest_finalized_round() >= bar
+                    || pool.latest_finalized_round().is_genesis());
+            }
+        }
+    }
+}
+
+/// Calls every public read of `pool` for every hash and round of the
+/// universe and checks the implications between their answers.
+fn check_reads(pool: &mut Pool, universe: &Universe, rounds: &[Round]) {
+    for b in &universe.blocks {
+        let h = &b.hash;
+        let body = pool.block(h).cloned();
+        if pool.is_notarized(h) {
+            prop_assert!(pool.is_valid(h) && body.is_some() && pool.notarization_of(h).is_some());
+        }
+        if pool.is_finalized(h) {
+            prop_assert!(pool.is_valid(h) && pool.finalization_of(h).is_some());
+            // Filed under its round (the universe finalizes one fork per
+            // round, so the highest finalized block ≤ its round is itself).
+            let filed = pool.finalized_below(b.round.next()).map(|f| f.hash());
+            prop_assert_eq!(filed, Some(*h));
+        }
+        if pool.is_valid(h) {
+            let held = pool.certified_block(h);
+            prop_assert!(held.is_some_and(|c| BlockRef::of_hashed(&c.proposal.block) == *b));
+            prop_assert!(pool.proposal_of(h).is_some_and(|p| {
+                (b.round == Round::new(1)) == p.parent_notarization.is_none()
+            }));
+        }
+        if let Some(body) = body {
+            for above in rounds {
+                pool.chain_back_to(&body, *above);
+            }
+        }
+    }
+    for r in rounds {
+        let valid: Vec<Hash256> = pool.valid_blocks(*r).iter().map(|b| b.hash()).collect();
+        let notarized = pool.notarized_blocks(*r);
+        prop_assert!(notarized.iter().all(|b| valid.contains(&b.hash())));
+        let first = pool.notarized_block(*r);
+        prop_assert_eq!(first.is_some(), !notarized.is_empty() && !r.is_genesis());
+        prop_assert!(first.is_none_or(|(b, n)| n.block_ref == BlockRef::of_hashed(b)));
+        if let Some(n) = pool.completable_notarization(*r) {
+            prop_assert!(pool.is_valid(&n.block_ref.hash) && !pool.is_notarized(&n.block_ref.hash));
+        }
+        if let Some(f) = pool.completable_finalization(*r) {
+            prop_assert!(f.block_ref.round > *r && !pool.is_finalized(&f.block_ref.hash));
+        }
+        let (above, below) = (pool.finalized_above(*r), pool.finalized_below(*r));
+        prop_assert!(above.is_none_or(|b| b.round() > *r && pool.is_finalized(&b.hash())));
+        prop_assert!(below.is_none_or(|b| b.round() < *r && pool.is_finalized(&b.hash())));
+    }
+    let tip = pool
+        .latest_finalized_block()
+        .map_or(Round::GENESIS, |b| b.round());
+    prop_assert_eq!(tip, pool.latest_finalized_round());
+    // A finalization may be held without the notarization: no order
+    // between the two frontiers, the read just has to answer.
+    pool.highest_notarized_round();
 }

@@ -741,10 +741,14 @@ impl GossipNode {
     /// Feeds an artifact into the core and re-disseminates what the
     /// core reacts with; also advertises newly learned proposal bodies.
     fn ingest(&mut self, ctx: &mut Context<'_, GossipMessage, NodeEvent>, msg: &ConsensusMessage) {
-        // A proposal body we now hold can be served to neighbors.
+        let step = self.core.on_message(ctx.now(), msg);
+        // A proposal body the pool now holds — not one it refused — can
+        // be served to neighbors; the adverts leave ahead of the step's
+        // own sends.
         if let ConsensusMessage::Proposal(p) = msg {
-            if p.encoded_len() > self.config.inline_threshold {
-                let id = p.block.hash();
+            let id = p.block.hash();
+            let large = p.encoded_len() > self.config.inline_threshold;
+            if large && self.core.pool().block(&id).is_some() {
                 if !self.offered.contains_key(&id) {
                     self.offer(id, p.clone());
                 }
@@ -758,7 +762,6 @@ impl GossipNode {
                 }
             }
         }
-        let step = self.core.on_message(ctx.now(), msg);
         self.apply_step(ctx, step);
     }
 
@@ -841,23 +844,9 @@ impl GossipNode {
         from: NodeIndex,
         id: Hash256,
     ) {
-        let proposal = self.offered.get(&id).cloned().or_else(|| {
-            // Rebuild from the pool if the body arrived another way.
-            let pool = self.core.pool();
-            let block = pool.block(&id)?.clone();
-            let authenticator = pool.authenticator_of(&id)?;
-            let parent_notarization = if block.round() == Round::new(1) {
-                None
-            } else {
-                Some(pool.notarization_of(&block.parent())?.clone())
-            };
-            Some(BlockProposal {
-                block,
-                authenticator,
-                parent_notarization,
-            })
-        });
-        if let Some(p) = proposal {
+        // From the pool if the body arrived another way.
+        let offered = self.offered.get(&id).cloned();
+        if let Some(p) = offered.or_else(|| self.core.pool().proposal_of(&id)) {
             ctx.send(from, GossipMessage::Deliver { id, proposal: p });
         }
     }
@@ -1598,6 +1587,46 @@ mod tests {
         assert_eq!(c.emits_already_sent, 1);
         assert_eq!((c.relayed_first_seen, c.relay_hops_total), (10, 10));
         assert_eq!(c.pushes_deduped, 0);
+    }
+
+    /// A large proposal is stored for serving and advertised only once
+    /// the pool holds its body: one with a forged authenticator leaves
+    /// no trace in the gossip layer, a genuine one is advertised to
+    /// every neighbor as before.
+    #[test]
+    fn refused_proposal_is_neither_offered_nor_advertised() {
+        let keys = subnet(4);
+        let genesis = keys[0].setup.genesis.hash();
+        let payload = Payload::from_commands(vec![Command::new(vec![7; 5000])]);
+        let block = Block::new(Round::new(1), keys[1].index, genesis, payload).into_hashed();
+        let id = block.hash();
+        let genuine = artifacts::proposal(&keys[1], block, None);
+        assert!(genuine.encoded_len() > GossipConfig::default().inline_threshold);
+        let mut forged = genuine.clone();
+        forged.authenticator = keys[2]
+            .auth
+            .sign(icc_types::messages::domains::AUTH, b"junk");
+        let run = |proposal| {
+            let pushes = [ConsensusMessage::Proposal(proposal)];
+            let (node, sent) = run_node_0(&keys, Overlay::full_mesh(4), keys[1].index, &pushes);
+            let adverts = sent.iter().filter_map(|(to, m)| {
+                matches!(m, GossipMessage::Advert { id: advertised, .. } if *advertised == id)
+                    .then_some(*to)
+            });
+            (adverts.collect::<Vec<NodeIndex>>(), node)
+        };
+
+        let (adverts, node) = run(forged);
+        assert!(adverts.is_empty(), "advertised to {adverts:?}");
+        assert!(node.offered.is_empty() && node.offered_order.is_empty());
+        assert_eq!(node.pending_requests(), 0);
+        assert_eq!(node.core().pool().stats().rejected, 1);
+
+        let (adverts, node) = run(genuine);
+        let everyone: Vec<NodeIndex> = keys[1..].iter().map(|k| k.index).collect();
+        assert_eq!(adverts, everyone);
+        assert!(node.offered.contains_key(&id));
+        assert_eq!(node.core().pool().stats().rejected, 0);
     }
 
     #[test]
