@@ -29,7 +29,7 @@ fn builder(n: usize, block_bytes: usize, seed: u64) -> ClusterBuilder {
         .block_policy(BlockPolicy {
             max_commands: 100_000,
             max_bytes: block_bytes,
-            purge_depth: Some(10),
+            ..BlockPolicy::default()
         })
 }
 

@@ -31,7 +31,7 @@ fn builder(n: usize) -> ClusterBuilder {
         .block_policy(BlockPolicy {
             max_commands: 100_000,
             max_bytes: BLOCK,
-            purge_depth: Some(10),
+            ..BlockPolicy::default()
         })
 }
 

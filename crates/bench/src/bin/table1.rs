@@ -84,7 +84,7 @@ fn run_cell(
         .block_policy(BlockPolicy {
             max_commands: 2000,
             max_bytes: 4 << 20,
-            purge_depth: Some(30),
+            ..BlockPolicy::default()
         });
     let overlay = Overlay::random_regular(n, 6, 99);
     let mut cluster = gossip_cluster(builder, overlay, GossipConfig::default());

@@ -38,20 +38,31 @@ use icc_telemetry::{SpanEvent, SpanKind};
 use icc_types::block::{Block, HashedBlock, Payload};
 use icc_types::messages::{Beacon, BlockRef, ConsensusMessage};
 use icc_types::{Command, Rank, Round, SimTime};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-/// Limits on self-built block payloads.
+/// How many rounds below the committed tip a replica keeps blocks,
+/// certificates and shares by default. Greater than the gossip layer's
+/// `catch_up_threshold` (10), so every peer not yet entitled to a
+/// catch-up package can still fetch the bodies it is missing.
+pub const PURGE_DEPTH: u64 = 64;
+
+/// Limits on self-built block payloads, and how much history the
+/// replica keeps.
 #[derive(Debug, Clone, Copy)]
 pub struct BlockPolicy {
     /// Maximum commands per proposed block.
     pub max_commands: usize,
     /// Maximum total command bytes per proposed block.
     pub max_bytes: usize,
-    /// If set, purge pool artifacts more than this many rounds below
-    /// the committed round — the garbage-collection optimization §3.1
-    /// alludes to. `None` keeps everything (the paper's literal model).
+    /// On every commit the pool is purged below `kmax − purge_depth`
+    /// ([`Pool::purge_below`]; beacon values stay
+    /// [`BEACON_DEPTH`](crate::pool::BEACON_DEPTH) rounds longer) and
+    /// every layer above forgets what it knew about those rounds, so a
+    /// replica's memory follows the rounds in flight, not its uptime.
+    /// Default [`PURGE_DEPTH`]. `None` never purges — the paper's
+    /// literal pool (§3.1), for experiments that say so.
     pub purge_depth: Option<u64>,
 }
 
@@ -60,7 +71,7 @@ impl Default for BlockPolicy {
         BlockPolicy {
             max_commands: 1000,
             max_bytes: 4 << 20,
-            purge_depth: None,
+            purge_depth: Some(PURGE_DEPTH),
         }
     }
 }
@@ -133,8 +144,10 @@ pub struct ConsensusCore {
     beacon_share_sent_upto: Round,
     /// Fig. 2's `kmax`: last committed round.
     kmax: Round,
-    notarizations_broadcast: HashSet<Hash256>,
-    finalizations_broadcast: HashSet<Hash256>,
+    /// Aggregates already broadcast, by block: round first, so that
+    /// they are forgotten at the pool's floor.
+    notarizations_broadcast: BTreeSet<(Round, Hash256)>,
+    finalizations_broadcast: BTreeSet<(Round, Hash256)>,
     /// Archived epoch-transition certificates by epoch index: the
     /// handoff finalization of each boundary the finalized chain has
     /// crossed. Volatile (rebuilt from the store on restore); the
@@ -210,8 +223,8 @@ impl ConsensusCore {
             rstate: None,
             beacon_share_sent_upto: Round::GENESIS,
             kmax: Round::GENESIS,
-            notarizations_broadcast: HashSet::new(),
-            finalizations_broadcast: HashSet::new(),
+            notarizations_broadcast: BTreeSet::new(),
+            finalizations_broadcast: BTreeSet::new(),
             transition_certs: BTreeMap::new(),
             pending: VecDeque::new(),
             pending_digests: HashSet::new(),
@@ -597,7 +610,8 @@ impl ConsensusCore {
         }
         self.recovery.catch_up_applied += 1;
         self.finalizations_broadcast
-            .insert(pkg.proposal.block.hash());
+            .insert((pkg_round, pkg.proposal.block.hash()));
+        self.purge();
         if self.round <= pkg_round {
             self.round = pkg_round.next();
             self.rstate = None;
@@ -879,7 +893,10 @@ impl ConsensusCore {
             self.store
                 .append_block(b.proposal, Some(notarization.clone()));
         }
-        if self.notarizations_broadcast.insert(block_ref.hash) {
+        if self
+            .notarizations_broadcast
+            .insert((block_ref.round, block_ref.hash))
+        {
             self.emit(ConsensusMessage::Notarization(notarization), step);
         }
         let rs = self.rstate.as_mut().expect("in a round");
@@ -1098,7 +1115,8 @@ impl ConsensusCore {
                 // Combined from shares this party already validated.
                 self.pool
                     .insert_owned(&ConsensusMessage::Finalization(f.clone()));
-                if self.finalizations_broadcast.insert(f.block_ref.hash) {
+                let id = (f.block_ref.round, f.block_ref.hash);
+                if self.finalizations_broadcast.insert(id) {
                     step.broadcasts.push(ConsensusMessage::Finalization(f));
                 }
                 continue;
@@ -1116,7 +1134,10 @@ impl ConsensusCore {
             // bodies (the finalized branch is what replay must rebuild;
             // the branch logged in `try_finish_round` may differ).
             self.store.append_finalization(finalization.clone());
-            if self.finalizations_broadcast.insert(block.hash()) {
+            if self
+                .finalizations_broadcast
+                .insert((block.round(), block.hash()))
+            {
                 step.broadcasts
                     .push(ConsensusMessage::Finalization(finalization));
             }
@@ -1171,12 +1192,36 @@ impl ConsensusCore {
             self.entered_at.retain(|r, _| *r > self.kmax.get());
             self.maybe_archive_transitions();
             self.maybe_checkpoint();
-            if let Some(depth) = self.policy.purge_depth {
-                if self.kmax.get() > depth {
-                    self.pool.purge_below(Round::new(self.kmax.get() - depth));
-                }
-            }
+            self.purge();
         }
+    }
+
+    /// Forgets what lies more than the policy's purge depth below the
+    /// committed tip: the pool first, then this layer's own per-block
+    /// memory at the floor the pool reports.
+    fn purge(&mut self) {
+        let Some(depth) = self.policy.purge_depth else {
+            return;
+        };
+        self.pool
+            .purge_below(Round::new(self.kmax.get().saturating_sub(depth)));
+        let floor = (self.pool.floor(), Hash256::ZERO);
+        self.notarizations_broadcast = self.notarizations_broadcast.split_off(&floor);
+        self.finalizations_broadcast = self.finalizations_broadcast.split_off(&floor);
+    }
+
+    /// What this replica holds per layer — the pool's collections, the
+    /// two broadcast sets and the durable store's dedup sets — for the
+    /// admin plane and the bounded-memory tests. Every entry is bounded
+    /// by the rounds between the floor and the tip.
+    pub fn footprint(&self) -> Vec<(&'static str, u64)> {
+        let mut out = self.pool.footprint();
+        let notarizations = self.notarizations_broadcast.len() as u64;
+        let finalizations = self.finalizations_broadcast.len() as u64;
+        out.push(("core_notarizations_broadcast", notarizations));
+        out.push(("core_finalizations_broadcast", finalizations));
+        out.extend(self.store.footprint());
+        out
     }
 
     /// Archives the handoff certificate of every epoch boundary the

@@ -67,7 +67,7 @@ pub mod telemetry;
 
 pub use byzantine::Behavior;
 pub use cluster::{Cluster, ClusterBuilder};
-pub use consensus::{BlockPolicy, ConsensusCore, Step};
+pub use consensus::{BlockPolicy, ConsensusCore, Step, PURGE_DEPTH};
 pub use epoch::{EpochInfo, EpochSchedule, EpochSpec};
 pub use events::NodeEvent;
 pub use node::IccNode;

@@ -1,9 +1,18 @@
 //! The artifact pool (paper §3.1, §3.4).
 //!
-//! Each party holds a pool of all artifacts it has received (including
-//! from itself); nothing is ever deleted (§3.1 — an optional
-//! [`Pool::purge_below`] implements the optimization the paper mentions
-//! but elides). §3.4's block properties are properties *of a block*, and
+//! Each party holds a pool of the artifacts it has received (including
+//! from itself). The paper's pool never deletes (§3.1) and mentions a
+//! purge it elides; here [`Pool::purge_below`] *is* that purge, and the
+//! core runs it on every commit, so a pool holds the rounds in flight
+//! plus a fixed depth below the finalized tip — a finalized prefix never
+//! changes, so nothing below it can matter to this party again. Two
+//! retentions, one [`floor`](Pool::floor): blocks, certificates and
+//! shares go at the floor; beacon *values* stay [`BEACON_DEPTH`] rounds
+//! longer, because a catch-up package must chain the beacon from the
+//! round the requester stopped at. What arrives for a round below the
+//! floor is dropped at the door.
+//!
+//! §3.4's block properties are properties *of a block*, and
 //! are held that way: one `BlockEntry` per block hash carries all the
 //! pool knows about it, and the classification is read off that record:
 //!
@@ -18,12 +27,15 @@
 //! Three indexes answer what the table cannot: `by_round` (the blocks
 //! of round k, in arrival order), `pending_validity` (the bodies the
 //! fixpoint can still promote) and `finalized_by_round` (the finalized
-//! frontier). Messages are verified one at a time, on arrival, by one
+//! frontier). Everything the purge removes is reachable through a
+//! round-ordered map, so a purge costs what it removes.
+//! Messages are verified one at a time, on arrival, by one
 //! write path ([`Pool::insert`]) with one route per artifact *shape*;
 //! which certificate a share or aggregate belongs to (`Cert`) only
 //! selects the scheme, the quorum and the share buckets. Per artifact:
 //!
 //! ```text
+//!   round below the floor ──────────────────▶ dropped, no crypto
 //!   duplicate of what is held ──────────────▶ dropped, no crypto
 //!   structural check (round, signer index) ─▶ rejected, no crypto
 //!   own / WAL-replayed artifact ────────────▶ trusted, no crypto
@@ -78,6 +90,21 @@ use std::sync::Arc;
 /// Combined beacon values that may wait for their predecessor at once;
 /// beyond it the oldest is dropped.
 const MAX_PARKED_BEACONS: usize = 1024;
+
+/// How many rounds below the floor beacon values are kept (≈ 4 MB): the
+/// furthest a peer can have fallen behind and still be served a
+/// catch-up package, whose beacon segment starts where the peer stopped.
+pub const BEACON_DEPTH: u64 = 65_536;
+
+/// Removes the entries of `map` in rounds `1..bar` (genesis stays),
+/// oldest first: the cost is what it removes.
+fn drain_below<V>(map: &mut BTreeMap<Round, V>, bar: Round) -> impl Iterator<Item = V> + '_ {
+    let first = Round::new(1);
+    std::iter::from_fn(move || {
+        let (&round, _) = map.range(first..bar.max(first)).next()?;
+        map.remove(&round)
+    })
+}
 
 /// Which of a block's two `(n − t)` certificates a share or aggregate
 /// belongs to.
@@ -137,6 +164,18 @@ impl<'a> Artifact<'a> {
         }
     }
 
+    /// The round the artifact belongs to.
+    fn round(&self) -> Round {
+        match self {
+            Artifact::Block(block, _) => block.round(),
+            Artifact::Share(_, block_ref, _) | Artifact::Aggregate(_, block_ref, _) => {
+                block_ref.round
+            }
+            Artifact::BeaconShare(b) => b.round,
+            Artifact::Beacon(b) => b.round,
+        }
+    }
+
     /// The block reference a signed artifact is over, if any.
     fn block_ref(&self) -> Option<BlockRef> {
         match self {
@@ -187,8 +226,9 @@ impl BlockEntry {
 /// block hash alone: a share over `{other round or proposer, H}`
 /// verifies on its own, but must never count towards — or be combined
 /// with — the quorum of the real block `H`. It sits in a bucket of its
-/// own that no honest party adds to.
-type ShareBuckets = HashMap<BlockRef, BTreeMap<u32, MultiSigShare>>;
+/// own that no honest party adds to. Ordered (a reference sorts by
+/// round first), for the purge.
+type ShareBuckets = BTreeMap<BlockRef, BTreeMap<u32, MultiSigShare>>;
 
 /// A beacon share as held: it signs a message that chains from the
 /// previous beacon value, so it is checked at combine time, once.
@@ -207,8 +247,14 @@ pub struct Pool {
     stats: PoolStats,
     /// The one table of block state.
     entries: HashMap<Hash256, BlockEntry>,
+    /// Nothing below this round is held or accepted (beacon values
+    /// excepted); raised by [`purge_below`](Self::purge_below).
+    floor: Round,
     /// Held bodies by round, in arrival order.
     by_round: BTreeMap<Round, Vec<Hash256>>,
+    /// Records a certificate created ahead of the body, under the round
+    /// the certificate names.
+    awaiting_body: BTreeMap<Round, Vec<Hash256>>,
     /// Blocks that are authentic but not yet valid (awaiting ancestors).
     pending_validity: HashSet<Hash256>,
     /// Finalized blocks indexed by round (P2 guarantees at most one).
@@ -255,11 +301,13 @@ impl Pool {
         Pool {
             stats: PoolStats::default(),
             entries: HashMap::from([(ghash, root)]),
+            floor: Round::GENESIS,
             by_round: BTreeMap::from([(Round::GENESIS, vec![ghash])]),
+            awaiting_body: BTreeMap::new(),
             pending_validity: HashSet::new(),
             finalized_by_round: BTreeMap::from([(Round::GENESIS, ghash)]),
-            notarization_shares: HashMap::new(),
-            finalization_shares: HashMap::new(),
+            notarization_shares: BTreeMap::new(),
+            finalization_shares: BTreeMap::new(),
             beacon_shares: BTreeMap::new(),
             beacons: BTreeMap::from([(Round::GENESIS, setup.genesis_beacon)]),
             parked_beacons: VecDeque::new(),
@@ -270,6 +318,13 @@ impl Pool {
     /// The pool's observability counters.
     pub fn stats(&self) -> PoolStats {
         self.stats
+    }
+
+    /// The round below which nothing is held or accepted: the one
+    /// retention bound every layer reads (genesis until the first
+    /// purge).
+    pub fn floor(&self) -> Round {
+        self.floor
     }
 
     fn buckets(&self, kind: Cert) -> &ShareBuckets {
@@ -306,6 +361,10 @@ impl Pool {
         let mut admitted = false;
         let mut changed = false;
         for artifact in Artifact::of(msg).into_iter().flatten() {
+            if artifact.round() < self.floor {
+                self.stats.stale_dropped += 1;
+                continue;
+            }
             if self.holds(&artifact) {
                 self.stats.duplicates_dropped += 1;
                 continue;
@@ -963,8 +1022,9 @@ mod tests {
         assert!(pool.block(&b2.hash()).is_some());
     }
 
-    /// Share buckets go with their round, and a share whose block body
-    /// never arrived leaves nothing for the Fig. 2 scan to trip over.
+    /// Share buckets go with the round they sign — a share over a
+    /// made-up reference to a held block with its claimed round — and
+    /// with nothing else: one whose block body has not arrived yet stays.
     #[test]
     fn purge_prunes_share_buckets() {
         let ks = keys();
@@ -985,8 +1045,9 @@ mod tests {
             ));
             parent = b.hash();
         }
-        // A finalization share for a round-5 block this pool never sees,
-        // and one over a made-up round-1 reference to the round-4 block.
+        // A finalization share for a round-5 block this pool has not
+        // seen yet, and one over a made-up round-1 reference to the
+        // round-4 block.
         let unseen = block_at(&ks[2], 5, parent, 99);
         pool.insert(&ConsensusMessage::FinalizationShare(
             artifacts::finalization_share(&ks[2], BlockRef::of_hashed(&unseen)),
@@ -999,17 +1060,60 @@ mod tests {
         pool.insert(&ConsensusMessage::FinalizationShare(
             artifacts::finalization_share(&ks[3], made_up),
         ));
-        assert_eq!(pool.finalization_shares.len(), 6);
+        let rounds = |pool: &Pool| -> Vec<u64> {
+            let refs = pool.finalization_shares.keys();
+            refs.map(|r| r.round.get()).collect()
+        };
+        assert_eq!(rounds(&pool), [1, 1, 2, 3, 4, 5]);
 
         pool.purge_below(Round::new(3));
-        let mut rounds: Vec<u64> = pool
-            .finalization_shares
-            .keys()
-            .map(|r| r.round.get())
-            .collect();
-        rounds.sort_unstable();
-        assert_eq!(rounds, [3, 4], "{:?}", pool.finalization_shares);
+        assert_eq!(rounds(&pool), [3, 4, 5]);
         assert!(pool.completable_finalization(Round::GENESIS).is_none());
+    }
+
+    /// One floor, two retentions: below it blocks, certificates and
+    /// shares are gone and refused at the door, while a beacon value
+    /// outlives its block by `BEACON_DEPTH` rounds; a certificate that
+    /// arrived ahead of its body goes with its round, not before; and
+    /// the floor never falls.
+    #[test]
+    fn floor_splits_retention_and_refuses_what_is_below_it() {
+        let ks = keys();
+        let mut pool = Pool::new(Arc::clone(&ks[0].setup));
+        let b1 = block_at(&ks[1], 1, ks[0].setup.genesis.hash(), 1);
+        let b2 = block_at(&ks[2], 2, b1.hash(), 2);
+        let p1 = ConsensusMessage::Proposal(artifacts::proposal(&ks[1], b1.clone(), None));
+        let n2 = ConsensusMessage::Notarization(notarize(&ks, &b2));
+        pool.insert(&p1);
+        pool.insert(&n2); // ahead of its body
+        let value = ks[0].setup.genesis_beacon;
+        for round in 1..=BEACON_DEPTH + 10 {
+            pool.install_beacon_trusted(Round::new(round), value);
+        }
+
+        pool.purge_below(Round::new(2));
+        assert_eq!(pool.floor(), Round::new(2));
+        assert!(pool.block(&b1.hash()).is_none());
+        assert!(pool.beacon(Round::new(1)).is_some(), "outlives its block");
+        assert!(
+            pool.notarization_of(&b2.hash()).is_some(),
+            "round 2 is live"
+        );
+        assert!(!pool.insert(&p1), "below the floor");
+        assert_eq!(pool.stats().stale_dropped, 1);
+        assert_eq!(pool.block_count(), 1);
+
+        pool.purge_below(Round::new(1));
+        assert_eq!(pool.floor(), Round::new(2), "never falls");
+        pool.purge_below(Round::new(3));
+        assert!(pool.notarization_of(&b2.hash()).is_none());
+        assert!(pool.entries.len() == 1 && pool.awaiting_body.is_empty());
+
+        // The beacon tail: BEACON_DEPTH rounds below the floor.
+        pool.purge_below(Round::new(BEACON_DEPTH + 8));
+        assert!(pool.beacon(Round::new(7)).is_none());
+        assert!(pool.beacon(Round::new(8)).is_some());
+        assert_eq!(pool.beacons.len() as u64, 1 + BEACON_DEPTH + 3, "and R_0");
     }
 
     /// One Byzantine member signs `{other round or proposer, H}` for a

@@ -15,11 +15,13 @@ use icc_crypto::multisig::MultiSig;
 use icc_crypto::Hash256;
 use icc_types::block::HashedBlock;
 use icc_types::messages::{BlockProposal, BlockRef, ConsensusMessage, Finalization, Notarization};
-use icc_types::Round;
+use icc_types::{NodeIndex, Round};
 use std::collections::BTreeMap;
 use std::ops::RangeBounds;
 
-use super::{Artifact, BlockEntry, Cert, Finality, HeldBeaconShare, Notary, Pool};
+use super::{
+    drain_below, Artifact, BlockEntry, Cert, Finality, HeldBeaconShare, Notary, Pool, BEACON_DEPTH,
+};
 
 /// A held block with whichever of its certificates the pool holds —
 /// what a caller would otherwise assemble from separate lookups.
@@ -59,7 +61,11 @@ impl Pool {
                 true
             }
             Artifact::Aggregate(kind, block_ref, sig) => {
-                let entry = self.entries.entry(block_ref.hash).or_default();
+                let entry = self.entries.entry(block_ref.hash).or_insert_with(|| {
+                    let awaiting = self.awaiting_body.entry(block_ref.round).or_default();
+                    awaiting.push(block_ref.hash);
+                    BlockEntry::default()
+                });
                 if entry.cert(kind).is_some() {
                     return false;
                 }
@@ -464,34 +470,56 @@ impl Pool {
         self.beacons.range(from..).map(|(r, v)| (*r, *v)).collect()
     }
 
-    /// Discards artifacts strictly below `round` — the garbage-collection
-    /// optimization §3.1 alludes to — along with everything that refers
-    /// to a block whose body is not held. Genesis is kept.
+    /// Raises the [`floor`](Self::floor) to `round` (it never falls):
+    /// blocks, certificates, shares and beacon shares of rounds below it
+    /// are discarded — the garbage collection §3.1 alludes to — and
+    /// beacon values [`BEACON_DEPTH`] rounds further down. Genesis is
+    /// kept. Every index walked is round-ordered, so the cost is what is
+    /// removed.
     pub fn purge_below(&mut self, round: Round) {
-        let live = |r: Round| r >= round || r.is_genesis();
-        self.entries
-            .retain(|_, e| e.body.as_ref().is_some_and(|b| live(b.round())));
-        // Every surviving record has its body, so the indexes follow by
-        // round and the rest by membership in the table.
-        let entries = &self.entries;
-        self.by_round.retain(|r, _| live(*r));
-        self.finalized_by_round.retain(|r, _| live(*r));
-        self.pending_validity.retain(|h| entries.contains_key(h));
-        // By the round a share signs as well: a share over a made-up
-        // reference to a held block goes with its claimed round.
-        for buckets in [&mut self.notarization_shares, &mut self.finalization_shares] {
-            buckets.retain(|r, _| r.round >= round && entries.contains_key(&r.hash));
+        if round <= self.floor {
+            return;
         }
-        self.beacon_shares.retain(|r, _| *r >= round);
-        // Keep the last beacon below the bar: the next round's message
-        // chains from it.
-        let last_needed = round.prev().unwrap_or(Round::GENESIS);
-        self.beacons.retain(|r, _| *r >= last_needed);
+        self.floor = round;
+        for index in [&mut self.by_round, &mut self.awaiting_body] {
+            for hash in drain_below(index, round).flatten() {
+                self.entries.remove(&hash);
+                self.pending_validity.remove(&hash);
+            }
+        }
+        drain_below(&mut self.finalized_by_round, round).for_each(drop);
+        drain_below(&mut self.beacon_shares, round).for_each(drop);
+        // The least reference of `round`: what sorts below it signs an
+        // earlier round.
+        let first = BlockRef {
+            round,
+            proposer: NodeIndex::new(0),
+            hash: Hash256::ZERO,
+        };
+        for buckets in [&mut self.notarization_shares, &mut self.finalization_shares] {
+            *buckets = buckets.split_off(&first);
+        }
+        let beacon_floor = Round::new(round.get().saturating_sub(BEACON_DEPTH));
+        drain_below(&mut self.beacons, beacon_floor).for_each(drop);
         self.parked_beacons.retain(|b| b.round >= round);
     }
 
     /// Total number of block bodies held (diagnostics).
     pub fn block_count(&self) -> usize {
         self.entries.values().filter(|e| e.body.is_some()).count()
+    }
+
+    /// What the pool holds, by collection (diagnostics): every entry is
+    /// bounded by the rounds between the floor and the tip, beacon
+    /// values by [`BEACON_DEPTH`] more.
+    pub fn footprint(&self) -> Vec<(&'static str, u64)> {
+        let buckets = self.notarization_shares.len() + self.finalization_shares.len();
+        let beacon_shares = self.beacon_shares.values().map(BTreeMap::len);
+        vec![
+            ("pool_blocks", self.block_count() as u64),
+            ("pool_share_buckets", buckets as u64),
+            ("pool_beacon_shares", beacon_shares.sum::<usize>() as u64),
+            ("pool_beacons", self.beacons.len() as u64),
+        ]
     }
 }

@@ -55,7 +55,7 @@ use icc_types::messages::{BlockProposal, Finalization, Notarization};
 use icc_types::Round;
 pub use icc_wal::StorageCounters;
 use icc_wal::{Wal, WalOptions};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -474,10 +474,11 @@ pub struct DurableStore {
     wal: Vec<WalEntry>,
     /// Highest round whose beacon has been logged (dedup).
     beacon_upto: Round,
-    /// `(block hash, notarization present)` pairs already logged.
-    logged_blocks: HashSet<(Hash256, bool)>,
-    /// Block hashes whose finalization is already logged.
-    logged_finalizations: HashSet<Hash256>,
+    /// `(round, block hash, notarization present)` triples already
+    /// logged above the checkpoint.
+    logged_blocks: BTreeSet<(Round, Hash256, bool)>,
+    /// Blocks above the checkpoint whose finalization is already logged.
+    logged_finalizations: BTreeSet<(Round, Hash256)>,
     /// Epoch indices whose transition certificate is already logged.
     logged_transitions: HashSet<u64>,
     wal_appends: u64,
@@ -524,8 +525,8 @@ impl DurableStore {
             checkpoint: None,
             wal: Vec::new(),
             beacon_upto: Round::GENESIS,
-            logged_blocks: HashSet::new(),
-            logged_finalizations: HashSet::new(),
+            logged_blocks: BTreeSet::new(),
+            logged_finalizations: BTreeSet::new(),
             logged_transitions: HashSet::new(),
             wal_appends: 0,
             checkpoints_taken: 0,
@@ -534,10 +535,6 @@ impl DurableStore {
         };
         if let Some(cp) = checkpoint {
             store.beacon_upto = cp.round();
-            store.logged_blocks.insert((cp.proposal.block.hash(), true));
-            store
-                .logged_finalizations
-                .insert(cp.finalization.block_ref.hash);
             store
                 .logged_transitions
                 .extend(cp.transitions.iter().map(|t| t.epoch));
@@ -551,12 +548,13 @@ impl DurableStore {
                     proposal,
                     notarization,
                 } => {
-                    store
-                        .logged_blocks
-                        .insert((proposal.block.hash(), notarization.is_some()));
+                    let block = &proposal.block;
+                    let key = (block.round(), block.hash(), notarization.is_some());
+                    store.logged_blocks.insert(key);
                 }
                 WalEntry::Finalization(f) => {
-                    store.logged_finalizations.insert(f.block_ref.hash);
+                    let key = (f.block_ref.round, f.block_ref.hash);
+                    store.logged_finalizations.insert(key);
                 }
                 WalEntry::Committed { .. } => {}
                 WalEntry::EpochTransition(t) => {
@@ -596,12 +594,21 @@ impl DurableStore {
         }
     }
 
+    /// Whether the checkpoint already vouches for `round`: what it
+    /// covers is never logged again.
+    fn covered(&self, round: Round) -> bool {
+        self.checkpoint
+            .as_ref()
+            .is_some_and(|cp| round <= cp.round())
+    }
+
     /// Logs a block body and (optionally) its notarization. Re-appending
     /// the same `(block, has-notarization)` shape is a no-op, so a block
     /// first logged bare can later be upgraded with its certificate.
     pub fn append_block(&mut self, proposal: BlockProposal, notarization: Option<Notarization>) {
-        let key = (proposal.block.hash(), notarization.is_some());
-        if self.logged_blocks.insert(key) {
+        let block = &proposal.block;
+        let key = (block.round(), block.hash(), notarization.is_some());
+        if !self.covered(key.0) && self.logged_blocks.insert(key) {
             self.append(WalEntry::Notarized {
                 proposal,
                 notarization,
@@ -611,7 +618,8 @@ impl DurableStore {
 
     /// Logs a finalization certificate (at most once per block).
     pub fn append_finalization(&mut self, f: Finalization) {
-        if self.logged_finalizations.insert(f.block_ref.hash) {
+        let key = (f.block_ref.round, f.block_ref.hash);
+        if !self.covered(key.0) && self.logged_finalizations.insert(key) {
             self.append(WalEntry::Finalization(f));
         }
     }
@@ -632,11 +640,15 @@ impl DurableStore {
 
     /// Installs a checkpoint and compacts the log: entries at or below
     /// the checkpoint round are dropped (the checkpoint carries the
-    /// beacon base itself). The backend persists the checkpoint
-    /// atomically and compacts its own log to match.
+    /// beacon base itself), and with them the memory of having logged
+    /// them. The backend persists the checkpoint atomically and compacts
+    /// its own log to match.
     pub fn install_checkpoint(&mut self, cp: Checkpoint) {
         let bar = cp.round();
         self.wal.retain(|e| e.round() > bar);
+        let above = bar.next();
+        self.logged_blocks = self.logged_blocks.split_off(&(above, Hash256::ZERO, false));
+        self.logged_finalizations = self.logged_finalizations.split_off(&(above, Hash256::ZERO));
         self.backend.persist_checkpoint(&cp);
         self.checkpoint = Some(cp);
         self.checkpoints_taken += 1;
@@ -655,6 +667,20 @@ impl DurableStore {
     /// Current number of log entries (post-compaction).
     pub fn wal_len(&self) -> usize {
         self.wal.len()
+    }
+
+    /// What the store holds in memory (diagnostics): the log mirror and
+    /// the two dedup sets, all bounded by the rounds since the
+    /// checkpoint.
+    pub fn footprint(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            ("store_wal_entries", self.wal.len() as u64),
+            ("store_logged_blocks", self.logged_blocks.len() as u64),
+            (
+                "store_logged_finalizations",
+                self.logged_finalizations.len() as u64,
+            ),
+        ]
     }
 
     /// Lifetime count of log appends by this incarnation (recovered

@@ -403,7 +403,9 @@ proptest! {
     /// The same streams with `purge_below` at random points: after every
     /// step every public read returns for every universe hash and round
     /// (no read can find a block in one place and miss it in another),
-    /// and what the record implies holds.
+    /// and what the record implies holds. The floor only rises; whatever
+    /// the stream sends next, nothing of a round below it is held again
+    /// — while a beacon value outlives its block (the split retention).
     #[test]
     fn prop_reads_hold_across_purges(
         seed in 0u64..500,
@@ -415,6 +417,9 @@ proptest! {
         let genesis = setup.genesis.hash();
         let mut pool = Pool::new(Arc::clone(&setup));
         let rounds: Vec<Round> = (0..=4).map(Round::new).collect();
+        for r in &rounds[1..] {
+            pool.install_beacon_trusted(*r, setup.genesis_beacon);
+        }
 
         let stream = universe.stream(&steps);
         for (i, msg) in stream.iter().enumerate() {
@@ -423,22 +428,26 @@ proptest! {
             // A purge (bar = v mod 6) after message v / 6 of the stream.
             for v in purges.iter().filter(|v| (**v / 6) as usize % stream.len() == i) {
                 let bar = Round::new(u64::from(*v % 6));
+                let floor = pool.floor();
                 pool.purge_below(bar);
+                prop_assert_eq!(pool.floor(), floor.max(bar));
                 check_reads(&mut pool, &universe, &rounds);
-                // Nothing below the bar but `root` survives.
-                prop_assert!(pool.is_finalized(&genesis) && pool.block(&genesis).is_some());
-                for b in universe.blocks.iter().filter(|b| b.round < bar) {
-                    prop_assert!(pool.block(&b.hash).is_none(), "{:?} survived", b);
-                    prop_assert!(!pool.is_valid(&b.hash));
-                    prop_assert!(pool.notarization_of(&b.hash).is_none());
-                    prop_assert!(pool.finalization_of(&b.hash).is_none());
-                    prop_assert!(pool.proposal_of(&b.hash).is_none());
-                }
-                prop_assert!(rounds.iter().all(|r| *r >= bar || r.is_genesis()
-                    || pool.valid_blocks(*r).is_empty() && pool.beacon_share_count(*r) == 0));
-                prop_assert!(pool.latest_finalized_round() >= bar
-                    || pool.latest_finalized_round().is_genesis());
             }
+            // Nothing below the floor but `root` — and every beacon.
+            let floor = pool.floor();
+            prop_assert!(pool.is_finalized(&genesis) && pool.block(&genesis).is_some());
+            for b in universe.blocks.iter().filter(|b| b.round < floor) {
+                prop_assert!(pool.block(&b.hash).is_none(), "{:?} held", b);
+                prop_assert!(!pool.is_valid(&b.hash));
+                prop_assert!(pool.notarization_of(&b.hash).is_none());
+                prop_assert!(pool.finalization_of(&b.hash).is_none());
+                prop_assert!(pool.proposal_of(&b.hash).is_none());
+            }
+            prop_assert!(rounds.iter().all(|r| *r >= floor || r.is_genesis()
+                || pool.valid_blocks(*r).is_empty() && pool.beacon_share_count(*r) == 0));
+            prop_assert!(pool.latest_finalized_round() >= floor
+                || pool.latest_finalized_round().is_genesis());
+            prop_assert!(rounds.iter().all(|r| pool.beacon(*r).is_some()));
         }
     }
 }

@@ -42,6 +42,18 @@
 //! withheld is only what that neighbor can no longer need. (A replica
 //! that learnt an aggregate from a catch-up package or its own WAL was
 //! behind the subnet, which has it already.)
+//!
+//! # What is forgotten
+//!
+//! The layer owns no bodies — a request is served from the core's pool
+//! — and its dedup memory (push ids seen, block ids advertised) is
+//! keyed by round and dropped at the pool's
+//! [`floor`](icc_core::pool::Pool::floor), the one retention bound of
+//! the replica. A push, advert or delivery for a round below the floor
+//! is dropped at the door — not ingested, relayed or requested — and
+//! counted in `stale_dropped`: whatever it could decide is finalized
+//! here, and whoever still needs it is behind by more than the
+//! catch-up threshold and is served a package instead.
 
 use bytes::Bytes;
 use icc_core::cluster::CoreAccess;
@@ -54,7 +66,7 @@ use icc_telemetry::{SpanEvent, SpanKind};
 use icc_types::codec::{encode_to_vec, CodecError, Decode, Encode, Reader};
 use icc_types::messages::{BlockProposal, ConsensusMessage};
 use icc_types::{Command, NodeIndex, Round, SimDuration, SimTime};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use crate::overlay::Overlay;
@@ -102,17 +114,15 @@ pub struct GossipConfig {
     /// How long to wait for a requested body before asking another
     /// advertiser. Default 300 ms.
     pub request_timeout: SimDuration,
-    /// How many proposal bodies to keep servable; older entries are
-    /// evicted FIFO (a late requester then falls back to another
-    /// advertiser via the retry sweep). Default 128.
-    pub offered_capacity: usize,
     /// Cap on the per-request exponential retry backoff (body requests
     /// and catch-up requests alike double their timeout on every retry
     /// up to this cap). Default 3 s.
     pub retry_backoff_cap: SimDuration,
     /// How many rounds behind the highest round advertised by a peer
     /// this node must be before it requests a certified catch-up
-    /// package instead of waiting for per-round artifacts. Default 10.
+    /// package instead of waiting for per-round artifacts. Default 10 —
+    /// below the core's purge depth, so a node not yet this far behind
+    /// finds every body it asks for still held.
     pub catch_up_threshold: u64,
 }
 
@@ -123,7 +133,6 @@ impl Default for GossipConfig {
             mode: DisseminationMode::Flood,
             stall_timeout: SimDuration::from_millis(1_000),
             request_timeout: SimDuration::from_millis(300),
-            offered_capacity: 128,
             retry_backoff_cap: SimDuration::from_millis(3_000),
             catch_up_threshold: 10,
         }
@@ -456,19 +465,13 @@ pub struct GossipNode {
     /// Whether this node relays at all: not on a complete overlay.
     relays: bool,
     config: GossipConfig,
-    /// Flood dedup: the id of every push received or emitted, mapped to
-    /// whether this node has sent it to every neighbor. Two
-    /// generations, rotated when full, bound memory on long runs.
-    seen_pushes: HashMap<Hash256, bool>,
-    seen_pushes_old: HashMap<Hash256, bool>,
-    /// Proposal bodies this node can serve, by block hash, with FIFO
-    /// eviction order.
-    offered: HashMap<Hash256, BlockProposal>,
-    offered_order: std::collections::VecDeque<Hash256>,
-    /// Block hashes already advertised to neighbors. Two generations,
-    /// rotated when full, bound memory on long runs.
-    adverted: HashSet<Hash256>,
-    adverted_old: HashSet<Hash256>,
+    /// Flood dedup: the id of every push received or emitted, under the
+    /// round of its artifact, mapped to whether this node has sent it to
+    /// every neighbor. Rounds below the pool's floor are split off.
+    seen_pushes: BTreeMap<(Round, Hash256), bool>,
+    /// Block hashes already advertised to neighbors, under their round;
+    /// split off at the floor likewise.
+    adverted: BTreeSet<(Round, Hash256)>,
     /// Outstanding body requests.
     pending: HashMap<Hash256, PendingRequest>,
     sweep_armed: bool,
@@ -512,12 +515,8 @@ impl GossipNode {
             relays: !overlay.is_complete(),
             overlay,
             config,
-            seen_pushes: HashMap::new(),
-            seen_pushes_old: HashMap::new(),
-            offered: HashMap::new(),
-            offered_order: std::collections::VecDeque::new(),
-            adverted: HashSet::new(),
-            adverted_old: HashSet::new(),
+            seen_pushes: BTreeMap::new(),
+            adverted: BTreeSet::new(),
             pending: HashMap::new(),
             sweep_armed: false,
             core_wakeups: BTreeSet::new(),
@@ -574,21 +573,38 @@ impl GossipNode {
         self.counters
     }
 
-    /// The flood-dedup record of `id`: `None` if this node never saw
-    /// it, else whether it has gone to every neighbor.
-    fn seen(&self, id: &Hash256) -> Option<bool> {
-        let found = self.seen_pushes.get(id);
-        found.or_else(|| self.seen_pushes_old.get(id)).copied()
+    /// What this node holds, by collection: the core's
+    /// [`footprint`](ConsensusCore::footprint) plus this layer's dedup
+    /// memory and outstanding requests (diagnostics).
+    pub fn footprint(&self) -> Vec<(&'static str, u64)> {
+        let mut out = self.core.footprint();
+        out.extend([
+            ("gossip_dedup_ids", self.seen_pushes.len() as u64),
+            ("gossip_adverted_ids", self.adverted.len() as u64),
+            ("gossip_pending_requests", self.pending.len() as u64),
+        ]);
+        out
     }
 
-    /// Records `id` as seen and whether it has now gone to every
-    /// neighbor. Bounded memory: rotate generations at 100k ids (the
-    /// newer generation shadows the older on lookup).
-    fn mark_seen(&mut self, id: Hash256, sent_to_all: bool) {
-        if self.seen_pushes.len() >= 100_000 {
-            self.seen_pushes_old = std::mem::take(&mut self.seen_pushes);
-        }
-        self.seen_pushes.insert(id, sent_to_all);
+    /// Whether `round` lies below the pool's floor; counts it if so.
+    fn stale(&mut self, round: Round) -> bool {
+        let stale = round < self.core.pool().floor();
+        self.counters.stale_dropped += u64::from(stale);
+        stale
+    }
+
+    /// The flood-dedup record of `push`: `None` if this node never saw
+    /// it, else whether it has gone to every neighbor.
+    fn seen(&self, push: &PushedArtifact) -> Option<bool> {
+        let key = (push.msg().round(), push.id());
+        self.seen_pushes.get(&key).copied()
+    }
+
+    /// Records `push` as seen and whether it has now gone to every
+    /// neighbor.
+    fn mark_seen(&mut self, push: &PushedArtifact, sent_to_all: bool) {
+        let key = (push.msg().round(), push.id());
+        self.seen_pushes.insert(key, sent_to_all);
     }
 
     /// Sends `artifact` to every neighbor except `except` (the peer it
@@ -616,27 +632,17 @@ impl GossipNode {
         sent
     }
 
-    /// Advert dedup with the same two-generation rotation.
-    fn mark_adverted(&mut self, id: Hash256) -> bool {
-        if self.adverted.contains(&id) || self.adverted_old.contains(&id) {
-            return false;
-        }
-        if self.adverted.len() >= 50_000 {
-            self.adverted_old = std::mem::take(&mut self.adverted);
-        }
-        self.adverted.insert(id);
-        true
-    }
-
-    /// Stores a servable proposal body, evicting the oldest beyond the
-    /// configured capacity.
-    fn offer(&mut self, id: Hash256, proposal: BlockProposal) {
-        if self.offered.insert(id, proposal).is_none() {
-            self.offered_order.push_back(id);
-            while self.offered.len() > self.config.offered_capacity {
-                if let Some(old) = self.offered_order.pop_front() {
-                    self.offered.remove(&old);
-                }
+    /// Advertises the block `id` of `round` to every neighbor, once.
+    fn advertise(
+        &mut self,
+        ctx: &mut Context<'_, GossipMessage, NodeEvent>,
+        id: Hash256,
+        size: u64,
+        round: Round,
+    ) {
+        if self.adverted.insert((round, id)) {
+            for &nb in self.overlay.neighbors(ctx.me()) {
+                ctx.send(nb, GossipMessage::Advert { id, size, round });
             }
         }
     }
@@ -649,17 +655,9 @@ impl GossipNode {
     ) {
         let is_large = msg.wire_bytes() > self.config.inline_threshold;
         match msg {
+            // The core's pool holds the body and serves the requests.
             ConsensusMessage::Proposal(p) if is_large => {
-                let id = p.block.hash();
-                let size = p.encoded_len() as u64;
-                let round = p.block.round();
-                self.offer(id, p);
-                if self.mark_adverted(id) {
-                    let overlay = Arc::clone(&self.overlay);
-                    for &nb in overlay.neighbors(ctx.me()) {
-                        ctx.send(nb, GossipMessage::Advert { id, size, round });
-                    }
-                }
+                self.advertise(ctx, p.block.hash(), p.encoded_len() as u64, p.block.round());
             }
             other => {
                 let routed_k = match self.config.mode {
@@ -675,7 +673,7 @@ impl GossipNode {
                     // aggregators only — O(k) sends instead of a flood
                     // crossing every overlay edge.
                     Some(k) => {
-                        self.mark_seen(push.id(), false);
+                        self.mark_seen(&push, false);
                         let round = push.msg().round();
                         let me = ctx.me();
                         for agg in aggregators_for(round, self.overlay.n(), k) {
@@ -694,11 +692,11 @@ impl GossipNode {
                     }
                     // Rule (c): once to every neighbor, unless the
                     // identical bytes went to all of them on arrival.
-                    None if self.seen(&push.id()) == Some(true) => {
+                    None if self.seen(&push) == Some(true) => {
                         self.counters.emits_already_sent += 1;
                     }
                     None => {
-                        self.mark_seen(push.id(), true);
+                        self.mark_seen(&push, true);
                         self.push_to_neighbors(ctx, &push, 0, None);
                     }
                 }
@@ -736,6 +734,15 @@ impl GossipNode {
                 ctx.set_timer(at.saturating_since(ctx.now()), TAG_CORE);
             }
         }
+        // Only a step of the core moves the floor.
+        let floor = (self.core.pool().floor(), Hash256::ZERO);
+        let seen = self.seen_pushes.first_key_value();
+        if seen.is_some_and(|(id, _)| *id < floor) {
+            self.seen_pushes = self.seen_pushes.split_off(&floor);
+        }
+        if self.adverted.first().is_some_and(|id| *id < floor) {
+            self.adverted = self.adverted.split_off(&floor);
+        }
     }
 
     /// Feeds an artifact into the core and re-disseminates what the
@@ -749,17 +756,7 @@ impl GossipNode {
             let id = p.block.hash();
             let large = p.encoded_len() > self.config.inline_threshold;
             if large && self.core.pool().block(&id).is_some() {
-                if !self.offered.contains_key(&id) {
-                    self.offer(id, p.clone());
-                }
-                let size = p.encoded_len() as u64;
-                let round = p.block.round();
-                if self.mark_adverted(id) {
-                    let overlay = Arc::clone(&self.overlay);
-                    for &nb in overlay.neighbors(ctx.me()) {
-                        ctx.send(nb, GossipMessage::Advert { id, size, round });
-                    }
-                }
+                self.advertise(ctx, id, p.encoded_len() as u64, p.block.round());
             }
         }
         self.apply_step(ctx, step);
@@ -770,10 +767,6 @@ impl GossipNode {
             self.sweep_armed = true;
             ctx.set_timer(self.config.request_timeout, TAG_SWEEP);
         }
-    }
-
-    fn have_body(&self, id: &Hash256) -> bool {
-        self.offered.contains_key(id) || self.core.pool().block(id).is_some()
     }
 
     fn on_advert(
@@ -807,10 +800,10 @@ impl GossipNode {
         // Stale adverts: a block below this node's committed round can
         // no longer gate progress (honest parties only extend notarized
         // blocks at or above it), so it is not worth a request.
-        if round < self.core.committed_round() {
+        if self.stale(round) || round < self.core.committed_round() {
             return;
         }
-        if self.have_body(&id) {
+        if self.core.pool().block(&id).is_some() {
             return;
         }
         match self.pending.get_mut(&id) {
@@ -844,10 +837,10 @@ impl GossipNode {
         from: NodeIndex,
         id: Hash256,
     ) {
-        // From the pool if the body arrived another way.
-        let offered = self.offered.get(&id).cloned();
-        if let Some(p) = offered.or_else(|| self.core.pool().proposal_of(&id)) {
-            ctx.send(from, GossipMessage::Deliver { id, proposal: p });
+        // The pool is the one owner of bodies; one it has purged (or
+        // never held) is answered by silence.
+        if let Some(proposal) = self.core.pool().proposal_of(&id) {
+            ctx.send(from, GossipMessage::Deliver { id, proposal });
         }
     }
 
@@ -992,7 +985,10 @@ impl Node for GossipNode {
                 // Dedup id and encoded bytes travel with the artifact:
                 // forwarding a flood costs refcount bumps, never a
                 // re-encode or re-hash per hop.
-                if self.seen(&artifact.id()).is_some() {
+                if self.stale(artifact.msg().round()) {
+                    return;
+                }
+                if self.seen(&artifact).is_some() {
                     self.counters.pushes_deduped += 1;
                     return;
                 }
@@ -1001,7 +997,7 @@ impl Node for GossipNode {
                 if routed_share {
                     // Routed shares terminate here (this node is one of
                     // the round's aggregators).
-                    self.mark_seen(artifact.id(), false);
+                    self.mark_seen(&artifact, false);
                     let round = artifact.msg().round();
                     if round > self.last_aggregated_round {
                         self.last_aggregated_round = round;
@@ -1015,7 +1011,7 @@ impl Node for GossipNode {
                     let superseded = self.relays && self.core.pool().supersedes(artifact.msg());
                     self.counters.relays_suppressed += u64::from(superseded);
                     let relay = self.relays && !superseded;
-                    self.mark_seen(artifact.id(), relay);
+                    self.mark_seen(&artifact, relay);
                     if relay {
                         self.counters.pushes_relayed += self.push_to_neighbors(
                             ctx,
@@ -1031,8 +1027,9 @@ impl Node for GossipNode {
             GossipMessage::Request { id } => self.on_request(ctx, from, id),
             GossipMessage::Deliver { id, proposal } => {
                 self.pending.remove(&id);
-                let inner = ConsensusMessage::Proposal(proposal);
-                self.ingest(ctx, &inner);
+                if !self.stale(proposal.block.round()) {
+                    self.ingest(ctx, &ConsensusMessage::Proposal(proposal));
+                }
             }
             GossipMessage::CatchUpRequest { have_round } => {
                 self.on_catch_up_request(ctx, from, have_round)
@@ -1048,16 +1045,14 @@ impl Node for GossipNode {
             TAG_SWEEP => {
                 self.sweep_armed = false;
                 // Drop requests whose body arrived through another path
-                // (e.g. a targeted push) — the validated section is the
-                // source of truth for held bodies — and requests gone
-                // stale (round below the committed round): without this
-                // the sweep would re-request them forever.
-                let offered = &self.offered;
+                // (e.g. a targeted push) — the pool is the source of
+                // truth for held bodies — and requests gone stale (round
+                // below the committed round): without this the sweep
+                // would re-request them forever.
                 let pool = self.core.pool();
                 let committed = self.core.committed_round();
-                self.pending.retain(|id, req| {
-                    req.round >= committed && !offered.contains_key(id) && pool.block(id).is_none()
-                });
+                self.pending
+                    .retain(|id, req| req.round >= committed && pool.block(id).is_none());
                 // Re-request every still-missing body whose per-entry
                 // backoff has elapsed, from the next advertiser that is
                 // up (round-robin, skipping crashed peers), lowest round
@@ -1193,14 +1188,10 @@ impl Node for GossipNode {
     fn on_crash(&mut self) {
         self.core.crash();
         // Everything in the gossip layer is volatile: flood dedup,
-        // served bodies, outstanding requests, peer round intelligence.
-        // Only the core's durable store survives.
+        // outstanding requests, peer round intelligence. Only the
+        // core's durable store survives.
         self.seen_pushes.clear();
-        self.seen_pushes_old.clear();
-        self.offered.clear();
-        self.offered_order.clear();
         self.adverted.clear();
-        self.adverted_old.clear();
         self.pending.clear();
         self.sweep_armed = false;
         self.core_wakeups.clear();
@@ -1486,19 +1477,17 @@ mod tests {
         /// The notarization combined from `signers`' shares: a different
         /// signer set gives different bytes for the same block.
         fn notarization(&self, signers: &[NodeKeys]) -> ConsensusMessage {
-            let shares = signers
-                .iter()
-                .map(|k| artifacts::notarization_share(k, self.block_ref).share);
-            let sig = signers[0]
-                .setup
-                .notary
-                .combine(&self.block_ref.sign_bytes(), shares)
-                .unwrap();
-            ConsensusMessage::Notarization(Notarization {
-                block_ref: self.block_ref,
-                sig,
-            })
+            ConsensusMessage::Notarization(notarization(signers, self.block_ref))
         }
+    }
+
+    fn notarization(signers: &[NodeKeys], block_ref: BlockRef) -> Notarization {
+        let shares = signers
+            .iter()
+            .map(|k| artifacts::notarization_share(k, block_ref).share);
+        let notary = &signers[0].setup.notary;
+        let sig = notary.combine(&block_ref.sign_bytes(), shares).unwrap();
+        Notarization { block_ref, sig }
     }
 
     fn beacon_share(k: &NodeKeys) -> ConsensusMessage {
@@ -1589,10 +1578,67 @@ mod tests {
         assert_eq!(c.pushes_deduped, 0);
     }
 
-    /// A large proposal is stored for serving and advertised only once
-    /// the pool holds its body: one with a forged authenticator leaves
-    /// no trace in the gossip layer, a genuine one is advertised to
-    /// every neighbor as before.
+    /// The door rule on a bounded-degree overlay. The node is fed a
+    /// chain of `PURGE_DEPTH + 2` blocks finalized at the tip, which puts
+    /// its floor at round 2. A notarization share for the round-1 block
+    /// is then neither ingested nor relayed, and counted; the same
+    /// signer's share for the tip block is ingested and relayed to every
+    /// other neighbor, as ever.
+    #[test]
+    fn below_floor_push_is_dropped_at_the_door() {
+        use icc_core::PURGE_DEPTH;
+        use icc_types::messages::Finalization;
+
+        let keys = subnet(7);
+        let overlay = Overlay::random_regular(7, 3, 1);
+        let neighbors = overlay.neighbors(keys[0].index).to_vec();
+        let (from, others) = (neighbors[0], &neighbors[1..]);
+
+        let mut pushes = Vec::new();
+        let mut refs = Vec::new();
+        let mut parent = (keys[0].setup.genesis.hash(), None);
+        for round in 1..=PURGE_DEPTH + 2 {
+            let block = Block::new(Round::new(round), keys[1].index, parent.0, Payload::empty());
+            let block = block.into_hashed();
+            let block_ref = BlockRef::of_hashed(&block);
+            let proposal = artifacts::proposal(&keys[1], block, parent.1.take());
+            pushes.push(ConsensusMessage::Proposal(proposal));
+            parent = (block_ref.hash, Some(notarization(&keys[..5], block_ref)));
+            refs.push(block_ref);
+        }
+        let tip = refs[refs.len() - 1];
+        let shares = keys[..5]
+            .iter()
+            .map(|k| artifacts::finalization_share(k, tip).share);
+        let finality = &keys[0].setup.finality;
+        let sig = finality.combine(&tip.sign_bytes(), shares).unwrap();
+        pushes.push(ConsensusMessage::Finalization(Finalization {
+            block_ref: tip,
+            sig,
+        }));
+        let share =
+            |r| ConsensusMessage::NotarizationShare(artifacts::notarization_share(&keys[2], r));
+        let (stale, live) = (share(refs[0]), share(tip));
+        pushes.extend([stale.clone(), live.clone()]);
+
+        let (node, sent) = run_node_0(&keys, overlay, from, &pushes);
+        let pool = node.core().pool();
+        assert_eq!(node.core().committed_round(), tip.round);
+        assert_eq!(pool.floor(), Round::new(2));
+        assert!(recipients(&sent, &stale).is_empty());
+        assert_eq!(recipients(&sent, &live), others);
+        let c = node.gossip_counters();
+        assert_eq!(c.stale_dropped, 1);
+        assert_eq!(c.relayed_first_seen, pushes.len() as u64 - 1);
+        // The pool never saw the stale share; the live one it holds.
+        assert_eq!(pool.stats().stale_dropped, 0);
+        assert!(pool.footprint().contains(&("pool_share_buckets", 1)));
+    }
+
+    /// A large proposal is advertised only once the pool — which serves
+    /// the requests — holds its body: one with a forged authenticator
+    /// leaves no trace in the gossip layer, a genuine one is advertised
+    /// to every neighbor as before.
     #[test]
     fn refused_proposal_is_neither_offered_nor_advertised() {
         let keys = subnet(4);
@@ -1618,14 +1664,14 @@ mod tests {
 
         let (adverts, node) = run(forged);
         assert!(adverts.is_empty(), "advertised to {adverts:?}");
-        assert!(node.offered.is_empty() && node.offered_order.is_empty());
+        assert!(node.core().pool().block(&id).is_none() && node.adverted.is_empty());
         assert_eq!(node.pending_requests(), 0);
         assert_eq!(node.core().pool().stats().rejected, 1);
 
         let (adverts, node) = run(genuine);
         let everyone: Vec<NodeIndex> = keys[1..].iter().map(|k| k.index).collect();
         assert_eq!(adverts, everyone);
-        assert!(node.offered.contains_key(&id));
+        assert!(node.core().pool().proposal_of(&id).is_some(), "servable");
         assert_eq!(node.core().pool().stats().rejected, 0);
     }
 

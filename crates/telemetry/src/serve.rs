@@ -468,6 +468,10 @@ pub struct StatusReport {
     pub finalized_frontier: u64,
     /// Active epoch index.
     pub epoch: u64,
+    /// Entries held per in-memory collection, by name (what the
+    /// `icc_*` footprint gauges export): bounded by the rounds in
+    /// flight, so a value that grows with uptime is a leak.
+    pub footprint: Vec<(&'static str, u64)>,
     /// Per-peer link state (empty under the in-process simulator).
     pub peers: Vec<PeerLinkStatus>,
     /// Recent anomaly events (bounded by the detector's retention).
@@ -479,7 +483,7 @@ impl StatusReport {
     pub fn to_json(&self) -> String {
         let mut s = format!(
             "{{\"node\":{},\"now_us\":{},\"clock_anchor_us\":{},\"current_round\":{},\
-             \"committed_round\":{},\"finalized_frontier\":{},\"epoch\":{},\"peers\":[",
+             \"committed_round\":{},\"finalized_frontier\":{},\"epoch\":{},\"footprint\":{{",
             self.node,
             self.now_us,
             self.clock_anchor_us,
@@ -488,6 +492,11 @@ impl StatusReport {
             self.finalized_frontier,
             self.epoch
         );
+        for (i, (name, held)) in self.footprint.iter().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            let _ = write!(s, "{sep}\"{name}\":{held}");
+        }
+        s.push_str("},\"peers\":[");
         for (i, p) in self.peers.iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -567,6 +576,7 @@ mod tests {
             committed_round: 8,
             finalized_frontier: 9,
             epoch: 1,
+            footprint: vec![("pool_blocks", 66), ("gossip_dedup_ids", 1050)],
             peers: vec![PeerLinkStatus {
                 peer: 0,
                 connected: true,
@@ -588,6 +598,7 @@ mod tests {
         };
         let json = report.to_json();
         assert!(json.contains("\"current_round\":10"));
+        assert!(json.contains("\"footprint\":{\"pool_blocks\":66,\"gossip_dedup_ids\":1050},"));
         assert!(json.contains("\"peers\":[{\"peer\":0"));
         assert!(json.contains("\"kind\":\"round_stall\""));
         assert!(json.ends_with("]}"));

@@ -40,8 +40,10 @@ pub mod domains {
 }
 
 /// The triple `(k, α, H(B))` identifying a proposed block; the content
-/// covered by authenticators, notarizations and finalizations.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+/// covered by authenticators, notarizations and finalizations. Ordered
+/// by round first, so that an ordered map of references can be cut at a
+/// round.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockRef {
     /// The block's round.
     pub round: Round,

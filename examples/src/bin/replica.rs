@@ -274,11 +274,11 @@ impl Default for Published {
 /// counter-set families go through `fields()` — a counter added to any
 /// set shows up here without touching this function.
 fn render_metrics(
-    core: &ConsensusCore,
-    gossip: &icc_sim::GossipCounters,
+    node: &GossipNode,
     net: &NetCountersSnapshot,
     links: &[icc_net::PeerLinkSnapshot],
 ) -> String {
+    let (core, gossip) = (node.core(), node.gossip_counters());
     let m = &core.telemetry().metrics;
     let mut snap = PromSnapshot::new();
     snap.counter(
@@ -321,6 +321,15 @@ fn render_metrics(
         "Active epoch index.",
         core.current_epoch() as i64,
     );
+    // Memory: entries held per collection (`icc_pool_blocks`,
+    // `icc_gossip_dedup_ids`, …), each bounded by the rounds in flight.
+    for (name, held) in node.footprint() {
+        snap.gauge(
+            &format!("icc_{name}"),
+            "Entries held in this in-memory collection.",
+            held as i64,
+        );
+    }
     snap.histogram(
         "icc_replica_round_duration_us",
         "Round entry to notarized finish, microseconds.",
@@ -483,10 +492,6 @@ impl ObservedNode {
         self.inner.core_mut()
     }
 
-    fn gossip_counters(&self) -> icc_sim::GossipCounters {
-        self.inner.gossip_counters()
-    }
-
     /// One publish tick: feed the detector, re-evaluate health, render
     /// every endpoint body, swap the published snapshot.
     fn publish_tick(&mut self, ctx: &mut Context<'_, GossipMessage, NodeEvent>) {
@@ -529,12 +534,11 @@ impl ObservedNode {
             self.last_progress_us = now_us;
         }
 
-        let gossip = self.inner.gossip_counters();
         let core = self.inner.core();
         let net = self.net.snapshot();
         let links = self.links.snapshot();
         let peers_up = links.iter().filter(|l| l.connected).count() as u64;
-        let metrics = render_metrics(core, &gossip, &net, &links);
+        let metrics = render_metrics(&self.inner, &net, &links);
         let status = StatusReport {
             node: me,
             now_us,
@@ -543,6 +547,7 @@ impl ObservedNode {
             committed_round: committed,
             finalized_frontier: core.finalized_frontier().get(),
             epoch: core.current_epoch(),
+            footprint: self.inner.footprint(),
             peers: links
                 .iter()
                 .map(|l| PeerLinkStatus {
@@ -894,7 +899,7 @@ fn main() {
     if let Some(path) = &opts.metrics_out {
         // The exact render `/metrics` serves live — same names, same
         // coverage, one code path.
-        let text = render_metrics(core, &node.gossip_counters(), &net, &node.links.snapshot());
+        let text = render_metrics(&node.inner, &net, &node.links.snapshot());
         write_durable(path, text.as_bytes())
             .unwrap_or_else(|e| usage(&format!("--metrics-out {path}: {e}")));
         eprintln!("replica {}: metrics written to {path}", opts.me);

@@ -1,0 +1,244 @@
+//! A replica's memory is a function of the rounds in flight, not of its
+//! uptime — and forgetting below the finalized tip strands nobody: a
+//! peer a few rounds behind still finds every body it asks for, one
+//! that fell behind by more than anybody remembers is served a
+//! certified package, whose beacon segment reaches back to wherever it
+//! stopped.
+
+use icc_core::cluster::{Cluster, ClusterBuilder};
+use icc_core::pool::BEACON_DEPTH;
+use icc_core::{NodeEvent, PURGE_DEPTH};
+use icc_gossip::{gossip_cluster, subnet_overlay_seed, GossipConfig, GossipNode, Overlay};
+use icc_sim::delay::FixedDelay;
+use icc_sim::policy::Partition;
+use icc_sim::FaultPlan;
+use icc_types::{NodeIndex, SimDuration, SimTime};
+
+fn ms(v: u64) -> SimDuration {
+    SimDuration::from_millis(v)
+}
+
+fn at(v: u64) -> SimTime {
+    SimTime::ZERO + ms(v)
+}
+
+/// The deployed shape (`replica`, the repo benchmark): the subnet's
+/// default overlay, every proposal by advert / request, default
+/// `BlockPolicy` — rounds of 4δ = 40 ms on a complete overlay.
+fn cluster(
+    n: usize,
+    seed: u64,
+    b: impl FnOnce(ClusterBuilder) -> ClusterBuilder,
+) -> Cluster<GossipNode> {
+    let builder = ClusterBuilder::new(n)
+        .seed(seed)
+        .network(FixedDelay::new(ms(10)))
+        .protocol_delays(ms(60), SimDuration::ZERO);
+    let config = GossipConfig {
+        inline_threshold: 0,
+        ..GossipConfig::default()
+    };
+    let overlay = Overlay::for_subnet(n, subnet_overlay_seed(n));
+    gossip_cluster(b(builder), overlay, config)
+}
+
+/// Three purge depths' worth of rounds, in milliseconds, at the ≈ 70 ms
+/// a round takes while one of four replicas is unreachable (its turns
+/// as leader time out).
+const OUTAGE_MS: u64 = 3 * PURGE_DEPTH * 75;
+
+/// The lowest purge floor among the nodes `0..n`.
+fn min_floor(cluster: &Cluster<GossipNode>, n: usize) -> u64 {
+    let floors = (0..n).map(|i| cluster.sim.node(i).core().pool().floor().get());
+    floors.min().unwrap()
+}
+
+/// A replica down for 3 × `PURGE_DEPTH` rounds comes back to peers that
+/// have all purged past the round it stopped in. Nobody can serve it a
+/// body from back then, but everybody still holds the beacon chain from
+/// there on, so the first peer it asks builds it a package. (With beacon
+/// values purged at body depth every server stays silent, and the
+/// replica never rejoins.)
+#[test]
+fn long_outage_rejoins_through_a_package_from_peers_that_purged_past_it() {
+    let plan = FaultPlan::new().crash_between(NodeIndex::new(3), at(1000), at(1000 + OUTAGE_MS));
+    let mut cluster = cluster(4, 31, |b| b.fault_plan(plan));
+    cluster.run_until(at(1000 + OUTAGE_MS));
+    let stopped_at = cluster.sim.node(3).core().store().frontier().get();
+    assert!(stopped_at > 10, "it had made progress: {stopped_at}");
+    assert!(
+        min_floor(&cluster, 3) > stopped_at + 2 * PURGE_DEPTH,
+        "every peer purged well past round {stopped_at}: {}",
+        min_floor(&cluster, 3)
+    );
+
+    cluster.run_for(SimDuration::from_secs(2));
+    let rec = cluster.recovery_stats(3);
+    assert!(rec.catch_up_applied >= 1, "{rec:?}");
+    assert_eq!(rec.catch_up_rejected, 0, "{rec:?}");
+    assert!(rec.rounds_behind_total >= 3 * PURGE_DEPTH - 10, "{rec:?}");
+    let (r0, r3) = (cluster.committed_round(0), cluster.committed_round(3));
+    assert!(r0.abs_diff(r3) <= 3, "node 3 still behind: {r3} vs {r0}");
+    // And it is a full member again: what it commits now it commits
+    // block by block.
+    let before = cluster.committed_chain(3).len();
+    cluster.run_for(SimDuration::from_secs(1));
+    assert!(cluster.committed_chain(3).len() > before + 15);
+    assert_eq!(
+        cluster.recovery_stats(3).catch_up_applied,
+        rec.catch_up_applied
+    );
+    cluster.assert_safety();
+}
+
+/// Five rounds behind is below the catch-up threshold, and far above
+/// everybody's floor: the bodies are fetched by `Request`, one by one,
+/// and every round is committed — nothing is jumped over.
+#[test]
+fn a_replica_five_rounds_behind_still_fetches_bodies_by_request() {
+    let cut = Partition {
+        from: at(1000),
+        until: at(1200),
+        group_a: vec![NodeIndex::new(3)],
+    };
+    let mut cluster = cluster(4, 32, |b| b.policy(cut));
+    cluster.run_until(at(1190));
+    let behind = cluster.committed_round(0) - cluster.committed_round(3);
+    assert!((4..=6).contains(&behind), "{behind} rounds behind");
+    let requests = |c: &Cluster<GossipNode>| {
+        let sent = &c.sim.metrics().per_node()[3].sent_by_kind;
+        sent.get("request").map_or(0, |(msgs, _)| *msgs)
+    };
+    let requested_before = requests(&cluster);
+
+    cluster.run_until(at(2000));
+    assert!(requests(&cluster) >= requested_before + behind);
+    assert_eq!(cluster.recovery_stats(3).catch_up_applied, 0);
+    let rounds: Vec<u64> = cluster
+        .committed_chain(3)
+        .iter()
+        .map(|b| b.round().get())
+        .collect();
+    let expected: Vec<u64> = (1..=rounds.len() as u64).collect();
+    assert_eq!(rounds, expected, "a round was jumped over");
+    assert!(cluster.committed_round(0) - cluster.committed_round(3) <= 2);
+    let gossip = cluster.metrics_summary().gossip;
+    assert_eq!(gossip.stale_dropped, 0, "{gossip}");
+    cluster.assert_safety();
+}
+
+/// A replica cut off for 3 × `PURGE_DEPTH` rounds receives, when the cut
+/// heals, every advert it missed, and asks for every body: most of those
+/// requests go to peers that have purged the body and stay unanswered.
+/// They do not keep the retry sweep busy for ever: the same adverts show
+/// the replica how far behind it is, a package moves its committed round
+/// past them, and the next sweep drops them.
+#[test]
+fn a_request_for_a_purged_body_meets_silence_and_ends_in_catch_up() {
+    let heal = 1000 + OUTAGE_MS;
+    let cut = Partition {
+        from: at(1000),
+        until: at(heal),
+        group_a: vec![NodeIndex::new(3)],
+    };
+    let mut cluster = cluster(4, 33, |b| b.policy(cut));
+    cluster.run_until(at(heal));
+    let stuck = cluster.committed_round(3);
+    let floor = min_floor(&cluster, 3);
+    assert!(
+        floor > stuck + 2 * PURGE_DEPTH,
+        "floor {floor}, node 3 at {stuck}"
+    );
+    // 100 ms on, five round trips: every body still held has been
+    // delivered; what is outstanding was purged at every peer.
+    cluster.run_until(at(heal + 100));
+    let outstanding = cluster.sim.node(3).pending_requests() as u64;
+    assert!(
+        outstanding >= 2 * PURGE_DEPTH,
+        "{outstanding} requests outstanding"
+    );
+
+    cluster.run_for(SimDuration::from_secs(2));
+    assert_eq!(cluster.sim.node(3).pending_requests(), 0);
+    let rec = cluster.recovery_stats(3);
+    assert!(
+        rec.catch_up_applied >= 1 && rec.catch_up_rejected == 0,
+        "{rec:?}"
+    );
+    let (r0, r3) = (cluster.committed_round(0), cluster.committed_round(3));
+    assert!(r0.abs_diff(r3) <= 3, "node 3 still behind: {r3} vs {r0}");
+    // What the healed cut delivered late was dropped at the peers' door.
+    assert!(cluster.metrics_summary().gossip.stale_dropped > 0);
+    cluster.assert_safety();
+}
+
+/// The bound itself: every collection a replica holds per round — pool
+/// blocks, share buckets and beacon shares, the core's two broadcast
+/// sets, the store's log mirror and dedup sets, the gossip layer's push
+/// and advert dedup — is as large after 2 000 rounds as after 400, give
+/// or take the rounds in flight. Beacon values are the one long tail:
+/// one per round up to `BEACON_DEPTH`. (An unoptimised build runs the
+/// large subnet for 200 and 600 rounds; CI runs this file in release.)
+fn assert_footprint_is_flat(n: usize, seed: u64) {
+    let mut cluster = cluster(n, seed, |b| b);
+    let round_ms = if n > 32 { 80 } else { 40 };
+    let lengths = if cfg!(debug_assertions) && n > 32 {
+        (200, 600)
+    } else {
+        (400, 2_000)
+    };
+    let mut at_rounds = |rounds: u64| {
+        while cluster.min_committed_round() < rounds {
+            cluster.run_for(ms(
+                round_ms * (rounds - cluster.min_committed_round()).max(5)
+            ));
+        }
+        cluster.sim.node(0).footprint()
+    };
+    let (short, long) = (at_rounds(lengths.0), at_rounds(lengths.1));
+    for ((name, short), (_, long)) in short.iter().zip(&long) {
+        if *name == "pool_beacons" {
+            assert!(*short > lengths.0 && *long > lengths.1 && *long <= BEACON_DEPTH + lengths.1);
+            continue;
+        }
+        // A round holds at most ≈ 4n entries of any one collection (the
+        // push ids: n shares of each of three kinds, and aggregates).
+        // Two instants differ by the rounds in flight, never by the
+        // rounds in between; and `PURGE_DEPTH` + in flight are held.
+        let per_round = 4 * n as u64;
+        assert!(
+            long.abs_diff(*short) <= 2 * per_round && *long <= (PURGE_DEPTH + 8) * per_round,
+            "n = {n}: {name} held {short} after {} rounds, {long} after {}",
+            lengths.0,
+            lengths.1
+        );
+    }
+    let names: Vec<&str> = long.iter().map(|(name, _)| *name).collect();
+    for expected in [
+        "pool_blocks",
+        "pool_share_buckets",
+        "gossip_dedup_ids",
+        "store_logged_blocks",
+    ] {
+        assert!(names.contains(&expected), "{names:?}");
+    }
+    // The defence is silent when nobody lags.
+    let gossip = cluster.metrics_summary().gossip;
+    assert_eq!(gossip.stale_dropped, 0, "{gossip}");
+    let committed = |e: &NodeEvent| matches!(e, NodeEvent::Committed { .. });
+    let blocks = cluster
+        .events_of(0)
+        .filter(|o| committed(&o.output))
+        .count();
+    assert!(blocks as u64 >= lengths.1);
+}
+
+#[test]
+fn footprint_is_flat_over_a_long_run_n4() {
+    assert_footprint_is_flat(4, 34);
+}
+
+#[test]
+fn footprint_is_flat_over_a_long_run_n40() {
+    assert_footprint_is_flat(40, 35);
+}
