@@ -11,6 +11,17 @@
 //! external — the simulator broadcasts directly for ICC0, while the
 //! gossip (ICC1) and erasure-coded (ICC2) layers wrap the same core.
 //!
+//! **Persist-then-send.** A `Step` leaves the core through one barrier
+//! (`release`): what the step appended to the [`DurableStore`] is
+//! committed first — a step that ended a round waits for the disk, any
+//! other does not (`storage` module docs) — and only then are its
+//! messages and events handed out. A replica that restarts therefore
+//! resumes in a round it has released no vote of yet, or in the one
+//! round it may have voted in and no longer knows how: there it
+//! withholds its finalization share. If the store cannot persist,
+//! nothing of the step is released and the core halts: no further
+//! shares, proposals or beacon shares ([`ConsensusCore::halted`]).
+//!
 //! The mapping to Figure 1 is direct:
 //!
 //! * *"wait for t + 1 shares of the round-k random beacon"* — the
@@ -160,6 +171,14 @@ pub struct ConsensusCore {
     pending_digests: HashSet<Hash256>,
     committed_cmds: HashSet<Hash256>,
     started: bool,
+    /// The round [`restore`](Self::restore) resumed in: the one round
+    /// this party may have notarization-shared in without remembering
+    /// what (its `N` died with the process), so it finalization-shares
+    /// nothing there.
+    resumed_in: Option<Round>,
+    /// Why the core stopped, once the store failed to persist a step.
+    /// Survives `crash()` like the store it describes.
+    halted: Option<String>,
     /// The replica's "disk": checkpoint + WAL surviving `crash()`.
     store: DurableStore,
     /// Frontier round of the store at the last restore (0 when the
@@ -230,6 +249,8 @@ impl ConsensusCore {
             pending_digests: HashSet::new(),
             committed_cmds: HashSet::new(),
             started: false,
+            resumed_in: None,
+            halted: None,
             store: DurableStore::new(),
             last_recovered_round: 0,
             recovery: RecoveryStats::default(),
@@ -338,7 +359,7 @@ impl ConsensusCore {
     /// as far as it can go.
     pub fn start(&mut self, now: SimTime) -> Step {
         let mut step = Step::default();
-        if self.started || !self.behavior.participates() {
+        if self.started || !self.running() {
             return step;
         }
         // A fresh *process* over a surviving data directory: the store
@@ -356,31 +377,31 @@ impl ConsensusCore {
             self.beacon_share_sent_upto = Round::new(1);
         }
         self.progress(now, &mut step);
-        step
+        self.release(step)
     }
 
     /// Handles a consensus message from any party (including echoes of
     /// this party's own artifacts).
     pub fn on_message(&mut self, now: SimTime, msg: &ConsensusMessage) -> Step {
         let mut step = Step::default();
-        if !self.behavior.participates() || !self.started {
+        if !self.running() || !self.started {
             return step;
         }
         // Run the clauses even for duplicate artifacts: the message may
         // have raced a timer whose wakeup already fired.
         self.pool.insert(msg);
         self.progress(now, &mut step);
-        step
+        self.release(step)
     }
 
     /// Handles a timer wake-up.
     pub fn on_wakeup(&mut self, now: SimTime) -> Step {
         let mut step = Step::default();
-        if !self.behavior.participates() || !self.started {
+        if !self.running() || !self.started {
             return step;
         }
         self.progress(now, &mut step);
-        step
+        self.release(step)
     }
 
     /// Accepts a client command into the input queue (§1: inputs arrive
@@ -415,6 +436,7 @@ impl ConsensusCore {
         self.pending_digests.clear();
         self.committed_cmds.clear();
         self.started = false;
+        self.resumed_in = None;
         // `telemetry` deliberately survives: it is observability, not
         // replica state — the flight recorder should show the outage.
         self.entered_at.clear();
@@ -424,13 +446,18 @@ impl ConsensusCore {
     /// checkpoint as a certified root, replays the WAL through the
     /// pool's *trusted* path (zero signature verifications — everything
     /// in the store was verified before it was appended), and resumes
-    /// at the round after the highest restored notarization. A replica
-    /// that fell far behind while down still needs the catch-up
-    /// protocol (gossip layer) to rejoin; plain ICC0 restore alone
-    /// leaves it waiting for beacon shares of a long-past round.
+    /// at the round after the highest restored notarization. Every step
+    /// that ended a round was synced before it was released, so this
+    /// party has released no vote of any later round; in the resumed
+    /// round itself it may have notarization-shared blocks it no longer
+    /// knows of, and withholds its finalization share (`N ⊆ {B}` cannot
+    /// be checked). A replica that fell far behind while down still needs
+    /// the catch-up protocol (gossip layer) to rejoin; plain ICC0
+    /// restore alone leaves it waiting for beacon shares of a long-past
+    /// round.
     pub fn restore(&mut self, now: SimTime) -> Step {
         let mut step = Step::default();
-        if !self.behavior.participates() {
+        if !self.running() {
             return step;
         }
         self.crash(); // fresh volatile state even on a cold call
@@ -477,6 +504,10 @@ impl ConsensusCore {
             .next()
             .max(self.pool.highest_notarized_round().next());
         self.round = resume;
+        self.resumed_in = Some(resume);
+        // What put the resume point here may have been read back from
+        // the page cache of a process that died before its sync.
+        self.store.promise();
         // Do not re-broadcast beacon shares for rounds the restored
         // chain already covers; receivers would dedup them anyway.
         self.beacon_share_sent_upto = self.pool.latest_beacon_round();
@@ -487,7 +518,7 @@ impl ConsensusCore {
         self.recovery.restore_verifications += self.pool.stats().verify_calls;
         self.last_recovered_round = self.store.frontier().get();
         self.progress(now, &mut step);
-        step
+        self.release(step)
     }
 
     /// The store frontier the last [`restore`](Self::restore) brought
@@ -533,6 +564,9 @@ impl ConsensusCore {
         pkg: &CatchUpPackage,
         now: SimTime,
     ) -> Result<Step, CatchUpError> {
+        if !self.running() {
+            return Err(CatchUpError::Halted);
+        }
         let pkg_round = pkg.round();
         let advances_chain = pkg_round > self.kmax;
         let advances_beacons = self.pool.beacon(self.round).is_none()
@@ -549,13 +583,13 @@ impl ConsensusCore {
         let target_epoch = self.keys.setup.epoch_index_of(pkg_round);
         let crossed = self.pool.verify_and_install_catch_up(pkg)?;
         let mut step = Step::default();
-        // Journal the package: a re-crash restores past this point.
+        // Journal the package: a re-crash restores past this point. The
+        // finalization goes last (below), as in `run_finalization`.
         for &(r, v) in &pkg.beacons {
             self.store.append_beacon(r, v);
         }
         self.store
             .append_block(pkg.proposal.clone(), Some(pkg.notarization.clone()));
-        self.store.append_finalization(pkg.finalization.clone());
         if crossed > 0 {
             // Archive the verified chain links (only those covering the
             // boundaries actually crossed — anything outside
@@ -608,17 +642,22 @@ impl ConsensusCore {
             self.kmax = pkg_round;
             self.entered_at.retain(|r, _| *r > pkg_round.get());
         }
+        self.store.append_finalization(pkg.finalization.clone());
         self.recovery.catch_up_applied += 1;
         self.finalizations_broadcast
             .insert((pkg_round, pkg.proposal.block.hash()));
         self.purge();
         if self.round <= pkg_round {
+            // Rounds left behind without their end: as in
+            // `try_finish_round`, the journal says so before this party
+            // votes in the round it jumps to.
+            self.store.promise();
             self.round = pkg_round.next();
             self.rstate = None;
         }
         self.maybe_checkpoint();
         self.progress(now, &mut step);
-        Ok(step)
+        Ok(self.release(step))
     }
 
     /// Builds a catch-up package for a peer that reports knowing the
@@ -720,6 +759,34 @@ impl ConsensusCore {
         self.store.flush()
     }
 
+    /// Why this replica stopped taking part, if it did: the store
+    /// failed to persist a step (fail-stop). A halted core answers every
+    /// entry point with an empty [`Step`].
+    pub fn halted(&self) -> Option<&str> {
+        self.halted.as_deref()
+    }
+
+    /// Whether this party runs the protocol at all: its behavior
+    /// participates and its store has not failed.
+    fn running(&self) -> bool {
+        self.behavior.participates() && self.halted.is_none()
+    }
+
+    /// The persist-then-send barrier every public entry point returns
+    /// through: commits what the step appended to the store, then hands
+    /// the step out. If the store failed, nothing of the step leaves —
+    /// broadcasts, sends and `Committed` events alike — and the core
+    /// halts.
+    fn release(&mut self, step: Step) -> Step {
+        match self.store.commit() {
+            Ok(()) => step,
+            Err(e) => {
+                self.halted = Some(e.to_string());
+                Step::default()
+            }
+        }
+    }
+
     /// The store backend's telemetry (all zeros for the in-memory
     /// backend).
     pub fn storage_counters(&self) -> crate::storage::StorageCounters {
@@ -807,6 +874,13 @@ impl ConsensusCore {
         // re-derive their permutations from it, and catch-up segments
         // chain from its tip.
         self.store.append_beacon(self.round, beacon);
+        if self.round == Round::new(1) {
+            // No earlier round's end vouches for this one: the step
+            // waits for the beacon record, so that a restart inside
+            // round 1 finds a journal and not what looks like a first
+            // boot.
+            self.store.promise();
+        }
         // Aggregator-routed mode: flood the combined value (unique, so
         // self-certifying) once per round. Nodes that never saw `t + 1`
         // shares verify one group signature and move on.
@@ -893,6 +967,12 @@ impl ConsensusCore {
             self.store
                 .append_block(b.proposal, Some(notarization.clone()));
         }
+        // This party is done with the round: no further notarization
+        // share of it, which is what a finalization share promises and
+        // what its votes in the next round take for granted. The step
+        // waits for the journal to say so — a restart then resumes past
+        // this round.
+        self.store.promise();
         if self
             .notarizations_broadcast
             .insert((block_ref.round, block_ref.hash))
@@ -916,8 +996,11 @@ impl ConsensusCore {
             .round_duration_us
             .observe(duration.as_micros());
         let rs = self.rstate.as_mut().expect("in a round");
-        // "if N ⊆ {B} then broadcast a finalization share for B".
-        let n_subset = rs.n_set.values().all(|h| *h == block_ref.hash);
+        // "if N ⊆ {B} then broadcast a finalization share for B" — in
+        // the round a restart resumed in, `N` is what this incarnation
+        // shared; what the last one did is not known.
+        let n_subset =
+            rs.n_set.values().all(|h| *h == block_ref.hash) && self.resumed_in != Some(round);
         let i_am_member = rs.my_rank.is_some();
         step.events.push(NodeEvent::RoundFinished {
             round: self.round,
@@ -1130,17 +1213,20 @@ impl ConsensusCore {
                 break;
             };
             let block = tip.proposal.block;
-            // WAL: the finalization certificate plus the finalized chain
-            // bodies (the finalized branch is what replay must rebuild;
-            // the branch logged in `try_finish_round` may differ).
-            self.store.append_finalization(finalization.clone());
             if self
                 .finalizations_broadcast
                 .insert((block.round(), block.hash()))
             {
                 step.broadcasts
-                    .push(ConsensusMessage::Finalization(finalization));
+                    .push(ConsensusMessage::Finalization(finalization.clone()));
             }
+            // WAL: the finalized chain bodies (the finalized branch is
+            // what replay must rebuild; the branch logged in
+            // `try_finish_round` may differ) and their committed
+            // digests, then the certificate — last, so that a journal
+            // cut anywhere holds `Finalization(k)` only with every
+            // `Committed` up to `k`: restore takes `kmax` from the one
+            // and the input dedup set from the others.
             let chain = self
                 .pool
                 .chain_back_to(&block, self.kmax)
@@ -1176,6 +1262,7 @@ impl ConsensusCore {
                 self.store.append_committed(committed_round, digests);
                 step.events.push(NodeEvent::Committed { block: b });
             }
+            self.store.append_finalization(finalization);
             // Trim committed commands from the head of the input queue.
             while let Some((_, h)) = self.pending.front() {
                 if self.committed_cmds.contains(h) {

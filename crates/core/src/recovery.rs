@@ -236,6 +236,9 @@ pub enum CatchUpError {
     /// The package crosses one or more epoch boundaries but is missing
     /// the transition certificate for at least one of them.
     MissingTransition,
+    /// Nothing is wrong with the package: this replica's store failed
+    /// and it no longer takes part (fail-stop).
+    Halted,
 }
 
 impl fmt::Display for CatchUpError {
@@ -250,6 +253,7 @@ impl fmt::Display for CatchUpError {
             CatchUpError::Truncated => "beacon segment truncated",
             CatchUpError::BadTransition => "epoch transition certificate invalid",
             CatchUpError::MissingTransition => "epoch transition certificate missing",
+            CatchUpError::Halted => "replica halted, its store failed",
         };
         f.write_str(s)
     }

@@ -30,6 +30,39 @@
 //!   per-round beacon values, notarized blocks (body + certificate),
 //!   finalizations, and committed command digests.
 //!
+//! # Persist-then-send: what waits for the disk
+//!
+//! Appending a record only *writes* it. Whether anything has to wait
+//! for the disk is decided once per consensus step, at the barrier
+//! [`DurableStore::commit`] that [`ConsensusCore`](crate::ConsensusCore)
+//! runs just before a public entry point hands out its
+//! [`Step`](crate::Step).
+//!
+//! Every record is a **certified artifact** — a beacon value, a block
+//! with its notarization, a finalization, the digests a finalized block
+//! committed, an epoch transition. Every honest peer holds the same
+//! artifact, so a crash before its sync costs a re-fetch, never a
+//! property; appending one never forces a sync.
+//!
+//! What a peer cannot give back is this replica's own **promise**: that
+//! it is done with round `k`. A finalization share for `B` says it
+//! notarization-shared nothing but `B` in round `k` and never will
+//! (P2's proof, §3, "N ⊆ {B}"), and its votes in round `k + 1` are cast
+//! by a replica that will not go back either. The promise is not a
+//! record of its own but a position in the journal: a step that ends a
+//! round ([`DurableStore::promise`]) syncs at the barrier, `Notarized(k)`
+//! included, and every artifact written since the last sync rides with
+//! it. Restore resumes after the highest journalled notarization — past
+//! every round the replica has promised to be done with, and at the
+//! latest in the one round it may have released votes of, where it
+//! withholds its finalization share because its `N` died with the
+//! process. One sync a round instead of one per record, and no record
+//! of the votes themselves.
+//!
+//! A write or sync that fails is reported at the barrier, which then
+//! releases nothing of the step and halts the core (fail-stop): a
+//! replica that cannot say where it stands stops signing.
+//!
 //! Restore (see [`ConsensusCore::restore`](crate::ConsensusCore::restore))
 //! installs the checkpoint as a certified root and replays the log
 //! through the pool's *trusted* path: every artifact in the store was
@@ -269,12 +302,11 @@ impl Decode for Checkpoint {
 /// mutation here; the backend's only obligations are to persist what it
 /// is given and to hand back whatever survived on [`load`].
 ///
-/// Persistence methods are deliberately infallible at this boundary:
-/// the consensus hot path cannot meaningfully handle a disk error
-/// mid-round, so a failing backend absorbs the error, counts it in
-/// [`StorageCounters::io_errors`], and the replica keeps running with
-/// weakened durability (the same stance as a production database's
-/// async error path — surfaced via telemetry, not a panic).
+/// `persist_*` only write and return nothing: a protocol clause that
+/// appends a record has no use for the error. The backend counts it in
+/// [`StorageCounters::io_errors`] and keeps it for the step's barrier,
+/// [`commit`](StorageBackend::commit), where the core stops (fail-stop)
+/// instead of signing on without a journal.
 ///
 /// [`load`]: StorageBackend::load
 pub trait StorageBackend: Send {
@@ -282,20 +314,41 @@ pub trait StorageBackend: Send {
     /// attach time. Later calls may return empty.
     fn load(&mut self) -> (Option<Checkpoint>, Vec<WalEntry>);
 
-    /// Persists one appended log entry.
+    /// Writes one appended log entry; syncs nothing.
     fn persist_entry(&mut self, entry: &WalEntry);
 
     /// Persists a checkpoint (atomically) and compacts the persisted
     /// log up to the checkpoint round.
     fn persist_checkpoint(&mut self, cp: &Checkpoint);
 
-    /// Forces everything appended so far durable (graceful shutdown).
+    /// Forces everything appended so far durable, whatever the fsync
+    /// policy (graceful shutdown).
     ///
     /// # Errors
     ///
-    /// Propagates the underlying I/O error — at shutdown there *is* a
-    /// caller that can report it.
+    /// The first `persist_*` error not yet reported, if there is one
+    /// (nothing is synced then); otherwise the sync's own error.
     fn flush(&mut self) -> io::Result<()>;
+
+    /// The persist-then-send barrier, called once per consensus step,
+    /// and the one place a storage error surfaces while the replica
+    /// runs. With `sync`, the step made a promise: everything appended
+    /// so far becomes as durable as the backend's fsync policy says a
+    /// commit is. A backend that wraps another must forward this call;
+    /// the default — for a backend without a policy of its own —
+    /// flushes.
+    ///
+    /// # Errors
+    ///
+    /// As [`flush`](StorageBackend::flush), whether or not `sync` is
+    /// set.
+    fn commit(&mut self, sync: bool) -> io::Result<()> {
+        if sync {
+            self.flush()
+        } else {
+            Ok(())
+        }
+    }
 
     /// Storage telemetry snapshot.
     fn counters(&self) -> StorageCounters;
@@ -330,6 +383,8 @@ pub struct FileBackend {
     wal: Wal,
     /// What recovery found, handed out once via [`StorageBackend::load`].
     recovered: Option<(Option<Checkpoint>, Vec<WalEntry>)>,
+    /// The first `persist_*` error no barrier has reported yet.
+    failed: Option<io::Error>,
 }
 
 impl fmt::Debug for FileBackend {
@@ -420,7 +475,22 @@ impl FileBackend {
             dir: dir.to_path_buf(),
             wal,
             recovered: Some((checkpoint, entries)),
+            failed: None,
         }
+    }
+
+    /// Counts a persistence error and keeps the first for the barrier.
+    fn fail(&mut self, e: io::Error) {
+        self.wal.counters_mut().io_errors += 1;
+        self.failed.get_or_insert(e);
+    }
+
+    /// Hands the kept `persist_*` error to the barrier, or runs `sync`.
+    fn barrier(&mut self, sync: impl FnOnce(&mut Wal) -> io::Result<()>) -> io::Result<()> {
+        if let Some(e) = self.failed.take() {
+            return Err(e);
+        }
+        sync(&mut self.wal).inspect_err(|_| self.wal.counters_mut().io_errors += 1)
     }
 
     /// The data directory this backend persists into.
@@ -437,28 +507,28 @@ impl StorageBackend for FileBackend {
     fn persist_entry(&mut self, entry: &WalEntry) {
         // An entry over `max_record_len` is refused by the log itself.
         let round = entry.round().get();
-        let appended = self.wal.append_with(round, |buf| entry.encode(buf));
-        if appended.is_err() {
-            self.wal.counters_mut().io_errors += 1;
+        if let Err(e) = self.wal.append_with(round, |buf| entry.encode(buf)) {
+            self.fail(e);
         }
     }
 
     fn persist_checkpoint(&mut self, cp: &Checkpoint) {
         let saved =
             icc_wal::save_checkpoint(&self.dir, |buf| cp.encode(buf), self.wal.counters_mut());
-        if saved.is_err() {
-            self.wal.counters_mut().io_errors += 1;
-            // Without a durable checkpoint the covered segments must
-            // stay: compacting now would lose the only copy.
-            return;
-        }
-        if self.wal.compact_below(cp.round().get()).is_err() {
-            self.wal.counters_mut().io_errors += 1;
+        // Without a durable checkpoint the covered segments must stay:
+        // compacting now would lose the only copy.
+        let done = saved.and_then(|()| self.wal.compact_below(cp.round().get()));
+        if let Err(e) = done {
+            self.fail(e);
         }
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.wal.sync()
+        self.barrier(Wal::sync)
+    }
+
+    fn commit(&mut self, sync: bool) -> io::Result<()> {
+        self.barrier(|wal| if sync { wal.commit().map(drop) } else { Ok(()) })
     }
 
     fn counters(&self) -> StorageCounters {
@@ -486,6 +556,8 @@ pub struct DurableStore {
     /// Entries (plus one per checkpoint) recovered from the backend at
     /// attach time.
     recovered_entries: u64,
+    /// Whether the step in progress made a promise.
+    promised: bool,
     backend: Box<dyn StorageBackend>,
 }
 
@@ -531,6 +603,7 @@ impl DurableStore {
             wal_appends: 0,
             checkpoints_taken: 0,
             recovered_entries: 0,
+            promised: false,
             backend,
         };
         if let Some(cp) = checkpoint {
@@ -579,7 +652,7 @@ impl DurableStore {
         )?)))
     }
 
-    /// Persists one record through the backend and mirrors it in memory.
+    /// Writes one record through the backend and mirrors it in memory.
     fn append(&mut self, entry: WalEntry) {
         self.backend.persist_entry(&entry);
         self.wal.push(entry);
@@ -636,6 +709,28 @@ impl DurableStore {
         if !digests.is_empty() {
             self.append(WalEntry::Committed { round, digests });
         }
+    }
+
+    /// Marks the step in progress as one that makes a promise — it ends
+    /// a round, or puts this replica in one by another way (module
+    /// docs): its barrier ([`commit`](Self::commit)) waits for the disk.
+    pub fn promise(&mut self) {
+        self.promised = true;
+    }
+
+    /// The persist-then-send barrier, run once where a consensus step
+    /// leaves the core: if the step made a promise, everything appended
+    /// so far is committed (synced, under
+    /// [`FsyncPolicy::PerCommit`](icc_wal::FsyncPolicy)); any other step
+    /// waits for nothing.
+    ///
+    /// # Errors
+    ///
+    /// A write or sync failed since the last barrier. The caller must
+    /// release nothing of the step.
+    pub fn commit(&mut self) -> io::Result<()> {
+        let sync = std::mem::take(&mut self.promised);
+        self.backend.commit(sync)
     }
 
     /// Installs a checkpoint and compacts the log: entries at or below
@@ -715,11 +810,13 @@ impl DurableStore {
         self.checkpoint.is_none() && self.wal.is_empty()
     }
 
-    /// Forces everything appended so far durable (graceful shutdown).
+    /// Forces everything appended so far durable, whatever the fsync
+    /// policy (graceful shutdown).
     ///
     /// # Errors
     ///
-    /// The backend's I/O error, if flushing failed.
+    /// The backend's I/O error, if a write since the last flush or the
+    /// flush itself failed.
     pub fn flush(&mut self) -> io::Result<()> {
         self.backend.flush()
     }

@@ -944,8 +944,9 @@ impl GossipNode {
                 self.apply_step(ctx, step);
                 self.maybe_request_catch_up(ctx);
             }
-            Err(CatchUpError::Stale) => {
-                // A duplicate or raced response; nothing to count.
+            Err(CatchUpError::Stale | CatchUpError::Halted) => {
+                // A duplicate or raced response, or a replica that has
+                // stopped: nothing to count, nobody to blame.
             }
             Err(_) => {
                 self.core.recovery_stats_mut().catch_up_rejected += 1;

@@ -351,6 +351,9 @@ pub struct HealthInputs {
     pub peers_total: u64,
     /// WAL I/O errors observed so far.
     pub wal_io_errors: u64,
+    /// The store failed to persist a consensus step and the replica
+    /// stopped signing (fail-stop).
+    pub storage_halted: bool,
     /// Readiness threshold: no committed-round progress for longer
     /// than this means "stalled".
     pub stall_after_us: u64,
@@ -380,6 +383,9 @@ pub fn evaluate_health(h: &HealthInputs) -> HealthReport {
     }
     if h.wal_io_errors > 0 {
         reasons.push("wal_io_errors");
+    }
+    if h.storage_halted {
+        reasons.push("storage_halted");
     }
     HealthReport {
         healthy: reasons.is_empty(),
@@ -468,6 +474,9 @@ pub struct StatusReport {
     pub finalized_frontier: u64,
     /// Active epoch index.
     pub epoch: u64,
+    /// Why the replica stopped taking part, if its store failed to
+    /// persist a step (fail-stop).
+    pub halted: Option<String>,
     /// Entries held per in-memory collection, by name (what the
     /// `icc_*` footprint gauges export): bounded by the rounds in
     /// flight, so a value that grows with uptime is a leak.
@@ -483,14 +492,19 @@ impl StatusReport {
     pub fn to_json(&self) -> String {
         let mut s = format!(
             "{{\"node\":{},\"now_us\":{},\"clock_anchor_us\":{},\"current_round\":{},\
-             \"committed_round\":{},\"finalized_frontier\":{},\"epoch\":{},\"footprint\":{{",
+             \"committed_round\":{},\"finalized_frontier\":{},\"epoch\":{},\"halted\":{},\
+             \"footprint\":{{",
             self.node,
             self.now_us,
             self.clock_anchor_us,
             self.current_round,
             self.committed_round,
             self.finalized_frontier,
-            self.epoch
+            self.epoch,
+            match &self.halted {
+                Some(why) => format!("\"{}\"", crate::export::escape_label_value(why)),
+                None => "null".to_string(),
+            }
         );
         for (i, (name, held)) in self.footprint.iter().enumerate() {
             let sep = if i > 0 { "," } else { "" };
@@ -528,6 +542,7 @@ mod tests {
             peers_up: 3,
             peers_total: 3,
             wal_io_errors: 0,
+            storage_halted: false,
             stall_after_us: 2_000_000,
             min_peers_up: 2,
         }
@@ -542,6 +557,7 @@ mod tests {
             last_progress_us: 0,
             peers_up: 0,
             wal_io_errors: 3,
+            storage_halted: true,
             ..inputs()
         });
         assert!(!bad.healthy);
@@ -550,7 +566,8 @@ mod tests {
             vec![
                 "round_progress_stalled",
                 "insufficient_peers",
-                "wal_io_errors"
+                "wal_io_errors",
+                "storage_halted"
             ]
         );
         let json = bad.to_json(&inputs());
@@ -576,6 +593,7 @@ mod tests {
             committed_round: 8,
             finalized_frontier: 9,
             epoch: 1,
+            halted: Some("injected \"sync\" error".to_string()),
             footprint: vec![("pool_blocks", 66), ("gossip_dedup_ids", 1050)],
             peers: vec![PeerLinkStatus {
                 peer: 0,
@@ -598,6 +616,7 @@ mod tests {
         };
         let json = report.to_json();
         assert!(json.contains("\"current_round\":10"));
+        assert!(json.contains(r#""halted":"injected \"sync\" error""#));
         assert!(json.contains("\"footprint\":{\"pool_blocks\":66,\"gossip_dedup_ids\":1050},"));
         assert!(json.contains("\"peers\":[{\"peer\":0"));
         assert!(json.contains("\"kind\":\"round_stall\""));

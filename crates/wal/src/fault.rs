@@ -24,6 +24,7 @@ use crate::CHECKPOINT_FILE;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// What the simulated power loss does to the unsynced tail of the
@@ -57,10 +58,21 @@ struct FileState {
 #[derive(Debug)]
 pub struct FaultyFile {
     state: Arc<Mutex<FileState>>,
+    errors: Arc<InjectedErrors>,
+}
+
+/// Errors a live disk starts returning (no crash, nothing lost).
+#[derive(Debug, Default)]
+struct InjectedErrors {
+    write: AtomicBool,
+    sync: AtomicBool,
 }
 
 impl Write for FaultyFile {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.errors.write.load(Ordering::Relaxed) {
+            return Err(io::Error::other("injected write error"));
+        }
         let mut st = self.state.lock().expect("fault state");
         if st.crashed {
             return Err(io::Error::new(io::ErrorKind::BrokenPipe, "disk crashed"));
@@ -76,6 +88,9 @@ impl Write for FaultyFile {
 
 impl SegmentFile for FaultyFile {
     fn sync(&mut self) -> io::Result<()> {
+        if self.errors.sync.load(Ordering::Relaxed) {
+            return Err(io::Error::other("injected sync error"));
+        }
         let mut st = self.state.lock().expect("fault state");
         if st.crashed {
             return Err(io::Error::new(io::ErrorKind::BrokenPipe, "disk crashed"));
@@ -91,9 +106,22 @@ impl SegmentFile for FaultyFile {
 #[derive(Debug, Clone, Default)]
 pub struct FaultHandle {
     files: Arc<Mutex<Vec<Arc<Mutex<FileState>>>>>,
+    errors: Arc<InjectedErrors>,
 }
 
 impl FaultHandle {
+    /// From now on every write to any segment fails (`EIO` on a disk
+    /// that is still there).
+    pub fn fail_writes(&self) {
+        self.errors.write.store(true, Ordering::Relaxed);
+    }
+
+    /// From now on every `fsync` of any segment fails; writes still
+    /// land in the page cache.
+    pub fn fail_syncs(&self) {
+        self.errors.sync.store(true, Ordering::Relaxed);
+    }
+
     /// Simulates power loss: applies `fault` to the most recently
     /// created segment's unsynced tail and poisons every file (further
     /// writes fail like a dead disk). Returns the number of unsynced
@@ -173,7 +201,10 @@ impl SegmentFs for FaultFs {
             .lock()
             .expect("fault files")
             .push(state.clone());
-        Ok(Box::new(FaultyFile { state }))
+        Ok(Box::new(FaultyFile {
+            state,
+            errors: Arc::clone(&self.handle.errors),
+        }))
     }
 }
 

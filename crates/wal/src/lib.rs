@@ -101,8 +101,8 @@ pub struct StorageCounters {
     /// above (bumped by the storage backend, carried here so one
     /// struct tells the whole recovery story).
     pub decode_failures: u64,
-    /// Write errors the log absorbed without panicking (the replica
-    /// keeps running; durability of the affected records is void).
+    /// Write, sync and checkpoint errors met. The first one stops the
+    /// replica at its next persist-then-send barrier (fail-stop).
     pub io_errors: u64,
 }
 

@@ -25,28 +25,36 @@ use std::time::{Duration, Instant};
 pub const SEGMENT_SUFFIX: &str = ".seg";
 const SEGMENT_PREFIX: &str = "wal-";
 
-/// When appended records become durable.
+/// What a [`Wal::commit`] does about the records written since the
+/// last sync.
 ///
-/// This is the classic commit-latency / throughput knob: per-commit
-/// fsync gives the strongest guarantee (a record acknowledged is a
-/// record on the platter) at one disk flush per record; group commit
-/// amortises the flush over a batch, bounding how long any record waits
-/// by `window`; periodic fsync decouples flushing from appends entirely
-/// and can lose up to `interval` of acknowledged-but-unsynced tail on a
-/// crash. `fig_durability` measures the tradeoff.
+/// Writing and committing are separate calls: [`Wal::append_with`] only
+/// writes, and the caller commits where durability starts to matter —
+/// once per record ([`Wal::append`], what `fig_durability` measures), or
+/// once per consensus step that makes a promise (the replica's
+/// persist-then-send barrier, `icc-core::storage`). The policy decides
+/// what that commit costs and what a power cut can take back:
+/// `PerCommit` syncs at every commit, so nothing committed is ever
+/// lost; group commit amortises the flush over a batch, bounding how
+/// long a committed record waits by `window`; periodic fsync decouples
+/// flushing from commits entirely and can lose up to `interval` of
+/// committed-but-unsynced tail. Under the two lazy policies a replica's
+/// message can therefore leave before the record it depends on is
+/// durable (DESIGN.md §5f says which property each one weakens).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fsync` after every append.
+    /// `fsync` at every commit: per record under [`Wal::append`], per
+    /// step that makes a promise in a replica.
     PerCommit,
-    /// `fsync` once `max_pending` records are queued or the oldest
-    /// queued record has waited `window`, whichever comes first.
+    /// `fsync` at a commit that finds `max_pending` records queued or
+    /// the oldest queued record waiting `window` or longer.
     Group {
         /// Flush as soon as this many records are pending.
         max_pending: usize,
         /// Flush when the oldest pending record has waited this long.
         window: Duration,
     },
-    /// `fsync` at most once per `interval`, checked on each append.
+    /// `fsync` at most once per `interval`, checked at each commit.
     Periodic {
         /// Minimum spacing between flushes.
         interval: Duration,
@@ -296,18 +304,19 @@ impl Wal {
         Ok((wal, records))
     }
 
-    /// Appends one record of already-encoded bytes; see
-    /// [`append_with`](Wal::append_with).
+    /// Appends one record of already-encoded bytes and commits it: the
+    /// one-record-per-commit use of the log. Returns whether the record
+    /// is durable when the call returns.
     pub fn append(&mut self, round: u64, payload: &[u8]) -> io::Result<bool> {
-        self.append_with(round, |buf| buf.extend_from_slice(payload))
+        self.append_with(round, |buf| buf.extend_from_slice(payload))?;
+        self.commit()
     }
 
-    /// Appends one record and applies the fsync policy. Returns whether
-    /// the record is durable (synced) when the call returns. `fill`
-    /// appends the payload straight into the record's frame (after the
-    /// round prefix), so an entry is encoded, checksummed and written
-    /// without an intermediate copy.
-    pub fn append_with(&mut self, round: u64, fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<bool> {
+    /// Writes one record; [`commit`](Wal::commit) decides when it is
+    /// synced. `fill` appends the payload straight into the record's
+    /// frame (after the round prefix), so an entry is encoded,
+    /// checksummed and written without an intermediate copy.
+    pub fn append_with(&mut self, round: u64, fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
         self.scratch.clear();
         let len = frame::frame(&mut self.scratch, |buf| {
             buf.extend_from_slice(&round.to_le_bytes());
@@ -333,15 +342,35 @@ impl Wal {
             self.pending_oldest = Some(Instant::now());
         }
 
-        let mut synced = self.maybe_sync()?;
         if self.active_len >= self.opts.segment_max_bytes {
             // Rotation seals the segment through sync(), so every
-            // pending record is durable at return even if the policy
-            // alone would not have synced yet.
+            // pending record is durable at return whatever the policy.
             self.rotate()?;
-            synced = true;
         }
-        Ok(synced)
+        Ok(())
+    }
+
+    /// Applies the fsync policy to the records written since the last
+    /// sync: `PerCommit` syncs now, the lazy policies sync if they are
+    /// due. Returns whether everything written so far is durable.
+    pub fn commit(&mut self) -> io::Result<bool> {
+        let due = match self.opts.fsync {
+            FsyncPolicy::PerCommit => true,
+            FsyncPolicy::Group {
+                max_pending,
+                window,
+            } => {
+                self.pending_records >= max_pending
+                    || self
+                        .pending_oldest
+                        .is_some_and(|oldest| oldest.elapsed() >= window)
+            }
+            FsyncPolicy::Periodic { interval } => self.last_sync.elapsed() >= interval,
+        };
+        if due {
+            self.sync()?;
+        }
+        Ok(self.pending_records == 0)
     }
 
     /// Deletes every sealed segment whose records are all at or below
@@ -412,26 +441,6 @@ impl Wal {
         });
         self.active_len = 0;
         Ok(())
-    }
-
-    fn maybe_sync(&mut self) -> io::Result<bool> {
-        let due = match self.opts.fsync {
-            FsyncPolicy::PerCommit => true,
-            FsyncPolicy::Group {
-                max_pending,
-                window,
-            } => {
-                self.pending_records >= max_pending
-                    || self
-                        .pending_oldest
-                        .is_some_and(|oldest| oldest.elapsed() >= window)
-            }
-            FsyncPolicy::Periodic { interval } => self.last_sync.elapsed() >= interval,
-        };
-        if due {
-            self.sync()?;
-        }
-        Ok(due)
     }
 
     /// Forces pending records durable regardless of policy.
@@ -669,6 +678,60 @@ mod tests {
         assert_eq!(c.records_appended, 64);
         assert_eq!(c.fsyncs, 64 / 8, "one flush per full batch");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Writing and committing are separate: a step's worth of records
+    /// costs one sync under `PerCommit`, and a lazy policy syncs only at
+    /// a commit that finds it due.
+    #[test]
+    fn append_with_then_commit_under_each_policy() {
+        let fill = |i: u64| move |buf: &mut Vec<u8>| buf.extend_from_slice(&payload(i));
+        let lazy = Duration::from_secs(3600);
+        let policies = [
+            (FsyncPolicy::PerCommit, [1, 2]),
+            (
+                FsyncPolicy::Group {
+                    max_pending: 4,
+                    window: lazy,
+                },
+                [0, 1],
+            ),
+            (FsyncPolicy::Periodic { interval: lazy }, [0, 0]),
+        ];
+        for (fsync, fsyncs_after) in policies {
+            let dir = tmp_dir("commit");
+            let opts = WalOptions {
+                fsync,
+                ..WalOptions::default()
+            };
+            let (mut wal, _) = Wal::open(&dir, opts).unwrap();
+            // Step one: three records, one commit.
+            for i in 0..3 {
+                wal.append_with(i, fill(i)).unwrap();
+            }
+            assert_eq!(wal.counters().fsyncs, 0, "{fsync}: writing never syncs");
+            assert_eq!(wal.pending_records(), 3, "{fsync}");
+            let durable = wal.commit().unwrap();
+            assert_eq!(wal.counters().fsyncs, fsyncs_after[0], "{fsync}");
+            assert_eq!(durable, fsyncs_after[0] == 1, "{fsync}");
+            // Step two: one more record (the fourth pending under group).
+            wal.append_with(3, fill(3)).unwrap();
+            let durable = wal.commit().unwrap();
+            assert_eq!(wal.counters().fsyncs, fsyncs_after[1], "{fsync}");
+            assert_eq!(durable, fsyncs_after[1] > 0, "{fsync}");
+            // A commit with nothing pending is free.
+            if durable {
+                wal.commit().unwrap();
+                assert_eq!(wal.counters().fsyncs, fsyncs_after[1], "{fsync}");
+            }
+            // A forced sync drains whatever the policy left pending.
+            wal.sync().unwrap();
+            assert_eq!(wal.pending_records(), 0, "{fsync}");
+            drop(wal);
+            let (_, recovered) = Wal::open(&dir, opts).unwrap();
+            assert_eq!(recovered.len(), 4, "{fsync}");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

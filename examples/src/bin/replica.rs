@@ -22,6 +22,11 @@
 //!   (the launcher cross-checks these across processes for safety).
 //! * `REPORT {json}` — final counters on shutdown.
 //!
+//! Exit codes: 0 after a clean run, 2 on a usage error, and 3 when the
+//! store failed to persist a consensus step and the replica stopped
+//! signing (fail-stop: `"halted"` in the REPORT line, `storage_halted`
+//! on `/health`) — distinct from a crash, which leaves no code at all.
+//!
 //! `--trace-out` writes this replica's flight-recorder spans as a
 //! Chrome trace; `--metrics-out` writes a Prometheus snapshot. Both are
 //! flushed and fsync'd before exit — including on SIGTERM, which this
@@ -34,7 +39,7 @@
 //! * `/metrics` — the same Prometheus render `--metrics-out` writes at
 //!   exit, refreshed every publish tick while the replica runs;
 //! * `/health` — 200/503 readiness from round-progress rate, peer
-//!   connectivity, and WAL I/O errors;
+//!   connectivity, WAL I/O errors, and the fail-stop halt;
 //! * `/status` — JSON: rounds, epoch, finalized frontier, the per-peer
 //!   link table (queue depth, backoff, last-frame age), recent
 //!   anomalies;
@@ -107,6 +112,9 @@ fn usage(err: &str) -> ! {
     );
     std::process::exit(2);
 }
+
+/// Exit code of a replica whose store failed to persist a step.
+const EXIT_HALTED: i32 = 3;
 
 /// Set by the SIGTERM handler; watched by the shutdown machinery so a
 /// graceful termination stops the driver, flushes the store, and writes
@@ -547,6 +555,7 @@ impl ObservedNode {
             committed_round: committed,
             finalized_frontier: core.finalized_frontier().get(),
             epoch: core.current_epoch(),
+            halted: core.halted().map(str::to_string),
             footprint: self.inner.footprint(),
             peers: links
                 .iter()
@@ -570,6 +579,7 @@ impl ObservedNode {
             peers_up,
             peers_total: links.len() as u64,
             wal_io_errors: storage.io_errors,
+            storage_halted: core.halted().is_some(),
             stall_after_us: self.stall_after_us,
             min_peers_up: self.min_peers_up,
         };
@@ -858,12 +868,13 @@ fn main() {
     let net = counters.snapshot();
     let storage = core.storage_counters();
     println!(
-        "REPORT {{\"me\":{},\"n\":{n},\"committed_round\":{},\"blocks\":{blocks},\
+        "REPORT {{\"me\":{},\"n\":{n},\"halted\":{},\"committed_round\":{},\"blocks\":{blocks},\
          \"commands\":{commands},\"catch_up_applied\":{},\"catch_up_rejected\":{},\
          \"wal_appends\":{},\"restarts\":{},\"recovered_round\":{},\
          \"restore_verifications\":{},\"cross_epoch_catch_ups\":{},\
          \"epoch_transitions\":{},\"storage\":{},\"net\":{}}}",
         opts.me,
+        core.halted().is_some(),
         core.committed_round().get(),
         rec.catch_up_applied,
         rec.catch_up_rejected,
@@ -906,5 +917,9 @@ fn main() {
     }
     if let Some(server) = admin.as_mut() {
         server.stop();
+    }
+    if let Some(why) = node.core().halted() {
+        eprintln!("replica {}: halted, store failed: {why}", opts.me);
+        std::process::exit(EXIT_HALTED);
     }
 }

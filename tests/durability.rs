@@ -630,3 +630,676 @@ fn record_overhead_is_header_plus_round() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---- persist-then-send: real `ConsensusCore`s (n = 4, t = 1) over
+// file-backed stores, driven by hand (`icc_tests::hand`) so that a test
+// decides between which two deliveries the power goes ----
+
+mod rig {
+    use super::*;
+    pub use icc_core::artifacts;
+    use icc_core::byzantine::Behavior;
+    pub use icc_core::consensus::{ConsensusCore, Step};
+    use icc_core::delays::StaticDelays;
+    use icc_core::keys::generate_keys;
+    pub use icc_core::keys::NodeKeys;
+    use icc_core::NodeEvent;
+    pub use icc_crypto::beacon::RankPermutation;
+    pub use icc_tests::hand::Net;
+    pub use icc_types::block::HashedBlock;
+    pub use icc_types::messages::ConsensusMessage;
+    pub use icc_types::{Command, SimTime, SubnetConfig};
+    pub use icc_wal::fault::FaultHandle;
+    use icc_wal::SegmentFs;
+    use std::cell::RefCell;
+    use std::collections::BTreeMap;
+    use std::path::Path;
+    use std::rc::Rc;
+
+    pub const N: usize = 4;
+    /// `Δbnd`: a rank-1 block may be supported from `2·Δbnd` on.
+    pub const DELTA_BND_MS: u64 = 100;
+
+    pub fn at(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    /// The subnet's key material (dealt deterministically from a seed).
+    pub fn all_keys() -> Vec<NodeKeys> {
+        generate_keys(SubnetConfig::new(N), 0xA3)
+    }
+
+    /// Replica `index` over `store`, `ε = 0`, no checkpoint within a
+    /// test's reach (the journal alone is what restores).
+    pub fn core_over(index: usize, store: DurableStore) -> ConsensusCore {
+        ConsensusCore::new(
+            all_keys().swap_remove(index),
+            StaticDelays::new(SimDuration::from_millis(DELTA_BND_MS), SimDuration::ZERO),
+            Behavior::Honest,
+        )
+        .with_store(store)
+        .with_checkpoint_interval(1 << 20)
+    }
+
+    pub fn store_on(dir: &Path, opts: WalOptions, fs: Box<dyn SegmentFs>) -> DurableStore {
+        DurableStore::with_backend(Box::new(FileBackend::open_with_fs(dir, opts, fs).unwrap()))
+    }
+
+    /// Replica `index` on the data directory `dir` through the
+    /// page-cache model, plus the handle that pulls the power on it.
+    pub fn core_on(index: usize, dir: &Path, opts: WalOptions) -> (ConsensusCore, FaultHandle) {
+        let (fs, disk) = FaultFs::new();
+        (core_over(index, store_on(dir, opts, Box::new(fs))), disk)
+    }
+
+    /// Nothing syncs by itself: only a forced flush (or a rotation)
+    /// makes bytes durable, so the unsynced tail holds whole rounds.
+    pub fn never_due() -> WalOptions {
+        WalOptions {
+            fsync: FsyncPolicy::Group {
+                max_pending: usize::MAX,
+                window: std::time::Duration::from_secs(3600),
+            },
+            ..WalOptions::default()
+        }
+    }
+
+    /// The commands each committed round carried, collected from every
+    /// replica's `Committed` events.
+    pub type CommittedCommands = Rc<RefCell<BTreeMap<Round, Vec<Command>>>>;
+
+    pub fn collect_commits(net: &mut Net) -> CommittedCommands {
+        let commits = CommittedCommands::default();
+        let sink = Rc::clone(&commits);
+        net.observer = Box::new(move |_, step| {
+            for event in &step.events {
+                if let NodeEvent::Committed { block } = event {
+                    let commands = block.block().payload().commands().to_vec();
+                    sink.borrow_mut().insert(block.round(), commands);
+                }
+            }
+        });
+        commits
+    }
+
+    /// Steps the cluster, feeding a fresh command to a replica every
+    /// few deliveries, until `done`.
+    pub fn run_with_load(net: &mut Net, mut done: impl FnMut(&Net) -> bool) {
+        let mut deliveries = 0u64;
+        net.run_until(
+            200_000,
+            |net| done(net),
+            |net| {
+                deliveries += 1;
+                if deliveries.is_multiple_of(8) {
+                    let cmd = Command::new(format!("cmd-{deliveries}").into_bytes());
+                    net.cores[(deliveries / 8) as usize % N].on_command(cmd);
+                }
+            },
+        );
+    }
+
+    /// How many messages replica `i` has released.
+    pub fn released_by(net: &Net, i: usize) -> usize {
+        net.released
+            .iter()
+            .filter(|(from, _, _)| *from == i)
+            .count()
+    }
+
+    /// The round-1 rank order: the round-1 beacon is the unique
+    /// threshold signature over the genesis beacon, so any two shares
+    /// give it.
+    pub fn round_one_ranks(keys: &[NodeKeys]) -> RankPermutation {
+        let setup = &keys[0].setup;
+        let msg = icc_crypto::beacon::beacon_sign_message(1, &setup.genesis_beacon);
+        let shares = keys.iter().take(2).map(|k| k.beacon().sign_share(&msg));
+        let value = setup
+            .beacon
+            .combine(&msg, shares)
+            .expect("two valid shares");
+        RankPermutation::derive_members(&BeaconValue::Signature(value), &[0, 1, 2, 3])
+    }
+
+    /// Starts `core` and feeds it the other parties' round-1 beacon
+    /// shares, so that it enters round 1.
+    pub fn enter_round_one(core: &mut ConsensusCore, keys: &[NodeKeys]) {
+        core.start(at(0));
+        let genesis_beacon = keys[0].setup.genesis_beacon;
+        let me = core.index();
+        for k in keys.iter().filter(|k| k.index != me) {
+            let share = artifacts::beacon_share(k, Round::new(1), &genesis_beacon);
+            core.on_message(at(1), &ConsensusMessage::BeaconShare(share));
+        }
+        assert_eq!(core.current_round(), Round::new(1));
+    }
+
+    /// A round-1 block of `proposer` carrying one command `tag`.
+    pub fn block_of(proposer: &NodeKeys, tag: &str) -> HashedBlock {
+        Block::new(
+            Round::new(1),
+            proposer.index,
+            proposer.setup.genesis.hash(),
+            Payload::from_commands(vec![Command::new(tag.as_bytes().to_vec())]),
+        )
+        .into_hashed()
+    }
+
+    pub fn proposal_of(proposer: &NodeKeys, block: &HashedBlock) -> ConsensusMessage {
+        ConsensusMessage::Proposal(artifacts::proposal(proposer, block.clone(), None))
+    }
+
+    /// The `n − t` notarization of `block` by `signers`.
+    pub fn notarization_by(signers: &[&NodeKeys], block: &HashedBlock) -> ConsensusMessage {
+        let block_ref = BlockRef::of_hashed(block);
+        let shares = signers
+            .iter()
+            .map(|k| artifacts::notarization_share(k, block_ref).share);
+        let sig = signers[0]
+            .setup
+            .notary
+            .combine(&block_ref.sign_bytes(), shares)
+            .expect("n - t valid shares");
+        ConsensusMessage::Notarization(Notarization { block_ref, sig })
+    }
+
+    /// How many `(notarization, finalization)` shares for `block` the
+    /// steps broadcast.
+    pub fn shares_for(steps: &[Step], block: &HashedBlock) -> (usize, usize) {
+        let (mut notarization, mut finalization) = (0, 0);
+        for msg in steps.iter().flat_map(|s| &s.broadcasts) {
+            match msg {
+                ConsensusMessage::NotarizationShare(s) if s.block_ref.hash == block.hash() => {
+                    notarization += 1;
+                }
+                ConsensusMessage::FinalizationShare(s) if s.block_ref.hash == block.hash() => {
+                    finalization += 1;
+                }
+                _ => {}
+            }
+        }
+        (notarization, finalization)
+    }
+}
+
+/// P2's proof (§3, "N ⊆ {B}") needs an honest replica that
+/// finalization-shares `B′` never to have notarization-shared another
+/// block of that round. Replica A supports `B` (rank 1) in round 1, its
+/// machine loses power before the round ends, and it restarts *inside*
+/// round 1. Shown the leader's conflicting `B′` and a notarization for
+/// it, A may support `B′` too — but it must not finalization-share it:
+/// its `N` of round 1 died with the process, so in the round it resumed
+/// in it finalization-shares nothing.
+#[test]
+fn restarted_replica_withholds_its_finalization_share_in_the_resumed_round() {
+    use rig::*;
+    let keys = all_keys();
+    let ranks = round_one_ranks(&keys);
+    let leader = &keys[ranks.party_at_rank(0) as usize];
+    let second = &keys[ranks.party_at_rank(1) as usize];
+    let third = &keys[ranks.party_at_rank(2) as usize];
+    let a = ranks.party_at_rank(3) as usize;
+    let dir = scratch("amnesia");
+
+    // First incarnation: enter round 1, support the rank-1 block B once
+    // Δntry(1) has passed with no leader block in sight.
+    let b = block_of(second, "B");
+    let (mut core, disk) = core_on(a, &dir, per_commit());
+    enter_round_one(&mut core, &keys);
+    let voted = core.on_message(at(2 * DELTA_BND_MS + 1), &proposal_of(second, &b));
+    assert_eq!(
+        shares_for(std::slice::from_ref(&voted), &b),
+        (1, 0),
+        "A supports the rank-1 block: {voted:?}"
+    );
+    // Power loss before the round ends: whatever was not synced is gone.
+    disk.crash(DiskFault::LoseUnsynced).unwrap();
+    drop(core);
+
+    // Second incarnation, same data directory: the round-1 beacon was
+    // journalled (and synced: a restart inside round 1 must not look
+    // like a first boot), no round-1 notarization was, so A resumes in
+    // round 1.
+    let (mut core, _disk) = core_on(a, &dir, per_commit());
+    let mut steps = vec![core.start(at(300))];
+    assert_eq!(core.recovery_stats().restarts, 1);
+    assert_eq!(core.recovery_stats().restore_verifications, 0);
+    assert_eq!(
+        core.current_round(),
+        Round::new(1),
+        "restored inside round 1"
+    );
+
+    // The leader's block B′ arrives late, then its notarization by the
+    // other three parties.
+    let b_prime = block_of(leader, "B'");
+    assert_ne!(b.hash(), b_prime.hash());
+    steps.push(core.on_message(at(301), &proposal_of(leader, &b_prime)));
+    steps.push(core.on_message(
+        at(302),
+        &notarization_by(&[leader, second, third], &b_prime),
+    ));
+    assert!(core.current_round() > Round::new(1), "B′ ends round 1");
+    assert_eq!(
+        shares_for(&steps, &b_prime).1,
+        0,
+        "A notarization-shared B in round 1 before the crash: a finalization \
+         share for B′ contradicts it"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The other half of the same promise: a replica that has
+/// finalization-shared `B` is done with the round and supports nothing
+/// else in it — also after a power cut. A supports the rank-1 block `B`,
+/// sees it notarized and finalization-shares it; the step that carried
+/// the share waited for the journal to hold `Notarized(1)`. The power
+/// goes right after the share has left. Restarted, A is past round 1,
+/// and the leader's late block `B′` — which a replica still inside
+/// round 1 would now support, rank 0 before rank 1 — gets nothing from
+/// it.
+#[test]
+fn a_power_cut_after_the_finalization_share_restores_past_the_round() {
+    use rig::*;
+    let keys = all_keys();
+    let ranks = round_one_ranks(&keys);
+    let leader = &keys[ranks.party_at_rank(0) as usize];
+    let second = &keys[ranks.party_at_rank(1) as usize];
+    let third = &keys[ranks.party_at_rank(2) as usize];
+    let a = ranks.party_at_rank(3) as usize;
+    let dir = scratch("after_share");
+
+    let b = block_of(second, "B");
+    let (mut core, disk) = core_on(a, &dir, per_commit());
+    enter_round_one(&mut core, &keys);
+    let voted = core.on_message(at(2 * DELTA_BND_MS + 1), &proposal_of(second, &b));
+    let syncs_before = core.storage_counters().fsyncs;
+    let ended = core.on_message(
+        at(2 * DELTA_BND_MS + 2),
+        &notarization_by(&[second, third, &keys[a]], &b),
+    );
+    assert_eq!(
+        shares_for(&[voted, ended], &b),
+        (1, 1),
+        "A supports B, then finalization-shares it"
+    );
+    assert_eq!(
+        core.storage_counters().fsyncs,
+        syncs_before + 1,
+        "one sync for the step that ended the round"
+    );
+    assert_eq!(disk.unsynced_bytes(), 0, "nothing of it is left to lose");
+    disk.crash(DiskFault::LoseUnsynced).unwrap();
+    drop(core);
+
+    let (mut core, _disk) = core_on(a, &dir, per_commit());
+    let mut steps = vec![core.start(at(300))];
+    assert_eq!(core.recovery_stats().restore_verifications, 0);
+    assert!(
+        core.current_round() > Round::new(1),
+        "the finalization share left, so round 1 is over for A"
+    );
+    let b_prime = block_of(leader, "B'");
+    steps.push(core.on_message(at(301), &proposal_of(leader, &b_prime)));
+    steps.push(core.on_wakeup(at(301 + 4 * DELTA_BND_MS)));
+    assert_eq!(
+        shares_for(&steps, &b_prime),
+        (0, 0),
+        "A finalization-shared B in round 1: a notarization share for B′ \
+         contradicts it"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What the barrier test's shared log holds, in the order it happened.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Logged {
+    /// Replica wrote one record with this `WalEntry` tag.
+    Write(usize, u8),
+    /// Replica's segment was synced.
+    Sync(usize),
+    /// Replica released a step that ended a round or carried a
+    /// finalization share.
+    RoundEnd(usize),
+}
+
+type SharedLog = Arc<std::sync::Mutex<Vec<Logged>>>;
+
+/// A segment filesystem that writes real files and logs every `write`
+/// and `sync` of replica `me`.
+struct LoggedFs {
+    me: usize,
+    log: SharedLog,
+}
+
+struct LoggedFile {
+    me: usize,
+    log: SharedLog,
+    file: std::fs::File,
+}
+
+impl icc_wal::SegmentFs for LoggedFs {
+    fn create(&mut self, path: &std::path::Path) -> std::io::Result<Box<dyn icc_wal::SegmentFile>> {
+        Ok(Box::new(LoggedFile {
+            me: self.me,
+            log: Arc::clone(&self.log),
+            file: std::fs::File::create(path)?,
+        }))
+    }
+}
+
+impl std::io::Write for LoggedFile {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        // The log writes one whole record per call: frame header, the
+        // round, then the entry's tag.
+        let tag = buf[HEADER_LEN + 8];
+        self.log.lock().unwrap().push(Logged::Write(self.me, tag));
+        self.file.write_all(buf)?;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl icc_wal::SegmentFile for LoggedFile {
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.log.lock().unwrap().push(Logged::Sync(self.me));
+        Ok(())
+    }
+}
+
+/// The barrier, seen from outside: one log shared by every replica's
+/// segment files and by the transport. Over 100 rounds no step that
+/// ends a round — the step a finalization share leaves in, and the one
+/// before the next round's votes — is released while anything the
+/// replica wrote is unsynced, `Notarized(k)` included; and that costs
+/// one sync a round, not one per record.
+#[test]
+fn no_round_ends_before_the_sync_covering_it() {
+    use icc_core::NodeEvent;
+    use rig::*;
+    const NOTARIZED_TAG: u8 = 1;
+    const ROUNDS: u64 = 100;
+    let log = SharedLog::default();
+    let dirs: Vec<PathBuf> = (0..N).map(|i| scratch(&format!("barrier_{i}"))).collect();
+    let cores = (0..N)
+        .map(|i| {
+            let fs = LoggedFs {
+                me: i,
+                log: Arc::clone(&log),
+            };
+            core_over(i, store_on(&dirs[i], per_commit(), Box::new(fs)))
+        })
+        .collect();
+    let mut net = Net::new(cores, 1);
+    let transport_log = Arc::clone(&log);
+    net.observer = Box::new(move |i, step| {
+        let ended = step
+            .events
+            .iter()
+            .any(|e| matches!(e, NodeEvent::RoundFinished { .. }));
+        let shared = step
+            .broadcasts
+            .iter()
+            .any(|m| matches!(m, ConsensusMessage::FinalizationShare(_)));
+        if ended || shared {
+            transport_log.lock().unwrap().push(Logged::RoundEnd(i));
+        }
+    });
+    net.start();
+    run_with_load(&mut net, |net| net.committed(&[0, 1, 2, 3]) >= ROUNDS);
+
+    let log = log.lock().unwrap();
+    let mut unsynced = [0u32; N];
+    let (mut round_ends, mut notarized, mut syncs, mut writes) = (0u64, 0u64, 0u64, 0u64);
+    for event in log.iter() {
+        match *event {
+            Logged::Write(i, tag) => {
+                writes += 1;
+                notarized += u64::from(tag == NOTARIZED_TAG);
+                unsynced[i] += 1;
+            }
+            Logged::Sync(i) => {
+                syncs += 1;
+                unsynced[i] = 0;
+            }
+            Logged::RoundEnd(i) => {
+                round_ends += 1;
+                assert_eq!(
+                    unsynced[i], 0,
+                    "replica {i} released the end of a round ahead of its journal"
+                );
+            }
+        }
+    }
+    let replica_rounds: u64 = net.cores.iter().map(|c| c.current_round().get() - 1).sum();
+    assert!(
+        round_ends >= replica_rounds && notarized >= replica_rounds,
+        "{round_ends} round ends, {notarized} blocks in {replica_rounds} replica-rounds"
+    );
+    let per_round = syncs as f64 / replica_rounds as f64;
+    assert!(
+        per_round <= 1.2,
+        "{syncs} syncs in {replica_rounds} replica-rounds ({per_round:.2} each)"
+    );
+    assert!(
+        writes as f64 / replica_rounds as f64 > 3.5,
+        "a round still journals its beacon, block, finalization and digests"
+    );
+    for d in &dirs {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+/// Fail-stop: from the first write or sync the disk refuses, the
+/// replica releases nothing — not the step that hit the error, nothing
+/// after it — and reports itself halted; the other three carry on.
+#[test]
+fn a_failing_disk_releases_nothing_and_halts_the_core() {
+    use rig::*;
+    type Inject = fn(&FaultHandle);
+    let faults: [(&str, Inject); 2] = [
+        ("write", |disk| disk.fail_writes()),
+        ("sync", |disk| disk.fail_syncs()),
+    ];
+    for (name, inject) in faults {
+        let dir = scratch(&format!("fail_stop_{name}"));
+        let (victim, disk) = core_on(0, &dir, per_commit());
+        let mut cores = vec![victim];
+        cores.extend((1..N).map(|i| core_over(i, DurableStore::new())));
+        let mut net = Net::new(cores, 2);
+        net.start();
+        run_with_load(&mut net, |net| net.committed(&[0, 1, 2, 3]) >= 10);
+        assert!(net.cores[0].halted().is_none());
+
+        inject(&disk);
+        let mut released_when_hit = None;
+        run_with_load(&mut net, |net| {
+            let hit = net.cores[0].storage_counters().io_errors > 0;
+            match released_when_hit {
+                // The step that met the error is over: nothing of it
+                // was released, and the core says why it stopped.
+                None if hit => {
+                    assert!(net.cores[0].halted().is_some(), "{name}: not halted");
+                    released_when_hit = Some(released_by(net, 0));
+                }
+                Some(before) => assert_eq!(
+                    released_by(net, 0),
+                    before,
+                    "{name}: a halted replica released a message"
+                ),
+                None => {}
+            }
+            net.committed(&[1, 2, 3]) >= 30
+        });
+        let why = net.cores[0].halted().expect("halted").to_string();
+        assert!(why.contains(name), "{name}: halted with {why:?}");
+        // It stopped where it stood; the other three did not need it.
+        assert!(net.cores[0].committed_round().get() < 30);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// `Finalization(k)` is in the journal only behind every `Committed`
+/// up to `k`. Restore takes `kmax` from the one and the input dedup set
+/// from the others, so a journal cut between them the other way round
+/// would bring back a replica that counts a block as committed and may
+/// propose its commands again. Cut the unsynced tail of a replica at
+/// every record boundary of its last rounds: whatever `kmax` the
+/// restored replica reports, it refuses every command committed up to
+/// it.
+#[test]
+fn torn_tail_at_any_record_boundary_keeps_dedup_under_kmax() {
+    use rig::*;
+    // One run of the scenario: replica 0 journals rounds 1..=6 durably,
+    // then two more rounds into the page cache only; the power cut keeps
+    // `keep` bytes of that tail. Returns the tail's record boundaries
+    // and the restored replica's `kmax`.
+    let scenario = |keep: usize| -> (Vec<usize>, u64) {
+        let dir = scratch("torn_boundary");
+        let (victim, disk) = core_on(0, &dir, never_due());
+        let mut cores = vec![victim];
+        cores.extend((1..N).map(|i| core_over(i, DurableStore::new())));
+        let mut net = Net::new(cores, 3);
+        let commits = collect_commits(&mut net);
+        net.start();
+        run_with_load(&mut net, |net| net.cores[0].committed_round().get() >= 6);
+        net.cores[0].flush_store().unwrap();
+        let segment = fault::last_segment(&dir).unwrap().expect("a segment");
+        let synced = std::fs::metadata(&segment).unwrap().len() as usize;
+        run_with_load(&mut net, |net| net.cores[0].committed_round().get() >= 8);
+        disk.crash(DiskFault::TornTail { keep }).unwrap();
+
+        // Where the records of the surviving tail end.
+        let mut tail = FrameBuffer::new();
+        tail.extend(&std::fs::read(&segment).unwrap()[synced..]);
+        let mut boundaries = vec![0];
+        while let Ok(Some(record)) = tail.next_frame() {
+            boundaries.push(boundaries.last().unwrap() + HEADER_LEN + record.len());
+        }
+
+        let mut core = core_over(0, DurableStore::file(&dir, per_commit()).unwrap());
+        core.start(SimTime::ZERO);
+        assert_eq!(core.recovery_stats().restore_verifications, 0);
+        let kmax = core.committed_round();
+        let mut refused = 0;
+        for (round, commands) in commits.borrow().iter() {
+            if *round <= kmax {
+                for cmd in commands {
+                    core.on_command(cmd.clone());
+                    refused += 1;
+                }
+            }
+        }
+        assert!(refused > 0, "the committed rounds carried commands");
+        assert_eq!(
+            core.pending_commands(),
+            0,
+            "keep {keep}: restored with kmax {kmax} but would take a command \
+             committed at or below it again"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        (boundaries, kmax.get())
+    };
+
+    let (boundaries, kmax_whole) = scenario(usize::MAX);
+    assert!(
+        boundaries.len() >= 8,
+        "two rounds of records: {boundaries:?}"
+    );
+    assert!(kmax_whole >= 8);
+    let mut kmaxes = Vec::new();
+    for &keep in &boundaries {
+        kmaxes.push(scenario(keep).1);
+    }
+    // The cuts did land on both sides of a finalization.
+    assert!(kmaxes.first() < kmaxes.last(), "{kmaxes:?}");
+    assert!(kmaxes.windows(2).all(|w| w[0] <= w[1]), "{kmaxes:?}");
+}
+
+/// Withholding a finalization share costs one round's explicit
+/// finalization, not progress: the whole cluster loses power inside a
+/// round — every replica has notarization-shared the leader's block,
+/// nobody holds its notarization yet, everything in flight is gone —
+/// and comes back inside it. All four vote again (the restarted leader
+/// proposes the very block again with an empty input queue; under load
+/// its re-proposal differs, an equivocation the protocol absorbs), the
+/// round is notarized with nobody finalization-sharing it, and the next
+/// round's finalization commits it.
+#[test]
+fn whole_cluster_power_cut_inside_a_round_still_makes_progress() {
+    use rig::*;
+    for loaded in [false, true] {
+        let dirs: Vec<PathBuf> = (0..N).map(|i| scratch(&format!("blackout_{i}"))).collect();
+        let (cores, disks): (Vec<_>, Vec<_>) =
+            (0..N).map(|i| core_on(i, &dirs[i], per_commit())).unzip();
+        let mut net = Net::new(cores, 4);
+        net.start();
+        let idle = |net: &mut Net, done: &mut dyn FnMut(&Net) -> bool| {
+            net.run_until(200_000, |net| done(net), |_| {})
+        };
+        if loaded {
+            run_with_load(&mut net, |net| net.committed(&[0, 1, 2, 3]) >= 5);
+        } else {
+            idle(&mut net, &mut |net| net.committed(&[0, 1, 2, 3]) >= 5);
+        }
+        // Stop between two deliveries: all four have voted in the open
+        // round, no notarization of it exists.
+        let voters_in = |net: &Net, round: Round| {
+            let mut voters: Vec<usize> = net
+                .released
+                .iter()
+                .filter(|(_, _, m)| {
+                    matches!(m, ConsensusMessage::NotarizationShare(s) if s.block_ref.round == round)
+                })
+                .map(|(from, _, _)| *from)
+                .collect();
+            voters.sort_unstable();
+            voters.dedup();
+            voters.len()
+        };
+        let mut open = Round::GENESIS;
+        idle(&mut net, &mut |net| {
+            open = net.cores.iter().map(|c| c.current_round()).max().unwrap();
+            voters_in(net, open) == N
+        });
+        assert!(
+            net.cores
+                .iter()
+                .all(|c| c.pool().notarized_block(open).is_none()),
+            "round {open} must still be open everywhere"
+        );
+
+        for disk in &disks {
+            disk.crash(DiskFault::LoseUnsynced).unwrap();
+        }
+        net.drop_in_flight();
+        net.released.clear();
+        for (i, dir) in dirs.iter().enumerate() {
+            let (core, _disk) = core_on(i, dir, per_commit());
+            net.restart(i, Some(core));
+            let core = &net.cores[i];
+            assert_eq!(
+                core.current_round(),
+                open,
+                "replica {i} resumes inside the round"
+            );
+            assert_eq!(core.recovery_stats().restore_verifications, 0);
+        }
+        idle(&mut net, &mut |net| {
+            net.committed(&[0, 1, 2, 3]) >= open.get() + 5
+        });
+        let shared_in_open = net.released.iter().any(
+            |(_, _, m)| matches!(m, ConsensusMessage::FinalizationShare(s) if s.block_ref.round == open),
+        );
+        assert!(
+            !shared_in_open,
+            "round {open}: votes forgotten, shares withheld"
+        );
+        for d in &dirs {
+            let _ = std::fs::remove_dir_all(d);
+        }
+    }
+}

@@ -142,3 +142,95 @@ fn no_conflicting_finalized_blocks_per_round() {
     }
     assert!(by_round.len() > 30);
 }
+
+/// n = 4, t = 1, and both faults the bound has to absorb at once: one
+/// Byzantine proposer that equivocates whenever it leads, and one honest
+/// replica whose process dies and comes back *inside* rounds, again and
+/// again, resuming each time in the round it died in. The transport
+/// re-sends the open rounds' messages to it in a shuffled order, so it
+/// may meet the equivocator's second block before the one it supported,
+/// and support that one too. It does not remember its votes — so in a
+/// round it resumed in it finalization-shares nothing; a restarter that
+/// went by the `N` of its latest incarnation alone would
+/// finalization-share the wrong block and be a second faulty party.
+/// Over 200 rounds: P2 at every commit (the harness checks), and the
+/// signing rule P2's proof assumes of an honest party — a finalization
+/// share for `B` only from a replica that notarization-shared nothing
+/// but `B` in that round — over every message the restarter ever
+/// released, across all its incarnations.
+#[test]
+fn safety_with_equivocating_proposer_and_sub_round_restarter() {
+    use icc_core::consensus::ConsensusCore;
+    use icc_core::delays::StaticDelays;
+    use icc_core::keys::generate_keys;
+    use icc_core::Behavior;
+    use icc_tests::hand::Net;
+    use icc_types::messages::ConsensusMessage;
+    use icc_types::{Command, SubnetConfig};
+    use std::collections::{BTreeMap, BTreeSet};
+    const RESTARTER: usize = 0;
+    const EQUIVOCATOR: usize = 3;
+    const HONEST: [usize; 3] = [0, 1, 2];
+
+    let cores = generate_keys(SubnetConfig::new(4), 24)
+        .into_iter()
+        .enumerate()
+        .map(|(i, keys)| {
+            let behavior = if i == EQUIVOCATOR {
+                Behavior::Equivocate
+            } else {
+                Behavior::Honest
+            };
+            ConsensusCore::new(keys, StaticDelays::new(ms(20), SimDuration::ZERO), behavior)
+        })
+        .collect();
+    let mut net = Net::new(cores, 24);
+    net.start();
+    let (mut deliveries, mut restarts) = (0u64, 0u64);
+    while net.committed(&HONEST) < 200 {
+        assert!(net.step(), "idle at round {}", net.committed(&HONEST));
+        deliveries += 1;
+        if deliveries.is_multiple_of(16) {
+            let cmd = Command::new(format!("cmd-{deliveries}").into_bytes());
+            net.cores[(deliveries / 16) as usize % 4].on_command(cmd);
+        }
+        // A prime stride walks the point of death through the round,
+        // and leaves rounds the restarter lives through whole.
+        if deliveries.is_multiple_of(127) {
+            net.restart(RESTARTER, None);
+            restarts += 1;
+        }
+        assert!(
+            deliveries < 2_000_000,
+            "stalled at {}",
+            net.committed(&HONEST)
+        );
+    }
+    assert!(restarts >= 100, "only {restarts} restarts in 200 rounds");
+    assert_eq!(net.cores[RESTARTER].recovery_stats().restarts, restarts);
+
+    let mut supported: BTreeMap<_, BTreeSet<_>> = BTreeMap::new();
+    let mut finalization_shared = Vec::new();
+    for (from, _, msg) in &net.released {
+        match msg {
+            ConsensusMessage::NotarizationShare(s) if *from == RESTARTER => {
+                let blocks = supported.entry(s.block_ref.round).or_default();
+                blocks.insert(s.block_ref.hash);
+            }
+            ConsensusMessage::FinalizationShare(s) if *from == RESTARTER => {
+                finalization_shared.push(s.block_ref);
+            }
+            _ => {}
+        }
+    }
+    assert!(finalization_shared.len() >= 40, "the restarter took part");
+    for block_ref in finalization_shared {
+        let blocks = &supported[&block_ref.round];
+        assert!(
+            blocks.iter().all(|h| *h == block_ref.hash),
+            "the restarter finalization-shared {} in {} after supporting {blocks:?}",
+            block_ref.hash,
+            block_ref.round
+        );
+    }
+}
