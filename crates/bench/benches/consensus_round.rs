@@ -10,7 +10,7 @@ use icc_core::cluster::ClusterBuilder;
 use icc_core::keys::{generate_keys, NodeKeys, PublicSetup};
 use icc_core::pool::{EagerPool, Pool};
 use icc_erasure::{icc2_cluster, Icc2Config};
-use icc_gossip::{gossip_cluster, GossipConfig, Overlay};
+use icc_gossip::{gossip_cluster, icc0_cluster, GossipConfig, Overlay};
 use icc_sim::delay::FixedDelay;
 use icc_types::block::{Block, Payload};
 use icc_types::messages::{BlockRef, ConsensusMessage, Notarization};
@@ -29,7 +29,7 @@ fn bench_icc0_rounds(c: &mut Criterion) {
     for n in [4usize, 13, 40] {
         g.bench_with_input(BenchmarkId::new("icc0", n), &n, |b, &n| {
             b.iter(|| {
-                let mut cluster = builder(n).build();
+                let mut cluster = icc0_cluster(builder(n));
                 cluster.run_for(SimDuration::from_secs(1));
                 assert!(cluster.min_committed_round() > 10);
                 cluster.min_committed_round()

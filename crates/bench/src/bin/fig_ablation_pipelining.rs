@@ -10,6 +10,7 @@
 
 use icc_bench::{fmt_f, print_table};
 use icc_core::cluster::ClusterBuilder;
+use icc_gossip::icc0_cluster;
 use icc_sim::delay::FixedDelay;
 use icc_types::SimDuration;
 
@@ -21,7 +22,7 @@ fn round_time_us(n: usize, delta_ms: u64, pipelining: bool) -> f64 {
     if !pipelining {
         builder = builder.without_beacon_pipelining();
     }
-    let mut cluster = builder.build();
+    let mut cluster = icc0_cluster(builder);
     // Effective round time = elapsed time per committed round. (The
     // `RoundFinished` duration starts at beacon computation, so the
     // ablated share-exchange δ lands *before* it — whole-run pacing is

@@ -16,6 +16,7 @@
 
 use icc_bench::{fmt_f, print_table};
 use icc_core::cluster::ClusterBuilder;
+use icc_gossip::icc0_cluster;
 use icc_sim::delay::FixedDelay;
 use icc_types::SimDuration;
 
@@ -27,11 +28,12 @@ fn main() {
     let mut rows = Vec::new();
 
     // Static, misconfigured.
-    let mut bad = ClusterBuilder::new(n)
-        .seed(12)
-        .network(network)
-        .protocol_delays(SimDuration::from_millis(5), SimDuration::ZERO)
-        .build();
+    let mut bad = icc0_cluster(
+        ClusterBuilder::new(n)
+            .seed(12)
+            .network(network)
+            .protocol_delays(SimDuration::from_millis(5), SimDuration::ZERO),
+    );
     bad.run_for(SimDuration::from_secs(30));
     bad.assert_safety();
     let bad_rounds = bad.sim.node(0).core().current_round().get();
@@ -47,11 +49,12 @@ fn main() {
     ]);
 
     // Static, correctly configured (reference).
-    let mut good = ClusterBuilder::new(n)
-        .seed(12)
-        .network(network)
-        .protocol_delays(SimDuration::from_millis(240), SimDuration::ZERO)
-        .build();
+    let mut good = icc0_cluster(
+        ClusterBuilder::new(n)
+            .seed(12)
+            .network(network)
+            .protocol_delays(SimDuration::from_millis(240), SimDuration::ZERO),
+    );
     good.run_for(SimDuration::from_secs(30));
     good.assert_safety();
     let good_rounds = good.sim.node(0).core().current_round().get();
@@ -67,16 +70,17 @@ fn main() {
     ]);
 
     // Adaptive from the same wrong guess.
-    let mut adaptive = ClusterBuilder::new(n)
-        .seed(12)
-        .network(network)
-        .adaptive_delays(
-            SimDuration::from_millis(5),
-            SimDuration::from_millis(5),
-            SimDuration::from_secs(2),
-            SimDuration::ZERO,
-        )
-        .build();
+    let mut adaptive = icc0_cluster(
+        ClusterBuilder::new(n)
+            .seed(12)
+            .network(network)
+            .adaptive_delays(
+                SimDuration::from_millis(5),
+                SimDuration::from_millis(5),
+                SimDuration::from_secs(2),
+                SimDuration::ZERO,
+            ),
+    );
     adaptive.run_for(SimDuration::from_secs(30));
     adaptive.assert_safety();
     let ad_rounds = adaptive.sim.node(0).core().current_round().get();

@@ -17,6 +17,7 @@ use icc_core::cluster::{Cluster, ClusterBuilder, CoreAccess};
 use icc_core::events::NodeEvent;
 use icc_core::BlockPolicy;
 use icc_erasure::{icc2_cluster, Icc2Config};
+use icc_gossip::icc0_cluster;
 use icc_sim::delay::FixedDelay;
 use icc_sim::Node;
 use icc_types::{Command, SimDuration, SimTime};
@@ -71,7 +72,7 @@ fn main() {
             // block; a shorter window keeps the harness snappy without
             // changing the per-round averages.
             let secs = if kb >= 2048 { 3 } else { 6 };
-            let mut icc0 = builder(n, s, 1).build();
+            let mut icc0 = icc0_cluster(builder(n, s, 1));
             let (mean0, max0) = measure(&mut icc0, s, secs);
             let mut icc2c = icc2_cluster(builder(n, s, 1), Icc2Config::default());
             let (mean2, max2) = measure(&mut icc2c, s, secs);

@@ -16,7 +16,7 @@ use icc_bench::{fmt_f, print_table};
 use icc_core::cluster::{Cluster, ClusterBuilder, CoreAccess};
 use icc_core::events::NodeEvent;
 use icc_core::BlockPolicy;
-use icc_gossip::{gossip_cluster, GossipConfig, Overlay};
+use icc_gossip::{gossip_cluster, icc0_cluster, GossipConfig, Overlay};
 use icc_sim::delay::FixedDelay;
 use icc_sim::Node;
 use icc_types::{Command, SimDuration, SimTime};
@@ -59,7 +59,7 @@ fn main() {
     let n = 40;
     let mut rows = Vec::new();
 
-    let mut icc0 = builder(n).build();
+    let mut icc0 = icc0_cluster(builder(n));
     let (mean, max, rounds) = measure(&mut icc0, 10);
     rows.push(vec![
         "ICC0 (full broadcast)".into(),

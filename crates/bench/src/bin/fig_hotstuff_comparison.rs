@@ -15,6 +15,7 @@ use icc_bench::{fmt_f, print_table};
 use icc_core::cluster::ClusterBuilder;
 use icc_core::events::NodeEvent;
 use icc_core::Behavior;
+use icc_gossip::icc0_cluster;
 use icc_sim::delay::FixedDelay;
 use icc_sim::SimulationBuilder;
 use icc_types::{SimDuration, SimTime};
@@ -26,12 +27,13 @@ const SECS: u64 = 30;
 
 /// (commits/s, mean commit latency ms)
 fn run_icc(n: usize, crashed: usize) -> (f64, f64) {
-    let mut cluster = ClusterBuilder::new(n)
-        .seed(4)
-        .network(FixedDelay::new(SimDuration::from_millis(DELTA_MS)))
-        .protocol_delays(SimDuration::from_millis(TIMEOUT_MS), SimDuration::ZERO)
-        .behaviors(Behavior::first_f(n, crashed, Behavior::Crash))
-        .build();
+    let mut cluster = icc0_cluster(
+        ClusterBuilder::new(n)
+            .seed(4)
+            .network(FixedDelay::new(SimDuration::from_millis(DELTA_MS)))
+            .protocol_delays(SimDuration::from_millis(TIMEOUT_MS), SimDuration::ZERO)
+            .behaviors(Behavior::first_f(n, crashed, Behavior::Crash)),
+    );
     cluster.run_for(SimDuration::from_secs(SECS));
     cluster.assert_safety();
     let observer = cluster.honest_nodes()[0];

@@ -6,7 +6,8 @@
 //! overwhelming probability."
 //!
 //! We measure messages sent by all parties per finished round (one
-//! broadcast = n messages, the paper's convention) for growing `n`, in
+//! broadcast = `n − 1` sends: ICC0 is the gossip node on a full mesh,
+//! and a party's copy to itself never touches the wire) for growing `n`, in
 //! three regimes: all honest + synchronous; `t` crashed; `t`
 //! equivocating proposers (the stress case for clause (c)'s echo
 //! logic). The normalized column `msgs / n²` should be roughly flat for
@@ -26,7 +27,7 @@ use icc_bench::{fmt_f, print_table};
 use icc_core::cluster::{Cluster, ClusterBuilder, CoreAccess};
 use icc_core::events::NodeEvent;
 use icc_core::Behavior;
-use icc_gossip::{gossip_cluster, subnet_overlay_seed, GossipConfig, Overlay};
+use icc_gossip::{gossip_cluster, icc0_cluster, subnet_overlay_seed, GossipConfig, Overlay};
 use icc_sim::delay::FixedDelay;
 use icc_sim::Node;
 use icc_types::{Command, SimDuration};
@@ -70,7 +71,7 @@ fn main() {
     let mut icc1_per_nn = std::collections::BTreeMap::new();
     for &n in &[4usize, 7, 13, 19, 31, 40] {
         let t = n.div_ceil(3) - 1;
-        let icc0 = |behaviors, secs| msgs_per_round(builder(n, behaviors).build(), secs);
+        let icc0 = |behaviors, secs| msgs_per_round(icc0_cluster(builder(n, behaviors)), secs);
         let honest = icc0(vec![Behavior::Honest; n], 5);
         let crashed = icc0(Behavior::first_f(n, t, Behavior::Crash), 20);
         let equiv = icc0(Behavior::first_f(n, t, Behavior::Equivocate), 10);
@@ -91,7 +92,7 @@ fn main() {
         eprintln!("done n={n}");
     }
     print_table(
-        "E2: messages per round (broadcast counts n), synchronous network",
+        "E2: messages per round (broadcast counts n - 1), synchronous network",
         &[
             "n",
             "honest",

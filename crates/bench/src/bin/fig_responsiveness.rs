@@ -15,17 +15,19 @@
 use icc_baselines::TendermintNode;
 use icc_bench::{fmt_f, print_table};
 use icc_core::cluster::ClusterBuilder;
+use icc_gossip::icc0_cluster;
 use icc_sim::delay::FixedDelay;
 use icc_sim::SimulationBuilder;
 use icc_types::SimDuration;
 
 fn icc_round_time_ms(n: usize, delta_ms: u64) -> f64 {
-    let mut cluster = ClusterBuilder::new(n)
-        .seed(5)
-        .network(FixedDelay::new(SimDuration::from_millis(delta_ms)))
-        // Conservative liveness bound, as deployed systems must choose.
-        .protocol_delays(SimDuration::from_secs(1), SimDuration::ZERO)
-        .build();
+    let mut cluster = icc0_cluster(
+        ClusterBuilder::new(n)
+            .seed(5)
+            .network(FixedDelay::new(SimDuration::from_millis(delta_ms)))
+            // Conservative liveness bound, as deployed systems must choose.
+            .protocol_delays(SimDuration::from_secs(1), SimDuration::ZERO),
+    );
     cluster.run_for(SimDuration::from_secs(20));
     cluster.assert_safety();
     let stats = cluster.round_stats(0);

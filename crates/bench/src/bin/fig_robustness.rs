@@ -19,6 +19,7 @@
 use icc_bench::{fmt_f, print_table, run_trials};
 use icc_core::cluster::ClusterBuilder;
 use icc_core::Behavior;
+use icc_gossip::icc0_cluster;
 use icc_sim::delay::FixedDelay;
 use icc_types::{SimDuration, SimTime};
 
@@ -30,12 +31,13 @@ struct Outcome {
 }
 
 fn run(n: usize, f: usize, behavior: Behavior, secs: u64) -> Outcome {
-    let mut cluster = ClusterBuilder::new(n)
-        .seed(33)
-        .network(FixedDelay::new(SimDuration::from_millis(10)))
-        .protocol_delays(SimDuration::from_millis(100), SimDuration::ZERO)
-        .behaviors(Behavior::first_f(n, f, behavior))
-        .build();
+    let mut cluster = icc0_cluster(
+        ClusterBuilder::new(n)
+            .seed(33)
+            .network(FixedDelay::new(SimDuration::from_millis(10)))
+            .protocol_delays(SimDuration::from_millis(100), SimDuration::ZERO)
+            .behaviors(Behavior::first_f(n, f, behavior)),
+    );
     // Continuous light client load so "useful payload" is measurable.
     cluster.inject_commands(
         SimTime::ZERO,

@@ -17,6 +17,7 @@
 use icc_bench::{fmt_f, print_table};
 use icc_core::cluster::ClusterBuilder;
 use icc_core::Behavior;
+use icc_gossip::icc0_cluster;
 use icc_sim::delay::FixedDelay;
 use icc_types::SimDuration;
 
@@ -24,12 +25,13 @@ fn main() {
     let mut rows = Vec::new();
     for &n in &[7usize, 13, 31] {
         let t = n.div_ceil(3) - 1;
-        let mut cluster = ClusterBuilder::new(n)
-            .seed(21)
-            .network(FixedDelay::new(SimDuration::from_millis(10)))
-            .protocol_delays(SimDuration::from_millis(30), SimDuration::ZERO)
-            .behaviors(Behavior::first_f(n, t, Behavior::Crash))
-            .build();
+        let mut cluster = icc0_cluster(
+            ClusterBuilder::new(n)
+                .seed(21)
+                .network(FixedDelay::new(SimDuration::from_millis(10)))
+                .protocol_delays(SimDuration::from_millis(30), SimDuration::ZERO)
+                .behaviors(Behavior::first_f(n, t, Behavior::Crash)),
+        );
         cluster.run_for(SimDuration::from_secs(60));
         cluster.assert_safety();
         let observer = cluster.honest_nodes()[0];

@@ -19,7 +19,7 @@ use icc_bench::{fmt_f, print_table, run_trials};
 use icc_core::cluster::{Cluster, ClusterBuilder, CoreAccess};
 use icc_core::events::NodeEvent;
 use icc_erasure::{icc2_cluster, Icc2Config};
-use icc_gossip::{gossip_cluster, GossipConfig, Overlay};
+use icc_gossip::{gossip_cluster, icc0_cluster, GossipConfig, Overlay};
 use icc_sim::delay::FixedDelay;
 use icc_sim::Node;
 use icc_types::{Command, SimDuration};
@@ -84,7 +84,7 @@ fn main() {
     let both = run_trials(&deltas, |_, &delta_ms| {
         let delta = (delta_ms * 1000) as f64;
 
-        let mut icc0 = builder(n, delta_ms).build();
+        let mut icc0 = icc0_cluster(builder(n, delta_ms));
         let (r0, l0, f0) = measure(&mut icc0, 5);
 
         let overlay = Overlay::full_mesh(n);

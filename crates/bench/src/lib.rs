@@ -241,7 +241,8 @@ mod tests {
     fn run_trials_parallel_matches_serial_byte_identical() {
         let cells: Vec<(usize, u64)> = vec![(4, 7), (5, 11), (4, 13), (7, 17)];
         let run_cell = |_i: usize, &(n, seed): &(usize, u64)| -> String {
-            let mut cluster = icc_core::cluster::ClusterBuilder::new(n).seed(seed).build();
+            let mut cluster =
+                icc_gossip::icc0_cluster(icc_core::cluster::ClusterBuilder::new(n).seed(seed));
             let m = measure_window(
                 &mut cluster,
                 SimDuration::from_millis(200),
@@ -264,7 +265,8 @@ mod tests {
 
     #[test]
     fn measure_window_rates() {
-        let mut cluster = icc_core::cluster::ClusterBuilder::new(4).seed(5).build();
+        let mut cluster =
+            icc_gossip::icc0_cluster(icc_core::cluster::ClusterBuilder::new(4).seed(5));
         let m = measure_window(
             &mut cluster,
             SimDuration::from_millis(500),

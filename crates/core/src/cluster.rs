@@ -1,19 +1,13 @@
-//! The cluster harness: wires `n` [`IccNode`]s into an `icc-sim`
-//! simulation, injects client workloads, and extracts the measurements
-//! every experiment needs (committed chains, round durations, safety
-//! checks).
+//! The cluster harness: wires `n` consensus cores, each wrapped in a
+//! dissemination layer, into an `icc-sim` simulation, injects client
+//! workloads, and extracts the measurements every experiment needs
+//! (committed chains, round durations, safety checks).
 //!
-//! # Example
-//!
-//! ```
-//! use icc_core::cluster::ClusterBuilder;
-//! use icc_types::SimDuration;
-//!
-//! let mut cluster = ClusterBuilder::new(4).seed(1).build();
-//! cluster.run_for(SimDuration::from_secs(5));
-//! assert!(cluster.min_committed_round() > 0);
-//! cluster.assert_safety();
-//! ```
+//! The layer is chosen by the constructor that consumes the
+//! [`ClusterBuilder`]: `icc_gossip::icc0_cluster` (ICC0: the gossip node
+//! on a full mesh with nothing advertised), `icc_gossip::gossip_cluster`
+//! (ICC1) or `icc_erasure::icc2_cluster` (ICC2), each a
+//! [`ClusterBuilder::build_with`] call.
 
 use crate::byzantine::Behavior;
 use crate::consensus::{BlockPolicy, ConsensusCore};
@@ -21,7 +15,6 @@ use crate::delays::{AdaptiveDelays, StaticDelays};
 use crate::epoch::EpochSchedule;
 use crate::events::NodeEvent;
 use crate::keys::{generate_keys, generate_keys_with_schedule};
-use crate::node::IccNode;
 use icc_crypto::Hash256;
 use icc_sim::delay::{DelayModel, FixedDelay};
 use icc_sim::engine::OutputRecord;
@@ -31,22 +24,16 @@ use icc_types::block::HashedBlock;
 use icc_types::{Command, NodeIndex, Rank, Round, SimDuration, SimTime, SubnetConfig};
 
 /// Access to the wrapped [`ConsensusCore`] — implemented by every
-/// dissemination-layer node (ICC0's [`IccNode`], ICC1's gossip node,
+/// dissemination-layer node (the gossip node that runs ICC0 and ICC1,
 /// ICC2's erasure node) so the [`Cluster`] helpers work for all of them.
 pub trait CoreAccess {
     /// The wrapped consensus core.
     fn core(&self) -> &ConsensusCore;
 
     /// The dissemination layer's gossip counters, when it keeps any
-    /// (the ICC1 gossip node does; plain ICC0 broadcast does not).
+    /// (the gossip node does; ICC2's erasure node does not).
     fn gossip_counters(&self) -> Option<icc_sim::GossipCounters> {
         None
-    }
-}
-
-impl CoreAccess for IccNode {
-    fn core(&self) -> &ConsensusCore {
-        IccNode::core(self)
     }
 }
 
@@ -60,8 +47,8 @@ pub struct ClusterSummary {
     pub pool: crate::pool::PoolStats,
     /// Recovery counters summed over all nodes.
     pub recovery: crate::recovery::RecoveryStats,
-    /// Gossip/overlay counters summed over all nodes (all zeros when
-    /// the cluster runs without a dissemination layer).
+    /// Gossip/overlay counters summed over all nodes (all zeros under
+    /// ICC2, whose erasure-coded node keeps none).
     pub gossip: icc_sim::GossipCounters,
 }
 
@@ -80,7 +67,9 @@ enum DelayChoice {
     },
 }
 
-/// Builds an ICC0 cluster simulation.
+/// Configures a cluster simulation: subnet size, keys, network, faults
+/// and protocol delays. A dissemination layer's constructor turns it
+/// into a [`Cluster`] through [`build_with`](Self::build_with).
 pub struct ClusterBuilder {
     n: usize,
     seed: u64,
@@ -251,13 +240,9 @@ impl ClusterBuilder {
         self
     }
 
-    /// Constructs an ICC0 (full-broadcast) cluster.
-    pub fn build(self) -> Cluster<IccNode> {
-        self.build_with(IccNode::new)
-    }
-
     /// Constructs a cluster whose dissemination layer is produced by
-    /// `wrap` — used by the ICC1 gossip and ICC2 erasure-coded layers.
+    /// `wrap` — used by the gossip (ICC0, ICC1) and erasure-coded (ICC2)
+    /// layers.
     pub fn build_with<N, F>(self, wrap: F) -> Cluster<N>
     where
         N: Node<External = Command, Output = NodeEvent> + CoreAccess,
@@ -336,7 +321,7 @@ impl ClusterBuilder {
 
 /// A running ICC cluster with measurement helpers, generic over the
 /// dissemination layer.
-pub struct Cluster<N: Node + CoreAccess = IccNode> {
+pub struct Cluster<N: Node + CoreAccess> {
     /// The underlying simulation (exposed for advanced inspection).
     pub sim: Simulation<N>,
     behaviors: Vec<Behavior>,
@@ -613,65 +598,5 @@ impl<N: Node<External = Command, Output = NodeEvent> + CoreAccess> Cluster<N> {
                 }
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn four_nodes_commit_and_agree() {
-        let mut cluster = ClusterBuilder::new(4).seed(42).build();
-        cluster.run_for(SimDuration::from_secs(3));
-        assert!(cluster.min_committed_round() >= 3, "commits too slow");
-        cluster.assert_safety();
-        // All honest nodes committed the same chain length eventually
-        // modulo in-flight rounds.
-        let lens: Vec<usize> = (0..4).map(|i| cluster.committed_chain(i).len()).collect();
-        assert!(
-            lens.iter().max().unwrap() - lens.iter().min().unwrap() <= 2,
-            "{lens:?}"
-        );
-    }
-
-    #[test]
-    fn commands_are_committed_exactly_once() {
-        let mut cluster = ClusterBuilder::new(4).seed(7).build();
-        cluster.inject_commands(SimTime::ZERO, SimDuration::from_millis(500), 20, 64);
-        cluster.run_for(SimDuration::from_secs(5));
-        let chain = cluster.committed_chain(0);
-        let mut seen = std::collections::HashSet::new();
-        let mut count = 0;
-        for b in &chain {
-            for c in b.block().payload().commands() {
-                assert!(
-                    seen.insert(c.bytes().to_vec()),
-                    "duplicate command committed"
-                );
-                count += 1;
-            }
-        }
-        assert_eq!(count, 20, "all injected commands commit exactly once");
-    }
-
-    #[test]
-    fn round_durations_match_2delta_envelope() {
-        // Fixed 10ms network, honest leaders: rounds should finish in
-        // ~2δ = 20ms (plus self-delivery epsilon).
-        let mut cluster = ClusterBuilder::new(4).seed(3).build();
-        cluster.run_for(SimDuration::from_secs(2));
-        let stats = cluster.round_stats(0);
-        assert!(stats.len() > 50);
-        // Skip round 1 (startup) and average the rest.
-        let avg_us: u64 = stats[1..]
-            .iter()
-            .map(|(_, d, _)| d.as_micros())
-            .sum::<u64>()
-            / (stats.len() as u64 - 1);
-        assert!(
-            (18_000..26_000).contains(&avg_us),
-            "average round duration {avg_us}µs not ≈ 2δ = 20ms"
-        );
     }
 }

@@ -8,8 +8,9 @@
 //! [`on_command`](ConsensusCore::on_command) (client input). Each entry
 //! point returns a [`Step`]: messages to broadcast, observable events,
 //! and the next time the party wants to be woken. The transport is
-//! external — the simulator broadcasts directly for ICC0, while the
-//! gossip (ICC1) and erasure-coded (ICC2) layers wrap the same core.
+//! external: the gossip layer (`icc-gossip`) wraps the core for ICC0 — on
+//! a full mesh with nothing advertised — and for ICC1, the erasure-coded
+//! layer (`icc-erasure`) for ICC2.
 //!
 //! **Persist-then-send.** A `Step` leaves the core through one barrier
 //! (`release`): what the step appended to the [`DurableStore`] is

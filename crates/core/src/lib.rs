@@ -1,6 +1,6 @@
 //! Protocol ICC0 — the Internet Computer Consensus atomic broadcast
-//! protocol (Camenisch et al., PODC 2022) — plus the harness pieces the
-//! experiments need.
+//! protocol (Camenisch et al., PODC 2022) — as a sans-IO core, plus the
+//! harness pieces the experiments need.
 //!
 //! # Overview
 //!
@@ -26,8 +26,6 @@
 //! * [`consensus`] — the sans-IO protocol state machine (Fig. 1 + 2);
 //! * [`byzantine`] — corrupt-node behavior profiles;
 //! * [`events`] — the observable output trace;
-//! * [`node`] — the `icc-sim` adapter (this is ICC0's full-broadcast
-//!   dissemination);
 //! * [`storage`] — durable replica state: checkpoints + write-ahead log;
 //! * [`recovery`] — certified catch-up packages and recovery counters;
 //! * [`telemetry`] — per-replica metrics and the flight recorder of
@@ -35,17 +33,11 @@
 //! * [`cluster`] — multi-node simulation harness with safety checks;
 //! * [`replica`] — state-machine replication on top of atomic broadcast.
 //!
-//! # Quickstart
-//!
-//! ```
-//! use icc_core::cluster::ClusterBuilder;
-//! use icc_types::SimDuration;
-//!
-//! let mut cluster = ClusterBuilder::new(4).seed(1).build();
-//! cluster.run_for(SimDuration::from_secs(2));
-//! cluster.assert_safety();
-//! assert!(cluster.min_committed_round() > 10);
-//! ```
+//! The core carries no transport. The node that runs it — in the
+//! simulator, over TCP, for ICC0 and ICC1 alike — is `icc-gossip`'s
+//! `GossipNode`; ICC0 is that node on a full mesh with nothing
+//! advertised, and `icc_gossip::icc0_cluster` builds one (the quickstart
+//! is there). ICC2 wraps the same core in `icc-erasure`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,7 +50,6 @@ pub mod delays;
 pub mod epoch;
 pub mod events;
 pub mod keys;
-pub mod node;
 pub mod pool;
 pub mod recovery;
 pub mod replica;
@@ -70,7 +61,6 @@ pub use cluster::{Cluster, ClusterBuilder};
 pub use consensus::{BlockPolicy, ConsensusCore, Step, PURGE_DEPTH};
 pub use epoch::{EpochInfo, EpochSchedule, EpochSpec};
 pub use events::NodeEvent;
-pub use node::IccNode;
 pub use recovery::{CatchUpError, CatchUpPackage, RecoveryStats};
 pub use storage::{Checkpoint, DurableStore, WalEntry};
 pub use telemetry::{CoreMetrics, NodeTelemetry};

@@ -1,5 +1,6 @@
-//! Protocol ICC1: the ICC consensus core over a peer-to-peer gossip
-//! sub-layer.
+//! Protocols ICC0 and ICC1: the ICC consensus core over a peer-to-peer
+//! gossip sub-layer — the one node every simulation, test and process
+//! runs (ICC2's erasure-coded node aside).
 //!
 //! ICC1 is "designed to be integrated with a peer-to-peer gossip
 //! sub-layer, which reduces the bottleneck created at the leader for
@@ -27,8 +28,28 @@
 //!   the cost of multi-hop latency — exactly the trade-off the paper
 //!   attributes to gossip networks (§1.1, Tendermint discussion).
 //!
-//! [`overlay`] builds the bounded-degree peer graph; [`GossipNode`] is
-//! the simulator node; [`gossip_cluster`] wires a full ICC1 cluster.
+//! **ICC0** is this node on a full mesh with every artifact pushed
+//! inline ([`icc0_cluster`]): with nothing advertised and nothing
+//! relayed, each artifact goes once from its producer to the `n − 1`
+//! other parties — the paper's broadcast primitive, with ICC0's
+//! commits, round times and verification counts to the microsecond.
+//!
+//! [`overlay`] builds the peer graph; [`GossipNode`] is the node;
+//! [`icc0_cluster`], [`gossip_cluster`] and [`routed_gossip_cluster`]
+//! wire a simulated cluster.
+//!
+//! # Quickstart
+//!
+//! ```
+//! use icc_core::cluster::ClusterBuilder;
+//! use icc_gossip::icc0_cluster;
+//! use icc_types::SimDuration;
+//!
+//! let mut cluster = icc0_cluster(ClusterBuilder::new(4).seed(1));
+//! cluster.run_for(SimDuration::from_secs(2));
+//! cluster.assert_safety();
+//! assert!(cluster.min_committed_round() > 10);
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,6 +90,32 @@ pub fn gossip_cluster(
 ) -> Cluster<GossipNode> {
     let overlay = Arc::new(overlay);
     builder.build_with(move |core| GossipNode::new(core, Arc::clone(&overlay), config))
+}
+
+/// Builds an ICC0 cluster: the gossip node on a full mesh with every
+/// artifact pushed inline, so nothing is advertised and — the overlay
+/// being complete — nothing relayed. Each artifact goes once from its
+/// producer to every other party: the paper's broadcast primitive.
+///
+/// # Example
+///
+/// ```
+/// use icc_core::cluster::ClusterBuilder;
+/// use icc_gossip::icc0_cluster;
+/// use icc_types::SimDuration;
+///
+/// let mut cluster = icc0_cluster(ClusterBuilder::new(4).seed(1));
+/// cluster.run_for(SimDuration::from_secs(5));
+/// assert!(cluster.min_committed_round() > 0);
+/// cluster.assert_safety();
+/// ```
+pub fn icc0_cluster(builder: ClusterBuilder) -> Cluster<GossipNode> {
+    let overlay = Overlay::full_mesh(builder.n_nodes());
+    let config = GossipConfig {
+        inline_threshold: usize::MAX,
+        ..GossipConfig::default()
+    };
+    gossip_cluster(builder, overlay, config)
 }
 
 /// The overlay seed [`routed_gossip_cluster`] derives for a subnet of

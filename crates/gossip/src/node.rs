@@ -55,6 +55,12 @@
 //! here, and whoever still needs it is behind by more than the
 //! catch-up threshold and is served a package instead.
 
+// Nothing a peer sends may panic the node.
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::indexing_slicing)
+)]
+
 use bytes::Bytes;
 use icc_core::cluster::CoreAccess;
 use icc_core::consensus::{ConsensusCore, Step};
@@ -864,11 +870,11 @@ impl GossipNode {
             .filter(|(p, r)| r.get() >= bar && ctx.peer_up(**p))
             .map(|(p, r)| (*r, *p))
             .collect();
-        if ahead.is_empty() {
-            return;
-        }
         ahead.sort_by(|a, b| b.cmp(a)); // most-ahead first, deterministic
-        let (_, peer) = ahead[self.catch_up_rotation % ahead.len()];
+        let pick = self.catch_up_rotation.checked_rem(ahead.len());
+        let Some(&(_, peer)) = pick.and_then(|i| ahead.get(i)) else {
+            return;
+        };
         ctx.send(peer, GossipMessage::CatchUpRequest { have_round: have });
         let me = ctx.me().get();
         let at_us = ctx.now().as_micros();
@@ -1073,8 +1079,8 @@ impl Node for GossipNode {
                     let mut chosen = None;
                     for k in 1..=n {
                         let idx = (req.next_advertiser + k) % n;
-                        let peer = req.advertisers[idx];
-                        if ctx.peer_up(peer) {
+                        let up = req.advertisers.get(idx).filter(|p| ctx.peer_up(**p));
+                        if let Some(&peer) = up {
                             req.next_advertiser = idx;
                             chosen = Some(peer);
                             break;
@@ -1344,7 +1350,7 @@ mod tests {
 
         // Drive a small cluster far enough to build a genuine certified
         // package, then round-trip it through the transport codec.
-        let mut cluster = ClusterBuilder::new(4).seed(21).build();
+        let mut cluster = crate::icc0_cluster(ClusterBuilder::new(4).seed(21));
         cluster.run_for(icc_types::SimDuration::from_secs(10));
         assert!(cluster.min_committed_round() > 2, "cluster made progress");
         let pkg = cluster

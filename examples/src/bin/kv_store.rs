@@ -14,6 +14,7 @@
 use icc_core::cluster::ClusterBuilder;
 use icc_core::replica::{KvStore, Replica};
 use icc_core::Behavior;
+use icc_gossip::icc0_cluster;
 use icc_sim::delay::InterDcDelay;
 use icc_types::{Command, NodeIndex, SimDuration, SimTime};
 
@@ -22,12 +23,13 @@ fn main() {
     let mut behaviors = vec![Behavior::Honest; n];
     behaviors[5] = Behavior::Equivocate;
 
-    let mut cluster = ClusterBuilder::new(n)
-        .seed(11)
-        .network(InterDcDelay::internet_like(n, 3))
-        .protocol_delays(SimDuration::from_millis(200), SimDuration::ZERO)
-        .behaviors(behaviors)
-        .build();
+    let mut cluster = icc0_cluster(
+        ClusterBuilder::new(n)
+            .seed(11)
+            .network(InterDcDelay::internet_like(n, 3))
+            .protocol_delays(SimDuration::from_millis(200), SimDuration::ZERO)
+            .behaviors(behaviors),
+    );
 
     // A little client session: writes, an overwrite, a delete.
     let session: Vec<Command> = vec![

@@ -16,12 +16,13 @@
 
 use icc_core::cluster::ClusterBuilder;
 use icc_core::events::NodeEvent;
+use icc_gossip::icc0_cluster;
 use icc_types::{Command, NodeIndex, SimDuration, SimTime};
 use std::collections::HashSet;
 
 fn main() {
-    let mut subnet_a = ClusterBuilder::new(4).seed(1).build();
-    let mut subnet_b = ClusterBuilder::new(7).seed(2).build();
+    let mut subnet_a = icc0_cluster(ClusterBuilder::new(4).seed(1));
+    let mut subnet_b = icc0_cluster(ClusterBuilder::new(7).seed(2));
     let xnet_delay = SimDuration::from_millis(25);
 
     // Clients submit to subnet A over the first half second.

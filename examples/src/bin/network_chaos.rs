@@ -15,6 +15,7 @@
 //! ```
 
 use icc_core::cluster::ClusterBuilder;
+use icc_gossip::icc0_cluster;
 use icc_sim::policy::{AsyncWindow, Partition};
 use icc_types::{NodeIndex, SimDuration, SimTime};
 
@@ -26,19 +27,20 @@ fn main() {
     let n = 7;
     // Timeline: 0–2 s healthy; 2–4 s partition 2|5; 4–6 s healthy;
     // 6–8 s fully asynchronous; 8–10 s healthy.
-    let mut cluster = ClusterBuilder::new(n)
-        .seed(23)
-        .protocol_delays(SimDuration::from_millis(60), SimDuration::ZERO)
-        .policy(Partition {
-            from: at(20),
-            until: at(40),
-            group_a: vec![NodeIndex::new(0), NodeIndex::new(1)],
-        })
-        .policy(AsyncWindow {
-            from: at(60),
-            until: at(80),
-        })
-        .build();
+    let mut cluster = icc0_cluster(
+        ClusterBuilder::new(n)
+            .seed(23)
+            .protocol_delays(SimDuration::from_millis(60), SimDuration::ZERO)
+            .policy(Partition {
+                from: at(20),
+                until: at(40),
+                group_a: vec![NodeIndex::new(0), NodeIndex::new(1)],
+            })
+            .policy(AsyncWindow {
+                from: at(60),
+                until: at(80),
+            }),
+    );
 
     println!("phase                 | window  | committed rounds (min over nodes)");
     println!("----------------------+---------+----------------------------------");

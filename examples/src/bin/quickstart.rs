@@ -7,12 +7,14 @@
 
 use icc_core::cluster::ClusterBuilder;
 use icc_core::events::NodeEvent;
+use icc_gossip::icc0_cluster;
 use icc_types::{SimDuration, SimTime};
 
 fn main() {
     // A 4-party subnet (tolerates t = 1 Byzantine fault) on a simulated
-    // network with a fixed 10 ms one-way delay.
-    let mut cluster = ClusterBuilder::new(4).seed(7).build();
+    // network with a fixed 10 ms one-way delay. ICC0 is the gossip node
+    // on a full mesh: every artifact goes once to every other party.
+    let mut cluster = icc0_cluster(ClusterBuilder::new(4).seed(7));
 
     // Submit five client commands over the first 100 ms.
     for (i, cmd) in [

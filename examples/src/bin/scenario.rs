@@ -33,7 +33,7 @@ use icc_core::cluster::{Cluster, ClusterBuilder, CoreAccess};
 use icc_core::events::NodeEvent;
 use icc_core::Behavior;
 use icc_erasure::{icc2_cluster, Icc2Config};
-use icc_gossip::{gossip_cluster, routed_gossip_cluster, GossipConfig, Overlay};
+use icc_gossip::{gossip_cluster, icc0_cluster, routed_gossip_cluster, GossipConfig, Overlay};
 use icc_sim::delay::{FixedDelay, InterDcDelay};
 use icc_sim::{FaultPlan, Node};
 use icc_types::{Command, NodeIndex, SimDuration, SimTime};
@@ -274,8 +274,8 @@ where
         "pool skipped at quorum  {}",
         pool.shares_skipped_after_quorum
     );
-    // Gossip/overlay counters are all zero when the cluster runs
-    // without a dissemination layer (icc0/icc2) — skip the line then.
+    // Gossip/overlay counters are all zero under icc2, whose
+    // erasure-coded node keeps none — skip the line then.
     if summary.gossip != icc_sim::GossipCounters::default() {
         println!("gossip                  {}", summary.gossip);
     }
@@ -466,7 +466,7 @@ fn main() {
     builder = builder.protocol_delays(delta_bnd, SimDuration::from_millis(opts.epsilon_ms));
 
     match opts.protocol.as_str() {
-        "icc0" => report(builder.build(), &opts),
+        "icc0" => report(icc0_cluster(builder), &opts),
         "icc1" => {
             let overlay =
                 Overlay::random_regular(opts.nodes, 6.min(opts.nodes - 1).max(2), opts.seed);

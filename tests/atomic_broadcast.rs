@@ -4,11 +4,15 @@
 //! parties appears in everyone's output "not too much later").
 
 use icc_core::cluster::ClusterBuilder;
+use icc_core::events::NodeEvent;
 use icc_core::replica::{KvStore, Replica};
-use icc_core::Behavior;
+use icc_core::{Behavior, BlockPolicy};
+use icc_gossip::icc0_cluster;
 use icc_sim::delay::UniformDelay;
+use icc_sim::policy::SlowNodes;
+use icc_sim::FaultPlan;
 use icc_tests::{assert_chains_consistent, committed_commands};
-use icc_types::{SimDuration, SimTime};
+use icc_types::{NodeIndex, SimDuration, SimTime};
 
 fn ms(v: u64) -> SimDuration {
     SimDuration::from_millis(v)
@@ -16,11 +20,12 @@ fn ms(v: u64) -> SimDuration {
 
 #[test]
 fn identical_command_order_across_nodes() {
-    let mut cluster = ClusterBuilder::new(4)
-        .seed(1)
-        .network(UniformDelay::new(ms(1), ms(20)))
-        .protocol_delays(ms(60), SimDuration::ZERO)
-        .build();
+    let mut cluster = icc0_cluster(
+        ClusterBuilder::new(4)
+            .seed(1)
+            .network(UniformDelay::new(ms(1), ms(20)))
+            .protocol_delays(ms(60), SimDuration::ZERO),
+    );
     cluster.inject_commands(SimTime::ZERO, SimDuration::from_secs(1), 40, 64);
     cluster.run_for(SimDuration::from_secs(3));
     assert_chains_consistent(&cluster);
@@ -41,7 +46,7 @@ fn identical_command_order_across_nodes() {
 fn exactly_once_despite_submission_to_all_nodes() {
     // Every command is submitted to every node; the chain-walk dedup in
     // getPayload must keep each committed exactly once.
-    let mut cluster = ClusterBuilder::new(4).seed(2).build();
+    let mut cluster = icc0_cluster(ClusterBuilder::new(4).seed(2));
     cluster.inject_commands(SimTime::ZERO, ms(400), 25, 32);
     cluster.run_for(SimDuration::from_secs(2));
     let cmds = committed_commands(&cluster, 0);
@@ -52,7 +57,7 @@ fn exactly_once_despite_submission_to_all_nodes() {
 
 #[test]
 fn commands_commit_promptly_under_load() {
-    let mut cluster = ClusterBuilder::new(4).seed(3).build();
+    let mut cluster = icc0_cluster(ClusterBuilder::new(4).seed(3));
     cluster.inject_commands(SimTime::ZERO, SimDuration::from_secs(2), 200, 128);
     cluster.run_for(SimDuration::from_secs(3));
     let latencies = cluster.command_latencies(0);
@@ -67,12 +72,13 @@ fn commands_commit_promptly_under_load() {
 fn replicas_converge_from_committed_stream() {
     let mut behaviors = vec![Behavior::Honest; 7];
     behaviors[6] = Behavior::Equivocate;
-    let mut cluster = ClusterBuilder::new(7)
-        .seed(4)
-        .network(UniformDelay::new(ms(1), ms(12)))
-        .protocol_delays(ms(40), SimDuration::ZERO)
-        .behaviors(behaviors)
-        .build();
+    let mut cluster = icc0_cluster(
+        ClusterBuilder::new(7)
+            .seed(4)
+            .network(UniformDelay::new(ms(1), ms(12)))
+            .protocol_delays(ms(40), SimDuration::ZERO)
+            .behaviors(behaviors),
+    );
     for i in 0..30 {
         let at = SimTime::ZERO + ms(30 * i);
         let cmd = KvStore::set_command(&format!("k{}", i % 7), &format!("v{i}"));
@@ -102,7 +108,7 @@ fn replicas_converge_from_committed_stream() {
 
 #[test]
 fn committed_chain_is_a_real_hash_chain() {
-    let mut cluster = ClusterBuilder::new(4).seed(5).build();
+    let mut cluster = icc0_cluster(ClusterBuilder::new(4).seed(5));
     cluster.run_for(SimDuration::from_secs(1));
     let chain = cluster.committed_chain(0);
     assert!(chain.len() > 30);
@@ -122,12 +128,13 @@ fn ledger_conservation_across_byzantine_cluster() {
     use icc_core::replica::{Ledger, Replica};
     let mut behaviors = vec![icc_core::Behavior::Honest; 7];
     behaviors[0] = icc_core::Behavior::Equivocate;
-    let mut cluster = ClusterBuilder::new(7)
-        .seed(17)
-        .network(UniformDelay::new(ms(1), ms(12)))
-        .protocol_delays(ms(40), SimDuration::ZERO)
-        .behaviors(behaviors)
-        .build();
+    let mut cluster = icc0_cluster(
+        ClusterBuilder::new(7)
+            .seed(17)
+            .network(UniformDelay::new(ms(1), ms(12)))
+            .protocol_delays(ms(40), SimDuration::ZERO)
+            .behaviors(behaviors),
+    );
     let accounts = ["a", "b", "c"];
     for i in 0..60u64 {
         let at = SimTime::ZERO + ms(20 * i);
@@ -171,4 +178,175 @@ fn ledger_conservation_across_byzantine_cluster() {
     for d in &digests[1..] {
         assert_eq!(*d, digests[0], "ledger state diverged");
     }
+}
+
+/// ICC0 pinned across a change of node. Ten configurations — honest
+/// n = 4 on three seeds, n = 13 with jitter and commands, n = 40, two
+/// equivocators of 7, two finalization-withholders of 7, three crashed
+/// of 10, a crash-restart at n = 4, and 64 KiB commands over a slow
+/// node — each reduced to one hash over every node's commits
+/// `(round, block hash, commit µs)` and `RoundFinished`
+/// `(round, duration µs, rank)`, plus the cluster's `verify_calls`.
+///
+/// Recorded at 0d5267c, when ICC0 was a node of its own (`IccNode`,
+/// plain broadcast with a free self-copy). The gossip node on a full
+/// mesh with nothing advertised is the same protocol and reproduces
+/// every value: what differs is only what the wire carries (n − 1
+/// copies, the 2-byte push envelope), never when or what anybody
+/// decides. The restarted replica stays at round 33 for good: ICC0
+/// advertises nothing, so nothing tells it it is behind, and nobody
+/// sends a finished round again (ROADMAP item 1(ii)).
+#[test]
+fn icc0_runs_match_recorded_reference() {
+    let jitter = |b: ClusterBuilder| {
+        b.network(UniformDelay::new(ms(1), ms(20)))
+            .protocol_delays(ms(60), SimDuration::ZERO)
+    };
+    let large = BlockPolicy {
+        max_commands: 1000,
+        max_bytes: 1 << 20,
+        purge_depth: None,
+    };
+    let at = |v| SimTime::ZERO + ms(v);
+    let restart = FaultPlan::new().crash_between(NodeIndex::new(1), at(700), at(725));
+    let slow = SlowNodes {
+        nodes: vec![NodeIndex::new(2)],
+        extra: ms(25),
+    };
+    // (configuration, builder, commands (count, bytes) over the first
+    // second, simulated seconds)
+    let cases = [
+        (
+            "honest n=4 seed 1",
+            ClusterBuilder::new(4).seed(1),
+            (0, 0),
+            2,
+        ),
+        (
+            "honest n=4 seed 2",
+            ClusterBuilder::new(4).seed(2),
+            (0, 0),
+            2,
+        ),
+        (
+            "honest n=4 seed 3",
+            ClusterBuilder::new(4).seed(3),
+            (0, 0),
+            2,
+        ),
+        (
+            "n=13 jitter + commands",
+            jitter(ClusterBuilder::new(13).seed(4)),
+            (100, 64),
+            2,
+        ),
+        ("n=40", ClusterBuilder::new(40).seed(5), (0, 0), 1),
+        (
+            "2 equivocators of 7",
+            jitter(ClusterBuilder::new(7).seed(6)).behaviors(Behavior::first_f(
+                7,
+                2,
+                Behavior::Equivocate,
+            )),
+            (30, 64),
+            3,
+        ),
+        (
+            "2 withhold finalization of 7",
+            jitter(ClusterBuilder::new(7).seed(7)).behaviors(Behavior::first_f(
+                7,
+                2,
+                Behavior::WithholdFinalization,
+            )),
+            (30, 64),
+            3,
+        ),
+        (
+            "3 crashed of 10",
+            ClusterBuilder::new(10)
+                .seed(8)
+                .behaviors(Behavior::first_f(10, 3, Behavior::Crash)),
+            (0, 0),
+            2,
+        ),
+        (
+            "crash-restart n=4",
+            ClusterBuilder::new(4).seed(9).fault_plan(restart),
+            (40, 64),
+            3,
+        ),
+        (
+            "64 KiB commands, slow node",
+            ClusterBuilder::new(4)
+                .seed(10)
+                .protocol_delays(ms(120), SimDuration::ZERO)
+                .block_policy(large)
+                .policy(slow),
+            (12, 64 << 10),
+            2,
+        ),
+    ];
+    let mut measured = Vec::new();
+    for (name, builder, (count, bytes), secs) in cases {
+        let mut cluster = icc0_cluster(builder);
+        if count > 0 {
+            cluster.inject_commands(SimTime::ZERO, SimDuration::from_secs(1), count, bytes);
+        }
+        cluster.run_for(SimDuration::from_secs(secs));
+        cluster.assert_safety();
+        let mut trace = Vec::new();
+        for node in 0..cluster.n() {
+            for o in cluster.events_of(node) {
+                let (a, b, c) = match &o.output {
+                    NodeEvent::Committed { block } => {
+                        trace.extend_from_slice(block.hash().as_bytes());
+                        (block.round().get(), o.at.as_micros(), u64::MAX)
+                    }
+                    NodeEvent::RoundFinished {
+                        round,
+                        duration,
+                        notarized_rank,
+                    } => (
+                        round.get(),
+                        duration.as_micros(),
+                        u64::from(notarized_rank.get()),
+                    ),
+                    _ => continue,
+                };
+                for v in [node as u64, a, b, c] {
+                    trace.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+        }
+        let digest = icc_crypto::hash_parts("icc0-reference", &[&trace]);
+        let head = u64::from_le_bytes(digest.as_bytes()[..8].try_into().unwrap());
+        let verify_calls = cluster.metrics_summary().pool.verify_calls;
+        let committed = cluster.min_committed_round();
+        measured.push((name, committed, format!("{head:016x}"), verify_calls));
+    }
+    let expected = [
+        ("honest n=4 seed 1", 99, "27f453923ce8b09b", 3079),
+        ("honest n=4 seed 2", 99, "d5d7b55bdfc840a7", 3079),
+        ("honest n=4 seed 3", 99, "c2f791c3544390f2", 3079),
+        ("n=13 jitter + commands", 110, "5c5c52d87f0e62df", 37815),
+        ("n=40", 49, "6c32f5fadfc3c2a7", 180869),
+        ("2 equivocators of 7", 99, "53e3e1a09f7163ec", 10299),
+        (
+            "2 withhold finalization of 7",
+            168,
+            "f6de63b5e8baa3ef",
+            16354,
+        ),
+        ("3 crashed of 10", 44, "c48f1a3bc98b0313", 5829),
+        ("crash-restart n=4", 33, "d2ed8ff879340627", 2916),
+        ("64 KiB commands, slow node", 53, "046b52613ad061b1", 1567),
+    ];
+    assert_eq!(
+        measured
+            .iter()
+            .map(|(n, r, h, v)| (*n, *r, h.as_str(), *v))
+            .collect::<Vec<_>>(),
+        expected,
+        "configuration / lowest committed round / trace hash / verify_calls"
+    );
 }

@@ -1,9 +1,10 @@
 //! Byzantine-fault tests: the protocol holds its guarantees with up to
 //! `t` corrupt parties of every implemented behavior profile.
 
-use icc_core::cluster::ClusterBuilder;
+use icc_core::cluster::{Cluster, ClusterBuilder};
 use icc_core::events::NodeEvent;
 use icc_core::Behavior;
+use icc_gossip::{icc0_cluster, GossipNode};
 use icc_sim::delay::UniformDelay;
 use icc_tests::assert_chains_consistent;
 use icc_types::{Rank, SimDuration};
@@ -12,13 +13,14 @@ fn ms(v: u64) -> SimDuration {
     SimDuration::from_millis(v)
 }
 
-fn cluster_with(n: usize, f: usize, behavior: Behavior, seed: u64) -> icc_core::Cluster {
-    ClusterBuilder::new(n)
-        .seed(seed)
-        .network(UniformDelay::new(ms(2), ms(15)))
-        .protocol_delays(ms(50), SimDuration::ZERO)
-        .behaviors(Behavior::first_f(n, f, behavior))
-        .build()
+fn cluster_with(n: usize, f: usize, behavior: Behavior, seed: u64) -> Cluster<GossipNode> {
+    icc0_cluster(
+        ClusterBuilder::new(n)
+            .seed(seed)
+            .network(UniformDelay::new(ms(2), ms(15)))
+            .protocol_delays(ms(50), SimDuration::ZERO)
+            .behaviors(Behavior::first_f(n, f, behavior)),
+    )
 }
 
 #[test]
@@ -100,12 +102,13 @@ fn mixed_byzantine_cocktail() {
     behaviors[0] = Behavior::Crash;
     behaviors[1] = Behavior::Equivocate;
     behaviors[2] = Behavior::WithholdFinalization;
-    let mut cluster = ClusterBuilder::new(10)
-        .seed(8)
-        .network(UniformDelay::new(ms(2), ms(15)))
-        .protocol_delays(ms(50), SimDuration::ZERO)
-        .behaviors(behaviors)
-        .build();
+    let mut cluster = icc0_cluster(
+        ClusterBuilder::new(10)
+            .seed(8)
+            .network(UniformDelay::new(ms(2), ms(15)))
+            .protocol_delays(ms(50), SimDuration::ZERO)
+            .behaviors(behaviors),
+    );
     cluster.run_for(SimDuration::from_secs(4));
     let chain = assert_chains_consistent(&cluster);
     assert!(chain.len() > 20, "commits: {}", chain.len());
@@ -264,18 +267,20 @@ mod regossip {
     fn equivocating_cluster_verification_economics() {
         use icc_core::cluster::ClusterBuilder;
         use icc_core::Behavior;
+        use icc_gossip::icc0_cluster;
         use icc_sim::delay::UniformDelay;
         use icc_types::SimDuration;
 
-        let mut cluster = ClusterBuilder::new(4)
-            .seed(21)
-            .network(UniformDelay::new(
-                SimDuration::from_millis(2),
-                SimDuration::from_millis(15),
-            ))
-            .protocol_delays(SimDuration::from_millis(50), SimDuration::ZERO)
-            .behaviors(Behavior::first_f(4, 1, Behavior::Equivocate))
-            .build();
+        let mut cluster = icc0_cluster(
+            ClusterBuilder::new(4)
+                .seed(21)
+                .network(UniformDelay::new(
+                    SimDuration::from_millis(2),
+                    SimDuration::from_millis(15),
+                ))
+                .protocol_delays(SimDuration::from_millis(50), SimDuration::ZERO)
+                .behaviors(Behavior::first_f(4, 1, Behavior::Equivocate)),
+        );
         cluster.run_for(SimDuration::from_secs(3));
         cluster.assert_safety();
         let pool = cluster.metrics_summary().pool;

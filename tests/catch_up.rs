@@ -4,6 +4,7 @@
 
 use icc_core::cluster::ClusterBuilder;
 use icc_core::BlockPolicy;
+use icc_gossip::icc0_cluster;
 use icc_sim::policy::Partition;
 use icc_tests::assert_chains_consistent;
 use icc_types::{NodeIndex, SimDuration, SimTime};
@@ -20,15 +21,16 @@ fn at(v: u64) -> SimTime {
 fn isolated_node_catches_up_completely() {
     // Node 6 is cut off for 2 s while the other six keep committing;
     // after healing it must reach the same committed round.
-    let mut cluster = ClusterBuilder::new(7)
-        .seed(1)
-        .protocol_delays(ms(60), SimDuration::ZERO)
-        .policy(Partition {
-            from: at(500),
-            until: at(2500),
-            group_a: vec![NodeIndex::new(6)],
-        })
-        .build();
+    let mut cluster = icc0_cluster(
+        ClusterBuilder::new(7)
+            .seed(1)
+            .protocol_delays(ms(60), SimDuration::ZERO)
+            .policy(Partition {
+                from: at(500),
+                until: at(2500),
+                group_a: vec![NodeIndex::new(6)],
+            }),
+    );
     cluster.run_until(at(2400));
     let majority = cluster.committed_round(0);
     let isolated = cluster.committed_round(6);
@@ -51,20 +53,21 @@ fn isolated_node_catches_up_completely() {
 fn catch_up_works_within_purge_window() {
     // With purging enabled but a window larger than the outage, peers
     // still hold everything the returning node needs.
-    let mut cluster = ClusterBuilder::new(4)
-        .seed(2)
-        .protocol_delays(ms(60), SimDuration::ZERO)
-        .block_policy(BlockPolicy {
-            max_commands: 100,
-            max_bytes: 1 << 20,
-            purge_depth: Some(200),
-        })
-        .policy(Partition {
-            from: at(300),
-            until: at(1300),
-            group_a: vec![NodeIndex::new(3)],
-        })
-        .build();
+    let mut cluster = icc0_cluster(
+        ClusterBuilder::new(4)
+            .seed(2)
+            .protocol_delays(ms(60), SimDuration::ZERO)
+            .block_policy(BlockPolicy {
+                max_commands: 100,
+                max_bytes: 1 << 20,
+                purge_depth: Some(200),
+            })
+            .policy(Partition {
+                from: at(300),
+                until: at(1300),
+                group_a: vec![NodeIndex::new(3)],
+            }),
+    );
     cluster.run_until(at(3000));
     assert_chains_consistent(&cluster);
     let behind = cluster.committed_round(3);
@@ -86,20 +89,21 @@ fn eventual_delivery_makes_deep_purging_safe() {
     // (A deployment whose transport actually *drops* messages would need
     // state sync here, as PBFT's checkpointing provides; that transport
     // assumption is outside the paper's model.)
-    let mut cluster = ClusterBuilder::new(4)
-        .seed(3)
-        .protocol_delays(ms(60), SimDuration::ZERO)
-        .block_policy(BlockPolicy {
-            max_commands: 100,
-            max_bytes: 1 << 20,
-            purge_depth: Some(5),
-        })
-        .policy(Partition {
-            from: at(300),
-            until: at(2300),
-            group_a: vec![NodeIndex::new(3)],
-        })
-        .build();
+    let mut cluster = icc0_cluster(
+        ClusterBuilder::new(4)
+            .seed(3)
+            .protocol_delays(ms(60), SimDuration::ZERO)
+            .block_policy(BlockPolicy {
+                max_commands: 100,
+                max_bytes: 1 << 20,
+                purge_depth: Some(5),
+            })
+            .policy(Partition {
+                from: at(300),
+                until: at(2300),
+                group_a: vec![NodeIndex::new(3)],
+            }),
+    );
     cluster.run_until(at(4000));
     assert_chains_consistent(&cluster);
     let behind = cluster.committed_round(3);

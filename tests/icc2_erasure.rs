@@ -6,6 +6,7 @@ use icc_core::cluster::ClusterBuilder;
 use icc_core::Behavior;
 use icc_core::BlockPolicy;
 use icc_erasure::{icc2_cluster, Icc2Config};
+use icc_gossip::icc0_cluster;
 use icc_sim::delay::FixedDelay;
 use icc_tests::{assert_chains_consistent, committed_commands};
 use icc_types::{SimDuration, SimTime};
@@ -84,7 +85,7 @@ fn per_party_traffic_beats_full_broadcast() {
         max_bytes: 512 << 10,
         purge_depth: None,
     };
-    let mut icc0 = builder(13, 4).block_policy(policy).build();
+    let mut icc0 = icc0_cluster(builder(13, 4).block_policy(policy));
     icc0.inject_commands(SimTime::ZERO, ms(500), 30, 65536);
     icc0.run_for(SimDuration::from_secs(3));
     let mean0 = icc0.sim.metrics().mean_node_bytes();

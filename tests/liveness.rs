@@ -4,6 +4,7 @@
 
 use icc_core::cluster::ClusterBuilder;
 use icc_core::events::NodeEvent;
+use icc_gossip::icc0_cluster;
 use icc_sim::policy::AsyncWindow;
 use icc_tests::assert_chains_consistent;
 use icc_types::{Rank, SimDuration, SimTime};
@@ -17,7 +18,7 @@ fn p3_honest_synchronous_rounds_commit_leader_blocks() {
     // All honest, synchronous, delays satisfying 2δ + Δprop(0) ≤ Δntry(1):
     // every round's notarized block must be the leader's (rank 0), and
     // every round commits.
-    let mut cluster = ClusterBuilder::new(7).seed(1).build();
+    let mut cluster = icc0_cluster(ClusterBuilder::new(7).seed(1));
     cluster.run_for(SimDuration::from_secs(2));
     let chain = assert_chains_consistent(&cluster);
     assert!(chain.len() > 50);
@@ -36,14 +37,15 @@ fn p1_tree_grows_even_while_commits_stall() {
     // An asynchronous window stalls finalization, but rounds must keep
     // finishing once messages flow again — and a block exists for every
     // round in between (the committed chain has no round gaps).
-    let mut cluster = ClusterBuilder::new(4)
-        .seed(2)
-        .protocol_delays(ms(60), SimDuration::ZERO)
-        .policy(AsyncWindow {
-            from: SimTime::ZERO + ms(200),
-            until: SimTime::ZERO + ms(1200),
-        })
-        .build();
+    let mut cluster = icc0_cluster(
+        ClusterBuilder::new(4)
+            .seed(2)
+            .protocol_delays(ms(60), SimDuration::ZERO)
+            .policy(AsyncWindow {
+                from: SimTime::ZERO + ms(200),
+                until: SimTime::ZERO + ms(1200),
+            }),
+    );
     cluster.run_for(SimDuration::from_secs(3));
     let chain = assert_chains_consistent(&cluster);
     for w in chain.windows(2) {
@@ -70,7 +72,7 @@ fn commits_catch_up_after_intermittent_synchrony() {
             until: SimTime::ZERO + ms(800 + i * 1000),
         });
     }
-    let mut cluster = builder.build();
+    let mut cluster = icc0_cluster(builder);
     cluster.run_for(SimDuration::from_secs(3));
     let committed = cluster.min_committed_round();
     // 3 s at 20 ms/round = 150 rounds if fully synchronous; with 1 s of
@@ -80,7 +82,7 @@ fn commits_catch_up_after_intermittent_synchrony() {
 
 #[test]
 fn every_honest_party_enters_every_round() {
-    let mut cluster = ClusterBuilder::new(4).seed(4).build();
+    let mut cluster = icc0_cluster(ClusterBuilder::new(4).seed(4));
     cluster.run_for(SimDuration::from_secs(1));
     for node in 0..4 {
         let entered: Vec<u64> = cluster
@@ -104,10 +106,11 @@ fn degenerate_single_node_subnet_commits_alone() {
     // governor it could run unboundedly fast (the paper's reason for
     // ε: "setting it to a non-zero value will keep the protocol from
     // running 'too fast'"), so pace rounds at ε = 1 ms.
-    let mut cluster = ClusterBuilder::new(1)
-        .seed(9)
-        .protocol_delays(ms(10), ms(1))
-        .build();
+    let mut cluster = icc0_cluster(
+        ClusterBuilder::new(1)
+            .seed(9)
+            .protocol_delays(ms(10), ms(1)),
+    );
     cluster.run_for(SimDuration::from_millis(100));
     let committed = cluster.min_committed_round();
     assert!((80..=101).contains(&committed), "≈1 round/ms: {committed}");
@@ -117,7 +120,7 @@ fn degenerate_single_node_subnet_commits_alone() {
 #[test]
 fn two_node_subnet_requires_both() {
     // n = 2 ⇒ t = 0: both signatures are needed for every quorum.
-    let mut cluster = ClusterBuilder::new(2).seed(9).build();
+    let mut cluster = icc0_cluster(ClusterBuilder::new(2).seed(9));
     cluster.run_for(SimDuration::from_secs(1));
     cluster.assert_safety();
     assert!(cluster.min_committed_round() > 10);
@@ -125,7 +128,7 @@ fn two_node_subnet_requires_both() {
 
 #[test]
 fn commit_latency_is_3_delta_in_steady_state() {
-    let mut cluster = ClusterBuilder::new(4).seed(5).build();
+    let mut cluster = icc0_cluster(ClusterBuilder::new(4).seed(5));
     cluster.run_for(SimDuration::from_secs(2));
     // Latency from the proposer's own `Proposed` event to each commit
     // must be exactly 3δ = 30 ms in the synchronous steady state.
@@ -155,4 +158,24 @@ fn commit_latency_is_3_delta_in_steady_state() {
         }
     }
     assert!(checked > 50);
+}
+
+#[test]
+fn round_durations_match_2delta_envelope() {
+    // Fixed 10ms network, honest leaders: rounds should finish in
+    // ~2δ = 20ms (plus self-delivery epsilon).
+    let mut cluster = icc0_cluster(ClusterBuilder::new(4).seed(3));
+    cluster.run_for(SimDuration::from_secs(2));
+    let stats = cluster.round_stats(0);
+    assert!(stats.len() > 50);
+    // Skip round 1 (startup) and average the rest.
+    let avg_us: u64 = stats[1..]
+        .iter()
+        .map(|(_, d, _)| d.as_micros())
+        .sum::<u64>()
+        / (stats.len() as u64 - 1);
+    assert!(
+        (18_000..26_000).contains(&avg_us),
+        "average round duration {avg_us}µs not ≈ 2δ = 20ms"
+    );
 }

@@ -12,7 +12,7 @@
 //! cross-epoch catch-up certificate chain must all be rejected.
 
 use icc_core::byzantine::Behavior;
-use icc_core::cluster::ClusterBuilder;
+use icc_core::cluster::{Cluster, ClusterBuilder};
 use icc_core::consensus::ConsensusCore;
 use icc_core::delays::StaticDelays;
 use icc_core::epoch::{EpochSchedule, EpochSpec};
@@ -23,6 +23,7 @@ use icc_crypto::dkg::{reshare_aggregate, ReshareDealing};
 use icc_crypto::sig::PublicKey;
 use icc_crypto::threshold::Dealer;
 use icc_crypto::CryptoError;
+use icc_gossip::{icc0_cluster, GossipNode};
 use icc_types::{Round, SimDuration, SimTime, SubnetConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -33,7 +34,7 @@ fn ms(v: u64) -> SimDuration {
 }
 
 /// Rounds in which `node` broadcast its own proposal.
-fn proposed_rounds(cluster: &icc_core::cluster::Cluster, node: usize) -> Vec<Round> {
+fn proposed_rounds(cluster: &Cluster<GossipNode>, node: usize) -> Vec<Round> {
     cluster
         .events_of(node)
         .filter_map(|o| match &o.output {
@@ -54,10 +55,7 @@ fn join_at_boundary_admits_new_member() {
         EpochSpec::new(Round::GENESIS, vec![0, 1, 2, 3]),
         EpochSpec::new(Round::new(25), vec![0, 1, 2, 3, 4]),
     ]);
-    let mut cluster = ClusterBuilder::new(5)
-        .seed(41)
-        .with_epochs(schedule)
-        .build();
+    let mut cluster = icc0_cluster(ClusterBuilder::new(5).seed(41).with_epochs(schedule));
     cluster.run_for(SimDuration::from_secs(4));
     cluster.assert_safety();
     assert!(
@@ -91,10 +89,7 @@ fn leave_at_boundary_demotes_member_to_observer() {
         EpochSpec::new(Round::GENESIS, vec![0, 1, 2, 3, 4]),
         EpochSpec::new(Round::new(25), vec![0, 1, 2, 3]),
     ]);
-    let mut cluster = ClusterBuilder::new(5)
-        .seed(42)
-        .with_epochs(schedule)
-        .build();
+    let mut cluster = icc0_cluster(ClusterBuilder::new(5).seed(42).with_epochs(schedule));
     cluster.run_for(SimDuration::from_secs(4));
     cluster.assert_safety();
     assert!(cluster.min_committed_round() > 60);
@@ -125,10 +120,7 @@ fn replace_at_boundary_swaps_members() {
         EpochSpec::new(Round::GENESIS, vec![0, 1, 2, 3]),
         EpochSpec::new(Round::new(25), vec![0, 1, 2, 4]),
     ]);
-    let mut cluster = ClusterBuilder::new(5)
-        .seed(43)
-        .with_epochs(schedule)
-        .build();
+    let mut cluster = icc0_cluster(ClusterBuilder::new(5).seed(43).with_epochs(schedule));
     cluster.run_for(SimDuration::from_secs(4));
     cluster.assert_safety();
     assert!(cluster.min_committed_round() > 60);
@@ -146,10 +138,7 @@ fn noop_reshare_preserves_progress() {
         EpochSpec::new(Round::GENESIS, vec![0, 1, 2, 3]),
         EpochSpec::new(Round::new(20), vec![0, 1, 2, 3]),
     ]);
-    let mut cluster = ClusterBuilder::new(4)
-        .seed(44)
-        .with_epochs(schedule)
-        .build();
+    let mut cluster = icc0_cluster(ClusterBuilder::new(4).seed(44).with_epochs(schedule));
     cluster.run_for(SimDuration::from_secs(3));
     cluster.assert_safety();
     assert!(cluster.min_committed_round() > 50);
@@ -167,10 +156,7 @@ fn multi_boundary_schedule_rotates_through_members() {
         EpochSpec::new(Round::new(40), vec![0, 1, 3, 4]),
         EpochSpec::new(Round::new(60), vec![0, 1, 2, 3, 4]),
     ]);
-    let mut cluster = ClusterBuilder::new(5)
-        .seed(45)
-        .with_epochs(schedule)
-        .build();
+    let mut cluster = icc0_cluster(ClusterBuilder::new(5).seed(45).with_epochs(schedule));
     cluster.run_for(SimDuration::from_secs(5));
     cluster.assert_safety();
     assert!(
@@ -304,10 +290,11 @@ fn cross_epoch_catch_up_verifies_certificate_chain() {
         EpochSpec::new(Round::new(15), vec![0, 1, 2, 4]),
         EpochSpec::new(Round::new(30), vec![0, 1, 3, 4]),
     ]);
-    let mut cluster = ClusterBuilder::new(5)
-        .seed(46)
-        .with_epochs(schedule.clone())
-        .build();
+    let mut cluster = icc0_cluster(
+        ClusterBuilder::new(5)
+            .seed(46)
+            .with_epochs(schedule.clone()),
+    );
     cluster.run_for(SimDuration::from_secs(3));
     cluster.assert_safety();
     assert!(cluster.min_committed_round() > 40);
@@ -440,10 +427,10 @@ proptest! {
     ) {
         let schedule = schedule_from_draw(&masks, &gaps);
         let last_boundary = schedule.epochs().last().unwrap().start_round;
-        let mut cluster = ClusterBuilder::new(5)
+        let mut cluster = icc0_cluster(ClusterBuilder::new(5)
             .seed(seed)
             .with_epochs(schedule)
-            .build();
+        );
         cluster.run_for(SimDuration::from_secs(3));
         cluster.assert_safety();
         prop_assert!(

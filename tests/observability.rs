@@ -21,7 +21,7 @@
 #![cfg(feature = "telemetry")]
 
 use icc_core::cluster::ClusterBuilder;
-use icc_gossip::{gossip_cluster, GossipConfig, Overlay};
+use icc_gossip::{gossip_cluster, icc0_cluster, GossipConfig, Overlay};
 use icc_sim::delay::FixedDelay;
 use icc_sim::policy::SlowLinks;
 use icc_sim::FaultPlan;
@@ -54,7 +54,7 @@ fn flapping_peer_is_flagged_by_the_scan() {
         .crash_between(NodeIndex::new(3), at(1000), at(1500))
         .crash_between(NodeIndex::new(3), at(2000), at(2500))
         .crash_between(NodeIndex::new(3), at(3000), at(3500));
-    let mut cluster = builder(4, 5).fault_plan(plan).build();
+    let mut cluster = icc0_cluster(builder(4, 5).fault_plan(plan));
     cluster.run_for(SimDuration::from_secs(5));
     cluster.assert_safety();
 

@@ -5,6 +5,7 @@
 use icc_core::cluster::ClusterBuilder;
 use icc_core::epoch::{EpochSchedule, EpochSpec};
 use icc_core::Behavior;
+use icc_gossip::icc0_cluster;
 use icc_sim::delay::UniformDelay;
 use icc_sim::policy::AsyncWindow;
 use icc_tests::assert_chains_consistent;
@@ -43,12 +44,12 @@ proptest! {
     ) {
         let t = n.div_ceil(3) - 1;
         let f = (t as u32 * f_frac / 2) as usize;
-        let mut cluster = ClusterBuilder::new(n)
+        let mut cluster = icc0_cluster(ClusterBuilder::new(n)
             .seed(seed)
             .network(UniformDelay::new(ms(1), ms(max_delay_ms)))
             .protocol_delays(ms(max_delay_ms * 4), SimDuration::ZERO)
             .behaviors(Behavior::first_f(n, f, behavior))
-            .build();
+        );
         cluster.run_for(SimDuration::from_secs(3));
         let chain = assert_chains_consistent(&cluster);
         prop_assert!(chain.len() > 5, "only {} blocks committed", chain.len());
@@ -61,14 +62,14 @@ proptest! {
         start_ms in 0u64..1000,
         len_ms in 100u64..1500,
     ) {
-        let mut cluster = ClusterBuilder::new(4)
+        let mut cluster = icc0_cluster(ClusterBuilder::new(4)
             .seed(seed)
             .protocol_delays(ms(60), SimDuration::ZERO)
             .policy(AsyncWindow {
                 from: SimTime::ZERO + ms(start_ms),
                 until: SimTime::ZERO + ms(start_ms + len_ms),
             })
-            .build();
+        );
         // Check safety at several points, including inside the window.
         for checkpoint in [start_ms + len_ms / 2, start_ms + len_ms + 500, 4000] {
             cluster.run_until(SimTime::ZERO + ms(checkpoint));
@@ -86,7 +87,7 @@ proptest! {
         count in 1usize..30,
         window_ms in 50u64..1000,
     ) {
-        let mut cluster = ClusterBuilder::new(4).seed(seed).build();
+        let mut cluster = icc0_cluster(ClusterBuilder::new(4).seed(seed));
         cluster.inject_commands(SimTime::ZERO, ms(window_ms), count, 48);
         cluster.run_for(SimDuration::from_secs(3));
         assert_chains_consistent(&cluster);
@@ -120,11 +121,11 @@ proptest! {
             EpochSpec::new(Round::new(boundary), (0..4).collect()),
             EpochSpec::new(Round::new(boundary * 2), (0..4).collect()),
         ]);
-        let mut plain = ClusterBuilder::new(4).seed(seed).build();
-        let mut reshared = ClusterBuilder::new(4)
+        let mut plain = icc0_cluster(ClusterBuilder::new(4).seed(seed));
+        let mut reshared = icc0_cluster(ClusterBuilder::new(4)
             .seed(seed)
             .with_epochs(schedule)
-            .build();
+        );
         for cluster in [&mut plain, &mut reshared] {
             cluster.inject_commands(SimTime::ZERO, ms(800), count, 48);
             cluster.run_for(SimDuration::from_secs(3));

@@ -4,6 +4,7 @@
 //! provides safety, even in the asynchronous setting."
 
 use icc_core::cluster::ClusterBuilder;
+use icc_gossip::icc0_cluster;
 use icc_sim::delay::UniformDelay;
 use icc_sim::policy::{AsyncWindow, Partition, SlowNodes};
 use icc_tests::assert_chains_consistent;
@@ -20,11 +21,12 @@ fn at(v: u64) -> SimTime {
 #[test]
 fn safety_under_random_jitter_many_seeds() {
     for seed in 0..8 {
-        let mut cluster = ClusterBuilder::new(4)
-            .seed(seed)
-            .network(UniformDelay::new(ms(1), ms(40)))
-            .protocol_delays(ms(120), SimDuration::ZERO)
-            .build();
+        let mut cluster = icc0_cluster(
+            ClusterBuilder::new(4)
+                .seed(seed)
+                .network(UniformDelay::new(ms(1), ms(40)))
+                .protocol_delays(ms(120), SimDuration::ZERO),
+        );
         cluster.run_for(SimDuration::from_secs(3));
         let chain = assert_chains_consistent(&cluster);
         assert!(!chain.is_empty(), "seed {seed}: nothing committed");
@@ -33,15 +35,16 @@ fn safety_under_random_jitter_many_seeds() {
 
 #[test]
 fn safety_across_partition_and_heal() {
-    let mut cluster = ClusterBuilder::new(7)
-        .seed(3)
-        .protocol_delays(ms(60), SimDuration::ZERO)
-        .policy(Partition {
-            from: at(500),
-            until: at(1500),
-            group_a: vec![NodeIndex::new(0), NodeIndex::new(1), NodeIndex::new(2)],
-        })
-        .build();
+    let mut cluster = icc0_cluster(
+        ClusterBuilder::new(7)
+            .seed(3)
+            .protocol_delays(ms(60), SimDuration::ZERO)
+            .policy(Partition {
+                from: at(500),
+                until: at(1500),
+                group_a: vec![NodeIndex::new(0), NodeIndex::new(1), NodeIndex::new(2)],
+            }),
+    );
     // Check safety repeatedly *during* the partition, not only at the end.
     for step in 1..=6 {
         cluster.run_until(at(step * 500));
@@ -68,21 +71,22 @@ fn safety_with_minority_partitioned_repeatedly() {
             group_a: vec![NodeIndex::new(a), NodeIndex::new(a + 1)],
         });
     }
-    let mut cluster = builder.build();
+    let mut cluster = icc0_cluster(builder);
     cluster.run_for(SimDuration::from_secs(4));
     assert_chains_consistent(&cluster);
 }
 
 #[test]
 fn safety_during_full_asynchrony_window() {
-    let mut cluster = ClusterBuilder::new(4)
-        .seed(5)
-        .protocol_delays(ms(60), SimDuration::ZERO)
-        .policy(AsyncWindow {
-            from: at(300),
-            until: at(2000),
-        })
-        .build();
+    let mut cluster = icc0_cluster(
+        ClusterBuilder::new(4)
+            .seed(5)
+            .protocol_delays(ms(60), SimDuration::ZERO)
+            .policy(AsyncWindow {
+                from: at(300),
+                until: at(2000),
+            }),
+    );
     cluster.run_until(at(1000));
     assert_chains_consistent(&cluster); // mid-asynchrony
     cluster.run_until(at(4000));
@@ -96,11 +100,12 @@ fn safety_during_full_asynchrony_window() {
 
 #[test]
 fn safety_with_lossy_network() {
-    let mut cluster = ClusterBuilder::new(4)
-        .seed(6)
-        .loss(0.10, ms(50))
-        .protocol_delays(ms(150), SimDuration::ZERO)
-        .build();
+    let mut cluster = icc0_cluster(
+        ClusterBuilder::new(4)
+            .seed(6)
+            .loss(0.10, ms(50))
+            .protocol_delays(ms(150), SimDuration::ZERO),
+    );
     cluster.run_for(SimDuration::from_secs(4));
     let chain = assert_chains_consistent(&cluster);
     assert!(!chain.is_empty());
@@ -108,14 +113,15 @@ fn safety_with_lossy_network() {
 
 #[test]
 fn safety_with_slow_links() {
-    let mut cluster = ClusterBuilder::new(7)
-        .seed(7)
-        .protocol_delays(ms(100), SimDuration::ZERO)
-        .policy(SlowNodes {
-            nodes: vec![NodeIndex::new(1), NodeIndex::new(3)],
-            extra: ms(90),
-        })
-        .build();
+    let mut cluster = icc0_cluster(
+        ClusterBuilder::new(7)
+            .seed(7)
+            .protocol_delays(ms(100), SimDuration::ZERO)
+            .policy(SlowNodes {
+                nodes: vec![NodeIndex::new(1), NodeIndex::new(3)],
+                extra: ms(90),
+            }),
+    );
     cluster.run_for(SimDuration::from_secs(4));
     let chain = assert_chains_consistent(&cluster);
     assert!(chain.len() > 10);
@@ -125,11 +131,12 @@ fn safety_with_slow_links() {
 fn no_conflicting_finalized_blocks_per_round() {
     // P2 directly: across all nodes, at most one finalized block hash
     // per round.
-    let mut cluster = ClusterBuilder::new(7)
-        .seed(8)
-        .network(UniformDelay::new(ms(1), ms(30)))
-        .protocol_delays(ms(90), SimDuration::ZERO)
-        .build();
+    let mut cluster = icc0_cluster(
+        ClusterBuilder::new(7)
+            .seed(8)
+            .network(UniformDelay::new(ms(1), ms(30)))
+            .protocol_delays(ms(90), SimDuration::ZERO),
+    );
     cluster.run_for(SimDuration::from_secs(3));
     let mut by_round = std::collections::HashMap::new();
     for node in 0..cluster.n() {

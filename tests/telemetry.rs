@@ -17,6 +17,7 @@
 
 use icc_core::cluster::ClusterBuilder;
 use icc_core::Behavior;
+use icc_gossip::icc0_cluster;
 use icc_sim::policy::SlowLinks;
 use icc_telemetry::{chrome_trace, round_timelines, Phase, SpanEvent, SpanKind};
 use icc_types::{NodeIndex, SimDuration};
@@ -33,7 +34,7 @@ fn node_events(events: &[SpanEvent], node: u32) -> Vec<SpanEvent> {
 
 #[test]
 fn healthy_cluster_trace_is_complete_and_exportable() {
-    let mut cluster = ClusterBuilder::new(4).seed(7).build();
+    let mut cluster = icc0_cluster(ClusterBuilder::new(4).seed(7));
     cluster.run_for(SimDuration::from_secs(2));
     cluster.assert_safety();
 
@@ -98,13 +99,10 @@ fn slow_leader_links_make_proposal_the_critical_path() {
     // notarize a higher-rank block — so node 0's dominant wait on
     // those rounds must be the proposal phase.
     let slow = NodeIndex::new(3);
-    let mut cluster = ClusterBuilder::new(4)
-        .seed(11)
-        .policy(SlowLinks {
-            links: (0..3).map(|to| (slow, NodeIndex::new(to))).collect(),
-            extra: ms(100),
-        })
-        .build();
+    let mut cluster = icc0_cluster(ClusterBuilder::new(4).seed(11).policy(SlowLinks {
+        links: (0..3).map(|to| (slow, NodeIndex::new(to))).collect(),
+        extra: ms(100),
+    }));
     cluster.run_for(SimDuration::from_secs(4));
     cluster.assert_safety();
 
@@ -169,22 +167,23 @@ fn starved_beacon_shares_make_beacon_the_critical_path() {
     // (and hence the next round's beacon) late every round — while
     // proposals and notarizations still reach it promptly once the
     // round opens. Beacon must dominate node 0's verdicts.
-    let mut cluster = ClusterBuilder::new(4)
-        .seed(3)
-        .behaviors(vec![
-            Behavior::Honest,
-            Behavior::Honest,
-            Behavior::Honest,
-            Behavior::WithholdShares,
-        ])
-        .policy(SlowLinks {
-            links: vec![
-                (NodeIndex::new(1), NodeIndex::new(0)),
-                (NodeIndex::new(2), NodeIndex::new(0)),
-            ],
-            extra: ms(80),
-        })
-        .build();
+    let mut cluster = icc0_cluster(
+        ClusterBuilder::new(4)
+            .seed(3)
+            .behaviors(vec![
+                Behavior::Honest,
+                Behavior::Honest,
+                Behavior::Honest,
+                Behavior::WithholdShares,
+            ])
+            .policy(SlowLinks {
+                links: vec![
+                    (NodeIndex::new(1), NodeIndex::new(0)),
+                    (NodeIndex::new(2), NodeIndex::new(0)),
+                ],
+                extra: ms(80),
+            }),
+    );
     cluster.run_for(SimDuration::from_secs(4));
     cluster.assert_safety();
 
