@@ -47,6 +47,8 @@ pub struct ClusterSummary {
     pub pool: crate::pool::PoolStats,
     /// Recovery counters summed over all nodes.
     pub recovery: crate::recovery::RecoveryStats,
+    /// Ingress counters summed over all nodes.
+    pub ingress: crate::ingress::IngressStats,
     /// Gossip/overlay counters summed over all nodes (all zeros under
     /// ICC2, whose erasure-coded node keeps none).
     pub gossip: icc_sim::GossipCounters,
@@ -491,6 +493,7 @@ impl<N: Node<External = Command, Output = NodeEvent> + CoreAccess> Cluster<N> {
         for node in self.sim.nodes() {
             summary.pool.merge(&node.core().pool().stats());
             summary.recovery.merge(&node.core().recovery_stats());
+            summary.ingress.merge(&node.core().ingress_stats());
             if let Some(g) = node.gossip_counters() {
                 summary.gossip.merge(&g);
             }

@@ -27,7 +27,10 @@
 //!
 //! * *"wait for t + 1 shares of the round-k random beacon"* — the
 //!   beacon phase in `progress`, which also pipelines this party's share
-//!   for round `k + 1` the moment beacon `k` is computed;
+//!   for round `k + 1` the moment beacon `k` is computed, and combines
+//!   beacon `k + 1` as soon as `t + 1` of its shares are held
+//!   (`look_ahead`: round `k + 1`'s leader is then known a round early,
+//!   which is where client commands are sent — the `ingress` module);
 //! * clause **(a)** (finish the round) — `try_finish_round`;
 //! * clause **(b)** (propose after `Δprop(rank_me)`) — `try_propose`;
 //! * clause **(c)** (echo / notarization-share / disqualify after
@@ -39,6 +42,7 @@ use crate::artifacts;
 use crate::byzantine::Behavior;
 use crate::delays::Delays;
 use crate::events::NodeEvent;
+use crate::ingress::{CommandPool, IngressStats, FORWARD_MAX_BYTES};
 use crate::keys::{NodeKeys, PublicSetup};
 use crate::pool::Pool;
 use crate::recovery::{CatchUpError, CatchUpPackage, EpochTransition, RecoveryStats};
@@ -49,8 +53,8 @@ use icc_crypto::{hash_parts, Hash256};
 use icc_telemetry::{SpanEvent, SpanKind};
 use icc_types::block::{Block, HashedBlock, Payload};
 use icc_types::messages::{Beacon, BlockRef, ConsensusMessage};
-use icc_types::{Command, Rank, Round, SimTime};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use icc_types::{Command, NodeIndex, Rank, Round, SimTime};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -64,9 +68,11 @@ pub const PURGE_DEPTH: u64 = 64;
 /// replica keeps.
 #[derive(Debug, Clone, Copy)]
 pub struct BlockPolicy {
-    /// Maximum commands per proposed block.
+    /// Maximum commands per proposed block (and per forwarded batch;
+    /// peer-forwarded commands are held up to
+    /// [`PEER_BLOCKS`](crate::ingress::PEER_BLOCKS) times this).
     pub max_commands: usize,
-    /// Maximum total command bytes per proposed block.
+    /// Maximum total command bytes per proposed block (likewise).
     pub max_bytes: usize,
     /// On every commit the pool is purged below `kmax − purge_depth`
     /// ([`Pool::purge_below`]; beacon values stay
@@ -93,10 +99,12 @@ impl Default for BlockPolicy {
 pub struct Step {
     /// Messages to disseminate to all parties.
     pub broadcasts: Vec<ConsensusMessage>,
-    /// Targeted messages — only corrupt behaviors use these (an honest
-    /// ICC0 party *only* broadcasts, §3.1); e.g. a split equivocation
-    /// sends different blocks to different parties.
-    pub sends: Vec<(icc_types::NodeIndex, ConsensusMessage)>,
+    /// Messages for one party each: client commands sent to the leader
+    /// of the next round ([`ConsensusMessage::Commands`]) — every
+    /// protocol artifact an honest party sends is broadcast (§3.1) — and
+    /// a corrupt behavior's split equivocation, which sends different
+    /// blocks to different parties.
+    pub sends: Vec<(NodeIndex, ConsensusMessage)>,
     /// Observable events (commits, round markers).
     pub events: Vec<NodeEvent>,
     /// The next instant the core wants `on_wakeup` called, if any.
@@ -152,6 +160,9 @@ pub struct ConsensusCore {
     pool: Pool,
     round: Round,
     rstate: Option<RoundState>,
+    /// The next round's rank permutation, derived once, as soon as its
+    /// beacon is known (`look_ahead`); entering that round takes it.
+    next_perm: Option<(Round, RankPermutation)>,
     /// Highest round our beacon share has been broadcast for.
     beacon_share_sent_upto: Round,
     /// Fig. 2's `kmax`: last committed round.
@@ -165,11 +176,9 @@ pub struct ConsensusCore {
     /// crossed. Volatile (rebuilt from the store on restore); the
     /// source this replica serves cross-epoch catch-up packages from.
     transition_certs: BTreeMap<u64, EpochTransition>,
-    /// Client input queue with cached command hashes (hashing large
-    /// commands once, not once per proposal).
-    pending: VecDeque<(Command, Hash256)>,
-    /// Digests currently in `pending`, for O(1) submission dedup.
-    pending_digests: HashSet<Hash256>,
+    /// Client commands not yet committed — this replica's clients' and
+    /// those peers forwarded to it — by digest, in arrival order.
+    commands: CommandPool,
     committed_cmds: HashSet<Hash256>,
     started: bool,
     /// The round [`restore`](Self::restore) resumed in: the one round
@@ -241,13 +250,13 @@ impl ConsensusCore {
             pool,
             round: Round::new(1),
             rstate: None,
+            next_perm: None,
             beacon_share_sent_upto: Round::GENESIS,
             kmax: Round::GENESIS,
             notarizations_broadcast: BTreeSet::new(),
             finalizations_broadcast: BTreeSet::new(),
             transition_certs: BTreeMap::new(),
-            pending: VecDeque::new(),
-            pending_digests: HashSet::new(),
+            commands: CommandPool::default(),
             committed_cmds: HashSet::new(),
             started: false,
             resumed_in: None,
@@ -345,9 +354,16 @@ impl ConsensusCore {
         &self.pool
     }
 
-    /// Number of client commands queued but not yet committed.
+    /// Number of client commands held but not yet committed (this
+    /// replica's clients' and those forwarded to it).
     pub fn pending_commands(&self) -> usize {
-        self.pending.len()
+        self.commands.len()
+    }
+
+    /// The ingress counters: commands forwarded to leaders, batches
+    /// received, refused and dropped.
+    pub fn ingress_stats(&self) -> IngressStats {
+        self.commands.stats()
     }
 
     /// The current `Δbnd` of the delay policy (diagnostics).
@@ -388,6 +404,13 @@ impl ConsensusCore {
         if !self.running() || !self.started {
             return step;
         }
+        if let ConsensusMessage::Commands { round, commands } = msg {
+            // Client input for a leader: held, proposed when it leads.
+            let (current, committed) = (self.round, &self.committed_cmds);
+            self.commands
+                .receive(*round, current, commands, committed, &self.policy);
+            return step;
+        }
         // Run the clauses even for duplicate artifacts: the message may
         // have raced a timer whose wakeup already fired.
         self.pool.insert(msg);
@@ -405,13 +428,35 @@ impl ConsensusCore {
         self.release(step)
     }
 
-    /// Accepts a client command into the input queue (§1: inputs arrive
-    /// incrementally over time).
-    pub fn on_command(&mut self, cmd: Command) {
-        let h = command_hash(&cmd);
-        if !self.committed_cmds.contains(&h) && self.pending_digests.insert(h) {
-            self.pending.push_back((cmd, h));
+    /// Accepts a client command (§1: inputs arrive incrementally over
+    /// time). If the next round's leader is known already, a small
+    /// command leaves for it in the returned step; otherwise it goes with
+    /// the forwarding pass of the round (the `ingress` module).
+    pub fn on_command(&mut self, cmd: Command) -> Step {
+        let mut step = Step::default();
+        let (h, small) = (command_hash(&cmd), cmd.len() <= FORWARD_MAX_BYTES);
+        if self.committed_cmds.contains(&h) || !self.commands.submit(cmd, h) {
+            return step;
         }
+        let next = self.next_leader().filter(|_| small && self.running());
+        if let Some((target, leader)) = next {
+            let to_self = leader == self.keys.index;
+            let in_chain = self.notarized_chain_commands().contains(&h);
+            if let Some(cmd) = self.commands.send_new(&h, target, to_self, in_chain) {
+                let round = target;
+                let commands = vec![cmd];
+                step.sends
+                    .push((leader, ConsensusMessage::Commands { round, commands }));
+            }
+        }
+        step
+    }
+
+    /// The leader of the round after the current one, once its beacon
+    /// is known.
+    fn next_leader(&self) -> Option<(Round, NodeIndex)> {
+        let (round, perm) = self.next_perm.as_ref()?;
+        (*round == self.round.next()).then(|| (*round, NodeIndex::new(perm.leader())))
     }
 
     // ------------------------------------------------------------------
@@ -427,14 +472,14 @@ impl ConsensusCore {
         self.pool = Pool::new(Arc::clone(&self.keys.setup));
         self.round = Round::new(1);
         self.rstate = None;
+        self.next_perm = None;
         self.beacon_share_sent_upto = Round::GENESIS;
         self.beacon_value_sent_upto = Round::GENESIS;
         self.kmax = Round::GENESIS;
         self.notarizations_broadcast.clear();
         self.finalizations_broadcast.clear();
         self.transition_certs.clear();
-        self.pending.clear();
-        self.pending_digests.clear();
+        self.commands.clear();
         self.committed_cmds.clear();
         self.started = false;
         self.resumed_in = None;
@@ -506,6 +551,10 @@ impl ConsensusCore {
             .max(self.pool.highest_notarized_round().next());
         self.round = resume;
         self.resumed_in = Some(resume);
+        // Whether the journal's committed set has a catch-up's hole is
+        // not recorded: refuse forwarded batches as `apply_catch_up`
+        // would have, counted from here (`ingress` module).
+        self.commands.refuse_after(resume);
         // What put the resume point here may have been read back from
         // the page cache of a process that died before its sync.
         self.store.promise();
@@ -619,20 +668,20 @@ impl ConsensusCore {
         self.record_span(now, pkg_round, SpanKind::CatchUpApplied { from_round });
         self.telemetry.metrics.catch_ups_applied.inc();
         if advances_chain {
-            let digests: Vec<Hash256> = pkg
-                .proposal
-                .block
-                .block()
-                .payload()
-                .commands()
-                .iter()
-                .map(command_hash)
-                .collect();
-            for d in &digests {
-                self.committed_cmds.insert(*d);
+            // The commands of the rounds jumped over are committed too:
+            // read them off the blocks if the pool holds the chain.
+            // Otherwise the dedup set has a hole there, and the command
+            // pool must not be able to fill it a second time.
+            let skipped = self.pool.chain_back_to(&pkg.proposal.block, self.kmax);
+            if skipped.is_none() {
+                self.commands.gap(pkg_round);
             }
-            let n_digests = digests.len() as u64;
-            self.store.append_committed(pkg_round, digests);
+            for b in skipped.unwrap_or_default() {
+                if b.round() < pkg_round {
+                    self.record_committed(&b);
+                }
+            }
+            let n_digests = self.record_committed(&pkg.proposal.block);
             self.recovery.rounds_behind_total += pkg_round.get() - self.kmax.get();
             step.events.push(NodeEvent::Committed {
                 block: pkg.proposal.block.clone(),
@@ -845,6 +894,7 @@ impl ConsensusCore {
             }
             break;
         }
+        self.look_ahead(step);
         self.run_finalization(now, step);
         step.next_wakeup = self.next_wakeup(now);
     }
@@ -900,7 +950,10 @@ impl ConsensusCore {
         // a rank, so it can never lead, propose, or sign.
         let (perm, my_rank, epoch_index, at_boundary) = {
             let epoch = self.keys.setup.epoch_of(self.round);
-            let perm = RankPermutation::derive_members(&beacon, &epoch.members);
+            let perm = match self.next_perm.take() {
+                Some((round, perm)) if round == self.round => perm,
+                _ => RankPermutation::derive_members(&beacon, &epoch.members),
+            };
             let my_rank = perm.try_rank_of(self.keys.index.get()).map(Rank::new);
             let at_boundary = epoch.index > 0 && epoch.start_round == self.round;
             (perm, my_rank, epoch.index, at_boundary)
@@ -1237,42 +1290,20 @@ impl ConsensusCore {
                     self.store
                         .append_block(held.proposal, held.notarization.cloned());
                 }
-                let digests: Vec<Hash256> = b
-                    .block()
-                    .payload()
-                    .commands()
-                    .iter()
-                    .map(command_hash)
-                    .collect();
-                for d in &digests {
-                    self.committed_cmds.insert(*d);
-                }
+                let n_digests = self.record_committed(&b);
                 let committed_round = b.round();
                 self.record_span(now, committed_round, SpanKind::Finalized);
                 self.telemetry.metrics.blocks_committed.inc();
-                self.telemetry
-                    .metrics
-                    .commands_committed
-                    .add(digests.len() as u64);
+                self.telemetry.metrics.commands_committed.add(n_digests);
                 if let Some(t0) = self.entered_at.remove(&committed_round.get()) {
                     self.telemetry
                         .metrics
                         .finalization_latency_us
                         .observe(now.saturating_since(t0).as_micros());
                 }
-                self.store.append_committed(committed_round, digests);
                 step.events.push(NodeEvent::Committed { block: b });
             }
             self.store.append_finalization(finalization);
-            // Trim committed commands from the head of the input queue.
-            while let Some((_, h)) = self.pending.front() {
-                if self.committed_cmds.contains(h) {
-                    self.pending_digests.remove(h);
-                    self.pending.pop_front();
-                } else {
-                    break;
-                }
-            }
             self.kmax = block.round();
             // Rounds at or below the committed tip will never produce a
             // fresh latency sample (their entries were consumed above,
@@ -1282,6 +1313,20 @@ impl ConsensusCore {
             self.maybe_checkpoint();
             self.purge();
         }
+    }
+
+    /// Records the commands of the committed `block`: in the dedup set,
+    /// out of the command pool, in the journal. Returns how many.
+    fn record_committed(&mut self, block: &HashedBlock) -> u64 {
+        let commands = block.block().payload().commands();
+        let digests: Vec<Hash256> = commands.iter().map(command_hash).collect();
+        for d in &digests {
+            self.committed_cmds.insert(*d);
+            self.commands.remove(d);
+        }
+        let n = digests.len() as u64;
+        self.store.append_committed(block.round(), digests);
+        n
     }
 
     /// Forgets what lies more than the policy's purge depth below the
@@ -1299,15 +1344,18 @@ impl ConsensusCore {
     }
 
     /// What this replica holds per layer — the pool's collections, the
-    /// two broadcast sets and the durable store's dedup sets — for the
-    /// admin plane and the bounded-memory tests. Every entry is bounded
-    /// by the rounds between the floor and the tip.
+    /// two broadcast sets, the commands not yet committed and the
+    /// durable store's dedup sets — for the admin plane and the
+    /// bounded-memory tests. Every entry is bounded by the rounds
+    /// between the floor and the tip, the commands by what clients
+    /// submit plus the peer-command bound.
     pub fn footprint(&self) -> Vec<(&'static str, u64)> {
         let mut out = self.pool.footprint();
         let notarizations = self.notarizations_broadcast.len() as u64;
         let finalizations = self.finalizations_broadcast.len() as u64;
         out.push(("core_notarizations_broadcast", notarizations));
         out.push(("core_finalizations_broadcast", finalizations));
+        out.push(("core_pending_commands", self.commands.len() as u64));
         out.extend(self.store.footprint());
         out
     }
@@ -1399,17 +1447,10 @@ impl ConsensusCore {
     /// `getPayload(Bp)` (§3.5): pending commands not already in the
     /// chain ending at `parent`, within the block policy limits.
     fn build_payload(&self, parent: &HashedBlock) -> Payload {
-        let mut excluded: HashSet<Hash256> = HashSet::new();
-        if let Some(chain) = self.pool.chain_back_to(parent, self.kmax) {
-            for b in &chain {
-                for cmd in b.block().payload().commands() {
-                    excluded.insert(command_hash(cmd));
-                }
-            }
-        }
+        let excluded = self.chain_commands(parent);
         let mut commands = Vec::new();
         let mut bytes = 0usize;
-        for (cmd, h) in &self.pending {
+        for (cmd, h) in self.commands.proposable() {
             if commands.len() >= self.policy.max_commands
                 || bytes + cmd.len() > self.policy.max_bytes
             {
@@ -1422,6 +1463,64 @@ impl ConsensusCore {
             commands.push(cmd.clone());
         }
         Payload::from_commands(commands)
+    }
+
+    /// The digests of the commands in the chain ending at `tip`, above
+    /// the committed tip: what is in it, the committed set is not yet.
+    fn chain_commands(&self, tip: &HashedBlock) -> HashSet<Hash256> {
+        let chain = self.pool.chain_back_to(tip, self.kmax).unwrap_or_default();
+        let commands = chain.iter().flat_map(|b| b.block().payload().commands());
+        commands.map(command_hash).collect()
+    }
+
+    /// [`chain_commands`](Self::chain_commands) of a notarized block of
+    /// the previous round: a command in it is not sent to a leader (the
+    /// exactly-once argument, DESIGN.md §5l).
+    fn notarized_chain_commands(&self) -> HashSet<Hash256> {
+        let tip = self.round.prev().and_then(|p| self.pool.notarized_block(p));
+        tip.map_or_else(HashSet::new, |(tip, _)| self.chain_commands(tip))
+    }
+
+    /// Runs once the round after this one has a known beacon — combining
+    /// it here as soon as `t + 1` shares are held, instead of on entering
+    /// that round — and derives its rank permutation, once; then sends
+    /// this replica's client commands that are due to its leader
+    /// (`ingress` module).
+    fn look_ahead(&mut self, step: &mut Step) {
+        let next = self.round.next();
+        if self.rstate.is_none() || self.next_perm.as_ref().is_some_and(|(r, _)| *r == next) {
+            return;
+        }
+        if self.pool.beacon(next).is_none() {
+            // Only at the threshold: below it no combine can succeed,
+            // and each attempt re-examines the shares already checked.
+            let need = self.keys.setup.epoch_of(next).beacon_threshold();
+            if self.pool.beacon_share_count(next) < need {
+                return;
+            }
+            self.pool.try_compute_beacon(next);
+        }
+        let Some(beacon) = self.pool.beacon(next).copied() else {
+            return;
+        };
+        let members = &self.keys.setup.epoch_of(next).members;
+        let perm = RankPermutation::derive_members(&beacon, members);
+        let leader = NodeIndex::new(perm.leader());
+        self.next_perm = Some((next, perm));
+        if self.commands.len() == 0 {
+            return;
+        }
+        let in_chain = self.notarized_chain_commands();
+        let to_self = leader == self.keys.index;
+        let (current, policy) = (self.round, &self.policy);
+        let commands = self
+            .commands
+            .due_for(next, current, to_self, &in_chain, policy);
+        if !commands.is_empty() {
+            let round = next;
+            step.sends
+                .push((leader, ConsensusMessage::Commands { round, commands }));
+        }
     }
 
     /// The earliest future instant any time-gated clause could fire.

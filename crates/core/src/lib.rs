@@ -24,6 +24,8 @@
 //! * [`pool`] — the artifact pool and §3.4 block classification;
 //! * [`artifacts`] — signed artifact constructors;
 //! * [`consensus`] — the sans-IO protocol state machine (Fig. 1 + 2);
+//! * [`ingress`] — client commands: held until committed, sent to the
+//!   next round's leader;
 //! * [`byzantine`] — corrupt-node behavior profiles;
 //! * [`events`] — the observable output trace;
 //! * [`storage`] — durable replica state: checkpoints + write-ahead log;
@@ -49,6 +51,7 @@ pub mod consensus;
 pub mod delays;
 pub mod epoch;
 pub mod events;
+pub mod ingress;
 pub mod keys;
 pub mod pool;
 pub mod recovery;
@@ -61,6 +64,7 @@ pub use cluster::{Cluster, ClusterBuilder};
 pub use consensus::{BlockPolicy, ConsensusCore, Step, PURGE_DEPTH};
 pub use epoch::{EpochInfo, EpochSchedule, EpochSpec};
 pub use events::NodeEvent;
+pub use ingress::IngressStats;
 pub use recovery::{CatchUpError, CatchUpPackage, RecoveryStats};
 pub use storage::{Checkpoint, DurableStore, WalEntry};
 pub use telemetry::{CoreMetrics, NodeTelemetry};

@@ -161,6 +161,8 @@ impl<'a> Artifact<'a> {
             ],
             ConsensusMessage::BeaconShare(b) => [Some(Artifact::BeaconShare(b)), None],
             ConsensusMessage::Beacon(b) => [Some(Artifact::Beacon(b)), None],
+            // Client input, held by the core's command pool.
+            ConsensusMessage::Commands { .. } => [None, None],
         }
     }
 

@@ -124,6 +124,7 @@ impl EagerPool {
                 .insert(b.share.signer, b.share)
                 .is_none(),
             ConsensusMessage::Beacon(b) => self.insert_beacon_value(*b),
+            ConsensusMessage::Commands { .. } => false,
         };
         if changed {
             self.recheck_validity();

@@ -141,7 +141,8 @@ impl Icc2Node {
             self.disseminate(ctx, msg);
         }
         for (to, msg) in step.sends {
-            // Targeted sends (corrupt behaviors) bypass the RBC.
+            // Targeted sends (commands for a leader, corrupt behaviors)
+            // bypass the RBC.
             ctx.send(to, Icc2Message::Small(msg));
         }
         for event in step.events {
@@ -227,8 +228,8 @@ impl Node for Icc2Node {
         ctx: &mut Context<'_, Self::Msg, Self::Output>,
         input: Self::External,
     ) {
-        self.core.on_command(input);
-        let _ = ctx;
+        let step = self.core.on_command(input);
+        self.apply_step(ctx, step);
     }
 }
 

@@ -31,6 +31,10 @@
 //!   when this node relayed the identical bytes to every neighbor on
 //!   arrival — the seen set remembers "sent to all" per id.
 //!
+//! Client commands the core sends to a round's leader
+//! ([`ConsensusMessage::Commands`], in `Step::sends`) go to that node
+//! alone and end there: never relayed, advertised or put in the seen set.
+//!
 //! *Liveness.* A node relays every share that reaches it before it
 //! holds the aggregate (the beacon), and each way of coming to hold
 //! one sends it on: received as a push, it was relayed on arrival;
@@ -723,7 +727,8 @@ impl GossipNode {
             self.disseminate(ctx, msg);
         }
         for (to, msg) in step.sends {
-            // Targeted sends (corrupt behaviors) bypass the overlay.
+            // Targeted sends (commands for a leader, corrupt behaviors)
+            // bypass the overlay.
             ctx.send(
                 to,
                 GossipMessage::Push {
@@ -995,6 +1000,13 @@ impl Node for GossipNode {
                 if self.stale(artifact.msg().round()) {
                     return;
                 }
+                if let ConsensusMessage::Commands { .. } = artifact.msg() {
+                    // Sent to this node as a leader: it ends here —
+                    // never relayed, advertised or remembered (the
+                    // core's command pool dedups by digest).
+                    self.ingest(ctx, artifact.msg());
+                    return;
+                }
                 if self.seen(&artifact).is_some() {
                     self.counters.pushes_deduped += 1;
                     return;
@@ -1188,8 +1200,8 @@ impl Node for GossipNode {
         ctx: &mut Context<'_, Self::Msg, Self::Output>,
         input: Self::External,
     ) {
-        self.core.on_command(input);
-        let _ = ctx;
+        let step = self.core.on_command(input);
+        self.apply_step(ctx, step);
     }
 
     fn on_crash(&mut self) {
@@ -1640,6 +1652,32 @@ mod tests {
         // The pool never saw the stale share; the live one it holds.
         assert_eq!(pool.stats().stale_dropped, 0);
         assert!(pool.footprint().contains(&("pool_share_buckets", 1)));
+    }
+
+    /// Commands forwarded to this node as a leader end here, even on a
+    /// bounded-degree overlay: taken into the core's command pool, never
+    /// relayed, advertised or counted as a relayed push.
+    #[test]
+    fn forwarded_commands_end_at_the_leader() {
+        let keys = subnet(7);
+        let overlay = Overlay::random_regular(7, 3, 1);
+        let from = overlay.neighbors(keys[0].index)[0];
+        let commands = vec![Command::new(vec![1; 64]), Command::new(vec![2; 64])];
+        let round = Round::new(2);
+        let push = ConsensusMessage::Commands { round, commands };
+        let (node, sent) = run_node_0(&keys, overlay, from, &[push]);
+        assert_eq!(node.core().pending_commands(), 2);
+        assert_eq!(node.core().ingress_stats().received, 2);
+        // All it sent is its own round-1 beacon share.
+        let own_share = |m: &GossipMessage| {
+            matches!(m, GossipMessage::Push { artifact, .. }
+                if matches!(artifact.msg(), ConsensusMessage::BeaconShare(_)))
+        };
+        assert!(sent.iter().all(|(_, m)| own_share(m)), "{sent:?}");
+        let c = node.gossip_counters();
+        assert_eq!((c.relayed_first_seen, c.pushes_relayed), (0, 0), "{c:?}");
+        assert_eq!(node.seen_pushes.len(), 1, "only the own share");
+        assert!(node.adverted.is_empty());
     }
 
     /// A large proposal is advertised only once the pool — which serves

@@ -47,8 +47,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Wire protocol version carried in the hello frame; bumped on any
-/// frame-, codec- or id-layer change (2: payload-root block ids).
-pub const PROTO_VERSION: u32 = 2;
+/// frame-, codec- or id-layer change (2: payload-root block ids; 3:
+/// client commands forwarded to the next leader).
+pub const PROTO_VERSION: u32 = 3;
 
 /// Tuning for a [`TcpTransport`].
 #[derive(Debug, Clone, Copy)]
@@ -850,19 +851,27 @@ mod tests {
         }
         assert_eq!(t1.counters().frame_errors, 1);
 
-        // A peer from before the block-id change (hello version 1) is
-        // refused at the hello: it must not join and fork silently.
-        let mut old = TcpStream::connect(addr1).unwrap();
-        let v1_hello = [1u32.to_le_bytes(), 0u32.to_le_bytes()].concat();
-        old.write_all(&encode_frame(&v1_hello)).unwrap();
-        old.write_all(&encode_frame(&encode_to_vec(&b"from v1".to_vec())))
-            .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while t1.counters().frame_errors == 1 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
+        // Peers from before the block-id change (hello version 1) and
+        // before command forwarding (2) are refused at the hello: they
+        // must not join and fork silently, or drop what they cannot
+        // decode.
+        for (version, errors) in [(1u32, 2), (2, 3)] {
+            let mut old = TcpStream::connect(addr1).unwrap();
+            let hello = [version.to_le_bytes(), 0u32.to_le_bytes()].concat();
+            old.write_all(&encode_frame(&hello)).unwrap();
+            old.write_all(&encode_frame(&encode_to_vec(&b"from old".to_vec())))
+                .unwrap();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while t1.counters().frame_errors < errors && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            assert_eq!(t1.counters().frame_errors, errors, "v{version}");
+            assert_eq!(
+                t1.counters().frames_recv,
+                0,
+                "v{version} frame was delivered"
+            );
         }
-        assert_eq!(t1.counters().frame_errors, 2);
-        assert_eq!(t1.counters().frames_recv, 0, "v1 frame was delivered");
 
         // …and the transport still serves honest peers. Drive t0 in a
         // helper thread so its own mesh stays live.

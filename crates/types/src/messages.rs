@@ -13,13 +13,18 @@
 //! * a [`BeaconShare`] — an `S_beacon` threshold share on the round's
 //!   beacon message.
 //!
+//! One kind is not an artifact of the protocol: [`ConsensusMessage::Commands`]
+//! carries client commands from the party that received them to the
+//! leader of a round, which proposes them (§1: inputs reach any party).
+//! It is sent to that one party and is neither signed nor relayed.
+//!
 //! The triple `(k, α, H(B))` that all block signatures cover is
 //! [`BlockRef`]. The `sign bytes` helpers produce the exact byte strings
 //! handed to the signature schemes (domain separation between the
 //! artifact kinds is done by the schemes' domain tags).
 
-use crate::block::{Block, HashedBlock};
-use crate::codec::{CodecError, Decode, Encode, Reader};
+use crate::block::{Block, Command, HashedBlock};
+use crate::codec::{encode_seq, CodecError, Decode, Encode, Reader};
 use crate::ids::{NodeIndex, Round};
 use icc_crypto::multisig::{MultiSig, MultiSigShare};
 use icc_crypto::sig::Signature;
@@ -207,6 +212,14 @@ pub enum ConsensusMessage {
     BeaconShare(BeaconShare),
     /// A combined beacon value (self-certifying; see [`Beacon`]).
     Beacon(Beacon),
+    /// Client commands for the leader of `round` to propose, sent to
+    /// that leader alone by the party the client gave them to.
+    Commands {
+        /// The round whose rank-0 party the commands are meant for.
+        round: Round,
+        /// The commands, in the order the sender received them.
+        commands: Vec<Command>,
+    },
 }
 
 impl ConsensusMessage {
@@ -220,6 +233,7 @@ impl ConsensusMessage {
             ConsensusMessage::Finalization(_) => "finalization",
             ConsensusMessage::BeaconShare(_) => "beacon-share",
             ConsensusMessage::Beacon(_) => "beacon",
+            ConsensusMessage::Commands { .. } => "commands",
         }
     }
 
@@ -233,6 +247,7 @@ impl ConsensusMessage {
             ConsensusMessage::Finalization(n) => n.block_ref.round,
             ConsensusMessage::BeaconShare(b) => b.round,
             ConsensusMessage::Beacon(b) => b.round,
+            ConsensusMessage::Commands { round, .. } => *round,
         }
     }
 
@@ -363,6 +378,11 @@ impl Encode for ConsensusMessage {
                 buf.push(6);
                 m.encode(buf);
             }
+            ConsensusMessage::Commands { round, commands } => {
+                buf.push(7);
+                round.encode(buf);
+                encode_seq(commands, buf);
+            }
         }
     }
     fn encoded_len(&self) -> usize {
@@ -374,8 +394,28 @@ impl Encode for ConsensusMessage {
             ConsensusMessage::Finalization(m) => m.encoded_len(),
             ConsensusMessage::BeaconShare(m) => m.encoded_len(),
             ConsensusMessage::Beacon(m) => m.encoded_len(),
+            ConsensusMessage::Commands { commands, .. } => {
+                8 + 8 + commands.iter().map(Encode::encoded_len).sum::<usize>()
+            }
         }
     }
+}
+
+/// Decodes the command list of a [`ConsensusMessage::Commands`]: a
+/// `u64` count, then each command length-prefixed. Every command takes
+/// at least its 8-byte prefix, so a count above an eighth of the bytes
+/// left is refused before anything is read, and the list grows with
+/// what is actually decoded — never from the claimed count.
+fn decode_commands(r: &mut Reader<'_>) -> Result<Vec<Command>, CodecError> {
+    let count = u64::decode(r)?;
+    if count > (r.remaining() / 8) as u64 {
+        return Err(CodecError::LengthOverflow { len: count });
+    }
+    let mut commands = Vec::new();
+    for _ in 0..count {
+        commands.push(Command::decode(r)?);
+    }
+    Ok(commands)
 }
 
 impl Decode for ConsensusMessage {
@@ -392,6 +432,10 @@ impl Decode for ConsensusMessage {
             4 => Ok(ConsensusMessage::Finalization(Finalization::decode(r)?)),
             5 => Ok(ConsensusMessage::BeaconShare(BeaconShare::decode(r)?)),
             6 => Ok(ConsensusMessage::Beacon(Beacon::decode(r)?)),
+            7 => Ok(ConsensusMessage::Commands {
+                round: Round::decode(r)?,
+                commands: decode_commands(r)?,
+            }),
             tag => Err(CodecError::InvalidTag {
                 tag,
                 ty: "ConsensusMessage",
@@ -481,6 +525,15 @@ mod tests {
             round: Round::new(1),
             value: icc_crypto::beacon::BeaconValue::Genesis(Hash256([9u8; 32])),
         }));
+        for commands in [
+            vec![],
+            vec![Command::new(vec![]), Command::new(vec![5; 64])],
+        ] {
+            roundtrip_msg(ConsensusMessage::Commands {
+                round: Round::new(4),
+                commands,
+            });
+        }
     }
 
     #[test]

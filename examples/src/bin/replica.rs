@@ -387,6 +387,12 @@ fn render_metrics(
         "field",
         &core.recovery_stats().fields(),
     );
+    snap.counter_series(
+        "icc_replica_ingress",
+        "Client commands sent to next leaders, received, refused, dropped.",
+        "field",
+        &core.ingress_stats().fields(),
+    );
     // Per-peer link gauges.
     let peer_labels: Vec<String> = links.iter().map(|l| l.peer.to_string()).collect();
     let series = |f: &dyn Fn(&icc_net::PeerLinkSnapshot) -> i64| -> Vec<(&str, i64)> {
@@ -867,12 +873,14 @@ fn main() {
     let rec = core.recovery_stats();
     let net = counters.snapshot();
     let storage = core.storage_counters();
+    let ingress = core.ingress_stats().fields().into_iter();
+    let ingress: Vec<String> = ingress.map(|(k, v)| format!("\"{k}\":{v}")).collect();
     println!(
         "REPORT {{\"me\":{},\"n\":{n},\"halted\":{},\"committed_round\":{},\"blocks\":{blocks},\
          \"commands\":{commands},\"catch_up_applied\":{},\"catch_up_rejected\":{},\
          \"wal_appends\":{},\"restarts\":{},\"recovered_round\":{},\
          \"restore_verifications\":{},\"cross_epoch_catch_ups\":{},\
-         \"epoch_transitions\":{},\"storage\":{},\"net\":{}}}",
+         \"epoch_transitions\":{},\"storage\":{},\"net\":{},\"ingress\":{{{}}}}}",
         opts.me,
         core.halted().is_some(),
         core.committed_round().get(),
@@ -886,6 +894,7 @@ fn main() {
         rec.epoch_transitions,
         storage.to_json(),
         net.to_json(),
+        ingress.join(","),
     );
     let _ = std::io::stdout().flush();
 

@@ -279,6 +279,7 @@ where
     if summary.gossip != icc_sim::GossipCounters::default() {
         println!("gossip                  {}", summary.gossip);
     }
+    println!("ingress                 {}", summary.ingress);
     let rec = summary.recovery;
     println!("restarts                {}", rec.restarts);
     println!(
@@ -426,6 +427,13 @@ where
              aggregator routing (aggregate).",
             "field",
             &summary.gossip.fields(),
+        );
+        snap.counter_series(
+            "icc_ingress_counters",
+            "Client commands sent to next leaders, received, refused, dropped \
+             (aggregate).",
+            "field",
+            &summary.ingress.fields(),
         );
         snap.counter_series(
             "icc_anomaly_counters",

@@ -3,7 +3,8 @@
 //! peer a few rounds behind still finds every body it asks for, one
 //! that fell behind by more than anybody remembers is served a
 //! certified package, whose beacon segment reaches back to wherever it
-//! stopped.
+//! stopped. What such a package jumps over is never proposed again:
+//! a command commits once, whoever held it across the jump.
 
 use icc_core::cluster::{Cluster, ClusterBuilder};
 use icc_core::pool::BEACON_DEPTH;
@@ -12,7 +13,9 @@ use icc_gossip::{gossip_cluster, subnet_overlay_seed, GossipConfig, GossipNode, 
 use icc_sim::delay::FixedDelay;
 use icc_sim::policy::Partition;
 use icc_sim::FaultPlan;
-use icc_types::{NodeIndex, SimDuration, SimTime};
+use icc_types::{Command, NodeIndex, SimDuration, SimTime};
+use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn ms(v: u64) -> SimDuration {
     SimDuration::from_millis(v)
@@ -241,4 +244,147 @@ fn footprint_is_flat_over_a_long_run_n4() {
 #[test]
 fn footprint_is_flat_over_a_long_run_n40() {
     assert_footprint_is_flat(40, 35);
+}
+
+/// How many times each command appears in `node`'s committed chain.
+fn commit_counts(cluster: &Cluster<GossipNode>, node: usize) -> HashMap<Vec<u8>, usize> {
+    let mut counts = HashMap::new();
+    for block in cluster.committed_chain(node) {
+        for cmd in block.block().payload().commands() {
+            *counts.entry(cmd.bytes().to_vec()).or_insert(0) += 1;
+        }
+    }
+    counts
+}
+
+/// A 64-byte command tagged `i`.
+fn command(i: u64) -> Command {
+    let mut bytes = format!("command {i}").into_bytes();
+    bytes.resize(64, b'.');
+    Command::new(bytes)
+}
+
+/// Exactly once across a catch-up. Replica 3 is cut off for
+/// 3 × `PURGE_DEPTH` rounds while 20 commands given to all four replicas
+/// commit, and comes back through a package over rounds whose blocks
+/// nobody holds any more — with the 20 still in its pool. Proposing them
+/// would commit each a second time at replicas 0–2. Ten more, given to
+/// replica 3 alone while it was cut off, it cannot tell from those: it
+/// sends them to the leaders, which commit each once.
+#[test]
+fn commands_committed_in_a_skipped_gap_are_not_proposed_again() {
+    let heal = 1000 + OUTAGE_MS;
+    let cut = Partition {
+        from: at(1000),
+        until: at(heal),
+        group_a: vec![NodeIndex::new(3)],
+    };
+    let mut cluster = cluster(4, 36, |b| b.policy(cut));
+    cluster.inject_commands(at(1000), ms(500), 20, 64);
+    for i in 0..10 {
+        let to = NodeIndex::new(3);
+        cluster
+            .sim
+            .schedule_external(at(1600 + 10 * i), to, command(i));
+    }
+    cluster.run_until(at(heal + 3000));
+    let rec = cluster.recovery_stats(3);
+    assert!(rec.rounds_behind_total > 2 * PURGE_DEPTH, "{rec:?}");
+    for node in 0..4 {
+        let counts = commit_counts(&cluster, node);
+        let twice = counts.values().filter(|&&c| c > 1).count();
+        assert_eq!(twice, 0, "node {node} committed {twice} commands twice");
+        // Replica 3 jumped over the 20.
+        assert_eq!(counts.len(), if node == 3 { 10 } else { 30 }, "node {node}");
+    }
+    let (r0, r3) = (cluster.committed_round(0), cluster.committed_round(3));
+    assert!(r0.abs_diff(r3) <= 3, "node 3 still behind: {r3} vs {r0}");
+    cluster.assert_safety();
+}
+
+/// The same hole, reached through forwarding. Commands given to replica
+/// 0 alone go to each round's leader. Replica 3 is cut off as it enters
+/// a round it leads, holding the batch sent for that round; the round
+/// goes to another proposer, replica 0 sends the commands to later
+/// leaders, and they commit while replica 3 is away. It comes back
+/// through a package over rounds nobody holds the blocks of, and drops
+/// the batch instead of proposing it.
+#[test]
+fn forwarded_commands_held_across_a_skipped_gap_are_dropped() {
+    let seed = 37;
+    // A command for replica 0 every 10 ms from 0.5 s to 2.5 s.
+    let give = |cluster: &mut Cluster<GossipNode>| {
+        for i in 0..200 {
+            let to = NodeIndex::new(0);
+            cluster
+                .sim
+                .schedule_external(at(500 + 10 * i), to, command(i));
+        }
+    };
+    // A first run finds the first round replica 3 leads after 1 s; the
+    // second is the same run until the cut, which starts as 3 enters it.
+    let mut probe = cluster(4, seed, |b| b);
+    give(&mut probe);
+    probe.run_until(at(1500));
+    let start = probe.events_of(3).find_map(|o| match &o.output {
+        NodeEvent::EnteredRound { leader, .. } if leader.get() == 3 && o.at >= at(1000) => {
+            Some(o.at)
+        }
+        _ => None,
+    });
+    let start = start.expect("replica 3 leads a round between 1 s and 1.5 s");
+    let heal = start + ms(OUTAGE_MS);
+    let cut = Partition {
+        from: start,
+        until: heal,
+        group_a: vec![NodeIndex::new(3)],
+    };
+    let mut cluster = cluster(4, seed, |b| b.policy(cut));
+    give(&mut cluster);
+    cluster.run_until(heal + ms(3000));
+    let counts = commit_counts(&cluster, 0);
+    assert_eq!(counts.len(), 200);
+    let twice = counts.values().filter(|&&c| c > 1).count();
+    assert_eq!(twice, 0, "{twice} commands committed twice");
+    let ingress = cluster.sim.node(3).core().ingress_stats();
+    assert!(ingress.dropped_at_gap > 0, "{ingress}");
+    let (r0, r3) = (cluster.committed_round(0), cluster.committed_round(3));
+    assert!(r0.abs_diff(r3) <= 3, "node 3 still behind: {r3} vs {r0}");
+    cluster.assert_safety();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Whoever a command is given to, and whoever is cut off for however
+    /// long, no chain holds it twice.
+    #[test]
+    fn prop_no_command_is_in_two_blocks_of_a_chain(
+        seed in 0u64..1_000,
+        cut_node in 0u32..4,
+        cut_ms in 0u64..3_000,
+        spread in 1u64..16,
+    ) {
+        let cut = Partition {
+            from: at(800),
+            until: at(800 + cut_ms),
+            group_a: vec![NodeIndex::new(cut_node)],
+        };
+        let mut cluster = cluster(4, seed, |b| b.policy(cut));
+        for i in 0..60u64 {
+            // Command i goes to the replicas of a non-empty mask.
+            let mask = (spread * (i + 1)) % 15 + 1;
+            for node in (0..4u32).filter(|node| mask >> node & 1 == 1) {
+                let to = NodeIndex::new(node);
+                cluster.sim.schedule_external(at(500 + 20 * i), to, command(i));
+            }
+        }
+        cluster.run_until(at(800 + cut_ms + 2_500));
+        for node in 0..4 {
+            let counts = commit_counts(&cluster, node);
+            let twice = counts.values().filter(|&&c| c > 1).count();
+            prop_assert_eq!(twice, 0, "node {} committed {} commands twice", node, twice);
+        }
+        cluster.assert_safety();
+    }
 }

@@ -53,6 +53,53 @@ proptest! {
         }
     }
 
+    /// A command batch round-trips canonically, and every truncation of
+    /// it is an error.
+    #[test]
+    fn prop_command_batch_roundtrips_and_truncations_error(
+        lens in proptest::collection::vec(0usize..1200, 0..12),
+        round in 0u64..1_000_000,
+        cut_frac in 0.0f64..1.0,
+    ) {
+        use icc_types::{Command, Round};
+
+        let commands = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| Command::new(vec![i as u8; len]))
+            .collect();
+        let msg = ConsensusMessage::Commands { round: Round::new(round), commands };
+        let bytes = encode_to_vec(&msg);
+        prop_assert_eq!(bytes.len(), msg.wire_bytes());
+        let back: ConsensusMessage = decode_from_slice(&bytes).unwrap();
+        prop_assert_eq!(&back, &msg);
+        prop_assert_eq!(encode_to_vec(&back), bytes.clone());
+        let cut = ((bytes.len() as f64) * cut_frac) as usize;
+        if cut < bytes.len() {
+            prop_assert!(decode_from_slice::<ConsensusMessage>(&bytes[..cut]).is_err());
+        }
+    }
+
+    /// A command batch claiming more commands than its bytes can hold is
+    /// refused from the count alone: each command takes at least its
+    /// 8-byte length prefix, so nothing is read or allocated for it.
+    #[test]
+    fn prop_command_batch_oversized_count_refused(claimed in 1u64..u64::MAX, held in 0usize..4) {
+        use icc_types::codec::CodecError;
+
+        let count = claimed.max(held as u64 + 1);
+        let mut bytes = vec![7u8];
+        bytes.extend_from_slice(&9u64.to_le_bytes());
+        bytes.extend_from_slice(&count.to_le_bytes());
+        for _ in 0..held {
+            bytes.extend_from_slice(&0u64.to_le_bytes()); // an empty command
+        }
+        prop_assert_eq!(
+            decode_from_slice::<ConsensusMessage>(&bytes),
+            Err(CodecError::LengthOverflow { len: count })
+        );
+    }
+
     /// Single-byte corruption must never panic; it may still decode
     /// (e.g. a flipped payload byte) but must not produce the original.
     #[test]
