@@ -1,40 +1,28 @@
-//! **Hot-path micro-benchmark** — A/B measurements of the three
-//! overhaul layers, written to `BENCH_hotpath.json`. Cells 1–3 price
-//! `icc-crypto` functions (`verify_share_digest`, `verify_batch_digest`)
-//! over a whole share flood held at once. No product code calls them
-//! that way: the pool verifies each share as it arrives, with
-//! `verify_share`, and stops at the quorum (DESIGN.md §5a), so these
-//! cells describe the library, not a round.
+//! **Hot-path micro-benchmark** — A/B measurements of product code
+//! on the hot path, written to `BENCH_hotpath.json`. Each cell times a
+//! function the workspace ships against a reference or a bare baseline.
 //!
 //! 1. `digest_cache` — per-share verification of a 40-node
 //!    notarization-share flood with the `(scheme, block)` digest
 //!    computed once (`verify_share_digest`) vs re-hashed on every call
-//!    (`verify_share`);
-//! 2. `batch_verify` — one random-linear-combination equation over the
-//!    whole flood (`verify_batch_digest`) vs per-share checks on the
-//!    same precomputed digest;
-//! 3. `combined` — batching *and* digest cache on (one hash + one RLC
-//!    equation) vs both off (k hashes + 2k multiplications);
-//! 4. `arc_fanout` — fanning a large block proposal out to the 39 other
+//!    (`verify_share`, what the pool calls as each share arrives,
+//!    DESIGN.md §5a);
+//! 2. `arc_fanout` — fanning a large block proposal out to the 39 other
 //!    parties by `HashedBlock` clone (an `Arc` refcount bump) vs a deep
 //!    copy of the block body (what a by-value fan-out would pay);
-//! 5. `telemetry_overhead` — one round's worth of flood verification
+//! 3. `telemetry_overhead` — one round's worth of flood verification
 //!    with the telemetry layer's instrumentation (per-share counter
-//!    bumps, a histogram sample, a flight-recorder event) vs without.
-//!    With `--no-default-features` the telemetry types are zero-sized
-//!    no-ops and both sides compile to identical code — the
-//!    `telemetry_enabled` field in the JSON says which build ran;
-//! 6. `scrape_under_load` — the same flood while a live admin HTTP
+//!    bumps, a histogram sample, a flight-recorder event) vs without;
+//! 4. `scrape_under_load` — the same flood while a live admin HTTP
 //!    server is being scraped continuously (`/metrics` hammered from a
 //!    rival thread) vs with no admin plane at all. The admin handler
 //!    only clones a pre-rendered snapshot string — the design bet of
 //!    the observability plane is that scrapes never touch the hot
-//!    path, and this cell is where that bet is priced. Feature-off the
-//!    no-op server binds nothing and both sides are the bare flood;
-//! 7. `crc32_16k` — the frame checksum over one 16 KiB command: the
+//!    path, and this cell is where that bet is priced;
+//! 5. `crc32_16k` — the frame checksum over one 16 KiB command: the
 //!    one-table bytewise loop (kept here as the reference) vs the
 //!    shipped slice-by-8 [`icc_types::frame::crc32`];
-//! 8. `block_id_100k` — the id of a block of 6 × 16 KiB commands on a
+//! 6. `block_id_100k` — the id of a block of 6 × 16 KiB commands on a
 //!    replica that also needs the command digests for dedup, digests
 //!    cold on both sides: streaming the payload through the block hash
 //!    and then hashing each command again (the pre-payload-root scheme,
@@ -49,7 +37,6 @@
 //! cargo bench -p icc-bench --bench hotpath -- --smoke  # CI smoke
 //! ```
 
-use icc_crypto::batch::BatchVerdict;
 use icc_crypto::multisig::{MultiSigScheme, MultiSigShare};
 use icc_telemetry::{
     http_get, AdminBuilder, AdminResponse, Counter, FlightRecorder, Histogram, SpanEvent, SpanKind,
@@ -112,7 +99,7 @@ fn crc32_table() -> [u32; 256] {
     table
 }
 
-/// Reference for cell 7: the one-table, byte-at-a-time CRC-32 (IEEE)
+/// Reference for cell 5: the one-table, byte-at-a-time CRC-32 (IEEE)
 /// that `icc_types::frame::crc32` used before slice-by-8.
 fn crc32_bytewise(table: &[u32; 256], data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
@@ -122,7 +109,7 @@ fn crc32_bytewise(table: &[u32; 256], data: &[u8]) -> u32 {
     !crc
 }
 
-/// Reference for cell 8: the pre-payload-root block id — the block's
+/// Reference for cell 6: the pre-payload-root block id — the block's
 /// canonical encoding, every payload byte included, streamed through
 /// one SHA-256 under the `"block"` domain.
 fn streamed_block_hash(block: &Block) -> icc_crypto::Hash256 {
@@ -163,7 +150,6 @@ fn main() {
     let mut results: Vec<AbResult> = Vec::new();
 
     // 1. Digest cache: k shares, one hash vs k hashes (all per-share).
-    let digest = scheme.digest(msg);
     let baseline = time_ns(reps, iters, || {
         for s in &shares {
             assert!(black_box(scheme.verify_share(black_box(msg), s)));
@@ -182,48 +168,7 @@ fn main() {
         optimised_ns: optimised,
     });
 
-    // 2. Batch verification: one RLC equation vs k per-share checks,
-    // digest precomputed on both sides.
-    let baseline = time_ns(reps, iters, || {
-        for s in &shares {
-            assert!(black_box(scheme.verify_share_digest(black_box(digest), s)));
-        }
-    });
-    let optimised = time_ns(reps, iters, || {
-        assert!(matches!(
-            black_box(scheme.verify_batch_digest(black_box(digest), &shares)),
-            BatchVerdict::AllValid
-        ));
-    });
-    results.push(AbResult {
-        name: "batch_verify",
-        what: "40-node share flood: one RLC equation vs per-share, digest cached",
-        baseline_ns: baseline,
-        optimised_ns: optimised,
-    });
-
-    // 3. Combined: everything off vs everything on, per (scheme, block)
-    // flood.
-    let baseline = time_ns(reps, iters, || {
-        for s in &shares {
-            assert!(black_box(scheme.verify_share(black_box(msg), s)));
-        }
-    });
-    let optimised = time_ns(reps, iters, || {
-        let d = scheme.digest(black_box(msg));
-        assert!(matches!(
-            black_box(scheme.verify_batch_digest(d, &shares)),
-            BatchVerdict::AllValid
-        ));
-    });
-    results.push(AbResult {
-        name: "combined",
-        what: "40-node share flood: batching + digest cache on vs off",
-        baseline_ns: baseline,
-        optimised_ns: optimised,
-    });
-
-    // 4. Fan-out: a 1000 × 1 KB block to 39 recipients. `HashedBlock`
+    // 2. Fan-out: a 1000 × 1 KB block to 39 recipients. `HashedBlock`
     // clones bump one refcount; the baseline deep-copies the body.
     let commands: Vec<Command> = (0..1000)
         .map(|i| Command::new(vec![(i % 251) as u8; 1024]))
@@ -267,7 +212,7 @@ fn main() {
         optimised_ns: optimised,
     });
 
-    // 5. Telemetry overhead: the instrumentation a round actually pays
+    // 3. Telemetry overhead: the instrumentation a round actually pays
     // (one counter bump per share, one histogram sample and one
     // flight-recorder event per flood) on top of the flood's real
     // verification work. The expectation is "within noise": a handful
@@ -306,7 +251,7 @@ fn main() {
         optimised_ns: instrumented,
     });
 
-    // 6. Scrape under load: the flood with the admin plane live and a
+    // 4. Scrape under load: the flood with the admin plane live and a
     // scraper thread hammering /metrics as fast as it can, vs no admin
     // plane. The handler clones a pre-rendered page (the replica swaps
     // whole snapshots under a mutex off the hot path), so the measured
@@ -329,55 +274,40 @@ fn main() {
         }
     });
     let page = Arc::clone(&metrics_page);
-    let mut server = AdminBuilder::new()
+    let server = AdminBuilder::new()
         .route("/metrics", move || AdminResponse::text((*page).clone()))
         .serve("127.0.0.1:0")
-        .ok();
-    let admin_live = server.as_ref().map(|s| s.port() != 0).unwrap_or(false);
+        .expect("bind admin server");
     let stop = Arc::new(AtomicBool::new(false));
     let scrape_count = Arc::new(AtomicU64::new(0));
-    let scraper = if admin_live {
-        let addr = server
-            .as_ref()
-            .expect("admin server")
-            .local_addr()
-            .to_string();
+    let scraper = {
+        let addr = server.local_addr().to_string();
         let flag = Arc::clone(&stop);
         let count = Arc::clone(&scrape_count);
-        Some(std::thread::spawn(move || {
+        std::thread::spawn(move || {
             while !flag.load(Ordering::Relaxed) {
                 if http_get(&addr, "/metrics", Duration::from_millis(200)).is_ok() {
                     count.fetch_add(1, Ordering::Relaxed);
                 }
             }
-        }))
-    } else {
-        None
-    };
-    let under_scrape = if admin_live {
-        // Don't start the clock until the scraper has landed at least
-        // one full GET — otherwise a short smoke run measures nothing
-        // but an idle listener.
-        while scrape_count.load(Ordering::Relaxed) == 0 {
-            std::thread::yield_now();
-        }
-        time_ns(reps, iters, || {
-            let d = scheme.digest(black_box(msg));
-            for s in &shares {
-                assert!(black_box(scheme.verify_share_digest(d, s)));
-            }
         })
-    } else {
-        quiet
     };
+    // Don't start the clock until the scraper has landed at least one
+    // full GET — otherwise a short smoke run measures nothing but an
+    // idle listener.
+    while scrape_count.load(Ordering::Relaxed) == 0 {
+        std::thread::yield_now();
+    }
+    let under_scrape = time_ns(reps, iters, || {
+        let d = scheme.digest(black_box(msg));
+        for s in &shares {
+            assert!(black_box(scheme.verify_share_digest(d, s)));
+        }
+    });
     stop.store(true, Ordering::Relaxed);
-    if let Some(h) = scraper {
-        h.join().expect("scraper thread");
-    }
+    scraper.join().expect("scraper thread");
     let scrapes_served = scrape_count.load(Ordering::Relaxed);
-    if let Some(s) = server.as_mut() {
-        s.stop();
-    }
+    drop(server);
     let scrape_overhead_pct = (under_scrape - quiet) / quiet.max(1e-9) * 100.0;
     results.push(AbResult {
         name: "scrape_under_load",
@@ -386,7 +316,7 @@ fn main() {
         optimised_ns: under_scrape,
     });
 
-    // 7. CRC-32 over one 16 KiB command's worth of frame payload.
+    // 5. CRC-32 over one 16 KiB command's worth of frame payload.
     let buf: Vec<u8> = (0..16 * 1024u32).map(|i| (i * 31 + 7) as u8).collect();
     let table = crc32_table();
     assert_eq!(crc32_bytewise(&table, &buf), icc_types::frame::crc32(&buf));
@@ -403,7 +333,7 @@ fn main() {
         optimised_ns: optimised,
     });
 
-    // 8. Block id + dedup digests for 6 × 16 KiB commands. Fresh
+    // 6. Block id + dedup digests for 6 × 16 KiB commands. Fresh
     // `Command`s every iteration (outside the clock) keep the digest
     // cache cold, as it is when a proposal has just been decoded.
     let bulk_block = || {
@@ -461,28 +391,11 @@ fn main() {
             r.what
         );
     }
-    let combined = results
-        .iter()
-        .find(|r| r.name == "combined")
-        .expect("combined cell present");
     println!(
-        "acceptance: combined speedup {:.2}x (target >= 2.0x)",
-        combined.speedup()
+        "telemetry: instrumentation overhead {telemetry_overhead_pct:+.2}% of a round's flood"
     );
     println!(
-        "telemetry: {} build, instrumentation overhead {:+.2}% of a round's flood",
-        if cfg!(feature = "telemetry") {
-            "enabled"
-        } else {
-            "no-op"
-        },
-        telemetry_overhead_pct
-    );
-    println!(
-        "admin plane: {} ({} scrapes served), scrape-under-load overhead {:+.2}%",
-        if admin_live { "live" } else { "no-op" },
-        scrapes_served,
-        scrape_overhead_pct
+        "admin plane: {scrapes_served} scrapes served, scrape-under-load overhead {scrape_overhead_pct:+.2}%"
     );
 
     let mut json = String::from("{\n");
@@ -492,12 +405,10 @@ fn main() {
     ));
     json.push_str(&format!("  \"n\": {n},\n  \"flood_shares\": {h},\n"));
     json.push_str(&format!(
-        "  \"telemetry_enabled\": {},\n  \"telemetry_overhead_pct\": {:.2},\n",
-        cfg!(feature = "telemetry"),
-        telemetry_overhead_pct
+        "  \"telemetry_overhead_pct\": {telemetry_overhead_pct:.2},\n"
     ));
     json.push_str(&format!(
-        "  \"admin_live\": {admin_live},\n  \"scrapes_served\": {scrapes_served},\n  \"scrape_overhead_pct\": {scrape_overhead_pct:.2},\n",
+        "  \"scrapes_served\": {scrapes_served},\n  \"scrape_overhead_pct\": {scrape_overhead_pct:.2},\n",
     ));
     json.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {

@@ -506,8 +506,6 @@ impl<N: Node<External = Command, Output = NodeEvent> + CoreAccess> Cluster<N> {
     /// (crash/restart), in global time order. The raw input of
     /// [`critical_path`](Self::critical_path) and of the Chrome-trace
     /// exporter ([`icc_telemetry::chrome_trace`]).
-    ///
-    /// Empty when the `telemetry` feature is off.
     pub fn flight_events(&self) -> Vec<icc_telemetry::SpanEvent> {
         let mut out = Vec::new();
         for i in 0..self.n() {
@@ -522,8 +520,6 @@ impl<N: Node<External = Command, Output = NodeEvent> + CoreAccess> Cluster<N> {
     /// [`CoreMetrics`](crate::telemetry::CoreMetrics) merged. The
     /// `finalization_latency_us` histogram here is what the experiment
     /// tables' p50/p90/p99 columns read.
-    ///
-    /// All-zero when the `telemetry` feature is off.
     pub fn core_metrics(&self) -> crate::telemetry::CoreMetrics {
         let mut merged = crate::telemetry::CoreMetrics::default();
         for i in 0..self.n() {

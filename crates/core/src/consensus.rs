@@ -60,7 +60,7 @@ use std::sync::Arc;
 
 /// How many rounds below the committed tip a replica keeps blocks,
 /// certificates and shares by default. Greater than the gossip layer's
-/// `catch_up_threshold` (10), so every peer not yet entitled to a
+/// `CATCH_UP_THRESHOLD` (10), so every peer not yet entitled to a
 /// catch-up package can still fetch the bodies it is missing.
 pub const PURGE_DEPTH: u64 = 64;
 

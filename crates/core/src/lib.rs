@@ -30,8 +30,8 @@
 //! * [`events`] — the observable output trace;
 //! * [`storage`] — durable replica state: checkpoints + write-ahead log;
 //! * [`recovery`] — certified catch-up packages and recovery counters;
-//! * [`telemetry`] — per-replica metrics and the flight recorder of
-//!   consensus phase events (no-op without the `telemetry` feature);
+//! * [`telemetry`] — per-replica metrics, the flight recorder of
+//!   consensus phase events and the anomaly detector watching them;
 //! * [`cluster`] — multi-node simulation harness with safety checks;
 //! * [`replica`] — state-machine replication on top of atomic broadcast.
 //!

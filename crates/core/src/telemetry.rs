@@ -10,10 +10,8 @@
 //! critical-path analyzer and the Chrome-trace exporter in
 //! `icc-telemetry`.
 //!
-//! All of this compiles to no-ops when the `telemetry` feature is off
-//! (the types collapse to ZSTs), so the protocol hot path carries zero
-//! instrumentation cost in `--no-default-features` builds — verified by
-//! the `telemetry_overhead` cell of the hotpath bench.
+//! Its cost on the protocol hot path is what the `telemetry_overhead`
+//! cell of the hotpath bench prices.
 //!
 //! Telemetry is *observability*, not replica state: it survives
 //! [`crash`](crate::ConsensusCore::crash) / restore cycles the way an
@@ -23,9 +21,6 @@
 use icc_telemetry::{AnomalyDetector, AnomalyEvent, Counter, FlightRecorder, Histogram, SpanEvent};
 
 /// Protocol-level metrics for one replica.
-///
-/// With the `telemetry` feature off every field is a ZST and every
-/// method an inlined no-op.
 #[derive(Debug, Default)]
 pub struct CoreMetrics {
     /// Rounds this replica entered (beacon computed, rank derived).
@@ -121,7 +116,7 @@ impl NodeTelemetry {
     }
 }
 
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

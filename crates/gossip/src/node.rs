@@ -108,6 +108,27 @@ pub enum DisseminationMode {
     },
 }
 
+/// Routed mode's liveness watchdog period: if the committed round has
+/// not advanced between two ticks, recent own shares are re-sent to an
+/// exponentially widened aggregator set.
+const STALL_TIMEOUT: SimDuration = SimDuration::from_millis(1_000);
+
+/// How long to wait for a requested body before asking another
+/// advertiser.
+const REQUEST_TIMEOUT: SimDuration = SimDuration::from_millis(300);
+
+/// Cap on the per-request exponential retry backoff (body requests and
+/// catch-up requests alike double their timeout on every retry up to
+/// this cap).
+const RETRY_BACKOFF_CAP: SimDuration = SimDuration::from_millis(3_000);
+
+/// How many rounds behind the highest round advertised by a peer this
+/// node must be before it requests a certified catch-up package instead
+/// of waiting for per-round artifacts — below the core's purge depth,
+/// so a node not yet this far behind finds every body it asks for
+/// still held.
+const CATCH_UP_THRESHOLD: u64 = 10;
+
 /// Gossip sub-layer tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct GossipConfig {
@@ -117,23 +138,6 @@ pub struct GossipConfig {
     /// How shares travel: [`DisseminationMode::Flood`] (default) or
     /// [`DisseminationMode::Routed`].
     pub mode: DisseminationMode,
-    /// Routed mode's liveness watchdog period: if the committed round
-    /// has not advanced between two ticks, recent own shares are
-    /// re-sent to an exponentially widened aggregator set. Default 1 s.
-    pub stall_timeout: SimDuration,
-    /// How long to wait for a requested body before asking another
-    /// advertiser. Default 300 ms.
-    pub request_timeout: SimDuration,
-    /// Cap on the per-request exponential retry backoff (body requests
-    /// and catch-up requests alike double their timeout on every retry
-    /// up to this cap). Default 3 s.
-    pub retry_backoff_cap: SimDuration,
-    /// How many rounds behind the highest round advertised by a peer
-    /// this node must be before it requests a certified catch-up
-    /// package instead of waiting for per-round artifacts. Default 10 —
-    /// below the core's purge depth, so a node not yet this far behind
-    /// finds every body it asks for still held.
-    pub catch_up_threshold: u64,
 }
 
 impl Default for GossipConfig {
@@ -141,10 +145,6 @@ impl Default for GossipConfig {
         GossipConfig {
             inline_threshold: 4 << 10,
             mode: DisseminationMode::Flood,
-            stall_timeout: SimDuration::from_millis(1_000),
-            request_timeout: SimDuration::from_millis(300),
-            retry_backoff_cap: SimDuration::from_millis(3_000),
-            catch_up_threshold: 10,
         }
     }
 }
@@ -194,10 +194,16 @@ fn is_share(msg: &ConsensusMessage) -> bool {
     )
 }
 
-/// `base × 2^attempts`, saturating at `cap`.
-fn backoff_after(base: SimDuration, cap: SimDuration, attempts: u32) -> SimDuration {
+/// [`REQUEST_TIMEOUT`] `× 2^attempts`, saturating at
+/// [`RETRY_BACKOFF_CAP`].
+fn backoff_after(attempts: u32) -> SimDuration {
     let mult = 1u64 << attempts.min(20);
-    SimDuration::from_micros(base.as_micros().saturating_mul(mult).min(cap.as_micros()))
+    SimDuration::from_micros(
+        REQUEST_TIMEOUT
+            .as_micros()
+            .saturating_mul(mult)
+            .min(RETRY_BACKOFF_CAP.as_micros()),
+    )
 }
 
 /// A small consensus artifact paired with its wire encoding.
@@ -776,7 +782,7 @@ impl GossipNode {
     fn arm_sweep(&mut self, ctx: &mut Context<'_, GossipMessage, NodeEvent>) {
         if !self.sweep_armed && !self.pending.is_empty() {
             self.sweep_armed = true;
-            ctx.set_timer(self.config.request_timeout, TAG_SWEEP);
+            ctx.set_timer(REQUEST_TIMEOUT, TAG_SWEEP);
         }
     }
 
@@ -834,7 +840,7 @@ impl GossipNode {
                         advertisers: vec![from],
                         next_advertiser: 0,
                         attempts: 0,
-                        next_retry_at: ctx.now() + self.config.request_timeout,
+                        next_retry_at: ctx.now() + REQUEST_TIMEOUT,
                     },
                 );
                 self.arm_sweep(ctx);
@@ -856,7 +862,7 @@ impl GossipNode {
     }
 
     /// Issues a catch-up request if this node has fallen
-    /// `catch_up_threshold` or more rounds behind the highest round its
+    /// [`CATCH_UP_THRESHOLD`] or more rounds behind the highest round its
     /// peers advertise and no request is already in flight.
     ///
     /// The target peer is chosen from the *ahead* peers (those whose
@@ -868,7 +874,7 @@ impl GossipNode {
             return;
         }
         let have = self.core.catch_up_horizon();
-        let bar = have.get() + self.config.catch_up_threshold;
+        let bar = have.get() + CATCH_UP_THRESHOLD;
         let mut ahead: Vec<(Round, NodeIndex)> = self
             .peer_rounds
             .iter()
@@ -889,11 +895,7 @@ impl GossipNode {
             round: have.get(),
             kind: SpanKind::CatchUpRequested,
         });
-        let wait = backoff_after(
-            self.config.request_timeout,
-            self.config.retry_backoff_cap,
-            self.catch_up_attempts,
-        );
+        let wait = backoff_after(self.catch_up_attempts);
         self.catch_up_attempts = self.catch_up_attempts.saturating_add(1);
         self.catch_up_inflight = Some((peer, ctx.now(), ctx.now() + wait));
         ctx.set_timer(wait, TAG_CATCHUP);
@@ -982,7 +984,7 @@ impl Node for GossipNode {
         let step = self.core.start(ctx.now());
         self.apply_step(ctx, step);
         if matches!(self.config.mode, DisseminationMode::Routed { .. }) {
-            ctx.set_timer(self.config.stall_timeout, TAG_LIVENESS);
+            ctx.set_timer(STALL_TIMEOUT, TAG_LIVENESS);
         }
     }
 
@@ -1077,11 +1079,9 @@ impl Node for GossipNode {
                 // up (round-robin, skipping crashed peers), lowest round
                 // first: the earliest missing block is the one gating
                 // progress. Each retry doubles the entry's backoff up to
-                // the configured cap so a body nobody can serve anymore
+                // the cap so a body nobody can serve anymore
                 // decays to a trickle instead of a drumbeat.
                 let now = ctx.now();
-                let timeout = self.config.request_timeout;
-                let cap = self.config.retry_backoff_cap;
                 let mut retries: Vec<(Round, Hash256, NodeIndex, u32)> = Vec::new();
                 for (id, req) in self.pending.iter_mut() {
                     if now < req.next_retry_at {
@@ -1099,7 +1099,7 @@ impl Node for GossipNode {
                         }
                     }
                     req.attempts = req.attempts.saturating_add(1);
-                    req.next_retry_at = now + backoff_after(timeout, cap, req.attempts);
+                    req.next_retry_at = now + backoff_after(req.attempts);
                     if let Some(peer) = chosen {
                         retries.push((req.round, *id, peer, req.attempts));
                     }
@@ -1162,7 +1162,7 @@ impl Node for GossipNode {
                     }
                 }
                 if matches!(self.config.mode, DisseminationMode::Routed { .. }) {
-                    ctx.set_timer(self.config.stall_timeout, TAG_LIVENESS);
+                    ctx.set_timer(STALL_TIMEOUT, TAG_LIVENESS);
                 }
             }
             TAG_CATCHUP => {
@@ -1229,7 +1229,7 @@ impl Node for GossipNode {
         let step = self.core.restore(ctx.now());
         self.apply_step(ctx, step);
         if matches!(self.config.mode, DisseminationMode::Routed { .. }) {
-            ctx.set_timer(self.config.stall_timeout, TAG_LIVENESS);
+            ctx.set_timer(STALL_TIMEOUT, TAG_LIVENESS);
         }
     }
 

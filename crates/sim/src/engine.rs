@@ -904,7 +904,6 @@ mod tests {
         assert_eq!(sim.metrics().total_bytes(), 0);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn lifecycle_transitions_are_flight_recorded() {
         use crate::fault::FaultPlan;

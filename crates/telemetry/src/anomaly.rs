@@ -21,11 +21,9 @@
 //! are mirrored back into the span ring as [`SpanKind::Anomaly`]
 //! events (so they show up inline on Perfetto timelines), surfaced on
 //! `/status`, and rolled up into [`AnomalyCounts`] for `/metrics`.
-//!
-//! With the `enabled` feature off the detector is a zero-sized no-op
-//! with an identical API.
 
 use crate::recorder::{AnomalyCode, SpanEvent, SpanKind};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 /// Thresholds for the rolling watcher. All windows are in the caller's
@@ -273,361 +271,284 @@ crate::counter_set! {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::{AnomalyConfig, AnomalyCounts, AnomalyEvent, AnomalyKind};
-    use crate::recorder::{SpanEvent, SpanKind};
-    use std::collections::{HashMap, VecDeque};
+fn median(window: &VecDeque<u64>) -> u64 {
+    let mut v: Vec<u64> = window.iter().copied().collect();
+    v.sort_unstable();
+    if v.is_empty() {
+        0
+    } else {
+        v[v.len() / 2]
+    }
+}
 
-    fn median(window: &VecDeque<u64>) -> u64 {
-        let mut v: Vec<u64> = window.iter().copied().collect();
-        v.sort_unstable();
-        if v.is_empty() {
-            0
-        } else {
-            v[v.len() / 2]
+/// The rolling watcher. Feed it span events ([`Self::observe`]),
+/// peer link transitions ([`Self::observe_peer`]) and fsync
+/// latencies ([`Self::observe_fsync`]); poke it with
+/// [`Self::tick`] so a *silent* stream (the stalled case!) is
+/// still checked. Each call returns how many new anomalies were
+/// emitted; drain them with [`Self::drain_new`].
+#[derive(Debug, Clone)]
+pub struct AnomalyDetector {
+    node: u32,
+    cfg: AnomalyConfig,
+    // Round-stall state.
+    open_round: Option<(u64, u64)>, // (round, opened_at_us)
+    round_window: VecDeque<u64>,
+    stall_flagged: Option<u64>,
+    // Peer-flap state.
+    peer_state: HashMap<u32, bool>,
+    peer_transitions: HashMap<u32, VecDeque<u64>>,
+    // Fsync state.
+    fsync_window: VecDeque<u64>,
+    last_fsync_emit_us: Option<u64>,
+    // Catch-up storm state.
+    catch_ups: VecDeque<u64>,
+    // Output.
+    new_q: Vec<AnomalyEvent>,
+    retained: VecDeque<AnomalyEvent>,
+    counts: AnomalyCounts,
+}
+
+impl Default for AnomalyDetector {
+    /// A node-0 detector; re-stamp with [`Self::set_node`].
+    fn default() -> Self {
+        Self::new(0)
+    }
+}
+
+impl AnomalyDetector {
+    /// A detector for `node` with default thresholds.
+    pub fn new(node: u32) -> Self {
+        Self::with_config(node, AnomalyConfig::default())
+    }
+
+    /// Re-stamps the node index emitted events carry. For owners
+    /// (like a replica's telemetry bundle) that are built by
+    /// `Default` before the node index is known.
+    pub fn set_node(&mut self, node: u32) {
+        self.node = node;
+    }
+
+    /// A detector for `node` with explicit thresholds.
+    pub fn with_config(node: u32, cfg: AnomalyConfig) -> Self {
+        Self {
+            node,
+            cfg,
+            open_round: None,
+            round_window: VecDeque::new(),
+            stall_flagged: None,
+            peer_state: HashMap::new(),
+            peer_transitions: HashMap::new(),
+            fsync_window: VecDeque::new(),
+            last_fsync_emit_us: None,
+            catch_ups: VecDeque::new(),
+            new_q: Vec::new(),
+            retained: VecDeque::new(),
+            counts: AnomalyCounts::default(),
         }
     }
 
-    /// The rolling watcher. Feed it span events ([`Self::observe`]),
-    /// peer link transitions ([`Self::observe_peer`]) and fsync
-    /// latencies ([`Self::observe_fsync`]); poke it with
-    /// [`Self::tick`] so a *silent* stream (the stalled case!) is
-    /// still checked. Each call returns how many new anomalies were
-    /// emitted; drain them with [`Self::drain_new`].
-    #[derive(Debug, Clone)]
-    pub struct AnomalyDetector {
-        node: u32,
-        cfg: AnomalyConfig,
-        // Round-stall state.
-        open_round: Option<(u64, u64)>, // (round, opened_at_us)
-        round_window: VecDeque<u64>,
-        stall_flagged: Option<u64>,
-        // Peer-flap state.
-        peer_state: HashMap<u32, bool>,
-        peer_transitions: HashMap<u32, VecDeque<u64>>,
-        // Fsync state.
-        fsync_window: VecDeque<u64>,
-        last_fsync_emit_us: Option<u64>,
-        // Catch-up storm state.
-        catch_ups: VecDeque<u64>,
-        // Output.
-        new_q: Vec<AnomalyEvent>,
-        retained: VecDeque<AnomalyEvent>,
-        counts: AnomalyCounts,
+    fn emit(&mut self, at_us: u64, kind: AnomalyKind) {
+        let ev = AnomalyEvent {
+            at_us,
+            node: self.node,
+            kind,
+        };
+        match kind {
+            AnomalyKind::RoundStall { .. } => self.counts.round_stalls += 1,
+            AnomalyKind::PeerFlap { .. } => self.counts.peer_flaps += 1,
+            AnomalyKind::FsyncSpike { .. } => self.counts.fsync_spikes += 1,
+            AnomalyKind::CatchUpStorm { .. } => self.counts.catch_up_storms += 1,
+        }
+        self.new_q.push(ev);
+        if self.retained.len() >= self.cfg.retain.max(1) {
+            self.retained.pop_front();
+        }
+        self.retained.push_back(ev);
     }
 
-    impl Default for AnomalyDetector {
-        /// A node-0 detector; re-stamp with [`Self::set_node`].
-        fn default() -> Self {
-            Self::new(0)
+    fn close_round(&mut self, round: u64, at_us: u64, count_duration: bool) {
+        if let Some((open, opened_at)) = self.open_round {
+            if round >= open {
+                if count_duration && round == open {
+                    if self.round_window.len() >= self.cfg.max_round_samples.max(1) {
+                        self.round_window.pop_front();
+                    }
+                    self.round_window.push_back(at_us.saturating_sub(opened_at));
+                }
+                self.open_round = None;
+            }
         }
     }
 
-    impl AnomalyDetector {
-        /// A detector for `node` with default thresholds.
-        pub fn new(node: u32) -> Self {
-            Self::with_config(node, AnomalyConfig::default())
-        }
-
-        /// Re-stamps the node index emitted events carry. For owners
-        /// (like a replica's telemetry bundle) that are built by
-        /// `Default` before the node index is known.
-        pub fn set_node(&mut self, node: u32) {
-            self.node = node;
-        }
-
-        /// A detector for `node` with explicit thresholds.
-        pub fn with_config(node: u32, cfg: AnomalyConfig) -> Self {
-            Self {
-                node,
-                cfg,
-                open_round: None,
-                round_window: VecDeque::new(),
-                stall_flagged: None,
-                peer_state: HashMap::new(),
-                peer_transitions: HashMap::new(),
-                fsync_window: VecDeque::new(),
-                last_fsync_emit_us: None,
-                catch_ups: VecDeque::new(),
-                new_q: Vec::new(),
-                retained: VecDeque::new(),
-                counts: AnomalyCounts::default(),
-            }
-        }
-
-        fn emit(&mut self, at_us: u64, kind: AnomalyKind) {
-            let ev = AnomalyEvent {
-                at_us,
-                node: self.node,
-                kind,
-            };
-            match kind {
-                AnomalyKind::RoundStall { .. } => self.counts.round_stalls += 1,
-                AnomalyKind::PeerFlap { .. } => self.counts.peer_flaps += 1,
-                AnomalyKind::FsyncSpike { .. } => self.counts.fsync_spikes += 1,
-                AnomalyKind::CatchUpStorm { .. } => self.counts.catch_up_storms += 1,
-            }
-            self.new_q.push(ev);
-            if self.retained.len() >= self.cfg.retain.max(1) {
-                self.retained.pop_front();
-            }
-            self.retained.push_back(ev);
-        }
-
-        fn close_round(&mut self, round: u64, at_us: u64, count_duration: bool) {
-            if let Some((open, opened_at)) = self.open_round {
-                if round >= open {
-                    if count_duration && round == open {
-                        if self.round_window.len() >= self.cfg.max_round_samples.max(1) {
-                            self.round_window.pop_front();
-                        }
-                        self.round_window.push_back(at_us.saturating_sub(opened_at));
-                    }
-                    self.open_round = None;
-                }
-            }
-        }
-
-        fn check_stall(&mut self, now_us: u64) -> usize {
-            let before = self.new_q.len();
-            if let Some((round, opened_at)) = self.open_round {
-                if self.stall_flagged != Some(round)
-                    && self.round_window.len() >= self.cfg.min_round_samples.max(1)
-                {
-                    let median_us = median(&self.round_window).max(1);
-                    let waited_us = now_us.saturating_sub(opened_at);
-                    if waited_us > self.cfg.stall_factor.max(1).saturating_mul(median_us) {
-                        self.stall_flagged = Some(round);
-                        self.emit(
-                            now_us,
-                            AnomalyKind::RoundStall {
-                                round,
-                                waited_us,
-                                median_us,
-                            },
-                        );
-                    }
-                }
-            }
-            self.new_q.len() - before
-        }
-
-        /// Feed one span event. `NodeDown`/`NodeUp` count as peer
-        /// transitions of the event's node; `Anomaly` mirrors are
-        /// ignored (no feedback loop). Returns newly emitted
-        /// anomalies.
-        pub fn observe(&mut self, ev: &SpanEvent) -> usize {
-            let before = self.new_q.len();
-            match ev.kind {
-                SpanKind::RoundStart { .. } => {
-                    // A new round opening implicitly closes whatever
-                    // was open (the close event may have been missed on
-                    // ring wraparound) without polluting the median.
-                    if let Some((open, _)) = self.open_round {
-                        if ev.round > open {
-                            self.open_round = None;
-                        }
-                    }
-                    if self.open_round.is_none() {
-                        self.open_round = Some((ev.round, ev.at_us));
-                    }
-                }
-                SpanKind::Notarized { .. } => {
-                    self.close_round(ev.round, ev.at_us, true);
-                }
-                SpanKind::CatchUpApplied { .. } => {
-                    // Catch-up jumps are not normal round durations;
-                    // close without feeding the median, and count
-                    // toward storms.
-                    self.close_round(ev.round, ev.at_us, false);
-                    let horizon = ev.at_us.saturating_sub(self.cfg.catch_up_window_us);
-                    while self.catch_ups.front().is_some_and(|&t| t < horizon) {
-                        self.catch_ups.pop_front();
-                    }
-                    self.catch_ups.push_back(ev.at_us);
-                    if self.catch_ups.len() >= self.cfg.catch_up_count.max(1) {
-                        let count = self.catch_ups.len() as u64;
-                        self.catch_ups.clear();
-                        self.emit(
-                            ev.at_us,
-                            AnomalyKind::CatchUpStorm {
-                                count,
-                                window_us: self.cfg.catch_up_window_us,
-                            },
-                        );
-                    }
-                }
-                SpanKind::NodeDown => {
-                    self.observe_peer(ev.node, false, ev.at_us);
-                }
-                SpanKind::NodeUp => {
-                    self.observe_peer(ev.node, true, ev.at_us);
-                }
-                _ => {}
-            }
-            self.check_stall(ev.at_us);
-            self.new_q.len() - before
-        }
-
-        /// Feed one peer link state sample (`up` = connected). Only
-        /// actual transitions count; repeated samples of the same
-        /// state are free. Returns newly emitted anomalies.
-        pub fn observe_peer(&mut self, peer: u32, up: bool, at_us: u64) -> usize {
-            let before = self.new_q.len();
-            let prev = self.peer_state.insert(peer, up);
-            if prev == Some(up) {
-                return 0;
-            }
-            if prev.is_none() {
-                // First sample establishes the baseline, it is not a
-                // transition.
-                return 0;
-            }
-            let window = self.cfg.flap_window_us;
-            let q = self.peer_transitions.entry(peer).or_default();
-            let horizon = at_us.saturating_sub(window);
-            while q.front().is_some_and(|&t| t < horizon) {
-                q.pop_front();
-            }
-            q.push_back(at_us);
-            if q.len() >= self.cfg.flap_transitions.max(1) {
-                let transitions = q.len() as u64;
-                q.clear();
-                self.emit(
-                    at_us,
-                    AnomalyKind::PeerFlap {
-                        peer,
-                        transitions,
-                        window_us: window,
-                    },
-                );
-            }
-            self.new_q.len() - before
-        }
-
-        /// Feed one fsync latency sample. Returns newly emitted
-        /// anomalies.
-        pub fn observe_fsync(&mut self, at_us: u64, latency_us: u64) -> usize {
-            let before = self.new_q.len();
-            if self.fsync_window.len() >= self.cfg.min_fsync_samples.max(1) {
-                let median_us = median(&self.fsync_window).max(1);
-                let cooled = self
-                    .last_fsync_emit_us
-                    .is_none_or(|t| at_us.saturating_sub(t) >= self.cfg.fsync_cooldown_us);
-                if cooled
-                    && latency_us > self.cfg.fsync_spike_factor.max(1).saturating_mul(median_us)
-                {
-                    self.last_fsync_emit_us = Some(at_us);
+    fn check_stall(&mut self, now_us: u64) -> usize {
+        let before = self.new_q.len();
+        if let Some((round, opened_at)) = self.open_round {
+            if self.stall_flagged != Some(round)
+                && self.round_window.len() >= self.cfg.min_round_samples.max(1)
+            {
+                let median_us = median(&self.round_window).max(1);
+                let waited_us = now_us.saturating_sub(opened_at);
+                if waited_us > self.cfg.stall_factor.max(1).saturating_mul(median_us) {
+                    self.stall_flagged = Some(round);
                     self.emit(
-                        at_us,
-                        AnomalyKind::FsyncSpike {
-                            latency_us,
+                        now_us,
+                        AnomalyKind::RoundStall {
+                            round,
+                            waited_us,
                             median_us,
                         },
                     );
                 }
             }
-            if self.fsync_window.len() >= self.cfg.max_fsync_samples.max(1) {
-                self.fsync_window.pop_front();
+        }
+        self.new_q.len() - before
+    }
+
+    /// Feed one span event. `NodeDown`/`NodeUp` count as peer
+    /// transitions of the event's node; `Anomaly` mirrors are
+    /// ignored (no feedback loop). Returns newly emitted
+    /// anomalies.
+    pub fn observe(&mut self, ev: &SpanEvent) -> usize {
+        let before = self.new_q.len();
+        match ev.kind {
+            SpanKind::RoundStart { .. } => {
+                // A new round opening implicitly closes whatever
+                // was open (the close event may have been missed on
+                // ring wraparound) without polluting the median.
+                if let Some((open, _)) = self.open_round {
+                    if ev.round > open {
+                        self.open_round = None;
+                    }
+                }
+                if self.open_round.is_none() {
+                    self.open_round = Some((ev.round, ev.at_us));
+                }
             }
-            self.fsync_window.push_back(latency_us);
-            self.new_q.len() - before
+            SpanKind::Notarized { .. } => {
+                self.close_round(ev.round, ev.at_us, true);
+            }
+            SpanKind::CatchUpApplied { .. } => {
+                // Catch-up jumps are not normal round durations;
+                // close without feeding the median, and count
+                // toward storms.
+                self.close_round(ev.round, ev.at_us, false);
+                let horizon = ev.at_us.saturating_sub(self.cfg.catch_up_window_us);
+                while self.catch_ups.front().is_some_and(|&t| t < horizon) {
+                    self.catch_ups.pop_front();
+                }
+                self.catch_ups.push_back(ev.at_us);
+                if self.catch_ups.len() >= self.cfg.catch_up_count.max(1) {
+                    let count = self.catch_ups.len() as u64;
+                    self.catch_ups.clear();
+                    self.emit(
+                        ev.at_us,
+                        AnomalyKind::CatchUpStorm {
+                            count,
+                            window_us: self.cfg.catch_up_window_us,
+                        },
+                    );
+                }
+            }
+            SpanKind::NodeDown => {
+                self.observe_peer(ev.node, false, ev.at_us);
+            }
+            SpanKind::NodeUp => {
+                self.observe_peer(ev.node, true, ev.at_us);
+            }
+            _ => {}
         }
+        self.check_stall(ev.at_us);
+        self.new_q.len() - before
+    }
 
-        /// Re-check the open round against `now_us` without a new
-        /// event — the stalled case produces *no* events, so a
-        /// periodic tick is what actually catches it. Returns newly
-        /// emitted anomalies.
-        pub fn tick(&mut self, now_us: u64) -> usize {
-            self.check_stall(now_us)
+    /// Feed one peer link state sample (`up` = connected). Only
+    /// actual transitions count; repeated samples of the same
+    /// state are free. Returns newly emitted anomalies.
+    pub fn observe_peer(&mut self, peer: u32, up: bool, at_us: u64) -> usize {
+        let before = self.new_q.len();
+        let prev = self.peer_state.insert(peer, up);
+        if prev == Some(up) {
+            return 0;
         }
+        if prev.is_none() {
+            // First sample establishes the baseline, it is not a
+            // transition.
+            return 0;
+        }
+        let window = self.cfg.flap_window_us;
+        let q = self.peer_transitions.entry(peer).or_default();
+        let horizon = at_us.saturating_sub(window);
+        while q.front().is_some_and(|&t| t < horizon) {
+            q.pop_front();
+        }
+        q.push_back(at_us);
+        if q.len() >= self.cfg.flap_transitions.max(1) {
+            let transitions = q.len() as u64;
+            q.clear();
+            self.emit(
+                at_us,
+                AnomalyKind::PeerFlap {
+                    peer,
+                    transitions,
+                    window_us: window,
+                },
+            );
+        }
+        self.new_q.len() - before
+    }
 
-        /// Take the anomalies emitted since the last drain.
-        pub fn drain_new(&mut self) -> Vec<AnomalyEvent> {
-            std::mem::take(&mut self.new_q)
+    /// Feed one fsync latency sample. Returns newly emitted
+    /// anomalies.
+    pub fn observe_fsync(&mut self, at_us: u64, latency_us: u64) -> usize {
+        let before = self.new_q.len();
+        if self.fsync_window.len() >= self.cfg.min_fsync_samples.max(1) {
+            let median_us = median(&self.fsync_window).max(1);
+            let cooled = self
+                .last_fsync_emit_us
+                .is_none_or(|t| at_us.saturating_sub(t) >= self.cfg.fsync_cooldown_us);
+            if cooled && latency_us > self.cfg.fsync_spike_factor.max(1).saturating_mul(median_us) {
+                self.last_fsync_emit_us = Some(at_us);
+                self.emit(
+                    at_us,
+                    AnomalyKind::FsyncSpike {
+                        latency_us,
+                        median_us,
+                    },
+                );
+            }
         }
+        if self.fsync_window.len() >= self.cfg.max_fsync_samples.max(1) {
+            self.fsync_window.pop_front();
+        }
+        self.fsync_window.push_back(latency_us);
+        self.new_q.len() - before
+    }
 
-        /// The newest retained anomalies, oldest first (bounded by
-        /// [`AnomalyConfig::retain`]).
-        pub fn recent(&self) -> Vec<AnomalyEvent> {
-            self.retained.iter().copied().collect()
-        }
+    /// Re-check the open round against `now_us` without a new
+    /// event — the stalled case produces *no* events, so a
+    /// periodic tick is what actually catches it. Returns newly
+    /// emitted anomalies.
+    pub fn tick(&mut self, now_us: u64) -> usize {
+        self.check_stall(now_us)
+    }
 
-        /// Per-class totals since construction.
-        pub fn counts(&self) -> AnomalyCounts {
-            self.counts
-        }
+    /// Take the anomalies emitted since the last drain.
+    pub fn drain_new(&mut self) -> Vec<AnomalyEvent> {
+        std::mem::take(&mut self.new_q)
+    }
+
+    /// The newest retained anomalies, oldest first (bounded by
+    /// [`AnomalyConfig::retain`]).
+    pub fn recent(&self) -> Vec<AnomalyEvent> {
+        self.retained.iter().copied().collect()
+    }
+
+    /// Per-class totals since construction.
+    pub fn counts(&self) -> AnomalyCounts {
+        self.counts
     }
 }
-
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::{AnomalyConfig, AnomalyCounts, AnomalyEvent};
-    use crate::recorder::SpanEvent;
-
-    /// Anomaly detector (no-op build): observes nothing, emits
-    /// nothing.
-    #[derive(Debug, Clone, Default)]
-    pub struct AnomalyDetector;
-
-    impl AnomalyDetector {
-        /// A detector (no-op build).
-        pub fn new(_node: u32) -> Self {
-            Self
-        }
-
-        /// Re-stamps the node index (no-op build).
-        #[inline(always)]
-        pub fn set_node(&mut self, _node: u32) {}
-
-        /// A detector (no-op build).
-        pub fn with_config(_node: u32, _cfg: AnomalyConfig) -> Self {
-            Self
-        }
-
-        /// Feed one span event (no-op). Always 0.
-        #[inline(always)]
-        pub fn observe(&mut self, _ev: &SpanEvent) -> usize {
-            0
-        }
-
-        /// Feed one peer link sample (no-op). Always 0.
-        #[inline(always)]
-        pub fn observe_peer(&mut self, _peer: u32, _up: bool, _at_us: u64) -> usize {
-            0
-        }
-
-        /// Feed one fsync latency sample (no-op). Always 0.
-        #[inline(always)]
-        pub fn observe_fsync(&mut self, _at_us: u64, _latency_us: u64) -> usize {
-            0
-        }
-
-        /// Re-check for stalls (no-op). Always 0.
-        #[inline(always)]
-        pub fn tick(&mut self, _now_us: u64) -> usize {
-            0
-        }
-
-        /// Anomalies since the last drain — always empty.
-        pub fn drain_new(&mut self) -> Vec<AnomalyEvent> {
-            Vec::new()
-        }
-
-        /// Retained anomalies — always empty.
-        pub fn recent(&self) -> Vec<AnomalyEvent> {
-            Vec::new()
-        }
-
-        /// Per-class totals — always zero.
-        pub fn counts(&self) -> AnomalyCounts {
-            AnomalyCounts::default()
-        }
-    }
-}
-
-pub use imp::AnomalyDetector;
 
 /// Run a detector over a whole cluster's merged span events (offline
 /// analysis: scenario reports, integration tests, post-mortems).
@@ -665,7 +586,7 @@ pub fn count(anomalies: &[AnomalyEvent]) -> AnomalyCounts {
     c
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -512,7 +512,6 @@ mod tests {
         assert!(text.contains("icc_sent_bytes{kind=\"beacon_share\"} 7"));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn prom_histogram_cumulative_buckets() {
         let mut h = Histogram::new();

@@ -6,10 +6,7 @@
 //! four observability layers the rest of the workspace wires through:
 //!
 //! 1. [`metrics`] — counters, gauges, and log2-bucketed histograms
-//!    with p50/p90/p99/max readout. With the `enabled` feature off
-//!    (workspace feature `telemetry`), every type is a zero-sized
-//!    no-op with an identical API: instrumentation call sites compile
-//!    away, which the hot-path A/B bench verifies.
+//!    with p50/p90/p99/max readout.
 //! 2. [`recorder`] — a per-node **flight recorder**: a fixed-capacity
 //!    ring buffer of structured [`recorder::SpanEvent`]s (round
 //!    starts, beacon quorums, proposals seen, notarizations,
@@ -32,8 +29,10 @@
 //! The analysis layers are deterministic: no wall clock, no global
 //! state. Callers own their recorders and stamp events with whatever
 //! clock they run under (the simulator's `SimTime` or a live
-//! process's monotonic clock); only [`serve`] spawns a thread, and
-//! only when the `enabled` feature is on.
+//! process's monotonic clock); only [`serve`] spawns a thread.
+//!
+//! There is one build: every type here is live wherever it is
+//! compiled, so what the tests observe is what the benchmark runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,381 +5,239 @@
 //! macro and `icc-core`'s `CoreMetrics`), constructed once per node,
 //! and merged field-wise for cluster-level readout. There is no global
 //! mutable registry — the simulator runs many deterministic clusters
-//! in parallel, so every cluster owns its metrics.
-//!
-//! With the `enabled` feature **off**, each type is a zero-sized
-//! struct whose methods are inlined no-ops returning zeros, so a
-//! `--no-default-features` build carries no instrumentation cost at
-//! all (the hot-path bench's `telemetry_overhead` cell measures the
-//! enabled cost; the off build is bit-identical to uninstrumented
-//! code after inlining).
+//! in parallel, so every cluster owns its metrics. The hot-path
+//! bench's `telemetry_overhead` cell prices them on a share flood.
 
 /// Number of histogram buckets: one per power of two of `u64`, plus
 /// bucket 0 for the value `0`.
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::HISTOGRAM_BUCKETS;
+/// A monotonically increasing event counter.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Counter {
+    value: u64,
+}
 
-    /// A monotonically increasing event counter.
-    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-    pub struct Counter {
-        value: u64,
+impl Counter {
+    /// A counter at zero.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    impl Counter {
-        /// A counter at zero.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Increment by one.
-        #[inline]
-        pub fn inc(&mut self) {
-            self.value = self.value.wrapping_add(1);
-        }
-
-        /// Increment by `n`.
-        #[inline]
-        pub fn add(&mut self, n: u64) {
-            self.value = self.value.wrapping_add(n);
-        }
-
-        /// Current count.
-        #[inline]
-        pub fn get(&self) -> u64 {
-            self.value
-        }
-
-        /// Sum `other` into `self` (cluster aggregation).
-        pub fn merge(&mut self, other: &Self) {
-            self.value = self.value.wrapping_add(other.value);
-        }
-    }
-
-    /// A signed instantaneous level (queue depths, in-flight work).
-    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-    pub struct Gauge {
-        value: i64,
-    }
-
-    impl Gauge {
-        /// A gauge at zero.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Set the level.
-        #[inline]
-        pub fn set(&mut self, v: i64) {
-            self.value = v;
-        }
-
-        /// Add `d` (may be negative).
-        #[inline]
-        pub fn add(&mut self, d: i64) {
-            self.value += d;
-        }
-
-        /// Current level.
-        #[inline]
-        pub fn get(&self) -> i64 {
-            self.value
-        }
-
-        /// Sum `other` into `self` (cluster aggregation).
-        pub fn merge(&mut self, other: &Self) {
-            self.value += other.value;
-        }
-    }
-
-    /// A log2-bucketed histogram of `u64` samples (typically
-    /// microseconds) with cheap `observe` — one `leading_zeros` and
-    /// two adds — and p50/p90/p99/max readout.
-    ///
-    /// Bucket `i` (for `i >= 1`) holds values in `[2^(i-1), 2^i - 1]`;
-    /// bucket `0` holds the value `0`. Quantiles are read as the upper
-    /// bound of the bucket containing the target rank, clamped to the
-    /// exact observed maximum, so the relative error is at most 2x —
-    /// plenty for "did p99 regress by an order of magnitude".
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct Histogram {
-        buckets: [u64; HISTOGRAM_BUCKETS],
-        count: u64,
-        sum: u64,
-        max: u64,
-    }
-
-    impl Default for Histogram {
-        fn default() -> Self {
-            Self {
-                buckets: [0; HISTOGRAM_BUCKETS],
-                count: 0,
-                sum: 0,
-                max: 0,
-            }
-        }
-    }
-
+    /// Increment by one.
     #[inline]
-    fn bucket_index(v: u64) -> usize {
-        (64 - v.leading_zeros()) as usize
+    pub fn inc(&mut self) {
+        self.value = self.value.wrapping_add(1);
     }
 
-    impl Histogram {
-        /// An empty histogram.
-        pub fn new() -> Self {
-            Self::default()
-        }
+    /// Increment by `n`.
+    #[inline]
+    pub fn add(&mut self, n: u64) {
+        self.value = self.value.wrapping_add(n);
+    }
 
-        /// Record one sample.
-        #[inline]
-        pub fn observe(&mut self, v: u64) {
-            self.buckets[bucket_index(v)] += 1;
-            self.count += 1;
-            self.sum = self.sum.wrapping_add(v);
-            if v > self.max {
-                self.max = v;
-            }
-        }
+    /// Current count.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.value
+    }
 
-        /// Number of samples recorded.
-        #[inline]
-        pub fn count(&self) -> u64 {
-            self.count
-        }
+    /// Sum `other` into `self` (cluster aggregation).
+    pub fn merge(&mut self, other: &Self) {
+        self.value = self.value.wrapping_add(other.value);
+    }
+}
 
-        /// Sum of all samples.
-        #[inline]
-        pub fn sum(&self) -> u64 {
-            self.sum
-        }
+/// A signed instantaneous level (queue depths, in-flight work).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Gauge {
+    value: i64,
+}
 
-        /// Exact maximum sample (0 when empty).
-        #[inline]
-        pub fn max(&self) -> u64 {
-            self.max
-        }
+impl Gauge {
+    /// A gauge at zero.
+    pub fn new() -> Self {
+        Self::default()
+    }
 
-        /// Mean sample, or 0.0 when empty.
-        pub fn mean(&self) -> f64 {
-            if self.count == 0 {
-                0.0
-            } else {
-                self.sum as f64 / self.count as f64
-            }
-        }
+    /// Set the level.
+    #[inline]
+    pub fn set(&mut self, v: i64) {
+        self.value = v;
+    }
 
-        /// The `q`-quantile (`0.0 < q <= 1.0`): upper bound of the
-        /// bucket holding the target rank, clamped to the observed
-        /// maximum. Returns 0 when empty.
-        pub fn quantile(&self, q: f64) -> u64 {
-            if self.count == 0 {
-                return 0;
-            }
-            let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-            let mut seen = 0u64;
-            for (i, &c) in self.buckets.iter().enumerate() {
-                seen += c;
-                if seen >= target {
-                    let upper = if i == 0 {
-                        0
-                    } else if i >= 64 {
-                        u64::MAX
-                    } else {
-                        (1u64 << i) - 1
-                    };
-                    return upper.min(self.max);
-                }
-            }
-            self.max
-        }
+    /// Add `d` (may be negative).
+    #[inline]
+    pub fn add(&mut self, d: i64) {
+        self.value += d;
+    }
 
-        /// Median (see [`Histogram::quantile`]).
-        pub fn p50(&self) -> u64 {
-            self.quantile(0.50)
-        }
+    /// Current level.
+    #[inline]
+    pub fn get(&self) -> i64 {
+        self.value
+    }
 
-        /// 90th percentile.
-        pub fn p90(&self) -> u64 {
-            self.quantile(0.90)
-        }
+    /// Sum `other` into `self` (cluster aggregation).
+    pub fn merge(&mut self, other: &Self) {
+        self.value += other.value;
+    }
+}
 
-        /// 99th percentile.
-        pub fn p99(&self) -> u64 {
-            self.quantile(0.99)
-        }
+/// A log2-bucketed histogram of `u64` samples (typically
+/// microseconds) with cheap `observe` — one `leading_zeros` and
+/// two adds — and p50/p90/p99/max readout.
+///
+/// Bucket `i` (for `i >= 1`) holds values in `[2^(i-1), 2^i - 1]`;
+/// bucket `0` holds the value `0`. Quantiles are read as the upper
+/// bound of the bucket containing the target rank, clamped to the
+/// exact observed maximum, so the relative error is at most 2x —
+/// plenty for "did p99 regress by an order of magnitude".
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Histogram {
+    buckets: [u64; HISTOGRAM_BUCKETS],
+    count: u64,
+    sum: u64,
+    max: u64,
+}
 
-        /// Sum `other` into `self` (cluster aggregation).
-        pub fn merge(&mut self, other: &Self) {
-            for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-                *a += b;
-            }
-            self.count += other.count;
-            self.sum = self.sum.wrapping_add(other.sum);
-            self.max = self.max.max(other.max);
-        }
-
-        /// Cumulative bucket counts for Prometheus exposition:
-        /// `(upper_bound, cumulative_count)` pairs up to the highest
-        /// non-empty bucket; `None` as bound means `+Inf`. Empty when
-        /// no samples.
-        pub fn cumulative_buckets(&self) -> Vec<(Option<u64>, u64)> {
-            if self.count == 0 {
-                return Vec::new();
-            }
-            let highest = self
-                .buckets
-                .iter()
-                .rposition(|&c| c > 0)
-                .unwrap_or(0)
-                .min(63);
-            let mut out = Vec::with_capacity(highest + 2);
-            let mut cum = 0u64;
-            for (i, &c) in self.buckets.iter().enumerate().take(highest + 1) {
-                cum += c;
-                let bound = if i == 0 { 0 } else { (1u64 << i) - 1 };
-                out.push((Some(bound), cum));
-            }
-            out.push((None, self.count));
-            out
+impl Default for Histogram {
+    fn default() -> Self {
+        Self {
+            buckets: [0; HISTOGRAM_BUCKETS],
+            count: 0,
+            sum: 0,
+            max: 0,
         }
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    //! No-op metric types: zero-sized, every method inlines to
-    //! nothing, every readout returns zero. API-identical to the
-    //! enabled versions so call sites need no `cfg`.
+#[inline]
+fn bucket_index(v: u64) -> usize {
+    (64 - v.leading_zeros()) as usize
+}
 
-    /// A monotonically increasing event counter (no-op build).
-    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-    pub struct Counter;
-
-    impl Counter {
-        /// A counter at zero.
-        pub fn new() -> Self {
-            Self
-        }
-
-        /// Increment by one (no-op).
-        #[inline(always)]
-        pub fn inc(&mut self) {}
-
-        /// Increment by `n` (no-op).
-        #[inline(always)]
-        pub fn add(&mut self, _n: u64) {}
-
-        /// Current count — always 0 in the no-op build.
-        #[inline(always)]
-        pub fn get(&self) -> u64 {
-            0
-        }
-
-        /// Sum `other` into `self` (no-op).
-        pub fn merge(&mut self, _other: &Self) {}
+impl Histogram {
+    /// An empty histogram.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// A signed instantaneous level (no-op build).
-    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-    pub struct Gauge;
-
-    impl Gauge {
-        /// A gauge at zero.
-        pub fn new() -> Self {
-            Self
+    /// Record one sample.
+    #[inline]
+    pub fn observe(&mut self, v: u64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+        if v > self.max {
+            self.max = v;
         }
-
-        /// Set the level (no-op).
-        #[inline(always)]
-        pub fn set(&mut self, _v: i64) {}
-
-        /// Add `d` (no-op).
-        #[inline(always)]
-        pub fn add(&mut self, _d: i64) {}
-
-        /// Current level — always 0 in the no-op build.
-        #[inline(always)]
-        pub fn get(&self) -> i64 {
-            0
-        }
-
-        /// Sum `other` into `self` (no-op).
-        pub fn merge(&mut self, _other: &Self) {}
     }
 
-    /// A log2-bucketed histogram (no-op build).
-    #[derive(Debug, Default, Clone, PartialEq, Eq)]
-    pub struct Histogram;
+    /// Number of samples recorded.
+    #[inline]
+    pub fn count(&self) -> u64 {
+        self.count
+    }
 
-    impl Histogram {
-        /// An empty histogram.
-        pub fn new() -> Self {
-            Self
-        }
+    /// Sum of all samples.
+    #[inline]
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
 
-        /// Record one sample (no-op).
-        #[inline(always)]
-        pub fn observe(&mut self, _v: u64) {}
+    /// Exact maximum sample (0 when empty).
+    #[inline]
+    pub fn max(&self) -> u64 {
+        self.max
+    }
 
-        /// Number of samples — always 0 in the no-op build.
-        #[inline(always)]
-        pub fn count(&self) -> u64 {
-            0
-        }
-
-        /// Sum of samples — always 0 in the no-op build.
-        #[inline(always)]
-        pub fn sum(&self) -> u64 {
-            0
-        }
-
-        /// Maximum sample — always 0 in the no-op build.
-        #[inline(always)]
-        pub fn max(&self) -> u64 {
-            0
-        }
-
-        /// Mean sample — always 0.0 in the no-op build.
-        pub fn mean(&self) -> f64 {
+    /// Mean sample, or 0.0 when empty.
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
             0.0
+        } else {
+            self.sum as f64 / self.count as f64
         }
+    }
 
-        /// Quantile — always 0 in the no-op build.
-        pub fn quantile(&self, _q: f64) -> u64 {
-            0
+    /// The `q`-quantile (`0.0 < q <= 1.0`): upper bound of the
+    /// bucket holding the target rank, clamped to the observed
+    /// maximum. Returns 0 when empty.
+    pub fn quantile(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
         }
-
-        /// Median — always 0 in the no-op build.
-        pub fn p50(&self) -> u64 {
-            0
+        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut seen = 0u64;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            seen += c;
+            if seen >= target {
+                let upper = if i == 0 {
+                    0
+                } else if i >= 64 {
+                    u64::MAX
+                } else {
+                    (1u64 << i) - 1
+                };
+                return upper.min(self.max);
+            }
         }
+        self.max
+    }
 
-        /// 90th percentile — always 0 in the no-op build.
-        pub fn p90(&self) -> u64 {
-            0
+    /// Median (see [`Histogram::quantile`]).
+    pub fn p50(&self) -> u64 {
+        self.quantile(0.50)
+    }
+
+    /// 90th percentile.
+    pub fn p90(&self) -> u64 {
+        self.quantile(0.90)
+    }
+
+    /// 99th percentile.
+    pub fn p99(&self) -> u64 {
+        self.quantile(0.99)
+    }
+
+    /// Sum `other` into `self` (cluster aggregation).
+    pub fn merge(&mut self, other: &Self) {
+        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+            *a += b;
         }
+        self.count += other.count;
+        self.sum = self.sum.wrapping_add(other.sum);
+        self.max = self.max.max(other.max);
+    }
 
-        /// 99th percentile — always 0 in the no-op build.
-        pub fn p99(&self) -> u64 {
-            0
+    /// Cumulative bucket counts for Prometheus exposition:
+    /// `(upper_bound, cumulative_count)` pairs up to the highest
+    /// non-empty bucket; `None` as bound means `+Inf`. Empty when
+    /// no samples.
+    pub fn cumulative_buckets(&self) -> Vec<(Option<u64>, u64)> {
+        if self.count == 0 {
+            return Vec::new();
         }
-
-        /// Sum `other` into `self` (no-op).
-        pub fn merge(&mut self, _other: &Self) {}
-
-        /// Cumulative buckets — always empty in the no-op build.
-        pub fn cumulative_buckets(&self) -> Vec<(Option<u64>, u64)> {
-            Vec::new()
+        let highest = self
+            .buckets
+            .iter()
+            .rposition(|&c| c > 0)
+            .unwrap_or(0)
+            .min(63);
+        let mut out = Vec::with_capacity(highest + 2);
+        let mut cum = 0u64;
+        for (i, &c) in self.buckets.iter().enumerate().take(highest + 1) {
+            cum += c;
+            let bound = if i == 0 { 0 } else { (1u64 << i) - 1 };
+            out.push((Some(bound), cum));
         }
+        out.push((None, self.count));
+        out
     }
 }
 
-pub use imp::{Counter, Gauge, Histogram};
-
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -7,8 +7,6 @@
 //! *newest* `capacity` events — like an aircraft flight recorder, the
 //! interesting part of a long run is the recent past — and counts how
 //! many older events were overwritten.
-//!
-//! With the `enabled` feature off the recorder is a zero-sized no-op.
 
 /// Default ring capacity: enough for thousands of rounds per node at
 /// ~6 events per round while staying a few hundred KiB.
@@ -156,132 +154,81 @@ pub struct SpanEvent {
     pub kind: SpanKind,
 }
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::{SpanEvent, DEFAULT_CAPACITY};
+/// Fixed-capacity ring buffer of [`SpanEvent`]s keeping the
+/// newest `capacity` events in arrival order.
+#[derive(Debug, Clone)]
+pub struct FlightRecorder {
+    buf: Vec<SpanEvent>,
+    /// Next slot to overwrite once the buffer is full.
+    head: usize,
+    cap: usize,
+    dropped: u64,
+}
 
-    /// Fixed-capacity ring buffer of [`SpanEvent`]s keeping the
-    /// newest `capacity` events in arrival order.
-    #[derive(Debug, Clone)]
-    pub struct FlightRecorder {
-        buf: Vec<SpanEvent>,
-        /// Next slot to overwrite once the buffer is full.
-        head: usize,
-        cap: usize,
-        dropped: u64,
-    }
-
-    impl Default for FlightRecorder {
-        fn default() -> Self {
-            Self::with_capacity(DEFAULT_CAPACITY)
-        }
-    }
-
-    impl FlightRecorder {
-        /// A recorder keeping at most `capacity` events (min 1).
-        pub fn with_capacity(capacity: usize) -> Self {
-            let cap = capacity.max(1);
-            Self {
-                buf: Vec::with_capacity(cap.min(1024)),
-                head: 0,
-                cap,
-                dropped: 0,
-            }
-        }
-
-        /// Record one event, overwriting the oldest if full.
-        #[inline]
-        pub fn record(&mut self, ev: SpanEvent) {
-            if self.buf.len() < self.cap {
-                self.buf.push(ev);
-            } else {
-                self.buf[self.head] = ev;
-                self.head = (self.head + 1) % self.cap;
-                self.dropped += 1;
-            }
-        }
-
-        /// Events currently retained, oldest first.
-        pub fn events(&self) -> Vec<SpanEvent> {
-            let mut out = Vec::with_capacity(self.buf.len());
-            out.extend_from_slice(&self.buf[self.head..]);
-            out.extend_from_slice(&self.buf[..self.head]);
-            out
-        }
-
-        /// Number of events currently retained.
-        pub fn len(&self) -> usize {
-            self.buf.len()
-        }
-
-        /// True when nothing has been recorded (or everything
-        /// cleared).
-        pub fn is_empty(&self) -> bool {
-            self.buf.is_empty()
-        }
-
-        /// How many older events were overwritten by wraparound.
-        pub fn dropped(&self) -> u64 {
-            self.dropped
-        }
-
-        /// Forget everything (used on metric resets between bench
-        /// warmup and measurement windows).
-        pub fn clear(&mut self) {
-            self.buf.clear();
-            self.head = 0;
-            self.dropped = 0;
-        }
+impl Default for FlightRecorder {
+    fn default() -> Self {
+        Self::with_capacity(DEFAULT_CAPACITY)
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::SpanEvent;
-
-    /// Flight recorder (no-op build): records nothing, returns
-    /// nothing.
-    #[derive(Debug, Clone, Default)]
-    pub struct FlightRecorder;
-
-    impl FlightRecorder {
-        /// A recorder that ignores its capacity (no-op build).
-        pub fn with_capacity(_capacity: usize) -> Self {
-            Self
+impl FlightRecorder {
+    /// A recorder keeping at most `capacity` events (min 1).
+    pub fn with_capacity(capacity: usize) -> Self {
+        let cap = capacity.max(1);
+        Self {
+            buf: Vec::with_capacity(cap.min(1024)),
+            head: 0,
+            cap,
+            dropped: 0,
         }
+    }
 
-        /// Record one event (no-op).
-        #[inline(always)]
-        pub fn record(&mut self, _ev: SpanEvent) {}
-
-        /// Events retained — always empty in the no-op build.
-        pub fn events(&self) -> Vec<SpanEvent> {
-            Vec::new()
+    /// Record one event, overwriting the oldest if full.
+    #[inline]
+    pub fn record(&mut self, ev: SpanEvent) {
+        if self.buf.len() < self.cap {
+            self.buf.push(ev);
+        } else {
+            self.buf[self.head] = ev;
+            self.head = (self.head + 1) % self.cap;
+            self.dropped += 1;
         }
+    }
 
-        /// Number of events retained — always 0 in the no-op build.
-        pub fn len(&self) -> usize {
-            0
-        }
+    /// Events currently retained, oldest first.
+    pub fn events(&self) -> Vec<SpanEvent> {
+        let mut out = Vec::with_capacity(self.buf.len());
+        out.extend_from_slice(&self.buf[self.head..]);
+        out.extend_from_slice(&self.buf[..self.head]);
+        out
+    }
 
-        /// Always true in the no-op build.
-        pub fn is_empty(&self) -> bool {
-            true
-        }
+    /// Number of events currently retained.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
 
-        /// Overwritten events — always 0 in the no-op build.
-        pub fn dropped(&self) -> u64 {
-            0
-        }
+    /// True when nothing has been recorded (or everything
+    /// cleared).
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
 
-        /// Forget everything (no-op).
-        pub fn clear(&mut self) {}
+    /// How many older events were overwritten by wraparound.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    /// Forget everything (used on metric resets between bench
+    /// warmup and measurement windows).
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.head = 0;
+        self.dropped = 0;
     }
 }
 
-pub use imp::FlightRecorder;
-
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -7,22 +7,40 @@
 //! binary publishes (rendered Prometheus text, status JSON, the
 //! drained flight-recorder ring). Handlers run on the single accept
 //! thread, one request at a time — an admin plane for `curl` and a
-//! scraper, not a web server. Connections are `Connection: close`
-//! HTTP/1.0 with an explicit `Content-Length`, which every HTTP
-//! client (and Prometheus) understands.
+//! scraper, not a web server. Each connection gets one total deadline
+//! ([`CONNECTION_DEADLINE`]) to send its request and take the reply, so
+//! a client trickling bytes cannot hold the thread from the next
+//! scrape. Connections are `Connection: close` HTTP/1.0 with an
+//! explicit `Content-Length`, which every HTTP client (and Prometheus)
+//! understands.
 //!
 //! The *logic* behind `/health` and `/status` lives in pure functions
 //! ([`evaluate_health`], [`StatusReport::to_json`]) so the same code
 //! paths are testable deterministically under the simulator's clock —
 //! sim-time scrape parity.
-//!
-//! With the `enabled` feature off the server binds nothing and the
-//! whole plane compiles to no-ops.
+
+// Nothing a client sends may panic the admin thread.
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::indexing_slicing)
+)]
 
 use crate::anomaly::AnomalyEvent;
 use std::fmt::Write as _;
-use std::io;
-use std::time::Duration;
+use std::io::{self, Read as _, Write as _};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread;
+use std::time::{Duration, Instant};
+
+/// How long one connection may take, from accept to the last byte of
+/// the reply, before the server drops it.
+pub const CONNECTION_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Request bytes read before the server stops waiting for the blank
+/// line that ends the headers.
+const MAX_REQUEST: usize = 8192;
 
 /// What a route handler returns: a status code, a content type, and a
 /// body.
@@ -75,8 +93,6 @@ impl AdminResponse {
         }
     }
 
-    // Only the enabled server renders status lines.
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     fn reason(status: u16) -> &'static str {
         match status {
             200 => "OK",
@@ -92,224 +108,175 @@ impl AdminResponse {
 /// A boxed route handler.
 pub type AdminHandler = Box<dyn Fn() -> AdminResponse + Send + Sync + 'static>;
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::{AdminHandler, AdminResponse};
-    use std::io::{self, Read as _, Write as _};
-    use std::net::{SocketAddr, TcpListener, TcpStream};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::thread;
-    use std::time::Duration;
+/// Builder: collect routes, then [`AdminBuilder::serve`].
+#[derive(Default)]
+pub struct AdminBuilder {
+    routes: Vec<(String, AdminHandler)>,
+}
 
-    /// Builder: collect routes, then [`AdminBuilder::serve`].
-    #[derive(Default)]
-    pub struct AdminBuilder {
-        routes: Vec<(String, AdminHandler)>,
+impl std::fmt::Debug for AdminBuilder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AdminBuilder")
+            .field(
+                "routes",
+                &self.routes.iter().map(|(p, _)| p).collect::<Vec<_>>(),
+            )
+            .finish()
+    }
+}
+
+impl AdminBuilder {
+    /// An empty router.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    impl std::fmt::Debug for AdminBuilder {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("AdminBuilder")
-                .field(
-                    "routes",
-                    &self.routes.iter().map(|(p, _)| p).collect::<Vec<_>>(),
-                )
-                .finish()
-        }
+    /// Register a handler for an exact path (e.g. `/metrics`).
+    /// Query strings are stripped before matching.
+    pub fn route(
+        mut self,
+        path: &str,
+        handler: impl Fn() -> AdminResponse + Send + Sync + 'static,
+    ) -> Self {
+        self.routes.push((path.to_string(), Box::new(handler)));
+        self
     }
 
-    impl AdminBuilder {
-        /// An empty router.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Register a handler for an exact path (e.g. `/metrics`).
-        /// Query strings are stripped before matching.
-        pub fn route(
-            mut self,
-            path: &str,
-            handler: impl Fn() -> AdminResponse + Send + Sync + 'static,
-        ) -> Self {
-            self.routes.push((path.to_string(), Box::new(handler)));
-            self
-        }
-
-        /// Bind `addr` (e.g. `127.0.0.1:0`) and start the single
-        /// accept thread. The server stops when the returned handle is
-        /// dropped.
-        pub fn serve(self, addr: &str) -> io::Result<AdminServer> {
-            let listener = TcpListener::bind(addr)?;
-            let local = listener.local_addr()?;
-            let shutdown = Arc::new(AtomicBool::new(false));
-            let flag = Arc::clone(&shutdown);
-            let routes = self.routes;
-            let join = thread::Builder::new()
-                .name("icc-admin".to_string())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if flag.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        if let Ok(stream) = stream {
-                            handle(stream, &routes);
-                        }
-                    }
-                })
-                .expect("spawn admin thread");
-            Ok(AdminServer {
-                local,
-                shutdown,
-                join: Some(join),
-            })
-        }
-    }
-
-    fn handle(mut stream: TcpStream, routes: &[(String, AdminHandler)]) {
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-        let mut req = Vec::with_capacity(256);
-        let mut buf = [0u8; 1024];
-        loop {
-            match stream.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => {
-                    req.extend_from_slice(&buf[..n]);
-                    if req.windows(4).any(|w| w == b"\r\n\r\n") || req.len() > 8192 {
+    /// Bind `addr` (e.g. `127.0.0.1:0`) and start the single
+    /// accept thread. The server stops when the returned handle is
+    /// dropped.
+    pub fn serve(self, addr: &str) -> io::Result<AdminServer> {
+        let listener = TcpListener::bind(addr)?;
+        let local = listener.local_addr()?;
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&shutdown);
+        let routes = self.routes;
+        let join = thread::Builder::new()
+            .name("icc-admin".to_string())
+            .spawn(move || {
+                for stream in listener.incoming() {
+                    if flag.load(Ordering::SeqCst) {
                         break;
                     }
+                    if let Ok(stream) = stream {
+                        let _ = handle(stream, &routes);
+                    }
                 }
-                Err(_) => return,
-            }
+            })?;
+        Ok(AdminServer {
+            local,
+            shutdown,
+            join: Some(join),
+        })
+    }
+}
+
+/// Time left before `deadline`; `TimedOut` once it has passed (a zero
+/// socket timeout would mean "block forever").
+fn remaining(deadline: Instant) -> io::Result<Duration> {
+    deadline
+        .checked_duration_since(Instant::now())
+        .filter(|left| !left.is_zero())
+        .ok_or_else(|| io::ErrorKind::TimedOut.into())
+}
+
+/// Read until the blank line that ends the headers, EOF, or
+/// [`MAX_REQUEST`] bytes, whichever comes first, all before `deadline`.
+fn read_request(stream: &mut TcpStream, deadline: Instant) -> io::Result<Vec<u8>> {
+    let mut req = Vec::with_capacity(256);
+    let mut buf = [0u8; 1024];
+    while !req.windows(4).any(|w| w == b"\r\n\r\n") && req.len() <= MAX_REQUEST {
+        stream.set_read_timeout(Some(remaining(deadline)?))?;
+        let n = stream.read(&mut buf)?;
+        if n == 0 {
+            break;
         }
-        let text = String::from_utf8_lossy(&req);
-        let first = text.lines().next().unwrap_or("");
-        let mut parts = first.split_whitespace();
-        let method = parts.next().unwrap_or("");
-        let path = parts.next().unwrap_or("/").split('?').next().unwrap_or("/");
-        let resp = if method != "GET" {
-            AdminResponse {
-                status: 405,
-                content_type: "text/plain; version=0.0.4",
-                body: "GET only\n".to_string(),
-            }
-        } else {
-            routes
-                .iter()
-                .find(|(p, _)| p == path)
-                .map(|(_, h)| h())
-                .unwrap_or_else(AdminResponse::not_found)
-        };
-        let head = format!(
-            "HTTP/1.0 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-            resp.status,
-            AdminResponse::reason(resp.status),
-            resp.content_type,
-            resp.body.len()
-        );
-        let _ = stream.write_all(head.as_bytes());
-        let _ = stream.write_all(resp.body.as_bytes());
-        let _ = stream.flush();
+        req.extend_from_slice(buf.get(..n).unwrap_or_default());
+    }
+    Ok(req)
+}
+
+/// Write all of `bytes` before `deadline`.
+fn write_by(stream: &mut TcpStream, mut bytes: &[u8], deadline: Instant) -> io::Result<()> {
+    while !bytes.is_empty() {
+        stream.set_write_timeout(Some(remaining(deadline)?))?;
+        let n = stream.write(bytes)?;
+        if n == 0 {
+            return Err(io::ErrorKind::WriteZero.into());
+        }
+        bytes = bytes.get(n..).unwrap_or_default();
+    }
+    Ok(())
+}
+
+fn handle(mut stream: TcpStream, routes: &[(String, AdminHandler)]) -> io::Result<()> {
+    let deadline = Instant::now() + CONNECTION_DEADLINE;
+    let req = read_request(&mut stream, deadline)?;
+    let text = String::from_utf8_lossy(&req);
+    let first = text.lines().next().unwrap_or("");
+    let mut parts = first.split_whitespace();
+    let method = parts.next().unwrap_or("");
+    let path = parts.next().unwrap_or("/").split('?').next().unwrap_or("/");
+    let resp = if method != "GET" {
+        AdminResponse {
+            status: 405,
+            content_type: "text/plain; version=0.0.4",
+            body: "GET only\n".to_string(),
+        }
+    } else {
+        routes
+            .iter()
+            .find(|(p, _)| p == path)
+            .map(|(_, h)| h())
+            .unwrap_or_else(AdminResponse::not_found)
+    };
+    let head = format!(
+        "HTTP/1.0 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        resp.status,
+        AdminResponse::reason(resp.status),
+        resp.content_type,
+        resp.body.len()
+    );
+    write_by(&mut stream, head.as_bytes(), deadline)?;
+    write_by(&mut stream, resp.body.as_bytes(), deadline)
+}
+
+/// A running admin server; dropping it stops the accept thread.
+#[derive(Debug)]
+pub struct AdminServer {
+    local: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    join: Option<thread::JoinHandle<()>>,
+}
+
+impl AdminServer {
+    /// The bound address (resolves `:0` to the chosen port).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local
     }
 
-    /// A running admin server; dropping it stops the accept thread.
-    #[derive(Debug)]
-    pub struct AdminServer {
-        local: SocketAddr,
-        shutdown: Arc<AtomicBool>,
-        join: Option<thread::JoinHandle<()>>,
-    }
-
-    impl AdminServer {
-        /// The bound address (resolves `:0` to the chosen port).
-        pub fn local_addr(&self) -> SocketAddr {
-            self.local
-        }
-
-        /// The bound port.
-        pub fn port(&self) -> u16 {
-            self.local.port()
-        }
-
-        /// Stop the accept thread and wait for it.
-        pub fn stop(&mut self) {
-            if let Some(join) = self.join.take() {
-                self.shutdown.store(true, Ordering::SeqCst);
-                // Wake the blocking accept with a throwaway connection.
-                let _ = TcpStream::connect_timeout(&self.local, Duration::from_millis(200));
-                let _ = join.join();
-            }
-        }
-    }
-
-    impl Drop for AdminServer {
-        fn drop(&mut self) {
-            self.stop();
+    /// Stop the accept thread and wait for it.
+    pub fn stop(&mut self) {
+        if let Some(join) = self.join.take() {
+            self.shutdown.store(true, Ordering::SeqCst);
+            // Wake the blocking accept with a throwaway connection.
+            let _ = TcpStream::connect_timeout(&self.local, Duration::from_millis(200));
+            let _ = join.join();
         }
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::AdminResponse;
-    use std::io;
-    use std::net::SocketAddr;
-
-    /// Admin-plane builder (no-op build): collects nothing.
-    #[derive(Debug, Default)]
-    pub struct AdminBuilder;
-
-    impl AdminBuilder {
-        /// An empty router (no-op build).
-        pub fn new() -> Self {
-            Self
-        }
-
-        /// Register a handler (no-op build: dropped).
-        pub fn route(
-            self,
-            _path: &str,
-            _handler: impl Fn() -> AdminResponse + Send + Sync + 'static,
-        ) -> Self {
-            self
-        }
-
-        /// Start serving (no-op build: binds nothing).
-        pub fn serve(self, _addr: &str) -> io::Result<AdminServer> {
-            Ok(AdminServer)
-        }
-    }
-
-    /// Admin server handle (no-op build): serves nothing.
-    #[derive(Debug)]
-    pub struct AdminServer;
-
-    impl AdminServer {
-        /// The bound address — the unspecified address in the no-op
-        /// build.
-        pub fn local_addr(&self) -> SocketAddr {
-            SocketAddr::from(([0, 0, 0, 0], 0))
-        }
-
-        /// The bound port — always 0 in the no-op build.
-        pub fn port(&self) -> u16 {
-            0
-        }
-
-        /// Stop (no-op).
-        pub fn stop(&mut self) {}
+impl Drop for AdminServer {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
-
-pub use imp::{AdminBuilder, AdminServer};
 
 /// Minimal blocking HTTP/1.0 GET for scraping admin endpoints (used
 /// by `net_cluster` and the integration tests). Returns
 /// `(status_code, body)`.
 pub fn http_get(addr: &str, path: &str, timeout: Duration) -> io::Result<(u16, String)> {
-    use std::io::{Read as _, Write as _};
-    use std::net::{TcpStream, ToSocketAddrs as _};
+    use std::net::ToSocketAddrs as _;
     let sock = addr
         .to_socket_addrs()?
         .next()
@@ -327,10 +294,11 @@ pub fn http_get(addr: &str, path: &str, timeout: Duration) -> io::Result<(u16, S
         .nth(1)
         .and_then(|s| s.parse::<u16>().ok())
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-    let body = match text.find("\r\n\r\n") {
-        Some(i) => text[i + 4..].to_string(),
-        None => String::new(),
-    };
+    let body = text
+        .find("\r\n\r\n")
+        .and_then(|i| text.get(i + 4..))
+        .unwrap_or_default()
+        .to_string();
     Ok((status, body))
 }
 
@@ -623,7 +591,6 @@ mod tests {
         assert!(json.ends_with("]}"));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn admin_server_serves_routes_end_to_end() {
         let server = AdminBuilder::new()
@@ -653,14 +620,27 @@ mod tests {
         drop(server); // must not hang on the blocking accept
     }
 
-    #[cfg(not(feature = "enabled"))]
     #[test]
-    fn admin_server_is_noop_when_disabled() {
-        let mut server = AdminBuilder::new()
-            .route("/metrics", || AdminResponse::text(String::new()))
+    fn slow_client_does_not_block_the_next_scrape() {
+        let server = AdminBuilder::new()
+            .route("/health", || AdminResponse::json("{}".to_string()))
             .serve("127.0.0.1:0")
-            .expect("no-op serve");
-        assert_eq!(server.port(), 0);
-        server.stop();
+            .expect("bind admin server");
+        let addr = server.local_addr().to_string();
+        // Connected first, so it is accepted first; it never finishes
+        // its headers, and each byte lands well inside any per-read
+        // timeout.
+        let mut slow = TcpStream::connect(&addr).unwrap();
+        let trickle = thread::spawn(move || {
+            for _ in 0..33 {
+                if slow.write_all(b"x").is_err() {
+                    break;
+                }
+                thread::sleep(Duration::from_millis(300));
+            }
+        });
+        let (code, _) = http_get(&addr, "/health", Duration::from_secs(5)).unwrap();
+        assert_eq!(code, 200);
+        trickle.join().unwrap();
     }
 }

@@ -235,9 +235,7 @@ impl Instance {
     }
 
     /// Polls the captured stdout for the replica's `ADMIN <addr>` line.
-    /// `None` after the timeout — which, when `--admin` was passed,
-    /// means the replica binary was built without the `telemetry`
-    /// feature (the no-op plane binds nothing and stays silent).
+    /// `None` after the timeout.
     fn wait_admin(&self, timeout: Duration) -> Option<String> {
         let deadline = Instant::now() + timeout;
         loop {
@@ -390,7 +388,7 @@ fn main() {
 
     // Churn phase 1: SIGKILL the last replica a third of the way
     // through. The ~secs/3 outage at ICC1's localhost round rate puts
-    // it far more than `catch_up_threshold` (10) rounds behind, so
+    // it far more than `CATCH_UP_THRESHOLD` (10) rounds behind, so
     // rejoining MUST go through a certified catch-up package —
     // per-round artifact replay would be too slow.
     let victim = n - 1;
@@ -415,8 +413,7 @@ fn main() {
         for inst in &running {
             let addr = inst.wait_admin(Duration::from_secs(5)).unwrap_or_else(|| {
                 usage(&format!(
-                    "replica {} never announced an admin endpoint — was the \
-                     replica binary built with the `telemetry` feature?",
+                    "replica {} never announced an admin endpoint",
                     inst.me
                 ))
             });

@@ -48,8 +48,7 @@
 //!
 //! The publisher is a driver-loop timer, so endpoint handlers never
 //! touch consensus state — they serve the latest published snapshot
-//! from a mutex, and a scrape can never block a round. With the
-//! `telemetry` feature off the whole plane compiles to no-ops.
+//! from a mutex, and a scrape can never block a round.
 //!
 //! `--data-dir` makes the replica durable: everything it certifies is
 //! persisted to a segmented write-ahead log + checkpoint file in that
@@ -449,9 +448,8 @@ fn render_metrics(
 /// deltas, wall-clock ticks for silent stalls).
 struct ObservedNode {
     inner: GossipNode,
-    /// False when no admin listener is up (no `--admin-port`, or the
-    /// `telemetry` feature is off): the publisher timer is never armed
-    /// and the wrapper is pure delegation.
+    /// False without `--admin-port`: the publisher timer is never
+    /// armed and the wrapper is pure delegation.
     active: bool,
     publish: Arc<Mutex<Published>>,
     links: Arc<LinkGauges>,
@@ -754,8 +752,7 @@ fn main() {
 
     // The admin plane: handlers only clone pre-rendered strings out of
     // the published snapshot — they never touch consensus state, so a
-    // scrape can never block a round. With the `telemetry` feature off
-    // `serve` binds nothing (port 0) and the publisher stays dark.
+    // scrape can never block a round.
     let publish = Arc::new(Mutex::new(Published::default()));
     let mut admin = match opts.admin_port {
         Some(port) => {
@@ -780,17 +777,15 @@ fn main() {
                 })
                 .serve(&format!("127.0.0.1:{port}"))
                 .unwrap_or_else(|e| usage(&format!("--admin-port {port}: {e}")));
-            if server.port() != 0 {
-                println!("ADMIN {}", server.local_addr());
-                let _ = std::io::stdout().flush();
-            }
+            println!("ADMIN {}", server.local_addr());
+            let _ = std::io::stdout().flush();
             Some(server)
         }
         None => None,
     };
-    // Publish only when a real listener is up: feature-off (or no
-    // --admin-port) means no admin timer, no render work, no-op plane.
-    let admin_active = admin.as_ref().map(|s| s.port() != 0).unwrap_or(false);
+    // Publish only when a listener is up: no --admin-port means no
+    // admin timer and no render work.
+    let admin_active = admin.is_some();
 
     // Client-load injector: a background thread feeding commands into
     // the driver's inbox at --cmd-rate, tagged so payloads are unique

@@ -295,8 +295,7 @@ where
     );
     // Telemetry: cluster-wide finalization-latency percentiles, the
     // critical-path verdict roll-up, and the optional trace/metrics
-    // exports. All of this is empty/zero in `--no-default-features`
-    // builds (the flight recorder and histograms compile to no-ops).
+    // exports.
     let core_m = cluster.core_metrics();
     let fin = &core_m.finalization_latency_us;
     if fin.count() > 0 {

@@ -11,6 +11,7 @@ use icc_gossip::{
 };
 use icc_sim::delay::{FixedDelay, UniformDelay};
 use icc_sim::policy::{DeliveryPolicy, SlowLinks};
+use icc_telemetry::SpanKind;
 use icc_tests::{assert_chains_consistent, committed_commands};
 use icc_types::{NodeIndex, Round, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -113,32 +114,31 @@ fn byzantine_behaviors_survive_gossip_transport() {
 
 #[test]
 fn request_retry_survives_timeouts_shorter_than_the_network() {
-    // Request timeout (50 ms) far below the network delay (200 ms): the
-    // retry sweep re-requests bodies that are still in flight. Progress
-    // must be unharmed and the duplicate deliveries harmless.
+    // The request timeout (300 ms) is far below the network delay
+    // (1 200 ms): the retry sweep re-requests bodies that are still in
+    // flight. Progress must be unharmed and the duplicate deliveries
+    // harmless.
     let overlay = Overlay::random_regular(7, 3, 9);
     let b = ClusterBuilder::new(7)
         .seed(9)
-        .network(FixedDelay::new(ms(200)))
-        .protocol_delays(ms(600), SimDuration::ZERO)
+        .network(FixedDelay::new(ms(1_200)))
+        .protocol_delays(ms(3_600), SimDuration::ZERO)
         .block_policy(BlockPolicy {
             max_commands: 100,
             max_bytes: 1 << 20,
             purge_depth: None,
         });
-    let mut cluster = gossip_cluster(
-        b,
-        overlay,
-        GossipConfig {
-            inline_threshold: 4 << 10,
-            request_timeout: ms(50),
-            ..GossipConfig::default()
-        },
-    );
-    cluster.inject_commands(SimTime::ZERO, ms(2000), 10, 65536);
-    cluster.run_for(SimDuration::from_secs(30));
+    let mut cluster = gossip_cluster(b, overlay, GossipConfig::default());
+    cluster.inject_commands(SimTime::ZERO, ms(12_000), 10, 65536);
+    cluster.run_for(SimDuration::from_secs(180));
     assert_chains_consistent(&cluster);
     assert_eq!(committed_commands(&cluster, 0).len(), 10);
+    let retries = cluster
+        .flight_events()
+        .iter()
+        .filter(|e| matches!(e.kind, SpanKind::GossipRetry { .. }))
+        .count();
+    assert!(retries > 0, "no body was asked for twice");
 }
 
 #[test]

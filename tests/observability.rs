@@ -18,8 +18,6 @@
 //!    rejoins by certified catch-up each time: a **catch-up storm**,
 //!    flagged live by that node's own detector.
 
-#![cfg(feature = "telemetry")]
-
 use icc_core::cluster::ClusterBuilder;
 use icc_gossip::{gossip_cluster, icc0_cluster, GossipConfig, Overlay};
 use icc_sim::delay::FixedDelay;

@@ -13,8 +13,6 @@
 //!    *beacon* its dominant wait, while the rest of the cluster runs
 //!    at full speed.
 
-#![cfg(feature = "telemetry")]
-
 use icc_core::cluster::ClusterBuilder;
 use icc_core::Behavior;
 use icc_gossip::icc0_cluster;
