@@ -511,12 +511,13 @@ impl ConsensusCore {
         self.recovery.restarts += 1;
         if let Some(cp) = self.store.checkpoint().cloned() {
             self.pool.install_checkpoint(&cp);
-            self.committed_cmds.extend(cp.committed.iter().copied());
             for t in &cp.transitions {
                 self.transition_certs.insert(t.epoch, t.clone());
             }
             self.kmax = cp.round();
         }
+        self.committed_cmds
+            .extend(self.store.history().iter().copied());
         let entries: Vec<WalEntry> = self.store.wal().to_vec();
         for entry in entries {
             match entry {
@@ -1410,7 +1411,9 @@ impl ConsensusCore {
     /// have committed since the last one. Skipped — and retried at the
     /// next commit — if any certificate for the latest finalized block
     /// is not yet pooled (e.g. a finalization that raced ahead of the
-    /// notarization).
+    /// notarization). Runs after `record_committed` has journalled the
+    /// digests of every block up to the tip, so the checkpoint moves
+    /// them all to the store's history.
     fn maybe_checkpoint(&mut self) {
         let base = self
             .store
@@ -1430,16 +1433,11 @@ impl ConsensusCore {
         ) else {
             return;
         };
-        let proposal = tip.proposal;
-        // Deterministic order for the committed-digest set.
-        let mut committed: Vec<Hash256> = self.committed_cmds.iter().copied().collect();
-        committed.sort();
         self.store.install_checkpoint(Checkpoint {
-            proposal,
+            proposal: tip.proposal,
             notarization,
             finalization,
             beacon,
-            committed,
             transitions: self.transition_certs.values().cloned().collect(),
         });
     }

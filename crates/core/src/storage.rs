@@ -22,13 +22,17 @@
 //! Contents, whichever backend:
 //!
 //! * a [`Checkpoint`] — the latest finalized block at the time it was
-//!   taken, with its notarization + finalization certificates, the
+//!   taken, with its notarization + finalization certificates and the
 //!   beacon value of its round (the base the restored beacon chain and
-//!   any later catch-up verification chains from), and the set of
-//!   committed command digests;
+//!   any later catch-up verification chains from);
 //! * a [`WalEntry`] log of everything certified since the checkpoint:
 //!   per-round beacon values, notarized blocks (body + certificate),
-//!   finalizations, and committed command digests.
+//!   finalizations, and committed command digests;
+//! * the **history**: the digests of every command committed at or
+//!   below the checkpoint, in the order the log held them. The set of
+//!   commands committed up to a round is a function of the committed
+//!   chain up to it, so the history only grows at its end: a checkpoint
+//!   appends the digests of the rounds it covers and rewrites nothing.
 //!
 //! # Persist-then-send: what waits for the disk
 //!
@@ -73,7 +77,8 @@
 //!
 //! Taking a checkpoint compacts the log: entries at or below the
 //! checkpoint round are dropped (on disk: whole covered segments are
-//! deleted). The checkpoint stores its round's beacon value explicitly
+//! deleted), the digests of their `Committed` records appended to the
+//! history first. The checkpoint stores its round's beacon value explicitly
 //! because a finalization can commit round `k` while the replica is
 //! still *in* round `k` — compaction could otherwise drop the
 //! `Beacon(k)` entry the restored chain needs.
@@ -87,7 +92,7 @@ use icc_types::codec::{
 use icc_types::messages::{BlockProposal, Finalization, Notarization};
 use icc_types::Round;
 pub use icc_wal::StorageCounters;
-use icc_wal::{Wal, WalOptions};
+use icc_wal::{OsFs, RecoveredRecord, SharedFs, Wal, WalOptions};
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 use std::io;
@@ -225,8 +230,6 @@ pub struct Checkpoint {
     /// The beacon value of the checkpoint round — the chaining base for
     /// restored and caught-up beacon segments.
     pub beacon: BeaconValue,
-    /// All command digests committed up to (and including) this round.
-    pub committed: Vec<Hash256>,
     /// The full cross-epoch certificate chain archived so far (one
     /// entry per activated epoch boundary, ascending). Carried by the
     /// checkpoint itself so log compaction can drop the
@@ -248,7 +251,6 @@ impl Encode for Checkpoint {
         self.notarization.encode(buf);
         self.finalization.encode(buf);
         self.beacon.encode(buf);
-        encode_seq(&self.committed, buf);
         (self.transitions.len() as u64).encode(buf);
         for t in &self.transitions {
             t.encode(buf);
@@ -260,8 +262,6 @@ impl Encode for Checkpoint {
             + Encode::encoded_len(&self.notarization)
             + Encode::encoded_len(&self.finalization)
             + self.beacon.encoded_len()
-            + 8
-            + self.committed.len() * 32
             + 8
             + self
                 .transitions
@@ -277,7 +277,6 @@ impl Decode for Checkpoint {
         let notarization = Notarization::decode(r)?;
         let finalization = Finalization::decode(r)?;
         let beacon = BeaconValue::decode(r)?;
-        let committed = decode_seq(r)?;
         let tcount = u64::decode(r)?;
         if tcount > icc_types::codec::MAX_LEN {
             return Err(CodecError::LengthOverflow { len: tcount });
@@ -291,7 +290,6 @@ impl Decode for Checkpoint {
             notarization,
             finalization,
             beacon,
-            committed,
             transitions,
         })
     }
@@ -311,7 +309,9 @@ impl Decode for Checkpoint {
 /// [`load`]: StorageBackend::load
 pub trait StorageBackend: Send {
     /// Returns everything that survived in this backend, once, at
-    /// attach time. Later calls may return empty.
+    /// attach time: the checkpoint and the log, the history first, as
+    /// `Committed` entries at or below the checkpoint round. Later calls
+    /// may return empty.
     fn load(&mut self) -> (Option<Checkpoint>, Vec<WalEntry>);
 
     /// Writes one appended log entry; syncs nothing.
@@ -375,12 +375,34 @@ impl StorageBackend for MemBackend {
     }
 }
 
-/// The file backend: entries go to an [`icc_wal::Wal`] in `dir` (one
-/// record per entry, keyed by the entry's round for segment
-/// compaction), checkpoints to an atomic `checkpoint.bin` beside it.
+/// The dedup log's directory inside a data directory.
+const DEDUP_DIR: &str = "dedup";
+
+/// The file backend: a data directory of three parts (DESIGN.md §5f).
+/// The journal is an [`icc_wal::Wal`] in `dir`, one record per entry,
+/// keyed by the entry's round for segment compaction. The checkpoint is
+/// an atomic `checkpoint.bin` beside it. The dedup log, the history on
+/// disk, is a second [`icc_wal::Wal`] in `dir/dedup` over the same
+/// segment filesystem: one record per checkpoint, the digests of the
+/// journal's `Committed` records that checkpoint compacts away, in
+/// journal order, under the checkpoint round. It is never compacted.
+///
+/// A checkpoint appends its dedup record, syncs the dedup log, writes
+/// and renames `checkpoint.bin`, and then compacts the journal, each
+/// step only once the one before it is durable. A power cut before the
+/// rename leaves the old checkpoint and the whole journal, whose
+/// `Committed` records the torn dedup record (cut by prefix recovery)
+/// or the whole one (repeating them) was copying; one after it finds
+/// the digests the journal no longer offers in the dedup log.
 pub struct FileBackend {
     dir: PathBuf,
     wal: Wal,
+    /// The dedup log.
+    dedup: Wal,
+    /// `(round, digest)` of each journal `Committed` record not yet in
+    /// the dedup log, in journal order.
+    uncompacted: Vec<(u64, Hash256)>,
+    max_record_len: u32,
     /// What recovery found, handed out once via [`StorageBackend::load`].
     recovered: Option<(Option<Checkpoint>, Vec<WalEntry>)>,
     /// The first `persist_*` error no barrier has reported yet.
@@ -392,7 +414,8 @@ impl fmt::Debug for FileBackend {
         f.debug_struct("FileBackend")
             .field("dir", &self.dir)
             .field("wal", &self.wal)
-            .finish()
+            .field("dedup", &self.dedup)
+            .finish_non_exhaustive()
     }
 }
 
@@ -407,8 +430,7 @@ impl FileBackend {
     /// truncated, corrupt records/checkpoints discarded and counted —
     /// the recovered state is the last valid prefix.
     pub fn open(dir: &Path, opts: WalOptions) -> io::Result<FileBackend> {
-        let (wal, records) = Wal::open(dir, opts)?;
-        Ok(FileBackend::finish_open(dir, opts, wal, records))
+        FileBackend::open_with_fs(dir, opts, Box::new(OsFs))
     }
 
     /// [`FileBackend::open`] over a caller-supplied segment filesystem
@@ -422,15 +444,17 @@ impl FileBackend {
         opts: WalOptions,
         fs: Box<dyn icc_wal::SegmentFs>,
     ) -> io::Result<FileBackend> {
-        let (wal, records) = Wal::open_with_fs(dir, opts, fs)?;
-        Ok(FileBackend::finish_open(dir, opts, wal, records))
+        let fs = SharedFs::new(fs);
+        let journal = Wal::open_with_fs(dir, opts, Box::new(fs.clone()))?;
+        let dedup = Wal::open_with_fs(&dir.join(DEDUP_DIR), opts, Box::new(fs))?;
+        Ok(FileBackend::finish_open(dir, opts, journal, dedup))
     }
 
     fn finish_open(
         dir: &Path,
         opts: WalOptions,
-        mut wal: Wal,
-        records: Vec<icc_wal::RecoveredRecord>,
+        (mut wal, records): (Wal, Vec<RecoveredRecord>),
+        (mut dedup, history): (Wal, Vec<RecoveredRecord>),
     ) -> FileBackend {
         let checkpoint =
             match icc_wal::load_checkpoint(dir, opts.max_record_len, wal.counters_mut()) {
@@ -447,36 +471,70 @@ impl FileBackend {
                     None
                 }
             };
+        // The history first, as the `Committed` entries it was taken
+        // from, under the round of the checkpoint that wrote it.
+        let mut entries = Vec::with_capacity(history.len() + records.len());
+        for (i, rec) in history.iter().enumerate() {
+            let Some(digests) = digests_of(&rec.payload) else {
+                discard(dedup.counters_mut(), &history[i..]);
+                break;
+            };
+            let round = Round::new(rec.round);
+            entries.push(WalEntry::Committed { round, digests });
+        }
         // A crash can land between checkpoint write and WAL compaction:
-        // records the checkpoint already covers are simply skipped.
+        // records the checkpoint already covers are simply skipped (the
+        // dedup record of their digests was synced before the rename).
         let bar = checkpoint.as_ref().map(|cp| cp.round().get());
-        let mut entries = Vec::with_capacity(records.len());
+        let mut uncompacted = Vec::new();
         for (i, rec) in records.iter().enumerate() {
             if bar.is_some_and(|b| rec.round <= b) {
                 continue;
             }
-            match decode_from_slice::<WalEntry>(&rec.payload) {
-                Ok(entry) => entries.push(entry),
-                Err(_) => {
-                    // Prefix invariant at the payload layer too: a
-                    // record that framed correctly but does not decode
-                    // ends the trusted log.
-                    let c = wal.counters_mut();
-                    c.decode_failures += 1;
-                    c.discarded_bytes += records[i..]
-                        .iter()
-                        .map(|r| r.payload.len() as u64 + 8)
-                        .sum::<u64>();
-                    break;
-                }
+            let Ok(entry) = decode_from_slice::<WalEntry>(&rec.payload) else {
+                discard(wal.counters_mut(), &records[i..]);
+                break;
+            };
+            if let WalEntry::Committed { round, digests } = &entry {
+                uncompacted.extend(digests.iter().map(|d| (round.get(), *d)));
             }
+            entries.push(entry);
         }
         FileBackend {
             dir: dir.to_path_buf(),
             wal,
+            dedup,
+            uncompacted,
+            max_record_len: opts.max_record_len,
             recovered: Some((checkpoint, entries)),
             failed: None,
         }
+    }
+
+    /// The steps of a checkpoint, each only once the one before it is
+    /// durable (type docs): a failure anywhere leaves the previous
+    /// checkpoint current and the journal whole.
+    fn checkpoint(&mut self, cp: &Checkpoint) -> io::Result<()> {
+        let round = cp.round().get();
+        let uncompacted = &self.uncompacted;
+        if uncompacted.iter().any(|(r, _)| *r <= round) {
+            self.dedup.append_with(round, |buf| {
+                for (_, d) in uncompacted.iter().filter(|(r, _)| *r <= round) {
+                    buf.extend_from_slice(&d.0);
+                }
+            })?;
+            self.dedup.sync()?;
+        }
+        let max = self.max_record_len;
+        icc_wal::save_checkpoint(
+            &self.dir,
+            max,
+            |buf| cp.encode(buf),
+            self.wal.counters_mut(),
+        )?;
+        self.wal.compact_below(round)?;
+        self.uncompacted.retain(|(r, _)| *r > round);
+        Ok(())
     }
 
     /// Counts a persistence error and keeps the first for the barrier.
@@ -509,16 +567,14 @@ impl StorageBackend for FileBackend {
         let round = entry.round().get();
         if let Err(e) = self.wal.append_with(round, |buf| entry.encode(buf)) {
             self.fail(e);
+        } else if let WalEntry::Committed { round, digests } = entry {
+            let round = round.get();
+            self.uncompacted.extend(digests.iter().map(|d| (round, *d)));
         }
     }
 
     fn persist_checkpoint(&mut self, cp: &Checkpoint) {
-        let saved =
-            icc_wal::save_checkpoint(&self.dir, |buf| cp.encode(buf), self.wal.counters_mut());
-        // Without a durable checkpoint the covered segments must stay:
-        // compacting now would lose the only copy.
-        let done = saved.and_then(|()| self.wal.compact_below(cp.round().get()));
-        if let Err(e) = done {
+        if let Err(e) = self.checkpoint(cp) {
             self.fail(e);
         }
     }
@@ -532,8 +588,39 @@ impl StorageBackend for FileBackend {
     }
 
     fn counters(&self) -> StorageCounters {
-        self.wal.counters()
+        // The dedup log's appends have two counters of their own, and
+        // whatever its recovery met counts with the journal's. Its syncs
+        // stay out of `fsyncs`, which counts the persist-then-send
+        // barrier: the dedup log syncs once per record, so
+        // `dedup_records` is its sync count.
+        let mut dedup = self.dedup.counters();
+        dedup.dedup_records = std::mem::take(&mut dedup.records_appended);
+        dedup.dedup_bytes = std::mem::take(&mut dedup.bytes_appended);
+        dedup.fsyncs = 0;
+        dedup.fsync_total_us = 0;
+        dedup.fsync_max_us = 0;
+        let mut c = self.wal.counters();
+        c.merge(&dedup);
+        c
     }
+}
+
+/// Whole 32-byte digests, as a dedup record holds them, or `None`.
+fn digests_of(payload: &[u8]) -> Option<Vec<Hash256>> {
+    let chunks = payload.chunks_exact(32);
+    if !chunks.remainder().is_empty() {
+        return None;
+    }
+    chunks.map(|c| c.try_into().ok().map(Hash256)).collect()
+}
+
+/// Prefix invariant at the payload layer: a record that framed
+/// correctly but does not decode ends the trusted log, and it and every
+/// record after it count as discarded.
+fn discard(counters: &mut StorageCounters, rest: &[RecoveredRecord]) {
+    counters.decode_failures += 1;
+    let bytes = rest.iter().map(|r| r.payload.len() as u64 + 8);
+    counters.discarded_bytes += bytes.sum::<u64>();
 }
 
 /// The replica's durable state: at most one checkpoint plus the log of
@@ -541,6 +628,9 @@ impl StorageBackend for FileBackend {
 /// forwarded to a [`StorageBackend`] (for persistence).
 pub struct DurableStore {
     checkpoint: Option<Checkpoint>,
+    /// The digests of every command committed at or below the
+    /// checkpoint, oldest first (module docs).
+    history: Vec<Hash256>,
     wal: Vec<WalEntry>,
     /// Highest round whose beacon has been logged (dedup).
     beacon_upto: Round,
@@ -593,8 +683,10 @@ impl DurableStore {
     /// from them), so a restore right after attach replays it.
     pub fn with_backend(mut backend: Box<dyn StorageBackend>) -> DurableStore {
         let (checkpoint, entries) = backend.load();
+        let bar = checkpoint.as_ref().map(Checkpoint::round);
         let mut store = DurableStore {
             checkpoint: None,
+            history: Vec::new(),
             wal: Vec::new(),
             beacon_upto: Round::GENESIS,
             logged_blocks: BTreeSet::new(),
@@ -628,6 +720,11 @@ impl DurableStore {
                 WalEntry::Finalization(f) => {
                     let key = (f.block_ref.round, f.block_ref.hash);
                     store.logged_finalizations.insert(key);
+                }
+                WalEntry::Committed { round, digests } if bar.is_some_and(|b| *round <= b) => {
+                    store.history.extend_from_slice(digests);
+                    store.recovered_entries += 1;
+                    continue;
                 }
                 WalEntry::Committed { .. } => {}
                 WalEntry::EpochTransition(t) => {
@@ -735,12 +832,20 @@ impl DurableStore {
 
     /// Installs a checkpoint and compacts the log: entries at or below
     /// the checkpoint round are dropped (the checkpoint carries the
-    /// beacon base itself), and with them the memory of having logged
-    /// them. The backend persists the checkpoint atomically and compacts
-    /// its own log to match.
+    /// beacon base itself; the digests of `Committed` entries go to the
+    /// history), and with them the memory of having logged them. The
+    /// backend persists the checkpoint atomically and compacts its own
+    /// log to match.
     pub fn install_checkpoint(&mut self, cp: Checkpoint) {
         let bar = cp.round();
-        self.wal.retain(|e| e.round() > bar);
+        let history = &mut self.history;
+        self.wal.retain(|e| match e {
+            WalEntry::Committed { round, digests } if *round <= bar => {
+                history.extend_from_slice(digests);
+                false
+            }
+            e => e.round() > bar,
+        });
         let above = bar.next();
         self.logged_blocks = self.logged_blocks.split_off(&(above, Hash256::ZERO, false));
         self.logged_finalizations = self.logged_finalizations.split_off(&(above, Hash256::ZERO));
@@ -752,6 +857,12 @@ impl DurableStore {
     /// The installed checkpoint, if any.
     pub fn checkpoint(&self) -> Option<&Checkpoint> {
         self.checkpoint.as_ref()
+    }
+
+    /// The digests of every command committed at or below the
+    /// checkpoint, oldest first.
+    pub fn history(&self) -> &[Hash256] {
+        &self.history
     }
 
     /// The log entries since the checkpoint, in append order.

@@ -13,7 +13,16 @@
 //! The payload is wrapped in one [`icc_types::frame`] frame, so a
 //! checkpoint damaged on the media (rather than by a crash) is caught
 //! by the same CRC the WAL and the wire use, and treated as absent —
-//! the WAL prefix still recovers, just from further back.
+//! the WAL prefix still recovers, just from further back. A payload the
+//! loader would refuse for its size is refused on write, before anything
+//! is written: by the time a load found it oversized, compaction would
+//! have deleted the log it replaced.
+
+// Nothing a damaged file holds may panic recovery.
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::indexing_slicing)
+)]
 
 use crate::StorageCounters;
 use icc_types::frame::{self, FrameBuffer};
@@ -27,16 +36,29 @@ const CHECKPOINT_TMP: &str = "checkpoint.tmp";
 
 /// Atomically replaces the checkpoint at `dir` with the payload `fill`
 /// appends (encoded straight into the checkpoint's frame).
+///
+/// # Errors
+///
+/// A payload over `max_len` bytes — one [`load_checkpoint`] with the
+/// same `max_len` would refuse — is refused with
+/// [`io::ErrorKind::InvalidInput`] before anything is written, so the
+/// checkpoint already on disk stays the current one. Otherwise the I/O
+/// errors of writing, syncing and renaming.
 pub fn save_checkpoint(
     dir: &Path,
+    max_len: u32,
     fill: impl FnOnce(&mut Vec<u8>),
     counters: &mut StorageCounters,
 ) -> io::Result<()> {
+    let mut framed = Vec::new();
+    let payload_len = frame::frame(&mut framed, fill);
+    if payload_len as u64 > u64::from(max_len) {
+        let why = format!("checkpoint of {payload_len} bytes exceeds max_record_len {max_len}");
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
+    }
     fs::create_dir_all(dir)?;
     let tmp = dir.join(CHECKPOINT_TMP);
     let mut file = File::create(&tmp)?;
-    let mut framed = Vec::new();
-    let payload_len = frame::frame(&mut framed, fill);
     file.write_all(&framed)?;
     file.sync_all()?;
     drop(file);
@@ -115,7 +137,7 @@ mod tests {
     }
 
     fn save(dir: &Path, payload: &[u8], c: &mut StorageCounters) {
-        save_checkpoint(dir, |buf| buf.extend_from_slice(payload), c).unwrap();
+        save_checkpoint(dir, 1 << 20, |buf| buf.extend_from_slice(payload), c).unwrap();
     }
 
     #[test]
@@ -135,6 +157,26 @@ mod tests {
         );
         assert_eq!(c.checkpoints_written, 2);
         assert_eq!(c.checkpoint_corruptions, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The write side refuses what the read side would: a checkpoint
+    /// over `max_len` is an error, nothing of it is written, and the one
+    /// before it is still the one that loads.
+    #[test]
+    fn oversized_checkpoint_refused_and_previous_kept() {
+        let dir = tmp_dir("oversize");
+        let mut c = StorageCounters::default();
+        save_checkpoint(&dir, 64, |buf| buf.extend_from_slice(b"fits"), &mut c).unwrap();
+        let err =
+            save_checkpoint(&dir, 64, |buf| buf.extend_from_slice(&[7; 65]), &mut c).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(!dir.join(CHECKPOINT_TMP).exists());
+        assert_eq!(
+            load_checkpoint(&dir, 64, &mut c).unwrap().as_deref(),
+            Some(&b"fits"[..])
+        );
+        assert_eq!((c.checkpoints_written, c.checkpoint_corruptions), (1, 0));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -57,8 +57,24 @@ struct FileState {
 /// One segment as seen through the page-cache model.
 #[derive(Debug)]
 pub struct FaultyFile {
+    path: PathBuf,
     state: Arc<Mutex<FileState>>,
     errors: Arc<InjectedErrors>,
+    hook: Arc<Mutex<SyncHook>>,
+}
+
+/// A test's callback at every sync: the file's path and its unsynced
+/// bytes.
+type OnSync = Box<dyn FnMut(&Path, &[u8]) + Send>;
+
+/// What [`FaultHandle::on_sync`] installed.
+#[derive(Default)]
+struct SyncHook(Option<OnSync>);
+
+impl std::fmt::Debug for SyncHook {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("SyncHook").field(&self.0.is_some()).finish()
+    }
 }
 
 /// Errors a live disk starts returning (no crash, nothing lost).
@@ -96,6 +112,9 @@ impl SegmentFile for FaultyFile {
             return Err(io::Error::new(io::ErrorKind::BrokenPipe, "disk crashed"));
         }
         let pending = std::mem::take(&mut st.unsynced);
+        if let Some(hook) = self.hook.lock().expect("sync hook").0.as_mut() {
+            hook(&self.path, &pending);
+        }
         let file = st.file.as_mut().expect("backing file");
         file.write_all(&pending)?;
         file.sync_data()
@@ -107,9 +126,18 @@ impl SegmentFile for FaultyFile {
 pub struct FaultHandle {
     files: Arc<Mutex<Vec<Arc<Mutex<FileState>>>>>,
     errors: Arc<InjectedErrors>,
+    hook: Arc<Mutex<SyncHook>>,
 }
 
 impl FaultHandle {
+    /// From now on `hook` runs at every `sync` of any file, just before
+    /// the synced bytes reach it, with the file's path and those bytes:
+    /// a test's view of the disk at each durability point — to copy the
+    /// data directory as a power cut right there would leave it, say.
+    pub fn on_sync(&self, hook: impl FnMut(&Path, &[u8]) + Send + 'static) {
+        self.hook.lock().expect("sync hook").0 = Some(Box::new(hook));
+    }
+
     /// From now on every write to any segment fails (`EIO` on a disk
     /// that is still there).
     pub fn fail_writes(&self) {
@@ -202,8 +230,10 @@ impl SegmentFs for FaultFs {
             .expect("fault files")
             .push(state.clone());
         Ok(Box::new(FaultyFile {
+            path: path.to_path_buf(),
             state,
             errors: Arc::clone(&self.handle.errors),
+            hook: Arc::clone(&self.handle.hook),
         }))
     }
 }

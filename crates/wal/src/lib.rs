@@ -21,7 +21,10 @@
 //! * [`save_checkpoint`] / [`load_checkpoint`] — **atomic checkpoint
 //!   files**: write-temp, fsync, rename, fsync-dir. A crash at any
 //!   point leaves either the old checkpoint or the new one, never a
-//!   hybrid.
+//!   hybrid; a payload the loader would refuse is refused on write.
+//! * [`SharedFs`] — one [`SegmentFs`] behind a cloneable handle, so the
+//!   logs of one data directory (a replica's journal and its dedup log)
+//!   write through the same filesystem.
 //! * [`fault`] — a **disk-fault injection harness**: a write layer that
 //!   models the page cache (bytes reach the file only at fsync) so
 //!   crashes produce partial fsyncs, torn tails, and bit-flipped
@@ -41,7 +44,8 @@ mod wal;
 
 pub use checkpoint::{load_checkpoint, save_checkpoint, CHECKPOINT_FILE};
 pub use wal::{
-    FsyncPolicy, OsFs, RecoveredRecord, SegmentFile, SegmentFs, Wal, WalOptions, SEGMENT_SUFFIX,
+    FsyncPolicy, OsFs, RecoveredRecord, SegmentFile, SegmentFs, SharedFs, Wal, WalOptions,
+    SEGMENT_SUFFIX,
 };
 
 /// Telemetry account of everything the storage layer did — and, after a
@@ -70,8 +74,15 @@ pub struct StorageCounters {
     pub segments_removed: u64,
     /// Checkpoints written (temp + fsync + rename).
     pub checkpoints_written: u64,
-    /// Payload bytes of written checkpoints.
+    /// Payload bytes of written checkpoints (the checkpoint file alone).
     pub checkpoint_bytes: u64,
+    /// Records appended to the dedup log: one per checkpoint that
+    /// compacted committed-command digests out of the journal. The dedup
+    /// log syncs once per record, so this is also its sync count; those
+    /// syncs are not in `fsyncs`.
+    pub dedup_records: u64,
+    /// Bytes appended to the dedup log (frame headers included).
+    pub dedup_bytes: u64,
     /// Records recovered intact by [`Wal::open`].
     pub recovered_records: u64,
     /// Bytes of recovered records (frame headers included).
@@ -157,6 +168,8 @@ impl StorageCounters {
             ("segments_removed", &mut self.segments_removed),
             ("checkpoints_written", &mut self.checkpoints_written),
             ("checkpoint_bytes", &mut self.checkpoint_bytes),
+            ("dedup_records", &mut self.dedup_records),
+            ("dedup_bytes", &mut self.dedup_bytes),
             ("recovered_records", &mut self.recovered_records),
             ("recovered_bytes", &mut self.recovered_bytes),
             ("torn_tail_truncations", &mut self.torn_tail_truncations),
@@ -196,7 +209,7 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"records_appended\":5"));
         assert!(json.contains("\"discarded_bytes\":7"));
-        assert_eq!(a.fields().len(), 21);
+        assert_eq!(a.fields().len(), 23);
     }
 
     #[test]

@@ -14,11 +14,18 @@
 //! starts a new segment with the next id. That keeps the invariant that
 //! only the *tail* of the newest segment can ever be torn by a crash.
 
+// Nothing a damaged file holds may panic recovery.
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::indexing_slicing)
+)]
+
 use crate::StorageCounters;
 use icc_types::frame::{self, HEADER_LEN, MAGIC};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Segment file suffix (`wal-<id>.seg`).
@@ -166,6 +173,35 @@ pub struct OsFs;
 impl SegmentFs for OsFs {
     fn create(&mut self, path: &Path) -> io::Result<Box<dyn SegmentFile>> {
         Ok(Box::new(File::create(path)?))
+    }
+}
+
+/// One [`SegmentFs`] behind a cloneable handle: every log of a data
+/// directory creates its files through the same filesystem, so a fault
+/// model or a cost model sees all of them.
+#[derive(Clone)]
+pub struct SharedFs(Arc<Mutex<Box<dyn SegmentFs>>>);
+
+impl SharedFs {
+    /// Shares `fs`.
+    pub fn new(fs: Box<dyn SegmentFs>) -> SharedFs {
+        SharedFs(Arc::new(Mutex::new(fs)))
+    }
+}
+
+impl std::fmt::Debug for SharedFs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SharedFs").finish_non_exhaustive()
+    }
+}
+
+impl SegmentFs for SharedFs {
+    fn create(&mut self, path: &Path) -> io::Result<Box<dyn SegmentFile>> {
+        let mut fs = self
+            .0
+            .lock()
+            .map_err(|_| io::Error::other("segment filesystem poisoned by a panic"))?;
+        fs.create(path)
     }
 }
 
@@ -327,12 +363,11 @@ impl Wal {
             let why = format!("record of {len} bytes exceeds max_record_len {max}");
             return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
         }
-        if self.active.is_none() {
-            self.start_segment()?;
-        }
-
-        let file = self.active.as_mut().expect("active segment");
-        file.write_all(&self.scratch)?;
+        let file = match self.active.take() {
+            Some(file) => file,
+            None => self.start_segment()?,
+        };
+        self.active.insert(file).write_all(&self.scratch)?;
         self.active_len += self.scratch.len() as u64;
         self.active_max_round = Some(self.active_max_round.map_or(round, |r| r.max(round)));
         self.counters.records_appended += 1;
@@ -417,16 +452,16 @@ impl Wal {
         &self.dir
     }
 
-    fn start_segment(&mut self) -> io::Result<()> {
+    /// Creates the next segment; the caller makes it the active one.
+    fn start_segment(&mut self) -> io::Result<Box<dyn SegmentFile>> {
         let path = segment_path(&self.dir, self.next_id);
         let file = self.fs.create(&path)?;
         self.next_id += 1;
-        self.active = Some(file);
         self.active_path = path;
         self.active_len = 0;
         self.active_max_round = None;
         self.counters.segments_created += 1;
-        Ok(())
+        Ok(file)
     }
 
     fn rotate(&mut self) -> io::Result<()> {
@@ -524,53 +559,56 @@ fn scan_segment(
         kind: None,
     };
     let mut off = 0usize;
-    while off < bytes.len() {
-        let avail = &bytes[off..];
+    while let Some(avail) = bytes.get(off..).filter(|rest| !rest.is_empty()) {
         if avail.len() < HEADER_LEN {
             scan.kind = Some(DamageKind::TornTail);
             counters.torn_tail_truncations += 1;
             break;
         }
-        let word = |at: usize| u32::from_le_bytes(avail[at..at + 4].try_into().expect("4 bytes"));
-        if word(0) != MAGIC {
+        if le_u32(avail, 0) != MAGIC {
             scan.kind = Some(DamageKind::Corrupt);
             counters.bad_magic_records += 1;
             break;
         }
-        let len = word(4);
+        let len = le_u32(avail, 4);
         if len > max_record_len {
             scan.kind = Some(DamageKind::Corrupt);
             counters.oversized_records += 1;
             break;
         }
-        let declared_crc = word(8);
+        let declared_crc = le_u32(avail, 8);
         let total = HEADER_LEN + len as usize;
-        if avail.len() < total {
+        let Some(payload) = avail.get(HEADER_LEN..total) else {
             scan.kind = Some(DamageKind::TornTail);
             counters.torn_tail_truncations += 1;
             break;
-        }
-        let payload = &avail[HEADER_LEN..total];
+        };
         if frame::crc32(payload) != declared_crc {
             scan.kind = Some(DamageKind::Corrupt);
             counters.crc_corruptions += 1;
             break;
         }
-        if payload.len() < 8 {
+        let Some((round, body)) = payload.split_first_chunk::<8>() else {
             scan.kind = Some(DamageKind::Corrupt);
             counters.malformed_records += 1;
             break;
-        }
-        let round = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
+        };
+        let round = u64::from_le_bytes(*round);
         scan.records.push(RecoveredRecord {
             round,
-            payload: payload[8..].to_vec(),
+            payload: body.to_vec(),
         });
         scan.max_round = Some(scan.max_round.map_or(round, |r| r.max(round)));
         off += total;
         scan.valid_len = off as u64;
     }
     Ok(scan)
+}
+
+/// The little-endian `u32` at `at` in `bytes` (0 past the end).
+fn le_u32(bytes: &[u8], at: usize) -> u32 {
+    let word = bytes.get(at..).and_then(<[u8]>::first_chunk);
+    word.map_or(0, |w| u32::from_le_bytes(*w))
 }
 
 #[cfg(test)]

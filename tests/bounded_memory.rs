@@ -13,6 +13,7 @@ use icc_gossip::{gossip_cluster, subnet_overlay_seed, GossipConfig, GossipNode, 
 use icc_sim::delay::FixedDelay;
 use icc_sim::policy::Partition;
 use icc_sim::FaultPlan;
+use icc_types::codec::Encode;
 use icc_types::{Command, NodeIndex, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -244,6 +245,35 @@ fn footprint_is_flat_over_a_long_run_n4() {
 #[test]
 fn footprint_is_flat_over_a_long_run_n40() {
     assert_footprint_is_flat(40, 35);
+}
+
+/// A checkpoint is the tip block and its certificates, not the history:
+/// with commands flowing, its encoded length after 2 000 rounds is its
+/// length after 400, give or take what one block carries.
+#[test]
+fn checkpoint_size_is_flat_over_a_long_run() {
+    let mut cluster = cluster(4, 38, |b| b);
+    // Two 64-byte commands a 40 ms round, until past round 2 000.
+    cluster.inject_commands(at(0), ms(90_000), 4_500, 64);
+    let mut at_rounds = |rounds: u64| {
+        while cluster.min_committed_round() < rounds {
+            cluster.run_for(ms(40 * (rounds - cluster.min_committed_round()).max(5)));
+        }
+        let store = cluster.sim.node(0).core().store();
+        let cp = store.checkpoint().expect("checkpoints are taken");
+        let sizes = (cp.encoded_len(), cp.proposal.encoded_len());
+        (sizes, store.history().len())
+    };
+    let ((short, block_short), history_short) = at_rounds(400);
+    let ((long, block_long), history_long) = at_rounds(2_000);
+    assert!(
+        history_long > history_short + 2_000,
+        "commands flowed: {history_short} committed by round 400, {history_long} by 2 000"
+    );
+    assert!(
+        short.abs_diff(long) <= block_short.max(block_long),
+        "a checkpoint of {short} B after 400 rounds, {long} B after 2 000"
+    );
 }
 
 /// How many times each command appears in `node`'s committed chain.

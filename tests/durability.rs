@@ -22,7 +22,7 @@ use icc_wal::{FsyncPolicy, Wal, WalOptions};
 use proptest::prelude::*;
 use std::cell::Cell;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A unique, pre-cleaned scratch directory per call (tests in this
@@ -115,7 +115,6 @@ fn checkpoint(round: u64) -> Checkpoint {
         notarization: notarization(round, 2, 24),
         finalization: finalization(round, 2, 24),
         beacon: BeaconValue::Signature(Signature::from_value(round ^ 0xbea)),
-        committed: vec![Hash256([7u8; 32]), Hash256([9u8; 32])],
         transitions: Vec::new(),
     }
 }
@@ -209,14 +208,15 @@ proptest! {
     }
 }
 
-/// Every post-hoc disk fault recovers to the last valid prefix — no
-/// panic, the damage counted in the right `StorageCounters` field, and
-/// the store usable (appendable, re-recoverable) afterwards.
+/// Every post-hoc disk fault — in the journal or in the dedup log —
+/// recovers to the last valid prefix: no panic, the damage counted in
+/// the right `StorageCounters` field, and the store usable (appendable,
+/// re-recoverable) afterwards.
 #[test]
 fn fault_matrix_recovers_to_valid_prefix() {
     type Inject = fn(&std::path::Path);
     type CounterOf = fn(&icc_wal::StorageCounters) -> u64;
-    let faults: [(&str, Inject, CounterOf); 5] = [
+    let faults: [(&str, Inject, CounterOf); 7] = [
         (
             "torn_tail_small",
             |d| {
@@ -252,13 +252,31 @@ fn fault_matrix_recovers_to_valid_prefix() {
             },
             |c| c.oversized_records,
         ),
+        (
+            "dedup_torn_tail",
+            |d| {
+                fault::truncate_tail(&d.join("dedup"), 25).unwrap();
+            },
+            |c| c.torn_tail_truncations,
+        ),
+        (
+            "dedup_bit_flip",
+            |d| {
+                fault::flip_bit(&d.join("dedup"), 40).unwrap();
+            },
+            |c| c.crc_corruptions,
+        ),
     ];
 
     for (name, inject, counted) in faults {
         let dir = scratch(name);
         {
+            // Two checkpoints: two dedup records, of rounds 1–2 and 3–4.
             let mut store = DurableStore::file(&dir, per_commit()).unwrap();
-            populate(&mut store, 1..=12);
+            populate(&mut store, 1..=4);
+            store.install_checkpoint(checkpoint(2));
+            store.install_checkpoint(checkpoint(4));
+            populate(&mut store, 5..=12);
             assert_eq!(store.frontier().get(), 12, "{name}");
         }
         inject(&dir);
@@ -272,10 +290,23 @@ fn fault_matrix_recovers_to_valid_prefix() {
             "{name}: fault not counted: {counters:?}"
         );
         assert!(store.frontier().get() <= 12, "{name}");
-        assert!(
-            store.recovered_entries() >= 1,
-            "{name}: lost the whole log: {counters:?}"
-        );
+        // The journal above the checkpoint (rounds 5–12, four entries a
+        // round) is a prefix of the one written: a journal fault cuts
+        // its tail, never all of it, and a dedup fault leaves it whole.
+        // The history is a prefix too: the dedup faults hit its second
+        // record.
+        let journal = store.wal().len();
+        let history: Vec<u8> = store.history().iter().map(|d| d.0[0]).collect();
+        if name.starts_with("dedup") {
+            assert_eq!(journal, 8 * 4, "{name}: {counters:?}");
+            assert_eq!(history, [1, 2], "{name}");
+        } else {
+            assert!(
+                (1..=8 * 4).contains(&journal),
+                "{name}: {journal} journal entries: {counters:?}"
+            );
+            assert_eq!(history, [1, 2, 3, 4], "{name}");
+        }
         let recovered = store.recovered_entries();
 
         // The store keeps working: new appends land after the prefix
@@ -290,6 +321,62 @@ fn fault_matrix_recovers_to_valid_prefix() {
         assert_eq!(store.recovered_entries(), recovered + 1, "{name}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The dedup log is never compacted, so its oldest record stays on the
+/// media for the replica's lifetime, and prefix recovery treats it as
+/// the journal's: a bit flipped in the first record of a multi-segment
+/// dedup log ends the trusted history right there. The damaged segment
+/// is cut to nothing, every later one is deleted and counted, and the
+/// history comes back empty: the
+/// journal was compacted, so nothing on disk remembers the commands
+/// committed up to the checkpoint any more, and a replica restored from
+/// this directory would take them again (DESIGN.md §5f).
+#[test]
+fn a_bit_flip_in_the_first_dedup_record_loses_the_history_after_it() {
+    let dir = scratch("dedup_first_record");
+    // Small enough that every record, journal or dedup, rotates into a
+    // segment of its own.
+    let opts = WalOptions {
+        segment_max_bytes: 64,
+        ..per_commit()
+    };
+    {
+        let mut store = DurableStore::file(&dir, opts).unwrap();
+        for cp in [2, 4, 6] {
+            populate(&mut store, cp - 1..=cp);
+            store.install_checkpoint(checkpoint(cp));
+        }
+        populate(&mut store, 7..=8);
+        assert_eq!(store.history().len(), 6);
+    }
+    let dedup = dir.join("dedup");
+    let segments = || {
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(&dedup)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        paths.sort();
+        paths
+    };
+    let written = segments();
+    assert_eq!(written.len(), 3, "one dedup record a segment");
+    let mut bytes = std::fs::read(&written[0]).unwrap();
+    bytes[HEADER_LEN + 8] ^= 0x08;
+    std::fs::write(&written[0], &bytes).unwrap();
+
+    let store = DurableStore::file(&dir, opts).unwrap();
+    let counters = store.storage_counters();
+    assert_eq!(counters.crc_corruptions, 1, "{counters:?}");
+    assert_eq!(counters.segments_dropped, 2, "{counters:?}");
+    assert!(segments().is_empty(), "the dedup log is gone from the disk");
+    assert!(store.history().is_empty(), "{:?}", store.history());
+    // The checkpoint and the journal above it are untouched; neither
+    // holds a digest of rounds 1–6.
+    assert_eq!(store.checkpoint().map(|cp| cp.round().get()), Some(6));
+    assert_eq!(store.wal().len(), 2 * 4);
+    assert!(store.wal().iter().all(|e| e.round().get() > 6));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A corrupted checkpoint file is discarded (counted, not fatal); the
@@ -1217,6 +1304,215 @@ fn torn_tail_at_any_record_boundary_keeps_dedup_under_kmax() {
     // The cuts did land on both sides of a finalization.
     assert!(kmaxes.first() < kmaxes.last(), "{kmaxes:?}");
     assert!(kmaxes.windows(2).all(|w| w[0] <= w[1]), "{kmaxes:?}");
+}
+
+/// Copies the data directory `from` — its files and the dedup log's
+/// directory — to `to`, as a power cut would leave it: what a `FaultFs`
+/// holds unsynced is not in the files.
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let dst = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &dst);
+        } else {
+            std::fs::copy(entry.path(), dst).unwrap();
+        }
+    }
+}
+
+/// Where the power goes while a replica takes a checkpoint (DESIGN.md
+/// §5f).
+#[derive(Debug, Clone, Copy)]
+enum CheckpointCut {
+    /// The dedup record written, `keep` of its bytes on the platter.
+    DedupTorn { keep: usize },
+    /// The dedup record synced, `checkpoint.bin` not yet renamed.
+    BeforeRename,
+    /// `checkpoint.bin` renamed, the journal not yet compacted (with one
+    /// journal segment, compaction deletes nothing).
+    BeforeCompaction,
+}
+
+/// Replica 0 of a loaded n = 4 cluster checkpoints every two rounds on
+/// the page-cache model, and the power goes at `cut` of the second
+/// checkpoint that writes a dedup record: the data directory is copied
+/// as it would be left. The replica restored from the copy refuses
+/// every command committed at or below its `kmax`. Returns the round of
+/// the cut checkpoint and of the checkpoint restored from.
+fn cut_a_checkpoint(cut: CheckpointCut) -> (u64, u64) {
+    use rig::*;
+    let dir = scratch("checkpoint_cut");
+    let image = scratch("checkpoint_cut_image");
+    let (fs, disk) = FaultFs::new();
+    let victim = core_over(0, store_on(&dir, per_commit(), Box::new(fs)));
+    let victim = victim.with_checkpoint_interval(2);
+    let taken = Arc::new(AtomicBool::new(false));
+    let cut_round = Arc::new(AtomicU64::new(0));
+    let (dedup_dir, live, out) = (dir.join("dedup"), dir.clone(), image.clone());
+    let (done, at_round) = (Arc::clone(&taken), Arc::clone(&cut_round));
+    let mut dedup_syncs = 0;
+    disk.on_sync(move |path, unsynced| {
+        if done.load(Ordering::SeqCst) {
+            return;
+        }
+        if at_round.load(Ordering::SeqCst) > 0 {
+            // The first sync after the cut record's: past the rename.
+            copy_dir(&live, &out);
+            done.store(true, Ordering::SeqCst);
+            return;
+        }
+        if !path.starts_with(&dedup_dir) {
+            return;
+        }
+        dedup_syncs += 1;
+        if dedup_syncs < 2 {
+            return;
+        }
+        // The record: a frame header, the round, the digests.
+        let round = unsynced[HEADER_LEN..HEADER_LEN + 8].try_into().unwrap();
+        at_round.store(u64::from_le_bytes(round), Ordering::SeqCst);
+        let keep = match cut {
+            CheckpointCut::DedupTorn { keep } => keep.min(unsynced.len()),
+            CheckpointCut::BeforeRename => unsynced.len(),
+            CheckpointCut::BeforeCompaction => return,
+        };
+        copy_dir(&live, &out);
+        let record = out.join("dedup").join(path.file_name().unwrap());
+        let mut record = std::fs::OpenOptions::new()
+            .append(true)
+            .open(record)
+            .unwrap();
+        std::io::Write::write_all(&mut record, &unsynced[..keep]).unwrap();
+        done.store(true, Ordering::SeqCst);
+    });
+    let mut cores = vec![victim];
+    cores.extend((1..N).map(|i| core_over(i, DurableStore::new())));
+    let mut net = Net::new(cores, 5);
+    let commits = collect_commits(&mut net);
+    net.start();
+    run_with_load(&mut net, |_| taken.load(Ordering::SeqCst));
+    let cut_round = cut_round.load(Ordering::SeqCst);
+
+    let (_, journal) = Wal::open(&image, per_commit()).unwrap();
+    if let CheckpointCut::BeforeCompaction = cut {
+        assert!(
+            journal.iter().any(|r| r.round <= cut_round),
+            "the journal still holds what the checkpoint covers"
+        );
+    }
+    let mut core = core_over(0, DurableStore::file(&image, per_commit()).unwrap());
+    core.start(SimTime::ZERO);
+    assert_eq!(core.recovery_stats().restore_verifications, 0);
+    let checkpoint = core
+        .store()
+        .checkpoint()
+        .expect("an older checkpoint at least");
+    let restored_from = checkpoint.round().get();
+    let kmax = core.committed_round();
+    let mut refused = 0;
+    for (round, commands) in commits.borrow().iter() {
+        if *round <= kmax {
+            for cmd in commands {
+                core.on_command(cmd.clone());
+                refused += 1;
+            }
+        }
+    }
+    assert!(
+        refused > 0,
+        "{cut:?}: the committed rounds carried commands"
+    );
+    assert_eq!(
+        core.pending_commands(),
+        0,
+        "{cut:?}: restored with kmax {kmax} but would take a command committed \
+         at or below it again"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&image);
+    (cut_round, restored_from)
+}
+
+/// A power cut before the dedup record is synced, whatever of it
+/// reached the platter: the old checkpoint stays current (the rename
+/// waits for the sync), and the journal it did not let compaction touch
+/// still holds the digests the record was copying.
+#[test]
+fn a_power_cut_before_the_dedup_record_is_synced_keeps_dedup_under_kmax() {
+    for keep in [0, 30, 70] {
+        let (cut, restored_from) = cut_a_checkpoint(CheckpointCut::DedupTorn { keep });
+        assert!(
+            restored_from < cut,
+            "keep {keep}: the old checkpoint is current"
+        );
+    }
+}
+
+/// A power cut after the dedup record is synced and before the rename:
+/// the old checkpoint, the whole journal, and a record that repeats
+/// journal records — the union is the same set.
+#[test]
+fn a_power_cut_before_the_checkpoint_rename_keeps_dedup_under_kmax() {
+    let (cut, restored_from) = cut_a_checkpoint(CheckpointCut::BeforeRename);
+    assert!(restored_from < cut, "the old checkpoint is current");
+}
+
+/// A power cut after the rename and before compaction: the new
+/// checkpoint makes restore skip the journal records it covers, and the
+/// dedup record synced before the rename holds their digests — the
+/// checkpoint round's own included.
+#[test]
+fn a_power_cut_before_compaction_keeps_dedup_under_kmax() {
+    let (cut, restored_from) = cut_a_checkpoint(CheckpointCut::BeforeCompaction);
+    assert_eq!(restored_from, cut, "the new checkpoint is current");
+}
+
+/// Three checkpoints on, with journal segments small enough that
+/// compaction deletes what they cover, a restart still refuses the
+/// commands committed up to the first: only the dedup log holds them.
+#[test]
+fn a_restart_after_three_checkpoints_refuses_what_the_first_covered() {
+    use rig::*;
+    let dir = scratch("three_checkpoints");
+    let opts = WalOptions {
+        segment_max_bytes: 2048,
+        ..per_commit()
+    };
+    let (fs, disk) = FaultFs::new();
+    let victim = core_over(0, store_on(&dir, opts, Box::new(fs))).with_checkpoint_interval(2);
+    let mut cores = vec![victim];
+    cores.extend((1..N).map(|i| core_over(i, DurableStore::new())));
+    let mut net = Net::new(cores, 6);
+    let commits = collect_commits(&mut net);
+    net.start();
+    run_with_load(&mut net, |net| {
+        net.cores[0].storage_counters().dedup_records >= 3
+    });
+    let counters = net.cores[0].storage_counters();
+    assert!(counters.segments_removed > 0, "{counters:?}");
+    disk.crash(DiskFault::LoseUnsynced).unwrap();
+
+    let (_, history) = Wal::open(&dir.join("dedup"), opts).unwrap();
+    let first = history.first().expect("three dedup records").round;
+    let mut core = core_over(0, DurableStore::file(&dir, opts).unwrap());
+    core.start(SimTime::ZERO);
+    assert_eq!(core.recovery_stats().restore_verifications, 0);
+    let kmax = core.committed_round();
+    assert!(kmax.get() > first, "kmax {kmax}, first checkpoint {first}");
+    let mut before_first = 0;
+    for (round, commands) in commits.borrow().iter() {
+        if *round <= kmax {
+            for cmd in commands {
+                core.on_command(cmd.clone());
+                before_first += usize::from(round.get() <= first);
+            }
+        }
+    }
+    assert!(before_first > 0, "the first checkpoint covered commands");
+    assert_eq!(core.pending_commands(), 0, "restored with kmax {kmax}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Withholding a finalization share costs one round's explicit
