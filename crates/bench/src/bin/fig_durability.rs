@@ -1,20 +1,25 @@
-//! **E15 — durability cost**: what each fsync policy pays per record,
-//! measured against a real filesystem with the production record format
-//! (a CRC-framed, round-prefixed [`WalEntry`] encoding).
+//! **E15 — durability cost**: what a sync costs per record, measured
+//! against a real filesystem with the production record format (a
+//! CRC-framed, round-prefixed [`WalEntry`] encoding).
 //!
-//! For each policy — `per-commit`, `group:64:5` (batch up to 64 records
-//! or 5 ms, whichever first), `periodic:20` — the harness appends N
-//! records and measures *commit latency*: the time from an append to
-//! the fsync that actually made it durable (`Wal::append` reports
-//! sync-on-return; batched records are timed to the batch's sync).
-//! A final section times cold recovery of the per-commit log.
+//! Two rows, one record shape:
+//!
+//! * `per-commit` — one record per sync ([`Wal::append`]), the slowest
+//!   way to use the log;
+//! * `per-round` — four records per sync, the shape of the replica's
+//!   persist-then-send barrier: the step that ends a round syncs that
+//!   round's beacon, block, finalization and committed digests at once
+//!   (DESIGN.md §5f). Its segments hold whole rounds, so rotation's own
+//!   sync is the round's and the row counts one sync per round.
+//!
+//! For each the harness writes N records and measures *commit latency*:
+//! the time from a record's write to the sync that made it durable. A
+//! final section times cold recovery of the per-commit log.
 //!
 //! Expected shape: per-commit pays one fsync per record (p50 latency =
-//! one `fdatasync`, throughput fsync-bound); group amortizes an fsync
-//! over up to 64 records (throughput an order of magnitude up, p99
-//! bounded by the window); periodic is the fastest and loosest (latency
-//! up to the interval — the crash-window tradeoff `DESIGN.md` §5f
-//! spells out). Results land in `BENCH_durability.json`.
+//! one `fdatasync`, throughput fsync-bound); per-round pays a quarter
+//! of those, so its throughput is up to 4× higher and its latency the
+//! round's writes plus one sync. Results land in `BENCH_durability.json`.
 //!
 //! ```text
 //! cargo run --release -p icc-bench --bin fig_durability [-- --smoke]
@@ -26,10 +31,10 @@ use icc_crypto::sig::Signature;
 use icc_crypto::Hash256;
 use icc_types::block::{Block, Payload};
 use icc_types::codec::encode_to_vec;
+use icc_types::frame::HEADER_LEN;
 use icc_types::messages::{BlockProposal, BlockRef, Notarization};
 use icc_types::{NodeIndex, Round};
-use icc_wal::{FsyncPolicy, Wal, WalOptions};
-use std::collections::VecDeque;
+use icc_wal::{Wal, WalOptions};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -69,13 +74,17 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-struct PolicyResult {
-    policy: FsyncPolicy,
+/// Records a replica's barrier syncs at once: one round's beacon,
+/// block, finalization and committed digests.
+const RECORDS_PER_ROUND: usize = 4;
+
+struct RowResult {
+    name: &'static str,
     elapsed: Duration,
     fsyncs: u64,
     bytes: u64,
     segments: u64,
-    /// Per-record commit latencies (append → covering fsync), µs.
+    /// Per-record commit latencies (write → covering fsync), µs.
     latencies_us: Vec<u64>,
 }
 
@@ -87,34 +96,37 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx]
 }
 
-/// Appends `n` records under `policy`, timing each record to the fsync
-/// that made it durable.
-fn run_policy(policy: FsyncPolicy, n: usize, payload: &[u8], keep_dir: bool) -> PolicyResult {
-    let dir = scratch(&policy.to_string().replace(':', "_"));
-    let opts = WalOptions {
-        fsync: policy,
-        ..WalOptions::default()
-    };
+/// Writes `n` records, syncing after every `per_sync` of them, and
+/// times each record to the sync that made it durable.
+fn run_row(
+    name: &'static str,
+    per_sync: usize,
+    opts: WalOptions,
+    n: usize,
+    payload: &[u8],
+    keep_dir: bool,
+) -> RowResult {
+    let dir = scratch(name);
     let (mut wal, recovered) = Wal::open(&dir, opts).expect("open wal");
     assert!(recovered.is_empty());
 
-    let mut pending: VecDeque<Instant> = VecDeque::new();
+    let mut pending = Vec::with_capacity(per_sync);
     let mut latencies_us = Vec::with_capacity(n);
     let started = Instant::now();
     for i in 0..n {
-        pending.push_back(Instant::now());
-        let synced = wal.append(i as u64 + 1, payload).expect("append");
-        if synced {
-            let now = Instant::now();
-            for t in pending.drain(..) {
-                latencies_us.push(now.duration_since(t).as_micros() as u64);
-            }
+        pending.push(Instant::now());
+        let round = (i / per_sync) as u64 + 1;
+        if pending.len() < per_sync {
+            wal.append_with(round, |buf| buf.extend_from_slice(payload))
+                .expect("write");
+            continue;
         }
-    }
-    wal.sync().expect("final sync");
-    let now = Instant::now();
-    for t in pending.drain(..) {
-        latencies_us.push(now.duration_since(t).as_micros() as u64);
+        // The last record of a sync: `append` writes and syncs it.
+        wal.append(round, payload).expect("append");
+        let now = Instant::now();
+        for t in pending.drain(..) {
+            latencies_us.push(now.duration_since(t).as_micros() as u64);
+        }
     }
     let elapsed = started.elapsed();
     let c = wal.counters();
@@ -125,8 +137,8 @@ fn run_policy(policy: FsyncPolicy, n: usize, payload: &[u8], keep_dir: bool) -> 
         let _ = std::fs::remove_dir_all(&dir);
     }
     latencies_us.sort_unstable();
-    PolicyResult {
-        policy,
+    RowResult {
+        name,
         elapsed,
         fsyncs: c.fsyncs,
         bytes: c.bytes_appended,
@@ -140,55 +152,38 @@ fn main() {
     let n = if smoke { 2_000 } else { 20_000 };
     let payload = representative_payload();
 
-    let policies = [
-        FsyncPolicy::PerCommit,
-        FsyncPolicy::Group {
-            max_pending: 64,
-            window: Duration::from_millis(5),
-        },
-        FsyncPolicy::Periodic {
-            interval: Duration::from_millis(20),
-        },
+    // Whole rounds to a segment, about as large as the default one.
+    let round_bytes = (RECORDS_PER_ROUND * (HEADER_LEN + 8 + payload.len())) as u64;
+    let default = WalOptions::default();
+    let whole_rounds = WalOptions {
+        segment_max_bytes: default.segment_max_bytes / round_bytes * round_bytes,
+        ..default
+    };
+    // Keep the per-commit dir around to time cold recovery below.
+    let results = [
+        run_row("per-commit", 1, default, n, &payload, true),
+        run_row(
+            "per-round",
+            RECORDS_PER_ROUND,
+            whole_rounds,
+            n,
+            &payload,
+            false,
+        ),
     ];
-    let results: Vec<PolicyResult> = policies
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| {
-            // Keep the per-commit dir around to time cold recovery below.
-            let r = run_policy(p, n, &payload, i == 0);
-            eprintln!("done {}", r.policy);
-            r
-        })
-        .collect();
 
-    // The durability tradeoff must actually show: batching cannot fsync
-    // as often as per-commit.
     assert_eq!(results[0].fsyncs, n as u64, "per-commit: one fsync each");
-    assert!(
-        results[1].fsyncs * 2 < results[0].fsyncs,
-        "group fsyncs {} not amortized vs per-commit {}",
+    assert_eq!(
         results[1].fsyncs,
-        results[0].fsyncs
-    );
-    assert!(
-        results[2].fsyncs * 2 < results[0].fsyncs,
-        "periodic fsyncs {} not amortized vs per-commit {}",
-        results[2].fsyncs,
-        results[0].fsyncs
+        (n / RECORDS_PER_ROUND) as u64,
+        "per-round: one fsync per round"
     );
 
     // Cold recovery of the per-commit log: every record read back,
     // CRC-checked, zero corruption.
     let dir = dir_for("per-commit");
     let t0 = Instant::now();
-    let (wal, recovered) = Wal::open(
-        &dir,
-        WalOptions {
-            fsync: FsyncPolicy::PerCommit,
-            ..WalOptions::default()
-        },
-    )
-    .expect("reopen");
+    let (wal, recovered) = Wal::open(&dir, WalOptions::default()).expect("reopen");
     let recovery_elapsed = t0.elapsed();
     assert_eq!(recovered.len(), n, "cold recovery lost records");
     assert_eq!(wal.counters().corrupt_records(), 0);
@@ -200,7 +195,7 @@ fn main() {
         .map(|r| {
             let l = &r.latencies_us;
             vec![
-                r.policy.to_string(),
+                r.name.to_string(),
                 fmt_f(n as f64 / r.elapsed.as_secs_f64(), 0),
                 format!("{}", r.fsyncs),
                 format!("{}", percentile(l, 0.50)),
@@ -213,14 +208,14 @@ fn main() {
         })
         .collect();
     let title = if smoke {
-        "E15 (smoke): WAL fsync-policy cost (real filesystem)"
+        "E15 (smoke): WAL sync cost (real filesystem)"
     } else {
-        "E15: WAL fsync-policy cost (real filesystem)"
+        "E15: WAL sync cost (real filesystem)"
     };
     print_table(
         title,
         &[
-            "policy",
+            "row",
             "records/s",
             "fsyncs",
             "commit p50 (us)",
@@ -240,9 +235,8 @@ fn main() {
     );
     println!(
         "expected shape: per-commit = one fdatasync per record (latency ~ device\n\
-         sync cost, throughput its reciprocal); group amortizes one fsync over up\n\
-         to 64 records (throughput up, p99 bounded by the 5 ms window); periodic\n\
-         is fastest with the widest crash window (up to 20 ms of appends)."
+         sync cost, throughput its reciprocal); per-round = one fdatasync per four\n\
+         records, the replica's barrier (throughput up to 4x, latency one sync)."
     );
 
     let mut json = String::from("{\n");
@@ -250,14 +244,14 @@ fn main() {
         "  \"bench\": \"durability\",\n  \"smoke\": {smoke},\n  \"records\": {n},\n  \"payload_bytes\": {},\n",
         payload.len()
     ));
-    json.push_str("  \"policies\": [\n");
+    json.push_str("  \"rows\": [\n");
     for (i, r) in results.iter().enumerate() {
         let l = &r.latencies_us;
         json.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"elapsed_ms\": {:.3}, \"records_per_s\": {:.0}, \
+            "    {{\"row\": \"{}\", \"elapsed_ms\": {:.3}, \"records_per_s\": {:.0}, \
              \"fsyncs\": {}, \"bytes_appended\": {}, \"segments_created\": {}, \
              \"latency_us\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}}}{}\n",
-            r.policy,
+            r.name,
             r.elapsed.as_secs_f64() * 1e3,
             n as f64 / r.elapsed.as_secs_f64(),
             r.fsyncs,

@@ -15,7 +15,7 @@
 //!   and no filesystem in the loop;
 //! * [`FileBackend`] persists every append to an `icc-wal` segmented
 //!   write-ahead log and every checkpoint to an atomic checkpoint file,
-//!   with a configurable fsync policy — the `replica --data-dir`
+//!   syncing the log at the barrier below — the `replica --data-dir`
 //!   choice. A fresh process pointed at the same directory recovers the
 //!   store (and therefore the replica) from disk.
 //!
@@ -321,8 +321,7 @@ pub trait StorageBackend: Send {
     /// log up to the checkpoint round.
     fn persist_checkpoint(&mut self, cp: &Checkpoint);
 
-    /// Forces everything appended so far durable, whatever the fsync
-    /// policy (graceful shutdown).
+    /// Forces everything appended so far durable (graceful shutdown).
     ///
     /// # Errors
     ///
@@ -333,10 +332,9 @@ pub trait StorageBackend: Send {
     /// The persist-then-send barrier, called once per consensus step,
     /// and the one place a storage error surfaces while the replica
     /// runs. With `sync`, the step made a promise: everything appended
-    /// so far becomes as durable as the backend's fsync policy says a
-    /// commit is. A backend that wraps another must forward this call;
-    /// the default — for a backend without a policy of its own —
-    /// flushes.
+    /// so far is durable when the call returns. A backend that wraps
+    /// another must forward this call; the default flushes when `sync`
+    /// is set.
     ///
     /// # Errors
     ///
@@ -543,14 +541,6 @@ impl FileBackend {
         self.failed.get_or_insert(e);
     }
 
-    /// Hands the kept `persist_*` error to the barrier, or runs `sync`.
-    fn barrier(&mut self, sync: impl FnOnce(&mut Wal) -> io::Result<()>) -> io::Result<()> {
-        if let Some(e) = self.failed.take() {
-            return Err(e);
-        }
-        sync(&mut self.wal).inspect_err(|_| self.wal.counters_mut().io_errors += 1)
-    }
-
     /// The data directory this backend persists into.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -580,11 +570,20 @@ impl StorageBackend for FileBackend {
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.barrier(Wal::sync)
+        self.commit(true)
     }
 
+    /// Reports the kept `persist_*` error; otherwise, with `sync`, syncs.
     fn commit(&mut self, sync: bool) -> io::Result<()> {
-        self.barrier(|wal| if sync { wal.commit().map(drop) } else { Ok(()) })
+        if let Some(e) = self.failed.take() {
+            return Err(e);
+        }
+        if !sync {
+            return Ok(());
+        }
+        self.wal
+            .sync()
+            .inspect_err(|_| self.wal.counters_mut().io_errors += 1)
     }
 
     fn counters(&self) -> StorageCounters {
@@ -817,9 +816,7 @@ impl DurableStore {
 
     /// The persist-then-send barrier, run once where a consensus step
     /// leaves the core: if the step made a promise, everything appended
-    /// so far is committed (synced, under
-    /// [`FsyncPolicy::PerCommit`](icc_wal::FsyncPolicy)); any other step
-    /// waits for nothing.
+    /// so far is synced; any other step waits for nothing.
     ///
     /// # Errors
     ///
@@ -921,8 +918,7 @@ impl DurableStore {
         self.checkpoint.is_none() && self.wal.is_empty()
     }
 
-    /// Forces everything appended so far durable, whatever the fsync
-    /// policy (graceful shutdown).
+    /// Forces everything appended so far durable (graceful shutdown).
     ///
     /// # Errors
     ///

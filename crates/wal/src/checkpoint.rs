@@ -106,10 +106,14 @@ pub fn load_checkpoint(
     }
 }
 
-/// `fsync` on the directory so a just-renamed entry is durable. On
-/// non-Unix platforms directory handles can't be synced; the rename is
-/// still atomic, only its durability window is weaker.
-fn sync_dir(dir: &Path) -> io::Result<()> {
+/// `fsync` on the directory so a just-created or just-renamed entry in
+/// it is durable. On non-Unix platforms directory handles can't be
+/// synced; the entry's durability window is weaker there.
+///
+/// # Errors
+///
+/// The directory cannot be opened or synced.
+pub fn sync_dir(dir: &Path) -> io::Result<()> {
     #[cfg(unix)]
     {
         File::open(dir)?.sync_all()?;

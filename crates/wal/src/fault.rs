@@ -8,8 +8,10 @@
 //!   then "pulls the power" with a chosen [`DiskFault`]: lose the whole
 //!   unsynced tail (a partial fsync), persist only a prefix of it (a
 //!   torn write), or persist it with a bit flipped (a write that hit
-//!   the platter wrong). This exercises the *crash* half of the fault
-//!   model with byte-level precision.
+//!   the platter wrong). [`FaultHandle::lie_about_syncs`] makes a
+//!   write cache that acknowledges an `fsync` and keeps the bytes, so a
+//!   crash can also take back synced records. This exercises the
+//!   *crash* half of the fault model with byte-level precision.
 //! * Post-hoc injectors ([`truncate_tail`], [`flip_bit`],
 //!   [`append_garbage`], [`append_oversized_header`],
 //!   [`corrupt_checkpoint`]) — mutate the files of a closed log
@@ -77,11 +79,13 @@ impl std::fmt::Debug for SyncHook {
     }
 }
 
-/// Errors a live disk starts returning (no crash, nothing lost).
+/// Faults a live disk starts showing before any crash.
 #[derive(Debug, Default)]
 struct InjectedErrors {
     write: AtomicBool,
     sync: AtomicBool,
+    /// `sync` reports success and moves nothing to the file.
+    lying_sync: AtomicBool,
 }
 
 impl Write for FaultyFile {
@@ -110,6 +114,9 @@ impl SegmentFile for FaultyFile {
         let mut st = self.state.lock().expect("fault state");
         if st.crashed {
             return Err(io::Error::new(io::ErrorKind::BrokenPipe, "disk crashed"));
+        }
+        if self.errors.lying_sync.load(Ordering::Relaxed) {
+            return Ok(());
         }
         let pending = std::mem::take(&mut st.unsynced);
         if let Some(hook) = self.hook.lock().expect("sync hook").0.as_mut() {
@@ -148,6 +155,14 @@ impl FaultHandle {
     /// land in the page cache.
     pub fn fail_syncs(&self) {
         self.errors.sync.store(true, Ordering::Relaxed);
+    }
+
+    /// From now on every `fsync` of any segment reports success but
+    /// leaves the bytes in the page cache — a write cache that lies
+    /// about durability — so the next [`crash`](Self::crash) can take
+    /// back records a sync acknowledged.
+    pub fn lie_about_syncs(&self) {
+        self.errors.lying_sync.store(true, Ordering::Relaxed);
     }
 
     /// Simulates power loss: applies `fault` to the most recently
@@ -350,25 +365,19 @@ mod tests {
         format!("fault-record-{i}-{}", "y".repeat(24)).into_bytes()
     }
 
-    /// Appends `synced` records under per-commit fsync, then `unsynced`
-    /// more with fsync disabled (huge group window), then crashes.
+    /// Appends `synced` records, each synced, then writes `unsynced` more
+    /// without a sync, then crashes.
     fn write_and_crash(dir: &Path, synced: u64, unsynced: u64, fault: DiskFault) {
-        let opts = WalOptions {
-            fsync: crate::FsyncPolicy::Group {
-                max_pending: usize::MAX,
-                window: std::time::Duration::from_secs(3600),
-            },
-            ..WalOptions::default()
-        };
         let (fs_impl, handle) = FaultFs::new();
+        let opts = WalOptions::default();
         let (mut wal, recovered) = Wal::open_with_fs(dir, opts, Box::new(fs_impl)).unwrap();
         assert!(recovered.is_empty());
         for i in 0..synced {
             wal.append(i, &payload(i)).unwrap();
         }
-        wal.sync().unwrap();
         for i in synced..synced + unsynced {
-            wal.append(i, &payload(i)).unwrap();
+            wal.append_with(i, |buf| buf.extend_from_slice(&payload(i)))
+                .unwrap();
         }
         assert!(handle.unsynced_bytes() > 0 || unsynced == 0);
         handle.crash(fault).unwrap();

@@ -15,9 +15,8 @@
 //!   any allocation), CRC-32, payload. Appends go to an active segment
 //!   that rotates at a size threshold; sealed segments are deleted
 //!   wholesale once a checkpoint covers them (compaction at checkpoint
-//!   boundaries). Durability is governed by a configurable
-//!   [`FsyncPolicy`]: per-commit, group commit with a batching window,
-//!   or periodic.
+//!   boundaries). Writing a record and syncing are separate calls;
+//!   [`Wal::sync`] makes everything written so far durable.
 //! * [`save_checkpoint`] / [`load_checkpoint`] — **atomic checkpoint
 //!   files**: write-temp, fsync, rename, fsync-dir. A crash at any
 //!   point leaves either the old checkpoint or the new one, never a
@@ -42,7 +41,7 @@ mod checkpoint;
 pub mod fault;
 mod wal;
 
-pub use checkpoint::{load_checkpoint, save_checkpoint, CHECKPOINT_FILE};
+pub use checkpoint::{load_checkpoint, save_checkpoint, sync_dir, CHECKPOINT_FILE};
 pub use wal::{
     FsyncPolicy, OsFs, RecoveredRecord, SegmentFile, SegmentFs, SharedFs, Wal, WalOptions,
     SEGMENT_SUFFIX,
@@ -59,8 +58,8 @@ pub struct StorageCounters {
     pub records_appended: u64,
     /// Bytes appended (frame headers included).
     pub bytes_appended: u64,
-    /// `fsync` calls actually issued (group/periodic policies issue
-    /// fewer than one per record — that is their point).
+    /// `fsync` calls actually issued (a sync with nothing pending issues
+    /// none).
     pub fsyncs: u64,
     /// Wall-clock microseconds spent inside those fsyncs, summed —
     /// `fsync_total_us / fsyncs` is the mean latency the admin plane's

@@ -26,98 +26,26 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Segment file suffix (`wal-<id>.seg`).
 pub const SEGMENT_SUFFIX: &str = ".seg";
 const SEGMENT_PREFIX: &str = "wal-";
 
-/// What a [`Wal::commit`] does about the records written since the
-/// last sync.
-///
-/// Writing and committing are separate calls: [`Wal::append_with`] only
-/// writes, and the caller commits where durability starts to matter —
-/// once per record ([`Wal::append`], what `fig_durability` measures), or
-/// once per consensus step that makes a promise (the replica's
-/// persist-then-send barrier, `icc-core::storage`). The policy decides
-/// what that commit costs and what a power cut can take back:
-/// `PerCommit` syncs at every commit, so nothing committed is ever
-/// lost; group commit amortises the flush over a batch, bounding how
-/// long a committed record waits by `window`; periodic fsync decouples
-/// flushing from commits entirely and can lose up to `interval` of
-/// committed-but-unsynced tail. Under the two lazy policies a replica's
-/// message can therefore leave before the record it depends on is
-/// durable (DESIGN.md §5f says which property each one weakens).
+/// Inert: every sync makes every record written so far durable, so
+/// a replica's promise is on disk before it is sent (DESIGN.md §5f).
+/// The one variant stays only because the benchmark's `wal_options()`
+/// names it; `WalOptions::fsync` is read by nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fsync` at every commit: per record under [`Wal::append`], per
-    /// step that makes a promise in a replica.
+    /// `fsync` at every [`Wal::sync`] that finds records pending.
     PerCommit,
-    /// `fsync` at a commit that finds `max_pending` records queued or
-    /// the oldest queued record waiting `window` or longer.
-    Group {
-        /// Flush as soon as this many records are pending.
-        max_pending: usize,
-        /// Flush when the oldest pending record has waited this long.
-        window: Duration,
-    },
-    /// `fsync` at most once per `interval`, checked at each commit.
-    Periodic {
-        /// Minimum spacing between flushes.
-        interval: Duration,
-    },
-}
-
-impl FsyncPolicy {
-    /// Parses the `replica --fsync` flag syntax: `per-commit`,
-    /// `group:<max_pending>:<window_ms>`, `periodic:<interval_ms>`.
-    pub fn parse(s: &str) -> Result<FsyncPolicy, String> {
-        let mut parts = s.split(':');
-        let head = parts.next().unwrap_or_default();
-        let mut num = |name: &str| -> Result<u64, String> {
-            parts
-                .next()
-                .ok_or_else(|| format!("fsync policy `{head}` needs {name}"))?
-                .parse::<u64>()
-                .map_err(|_| format!("bad {name} in fsync policy `{s}`"))
-        };
-        let policy = match head {
-            "per-commit" => FsyncPolicy::PerCommit,
-            "group" => FsyncPolicy::Group {
-                max_pending: num("max_pending")? as usize,
-                window: Duration::from_millis(num("window_ms")?),
-            },
-            "periodic" => FsyncPolicy::Periodic {
-                interval: Duration::from_millis(num("interval_ms")?),
-            },
-            other => return Err(format!("unknown fsync policy `{other}`")),
-        };
-        if parts.next().is_some() {
-            return Err(format!("trailing fields in fsync policy `{s}`"));
-        }
-        Ok(policy)
-    }
-}
-
-impl std::fmt::Display for FsyncPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FsyncPolicy::PerCommit => write!(f, "per-commit"),
-            FsyncPolicy::Group {
-                max_pending,
-                window,
-            } => write!(f, "group:{max_pending}:{}", window.as_millis()),
-            FsyncPolicy::Periodic { interval } => {
-                write!(f, "periodic:{}", interval.as_millis())
-            }
-        }
-    }
 }
 
 /// Tuning for a [`Wal`].
 #[derive(Debug, Clone, Copy)]
 pub struct WalOptions {
-    /// Durability policy for appended records.
+    /// Inert (see [`FsyncPolicy`]).
     pub fsync: FsyncPolicy,
     /// Rotate the active segment once it reaches this many bytes.
     pub segment_max_bytes: u64,
@@ -228,8 +156,6 @@ pub struct Wal {
     next_id: u64,
     sealed: Vec<Sealed>,
     pending_records: usize,
-    pending_oldest: Option<Instant>,
-    last_sync: Instant,
     scratch: Vec<u8>,
     counters: StorageCounters,
 }
@@ -320,7 +246,6 @@ impl Wal {
             .map(|r| (HEADER_LEN + 8 + r.payload.len()) as u64)
             .sum();
 
-        let now = Instant::now();
         let wal = Wal {
             dir: dir.to_path_buf(),
             opts,
@@ -332,26 +257,23 @@ impl Wal {
             next_id: ids.last().map_or(0, |id| id + 1),
             sealed,
             pending_records: 0,
-            pending_oldest: None,
-            last_sync: now,
             scratch: Vec::new(),
             counters,
         };
         Ok((wal, records))
     }
 
-    /// Appends one record of already-encoded bytes and commits it: the
-    /// one-record-per-commit use of the log. Returns whether the record
-    /// is durable when the call returns.
-    pub fn append(&mut self, round: u64, payload: &[u8]) -> io::Result<bool> {
+    /// Appends one record of already-encoded bytes and syncs it: durable
+    /// when the call returns.
+    pub fn append(&mut self, round: u64, payload: &[u8]) -> io::Result<()> {
         self.append_with(round, |buf| buf.extend_from_slice(payload))?;
-        self.commit()
+        self.sync()
     }
 
-    /// Writes one record; [`commit`](Wal::commit) decides when it is
-    /// synced. `fill` appends the payload straight into the record's
-    /// frame (after the round prefix), so an entry is encoded,
-    /// checksummed and written without an intermediate copy.
+    /// Writes one record; it is durable at the next [`sync`](Wal::sync).
+    /// `fill` appends the payload straight into the record's frame
+    /// (after the round prefix), so an entry is encoded, checksummed and
+    /// written without an intermediate copy.
     pub fn append_with(&mut self, round: u64, fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
         self.scratch.clear();
         let len = frame::frame(&mut self.scratch, |buf| {
@@ -373,39 +295,13 @@ impl Wal {
         self.counters.records_appended += 1;
         self.counters.bytes_appended += self.scratch.len() as u64;
         self.pending_records += 1;
-        if self.pending_oldest.is_none() {
-            self.pending_oldest = Some(Instant::now());
-        }
 
         if self.active_len >= self.opts.segment_max_bytes {
             // Rotation seals the segment through sync(), so every
-            // pending record is durable at return whatever the policy.
+            // pending record is durable at return.
             self.rotate()?;
         }
         Ok(())
-    }
-
-    /// Applies the fsync policy to the records written since the last
-    /// sync: `PerCommit` syncs now, the lazy policies sync if they are
-    /// due. Returns whether everything written so far is durable.
-    pub fn commit(&mut self) -> io::Result<bool> {
-        let due = match self.opts.fsync {
-            FsyncPolicy::PerCommit => true,
-            FsyncPolicy::Group {
-                max_pending,
-                window,
-            } => {
-                self.pending_records >= max_pending
-                    || self
-                        .pending_oldest
-                        .is_some_and(|oldest| oldest.elapsed() >= window)
-            }
-            FsyncPolicy::Periodic { interval } => self.last_sync.elapsed() >= interval,
-        };
-        if due {
-            self.sync()?;
-        }
-        Ok(self.pending_records == 0)
     }
 
     /// Deletes every sealed segment whose records are all at or below
@@ -478,7 +374,8 @@ impl Wal {
         Ok(())
     }
 
-    /// Forces pending records durable regardless of policy.
+    /// Makes every record written so far durable: one `fsync` if any
+    /// is pending, none otherwise.
     pub fn sync(&mut self) -> io::Result<()> {
         if let Some(file) = self.active.as_mut() {
             if self.pending_records > 0 {
@@ -492,8 +389,6 @@ impl Wal {
             }
         }
         self.pending_records = 0;
-        self.pending_oldest = None;
-        self.last_sync = Instant::now();
         Ok(())
     }
 }
@@ -630,25 +525,14 @@ mod tests {
     }
 
     #[test]
-    fn fsync_policy_parse_roundtrip() {
-        for s in ["per-commit", "group:32:5", "periodic:10"] {
-            let p = FsyncPolicy::parse(s).unwrap();
-            assert_eq!(p.to_string(), s);
-        }
-        assert!(FsyncPolicy::parse("group:32").is_err());
-        assert!(FsyncPolicy::parse("periodic:abc").is_err());
-        assert!(FsyncPolicy::parse("eventually").is_err());
-        assert!(FsyncPolicy::parse("per-commit:1").is_err());
-    }
-
-    #[test]
     fn append_recover_roundtrip() {
         let dir = tmp_dir("roundtrip");
         {
             let (mut wal, recovered) = Wal::open(&dir, WalOptions::default()).unwrap();
             assert!(recovered.is_empty());
             for i in 0..20 {
-                assert!(wal.append(i, &payload(i)).unwrap(), "per-commit is synced");
+                wal.append(i, &payload(i)).unwrap();
+                assert_eq!(wal.pending_records(), 0, "an append is synced");
             }
             assert_eq!(wal.counters().records_appended, 20);
             assert_eq!(wal.counters().fsyncs, 20);
@@ -698,78 +582,36 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Writing and syncing are separate: writing never syncs, and a
+    /// step's worth of records costs one sync — none if nothing is
+    /// pending.
     #[test]
-    fn group_policy_batches_fsyncs() {
-        let dir = tmp_dir("group");
-        let opts = WalOptions {
-            fsync: FsyncPolicy::Group {
-                max_pending: 8,
-                window: Duration::from_secs(60),
-            },
-            ..WalOptions::default()
-        };
-        let (mut wal, _) = Wal::open(&dir, opts).unwrap();
-        for i in 0..64 {
-            wal.append(i, &payload(i)).unwrap();
-        }
-        let c = wal.counters();
-        assert_eq!(c.records_appended, 64);
-        assert_eq!(c.fsyncs, 64 / 8, "one flush per full batch");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// Writing and committing are separate: a step's worth of records
-    /// costs one sync under `PerCommit`, and a lazy policy syncs only at
-    /// a commit that finds it due.
-    #[test]
-    fn append_with_then_commit_under_each_policy() {
+    fn append_with_then_sync_costs_one_fsync_per_step() {
         let fill = |i: u64| move |buf: &mut Vec<u8>| buf.extend_from_slice(&payload(i));
-        let lazy = Duration::from_secs(3600);
-        let policies = [
-            (FsyncPolicy::PerCommit, [1, 2]),
-            (
-                FsyncPolicy::Group {
-                    max_pending: 4,
-                    window: lazy,
-                },
-                [0, 1],
-            ),
-            (FsyncPolicy::Periodic { interval: lazy }, [0, 0]),
-        ];
-        for (fsync, fsyncs_after) in policies {
-            let dir = tmp_dir("commit");
-            let opts = WalOptions {
-                fsync,
-                ..WalOptions::default()
-            };
-            let (mut wal, _) = Wal::open(&dir, opts).unwrap();
-            // Step one: three records, one commit.
-            for i in 0..3 {
-                wal.append_with(i, fill(i)).unwrap();
-            }
-            assert_eq!(wal.counters().fsyncs, 0, "{fsync}: writing never syncs");
-            assert_eq!(wal.pending_records(), 3, "{fsync}");
-            let durable = wal.commit().unwrap();
-            assert_eq!(wal.counters().fsyncs, fsyncs_after[0], "{fsync}");
-            assert_eq!(durable, fsyncs_after[0] == 1, "{fsync}");
-            // Step two: one more record (the fourth pending under group).
-            wal.append_with(3, fill(3)).unwrap();
-            let durable = wal.commit().unwrap();
-            assert_eq!(wal.counters().fsyncs, fsyncs_after[1], "{fsync}");
-            assert_eq!(durable, fsyncs_after[1] > 0, "{fsync}");
-            // A commit with nothing pending is free.
-            if durable {
-                wal.commit().unwrap();
-                assert_eq!(wal.counters().fsyncs, fsyncs_after[1], "{fsync}");
-            }
-            // A forced sync drains whatever the policy left pending.
-            wal.sync().unwrap();
-            assert_eq!(wal.pending_records(), 0, "{fsync}");
-            drop(wal);
-            let (_, recovered) = Wal::open(&dir, opts).unwrap();
-            assert_eq!(recovered.len(), 4, "{fsync}");
-            let _ = fs::remove_dir_all(&dir);
+        let dir = tmp_dir("sync");
+        let (mut wal, _) = Wal::open(&dir, WalOptions::default()).unwrap();
+        // Step one: three records, one sync.
+        for i in 0..3 {
+            wal.append_with(i, fill(i)).unwrap();
         }
+        assert_eq!(wal.counters().fsyncs, 0, "writing never syncs");
+        assert_eq!(wal.pending_records(), 3);
+        wal.sync().unwrap();
+        assert_eq!(wal.counters().fsyncs, 1);
+        assert_eq!(wal.pending_records(), 0);
+        // Step two: one more record, one more sync.
+        wal.append_with(3, fill(3)).unwrap();
+        assert_eq!(wal.counters().fsyncs, 1, "writing never syncs");
+        wal.sync().unwrap();
+        assert_eq!(wal.counters().fsyncs, 2);
+        // A sync with nothing pending is free.
+        wal.sync().unwrap();
+        assert_eq!(wal.counters().fsyncs, 2);
+        assert_eq!(wal.pending_records(), 0);
+        drop(wal);
+        let (_, recovered) = Wal::open(&dir, WalOptions::default()).unwrap();
+        assert_eq!(recovered.len(), 4);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -52,8 +52,8 @@
 //!
 //! `--data-dir` makes the replica durable: everything it certifies is
 //! persisted to a segmented write-ahead log + checkpoint file in that
-//! directory (fsync policy per `--fsync`), and a restarted process
-//! pointed at the same directory recovers its own state from disk —
+//! directory, every vote on disk before it is sent, and a restarted
+//! process pointed at the same directory recovers its own state from disk —
 //! with zero signature re-verifications — before catching up over the
 //! network on whatever it missed while down.
 
@@ -76,7 +76,7 @@ use icc_telemetry::{
     PeerLinkStatus, PromSnapshot, StatusReport,
 };
 use icc_types::{Command, NodeIndex, SimDuration, SubnetConfig};
-use icc_wal::{FsyncPolicy, WalOptions};
+use icc_wal::WalOptions;
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -93,7 +93,6 @@ struct Opts {
     cmd_rate: u64,
     cmd_size: usize,
     data_dir: Option<String>,
-    fsync: FsyncPolicy,
     trace_out: Option<String>,
     metrics_out: Option<String>,
     epochs: Option<String>,
@@ -105,8 +104,8 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: replica --config PATH --me N [--secs S] [--seed U64]\n\
          \t[--delta-bnd-ms MS] [--epsilon-ms MS] [--cmd-rate PER_S] [--cmd-size BYTES]\n\
-         \t[--data-dir PATH] [--fsync per-commit|group:MAX:WINDOW_MS|periodic:MS]\n\
-         \t[--trace-out PATH] [--metrics-out PATH] [--epochs SPEC] [--admin-port PORT]\n\
+         \t[--data-dir PATH] [--trace-out PATH] [--metrics-out PATH]\n\
+         \t[--epochs SPEC] [--admin-port PORT]\n\
          \twhere SPEC is 'round:members;round:members', e.g. '0:0,1,2,3;30:0,1,2,4'"
     );
     std::process::exit(2);
@@ -139,12 +138,16 @@ fn install_sigterm_handler() {
 #[cfg(not(unix))]
 fn install_sigterm_handler() {}
 
-/// Writes `bytes` to `path` with an explicit fsync — telemetry exports
-/// survive even if the host loses power right after shutdown.
+/// Writes `bytes` to `path` and fsyncs the file and its directory —
+/// telemetry exports, a newly created file's name included, survive
+/// even if the host loses power right after shutdown.
 fn write_durable(path: &str, bytes: &[u8]) -> std::io::Result<()> {
+    let path = Path::new(path);
     let mut f = std::fs::File::create(path)?;
     f.write_all(bytes)?;
-    f.sync_all()
+    f.sync_all()?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    icc_wal::sync_dir(dir.unwrap_or(Path::new(".")))
 }
 
 fn parse() -> Opts {
@@ -162,7 +165,6 @@ fn parse() -> Opts {
         cmd_rate: 50,
         cmd_size: 64,
         data_dir: None,
-        fsync: FsyncPolicy::PerCommit,
         trace_out: None,
         metrics_out: None,
         epochs: None,
@@ -210,10 +212,6 @@ fn parse() -> Opts {
                     .unwrap_or_else(|_| usage("bad --cmd-size"))
             }
             "--data-dir" => opts.data_dir = Some(val("--data-dir")),
-            "--fsync" => {
-                opts.fsync = FsyncPolicy::parse(&val("--fsync"))
-                    .unwrap_or_else(|e| usage(&format!("--fsync: {e}")))
-            }
             "--trace-out" => opts.trace_out = Some(val("--trace-out")),
             "--metrics-out" => opts.metrics_out = Some(val("--metrics-out")),
             "--epochs" => opts.epochs = Some(val("--epochs")),
@@ -708,11 +706,7 @@ fn main() {
     // signature re-verifications — before the network catch-up covers
     // the outage gap.
     if let Some(dir) = &opts.data_dir {
-        let wal_opts = WalOptions {
-            fsync: opts.fsync,
-            ..WalOptions::default()
-        };
-        let store = DurableStore::file(Path::new(dir), wal_opts)
+        let store = DurableStore::file(Path::new(dir), WalOptions::default())
             .unwrap_or_else(|e| usage(&format!("--data-dir {dir}: {e}")));
         if !store.is_empty() {
             eprintln!(
@@ -858,8 +852,9 @@ fn main() {
     injector.join().expect("injector thread");
     stopper.join().expect("stopper thread");
 
-    // Drain any buffered WAL tail (group/periodic fsync policies) so a
-    // clean shutdown leaves the data dir byte-complete on disk.
+    // Sync what steps that made no promise wrote since the last barrier
+    // (certified artifacts), so a clean shutdown leaves the data dir
+    // byte-complete on disk.
     if let Err(e) = node.core_mut().flush_store() {
         eprintln!("replica {}: store flush failed: {e}", opts.me);
     }

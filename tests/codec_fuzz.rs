@@ -246,13 +246,6 @@ mod wal_cases {
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
-
-    pub fn opts() -> icc_wal::WalOptions {
-        icc_wal::WalOptions {
-            fsync: icc_wal::FsyncPolicy::PerCommit,
-            ..icc_wal::WalOptions::default()
-        }
-    }
 }
 
 proptest! {
@@ -271,7 +264,7 @@ proptest! {
         let dir = wal_cases::scratch();
         let record_wire = HEADER_LEN + 8 + payload_len;
         {
-            let (mut wal, _) = icc_wal::Wal::open(&dir, wal_cases::opts()).unwrap();
+            let (mut wal, _) = icc_wal::Wal::open(&dir, icc_wal::WalOptions::default()).unwrap();
             for i in 0..n_records {
                 wal.append(i as u64 + 1, &vec![i as u8; payload_len]).unwrap();
             }
@@ -280,7 +273,7 @@ proptest! {
         let cut = (((total as f64) * cut_frac) as u64).clamp(1, total);
         icc_wal::fault::truncate_tail(&dir, cut).unwrap();
 
-        let (wal, recovered) = icc_wal::Wal::open(&dir, wal_cases::opts()).unwrap();
+        let (wal, recovered) = icc_wal::Wal::open(&dir, icc_wal::WalOptions::default()).unwrap();
         let expect = (total - cut) as usize / record_wire;
         prop_assert_eq!(recovered.len(), expect);
         for (i, rec) in recovered.iter().enumerate() {
@@ -302,14 +295,14 @@ proptest! {
     fn prop_wal_oversized_header_keeps_prefix(n_records in 1usize..12) {
         let dir = wal_cases::scratch();
         {
-            let (mut wal, _) = icc_wal::Wal::open(&dir, wal_cases::opts()).unwrap();
+            let (mut wal, _) = icc_wal::Wal::open(&dir, icc_wal::WalOptions::default()).unwrap();
             for i in 0..n_records {
                 wal.append(i as u64 + 1, &[0x5a; 24]).unwrap();
             }
         }
         icc_wal::fault::append_oversized_header(&dir).unwrap();
 
-        let (wal, recovered) = icc_wal::Wal::open(&dir, wal_cases::opts()).unwrap();
+        let (wal, recovered) = icc_wal::Wal::open(&dir, icc_wal::WalOptions::default()).unwrap();
         prop_assert_eq!(recovered.len(), n_records);
         prop_assert_eq!(wal.counters().oversized_records, 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -328,7 +321,7 @@ proptest! {
         let dir = wal_cases::scratch();
         let record_wire = HEADER_LEN + 8 + payload_len;
         {
-            let (mut wal, _) = icc_wal::Wal::open(&dir, wal_cases::opts()).unwrap();
+            let (mut wal, _) = icc_wal::Wal::open(&dir, icc_wal::WalOptions::default()).unwrap();
             for i in 0..n_records {
                 wal.append(i as u64 + 1, &vec![i as u8; payload_len]).unwrap();
             }
@@ -340,7 +333,7 @@ proptest! {
         bytes[pos] ^= 1 << bit;
         std::fs::write(&seg, &bytes).unwrap();
 
-        let (_, recovered) = icc_wal::Wal::open(&dir, wal_cases::opts()).unwrap();
+        let (_, recovered) = icc_wal::Wal::open(&dir, icc_wal::WalOptions::default()).unwrap();
         // Whatever survives is a correct prefix: record i's payload is
         // byte-identical, so a flip can only shorten, never falsify.
         prop_assert!(recovered.len() <= n_records);

@@ -18,7 +18,7 @@ use icc_types::frame::{encode_frame, frame, FrameBuffer, HEADER_LEN};
 use icc_types::messages::{BlockProposal, BlockRef, Finalization, Notarization};
 use icc_types::{NodeIndex, Round, SimDuration};
 use icc_wal::fault::{self, DiskFault, FaultFs};
-use icc_wal::{FsyncPolicy, Wal, WalOptions};
+use icc_wal::{Wal, WalOptions};
 use proptest::prelude::*;
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -37,13 +37,6 @@ fn scratch(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-fn per_commit() -> WalOptions {
-    WalOptions {
-        fsync: FsyncPolicy::PerCommit,
-        ..WalOptions::default()
-    }
 }
 
 // ---- synthetic artifact fixtures (structural, not verified: the codec
@@ -185,11 +178,11 @@ proptest! {
         let dir = scratch("disk_roundtrip");
         let e = entry(round, variant, cmds, size);
         {
-            let (mut wal, recovered) = Wal::open(&dir, per_commit()).unwrap();
+            let (mut wal, recovered) = Wal::open(&dir, WalOptions::default()).unwrap();
             prop_assert!(recovered.is_empty());
             wal.append_with(e.round().get(), |buf| e.encode(buf)).unwrap();
         }
-        let (_, recovered) = Wal::open(&dir, per_commit()).unwrap();
+        let (_, recovered) = Wal::open(&dir, WalOptions::default()).unwrap();
         prop_assert_eq!(recovered.len(), 1);
         prop_assert_eq!(recovered[0].round, e.round().get());
         let back: WalEntry = decode_from_slice(&recovered[0].payload).unwrap();
@@ -272,7 +265,7 @@ fn fault_matrix_recovers_to_valid_prefix() {
         let dir = scratch(name);
         {
             // Two checkpoints: two dedup records, of rounds 1–2 and 3–4.
-            let mut store = DurableStore::file(&dir, per_commit()).unwrap();
+            let mut store = DurableStore::file(&dir, WalOptions::default()).unwrap();
             populate(&mut store, 1..=4);
             store.install_checkpoint(checkpoint(2));
             store.install_checkpoint(checkpoint(4));
@@ -283,7 +276,7 @@ fn fault_matrix_recovers_to_valid_prefix() {
 
         // Recovery: no panic, a valid prefix, the fault visible in
         // telemetry.
-        let mut store = DurableStore::file(&dir, per_commit()).unwrap();
+        let mut store = DurableStore::file(&dir, WalOptions::default()).unwrap();
         let counters = store.storage_counters();
         assert!(
             counted(&counters) >= 1,
@@ -316,7 +309,7 @@ fn fault_matrix_recovers_to_valid_prefix() {
             BeaconValue::Signature(Signature::from_value(100)),
         );
         drop(store);
-        let store = DurableStore::file(&dir, per_commit()).unwrap();
+        let store = DurableStore::file(&dir, WalOptions::default()).unwrap();
         assert_eq!(store.frontier().get(), 100, "{name}");
         assert_eq!(store.recovered_entries(), recovered + 1, "{name}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -339,7 +332,7 @@ fn a_bit_flip_in_the_first_dedup_record_loses_the_history_after_it() {
     // segment of its own.
     let opts = WalOptions {
         segment_max_bytes: 64,
-        ..per_commit()
+        ..WalOptions::default()
     };
     {
         let mut store = DurableStore::file(&dir, opts).unwrap();
@@ -385,14 +378,14 @@ fn a_bit_flip_in_the_first_dedup_record_loses_the_history_after_it() {
 fn corrupt_checkpoint_falls_back_to_wal() {
     let dir = scratch("corrupt_checkpoint");
     {
-        let mut store = DurableStore::file(&dir, per_commit()).unwrap();
+        let mut store = DurableStore::file(&dir, WalOptions::default()).unwrap();
         populate(&mut store, 1..=10);
         store.install_checkpoint(checkpoint(6));
         assert_eq!(store.checkpoint().unwrap().round().get(), 6);
     }
     assert!(fault::corrupt_checkpoint(&dir).unwrap());
 
-    let store = DurableStore::file(&dir, per_commit()).unwrap();
+    let store = DurableStore::file(&dir, WalOptions::default()).unwrap();
     let counters = store.storage_counters();
     assert_eq!(counters.checkpoint_corruptions, 1, "{counters:?}");
     assert!(store.checkpoint().is_none());
@@ -416,16 +409,9 @@ fn unsynced_tail_faults_keep_synced_prefix() {
     ] {
         let dir = scratch("page_cache");
         let (fs, handle) = FaultFs::new();
-        // A window/batch large enough that nothing syncs on its own:
-        // only the explicit `flush` below makes bytes durable.
-        let lazy = WalOptions {
-            fsync: FsyncPolicy::Group {
-                max_pending: usize::MAX,
-                window: std::time::Duration::from_secs(3600),
-            },
-            ..WalOptions::default()
-        };
-        let backend = FileBackend::open_with_fs(&dir, lazy, Box::new(fs)).unwrap();
+        // Appends only write: nothing reaches the disk until the
+        // explicit `flush` below.
+        let backend = FileBackend::open_with_fs(&dir, WalOptions::default(), Box::new(fs)).unwrap();
         let mut store = DurableStore::with_backend(Box::new(backend));
         populate(&mut store, 1..=8);
         store.flush().unwrap(); // rounds 1..=8 now durable
@@ -434,7 +420,7 @@ fn unsynced_tail_faults_keep_synced_prefix() {
         handle.crash(fault).unwrap();
         drop(store); // poisoned file: further writes are moot
 
-        let store = DurableStore::file(&dir, per_commit()).unwrap();
+        let store = DurableStore::file(&dir, WalOptions::default()).unwrap();
         let frontier = store.frontier().get();
         assert!(
             (8..=16).contains(&frontier),
@@ -485,7 +471,8 @@ fn restart_loop_recovers_monotone_frontier_with_zero_reverification() {
             .build_with(move |core| {
                 let i = idx.get();
                 idx.set(i + 1);
-                let store = DurableStore::file(&dirs_ref[i], per_commit()).expect("open data dir");
+                let store =
+                    DurableStore::file(&dirs_ref[i], WalOptions::default()).expect("open data dir");
                 GossipNode::new(core.with_store(store), Arc::clone(&overlay), cfg)
             });
         cluster.run_for(SimDuration::from_secs(3));
@@ -573,7 +560,8 @@ fn crash_during_reshare_recovers_into_correct_epoch() {
             .build_with(move |core| {
                 let i = idx.get();
                 idx.set(i + 1);
-                let store = DurableStore::file(&dirs_ref[i], per_commit()).expect("open data dir");
+                let store =
+                    DurableStore::file(&dirs_ref[i], WalOptions::default()).expect("open data dir");
                 GossipNode::new(core.with_store(store), Arc::clone(&overlay), cfg)
             })
     };
@@ -645,47 +633,13 @@ fn crash_during_reshare_recovers_into_correct_epoch() {
     }
 }
 
-/// Group and periodic fsync policies batch their syncs but still
-/// recover everything after a clean flush (the clean-shutdown contract
-/// `replica` relies on for SIGTERM).
-#[test]
-fn lazy_fsync_policies_recover_after_flush() {
-    for policy in [
-        FsyncPolicy::Group {
-            max_pending: 16,
-            window: std::time::Duration::from_millis(50),
-        },
-        FsyncPolicy::Periodic {
-            interval: std::time::Duration::from_millis(50),
-        },
-    ] {
-        let dir = scratch("lazy_fsync");
-        let opts = WalOptions {
-            fsync: policy,
-            ..WalOptions::default()
-        };
-        {
-            let mut store = DurableStore::file(&dir, opts).unwrap();
-            populate(&mut store, 1..=20);
-            store.flush().unwrap();
-        }
-        let store = DurableStore::file(&dir, per_commit()).unwrap();
-        assert_eq!(store.frontier().get(), 20, "{policy:?}");
-        assert_eq!(store.recovered_entries(), 20 * 4, "{policy:?}");
-        let counters = store.storage_counters();
-        assert_eq!(counters.corrupt_records(), 0, "{policy:?}: {counters:?}");
-        assert_eq!(counters.torn_tail_truncations, 0, "{policy:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
 /// A record too small to even hold its round prefix is malformed, ends
 /// the trusted prefix, and is counted — never panics.
 #[test]
 fn short_record_ends_prefix() {
     let dir = scratch("short_record");
     {
-        let (mut wal, _) = Wal::open(&dir, per_commit()).unwrap();
+        let (mut wal, _) = Wal::open(&dir, WalOptions::default()).unwrap();
         wal.append(1, b"fine").unwrap();
     }
     // A validly framed record whose payload is shorter than the 8-byte
@@ -695,7 +649,7 @@ fn short_record_ends_prefix() {
     bytes.extend_from_slice(&encode_frame(b"abc"));
     std::fs::write(&seg, &bytes).unwrap();
 
-    let (wal, recovered) = Wal::open(&dir, per_commit()).unwrap();
+    let (wal, recovered) = Wal::open(&dir, WalOptions::default()).unwrap();
     assert_eq!(recovered.len(), 1);
     assert_eq!(wal.counters().malformed_records, 1);
     let _ = std::fs::remove_dir_all(&dir);
@@ -708,7 +662,7 @@ fn record_overhead_is_header_plus_round() {
     let dir = scratch("overhead");
     let payload = vec![0xabu8; 100];
     {
-        let (mut wal, _) = Wal::open(&dir, per_commit()).unwrap();
+        let (mut wal, _) = Wal::open(&dir, WalOptions::default()).unwrap();
         wal.append(5, &payload).unwrap();
         assert_eq!(
             wal.counters().bytes_appended,
@@ -774,21 +728,10 @@ mod rig {
 
     /// Replica `index` on the data directory `dir` through the
     /// page-cache model, plus the handle that pulls the power on it.
-    pub fn core_on(index: usize, dir: &Path, opts: WalOptions) -> (ConsensusCore, FaultHandle) {
+    pub fn core_on(index: usize, dir: &Path) -> (ConsensusCore, FaultHandle) {
         let (fs, disk) = FaultFs::new();
-        (core_over(index, store_on(dir, opts, Box::new(fs))), disk)
-    }
-
-    /// Nothing syncs by itself: only a forced flush (or a rotation)
-    /// makes bytes durable, so the unsynced tail holds whole rounds.
-    pub fn never_due() -> WalOptions {
-        WalOptions {
-            fsync: FsyncPolicy::Group {
-                max_pending: usize::MAX,
-                window: std::time::Duration::from_secs(3600),
-            },
-            ..WalOptions::default()
-        }
+        let store = store_on(dir, WalOptions::default(), Box::new(fs));
+        (core_over(index, store), disk)
     }
 
     /// The commands each committed round carried, collected from every
@@ -931,7 +874,7 @@ fn restarted_replica_withholds_its_finalization_share_in_the_resumed_round() {
     // First incarnation: enter round 1, support the rank-1 block B once
     // Δntry(1) has passed with no leader block in sight.
     let b = block_of(second, "B");
-    let (mut core, disk) = core_on(a, &dir, per_commit());
+    let (mut core, disk) = core_on(a, &dir);
     enter_round_one(&mut core, &keys);
     let voted = core.on_message(at(2 * DELTA_BND_MS + 1), &proposal_of(second, &b));
     assert_eq!(
@@ -947,7 +890,7 @@ fn restarted_replica_withholds_its_finalization_share_in_the_resumed_round() {
     // journalled (and synced: a restart inside round 1 must not look
     // like a first boot), no round-1 notarization was, so A resumes in
     // round 1.
-    let (mut core, _disk) = core_on(a, &dir, per_commit());
+    let (mut core, _disk) = core_on(a, &dir);
     let mut steps = vec![core.start(at(300))];
     assert_eq!(core.recovery_stats().restarts, 1);
     assert_eq!(core.recovery_stats().restore_verifications, 0);
@@ -997,7 +940,7 @@ fn a_power_cut_after_the_finalization_share_restores_past_the_round() {
     let dir = scratch("after_share");
 
     let b = block_of(second, "B");
-    let (mut core, disk) = core_on(a, &dir, per_commit());
+    let (mut core, disk) = core_on(a, &dir);
     enter_round_one(&mut core, &keys);
     let voted = core.on_message(at(2 * DELTA_BND_MS + 1), &proposal_of(second, &b));
     let syncs_before = core.storage_counters().fsyncs;
@@ -1019,7 +962,7 @@ fn a_power_cut_after_the_finalization_share_restores_past_the_round() {
     disk.crash(DiskFault::LoseUnsynced).unwrap();
     drop(core);
 
-    let (mut core, _disk) = core_on(a, &dir, per_commit());
+    let (mut core, _disk) = core_on(a, &dir);
     let mut steps = vec![core.start(at(300))];
     assert_eq!(core.recovery_stats().restore_verifications, 0);
     assert!(
@@ -1117,7 +1060,7 @@ fn no_round_ends_before_the_sync_covering_it() {
                 me: i,
                 log: Arc::clone(&log),
             };
-            core_over(i, store_on(&dirs[i], per_commit(), Box::new(fs)))
+            core_over(i, store_on(&dirs[i], WalOptions::default(), Box::new(fs)))
         })
         .collect();
     let mut net = Net::new(cores, 1);
@@ -1193,7 +1136,7 @@ fn a_failing_disk_releases_nothing_and_halts_the_core() {
     ];
     for (name, inject) in faults {
         let dir = scratch(&format!("fail_stop_{name}"));
-        let (victim, disk) = core_on(0, &dir, per_commit());
+        let (victim, disk) = core_on(0, &dir);
         let mut cores = vec![victim];
         cores.extend((1..N).map(|i| core_over(i, DurableStore::new())));
         let mut net = Net::new(cores, 2);
@@ -1241,12 +1184,13 @@ fn a_failing_disk_releases_nothing_and_halts_the_core() {
 fn torn_tail_at_any_record_boundary_keeps_dedup_under_kmax() {
     use rig::*;
     // One run of the scenario: replica 0 journals rounds 1..=6 durably,
-    // then two more rounds into the page cache only; the power cut keeps
+    // then, its disk's write cache acknowledging syncs it does not do,
+    // two more rounds into the page cache only; the power cut keeps
     // `keep` bytes of that tail. Returns the tail's record boundaries
     // and the restored replica's `kmax`.
     let scenario = |keep: usize| -> (Vec<usize>, u64) {
         let dir = scratch("torn_boundary");
-        let (victim, disk) = core_on(0, &dir, never_due());
+        let (victim, disk) = core_on(0, &dir);
         let mut cores = vec![victim];
         cores.extend((1..N).map(|i| core_over(i, DurableStore::new())));
         let mut net = Net::new(cores, 3);
@@ -1256,6 +1200,7 @@ fn torn_tail_at_any_record_boundary_keeps_dedup_under_kmax() {
         net.cores[0].flush_store().unwrap();
         let segment = fault::last_segment(&dir).unwrap().expect("a segment");
         let synced = std::fs::metadata(&segment).unwrap().len() as usize;
+        disk.lie_about_syncs();
         run_with_load(&mut net, |net| net.cores[0].committed_round().get() >= 8);
         disk.crash(DiskFault::TornTail { keep }).unwrap();
 
@@ -1267,7 +1212,7 @@ fn torn_tail_at_any_record_boundary_keeps_dedup_under_kmax() {
             boundaries.push(boundaries.last().unwrap() + HEADER_LEN + record.len());
         }
 
-        let mut core = core_over(0, DurableStore::file(&dir, per_commit()).unwrap());
+        let mut core = core_over(0, DurableStore::file(&dir, WalOptions::default()).unwrap());
         core.start(SimTime::ZERO);
         assert_eq!(core.recovery_stats().restore_verifications, 0);
         let kmax = core.committed_round();
@@ -1346,7 +1291,7 @@ fn cut_a_checkpoint(cut: CheckpointCut) -> (u64, u64) {
     let dir = scratch("checkpoint_cut");
     let image = scratch("checkpoint_cut_image");
     let (fs, disk) = FaultFs::new();
-    let victim = core_over(0, store_on(&dir, per_commit(), Box::new(fs)));
+    let victim = core_over(0, store_on(&dir, WalOptions::default(), Box::new(fs)));
     let victim = victim.with_checkpoint_interval(2);
     let taken = Arc::new(AtomicBool::new(false));
     let cut_round = Arc::new(AtomicU64::new(0));
@@ -1395,14 +1340,17 @@ fn cut_a_checkpoint(cut: CheckpointCut) -> (u64, u64) {
     run_with_load(&mut net, |_| taken.load(Ordering::SeqCst));
     let cut_round = cut_round.load(Ordering::SeqCst);
 
-    let (_, journal) = Wal::open(&image, per_commit()).unwrap();
+    let (_, journal) = Wal::open(&image, WalOptions::default()).unwrap();
     if let CheckpointCut::BeforeCompaction = cut {
         assert!(
             journal.iter().any(|r| r.round <= cut_round),
             "the journal still holds what the checkpoint covers"
         );
     }
-    let mut core = core_over(0, DurableStore::file(&image, per_commit()).unwrap());
+    let mut core = core_over(
+        0,
+        DurableStore::file(&image, WalOptions::default()).unwrap(),
+    );
     core.start(SimTime::ZERO);
     assert_eq!(core.recovery_stats().restore_verifications, 0);
     let checkpoint = core
@@ -1478,7 +1426,7 @@ fn a_restart_after_three_checkpoints_refuses_what_the_first_covered() {
     let dir = scratch("three_checkpoints");
     let opts = WalOptions {
         segment_max_bytes: 2048,
-        ..per_commit()
+        ..WalOptions::default()
     };
     let (fs, disk) = FaultFs::new();
     let victim = core_over(0, store_on(&dir, opts, Box::new(fs))).with_checkpoint_interval(2);
@@ -1529,8 +1477,7 @@ fn whole_cluster_power_cut_inside_a_round_still_makes_progress() {
     use rig::*;
     for loaded in [false, true] {
         let dirs: Vec<PathBuf> = (0..N).map(|i| scratch(&format!("blackout_{i}"))).collect();
-        let (cores, disks): (Vec<_>, Vec<_>) =
-            (0..N).map(|i| core_on(i, &dirs[i], per_commit())).unzip();
+        let (cores, disks): (Vec<_>, Vec<_>) = (0..N).map(|i| core_on(i, &dirs[i])).unzip();
         let mut net = Net::new(cores, 4);
         net.start();
         let idle = |net: &mut Net, done: &mut dyn FnMut(&Net) -> bool| {
@@ -1574,7 +1521,7 @@ fn whole_cluster_power_cut_inside_a_round_still_makes_progress() {
         net.drop_in_flight();
         net.released.clear();
         for (i, dir) in dirs.iter().enumerate() {
-            let (core, _disk) = core_on(i, dir, per_commit());
+            let (core, _disk) = core_on(i, dir);
             net.restart(i, Some(core));
             let core = &net.cores[i];
             assert_eq!(
