@@ -58,11 +58,20 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
+/// How many rounds behind the highest round a peer advertises a replica
+/// must be before it asks for a certified catch-up package instead of
+/// fetching the missing rounds' bodies one by one.
+pub const CATCH_UP_THRESHOLD: u64 = 10;
+
 /// How many rounds below the committed tip a replica keeps blocks,
-/// certificates and shares by default. Greater than the gossip layer's
-/// `CATCH_UP_THRESHOLD` (10), so every peer not yet entitled to a
-/// catch-up package can still fetch the bodies it is missing.
-pub const PURGE_DEPTH: u64 = 64;
+/// certificates and shares by default. A body is requested only from a
+/// peer that advertised it, and a requester not yet entitled to a
+/// package heard that advert less than [`CATCH_UP_THRESHOLD`] rounds
+/// above its own tip; the second threshold is slack for the advertiser
+/// committing further before the request lands. Past that the requester
+/// is entitled to a package and asks for no body (DESIGN.md §5k).
+pub const PURGE_DEPTH: u64 = 2 * CATCH_UP_THRESHOLD;
+const _: () = assert!(PURGE_DEPTH > CATCH_UP_THRESHOLD);
 
 /// Limits on self-built block payloads, and how much history the
 /// replica keeps.

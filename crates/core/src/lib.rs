@@ -61,7 +61,7 @@ pub mod telemetry;
 
 pub use byzantine::Behavior;
 pub use cluster::{Cluster, ClusterBuilder};
-pub use consensus::{BlockPolicy, ConsensusCore, Step, PURGE_DEPTH};
+pub use consensus::{BlockPolicy, ConsensusCore, Step, CATCH_UP_THRESHOLD, PURGE_DEPTH};
 pub use epoch::{EpochInfo, EpochSchedule, EpochSpec};
 pub use events::NodeEvent;
 pub use ingress::IngressStats;

@@ -67,7 +67,7 @@
 
 use bytes::Bytes;
 use icc_core::cluster::CoreAccess;
-use icc_core::consensus::{ConsensusCore, Step};
+use icc_core::consensus::{ConsensusCore, Step, CATCH_UP_THRESHOLD};
 use icc_core::events::NodeEvent;
 use icc_core::recovery::{CatchUpError, CatchUpPackage};
 use icc_crypto::{hash_parts, Hash256};
@@ -121,13 +121,6 @@ const REQUEST_TIMEOUT: SimDuration = SimDuration::from_millis(300);
 /// catch-up requests alike double their timeout on every retry up to
 /// this cap).
 const RETRY_BACKOFF_CAP: SimDuration = SimDuration::from_millis(3_000);
-
-/// How many rounds behind the highest round advertised by a peer this
-/// node must be before it requests a certified catch-up package instead
-/// of waiting for per-round artifacts — below the core's purge depth,
-/// so a node not yet this far behind finds every body it asks for
-/// still held.
-const CATCH_UP_THRESHOLD: u64 = 10;
 
 /// Gossip sub-layer tuning.
 #[derive(Debug, Clone, Copy)]
@@ -319,10 +312,11 @@ impl Decode for PushedArtifact {
         // canonical bytes without re-encoding — and the flood-dedup id
         // is recomputed from them: a peer cannot ship a mismatched
         // (bytes, id) pair.
-        let mark = r.position();
-        let msg = ConsensusMessage::decode(r)?;
-        let bytes = Bytes::copy_from_slice(r.consumed_since(mark));
-        Ok(PushedArtifact::with_encoding(msg, bytes))
+        let (msg, bytes) = r.decode_spanned::<ConsensusMessage>()?;
+        Ok(PushedArtifact::with_encoding(
+            msg,
+            Bytes::copy_from_slice(bytes),
+        ))
     }
 }
 

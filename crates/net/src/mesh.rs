@@ -30,6 +30,12 @@
 //! attributes subsequent frames to a `NodeIndex` without trusting
 //! source addresses.
 
+// Nothing a peer sends may panic the node.
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::indexing_slicing)
+)]
+
 use crate::config::ClusterSpec;
 use crate::counters::{NetCounters, NetCountersSnapshot};
 use crate::links::{LinkGauges, PeerLinkSnapshot};
@@ -42,7 +48,7 @@ use icc_types::NodeIndex;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -111,6 +117,12 @@ struct Shared {
 impl Shared {
     fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::Relaxed)
+    }
+
+    fn set_alive(&self, peer: usize, up: bool) {
+        if let Some(a) = self.alive.get(peer) {
+            a.store(up, Ordering::Relaxed);
+        }
     }
 }
 
@@ -192,9 +204,8 @@ where
         opts: NetOptions,
     ) -> Self {
         let n = spec.n();
-        let local_addr = listener
-            .local_addr()
-            .expect("bound listener has an address");
+        // The listener was bound to the spec's address.
+        let local_addr = listener.local_addr().unwrap_or_else(|_| spec.addr(me));
         let shared = Arc::new(Shared {
             shutdown: AtomicBool::new(false),
             counters: Arc::new(NetCounters::default()),
@@ -206,7 +217,7 @@ where
             )),
             opts,
         });
-        shared.alive[me.as_usize()].store(true, Ordering::Relaxed);
+        shared.set_alive(me.as_usize(), true);
         let (inbox_tx, inbox) = unbounded();
         let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let mut threads = Vec::new();
@@ -289,13 +300,16 @@ where
 
     /// Whether the outbound connection to `peer` is currently up.
     pub fn peer_connected(&self, peer: NodeIndex) -> bool {
-        self.shared.alive[peer.as_usize()].load(Ordering::Relaxed)
+        let alive = self.shared.alive.get(peer.as_usize());
+        alive.is_some_and(|a| a.load(Ordering::Relaxed))
     }
 
     /// Enqueues an already-framed message for `peer`, applying the
     /// drop-newest backpressure policy.
     fn enqueue(&self, peer: usize, framed: Bytes, payload_len: usize) {
-        let Some(q) = &self.writers[peer] else { return };
+        let Some(q) = self.writers.get(peer).and_then(Option::as_ref) else {
+            return;
+        };
         match q.try_send((framed, payload_len)) {
             Ok(()) => {
                 // Vendored crossbeam channels expose no len(): the depth
@@ -372,8 +386,8 @@ where
     /// signal a TCP deployment gets for free (a dead peer's dial loop
     /// is in backoff, so `alive[p]` is false).
     fn snapshot_alive(&self, alive: &mut [bool]) -> bool {
-        for (i, a) in self.shared.alive.iter().enumerate() {
-            alive[i] = a.load(Ordering::Relaxed);
+        for (slot, a) in alive.iter_mut().zip(&self.shared.alive) {
+            *slot = a.load(Ordering::Relaxed);
         }
         true
     }
@@ -392,7 +406,9 @@ impl<M, X> Drop for TcpTransport<M, X> {
         for h in self.threads.drain(..) {
             let _ = h.join();
         }
-        let handles = std::mem::take(&mut *self.readers.lock().expect("reader registry"));
+        // A panicked reader leaves the registry a valid list of handles.
+        let readers = self.readers.lock();
+        let handles = std::mem::take(&mut *readers.unwrap_or_else(PoisonError::into_inner));
         for h in handles {
             let _ = h.join();
         }
@@ -402,6 +418,14 @@ impl<M, X> Drop for TcpTransport<M, X> {
 /// The hello frame a dialer sends first: protocol version + its index.
 fn hello_frame(me: NodeIndex) -> Vec<u8> {
     encode_frame(&[PROTO_VERSION.to_le_bytes(), me.get().to_le_bytes()].concat())
+}
+
+/// The protocol version and dialer's index of a hello frame's payload;
+/// `None` unless it is exactly those eight bytes.
+fn parse_hello(payload: &[u8]) -> Option<(u32, u32)> {
+    let (version, index) = payload.split_first_chunk::<4>()?;
+    let index: [u8; 4] = index.try_into().ok()?;
+    Some((u32::from_le_bytes(*version), u32::from_le_bytes(index)))
 }
 
 /// Dial-and-drain loop for one peer: connect (with capped exponential
@@ -451,7 +475,7 @@ fn writer_loop(
         was_connected = true;
         backoff = opts.reconnect_base;
         link.backoff_ms.store(0, Ordering::Relaxed);
-        shared.alive[peer].store(true, Ordering::Relaxed);
+        shared.set_alive(peer, true);
         link.connected.store(true, Ordering::Relaxed);
         // Connected: drain the queue into the socket.
         loop {
@@ -466,19 +490,19 @@ fn writer_loop(
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     if shared.shutting_down() {
-                        shared.alive[peer].store(false, Ordering::Relaxed);
+                        shared.set_alive(peer, false);
                         link.connected.store(false, Ordering::Relaxed);
                         break 'outer;
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => {
-                    shared.alive[peer].store(false, Ordering::Relaxed);
+                    shared.set_alive(peer, false);
                     link.connected.store(false, Ordering::Relaxed);
                     break 'outer; // transport dropped
                 }
             }
         }
-        shared.alive[peer].store(false, Ordering::Relaxed);
+        shared.set_alive(peer, false);
         link.connected.store(false, Ordering::Relaxed);
     }
 }
@@ -503,7 +527,10 @@ fn acceptor_loop<M, X>(
                 let inbox = inbox.clone();
                 let shared = Arc::clone(&shared);
                 let h = std::thread::spawn(move || reader_loop(stream, n, inbox, &shared));
-                readers.lock().expect("reader registry").push(h);
+                readers
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(h);
             }
             Err(_) => {
                 if shared.shutting_down() {
@@ -544,7 +571,8 @@ fn reader_loop<M, X>(
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return,
         };
-        fb.extend(&chunk[..got]);
+        let Some(got) = chunk.get(..got) else { return };
+        fb.extend(got);
         loop {
             let payload = match fb.next_frame() {
                 Ok(Some(p)) => p,
@@ -557,16 +585,13 @@ fn reader_loop<M, X>(
             match from {
                 None => {
                     // First frame must be the hello.
-                    if payload.len() != 8 {
+                    let hello = parse_hello(&payload).filter(|&(version, index)| {
+                        version == PROTO_VERSION && (index as usize) < n
+                    });
+                    let Some((_, index)) = hello else {
                         NetCounters::bump(&shared.counters.frame_errors, 1);
                         return;
-                    }
-                    let version = u32::from_le_bytes(payload[0..4].try_into().expect("4 bytes"));
-                    let index = u32::from_le_bytes(payload[4..8].try_into().expect("4 bytes"));
-                    if version != PROTO_VERSION || index as usize >= n {
-                        NetCounters::bump(&shared.counters.frame_errors, 1);
-                        return;
-                    }
+                    };
                     from = Some(NodeIndex::new(index));
                 }
                 Some(from) => match decode_from_slice::<M>(&payload) {

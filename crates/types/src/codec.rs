@@ -14,6 +14,12 @@
 //! The format is little-endian, length-prefixed, and self-delimiting per
 //! field; there is no schema evolution machinery (not needed here).
 
+// Decoding reads bytes from peers: no input may panic it.
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::indexing_slicing)
+)]
+
 use icc_crypto::multisig::{MultiSig, MultiSigShare};
 use icc_crypto::sig::Signature;
 use icc_crypto::threshold::ThresholdSigShare;
@@ -104,20 +110,27 @@ impl<'a> Reader<'a> {
         Reader { data, pos: 0 }
     }
 
+    /// The bytes not yet consumed.
+    fn rest(&self) -> &'a [u8] {
+        self.data.get(self.pos..).unwrap_or_default()
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.data.len() - self.pos
+        self.rest().len()
     }
 
-    /// Bytes consumed so far: a mark for [`consumed_since`](Self::consumed_since).
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// The input bytes consumed since an earlier [`position`](Self::position)
-    /// — the exact wire form of whatever was decoded in between.
-    pub fn consumed_since(&self, mark: usize) -> &'a [u8] {
-        &self.data[mark..self.pos]
+    /// Decodes a `T` and returns it with the input bytes it was decoded
+    /// from — its exact wire form.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `T::decode` returns.
+    pub fn decode_spanned<T: Decode>(&mut self) -> Result<(T, &'a [u8]), CodecError> {
+        let rest = self.rest();
+        let value = T::decode(self)?;
+        let span = rest.get(..rest.len() - self.remaining());
+        Ok((value, span.unwrap_or_default()))
     }
 
     /// Takes exactly `n` bytes.
@@ -126,15 +139,30 @@ impl<'a> Reader<'a> {
     ///
     /// [`CodecError::UnexpectedEof`] if fewer than `n` bytes remain.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(CodecError::UnexpectedEof {
-                needed: n,
-                remaining: self.remaining(),
-            });
-        }
-        let out = &self.data[self.pos..self.pos + n];
+        let rest = self.rest();
+        let out = rest.get(..n).ok_or(CodecError::UnexpectedEof {
+            needed: n,
+            remaining: rest.len(),
+        })?;
         self.pos += n;
         Ok(out)
+    }
+
+    /// Takes exactly `N` bytes, as an array.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::UnexpectedEof`] if fewer than `N` bytes remain.
+    pub fn take_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let rest = self.rest();
+        let (out, _) = rest
+            .split_first_chunk::<N>()
+            .ok_or(CodecError::UnexpectedEof {
+                needed: N,
+                remaining: rest.len(),
+            })?;
+        self.pos += N;
+        Ok(*out)
     }
 }
 
@@ -209,8 +237,7 @@ macro_rules! impl_int {
         }
         impl Decode for $t {
             fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-                let b = r.take(std::mem::size_of::<$t>())?;
-                Ok(<$t>::from_le_bytes(b.try_into().expect("sized take")))
+                Ok(<$t>::from_le_bytes(r.take_array()?))
             }
         }
     )*};
@@ -329,8 +356,7 @@ impl Encode for Hash256 {
 
 impl Decode for Hash256 {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let b = r.take(32)?;
-        Ok(Hash256(b.try_into().expect("32 bytes")))
+        Ok(Hash256(r.take_array()?))
     }
 }
 
@@ -411,7 +437,9 @@ impl Encode for MultiSig {
         (bits as u16).encode(buf);
         let mut bitmap = vec![0u8; bits.div_ceil(8)];
         for &s in self.signers.iter() {
-            bitmap[s as usize / 8] |= 1 << (s % 8);
+            if let Some(byte) = bitmap.get_mut(s as usize / 8) {
+                *byte |= 1 << (s % 8);
+            }
         }
         buf.extend_from_slice(&bitmap);
     }
@@ -429,15 +457,19 @@ impl Decode for MultiSig {
         // Canonical form: `bits` is the highest signer + 1, so the last
         // byte shifted down to that signer's bit is exactly 1 — the bit
         // is set and nothing sits above it.
-        if bits > 0 && bitmap[(bits - 1) / 8] >> ((bits - 1) % 8) != 1 {
-            return Err(CodecError::NonCanonical { ty: "MultiSig" });
-        }
-        let mut signers = Vec::new();
-        for i in 0..bits {
-            if bitmap[i / 8] & (1 << (i % 8)) != 0 {
-                signers.push(i as u32);
+        if let Some(last) = bitmap.last() {
+            if last >> ((bits - 1) % 8) != 1 {
+                return Err(CodecError::NonCanonical { ty: "MultiSig" });
             }
         }
+        let signers: Vec<u32> = (0..bits)
+            .filter(|i| {
+                bitmap
+                    .get(i / 8)
+                    .is_some_and(|byte| byte >> (i % 8) & 1 == 1)
+            })
+            .map(|i| i as u32)
+            .collect();
         Ok(MultiSig {
             signature,
             signers: signers.into(),

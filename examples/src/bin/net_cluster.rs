@@ -388,9 +388,9 @@ fn main() {
 
     // Churn phase 1: SIGKILL the last replica a third of the way
     // through. The ~secs/3 outage at ICC1's localhost round rate puts
-    // it far more than `CATCH_UP_THRESHOLD` (10) rounds behind, so
-    // rejoining MUST go through a certified catch-up package —
-    // per-round artifact replay would be too slow.
+    // it far more than `icc_core::PURGE_DEPTH` (2 × `CATCH_UP_THRESHOLD`
+    // = 20) rounds behind: its peers no longer hold the bodies it
+    // missed, so rejoining MUST go through a certified catch-up package.
     let victim = n - 1;
     if opts.churn {
         sleep_until(third);

@@ -8,7 +8,7 @@
 
 use icc_core::cluster::{Cluster, ClusterBuilder};
 use icc_core::pool::BEACON_DEPTH;
-use icc_core::{NodeEvent, PURGE_DEPTH};
+use icc_core::{NodeEvent, CATCH_UP_THRESHOLD, PURGE_DEPTH};
 use icc_gossip::{gossip_cluster, subnet_overlay_seed, GossipConfig, GossipNode, Overlay};
 use icc_sim::delay::FixedDelay;
 use icc_sim::policy::Partition;
@@ -17,6 +17,7 @@ use icc_types::codec::Encode;
 use icc_types::{Command, NodeIndex, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 
 fn ms(v: u64) -> SimDuration {
     SimDuration::from_millis(v)
@@ -95,28 +96,42 @@ fn long_outage_rejoins_through_a_package_from_peers_that_purged_past_it() {
     cluster.assert_safety();
 }
 
-/// Five rounds behind is below the catch-up threshold, and far above
-/// everybody's floor: the bodies are fetched by `Request`, one by one,
-/// and every round is committed — nothing is jumped over.
+/// Five rounds behind, and `CATCH_UP_THRESHOLD − 1` — the most a
+/// replica can lag and still not be entitled to a package — are both
+/// above every peer's floor: the bodies are fetched by `Request`, one by
+/// one, and every round is committed — nothing is jumped over.
 #[test]
 fn a_replica_five_rounds_behind_still_fetches_bodies_by_request() {
+    fetches_bodies_by_request(200, 4..=6);
+    fetches_bodies_by_request(CUT_MS, CATCH_UP_THRESHOLD - 1..=CATCH_UP_THRESHOLD - 1);
+}
+
+/// How long replica 3 of `fetches_bodies_by_request`'s cluster must be
+/// cut off to fall `CATCH_UP_THRESHOLD − 1` rounds behind.
+const CUT_MS: u64 = 380;
+
+/// Cuts replica 3 off from 1 s for `cut_ms`, checks that it is `behind`
+/// rounds behind peers that purge, and that it then catches up body by
+/// body.
+fn fetches_bodies_by_request(cut_ms: u64, behind: RangeInclusive<u64>) {
     let cut = Partition {
         from: at(1000),
-        until: at(1200),
+        until: at(1000 + cut_ms),
         group_a: vec![NodeIndex::new(3)],
     };
     let mut cluster = cluster(4, 32, |b| b.policy(cut));
-    cluster.run_until(at(1190));
-    let behind = cluster.committed_round(0) - cluster.committed_round(3);
-    assert!((4..=6).contains(&behind), "{behind} rounds behind");
+    cluster.run_until(at(990 + cut_ms));
+    let lag = cluster.committed_round(0) - cluster.committed_round(3);
+    assert!(behind.contains(&lag), "{lag} rounds behind");
+    assert!(min_floor(&cluster, 3) > 0, "the peers have purged");
     let requests = |c: &Cluster<GossipNode>| {
         let sent = &c.sim.metrics().per_node()[3].sent_by_kind;
         sent.get("request").map_or(0, |(msgs, _)| *msgs)
     };
     let requested_before = requests(&cluster);
 
-    cluster.run_until(at(2000));
-    assert!(requests(&cluster) >= requested_before + behind);
+    cluster.run_until(at(1800 + cut_ms));
+    assert!(requests(&cluster) >= requested_before + lag);
     assert_eq!(cluster.recovery_stats(3).catch_up_applied, 0);
     let rounds: Vec<u64> = cluster
         .committed_chain(3)
