@@ -29,14 +29,21 @@
 //!   beacon phase in `progress`, which also pipelines this party's share
 //!   for round `k + 1` the moment beacon `k` is computed, and combines
 //!   beacon `k + 1` as soon as `t + 1` of its shares are held
-//!   (`look_ahead`: round `k + 1`'s leader is then known a round early,
-//!   which is where client commands are sent — the `ingress` module);
+//!   (`look_ahead`: round `k + 1`'s leader is then known a round early;
+//!   client commands go to it, or to round `k`'s own leader while that
+//!   one has not proposed — the `ingress` module);
 //! * clause **(a)** (finish the round) — `try_finish_round`;
 //! * clause **(b)** (propose after `Δprop(rank_me)`) — `try_propose`;
 //! * clause **(c)** (echo / notarization-share / disqualify after
 //!   `Δntry(r)`) — `try_support`;
 //! * Figure 2 — `run_finalization` (tracks `kmax`, combines and
 //!   broadcasts finalizations, outputs committed payloads).
+
+// Nothing a peer sends may panic the consensus core.
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::indexing_slicing)
+)]
 
 use crate::artifacts;
 use crate::byzantine::Behavior;
@@ -109,10 +116,11 @@ pub struct Step {
     /// Messages to disseminate to all parties.
     pub broadcasts: Vec<ConsensusMessage>,
     /// Messages for one party each: client commands sent to the leader
-    /// of the next round ([`ConsensusMessage::Commands`]) — every
-    /// protocol artifact an honest party sends is broadcast (§3.1) — and
-    /// a corrupt behavior's split equivocation, which sends different
-    /// blocks to different parties.
+    /// of the current or the next round
+    /// ([`ConsensusMessage::Commands`]) — every protocol artifact an
+    /// honest party sends is broadcast (§3.1) — and a corrupt behavior's
+    /// split equivocation, which sends different blocks to different
+    /// parties.
     pub sends: Vec<(NodeIndex, ConsensusMessage)>,
     /// Observable events (commits, round markers).
     pub events: Vec<NodeEvent>,
@@ -142,6 +150,8 @@ struct RoundState {
     /// Whether the flight recorder has logged the first valid proposal
     /// of this round (telemetry, not protocol state).
     proposal_seen: bool,
+    /// Whether the forwarding pass to this round's own leader has run.
+    forwarded: bool,
 }
 
 impl RoundState {
@@ -156,6 +166,7 @@ impl RoundState {
             done: false,
             echoed: HashSet::new(),
             proposal_seen: false,
+            forwarded: false,
         }
     }
 }
@@ -415,9 +426,10 @@ impl ConsensusCore {
         }
         if let ConsensusMessage::Commands { round, commands } = msg {
             // Client input for a leader: held, proposed when it leads.
+            let proposed = self.rstate.as_ref().is_some_and(|rs| rs.proposed);
             let (current, committed) = (self.round, &self.committed_cmds);
             self.commands
-                .receive(*round, current, commands, committed, &self.policy);
+                .receive(*round, current, proposed, commands, committed, &self.policy);
             return step;
         }
         // Run the clauses even for duplicate artifacts: the message may
@@ -437,28 +449,43 @@ impl ConsensusCore {
         self.release(step)
     }
 
-    /// Accepts a client command (§1: inputs arrive incrementally over
-    /// time). If the next round's leader is known already, a small
-    /// command leaves for it in the returned step; otherwise it goes with
-    /// the forwarding pass of the round (the `ingress` module).
-    pub fn on_command(&mut self, cmd: Command) -> Step {
+    /// Accepts a client command given at `now` (§1: inputs arrive
+    /// incrementally over time). A small command leaves in the returned
+    /// step for the leader that proposes soonest: the current round's
+    /// while its window `Δprop(0)` is open, else the next round's if its
+    /// beacon is known; otherwise it goes with the forwarding pass of the
+    /// round (the `ingress` module).
+    pub fn on_command(&mut self, now: SimTime, cmd: Command) -> Step {
         let mut step = Step::default();
         let (h, small) = (command_hash(&cmd), cmd.len() <= FORWARD_MAX_BYTES);
         if self.committed_cmds.contains(&h) || !self.commands.submit(cmd, h) {
             return step;
         }
-        let next = self.next_leader().filter(|_| small && self.running());
-        if let Some((target, leader)) = next {
-            let to_self = leader == self.keys.index;
-            let in_chain = self.notarized_chain_commands().contains(&h);
-            if let Some(cmd) = self.commands.send_new(&h, target, to_self, in_chain) {
-                let round = target;
-                let commands = vec![cmd];
-                step.sends
-                    .push((leader, ConsensusMessage::Commands { round, commands }));
-            }
+        let leader = self.current_leader(now).or_else(|| self.next_leader());
+        let Some((target, leader)) = leader.filter(|_| small && self.running()) else {
+            return step;
+        };
+        let to_self = leader == self.keys.index;
+        let in_chain = self.notarized_chain_commands().contains(&h);
+        let current = self.round;
+        let sent = self
+            .commands
+            .send_new(&h, target, current, to_self, in_chain);
+        if let Some(cmd) = sent {
+            let round = target;
+            let commands = vec![cmd];
+            step.sends
+                .push((leader, ConsensusMessage::Commands { round, commands }));
         }
         step
+    }
+
+    /// The leader of the round in progress while it has not proposed:
+    /// `now` is inside its window `Δprop(0)`, the governor ε.
+    fn current_leader(&self, now: SimTime) -> Option<(Round, NodeIndex)> {
+        let rs = self.rstate.as_ref().filter(|rs| !rs.done)?;
+        let open = now < rs.t0 + self.delays.prop(Rank::LEADER);
+        open.then(|| (self.round, NodeIndex::new(rs.perm.leader())))
     }
 
     /// The leader of the round after the current one, once its beacon
@@ -904,6 +931,7 @@ impl ConsensusCore {
             }
             break;
         }
+        self.forward_to_current(now, step);
         self.look_ahead(step);
         self.run_finalization(now, step);
         step.next_wakeup = self.next_wakeup(now);
@@ -1043,11 +1071,20 @@ impl ConsensusCore {
         {
             self.emit(ConsensusMessage::Notarization(notarization), step);
         }
-        let rs = self.rstate.as_mut().expect("in a round");
+        let round = self.round;
+        let resumed_here = self.resumed_in == Some(round);
+        // `progress` runs the clauses only in a round.
+        let Some(rs) = self.rstate.as_mut() else {
+            return false;
+        };
         rs.done = true;
         let duration = now.saturating_since(rs.t0);
         let notarized_rank = Rank::new(rs.perm.rank_of(block_ref.proposer.get()));
-        let round = self.round;
+        // "if N ⊆ {B} then broadcast a finalization share for B" — in
+        // the round a restart resumed in, `N` is what this incarnation
+        // shared; what the last one did is not known.
+        let n_subset = rs.n_set.values().all(|h| *h == block_ref.hash) && !resumed_here;
+        let i_am_member = rs.my_rank.is_some();
         self.record_span(
             now,
             round,
@@ -1059,13 +1096,6 @@ impl ConsensusCore {
             .metrics
             .round_duration_us
             .observe(duration.as_micros());
-        let rs = self.rstate.as_mut().expect("in a round");
-        // "if N ⊆ {B} then broadcast a finalization share for B" — in
-        // the round a restart resumed in, `N` is what this incarnation
-        // shared; what the last one did is not known.
-        let n_subset =
-            rs.n_set.values().all(|h| *h == block_ref.hash) && self.resumed_in != Some(round);
-        let i_am_member = rs.my_rank.is_some();
         step.events.push(NodeEvent::RoundFinished {
             round: self.round,
             duration,
@@ -1082,28 +1112,25 @@ impl ConsensusCore {
 
     /// Clause (b): propose a block once `Δprop(rank_me)` has elapsed.
     fn try_propose(&mut self, now: SimTime, step: &mut Step) -> bool {
-        let (t0, my_rank, proposed) = {
-            let rs = self.rstate.as_ref().expect("in a round");
-            (rs.t0, rs.my_rank, rs.proposed)
+        let Some(rs) = self.rstate.as_mut() else {
+            return false;
         };
         // A non-member of the round's epoch has no rank: it never
         // proposes.
-        let Some(my_rank) = my_rank else {
+        let Some(my_rank) = rs.my_rank else {
             return false;
         };
-        if proposed || now < t0 + self.delays.prop(my_rank) {
+        if rs.proposed || now < rs.t0 + self.delays.prop(my_rank) {
             return false;
         }
-        self.rstate.as_mut().expect("in a round").proposed = true;
+        rs.proposed = true;
 
         // Choose a notarized round-(k−1) block to extend.
         let (parent, parent_notarization) = if self.round == Round::new(1) {
             (self.keys.setup.genesis.clone(), None)
         } else {
-            let Some((b, n)) = self
-                .pool
-                .notarized_block(self.round.prev().expect("round >= 2"))
-            else {
+            let notarized = self.round.prev().and_then(|p| self.pool.notarized_block(p));
+            let Some((b, n)) = notarized else {
                 // Unreachable for honest flow: the previous round only
                 // ends with a notarized block in the pool.
                 return false;
@@ -1186,7 +1213,9 @@ impl ConsensusCore {
     /// either broadcast a notarization share or disqualify its rank.
     fn try_support(&mut self, now: SimTime, step: &mut Step) -> bool {
         let (candidate, first_seen_rank) = {
-            let rs = self.rstate.as_ref().expect("in a round");
+            let Some(rs) = self.rstate.as_ref() else {
+                return false;
+            };
             // Valid blocks of this round, ranked, rank not disqualified.
             let mut ranked: Vec<(u32, HashedBlock)> = self
                 .pool
@@ -1220,7 +1249,9 @@ impl ConsensusCore {
             (ranked.into_iter().next(), first_seen)
         };
         if let Some(rank) = first_seen_rank {
-            self.rstate.as_mut().expect("in a round").proposal_seen = true;
+            if let Some(rs) = self.rstate.as_mut() {
+                rs.proposal_seen = true;
+            }
             let round = self.round;
             self.record_span(now, round, SpanKind::ProposalSeen { rank });
         }
@@ -1231,7 +1262,9 @@ impl ConsensusCore {
 
         // Echo (re-broadcast) other parties' blocks so every honest
         // party gets a chance to see them and disqualify equivocators.
-        let rs = self.rstate.as_mut().expect("in a round");
+        let Some(rs) = self.rstate.as_mut() else {
+            return false;
+        };
         let should_echo = Some(rank) != rs.my_rank.map(Rank::get) && rs.echoed.insert(block.hash());
         let already_shared_this_rank = rs.n_set.contains_key(&rank);
         let i_am_member = rs.my_rank.is_some();
@@ -1291,10 +1324,10 @@ impl ConsensusCore {
             // cut anywhere holds `Finalization(k)` only with every
             // `Committed` up to `k`: restore takes `kmax` from the one
             // and the input dedup set from the others.
-            let chain = self
-                .pool
-                .chain_back_to(&block, self.kmax)
-                .expect("finalized blocks have complete chains");
+            // A finalized block has a complete chain in the pool.
+            let Some(chain) = self.pool.chain_back_to(&block, self.kmax) else {
+                break;
+            };
             for b in chain {
                 if let Some(held) = self.pool.certified_block(&b.hash()) {
                     self.store
@@ -1381,17 +1414,16 @@ impl ConsensusCore {
     fn maybe_archive_transitions(&mut self) {
         let setup = Arc::clone(&self.keys.setup);
         for e in 1..setup.epoch_count() as u64 {
-            let info = setup.epoch(e).expect("epoch index in range");
+            let (Some(info), Some(outgoing)) = (setup.epoch(e), setup.epoch(e - 1)) else {
+                break;
+            };
             if info.start_round > self.kmax {
                 break;
             }
             if self.transition_certs.contains_key(&e) {
                 continue;
             }
-            let out_start = setup
-                .epoch(e - 1)
-                .expect("epoch index in range")
-                .start_round;
+            let out_start = outgoing.start_round;
             let Some(block) = self.pool.finalized_below(info.start_round) else {
                 continue;
             };
@@ -1488,6 +1520,21 @@ impl ConsensusCore {
         tip.map_or_else(HashSet::new, |(tip, _)| self.chain_commands(tip))
     }
 
+    /// The forwarding pass to the round's own leader, once, on entering
+    /// the round while that leader's window is open: sends the client
+    /// commands held, never sent or sent for a round that ended without
+    /// them (`ingress` module). With `ε = 0` the window is never open.
+    fn forward_to_current(&mut self, now: SimTime, step: &mut Step) {
+        let Some((round, leader)) = self.current_leader(now) else {
+            return;
+        };
+        let Some(rs) = self.rstate.as_mut().filter(|rs| !rs.forwarded) else {
+            return;
+        };
+        rs.forwarded = true;
+        self.send_due(round, leader, step);
+    }
+
     /// Runs once the round after this one has a known beacon — combining
     /// it here as soon as `t + 1` shares are held, instead of on entering
     /// that round — and derives its rank permutation, once; then sends
@@ -1514,6 +1561,12 @@ impl ConsensusCore {
         let perm = RankPermutation::derive_members(&beacon, members);
         let leader = NodeIndex::new(perm.leader());
         self.next_perm = Some((next, perm));
+        self.send_due(next, leader, step);
+    }
+
+    /// Sends the leader of `target` — the current round or the next — the
+    /// client commands due to it (`CommandPool::due_for`).
+    fn send_due(&mut self, target: Round, leader: NodeIndex, step: &mut Step) {
         if self.commands.len() == 0 {
             return;
         }
@@ -1522,9 +1575,9 @@ impl ConsensusCore {
         let (current, policy) = (self.round, &self.policy);
         let commands = self
             .commands
-            .due_for(next, current, to_self, &in_chain, policy);
+            .due_for(target, current, to_self, &in_chain, policy);
         if !commands.is_empty() {
-            let round = next;
+            let round = target;
             step.sends
                 .push((leader, ConsensusMessage::Commands { round, commands }));
         }

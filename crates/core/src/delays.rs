@@ -8,19 +8,25 @@
 //!   sharing) a rank-`r` block, giving lower ranks priority.
 //!
 //! The liveness requirement is `2δ + Δprop(0) ≤ Δntry(1)` (Lemma
-//! *Liveness*, condition (v)); the paper's recommended instantiation
-//! (eq. 2) is
+//! *Liveness*, condition (v)). The paper's recommended instantiation
+//! (eq. 2) is `Δprop(r) = 2·Δbnd·r`, `Δntry(r) = 2·Δbnd·r + ε`; this
+//! module spends the governor before the proposal instead of after it:
 //!
 //! ```text
-//! Δprop(r) = 2·Δbnd·r          Δntry(r) = 2·Δbnd·r + ε
+//! Δprop(r) = max(2·Δbnd·r, ε)   Δntry(r) = 2·Δbnd·r + ε
 //! ```
 //!
-//! which satisfies the requirement whenever the actual network delay is
-//! bounded by `δ ≤ Δbnd`. The parameter `ε` is a *governor*: zero gives
-//! maximum speed (optimistic responsiveness), a positive value paces the
-//! chain (the Internet Computer runs with a governor — its small subnets
-//! finalize ≈1 block/s, far slower than the network allows; the Table-1
-//! harness sets `ε` accordingly).
+//! The parameter `ε` is a *governor*: zero gives maximum speed
+//! (optimistic responsiveness), a positive value paces the chain (the
+//! Internet Computer runs with a governor — its small subnets finalize
+//! ≈1 block/s, far slower than the network allows; the Table-1 harness
+//! sets `ε` accordingly). The rank-0 leader waits ε collecting commands
+//! and the notaries support its block on arrival, so a command given
+//! during ε rides the round's own block. The requirement still holds
+//! whenever the actual network delay is bounded by `δ ≤ Δbnd`:
+//! `2δ + ε ≤ 2·Δbnd + ε`. Ranks ≥ 1 propose at `2·Δbnd·r` whenever
+//! `ε ≤ 2·Δbnd`, as in eq. (2); with `ε = 0` the two instantiations are
+//! the same.
 
 use icc_types::{Rank, SimDuration};
 
@@ -44,7 +50,8 @@ pub trait Delays {
 }
 
 /// The paper's recommended static delay functions (eq. 2) with explicit
-/// `Δbnd` and governor `ε`.
+/// `Δbnd` and governor `ε`, the governor spent before the proposal (see
+/// the module docs).
 #[derive(Debug, Clone, Copy)]
 pub struct StaticDelays {
     delta_bound: SimDuration,
@@ -52,7 +59,7 @@ pub struct StaticDelays {
 }
 
 impl StaticDelays {
-    /// Creates the delay policy `Δprop(r) = 2·Δbnd·r`,
+    /// Creates the delay policy `Δprop(r) = max(2·Δbnd·r, ε)`,
     /// `Δntry(r) = 2·Δbnd·r + ε`.
     pub fn new(delta_bound: SimDuration, epsilon: SimDuration) -> StaticDelays {
         StaticDelays {
@@ -69,7 +76,7 @@ impl StaticDelays {
 
 impl Delays for StaticDelays {
     fn prop(&self, rank: Rank) -> SimDuration {
-        self.delta_bound * 2 * u64::from(rank.get())
+        (self.delta_bound * 2 * u64::from(rank.get())).max(self.epsilon)
     }
 
     fn ntry(&self, rank: Rank) -> SimDuration {
@@ -136,7 +143,7 @@ impl AdaptiveDelays {
 
 impl Delays for AdaptiveDelays {
     fn prop(&self, rank: Rank) -> SimDuration {
-        self.current * 2 * u64::from(rank.get())
+        (self.current * 2 * u64::from(rank.get())).max(self.epsilon)
     }
 
     fn ntry(&self, rank: Rank) -> SimDuration {
@@ -170,23 +177,43 @@ mod tests {
         SimDuration::from_millis(v)
     }
 
+    /// Eq. (2) with the governor before the proposal: the leader
+    /// proposes at ε and its block is supported on arrival; every other
+    /// rank keeps eq. (2)'s times.
     #[test]
     fn static_matches_equation_2() {
         let d = StaticDelays::new(ms(100), ms(30));
-        assert_eq!(d.prop(Rank::new(0)), ms(0));
+        assert_eq!(d.prop(Rank::new(0)), ms(30));
         assert_eq!(d.prop(Rank::new(1)), ms(200));
         assert_eq!(d.prop(Rank::new(3)), ms(600));
         assert_eq!(d.ntry(Rank::new(0)), ms(30));
         assert_eq!(d.ntry(Rank::new(1)), ms(230));
+        // Without a governor it is eq. (2) to the letter.
+        let d = StaticDelays::responsive(ms(100));
+        assert_eq!(d.prop(Rank::new(0)), ms(0));
+        assert_eq!(d.prop(Rank::new(1)), ms(200));
+        assert_eq!(d.ntry(Rank::new(0)), ms(0));
     }
 
     #[test]
     fn static_satisfies_liveness_condition() {
-        // 2δ + Δprop(0) <= Δntry(1) whenever δ <= Δbnd.
+        // 2δ + Δprop(0) <= Δntry(1) whenever δ <= Δbnd, for a governor
+        // of none, half of Δbnd and 2·Δbnd — static or adaptive; up to
+        // 2·Δbnd the rank-1 fallback proposes where eq. (2) puts it.
         let delta_bnd = ms(50);
-        let d = StaticDelays::responsive(delta_bnd);
         let delta = delta_bnd; // worst allowed network delay
-        assert!(delta * 2 + d.prop(Rank::new(0)) <= d.ntry(Rank::new(1)));
+        for epsilon in [ms(0), delta_bnd / 2, delta_bnd * 2] {
+            let adaptive = AdaptiveDelays::new(delta_bnd, ms(1), ms(1000)).with_epsilon(epsilon);
+            let policies: [&dyn Delays; 2] = [&StaticDelays::new(delta_bnd, epsilon), &adaptive];
+            for d in policies {
+                assert!(
+                    delta * 2 + d.prop(Rank::new(0)) <= d.ntry(Rank::new(1)),
+                    "ε = {epsilon:?}"
+                );
+                assert_eq!(d.prop(Rank::new(0)), epsilon);
+                assert_eq!(d.prop(Rank::new(1)), delta_bnd * 2);
+            }
+        }
     }
 
     #[test]

@@ -3,13 +3,16 @@
 //! which a command given to one replica reaches the leader that
 //! proposes it (`DESIGN.md` §5l).
 //!
-//! * **Send to the next leader.** A client's command of at most
-//!   [`FORWARD_MAX_BYTES`] is sent, once, to the rank-0 party of the
-//!   round after the current one, as soon as that round's beacon is
-//!   known, unless the notarized chain holds it already. When the round
-//!   it was sent for has ended without it in that chain, it is sent to a
-//!   later leader — never for a round more than [`FORWARD_ROUNDS`] past
-//!   the first it was sent for. Larger commands wait for their own
+//! * **Send to the leader that proposes soonest.** A client's command
+//!   of at most [`FORWARD_MAX_BYTES`] is sent, once, unless the
+//!   notarized chain holds it already: to the rank-0 party of the
+//!   current round while that party's window `Δprop(0)` — the governor
+//!   ε, `delays` module — is open, otherwise to the rank-0 party of the
+//!   round after, as soon as that round's beacon is known. When the
+//!   round it was sent for has ended without it in that chain, it is
+//!   sent to a later leader — the new round's own, at its entry, if its
+//!   window is open — never for a round more than [`FORWARD_ROUNDS`]
+//!   past the first it was sent for. Larger commands wait for their own
 //!   replica's turn: a leader carries the bytes in its block anyway, and
 //!   sending them to it first doubles what the wire carries.
 //! * **Receive.** A batch is accepted only for the receiver's current or
@@ -52,14 +55,20 @@ icc_telemetry::counter_set! {
     /// and merged over a cluster by
     /// [`Cluster::metrics_summary`](crate::cluster::Cluster::metrics_summary).
     pub struct IngressStats {
-        /// Client commands sent to the next round's leader, first time.
+        /// Client commands sent to a leader, first time.
         pub forwarded: u64,
         /// Client commands sent again, to a later leader, after the
         /// round they were sent for ended without them in the notarized
         /// chain.
         pub reforwarded: u64,
+        /// Client commands sent — first time or again — to the leader of
+        /// the round in progress, inside its window.
+        pub sent_to_current: u64,
         /// Forwarded commands taken into this replica's pool.
         pub received: u64,
+        /// Forwarded batches for this replica's current round that came
+        /// after it had proposed in it: they missed that round's block.
+        pub late_batches: u64,
         /// Forwarded batches refused as being for neither this replica's
         /// current round nor the next: one of the two parties is behind.
         pub refused_behind: u64,
@@ -122,11 +131,12 @@ enum Due {
     Expired,
 }
 
-/// Whether `held` is due to the leader of `target`, this replica being
-/// in `current` (`to_self` when it leads `target`): a client's command
-/// within the size cutoff, not in the notarized chain (`in_chain`),
-/// never sent, or sent for a round that has ended and no more than
-/// [`FORWARD_ROUNDS`] before `target` was its first.
+/// Whether `held` is due to the leader of `target` — `current`, the
+/// round this replica is in, or the one after (`to_self` when it leads
+/// `target`): a client's command within the size cutoff, not in the
+/// notarized chain (`in_chain`), never sent, or sent for a round that
+/// has ended and no more than [`FORWARD_ROUNDS`] before `target` was its
+/// first.
 fn due(held: &Held, target: Round, current: Round, in_chain: bool, to_self: bool) -> Due {
     let parked = held.origin == Origin::HeldAcrossGap;
     if held.origin == Origin::Peer || held.cmd.len() > FORWARD_MAX_BYTES || in_chain {
@@ -204,12 +214,13 @@ impl CommandPool {
     }
 
     /// Takes a batch a peer forwarded for the leader of `round`, this
-    /// replica being in `current`. Commands already held or in
-    /// `committed` are skipped.
+    /// replica being in `current` and having `proposed` in it already or
+    /// not. Commands already held or in `committed` are skipped.
     pub(crate) fn receive(
         &mut self,
         round: Round,
         current: Round,
+        proposed: bool,
         commands: &[Command],
         committed: &HashSet<Hash256>,
         policy: &BlockPolicy,
@@ -217,6 +228,9 @@ impl CommandPool {
         if round != current && round != current.next() {
             self.stats.refused_behind += 1;
             return;
+        }
+        if round == current && proposed {
+            self.stats.late_batches += 1;
         }
         if round <= self.refuse_upto {
             self.stats.refused_gap += 1;
@@ -264,14 +278,15 @@ impl CommandPool {
             .map(|(h, d)| (&h.cmd, d))
     }
 
-    /// One forwarding pass, run once per round when the leader of
-    /// `target` (the round after `current`) becomes known: the client
-    /// commands due to it (see [`due`]), in arrival order, within one
-    /// block's worth of `policy`. `in_chain` holds the commands of the
-    /// chain ending at a notarized block of round `current − 1`, above
-    /// the committed tip. When this replica leads `target` itself
-    /// (`to_self`) nothing is returned, but the commands it will propose
-    /// count as sent for `target`.
+    /// One forwarding pass, run at most twice per round: for `target` =
+    /// `current` on entering it while its leader's window is open, and
+    /// for the round after once that round's leader becomes known. The
+    /// client commands due to the leader of `target` (see [`due`]), in
+    /// arrival order, within one block's worth of `policy`. `in_chain`
+    /// holds the commands of the chain ending at a notarized block of
+    /// round `current − 1`, above the committed tip. When this replica
+    /// leads `target` itself (`to_self`) nothing is returned, but the
+    /// commands it will propose count as sent for `target`.
     pub(crate) fn due_for(
         &mut self,
         target: Round,
@@ -306,6 +321,9 @@ impl CommandPool {
                 } else {
                     self.stats.forwarded += 1;
                 }
+                if target == current {
+                    self.stats.sent_to_current += 1;
+                }
             }
             held.sent_for = Some((first, target));
         }
@@ -317,11 +335,13 @@ impl CommandPool {
     }
 
     /// [`due_for`](Self::due_for) for the one client command `digest`
-    /// just submitted, when the leader of `target` is known already.
+    /// just submitted, when the leader of `target` — `current` or the
+    /// round after — is known already.
     pub(crate) fn send_new(
         &mut self,
         digest: &Hash256,
         target: Round,
+        current: Round,
         to_self: bool,
         in_chain: bool,
     ) -> Option<Command> {
@@ -335,6 +355,9 @@ impl CommandPool {
             return None;
         }
         self.stats.forwarded += 1;
+        if target == current {
+            self.stats.sent_to_current += 1;
+        }
         Some(held.cmd.clone())
     }
 
@@ -393,7 +416,7 @@ mod tests {
         let committed = HashSet::new();
         let batch: Vec<Command> = (0..10_000).map(|i| cmd(i, 64)).collect();
         for chunk in batch.chunks(500) {
-            pool.receive(r(5), r(4), chunk, &committed, &policy);
+            pool.receive(r(5), r(4), false, chunk, &committed, &policy);
         }
         let bound = PEER_BLOCKS * policy.max_commands;
         assert_eq!(pool.len(), bound);
@@ -404,7 +427,8 @@ mod tests {
         );
         // What commits makes room again; a client's command is not bound.
         pool.remove(&batch[0].digest());
-        pool.receive(r(5), r(4), &batch[bound..=bound], &committed, &policy);
+        let one = &batch[bound..=bound];
+        pool.receive(r(5), r(4), false, one, &committed, &policy);
         assert_eq!(pool.len(), bound);
         assert!(pool.submit(cmd(20_000, 64), cmd(20_000, 64).digest()));
         assert_eq!(pool.len(), bound + 1);
@@ -416,14 +440,14 @@ mod tests {
         let mut pool = CommandPool::default();
         let none = HashSet::new();
         for (round, taken) in [(3, false), (4, true), (5, true), (6, false)] {
-            pool.receive(r(round), r(4), &[cmd(round, 8)], &none, &policy);
+            pool.receive(r(round), r(4), false, &[cmd(round, 8)], &none, &policy);
             assert_eq!(pool.held.contains_key(&cmd(round, 8).digest()), taken);
         }
         assert_eq!(pool.stats().refused_behind, 2);
         // Oversized and committed commands are not taken.
         let committed = HashSet::from([cmd(7, 8).digest()]);
         let batch = [cmd(7, 8), cmd(8, FORWARD_MAX_BYTES + 1)];
-        pool.receive(r(5), r(4), &batch, &committed, &policy);
+        pool.receive(r(5), r(4), false, &batch, &committed, &policy);
         assert_eq!(pool.len(), 2);
         assert_eq!(pool.stats().dropped_bound, 1);
     }
@@ -463,7 +487,10 @@ mod tests {
         // A leader keeps its own commands: marked, not sent.
         let own = cmd(3, 64);
         pool.submit(own.clone(), own.digest());
-        assert_eq!(pool.send_new(&own.digest(), r(21), true, false), None);
+        assert_eq!(
+            pool.send_new(&own.digest(), r(21), r(20), true, false),
+            None
+        );
         assert!(pool.due_for(r(22), r(21), false, &none, &policy).is_empty());
     }
 
@@ -481,7 +508,7 @@ mod tests {
             pool.submit(c.clone(), c.digest());
         }
         assert_eq!(pool.due_for(r(6), r(5), false, &none, &policy).len(), 1);
-        pool.receive(r(5), r(5), &[peer], &none, &policy);
+        pool.receive(r(5), r(5), false, &[peer], &none, &policy);
         pool.gap(r(40));
         assert_eq!((pool.len(), pool.stats().dropped_at_gap), (1, 2));
         assert_eq!(pool.proposable().count(), 0);
@@ -500,9 +527,60 @@ mod tests {
         assert_eq!((pool.len(), pool.stats().dropped_at_gap), (0, 3));
         // Batches are refused through round 40 + FORWARD_ROUNDS.
         let late = [cmd(4, 64)];
-        pool.receive(r(48), r(47), &late, &none, &policy);
-        pool.receive(r(49), r(48), &late, &none, &policy);
+        pool.receive(r(48), r(47), false, &late, &none, &policy);
+        pool.receive(r(49), r(48), false, &late, &none, &policy);
         assert_eq!((pool.stats().refused_gap, pool.stats().received), (1, 2));
         assert_eq!(pool.proposable().count(), 1);
+    }
+
+    /// A command given while the current round's leader has not
+    /// proposed goes to it, and counts as sent to the current round; one
+    /// that misses that round is sent again to the next round's leader
+    /// at its entry, and counts again.
+    #[test]
+    fn sends_to_the_round_in_progress_are_counted() {
+        let policy = BlockPolicy::default();
+        let mut pool = CommandPool::default();
+        let none = HashSet::new();
+        let (a, b) = (cmd(1, 64), cmd(2, 64));
+        pool.submit(a.clone(), a.digest());
+        assert_eq!(
+            pool.send_new(&a.digest(), r(7), r(7), false, false),
+            Some(a.clone())
+        );
+        pool.submit(b.clone(), b.digest());
+        assert_eq!(
+            pool.send_new(&b.digest(), r(8), r(7), false, false),
+            Some(b.clone())
+        );
+        let s = pool.stats();
+        assert_eq!((s.forwarded, s.sent_to_current), (2, 1));
+        // Entering round 8: `a` missed round 7 and is retried inside 8;
+        // `b` is in flight for 8.
+        let sent = pool.due_for(r(8), r(8), false, &none, &policy);
+        assert_eq!(sent, std::slice::from_ref(&a));
+        let s = pool.stats();
+        assert_eq!((s.forwarded, s.reforwarded, s.sent_to_current), (2, 1, 2));
+        // A leader's own command, in its own window: kept, not counted.
+        let own = cmd(3, 64);
+        pool.submit(own.clone(), own.digest());
+        assert_eq!(pool.send_new(&own.digest(), r(8), r(8), true, false), None);
+        assert_eq!(pool.stats().sent_to_current, 2);
+    }
+
+    /// A batch for the current round that reaches a replica after it has
+    /// proposed is late — still taken — and one for the next round is
+    /// not, whatever the replica did in this one.
+    #[test]
+    fn batches_after_the_proposal_are_late() {
+        let policy = BlockPolicy::default();
+        let mut pool = CommandPool::default();
+        let none = HashSet::new();
+        pool.receive(r(4), r(4), false, &[cmd(1, 8)], &none, &policy);
+        pool.receive(r(4), r(4), true, &[cmd(2, 8)], &none, &policy);
+        pool.receive(r(5), r(4), true, &[cmd(3, 8)], &none, &policy);
+        pool.receive(r(3), r(4), true, &[cmd(4, 8)], &none, &policy);
+        let s = pool.stats();
+        assert_eq!((s.late_batches, s.received, s.refused_behind), (1, 3, 1));
     }
 }

@@ -67,7 +67,7 @@ impl Mesh {
             if it % 7 == 0 {
                 let tag = self.now.as_micros().to_le_bytes().to_vec();
                 for c in self.cores.iter_mut() {
-                    c.on_command(Command::new(tag.clone()));
+                    c.on_command(self.now, Command::new(tag.clone()));
                 }
             }
             let batch = std::mem::take(&mut self.queue);

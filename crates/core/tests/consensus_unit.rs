@@ -315,8 +315,8 @@ fn crash_behavior_emits_nothing() {
 fn commands_queue_and_commit_via_finalization() {
     let (keys, mut core) = setup();
     core.start(SimTime::ZERO);
-    core.on_command(Command::new(b"cmd-a".to_vec()));
-    core.on_command(Command::new(b"cmd-a".to_vec())); // duplicate ignored
+    core.on_command(SimTime::ZERO, Command::new(b"cmd-a".to_vec()));
+    core.on_command(SimTime::ZERO, Command::new(b"cmd-a".to_vec())); // duplicate ignored
     assert_eq!(core.pending_commands(), 1);
 
     feed_beacon_round1(&mut core, &keys, t(10));

@@ -1194,7 +1194,7 @@ impl Node for GossipNode {
         ctx: &mut Context<'_, Self::Msg, Self::Output>,
         input: Self::External,
     ) {
-        let step = self.core.on_command(input);
+        let step = self.core.on_command(ctx.now(), input);
         self.apply_step(ctx, step);
     }
 

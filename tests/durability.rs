@@ -763,7 +763,8 @@ mod rig {
                 deliveries += 1;
                 if deliveries.is_multiple_of(8) {
                     let cmd = Command::new(format!("cmd-{deliveries}").into_bytes());
-                    net.cores[(deliveries / 8) as usize % N].on_command(cmd);
+                    let now = net.now;
+                    net.cores[(deliveries / 8) as usize % N].on_command(now, cmd);
                 }
             },
         );
@@ -1220,7 +1221,7 @@ fn torn_tail_at_any_record_boundary_keeps_dedup_under_kmax() {
         for (round, commands) in commits.borrow().iter() {
             if *round <= kmax {
                 for cmd in commands {
-                    core.on_command(cmd.clone());
+                    core.on_command(SimTime::ZERO, cmd.clone());
                     refused += 1;
                 }
             }
@@ -1363,7 +1364,7 @@ fn cut_a_checkpoint(cut: CheckpointCut) -> (u64, u64) {
     for (round, commands) in commits.borrow().iter() {
         if *round <= kmax {
             for cmd in commands {
-                core.on_command(cmd.clone());
+                core.on_command(SimTime::ZERO, cmd.clone());
                 refused += 1;
             }
         }
@@ -1453,7 +1454,7 @@ fn a_restart_after_three_checkpoints_refuses_what_the_first_covered() {
     for (round, commands) in commits.borrow().iter() {
         if *round <= kmax {
             for cmd in commands {
-                core.on_command(cmd.clone());
+                core.on_command(SimTime::ZERO, cmd.clone());
                 before_first += usize::from(round.get() <= first);
             }
         }

@@ -199,7 +199,8 @@ fn safety_with_equivocating_proposer_and_sub_round_restarter() {
         deliveries += 1;
         if deliveries.is_multiple_of(16) {
             let cmd = Command::new(format!("cmd-{deliveries}").into_bytes());
-            net.cores[(deliveries / 16) as usize % 4].on_command(cmd);
+            let now = net.now;
+            net.cores[(deliveries / 16) as usize % 4].on_command(now, cmd);
         }
         // A prime stride walks the point of death through the round,
         // and leaves rounds the restarter lives through whole.
