@@ -30,8 +30,8 @@
 //!   for round `k + 1` the moment beacon `k` is computed, and combines
 //!   beacon `k + 1` as soon as `t + 1` of its shares are held
 //!   (`look_ahead`: round `k + 1`'s leader is then known a round early;
-//!   client commands go to it, or to round `k`'s own leader while that
-//!   one has not proposed — the `ingress` module);
+//!   client commands go to it and its rank-1 backup, or to round `k`'s
+//!   own two while its leader has not proposed — the `ingress` module);
 //! * clause **(a)** (finish the round) — `try_finish_round`;
 //! * clause **(b)** (propose after `Δprop(rank_me)`) — `try_propose`;
 //! * clause **(c)** (echo / notarization-share / disqualify after
@@ -115,8 +115,8 @@ impl Default for BlockPolicy {
 pub struct Step {
     /// Messages to disseminate to all parties.
     pub broadcasts: Vec<ConsensusMessage>,
-    /// Messages for one party each: client commands sent to the leader
-    /// of the current or the next round
+    /// Messages for one party each: client commands sent to the rank-0
+    /// and rank-1 parties of the current or the next round
     /// ([`ConsensusMessage::Commands`]) — every protocol artifact an
     /// honest party sends is broadcast (§3.1) — and a corrupt behavior's
     /// split equivocation, which sends different blocks to different
@@ -253,6 +253,16 @@ impl fmt::Debug for ConsensusCore {
 
 fn command_hash(cmd: &Command) -> Hash256 {
     cmd.digest()
+}
+
+/// Puts a batch of client commands for `round` in `step`, once for each
+/// party of `to`.
+fn send_batch(step: &mut Step, round: Round, to: &[NodeIndex], commands: Vec<Command>) {
+    for &party in to {
+        let commands = commands.clone();
+        step.sends
+            .push((party, ConsensusMessage::Commands { round, commands }));
+    }
 }
 
 impl ConsensusCore {
@@ -451,48 +461,60 @@ impl ConsensusCore {
 
     /// Accepts a client command given at `now` (§1: inputs arrive
     /// incrementally over time). A small command leaves in the returned
-    /// step for the leader that proposes soonest: the current round's
-    /// while its window `Δprop(0)` is open, else the next round's if its
-    /// beacon is known; otherwise it goes with the forwarding pass of the
-    /// round (the `ingress` module).
+    /// step for the leader that proposes soonest and that round's
+    /// rank-1 party: the current round's while its window `Δprop(0)` is
+    /// open, else the next round's if its beacon is known; otherwise it
+    /// goes with the forwarding pass of the round (the `ingress`
+    /// module).
     pub fn on_command(&mut self, now: SimTime, cmd: Command) -> Step {
         let mut step = Step::default();
         let (h, small) = (command_hash(&cmd), cmd.len() <= FORWARD_MAX_BYTES);
         if self.committed_cmds.contains(&h) || !self.commands.submit(cmd, h) {
             return step;
         }
-        let leader = self.current_leader(now).or_else(|| self.next_leader());
-        let Some((target, leader)) = leader.filter(|_| small && self.running()) else {
+        let target = self.current_target(now).or_else(|| self.next_target());
+        let Some((target, to)) = target.filter(|_| small && self.running()) else {
             return step;
         };
-        let to_self = leader == self.keys.index;
         let in_chain = self.notarized_chain_commands().contains(&h);
         let current = self.round;
         let sent = self
             .commands
-            .send_new(&h, target, current, to_self, in_chain);
+            .send_new(&h, target, current, to.len(), in_chain);
         if let Some(cmd) = sent {
-            let round = target;
-            let commands = vec![cmd];
-            step.sends
-                .push((leader, ConsensusMessage::Commands { round, commands }));
+            send_batch(&mut step, target, &to, vec![cmd]);
         }
         step
     }
 
-    /// The leader of the round in progress while it has not proposed:
-    /// `now` is inside its window `Δprop(0)`, the governor ε.
-    fn current_leader(&self, now: SimTime) -> Option<(Round, NodeIndex)> {
+    /// The round in progress while its leader has not proposed — `now`
+    /// is inside its window `Δprop(0)`, the governor ε — with the
+    /// parties a batch for it goes to.
+    fn current_target(&self, now: SimTime) -> Option<(Round, Vec<NodeIndex>)> {
         let rs = self.rstate.as_ref().filter(|rs| !rs.done)?;
         let open = now < rs.t0 + self.delays.prop(Rank::LEADER);
-        open.then(|| (self.round, NodeIndex::new(rs.perm.leader())))
+        open.then(|| (self.round, self.recipients(&rs.perm)))
     }
 
-    /// The leader of the round after the current one, once its beacon
-    /// is known.
-    fn next_leader(&self) -> Option<(Round, NodeIndex)> {
+    /// The round after the current one, once its beacon is known, with
+    /// the parties a batch for it goes to.
+    fn next_target(&self) -> Option<(Round, Vec<NodeIndex>)> {
         let (round, perm) = self.next_perm.as_ref()?;
-        (*round == self.round.next()).then(|| (*round, NodeIndex::new(perm.leader())))
+        (*round == self.round.next()).then(|| (*round, self.recipients(perm)))
+    }
+
+    /// Who this replica's client commands for the round ranked by `perm`
+    /// go to: its rank-0 party and, standing in for it if it fails
+    /// (§3.4), its rank-1 party — never this replica, and nobody when
+    /// this replica leads the round.
+    fn recipients(&self, perm: &RankPermutation) -> Vec<NodeIndex> {
+        let me = self.keys.index.get();
+        if perm.leader() == me {
+            return Vec::new();
+        }
+        let backup = perm.try_party_at_rank(1).filter(|&p| p != me);
+        let parties = std::iter::once(perm.leader()).chain(backup);
+        parties.map(NodeIndex::new).collect()
     }
 
     // ------------------------------------------------------------------
@@ -1525,14 +1547,14 @@ impl ConsensusCore {
     /// commands held, never sent or sent for a round that ended without
     /// them (`ingress` module). With `ε = 0` the window is never open.
     fn forward_to_current(&mut self, now: SimTime, step: &mut Step) {
-        let Some((round, leader)) = self.current_leader(now) else {
+        let Some((round, to)) = self.current_target(now) else {
             return;
         };
         let Some(rs) = self.rstate.as_mut().filter(|rs| !rs.forwarded) else {
             return;
         };
         rs.forwarded = true;
-        self.send_due(round, leader, step);
+        self.send_due(round, &to, step);
     }
 
     /// Runs once the round after this one has a known beacon — combining
@@ -1559,27 +1581,24 @@ impl ConsensusCore {
         };
         let members = &self.keys.setup.epoch_of(next).members;
         let perm = RankPermutation::derive_members(&beacon, members);
-        let leader = NodeIndex::new(perm.leader());
+        let to = self.recipients(&perm);
         self.next_perm = Some((next, perm));
-        self.send_due(next, leader, step);
+        self.send_due(next, &to, step);
     }
 
-    /// Sends the leader of `target` — the current round or the next — the
-    /// client commands due to it (`CommandPool::due_for`).
-    fn send_due(&mut self, target: Round, leader: NodeIndex, step: &mut Step) {
+    /// Sends the parties `to` of `target` — the current round or the
+    /// next — the client commands due to them (`CommandPool::due_for`).
+    fn send_due(&mut self, target: Round, to: &[NodeIndex], step: &mut Step) {
         if self.commands.len() == 0 {
             return;
         }
         let in_chain = self.notarized_chain_commands();
-        let to_self = leader == self.keys.index;
         let (current, policy) = (self.round, &self.policy);
         let commands = self
             .commands
-            .due_for(target, current, to_self, &in_chain, policy);
+            .due_for(target, current, to.len(), &in_chain, policy);
         if !commands.is_empty() {
-            let round = target;
-            step.sends
-                .push((leader, ConsensusMessage::Commands { round, commands }));
+            send_batch(step, target, to, commands);
         }
     }
 

@@ -3,20 +3,25 @@
 //! which a command given to one replica reaches the leader that
 //! proposes it (`DESIGN.md` §5l).
 //!
-//! * **Send to the leader that proposes soonest.** A client's command
-//!   of at most [`FORWARD_MAX_BYTES`] is sent, once, unless the
-//!   notarized chain holds it already: to the rank-0 party of the
-//!   current round while that party's window `Δprop(0)` — the governor
-//!   ε, `delays` module — is open, otherwise to the rank-0 party of the
-//!   round after, as soon as that round's beacon is known. When the
-//!   round it was sent for has ended without it in that chain, it is
-//!   sent to a later leader — the new round's own, at its entry, if its
-//!   window is open — never for a round more than [`FORWARD_ROUNDS`]
-//!   past the first it was sent for. Larger commands wait for their own
-//!   replica's turn: a leader carries the bytes in its block anyway, and
-//!   sending them to it first doubles what the wire carries.
-//! * **Receive.** A batch is accepted only for the receiver's current or
-//!   next round; peer commands are held up to [`PEER_BLOCKS`] blocks'
+//! * **Send to the leader that proposes soonest, and its backup.** A
+//!   client's command of at most [`FORWARD_MAX_BYTES`] is sent, once,
+//!   unless the notarized chain holds it already: to the rank-0 party of
+//!   the current round while that party's window `Δprop(0)` — the
+//!   governor ε, `delays` module — is open, otherwise to the rank-0 party
+//!   of the round after, as soon as that round's beacon is known. The
+//!   same batch goes to that round's rank-1 party, which proposes it if
+//!   rank 0 is crashed or disqualified (§3.4) — unless this replica is
+//!   that party; and nothing is sent when this replica leads the round
+//!   itself. When the round it was sent for has ended without it in that
+//!   chain, it is sent to a later round's two parties — the new round's
+//!   own, at its entry, if its window is open — never for a round more
+//!   than [`FORWARD_ROUNDS`] past the first it was sent for. Larger
+//!   commands wait for their own replica's turn: a leader carries the
+//!   bytes in its block anyway, and sending them to it first doubles
+//!   what the wire carries.
+//! * **Receive.** A batch — as the round's rank-0 or rank-1 party alike
+//!   — is accepted only for the receiver's current or next round; peer
+//!   commands are held up to [`PEER_BLOCKS`] blocks'
 //!   worth of the replica's [`BlockPolicy`], the rest counted and
 //!   dropped. A command leaves the pool when a committed block names its
 //!   digest.
@@ -28,6 +33,12 @@
 //!   those that do not commit within the window — and for
 //!   [`FORWARD_ROUNDS`] rounds past the package it refuses forwarded
 //!   batches ([`CommandPool::gap`]).
+
+// Peer batches are read here: nothing a peer sends may panic it.
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::indexing_slicing)
+)]
 
 use crate::consensus::BlockPolicy;
 use icc_crypto::Hash256;
@@ -64,6 +75,10 @@ icc_telemetry::counter_set! {
         /// Client commands sent — first time or again — to the leader of
         /// the round in progress, inside its window.
         pub sent_to_current: u64,
+        /// Copies of client commands sent to the rank-1 party of the
+        /// round they were sent for, beside its leader (each send counted
+        /// once in `forwarded` or `reforwarded`).
+        pub sent_to_backup: u64,
         /// Forwarded commands taken into this replica's pool.
         pub received: u64,
         /// Forwarded batches for this replica's current round that came
@@ -93,6 +108,17 @@ impl fmt::Display for IngressStats {
             write!(f, "{sep}{value} {}", name.replace('_', " "))?;
         }
         Ok(())
+    }
+}
+
+impl IngressStats {
+    /// Counts one command sent for `target` to `copies` parties, the
+    /// sender being in `current`.
+    fn count_send(&mut self, target: Round, current: Round, copies: usize) {
+        if target == current {
+            self.sent_to_current += 1;
+        }
+        self.sent_to_backup += copies.saturating_sub(1) as u64;
     }
 }
 
@@ -282,19 +308,22 @@ impl CommandPool {
     /// `current` on entering it while its leader's window is open, and
     /// for the round after once that round's leader becomes known. The
     /// client commands due to the leader of `target` (see [`due`]), in
-    /// arrival order, within one block's worth of `policy`. `in_chain`
-    /// holds the commands of the chain ending at a notarized block of
-    /// round `current − 1`, above the committed tip. When this replica
-    /// leads `target` itself (`to_self`) nothing is returned, but the
-    /// commands it will propose count as sent for `target`.
+    /// arrival order, within one block's worth of `policy`, for
+    /// `copies` parties: the leader and its rank-1 backup, or the leader
+    /// alone. `in_chain` holds the commands of the chain ending at a
+    /// notarized block of round `current − 1`, above the committed tip.
+    /// When this replica leads `target` itself (`copies` = 0) nothing is
+    /// returned, but the commands it will propose count as sent for
+    /// `target`.
     pub(crate) fn due_for(
         &mut self,
         target: Round,
         current: Round,
-        to_self: bool,
+        copies: usize,
         in_chain: &HashSet<Hash256>,
         policy: &BlockPolicy,
     ) -> Vec<Command> {
+        let to_self = copies == 0;
         let mut batch = Vec::new();
         let mut bytes = 0;
         let mut expired = Vec::new();
@@ -321,9 +350,7 @@ impl CommandPool {
                 } else {
                     self.stats.forwarded += 1;
                 }
-                if target == current {
-                    self.stats.sent_to_current += 1;
-                }
+                self.stats.count_send(target, current, copies);
             }
             held.sent_for = Some((first, target));
         }
@@ -342,9 +369,10 @@ impl CommandPool {
         digest: &Hash256,
         target: Round,
         current: Round,
-        to_self: bool,
+        copies: usize,
         in_chain: bool,
     ) -> Option<Command> {
+        let to_self = copies == 0;
         let held = self.held.get_mut(digest)?;
         // Never sent, so the round it would be in flight for is moot.
         let Due::Send(first) = due(held, target, target, in_chain, to_self) else {
@@ -355,9 +383,7 @@ impl CommandPool {
             return None;
         }
         self.stats.forwarded += 1;
-        if target == current {
-            self.stats.sent_to_current += 1;
-        }
+        self.stats.count_send(target, current, copies);
         Some(held.cmd.clone())
     }
 
@@ -464,18 +490,18 @@ mod tests {
         pool.submit(large.clone(), large.digest());
         let (none, chain) = (HashSet::new(), HashSet::from([small.digest()]));
         // In the notarized chain already: not sent.
-        assert!(pool.due_for(r(2), r(1), false, &chain, &policy).is_empty());
-        let sent = pool.due_for(r(2), r(1), false, &none, &policy);
+        assert!(pool.due_for(r(2), r(1), 1, &chain, &policy).is_empty());
+        let sent = pool.due_for(r(2), r(1), 1, &none, &policy);
         assert_eq!(sent, std::slice::from_ref(&small));
         // Round 2 has not ended: in flight.
-        assert!(pool.due_for(r(3), r(2), false, &none, &policy).is_empty());
+        assert!(pool.due_for(r(3), r(2), 1, &none, &policy).is_empty());
         // It made the chain: nothing to send.
-        assert!(pool.due_for(r(4), r(3), false, &chain, &policy).is_empty());
+        assert!(pool.due_for(r(4), r(3), 1, &chain, &policy).is_empty());
         // It did not: sent again, for every round up to the window.
         let mut sent = vec![];
         for current in 3..20 {
             if !pool
-                .due_for(r(current + 1), r(current), false, &none, &policy)
+                .due_for(r(current + 1), r(current), 1, &none, &policy)
                 .is_empty()
             {
                 sent.push(current + 1);
@@ -487,11 +513,8 @@ mod tests {
         // A leader keeps its own commands: marked, not sent.
         let own = cmd(3, 64);
         pool.submit(own.clone(), own.digest());
-        assert_eq!(
-            pool.send_new(&own.digest(), r(21), r(20), true, false),
-            None
-        );
-        assert!(pool.due_for(r(22), r(21), false, &none, &policy).is_empty());
+        assert_eq!(pool.send_new(&own.digest(), r(21), r(20), 0, false), None);
+        assert!(pool.due_for(r(22), r(21), 1, &none, &policy).is_empty());
     }
 
     /// A gap drops what peers sent and what cannot be sent; a client's
@@ -507,17 +530,17 @@ mod tests {
         for c in [&own, &large] {
             pool.submit(c.clone(), c.digest());
         }
-        assert_eq!(pool.due_for(r(6), r(5), false, &none, &policy).len(), 1);
+        assert_eq!(pool.due_for(r(6), r(5), 1, &none, &policy).len(), 1);
         pool.receive(r(5), r(5), false, &[peer], &none, &policy);
         pool.gap(r(40));
         assert_eq!((pool.len(), pool.stats().dropped_at_gap), (1, 2));
         assert_eq!(pool.proposable().count(), 0);
         // Leading the next round itself, it keeps the command back.
-        assert!(pool.due_for(r(42), r(41), true, &none, &policy).is_empty());
+        assert!(pool.due_for(r(42), r(41), 0, &none, &policy).is_empty());
         let mut sent = vec![];
         for current in 42..60 {
             if !pool
-                .due_for(r(current + 1), r(current), false, &none, &policy)
+                .due_for(r(current + 1), r(current), 1, &none, &policy)
                 .is_empty()
             {
                 sent.push(current + 1);
@@ -545,27 +568,56 @@ mod tests {
         let (a, b) = (cmd(1, 64), cmd(2, 64));
         pool.submit(a.clone(), a.digest());
         assert_eq!(
-            pool.send_new(&a.digest(), r(7), r(7), false, false),
+            pool.send_new(&a.digest(), r(7), r(7), 1, false),
             Some(a.clone())
         );
         pool.submit(b.clone(), b.digest());
         assert_eq!(
-            pool.send_new(&b.digest(), r(8), r(7), false, false),
+            pool.send_new(&b.digest(), r(8), r(7), 1, false),
             Some(b.clone())
         );
         let s = pool.stats();
         assert_eq!((s.forwarded, s.sent_to_current), (2, 1));
         // Entering round 8: `a` missed round 7 and is retried inside 8;
         // `b` is in flight for 8.
-        let sent = pool.due_for(r(8), r(8), false, &none, &policy);
+        let sent = pool.due_for(r(8), r(8), 1, &none, &policy);
         assert_eq!(sent, std::slice::from_ref(&a));
         let s = pool.stats();
         assert_eq!((s.forwarded, s.reforwarded, s.sent_to_current), (2, 1, 2));
         // A leader's own command, in its own window: kept, not counted.
         let own = cmd(3, 64);
         pool.submit(own.clone(), own.digest());
-        assert_eq!(pool.send_new(&own.digest(), r(8), r(8), true, false), None);
+        assert_eq!(pool.send_new(&own.digest(), r(8), r(8), 0, false), None);
         assert_eq!(pool.stats().sent_to_current, 2);
+    }
+
+    /// A command sent to a round's leader and its rank-1 backup counts
+    /// once as sent and once as a copy to the backup; one sent to the
+    /// leader alone — this replica being rank 1 — adds no copy, and a
+    /// leader's own command none at all.
+    #[test]
+    fn copies_to_the_backup_are_counted() {
+        let policy = BlockPolicy::default();
+        let mut pool = CommandPool::default();
+        let none = HashSet::new();
+        let (a, b, c, own) = (cmd(1, 64), cmd(2, 64), cmd(3, 64), cmd(4, 64));
+        for x in [&a, &b, &c, &own] {
+            pool.submit(x.clone(), x.digest());
+        }
+        assert_eq!(pool.send_new(&a.digest(), r(7), r(7), 2, false), Some(a));
+        assert_eq!(pool.send_new(&b.digest(), r(8), r(7), 1, false), Some(b));
+        assert_eq!(pool.send_new(&own.digest(), r(8), r(7), 0, false), None);
+        let s = pool.stats();
+        assert_eq!(
+            (s.forwarded, s.sent_to_current, s.sent_to_backup),
+            (2, 1, 1)
+        );
+        // A pass for round 8: `c` goes to both parties, `a` (round 7
+        // ended without it) again to both, `b` is in flight.
+        let sent = pool.due_for(r(8), r(8), 2, &none, &policy);
+        assert_eq!(sent.len(), 2);
+        let s = pool.stats();
+        assert_eq!((s.forwarded, s.reforwarded, s.sent_to_backup), (3, 1, 3));
     }
 
     /// A batch for the current round that reaches a replica after it has

@@ -29,6 +29,13 @@
 //! signature, wrong signer set, out-of-epoch round) or a missing link
 //! rejects the whole package.
 
+// Peer catch-up packages are read here: nothing a peer sends may
+// panic it.
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::indexing_slicing)
+)]
+
 use icc_crypto::beacon::BeaconValue;
 use icc_types::codec::{CodecError, Decode, Encode, Reader};
 use icc_types::messages::{BlockProposal, Finalization, Notarization};

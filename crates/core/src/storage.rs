@@ -83,6 +83,12 @@
 //! still *in* round `k` — compaction could otherwise drop the
 //! `Beacon(k)` entry the restored chain needs.
 
+// Disk bytes are read here: nothing on disk may panic it.
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::indexing_slicing)
+)]
+
 use crate::recovery::EpochTransition;
 use icc_crypto::beacon::BeaconValue;
 use icc_crypto::Hash256;
@@ -474,7 +480,7 @@ impl FileBackend {
         let mut entries = Vec::with_capacity(history.len() + records.len());
         for (i, rec) in history.iter().enumerate() {
             let Some(digests) = digests_of(&rec.payload) else {
-                discard(dedup.counters_mut(), &history[i..]);
+                discard(dedup.counters_mut(), history.get(i..).unwrap_or_default());
                 break;
             };
             let round = Round::new(rec.round);
@@ -490,7 +496,7 @@ impl FileBackend {
                 continue;
             }
             let Ok(entry) = decode_from_slice::<WalEntry>(&rec.payload) else {
-                discard(wal.counters_mut(), &records[i..]);
+                discard(wal.counters_mut(), records.get(i..).unwrap_or_default());
                 break;
             };
             if let WalEntry::Committed { round, digests } = &entry {

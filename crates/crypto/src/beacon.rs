@@ -155,6 +155,12 @@ impl RankPermutation {
         self.party_at[rank as usize]
     }
 
+    /// The party holding `rank`, or `None` if the permutation has no
+    /// such rank.
+    pub fn try_party_at_rank(&self, rank: u32) -> Option<u32> {
+        self.party_at.get(rank as usize).copied()
+    }
+
     /// The round leader: the party of rank 0.
     pub fn leader(&self) -> u32 {
         self.party_at[0]
@@ -201,6 +207,10 @@ mod tests {
         let p = RankPermutation::derive(&BeaconValue::Genesis(sha256(b"a")), 1);
         assert_eq!(p.leader(), 0);
         assert_eq!(p.len(), 1);
+        assert_eq!(
+            (p.try_party_at_rank(0), p.try_party_at_rank(1)),
+            (Some(0), None)
+        );
     }
 
     #[test]

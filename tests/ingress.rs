@@ -6,7 +6,13 @@
 //! n = 4 on ICC0, δ = 10 ms on every link, ε = 50 ms, Δbnd = 60 ms: a
 //! round is ε + 2δ = 70 ms, and the leader's window closes 20 ms before
 //! its end.
+//!
+//! A command also survives a faulty leader: it goes to the round's
+//! rank-1 party too, which proposes it at `Δprop(1) = 2·Δbnd` when rank
+//! 0 is crashed or disqualified. Those cases run with ε = 0 and one
+//! faulty party of the four.
 
+use icc_core::byzantine::Behavior;
 use icc_core::cluster::{Cluster, ClusterBuilder};
 use icc_core::events::NodeEvent;
 use icc_gossip::{icc0_cluster, GossipNode};
@@ -151,4 +157,102 @@ fn a_leaders_own_command_is_proposed_at_the_end_of_its_window() {
     let stats = cluster.sim.node(2).core().ingress_stats();
     assert_eq!((stats.forwarded, stats.sent_to_current), (0, 0), "{stats}");
     cluster.assert_safety();
+}
+
+/// The faulty party of the faulty-leader cases.
+const FAULTY: usize = 3;
+
+fn faulty_cluster(behavior: Behavior) -> Cluster<GossipNode> {
+    let mut behaviors = vec![Behavior::Honest; 4];
+    behaviors[FAULTY] = behavior;
+    icc0_cluster(
+        ClusterBuilder::new(4)
+            .seed(SEED)
+            .network(FixedDelay::new(ms(10)))
+            .protocol_delays(ms(60), SimDuration::ZERO)
+            .behaviors(behaviors),
+    )
+}
+
+/// The rank-1 party of `round`: the replica that entered it with rank 1.
+fn rank_one(cluster: &Cluster<GossipNode>, round: Round) -> Option<usize> {
+    (0..4).find(|&node| {
+        cluster.events_of(node).any(|o| {
+            matches!(o.output, NodeEvent::EnteredRound { round: r, my_rank: Some(rank), .. }
+                if r == round && rank.get() == 1)
+        })
+    })
+}
+
+/// When `node` entered `round`.
+fn entered(cluster: &Cluster<GossipNode>, node: usize, round: Round) -> Option<SimTime> {
+    cluster.events_of(node).find_map(|o| match o.output {
+        NodeEvent::EnteredRound { round: r, .. } if r == round => Some(o.at),
+        _ => None,
+    })
+}
+
+/// A command given, in round k − 1 and after beacon k is known, to an
+/// honest replica that is neither rank 0 nor rank 1 of round k, where
+/// rank 0 is the faulty party: it goes to both, and the rank-1 party
+/// proposes it in round k. It commits there, in rank 1's block, once at
+/// every honest replica — not two rounds on, after a retry.
+fn a_command_survives_a_faulty_leader(behavior: Behavior) {
+    let mut probe = faulty_cluster(behavior);
+    probe.run_until(at(3000));
+    // The first round after 500 ms that the faulty party leads and that
+    // ends on rank 1's block: an equivocator's two blocks can both miss
+    // a quorum, or one of them can gather it (with its own share).
+    let faulty = NodeIndex::new(FAULTY as u32);
+    let led_by_faulty = |round: Round| {
+        probe.events_of(0).any(|o| {
+            matches!(o.output, NodeEvent::EnteredRound { round: r, leader, .. }
+                if r == round && leader == faulty)
+        })
+    };
+    let found = probe.events_of(0).find_map(|o| match o.output {
+        NodeEvent::RoundFinished {
+            round,
+            notarized_rank,
+            ..
+        } if o.at >= at(500) && notarized_rank.get() == 1 && led_by_faulty(round) => {
+            let backup = rank_one(&probe, round)?;
+            let sender = (0..4).find(|&i| i != FAULTY && i != backup)?;
+            let before = round.prev()?;
+            Some((round, backup, sender, entered(&probe, sender, before)?))
+        }
+        _ => None,
+    });
+    let (k, backup, sender, k_minus_1) = found.expect("a round lost by the faulty leader");
+    // Beacon k is combined from t + 1 = 2 shares, sent when beacon k − 1
+    // was: within δ of entering round k − 1, which lasts 2δ at least.
+    let given = k_minus_1 + ms(15);
+    assert!(entered(&probe, sender, k).is_some_and(|t| t > given));
+
+    let mut cluster = faulty_cluster(behavior);
+    let cmd = command("faulty leader");
+    cluster
+        .sim
+        .schedule_external(given, NodeIndex::new(sender as u32), cmd.clone());
+    cluster.run_until(given + ms(2000));
+    for node in cluster.honest_nodes() {
+        let rounds = rounds_committing(&cluster, node, &cmd);
+        assert_eq!(rounds, [k], "node {node}, sender {sender}, rank 1 {backup}");
+        let chain = cluster.committed_chain(node);
+        let block = chain.iter().find(|b| b.round() == k).expect("block k");
+        assert_eq!(block.block().proposer(), NodeIndex::new(backup as u32));
+    }
+    let stats = cluster.sim.node(sender).core().ingress_stats();
+    assert_eq!((stats.forwarded, stats.sent_to_backup), (1, 1), "{stats}");
+    cluster.assert_safety();
+}
+
+#[test]
+fn a_command_survives_a_crashed_leader() {
+    a_command_survives_a_faulty_leader(Behavior::Crash);
+}
+
+#[test]
+fn a_command_survives_an_equivocating_leader() {
+    a_command_survives_a_faulty_leader(Behavior::Equivocate);
 }
