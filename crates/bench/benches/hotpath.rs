@@ -26,8 +26,12 @@
 //!    replica that also needs the command digests for dedup, digests
 //!    cold on both sides: streaming the payload through the block hash
 //!    and then hashing each command again (the pre-payload-root scheme,
-//!    reference kept here) vs the shipped `Block::hash`, whose only
-//!    pass over the payload *is* the command digests.
+//!    reference kept here; its re-hash is today's `Command::digest`) vs
+//!    the shipped `Block::hash`, whose only pass over the payload *is*
+//!    the command digests;
+//! 7. `cmd_digest_16k` — that one pass over one 16 KiB command, cold:
+//!    the SHA-256 `hash_parts("cmd", ..)` digest (kept here as the
+//!    reference) vs the shipped BLAKE2b-256 `Command::digest`.
 //!
 //! Hand-rolled harness (`harness = false`): `--smoke` shrinks the
 //! iteration counts for CI while still emitting the JSON report.
@@ -75,6 +79,21 @@ fn time_ns(reps: usize, iters: usize, mut f: impl FnMut()) -> f64 {
         samples.push(start.elapsed().as_nanos() as f64 / iters as f64);
     }
     median(samples)
+}
+
+/// Median ns of `f` over `samples` inputs, each built by `make`
+/// outside the clock — so a lazily cached digest starts cold.
+fn time_cold<T>(samples: usize, make: impl Fn() -> T, f: impl Fn(&T)) -> f64 {
+    median(
+        (0..samples)
+            .map(|_| {
+                let input = make();
+                let start = Instant::now();
+                f(black_box(&input));
+                start.elapsed().as_nanos() as f64
+            })
+            .collect(),
+    )
 }
 
 fn median(mut samples: Vec<f64>) -> f64 {
@@ -347,23 +366,14 @@ fn main() {
             Payload::from_commands(commands),
         )
     };
-    let bulk_iters = iters.min(100);
-    let time_cold = |f: &dyn Fn(&Block)| {
-        let samples = (0..reps * bulk_iters).map(|_| {
-            let block = bulk_block();
-            let start = Instant::now();
-            f(black_box(&block));
-            start.elapsed().as_nanos() as f64
-        });
-        median(samples.collect())
-    };
-    let baseline = time_cold(&|block| {
+    let bulk_samples = reps * iters.min(100);
+    let baseline = time_cold(bulk_samples, bulk_block, |block| {
         black_box(streamed_block_hash(block));
         for c in block.payload().commands() {
             black_box(c.digest());
         }
     });
-    let optimised = time_cold(&|block| {
+    let optimised = time_cold(bulk_samples, bulk_block, |block| {
         black_box(block.hash());
         for c in block.payload().commands() {
             black_box(c.digest());
@@ -372,6 +382,27 @@ fn main() {
     results.push(AbResult {
         name: "block_id_100k",
         what: "block id + dedup digests, 6 x 16 KiB commands, cold: stream payload then digest vs payload root",
+        baseline_ns: baseline,
+        optimised_ns: optimised,
+    });
+
+    // 7. One command's digest, 16 KiB, on a fresh `Command` per sample
+    // (built outside the clock) so the digest cache is cold.
+    let cmd_bytes: Vec<u8> = (0..16 * 1024u32).map(|i| (i * 13 + 1) as u8).collect();
+    let fresh = || Command::new(cmd_bytes.clone());
+    assert_eq!(
+        fresh().digest(),
+        icc_crypto::blake2b::hash_parts("cmd", &[&cmd_bytes])
+    );
+    let baseline = time_cold(reps * iters, fresh, |c| {
+        black_box(icc_crypto::hash_parts("cmd", &[c.bytes()]));
+    });
+    let optimised = time_cold(reps * iters, fresh, |c| {
+        black_box(c.digest());
+    });
+    results.push(AbResult {
+        name: "cmd_digest_16k",
+        what: "command digest of a 16 KiB command, cold: SHA-256 vs BLAKE2b-256",
         baseline_ns: baseline,
         optimised_ns: optimised,
     });

@@ -5,7 +5,9 @@
 //! cryptographic components:
 //!
 //! 1. a collision-resistant hash function `H` — implemented here as
-//!    [SHA-256](sha256()) from scratch (FIPS 180-4);
+//!    [SHA-256](sha256()) from scratch (FIPS 180-4), with
+//!    [BLAKE2b-256](blake2b) (RFC 7693) for the one bulk pass, over
+//!    command bytes;
 //! 2. a digital signature scheme `S_auth` used to authenticate block
 //!    proposals — [`sig`];
 //! 3. two instances of a `(t, n−t, n)`-threshold *multi*-signature scheme
@@ -68,6 +70,7 @@
 
 pub mod batch;
 pub mod beacon;
+pub mod blake2b;
 pub mod dkg;
 pub mod field;
 pub mod hashrng;
