@@ -52,8 +52,8 @@
 //! combined beacon values whose predecessor is unknown wait in a small
 //! bounded list until it lands.
 //!
-//! The seed's eager-verify pool survives as [`reference::EagerPool`],
-//! the differential-testing model.
+//! The seed's eager-verify pool survives as test code
+//! (`tests/support/eager_pool.rs`), the differential-testing model.
 
 // Nothing a peer sends may panic the pool.
 #![cfg_attr(
@@ -61,12 +61,9 @@
     deny(clippy::expect_used, clippy::unwrap_used, clippy::indexing_slicing)
 )]
 
-#[allow(clippy::expect_used, clippy::unwrap_used, clippy::indexing_slicing)]
-pub mod reference;
 pub mod stats;
 mod validated;
 
-pub use reference::EagerPool;
 pub use stats::PoolStats;
 pub use validated::CertifiedBlock;
 

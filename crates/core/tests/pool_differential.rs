@@ -8,17 +8,17 @@
 //! genuine signatures over made-up references to real blocks.
 //!
 //! The eager model ([`EagerPool`]) is the seed's implementation kept
-//! verbatim in `pool::reference`: it checks every signature of every
+//! verbatim in `support/eager_pool.rs`: it checks every signature of every
 //! message, duplicates included. The pool ([`Pool`]) drops duplicates
 //! and shares past a quorum before any check. Equal final
 //! classification — and the same quorums completing — on random streams
 //! is the correctness argument for everything the pool skips; the
-//! verification-count comparison at the bottom is the performance
-//! argument.
+//! verification-count comparisons (in the proptest, and over a fixed
+//! duplicate-heavy stream) are the performance argument.
 
 use icc_core::artifacts;
 use icc_core::keys::{generate_keys, NodeKeys};
-use icc_core::pool::{EagerPool, Pool};
+use icc_core::pool::Pool;
 use icc_crypto::Hash256;
 use icc_types::block::{Block, Payload};
 use icc_types::messages::{BlockRef, ConsensusMessage, Finalization, Notarization};
@@ -26,6 +26,10 @@ use icc_types::{NodeIndex, Round, SubnetConfig};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
+use support::duplicate_stream::duplicate_stream;
+use support::eager_pool::EagerPool;
+
+mod support;
 
 /// Block tree: two forks per round for three rounds, both children of
 /// the previous round's first fork (so fork B of each round exercises
@@ -505,4 +509,30 @@ fn check_reads(pool: &mut Pool, universe: &Universe, rounds: &[Round]) {
     // A finalization may be held without the notarization: no order
     // between the two frontiers, the read just has to answer.
     pool.highest_notarized_round();
+}
+
+/// The pool verifies strictly less than the eager model over a fixed
+/// stream in which every artifact arrives eight times.
+#[test]
+fn duplicates_never_reach_verification() {
+    let (setup, stream) = duplicate_stream();
+    let mut pool = Pool::new(Arc::clone(&setup));
+    let mut eager = EagerPool::new(setup);
+    for (i, msg) in stream.iter().enumerate() {
+        pool.insert(msg);
+        eager.insert(msg);
+        // Gossip nodes poll the beacon combine like this.
+        if i % 16 == 0 {
+            pool.try_compute_beacon(Round::new(1));
+            eager.try_compute_beacon(Round::new(1));
+        }
+    }
+    // Every artifact is genuine: the eager model rejects none of them,
+    // yet verifies every copy.
+    assert_eq!(eager.rejected_count(), 0);
+    let (pool, eager) = (pool.stats().verify_calls, eager.verify_calls());
+    assert!(
+        pool < eager,
+        "duplicates reached verification: {pool} ≥ {eager}"
+    );
 }

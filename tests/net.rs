@@ -12,12 +12,16 @@ use icc_core::keys::generate_keys;
 use icc_crypto::Hash256;
 use icc_gossip::{GossipConfig, GossipNode, Overlay};
 use icc_net::{ClusterSpec, NetOptions, TcpTransport};
+use icc_node::{parse_commit, Replica, RunReport, Settings};
 use icc_sim::engine::OutputRecord;
 use icc_sim::live::run_live;
 use icc_sim::runtime::drive;
 use icc_types::{Command, NodeIndex, SimDuration, SubnetConfig};
+use std::collections::HashMap;
+use std::io::Write;
 use std::net::TcpListener;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const N: usize = 4;
@@ -129,6 +133,143 @@ fn gossip_cluster_over_tcp_backend() {
         assert!(
             node.core().committed_round().get() > 0,
             "replica {i} never committed over TCP"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// The shipped replica recipe: four `icc-node` replicas in one process.
+// ---------------------------------------------------------------------
+
+/// A stdout stand-in the test can read while a replica still writes it.
+#[derive(Clone, Default)]
+struct Sink(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Sink {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Sink {
+    fn lines(&self) -> Vec<String> {
+        let bytes = self.0.lock().unwrap();
+        String::from_utf8_lossy(&bytes)
+            .lines()
+            .map(str::to_string)
+            .collect()
+    }
+}
+
+/// The replica the `replica` binary runs — keys, core, durable store,
+/// overlay, gossip config, admin plane, run loop and REPORT — four times
+/// over loopback TCP: the commits agree round by round, each REPORT
+/// line parses back to the report `run` returned, and the admin
+/// replica serves `/metrics` mid-run.
+#[test]
+fn icc_node_replicas_agree_over_tcp() {
+    let listeners: Vec<TcpListener> = (0..N)
+        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind :0"))
+        .collect();
+    let spec = ClusterSpec::from_addrs(
+        listeners
+            .iter()
+            .map(|l| l.local_addr().expect("bound"))
+            .collect(),
+    )
+    .expect("spec");
+    let data = std::env::temp_dir().join(format!("icc_node_replicas_{}", std::process::id()));
+    let stop = AtomicBool::new(false);
+    let sinks: Vec<Sink> = (0..N).map(|_| Sink::default()).collect();
+    let commits = |sink: &Sink| {
+        sink.lines()
+            .iter()
+            .filter(|l| parse_commit(l).is_some())
+            .count()
+    };
+
+    let reports: Vec<RunReport> = std::thread::scope(|scope| {
+        let runs: Vec<_> = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(i, listener)| {
+                let settings = Settings {
+                    me: i as u32,
+                    // An upper bound: the test stops the run itself.
+                    secs: 60,
+                    seed: 43,
+                    data_dir: Some(data.join(format!("replica-{i}"))),
+                    admin_port: (i == 0).then_some(0),
+                    ..Settings::default()
+                };
+                let replica = Replica::build(N, settings).expect("build replica");
+                let me = NodeIndex::new(i as u32);
+                let transport =
+                    TcpTransport::with_listener(listener, &spec, me, NetOptions::default());
+                let (stop, mut out) = (&stop, sinks[i].clone());
+                scope.spawn(move || replica.run(transport, stop, &mut out).expect("run"))
+            })
+            .collect();
+
+        // Mid-run: every replica commits, and the admin replica serves
+        // its consensus gauges.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while sinks.iter().any(|s| commits(s) < 5) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        let admin = sinks[0]
+            .lines()
+            .iter()
+            .find_map(|l| l.strip_prefix("ADMIN ").map(str::to_string));
+        let admin = admin.expect("replica 0 announced its admin endpoint");
+        let (code, body) = icc_telemetry::http_get(&admin, "/metrics", Duration::from_secs(5))
+            .expect("scrape /metrics");
+        stop.store(true, Ordering::SeqCst);
+        assert_eq!(code, 200);
+        assert!(body.contains("icc_replica_committed_round"), "{body}");
+        runs.into_iter()
+            .map(|r| r.join().expect("replica thread"))
+            .collect()
+    });
+    let _ = std::fs::remove_dir_all(&data);
+
+    let mut by_round: HashMap<u64, String> = HashMap::new();
+    for (i, (report, sink)) in reports.iter().zip(&sinks).enumerate() {
+        let lines = sink.lines();
+        assert!(
+            lines[0].starts_with("READY "),
+            "replica {i}: {:?}",
+            lines[0]
+        );
+        for (round, hash) in lines.iter().filter_map(|l| parse_commit(l)) {
+            let seen = by_round.entry(round).or_insert_with(|| hash.to_string());
+            assert_eq!(
+                seen, hash,
+                "replica {i} committed another block in round {round}"
+            );
+        }
+        assert!(
+            commits(sink) >= 5,
+            "replica {i} committed {} blocks",
+            commits(sink)
+        );
+        // The REPORT line it printed reads back as what `run` returned.
+        let printed = lines.iter().find_map(|l| RunReport::parse(l));
+        assert_eq!(printed.as_ref(), Some(report), "replica {i}");
+        assert_eq!(report.me, i as u64);
+        assert!(!report.halted, "replica {i} halted");
+        assert!(
+            report.blocks >= 5 && report.committed_round >= 5,
+            "{report:?}"
+        );
+        assert!(
+            report.storage.get("records_appended") > Some(0),
+            "{report:?}"
         );
     }
 }
