@@ -10,7 +10,7 @@ use icc_core::cluster::ClusterBuilder;
 use icc_core::keys::PublicSetup;
 use icc_core::pool::Pool;
 use icc_erasure::{icc2_cluster, Icc2Config};
-use icc_gossip::{gossip_cluster, icc0_cluster, GossipConfig, Overlay};
+use icc_gossip::{icc0_cluster, GossipConfig, Overlay, Recipe};
 use icc_sim::delay::FixedDelay;
 use icc_types::messages::ConsensusMessage;
 use icc_types::{Round, SimDuration};
@@ -47,8 +47,10 @@ fn bench_icc1_rounds(c: &mut Criterion) {
     for n in [13usize, 40] {
         g.bench_with_input(BenchmarkId::new("icc1_gossip", n), &n, |b, &n| {
             b.iter(|| {
-                let overlay = Overlay::random_regular(n, 6, 2);
-                let mut cluster = gossip_cluster(builder(n), overlay, GossipConfig::default());
+                let mut cluster = Recipe::shipped(n)
+                    .with_overlay(Overlay::random_regular(n, 6, 2))
+                    .with_config(GossipConfig::inline_small_blocks())
+                    .cluster(builder(n));
                 cluster.run_for(SimDuration::from_secs(1));
                 assert!(cluster.min_committed_round() > 5);
                 cluster.min_committed_round()

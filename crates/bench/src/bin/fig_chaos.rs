@@ -35,15 +35,13 @@ use icc_core::cluster::ClusterBuilder;
 use icc_core::epoch::{EpochSchedule, EpochSpec};
 use icc_core::Behavior;
 use icc_crypto::Hash256;
-use icc_gossip::{GossipConfig, GossipNode, Overlay};
+use icc_gossip::Recipe;
 use icc_sim::delay::FixedDelay;
 use icc_sim::policy::{DeliveryPolicy, SlowLinks};
 use icc_sim::FaultPlan;
 use icc_telemetry::SpanKind;
 use icc_types::{NodeIndex, Round, SimDuration, SimTime};
-use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 fn ms(v: u64) -> SimDuration {
     SimDuration::from_millis(v)
@@ -381,12 +379,7 @@ fn main() {
     behaviors[BYZ_EQUIVOCATE as usize] = Behavior::Equivocate;
     behaviors[BYZ_WITHHOLD as usize] = Behavior::WithholdFinalization;
 
-    let overlay = Arc::new(Overlay::full_mesh(N));
-    let cfg = GossipConfig {
-        inline_threshold: 0,
-        ..GossipConfig::default()
-    };
-    let idx = Cell::new(0usize);
+    let recipe = Recipe::shipped(N);
     let mut cluster = ClusterBuilder::new(N)
         .seed(42)
         .network(FixedDelay::new(ms(10)))
@@ -412,10 +405,9 @@ fn main() {
             skip: part_skip,
         })
         .build_with(move |core| {
-            let i = idx.get();
-            idx.set(i + 1);
-            let node = GossipNode::new(core, Arc::clone(&overlay), cfg);
-            if i as u32 == BYZ_WITHHOLD {
+            let forger = core.index() == NodeIndex::new(BYZ_WITHHOLD);
+            let node = recipe.node(core);
+            if forger {
                 node.with_forged_catch_up()
             } else {
                 node

@@ -16,7 +16,7 @@ use icc_bench::{fmt_f, print_table};
 use icc_core::cluster::{Cluster, ClusterBuilder, CoreAccess};
 use icc_core::events::NodeEvent;
 use icc_core::BlockPolicy;
-use icc_gossip::{gossip_cluster, icc0_cluster, GossipConfig, Overlay};
+use icc_gossip::{icc0_cluster, GossipConfig, Overlay, Recipe};
 use icc_sim::delay::FixedDelay;
 use icc_sim::Node;
 use icc_types::{Command, SimDuration, SimTime};
@@ -70,8 +70,10 @@ fn main() {
     eprintln!("done ICC0");
 
     for &degree in &[12usize, 6, 4] {
-        let overlay = Overlay::random_regular(n, degree, 5);
-        let mut icc1 = gossip_cluster(builder(n), overlay, GossipConfig::default());
+        let mut icc1 = Recipe::shipped(n)
+            .with_overlay(Overlay::random_regular(n, degree, 5))
+            .with_config(GossipConfig::inline_small_blocks())
+            .cluster(builder(n));
         let (mean, max, rounds) = measure(&mut icc1, 10);
         rows.push(vec![
             format!("ICC1 gossip, degree {degree}"),

@@ -13,7 +13,7 @@
 //! logic). The normalized column `msgs / n²` should be roughly flat for
 //! the synchronous regimes — that is the O(n²) claim.
 //!
-//! A fourth column runs ICC1 (all honest): `GossipNode` over
+//! A fourth column runs ICC1 (all honest) as shipped, `Recipe::shipped`:
 //! `Overlay::for_subnet`, every proposal by advert/request/deliver,
 //! each send counted once. The gossip sub-layer exists to *reduce* what
 //! a party sends, so its `msgs / n²` must not grow with `n` where ICC0's
@@ -27,7 +27,7 @@ use icc_bench::{fmt_f, print_table};
 use icc_core::cluster::{Cluster, ClusterBuilder, CoreAccess};
 use icc_core::events::NodeEvent;
 use icc_core::Behavior;
-use icc_gossip::{gossip_cluster, icc0_cluster, subnet_overlay_seed, GossipConfig, Overlay};
+use icc_gossip::{icc0_cluster, Recipe};
 use icc_sim::delay::FixedDelay;
 use icc_sim::Node;
 use icc_types::{Command, SimDuration};
@@ -41,12 +41,7 @@ fn builder(n: usize, behaviors: Vec<Behavior>) -> ClusterBuilder {
 }
 
 fn icc1(n: usize) -> Cluster<icc_gossip::GossipNode> {
-    let config = GossipConfig {
-        inline_threshold: 0,
-        ..GossipConfig::default()
-    };
-    let overlay = Overlay::for_subnet(n, subnet_overlay_seed(n));
-    gossip_cluster(builder(n, vec![Behavior::Honest; n]), overlay, config)
+    Recipe::shipped(n).cluster(builder(n, vec![Behavior::Honest; n]))
 }
 
 fn msgs_per_round<N>(mut cluster: Cluster<N>, secs: u64) -> f64

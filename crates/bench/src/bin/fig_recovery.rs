@@ -26,13 +26,11 @@
 
 use icc_bench::{fmt_f, print_table};
 use icc_core::cluster::ClusterBuilder;
-use icc_gossip::{GossipConfig, GossipNode, Overlay};
+use icc_gossip::Recipe;
 use icc_sim::delay::FixedDelay;
 use icc_sim::policy::Partition;
 use icc_sim::FaultPlan;
 use icc_types::{NodeIndex, SimDuration, SimTime};
-use std::cell::Cell;
-use std::sync::Arc;
 
 fn ms(v: u64) -> SimDuration {
     SimDuration::from_millis(v)
@@ -118,13 +116,7 @@ fn scenarios(smoke: bool) -> Vec<Scenario> {
 }
 
 fn run(sc: &Scenario) -> Vec<String> {
-    let overlay = Arc::new(Overlay::full_mesh(sc.n));
-    // All proposals travel by advert/request so round-tagged adverts —
-    // the behind-detector's input — keep flowing.
-    let cfg = GossipConfig {
-        inline_threshold: 0,
-        ..GossipConfig::default()
-    };
+    let recipe = Recipe::shipped(sc.n);
     let mut builder = ClusterBuilder::new(sc.n)
         .seed(sc.seed)
         .network(FixedDelay::new(ms(10)))
@@ -135,12 +127,10 @@ fn run(sc: &Scenario) -> Vec<String> {
         builder = builder.policy(p.clone());
     }
     let forgers = sc.forgers.clone();
-    let idx = Cell::new(0usize);
     let mut cluster = builder.build_with(move |core| {
-        let i = idx.get();
-        idx.set(i + 1);
-        let node = GossipNode::new(core, Arc::clone(&overlay), cfg);
-        if forgers.contains(&i) {
+        let forger = forgers.contains(&core.index().as_usize());
+        let node = recipe.node(core);
+        if forger {
             node.with_forged_catch_up()
         } else {
             node

@@ -3,7 +3,7 @@
 //! 13–40 node subnets (§5) to n = 64…1000.
 //!
 //! Every cell runs the scale-out configuration
-//! ([`icc_gossip::routed_gossip_cluster`]): a bounded-degree overlay
+//! ([`icc_gossip::Recipe::routed`]): a bounded-degree overlay
 //! (degree `⌈log₂ n⌉ + 2`, clamped to `[6, 16]`), signature shares
 //! *unicast* to a rotating per-round aggregator set instead of
 //! broadcast, and only the compact certificates (notarizations,
@@ -25,7 +25,7 @@
 
 use icc_bench::{fmt_f, measure_window, print_table};
 use icc_core::cluster::ClusterBuilder;
-use icc_gossip::{routed_gossip_cluster, subnet_overlay_seed, Overlay};
+use icc_gossip::Recipe;
 use icc_sim::delay::FixedDelay;
 use icc_types::SimDuration;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -101,7 +101,8 @@ struct CellResult {
 
 fn run_cell(n: usize, warmup: SimDuration, window: SimDuration) -> CellResult {
     let (mem_baseline, alloc_baseline) = reset_memory_mark();
-    let mut cluster = routed_gossip_cluster(
+    let recipe = Recipe::routed(n);
+    let mut cluster = recipe.clone().cluster(
         ClusterBuilder::new(n)
             .seed(13)
             .network(FixedDelay::new(SimDuration::from_millis(10)))
@@ -116,7 +117,7 @@ fn run_cell(n: usize, warmup: SimDuration, window: SimDuration) -> CellResult {
         .load(Ordering::Relaxed)
         .saturating_sub(mem_baseline);
     let alloc_calls = ALLOC_CALLS.load(Ordering::Relaxed) - alloc_baseline;
-    let overlay = Overlay::for_subnet(n, subnet_overlay_seed(n));
+    let overlay = recipe.overlay();
     let g = summary.gossip;
     let mean_relay_hops = if g.relayed_first_seen == 0 {
         0.0

@@ -7,7 +7,8 @@
 //! is 4δ."
 //!
 //! Setup: fixed one-way delay δ, honest leaders, ε = 0 (fully
-//! responsive). Round time is taken from `RoundFinished` events; commit
+//! responsive). ICC1 pushes blocks up to 4 KiB inline; "ICC1 shipped"
+//! is `Recipe::shipped`, every block by advert → request → deliver. Round time is taken from `RoundFinished` events; commit
 //! latency is the time from the proposer's `Proposed` event to each
 //! node's `Committed` event for that block.
 //!
@@ -19,7 +20,7 @@ use icc_bench::{fmt_f, print_table, run_trials};
 use icc_core::cluster::{Cluster, ClusterBuilder, CoreAccess};
 use icc_core::events::NodeEvent;
 use icc_erasure::{icc2_cluster, Icc2Config};
-use icc_gossip::{gossip_cluster, icc0_cluster, GossipConfig, Overlay};
+use icc_gossip::{icc0_cluster, GossipConfig, Recipe};
 use icc_sim::delay::FixedDelay;
 use icc_sim::Node;
 use icc_types::{Command, SimDuration};
@@ -87,9 +88,13 @@ fn main() {
         let mut icc0 = icc0_cluster(builder(n, delta_ms));
         let (r0, l0, f0) = measure(&mut icc0, 5);
 
-        let overlay = Overlay::full_mesh(n);
-        let mut icc1 = gossip_cluster(builder(n, delta_ms), overlay, GossipConfig::default());
+        let mut icc1 = Recipe::shipped(n)
+            .with_config(GossipConfig::inline_small_blocks())
+            .cluster(builder(n, delta_ms));
         let (r1, l1, f1) = measure(&mut icc1, 5);
+
+        let mut shipped = Recipe::shipped(n).cluster(builder(n, delta_ms));
+        let (rs, ls, _) = measure(&mut shipped, 5);
 
         let mut icc2c = icc2_cluster(
             builder(n, delta_ms),
@@ -106,6 +111,8 @@ fn main() {
             fmt_f(l0 / delta, 2),
             fmt_f(r1 / delta, 2),
             fmt_f(l1 / delta, 2),
+            fmt_f(rs / delta, 2),
+            fmt_f(ls / delta, 2),
             fmt_f(r2 / delta, 2),
             fmt_f(l2 / delta, 2),
         ];
@@ -126,6 +133,8 @@ fn main() {
             "ICC0 lat/d",
             "ICC1 round/d",
             "ICC1 lat/d",
+            "ICC1 shipped round/d",
+            "ICC1 shipped lat/d",
             "ICC2 round/d",
             "ICC2 lat/d",
         ],
@@ -133,7 +142,8 @@ fn main() {
     );
     println!(
         "paper: ICC0/ICC1 -> 2.00 / 3.00; ICC2 -> 3.00 / 4.00 (ICC1 over a full-mesh\n\
-         overlay matches ICC0; a multi-hop overlay adds hops to both)."
+         overlay matches ICC0; a multi-hop overlay adds hops to both). ICC1 shipped\n\
+         sends every block by advert -> request -> deliver: two more hops per round."
     );
     println!();
     print_table(

@@ -22,7 +22,7 @@
 use icc_bench::{fmt_f, measure_window, print_table, run_trials, trial_threads};
 use icc_core::cluster::ClusterBuilder;
 use icc_core::{Behavior, BlockPolicy};
-use icc_gossip::{gossip_cluster, GossipConfig, Overlay};
+use icc_gossip::{GossipConfig, Overlay, Recipe};
 use icc_sim::delay::InterDcDelay;
 use icc_types::{SimDuration, SimTime};
 
@@ -86,8 +86,10 @@ fn run_cell(
             max_bytes: 4 << 20,
             ..BlockPolicy::default()
         });
-    let overlay = Overlay::random_regular(n, 6, 99);
-    let mut cluster = gossip_cluster(builder, overlay, GossipConfig::default());
+    let mut cluster = Recipe::shipped(n)
+        .with_overlay(Overlay::random_regular(n, 6, 99))
+        .with_config(GossipConfig::inline_small_blocks())
+        .cluster(builder);
     if scenario.load {
         // 100 requests/s × 1 KB over the entire run.
         let total_secs = (warmup + window).as_micros() / 1_000_000;

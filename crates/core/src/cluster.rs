@@ -3,10 +3,10 @@
 //! workloads, and extracts the measurements every experiment needs
 //! (committed chains, round durations, safety checks).
 //!
-//! The layer is chosen by the constructor that consumes the
-//! [`ClusterBuilder`]: `icc_gossip::icc0_cluster` (ICC0: the gossip node
-//! on a full mesh with nothing advertised), `icc_gossip::gossip_cluster`
-//! (ICC1) or `icc_erasure::icc2_cluster` (ICC2), each a
+//! The layer is chosen by what consumes the [`ClusterBuilder`]:
+//! `icc_gossip::Recipe::cluster` (ICC1 as shipped, or a named variant
+//! such as `Recipe::icc0`: the gossip node on a full mesh with nothing
+//! advertised) or `icc_erasure::icc2_cluster` (ICC2), each a
 //! [`ClusterBuilder::build_with`] call.
 
 use crate::byzantine::Behavior;
@@ -83,7 +83,6 @@ pub struct ClusterBuilder {
     block_policy: BlockPolicy,
     max_events: u64,
     disable_beacon_pipelining: bool,
-    broadcast_beacon_values: bool,
     fault_plan: FaultPlan,
     checkpoint_interval: Option<u64>,
     epochs: Option<EpochSchedule>,
@@ -108,7 +107,6 @@ impl ClusterBuilder {
             block_policy: BlockPolicy::default(),
             max_events: 500_000_000,
             disable_beacon_pipelining: false,
-            broadcast_beacon_values: false,
             fault_plan: FaultPlan::new(),
             checkpoint_interval: None,
             epochs: None,
@@ -130,14 +128,6 @@ impl ClusterBuilder {
     /// Ablation: disable Fig. 1's beacon-share pipelining in every node.
     pub fn without_beacon_pipelining(mut self) -> Self {
         self.disable_beacon_pipelining = true;
-        self
-    }
-
-    /// Every node also broadcasts combined beacon *values* (required by
-    /// the gossip layer's aggregator-routed mode, where most nodes
-    /// never see `t + 1` beacon shares).
-    pub fn with_beacon_value_broadcast(mut self) -> Self {
-        self.broadcast_beacon_values = true;
         self
     }
 
@@ -278,11 +268,6 @@ impl ClusterBuilder {
                 .with_block_policy(self.block_policy);
                 let core = if self.disable_beacon_pipelining {
                     core.without_beacon_pipelining()
-                } else {
-                    core
-                };
-                let core = if self.broadcast_beacon_values {
-                    core.with_beacon_value_broadcast()
                 } else {
                     core
                 };
@@ -526,17 +511,6 @@ impl<N: Node<External = Command, Output = NodeEvent> + CoreAccess> Cluster<N> {
             merged.merge(&self.sim.node(i).core().telemetry().metrics);
         }
         merged
-    }
-
-    /// Per-node finalization-latency histogram (round entry → commit).
-    pub fn finalization_latency(&self, node: usize) -> icc_telemetry::Histogram {
-        self.sim
-            .node(node)
-            .core()
-            .telemetry()
-            .metrics
-            .finalization_latency_us
-            .clone()
     }
 
     /// Runs the critical-path analyzer over the cluster's flight

@@ -37,9 +37,10 @@
 //!
 //! The core carries no transport. The node that runs it — in the
 //! simulator, over TCP, for ICC0 and ICC1 alike — is `icc-gossip`'s
-//! `GossipNode`; ICC0 is that node on a full mesh with nothing
-//! advertised, and `icc_gossip::icc0_cluster` builds one (the quickstart
-//! is there). ICC2 wraps the same core in `icc-erasure`.
+//! `GossipNode`, assembled by `icc_gossip::Recipe`; ICC0 is that node
+//! on a full mesh with nothing advertised, and `icc_gossip::icc0_cluster`
+//! builds one (the quickstart is there). ICC2 wraps the core in
+//! `icc-erasure`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -873,11 +873,6 @@ impl DurableStore {
         &self.wal
     }
 
-    /// Current number of log entries (post-compaction).
-    pub fn wal_len(&self) -> usize {
-        self.wal.len()
-    }
-
     /// What the store holds in memory (diagnostics): the log mirror and
     /// the two dedup sets, all bounded by the rounds since the
     /// checkpoint.

@@ -9,6 +9,9 @@
 //! The implementation is validated against the FIPS 180-4 / NIST CAVP
 //! test vectors in the unit tests below.
 
+// It hashes bytes peers sent: no input may panic it.
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::unwrap_used))]
+
 use std::fmt;
 
 /// A 256-bit digest, the output of [`sha256`].
@@ -44,7 +47,8 @@ impl Hash256 {
     /// derive cheap deterministic values (e.g. field elements) from a
     /// digest.
     pub fn prefix_u64(&self) -> u64 {
-        u64::from_le_bytes(self.0[..8].try_into().expect("8-byte prefix"))
+        let [b0, b1, b2, b3, b4, b5, b6, b7, ..] = self.0;
+        u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7])
     }
 }
 
@@ -152,11 +156,11 @@ impl Sha256 {
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            compress(&mut self.state, block.try_into().expect("64-byte block"));
-            data = rest;
+        let (blocks, tail) = data.as_chunks::<64>();
+        for block in blocks {
+            compress(&mut self.state, block);
         }
+        data = tail;
         if !data.is_empty() {
             self.buf[..data.len()].copy_from_slice(data);
             self.buf_len = data.len();
@@ -194,8 +198,8 @@ impl Sha256 {
 /// copying it out first.
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
-    for i in 0..16 {
-        w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
+    for (w, word) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *w = u32::from_be_bytes(*word);
     }
     for i in 16..64 {
         let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);

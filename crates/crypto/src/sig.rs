@@ -66,12 +66,6 @@ impl MessageDigest {
     pub fn point(self) -> Fp {
         self.0
     }
-
-    /// Wraps an already-computed field point (tests and benches).
-    #[inline]
-    pub fn from_point(p: Fp) -> MessageDigest {
-        MessageDigest(p)
-    }
 }
 
 /// A secret signing key (a field element).

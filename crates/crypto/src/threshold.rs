@@ -341,12 +341,6 @@ impl ThresholdPublic {
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
         self.global.verify(&self.domain, msg, sig)
     }
-
-    /// The field element a message hashes to under this scheme's domain —
-    /// exposed for tests.
-    pub fn message_point(&self, msg: &[u8]) -> Fp {
-        self.digest(msg).point()
-    }
 }
 
 #[cfg(test)]

@@ -29,23 +29,23 @@
 //!   attributes to gossip networks (§1.1, Tendermint discussion).
 //!
 //! **ICC0** is this node on a full mesh with every artifact pushed
-//! inline ([`icc0_cluster`]): with nothing advertised and nothing
+//! inline ([`Recipe::icc0`]): with nothing advertised and nothing
 //! relayed, each artifact goes once from its producer to the `n − 1`
 //! other parties — the paper's broadcast primitive, with ICC0's
 //! commits, round times and verification counts to the microsecond.
 //!
 //! [`overlay`] builds the peer graph; [`GossipNode`] is the node;
-//! [`icc0_cluster`], [`gossip_cluster`] and [`routed_gossip_cluster`]
-//! wire a simulated cluster.
+//! [`Recipe`] assembles it, [`Recipe::shipped`] as every replica runs it,
+//! for one process ([`Recipe::node`]) or a simulated cluster.
 //!
 //! # Quickstart
 //!
 //! ```
 //! use icc_core::cluster::ClusterBuilder;
-//! use icc_gossip::icc0_cluster;
+//! use icc_gossip::Recipe;
 //! use icc_types::SimDuration;
 //!
-//! let mut cluster = icc0_cluster(ClusterBuilder::new(4).seed(1));
+//! let mut cluster = Recipe::shipped(4).cluster(ClusterBuilder::new(4).seed(1));
 //! cluster.run_for(SimDuration::from_secs(2));
 //! cluster.assert_safety();
 //! assert!(cluster.min_committed_round() > 10);
@@ -61,41 +61,112 @@ pub use node::{aggregators_for, DisseminationMode, GossipConfig, GossipMessage, 
 pub use overlay::Overlay;
 
 use icc_core::cluster::{Cluster, ClusterBuilder};
+use icc_core::consensus::ConsensusCore;
 use std::sync::Arc;
 
-/// Builds an ICC1 cluster: the given consensus configuration running
-/// over a gossip overlay.
+/// How a gossip node is assembled: one overlay, shared by the cluster,
+/// and one [`GossipConfig`]. Keys are not part of it: the
+/// [`ClusterBuilder`] (or a replica process) deals them once for all.
 ///
 /// # Example
 ///
 /// ```
 /// use icc_core::cluster::ClusterBuilder;
-/// use icc_gossip::{gossip_cluster, GossipConfig, Overlay};
+/// use icc_gossip::{GossipConfig, Overlay, Recipe};
 /// use icc_types::SimDuration;
 ///
-/// let overlay = Overlay::random_regular(7, 4, 1);
-/// let mut cluster = gossip_cluster(
-///     ClusterBuilder::new(7).seed(1),
-///     overlay,
-///     GossipConfig::default(),
-/// );
+/// let recipe = Recipe::shipped(7)
+///     .with_overlay(Overlay::random_regular(7, 4, 1))
+///     .with_config(GossipConfig::inline_small_blocks());
+/// let mut cluster = recipe.cluster(ClusterBuilder::new(7).seed(1));
 /// cluster.run_for(SimDuration::from_secs(5));
 /// assert!(cluster.min_committed_round() > 0);
 /// cluster.assert_safety();
 /// ```
-pub fn gossip_cluster(
-    builder: ClusterBuilder,
-    overlay: Overlay,
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Recipe {
+    overlay: Arc<Overlay>,
     config: GossipConfig,
-) -> Cluster<GossipNode> {
-    let overlay = Arc::new(overlay);
-    builder.build_with(move |core| GossipNode::new(core, Arc::clone(&overlay), config))
 }
 
-/// Builds an ICC0 cluster: the gossip node on a full mesh with every
-/// artifact pushed inline, so nothing is advertised and — the overlay
-/// being complete — nothing relayed. Each artifact goes once from its
-/// producer to every other party: the paper's broadcast primitive.
+impl Recipe {
+    /// What ships: [`Overlay::for_subnet`] (the same graph at every
+    /// replica) and [`GossipConfig::default`].
+    pub fn shipped(n: usize) -> Recipe {
+        Recipe {
+            overlay: Arc::new(Overlay::for_subnet(n, subnet_overlay_seed(n))),
+            config: GossipConfig::default(),
+        }
+    }
+
+    /// ICC0: a full mesh with every artifact pushed inline, nothing
+    /// advertised or relayed — the paper's broadcast primitive.
+    pub fn icc0(n: usize) -> Recipe {
+        Recipe {
+            overlay: Arc::new(Overlay::full_mesh(n)),
+            config: GossipConfig {
+                inline_threshold: usize::MAX,
+                mode: DisseminationMode::Flood,
+            },
+        }
+    }
+
+    /// The scale-out configuration `fig_scale` sweeps to n = 1000: the
+    /// shipped overlay with [`GossipConfig::routed`] shares.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use icc_core::cluster::ClusterBuilder;
+    /// use icc_gossip::Recipe;
+    /// use icc_types::SimDuration;
+    ///
+    /// let mut cluster = Recipe::routed(7).cluster(ClusterBuilder::new(7).seed(1));
+    /// cluster.run_for(SimDuration::from_secs(5));
+    /// assert!(cluster.min_committed_round() > 0);
+    /// cluster.assert_safety();
+    /// ```
+    pub fn routed(n: usize) -> Recipe {
+        Recipe::shipped(n).with_config(GossipConfig::routed())
+    }
+
+    /// The same recipe on another graph.
+    pub fn with_overlay(self, overlay: Overlay) -> Recipe {
+        Recipe {
+            overlay: Arc::new(overlay),
+            ..self
+        }
+    }
+
+    /// The same recipe with another config.
+    pub fn with_config(self, config: GossipConfig) -> Recipe {
+        Recipe { config, ..self }
+    }
+
+    /// The graph every node of this recipe runs on.
+    pub fn overlay(&self) -> &Overlay {
+        &self.overlay
+    }
+
+    /// One party's node around its consensus core. In routed mode most
+    /// nodes never see `t + 1` beacon shares, so the core also
+    /// broadcasts each combined beacon value.
+    pub fn node(&self, core: ConsensusCore) -> GossipNode {
+        let core = match self.config.mode {
+            DisseminationMode::Routed { .. } => core.with_beacon_value_broadcast(),
+            DisseminationMode::Flood => core,
+        };
+        GossipNode::new(core, Arc::clone(&self.overlay), self.config)
+    }
+
+    /// A simulated cluster of this recipe's nodes.
+    pub fn cluster(self, builder: ClusterBuilder) -> Cluster<GossipNode> {
+        assert_eq!(self.overlay.n(), builder.n_nodes(), "overlay size");
+        builder.build_with(move |core| self.node(core))
+    }
+}
+
+/// Builds an ICC0 cluster: [`Recipe::icc0`] over `builder`.
 ///
 /// # Example
 ///
@@ -110,44 +181,34 @@ pub fn gossip_cluster(
 /// cluster.assert_safety();
 /// ```
 pub fn icc0_cluster(builder: ClusterBuilder) -> Cluster<GossipNode> {
-    let overlay = Overlay::full_mesh(builder.n_nodes());
-    let config = GossipConfig {
-        inline_threshold: usize::MAX,
-        ..GossipConfig::default()
-    };
-    gossip_cluster(builder, overlay, config)
+    Recipe::icc0(builder.n_nodes()).cluster(builder)
 }
 
-/// The overlay seed [`routed_gossip_cluster`] derives for a subnet of
-/// `n` — public so experiment binaries can rebuild the identical graph
-/// for topology reporting (degree, diameter).
+/// The overlay seed [`Recipe::shipped`] derives for a subnet of `n`.
 pub fn subnet_overlay_seed(n: usize) -> u64 {
     0x1cc0 ^ n as u64
 }
 
-/// Builds the scale-out ICC1 cluster: the [`Overlay::for_subnet`]
-/// topology with aggregator-routed share dissemination
-/// ([`DisseminationMode::Routed`]) and beacon-value broadcast, so
-/// per-node traffic stays ~flat as `n` grows. This is the
-/// configuration the n = 1000 sweep (`fig_scale`) runs.
-///
-/// # Example
-///
-/// ```
-/// use icc_core::cluster::ClusterBuilder;
-/// use icc_gossip::routed_gossip_cluster;
-/// use icc_types::SimDuration;
-///
-/// let mut cluster = routed_gossip_cluster(ClusterBuilder::new(7).seed(1));
-/// cluster.run_for(SimDuration::from_secs(5));
-/// assert!(cluster.min_committed_round() > 0);
-/// cluster.assert_safety();
-/// ```
-pub fn routed_gossip_cluster(builder: ClusterBuilder) -> Cluster<GossipNode> {
-    let n = builder.n_nodes();
-    let overlay = Arc::new(Overlay::for_subnet(n, subnet_overlay_seed(n)));
-    let config = GossipConfig::routed();
-    builder
-        .with_beacon_value_broadcast()
-        .build_with(move |core| GossipNode::new(core, Arc::clone(&overlay), config))
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The repo benchmark (`benchmark/src/sut.rs`) still assembles its
+    /// replicas by hand, as `gossip_config()` and `overlay(n)`. This
+    /// pins that hand-built pair to [`Recipe::shipped`]: a failure
+    /// means the shipped recipe moved, and `sut.rs` must follow it in a
+    /// benchmark-only change.
+    #[test]
+    fn shipped_recipe_is_what_the_benchmark_builds_by_hand() {
+        for n in [4, 40] {
+            let by_hand = Recipe {
+                overlay: Arc::new(Overlay::for_subnet(n, subnet_overlay_seed(n))),
+                config: GossipConfig {
+                    inline_threshold: 0,
+                    mode: DisseminationMode::Flood,
+                },
+            };
+            assert_eq!(Recipe::shipped(n), by_hand, "n = {n}");
+        }
+    }
 }

@@ -100,7 +100,7 @@ pub enum DisseminationMode {
     /// node. Per-node traffic goes ~flat in
     /// `n`, which is what makes n = 1000 feasible. Requires cores built
     /// with beacon-value broadcast so non-aggregators still learn the
-    /// beacon.
+    /// beacon ([`Recipe::node`](crate::Recipe::node) turns it on).
     Routed {
         /// Aggregator-set size per round (liveness degrades gracefully:
         /// a stalled round widens the set exponentially).
@@ -122,11 +122,12 @@ const REQUEST_TIMEOUT: SimDuration = SimDuration::from_millis(300);
 /// this cap).
 const RETRY_BACKOFF_CAP: SimDuration = SimDuration::from_millis(3_000);
 
-/// Gossip sub-layer tuning.
-#[derive(Debug, Clone, Copy)]
+/// Gossip sub-layer tuning. [`Default`] is the config that ships;
+/// the named variants below are experiments' alternatives to it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GossipConfig {
     /// Artifacts whose wire size is at most this are flooded inline;
-    /// larger ones go advert/request. Default 4 KiB.
+    /// larger ones go advert/request.
     pub inline_threshold: usize,
     /// How shares travel: [`DisseminationMode::Flood`] (default) or
     /// [`DisseminationMode::Routed`].
@@ -134,21 +135,37 @@ pub struct GossipConfig {
 }
 
 impl Default for GossipConfig {
+    /// The shipped config: shares flood, and `inline_threshold: 0`
+    /// sends every proposal through the advert/request path. Adverts
+    /// are round-tagged, and those tags are the *only* behind-detection
+    /// signal the gossip layer has — a restarted replica discovers it
+    /// must fetch a certified catch-up package precisely because
+    /// adverts for far-future rounds arrive.
     fn default() -> Self {
         GossipConfig {
-            inline_threshold: 4 << 10,
+            inline_threshold: 0,
             mode: DisseminationMode::Flood,
         }
     }
 }
 
 impl GossipConfig {
-    /// The default config with aggregator-routed share dissemination
-    /// (3 aggregators per round) — the scale-out mode.
+    /// Flooded shares with every artifact up to 4 KiB pushed inline, so
+    /// a small block skips the advert/request round trip. Not shipped:
+    /// without adverts a replica cannot tell it fell behind ([`Default`]).
+    pub fn inline_small_blocks() -> Self {
+        GossipConfig {
+            inline_threshold: 4 << 10,
+            mode: DisseminationMode::Flood,
+        }
+    }
+
+    /// Aggregator-routed share dissemination (3 aggregators per round)
+    /// with 4 KiB inline — the scale-out mode.
     pub fn routed() -> Self {
         GossipConfig {
+            inline_threshold: 4 << 10,
             mode: DisseminationMode::Routed { aggregators: 3 },
-            ..GossipConfig::default()
         }
     }
 }
@@ -566,15 +583,6 @@ impl GossipNode {
     /// Number of outstanding body requests (diagnostics).
     pub fn pending_requests(&self) -> usize {
         self.pending.len()
-    }
-
-    /// The highest round any peer has advertised so far (diagnostics).
-    pub fn highest_peer_round(&self) -> Round {
-        self.peer_rounds
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(Round::GENESIS)
     }
 
     /// A snapshot of the dissemination counters (relay fan-out, dedup,
@@ -1439,7 +1447,7 @@ mod tests {
         let delays = StaticDelays::new(SimDuration::from_secs(10), SimDuration::ZERO);
         let own = subnet(keys.len()).swap_remove(0);
         let core = ConsensusCore::new(own, delays, Behavior::Honest);
-        let node = GossipNode::new(core, Arc::new(overlay), GossipConfig::default());
+        let node = GossipNode::new(core, Arc::new(overlay), GossipConfig::inline_small_blocks());
         let sent = Rc::new(RefCell::new(Vec::new()));
         let events = pushes.iter().map(|msg| TransportEvent::Msg {
             from,
@@ -1686,7 +1694,7 @@ mod tests {
         let block = Block::new(Round::new(1), keys[1].index, genesis, payload).into_hashed();
         let id = block.hash();
         let genuine = artifacts::proposal(&keys[1], block, None);
-        assert!(genuine.encoded_len() > GossipConfig::default().inline_threshold);
+        assert!(genuine.encoded_len() > GossipConfig::inline_small_blocks().inline_threshold);
         let mut forged = genuine.clone();
         forged.authenticator = keys[2]
             .auth

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
 /// A static overlay graph over `n` nodes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Overlay {
     neighbors: Vec<Vec<NodeIndex>>,
 }

@@ -8,7 +8,9 @@
 //! [`Replica::build`] deals the same deterministic key set from the
 //! shared seed at every replica (optionally under an `--epochs`
 //! schedule) and keeps only its own share, so the peer file plus the
-//! seed *are* the cluster identity. With a data directory the core
+//! seed *are* the cluster identity. The gossip node around the core is
+//! `icc_gossip::Recipe::shipped(n)`'s, as in every simulated cluster
+//! built from that recipe. With a data directory the core
 //! persists everything it certifies, every vote on disk before it is
 //! sent, and a restart from the same directory recovers its own state
 //! with zero signature re-verifications before catching up over the
@@ -44,7 +46,7 @@ use icc_core::epoch::EpochSchedule;
 use icc_core::events::NodeEvent;
 use icc_core::keys::{generate_keys, generate_keys_with_schedule};
 use icc_core::storage::{DurableStore, StorageCounters};
-use icc_gossip::{GossipConfig, GossipMessage, GossipNode, Overlay};
+use icc_gossip::{GossipMessage, GossipNode, Recipe};
 use icc_net::TcpTransport;
 use icc_sim::runtime::drive;
 use icc_telemetry::HealthInputs;
@@ -171,20 +173,7 @@ impl Replica {
             }
             core = core.with_store(store);
         }
-        // `inline_threshold: 0` forces every proposal through the
-        // advert/request path. Adverts are round-tagged, and those tags
-        // are the *only* behind-detection signal the gossip layer has —
-        // a restarted replica discovers it must fetch a certified
-        // catch-up package precisely because adverts for far-future
-        // rounds arrive.
-        let config = GossipConfig {
-            inline_threshold: 0,
-            ..GossipConfig::default()
-        };
-        // Same topology at every replica: `for_subnet` is deterministic
-        // in n.
-        let overlay = Overlay::for_subnet(n, icc_gossip::subnet_overlay_seed(n));
-        let node = GossipNode::new(core, Arc::new(overlay), config);
+        let node = Recipe::shipped(n).node(core);
         Ok(Replica { node, settings, n })
     }
 

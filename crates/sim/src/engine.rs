@@ -308,21 +308,6 @@ impl<N: Node> Simulation<N> {
         self.alive.get(node.as_usize()).copied().unwrap_or(false)
     }
 
-    /// Schedules a crash of `node` at absolute time `at` (clamped to
-    /// now), equivalent to a [`FaultPlan`] entry installed at build
-    /// time.
-    pub fn schedule_crash(&mut self, at: SimTime, node: NodeIndex) {
-        let at = at.max(self.now);
-        self.push(at, EventKind::Lifecycle { node, up: false });
-    }
-
-    /// Schedules a restart of `node` at absolute time `at` (clamped to
-    /// now).
-    pub fn schedule_restart(&mut self, at: SimTime, node: NodeIndex) {
-        let at = at.max(self.now);
-        self.push(at, EventKind::Lifecycle { node, up: true });
-    }
-
     /// Schedules a membership departure of `node` at absolute time `at`
     /// (clamped to now), equivalent to
     /// [`FaultPlan::depart_at`](crate::FaultPlan::depart_at).

@@ -36,6 +36,9 @@
 //!
 //! [`codec::MAX_LEN`]: crate::codec::MAX_LEN
 
+// It cuts frames out of bytes peers sent: nothing they send may panic it.
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::unwrap_used))]
+
 use std::error::Error;
 use std::fmt;
 
@@ -189,6 +192,7 @@ pub fn frame(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) -> usize {
     out.extend_from_slice(&[0u8; HEADER_LEN - 4]);
     let body = out.len();
     fill(out);
+    #[expect(clippy::expect_used, reason = "our own payload, not a peer's")]
     let len = u32::try_from(out.len() - body).expect("frame payload exceeds u32::MAX");
     let crc = crc32(&out[body..]);
     out[start + 4..start + 8].copy_from_slice(&len.to_le_bytes());
@@ -278,34 +282,32 @@ impl FrameBuffer {
     /// configured maximum (checked before any allocation),
     /// [`FrameError::Corrupt`] on a CRC mismatch.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        let avail = &self.buf[self.consumed..];
-        if avail.len() < HEADER_LEN {
+        let Some((header, body)) = self.buf[self.consumed..].split_first_chunk::<HEADER_LEN>()
+        else {
             return Ok(None);
-        }
-        let word = |at: usize| u32::from_le_bytes(avail[at..at + 4].try_into().expect("4 bytes"));
-        let magic = word(0);
+        };
+        let [m0, m1, m2, m3, l0, l1, l2, l3, c0, c1, c2, c3] = *header;
+        let magic = u32::from_le_bytes([m0, m1, m2, m3]);
         if magic != MAGIC {
             return Err(FrameError::BadMagic { got: magic });
         }
-        let len = word(4);
+        let len = u32::from_le_bytes([l0, l1, l2, l3]);
         if len > self.max_len {
             return Err(FrameError::TooLarge {
                 len,
                 max: self.max_len,
             });
         }
-        let declared = word(8);
-        let total = HEADER_LEN + len as usize;
-        if avail.len() < total {
+        let declared = u32::from_le_bytes([c0, c1, c2, c3]);
+        let Some(payload) = body.get(..len as usize) else {
             return Ok(None);
-        }
-        let payload = &avail[HEADER_LEN..total];
+        };
         let computed = crc32(payload);
         if computed != declared {
             return Err(FrameError::Corrupt { declared, computed });
         }
         let out = payload.to_vec();
-        self.consumed += total;
+        self.consumed += HEADER_LEN + payload.len();
         Ok(Some(out))
     }
 }

@@ -33,7 +33,7 @@ use icc_core::cluster::{Cluster, ClusterBuilder, CoreAccess};
 use icc_core::events::NodeEvent;
 use icc_core::Behavior;
 use icc_erasure::{icc2_cluster, Icc2Config};
-use icc_gossip::{gossip_cluster, icc0_cluster, routed_gossip_cluster, GossipConfig, Overlay};
+use icc_gossip::{icc0_cluster, GossipConfig, Overlay, Recipe};
 use icc_sim::delay::{FixedDelay, InterDcDelay};
 use icc_sim::{FaultPlan, Node};
 use icc_types::{Command, NodeIndex, SimDuration, SimTime};
@@ -477,22 +477,18 @@ fn main() {
         "icc1" => {
             let overlay =
                 Overlay::random_regular(opts.nodes, 6.min(opts.nodes - 1).max(2), opts.seed);
-            // Under churn, force every proposal through advert/request:
-            // the round-tagged adverts are what a restarted node's
-            // behind-detector (and hence the catch-up protocol) runs on.
-            let config = if opts.churn > 0 {
-                GossipConfig {
-                    inline_threshold: 0,
-                    ..GossipConfig::default()
-                }
+            let recipe = Recipe::shipped(opts.nodes).with_overlay(overlay);
+            // Without churn nobody needs the adverts catch-up runs on.
+            let recipe = if opts.churn > 0 {
+                recipe
             } else {
-                GossipConfig::default()
+                recipe.with_config(GossipConfig::inline_small_blocks())
             };
-            report(gossip_cluster(builder, overlay, config), &opts)
+            report(recipe.cluster(builder), &opts)
         }
         // The scale-out configuration: bounded-degree overlay with
         // aggregator-routed shares (what `fig_scale` sweeps to n=1000).
-        "icc1-routed" => report(routed_gossip_cluster(builder), &opts),
+        "icc1-routed" => report(Recipe::routed(opts.nodes).cluster(builder), &opts),
         "icc2" => report(icc2_cluster(builder, Icc2Config::default()), &opts),
         _ => unreachable!("validated in parse()"),
     }

@@ -9,7 +9,7 @@
 use icc_core::cluster::{Cluster, ClusterBuilder};
 use icc_core::pool::BEACON_DEPTH;
 use icc_core::{NodeEvent, CATCH_UP_THRESHOLD, PURGE_DEPTH};
-use icc_gossip::{gossip_cluster, subnet_overlay_seed, GossipConfig, GossipNode, Overlay};
+use icc_gossip::{GossipNode, Recipe};
 use icc_sim::delay::FixedDelay;
 use icc_sim::policy::Partition;
 use icc_sim::FaultPlan;
@@ -27,9 +27,9 @@ fn at(v: u64) -> SimTime {
     SimTime::ZERO + ms(v)
 }
 
-/// The deployed shape (`replica`, the repo benchmark): the subnet's
-/// default overlay, every proposal by advert / request, default
-/// `BlockPolicy` — rounds of 4δ = 40 ms on a complete overlay.
+/// The deployed shape (`replica`, the repo benchmark): the shipped
+/// recipe, every proposal by advert / request, default `BlockPolicy` —
+/// rounds of 4δ = 40 ms on a complete overlay.
 fn cluster(
     n: usize,
     seed: u64,
@@ -39,12 +39,7 @@ fn cluster(
         .seed(seed)
         .network(FixedDelay::new(ms(10)))
         .protocol_delays(ms(60), SimDuration::ZERO);
-    let config = GossipConfig {
-        inline_threshold: 0,
-        ..GossipConfig::default()
-    };
-    let overlay = Overlay::for_subnet(n, subnet_overlay_seed(n));
-    gossip_cluster(b(builder), overlay, config)
+    Recipe::shipped(n).cluster(b(builder))
 }
 
 /// Three purge depths' worth of rounds, in milliseconds, at the ≈ 70 ms

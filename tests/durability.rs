@@ -10,7 +10,7 @@ use icc_crypto::beacon::BeaconValue;
 use icc_crypto::multisig::MultiSig;
 use icc_crypto::sig::Signature;
 use icc_crypto::Hash256;
-use icc_gossip::{GossipConfig, GossipNode, Overlay};
+use icc_gossip::Recipe;
 use icc_sim::delay::FixedDelay;
 use icc_types::block::{Block, Payload};
 use icc_types::codec::{decode_from_slice, encode_to_vec, Encode};
@@ -20,7 +20,6 @@ use icc_types::{NodeIndex, Round, SimDuration};
 use icc_wal::fault::{self, DiskFault, FaultFs};
 use icc_wal::{Wal, WalOptions};
 use proptest::prelude::*;
-use std::cell::Cell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -456,12 +455,7 @@ fn restart_loop_recovers_monotone_frontier_with_zero_reverification() {
     let mut prev_committed = [0u64; N];
 
     for incarnation in 0..K {
-        let overlay = Arc::new(Overlay::full_mesh(N));
-        let cfg = GossipConfig {
-            inline_threshold: 0,
-            ..GossipConfig::default()
-        };
-        let idx = Cell::new(0usize);
+        let recipe = Recipe::shipped(N);
         let dirs_ref = dirs.clone();
         let mut cluster = ClusterBuilder::new(N)
             .seed(77)
@@ -469,11 +463,9 @@ fn restart_loop_recovers_monotone_frontier_with_zero_reverification() {
             .protocol_delays(SimDuration::from_millis(60), SimDuration::ZERO)
             .checkpoint_interval(8)
             .build_with(move |core| {
-                let i = idx.get();
-                idx.set(i + 1);
-                let store =
-                    DurableStore::file(&dirs_ref[i], WalOptions::default()).expect("open data dir");
-                GossipNode::new(core.with_store(store), Arc::clone(&overlay), cfg)
+                let dir = &dirs_ref[core.index().as_usize()];
+                let store = DurableStore::file(dir, WalOptions::default()).expect("open data dir");
+                recipe.node(core.with_store(store))
             });
         cluster.run_for(SimDuration::from_secs(3));
 
@@ -542,12 +534,7 @@ fn crash_during_reshare_recovers_into_correct_epoch() {
         .collect();
 
     let build = |dirs: &[PathBuf], schedule: &EpochSchedule| {
-        let overlay = Arc::new(Overlay::full_mesh(N));
-        let cfg = GossipConfig {
-            inline_threshold: 0,
-            ..GossipConfig::default()
-        };
-        let idx = Cell::new(0usize);
+        let recipe = Recipe::shipped(N);
         let dirs_ref = dirs.to_vec();
         ClusterBuilder::new(N)
             .seed(31)
@@ -558,11 +545,9 @@ fn crash_during_reshare_recovers_into_correct_epoch() {
             .checkpoint_interval(64)
             .with_epochs(schedule.clone())
             .build_with(move |core| {
-                let i = idx.get();
-                idx.set(i + 1);
-                let store =
-                    DurableStore::file(&dirs_ref[i], WalOptions::default()).expect("open data dir");
-                GossipNode::new(core.with_store(store), Arc::clone(&overlay), cfg)
+                let dir = &dirs_ref[core.index().as_usize()];
+                let store = DurableStore::file(dir, WalOptions::default()).expect("open data dir");
+                recipe.node(core.with_store(store))
             })
     };
 

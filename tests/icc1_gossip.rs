@@ -6,9 +6,7 @@ use icc_core::events::NodeEvent;
 use icc_core::Behavior;
 use icc_core::BlockPolicy;
 use icc_erasure::{icc2_cluster, Icc2Config};
-use icc_gossip::{
-    gossip_cluster, icc0_cluster, routed_gossip_cluster, subnet_overlay_seed, GossipConfig, Overlay,
-};
+use icc_gossip::{icc0_cluster, GossipConfig, Overlay, Recipe};
 use icc_sim::delay::{FixedDelay, UniformDelay};
 use icc_sim::policy::{DeliveryPolicy, SlowLinks};
 use icc_telemetry::SpanKind;
@@ -30,10 +28,17 @@ fn builder(n: usize, seed: u64) -> ClusterBuilder {
         .protocol_delays(ms(60), SimDuration::ZERO)
 }
 
+/// ICC1 on `overlay` with blocks up to 4 KiB pushed inline.
+fn inline_small(overlay: Overlay) -> Recipe {
+    Recipe::shipped(overlay.n())
+        .with_overlay(overlay)
+        .with_config(GossipConfig::inline_small_blocks())
+}
+
 #[test]
 fn commits_on_sparse_overlay() {
     let overlay = Overlay::random_regular(7, 3, 1);
-    let mut cluster = gossip_cluster(builder(7, 1), overlay, GossipConfig::default());
+    let mut cluster = inline_small(overlay).cluster(builder(7, 1));
     cluster.run_for(SimDuration::from_secs(3));
     let chain = assert_chains_consistent(&cluster);
     assert!(chain.len() > 20, "committed {}", chain.len());
@@ -43,8 +48,7 @@ fn commits_on_sparse_overlay() {
 fn full_mesh_overlay_matches_icc0_round_rate() {
     let mut icc0 = icc0_cluster(builder(4, 2));
     icc0.run_for(SimDuration::from_secs(2));
-    let overlay = Overlay::full_mesh(4);
-    let mut icc1 = gossip_cluster(builder(4, 2), overlay, GossipConfig::default());
+    let mut icc1 = inline_small(Overlay::full_mesh(4)).cluster(builder(4, 2));
     icc1.run_for(SimDuration::from_secs(2));
     let r0 = icc0.min_committed_round();
     let r1 = icc1.min_committed_round();
@@ -62,7 +66,7 @@ fn large_blocks_travel_by_advert_request() {
         max_bytes: 1 << 20,
         purge_depth: None,
     });
-    let mut cluster = gossip_cluster(b, overlay, GossipConfig::default());
+    let mut cluster = inline_small(overlay).cluster(b);
     // 64 KiB commands => blocks far above the 4 KiB inline threshold.
     cluster.inject_commands(SimTime::ZERO, ms(500), 20, 65536);
     cluster.run_for(SimDuration::from_secs(4));
@@ -87,11 +91,7 @@ fn gossip_cuts_leader_bottleneck_for_large_blocks() {
     let max0 = icc0.sim.metrics().max_node_bytes();
 
     let overlay = Overlay::random_regular(10, 3, 5);
-    let mut icc1 = gossip_cluster(
-        builder(10, 4).block_policy(policy),
-        overlay,
-        GossipConfig::default(),
-    );
+    let mut icc1 = inline_small(overlay).cluster(builder(10, 4).block_policy(policy));
     icc1.inject_commands(SimTime::ZERO, ms(500), 30, 65536);
     icc1.run_for(SimDuration::from_secs(3));
     let max1 = icc1.sim.metrics().max_node_bytes();
@@ -106,7 +106,7 @@ fn gossip_cuts_leader_bottleneck_for_large_blocks() {
 fn byzantine_behaviors_survive_gossip_transport() {
     let overlay = Overlay::random_regular(7, 4, 6);
     let b = builder(7, 6).behaviors(Behavior::first_f(7, 2, Behavior::Equivocate));
-    let mut cluster = gossip_cluster(b, overlay, GossipConfig::default());
+    let mut cluster = inline_small(overlay).cluster(b);
     cluster.run_for(SimDuration::from_secs(3));
     let chain = assert_chains_consistent(&cluster);
     assert!(chain.len() > 15, "committed {}", chain.len());
@@ -128,7 +128,7 @@ fn request_retry_survives_timeouts_shorter_than_the_network() {
             max_bytes: 1 << 20,
             purge_depth: None,
         });
-    let mut cluster = gossip_cluster(b, overlay, GossipConfig::default());
+    let mut cluster = inline_small(overlay).cluster(b);
     cluster.inject_commands(SimTime::ZERO, ms(12_000), 10, 65536);
     cluster.run_for(SimDuration::from_secs(180));
     assert_chains_consistent(&cluster);
@@ -148,7 +148,7 @@ fn crash_faults_on_overlay_do_not_partition_honest_nodes() {
     // is checked).
     let overlay = Overlay::random_regular(10, 4, 7);
     let b = builder(10, 7).behaviors(Behavior::first_f(10, 3, Behavior::Crash));
-    let mut cluster = gossip_cluster(b, overlay, GossipConfig::default());
+    let mut cluster = inline_small(overlay).cluster(b);
     cluster.run_for(SimDuration::from_secs(4));
     let chain = assert_chains_consistent(&cluster);
     assert!(chain.len() > 10, "committed {}", chain.len());
@@ -169,10 +169,11 @@ fn routed_mode_finalizes_same_chain_as_full_fanout() {
     let run = SimDuration::from_secs(4);
     let mut icc0 = icc0_cluster(builder(n, 11));
     icc0.run_for(run);
-    let overlay = Overlay::for_subnet(n, subnet_overlay_seed(n));
-    let mut flood = gossip_cluster(builder(n, 11), overlay, GossipConfig::default());
+    let mut flood = Recipe::shipped(n)
+        .with_config(GossipConfig::inline_small_blocks())
+        .cluster(builder(n, 11));
     flood.run_for(run);
-    let mut routed = routed_gossip_cluster(builder(n, 11));
+    let mut routed = Recipe::routed(n).cluster(builder(n, 11));
     routed.run_for(run);
     let mut icc2 = icc2_cluster(builder(n, 11), Icc2Config::default());
     icc2.run_for(run);
@@ -223,7 +224,7 @@ fn routed_mode_survives_aggregator_crash() {
     for a in &doomed {
         plan = plan.crash_at(*a, SimTime::ZERO);
     }
-    let mut cluster = routed_gossip_cluster(builder(n, 12).fault_plan(plan));
+    let mut cluster = Recipe::routed(n).cluster(builder(n, 12).fault_plan(plan));
     cluster.run_for(SimDuration::from_secs(12));
     cluster.assert_safety();
     let honest: Vec<usize> = (0..n)
@@ -268,7 +269,7 @@ fn selective_sender_on_complete_overlay_delays_nobody_beyond_one_hop() {
                 .collect(),
             extra: SimDuration::from_secs(3600),
         });
-    let mut cluster = gossip_cluster(b, overlay, GossipConfig::default());
+    let mut cluster = inline_small(overlay).cluster(b);
     cluster.run_for(SimDuration::from_secs(3));
     cluster.assert_safety();
 
@@ -356,8 +357,7 @@ proptest! {
             .policy(Overtaking {
                 rng: StdRng::seed_from_u64(seed),
             });
-        let mut cluster =
-            gossip_cluster(b, Overlay::for_subnet(n, seed), GossipConfig::default());
+        let mut cluster = inline_small(Overlay::for_subnet(n, seed)).cluster(b);
         cluster.run_for(SimDuration::from_millis(350));
         let fastest = (0..n)
             .map(|i| cluster.committed_chain(i))
@@ -418,12 +418,7 @@ fn pool_counters_match_recorded_reference() {
             .seed(1)
             .network(UniformDelay::new(ms(9), ms(11)))
             .protocol_delays(ms(30), SimDuration::ZERO);
-        let config = GossipConfig {
-            inline_threshold: 0,
-            ..GossipConfig::default()
-        };
-        let overlay = Overlay::for_subnet(n, subnet_overlay_seed(n));
-        let mut cluster = gossip_cluster(b, overlay, config);
+        let mut cluster = Recipe::shipped(n).cluster(b);
         cluster.run_for(SimDuration::from_secs(5));
         let s = cluster.pool_stats(0);
         if n == 4 {

@@ -10,7 +10,7 @@ use icc_core::delays::StaticDelays;
 use icc_core::events::NodeEvent;
 use icc_core::keys::generate_keys;
 use icc_crypto::Hash256;
-use icc_gossip::{GossipConfig, GossipNode, Overlay};
+use icc_gossip::{GossipConfig, GossipNode, Recipe};
 use icc_net::{ClusterSpec, NetOptions, TcpTransport};
 use icc_node::{parse_commit, Replica, RunReport, Settings};
 use icc_sim::engine::OutputRecord;
@@ -27,21 +27,17 @@ use std::time::{Duration, Instant};
 const N: usize = 4;
 
 fn gossip_nodes(seed: u64) -> Vec<GossipNode> {
-    let overlay = Arc::new(Overlay::full_mesh(N));
+    let recipe = Recipe::shipped(N).with_config(GossipConfig::inline_small_blocks());
     generate_keys(SubnetConfig::new(N), seed)
         .into_iter()
         .map(|k| {
-            GossipNode::new(
-                ConsensusCore::new(
-                    k,
-                    // Paced well below channel/localhost latency so a
-                    // 2-wall-second run yields plenty of rounds.
-                    StaticDelays::new(SimDuration::from_millis(200), SimDuration::from_millis(20)),
-                    Behavior::Honest,
-                ),
-                Arc::clone(&overlay),
-                GossipConfig::default(),
-            )
+            recipe.node(ConsensusCore::new(
+                k,
+                // Paced well below channel/localhost latency so a
+                // 2-wall-second run yields plenty of rounds.
+                StaticDelays::new(SimDuration::from_millis(200), SimDuration::from_millis(20)),
+                Behavior::Honest,
+            ))
         })
         .collect()
 }
@@ -320,7 +316,10 @@ fn departed_peer_is_evicted_from_retry_state() {
     let ms = |v: u64| SimDuration::from_millis(v);
     let at = |v: u64| icc_types::SimTime::ZERO + ms(v);
 
-    let mut cluster = icc_gossip::gossip_cluster(
+    // The shipped config sends every proposal advert → request →
+    // deliver, so the cut-off node is guaranteed to build up pending
+    // requests.
+    let mut cluster = Recipe::shipped(N).cluster(
         ClusterBuilder::new(N)
             .seed(5)
             .network(FixedDelay::new(ms(10)))
@@ -332,13 +331,6 @@ fn departed_peer_is_evicted_from_retry_state() {
             // Node 3 leaves the membership mid-cut, while node 0 still
             // owes it body requests.
             .fault_plan(FaultPlan::new().depart_at(NodeIndex::new(3), at(1500))),
-        Overlay::full_mesh(N),
-        GossipConfig {
-            // Every proposal travels advert → request → deliver, so the
-            // cut-off node is guaranteed to build up pending requests.
-            inline_threshold: 0,
-            ..GossipConfig::default()
-        },
     );
 
     // Before the departure: node 0 holds pending body requests, all of

@@ -19,7 +19,7 @@
 //!    flagged live by that node's own detector.
 
 use icc_core::cluster::ClusterBuilder;
-use icc_gossip::{gossip_cluster, icc0_cluster, GossipConfig, Overlay};
+use icc_gossip::{icc0_cluster, GossipConfig, Recipe};
 use icc_sim::delay::FixedDelay;
 use icc_sim::policy::SlowLinks;
 use icc_sim::FaultPlan;
@@ -85,11 +85,9 @@ fn lost_quorum_round_stall_is_flagged_live() {
     let plan = FaultPlan::new()
         .crash_between(NodeIndex::new(2), at(2000), at(4000))
         .crash_between(NodeIndex::new(3), at(2000), at(4000));
-    let mut cluster = gossip_cluster(
-        builder(4, 7).fault_plan(plan).checkpoint_interval(8),
-        Overlay::full_mesh(4),
-        GossipConfig::default(),
-    );
+    let mut cluster = Recipe::shipped(4)
+        .with_config(GossipConfig::inline_small_blocks())
+        .cluster(builder(4, 7).fault_plan(plan).checkpoint_interval(8));
     cluster.run_for(SimDuration::from_secs(7));
     cluster.assert_safety();
 
@@ -151,14 +149,9 @@ fn starved_node_flags_a_catch_up_storm_live() {
             .collect(),
         extra: ms(1500),
     };
-    // `inline_threshold: 0` forces the advert/request path: round-
-    // tagged adverts are the behind-detection signal catch-up rides on
-    // (the same setting the `replica` binary runs with).
-    let config = GossipConfig {
-        inline_threshold: 0,
-        ..GossipConfig::default()
-    };
-    let mut cluster = gossip_cluster(builder(4, 11).policy(slow), Overlay::full_mesh(4), config);
+    // The shipped recipe sends every proposal by advert/request: round-
+    // tagged adverts are the behind-detection signal catch-up rides on.
+    let mut cluster = Recipe::shipped(4).cluster(builder(4, 11).policy(slow));
     cluster.run_for(SimDuration::from_secs(10));
     cluster.assert_safety();
 

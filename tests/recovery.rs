@@ -7,12 +7,10 @@
 
 use icc_core::cluster::ClusterBuilder;
 use icc_core::{BlockPolicy, NodeEvent};
-use icc_gossip::{gossip_cluster, GossipConfig, GossipNode, Overlay};
+use icc_gossip::{Overlay, Recipe};
 use icc_sim::delay::FixedDelay;
 use icc_sim::FaultPlan;
 use icc_types::{NodeIndex, SimDuration, SimTime};
-use std::cell::Cell;
-use std::sync::Arc;
 
 fn ms(v: u64) -> SimDuration {
     SimDuration::from_millis(v)
@@ -20,15 +18,6 @@ fn ms(v: u64) -> SimDuration {
 
 fn at(v: u64) -> SimTime {
     SimTime::ZERO + ms(v)
-}
-
-/// All proposals travel by advert/request so every peer's round-tagged
-/// adverts keep flowing — the behind-detector's input.
-fn config() -> GossipConfig {
-    GossipConfig {
-        inline_threshold: 0,
-        ..GossipConfig::default()
-    }
 }
 
 fn builder(n: usize, seed: u64) -> ClusterBuilder {
@@ -43,9 +32,8 @@ fn builder(n: usize, seed: u64) -> ClusterBuilder {
 /// rounds, restarts, catches up via certified packages, and rejoins.
 #[test]
 fn restart_catches_up_via_certified_packages() {
-    let overlay = Overlay::full_mesh(4);
     let plan = FaultPlan::new().crash_between(NodeIndex::new(3), at(1000), at(4000));
-    let mut cluster = gossip_cluster(builder(4, 21).fault_plan(plan), overlay, config());
+    let mut cluster = Recipe::shipped(4).cluster(builder(4, 21).fault_plan(plan));
     cluster.run_for(SimDuration::from_secs(10));
 
     // The replica restarted once and caught up via certified packages;
@@ -99,18 +87,15 @@ fn restart_catches_up_via_certified_packages() {
 /// another advertiser, and catches up from an honest peer.
 #[test]
 fn forged_catch_up_rejected_then_honest_peer_serves() {
-    let overlay = Arc::new(Overlay::full_mesh(4));
-    let cfg = config();
+    let recipe = Recipe::shipped(4);
     let plan = FaultPlan::new().crash_between(NodeIndex::new(3), at(1000), at(4000));
     // Nodes 1 and 2 forge the finalization signature in every package
     // they serve; node 0 is honest. (The forgers are honest in every
     // *other* respect, so safety and liveness are untouched.)
-    let idx = Cell::new(0usize);
     let mut cluster = builder(4, 22).fault_plan(plan).build_with(move |core| {
-        let i = idx.get();
-        idx.set(i + 1);
-        let node = GossipNode::new(core, Arc::clone(&overlay), cfg);
-        if i == 1 || i == 2 {
+        let forger = [1, 2].contains(&core.index().as_usize());
+        let node = recipe.node(core);
+        if forger {
             node.with_forged_catch_up()
         } else {
             node
@@ -143,7 +128,7 @@ fn forged_catch_up_rejected_then_honest_peer_serves() {
 /// a time), everyone who restarted catches up, and all chains agree.
 #[test]
 fn rolling_restarts_preserve_agreement() {
-    let overlay = Overlay::random_regular(7, 4, 23);
+    let recipe = Recipe::shipped(7).with_overlay(Overlay::random_regular(7, 4, 23));
     let mut plan = FaultPlan::new();
     for i in 0..6u32 {
         let down = 1000 + 1500 * u64::from(i);
@@ -154,7 +139,7 @@ fn rolling_restarts_preserve_agreement() {
         max_bytes: 1 << 20,
         purge_depth: None,
     });
-    let mut cluster = gossip_cluster(b, overlay, config());
+    let mut cluster = recipe.cluster(b);
     cluster.inject_commands(SimTime::ZERO, ms(500), 20, 512);
     cluster.run_for(SimDuration::from_secs(14));
 
