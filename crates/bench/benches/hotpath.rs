@@ -1,6 +1,7 @@
 //! **Hot-path micro-benchmark** — A/B measurements of product code
-//! on the hot path, written to `BENCH_hotpath.json`. Each cell times a
-//! function the workspace ships against a reference or a bare baseline.
+//! on the hot path, written to `BENCH_hotpath.json` (under `target/`
+//! for a `--smoke` run). Each cell times a function the workspace
+//! ships against a reference or a bare baseline.
 //!
 //! 1. `digest_cache` — per-share verification of a 40-node
 //!    notarization-share flood with the `(scheme, block)` digest
@@ -455,8 +456,12 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
     // `cargo bench` sets CWD to the package root; anchor the output at the
-    // workspace root where CI picks it up as an artifact.
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_hotpath.json");
+    // workspace root (a full run) or under its `target/` (a smoke run, so
+    // it never overwrites the committed full-run file).
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = if smoke { root.join("target") } else { root };
+    let out = dir.join("BENCH_hotpath.json");
+    std::fs::create_dir_all(&dir).expect("create output dir");
     std::fs::write(&out, &json).expect("write BENCH_hotpath.json");
     eprintln!("wrote {}", out.display());
 }

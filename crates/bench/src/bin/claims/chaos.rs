@@ -25,18 +25,13 @@
 //! under a bounded number of round budgets, and the critical-path
 //! analyzer reports which phase dominated the tail. Results land in
 //! `BENCH_chaos.json`.
-//!
-//! ```text
-//! cargo run --release -p icc-bench --bin fig_chaos [-- --smoke]
-//! ```
 
-use icc_bench::print_table;
-use icc_core::cluster::ClusterBuilder;
+use crate::{json_obj, Mode, Report, Table};
+use icc_bench::synchronous;
 use icc_core::epoch::{EpochSchedule, EpochSpec};
 use icc_core::Behavior;
 use icc_crypto::Hash256;
 use icc_gossip::Recipe;
-use icc_sim::delay::FixedDelay;
 use icc_sim::policy::{DeliveryPolicy, SlowLinks};
 use icc_sim::FaultPlan;
 use icc_telemetry::SpanKind;
@@ -239,7 +234,6 @@ struct Tracker {
     /// Epoch boundaries node 0 crossed: (boundary round, epoch index).
     epochs_entered: Vec<(u64, u64)>,
     commits: u64,
-    safety_violations: u64,
     /// Earliest cluster-wide finalization time per round (µs), from the
     /// flight recorder.
     first_finalized: BTreeMap<u64, u64>,
@@ -279,7 +273,6 @@ impl Tracker {
                         .entry(block.round().get())
                         .or_insert_with(|| block.hash());
                     if *prev != block.hash() {
-                        self.safety_violations += 1;
                         panic!(
                             "SAFETY VIOLATION: node {} committed a conflicting block in round {}",
                             rec.node,
@@ -339,9 +332,8 @@ impl Tracker {
     }
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let p = Params::new(smoke);
+pub fn run(mode: Mode) -> Report {
+    let p = Params::new(mode == Mode::Smoke);
     let run_end = at(secs(p.run_secs));
     let chaos_end = at(secs(p.run_secs) - TAIL);
     let outages = p.outages();
@@ -380,10 +372,7 @@ fn main() {
     behaviors[BYZ_WITHHOLD as usize] = Behavior::WithholdFinalization;
 
     let recipe = Recipe::shipped(N);
-    let mut cluster = ClusterBuilder::new(N)
-        .seed(42)
-        .network(FixedDelay::new(ms(10)))
-        .protocol_delays(ms(60), SimDuration::ZERO)
+    let mut cluster = synchronous(N, 42, 10, 60)
         .checkpoint_interval(8)
         .max_events(4_000_000_000)
         .with_epochs(p.schedule())
@@ -471,7 +460,6 @@ fn main() {
     let min_committed = *committed_honest.iter().min().unwrap();
     let max_committed = *committed_honest.iter().max().unwrap();
 
-    assert_eq!(tracker.safety_violations, 0);
     assert!(
         epochs_crossed >= 5,
         "only {epochs_crossed} epoch boundaries crossed"
@@ -511,102 +499,91 @@ fn main() {
     } else {
         "E16: long-haul chaos under reconfiguration (2 sim-hours)"
     };
-    print_table(
-        title,
-        &[
-            "sim secs",
-            "rounds",
-            "epochs",
-            "restarts",
-            "caught up",
-            "cross-epoch",
-            "rejected",
-            "stall (rounds)",
-            "bound",
-            "final gap",
-        ],
-        &[vec![
-            format!("{}", p.run_secs),
-            format!("{min_committed}"),
-            format!("{epochs_crossed}"),
-            format!("{}", rec.restarts),
-            format!("{}", rec.catch_up_applied),
-            format!("{}", rec.cross_epoch_catch_ups),
-            format!("{}", rec.catch_up_rejected),
-            format!("{stall_rounds}"),
-            format!("{STALL_BOUND_ROUNDS}"),
-            format!("{}", max_committed - min_committed),
-        ]],
-    );
-    println!(
-        "chaos mix: {} churn windows ({} suppressed near outages), {} node-5 outages,\n\
+    let dominant = cp
+        .dominant()
+        .map(|ph| ph.label().to_string())
+        .unwrap_or_else(|| "n/a".into());
+    let churn_windows = cycles * 2 - skipped_windows;
+    let headers = "sim secs | rounds | epochs | restarts | caught up | cross-epoch | rejected \
+                  | stall (rounds) | bound | final gap";
+    let row = [
+        p.run_secs,
+        min_committed,
+        epochs_crossed,
+        rec.restarts,
+        rec.catch_up_applied,
+        rec.cross_epoch_catch_ups,
+        rec.catch_up_rejected,
+        stall_rounds,
+        STALL_BOUND_ROUNDS,
+        max_committed - min_committed,
+    ];
+    let note = format!(
+        "chaos mix: {churn_windows} churn windows ({skipped_windows} suppressed near outages), \
+         {} node-5 outages,\n\
          periodic partitions of node {PARTITION_NODE}, 3 slow links, equivocation + withheld\n\
          finalization + forged catch-up servers; departures fired at t={:.1}s;\n\
-         worst stall {:.1} ms ({} round budgets of {} ms, bound {}); critical path: {}",
-        cycles * 2 - skipped_windows,
-        skipped_windows,
+         worst stall {:.1} ms ({stall_rounds} round budgets of {} ms, bound {STALL_BOUND_ROUNDS}); \
+         critical path: {dominant}",
         outages.len(),
         departed_at.as_secs_f64(),
         stall_us as f64 / 1e3,
-        stall_rounds,
         ROUND_BUDGET_US / 1000,
-        STALL_BOUND_ROUNDS,
-        cp.dominant()
-            .map(|ph| ph.label().to_string())
-            .unwrap_or_else(|| "n/a".into()),
     );
-
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"bench\": \"chaos\",\n  \"smoke\": {},\n  \"sim_secs\": {},\n  \"n\": {N},\n",
-        p.smoke, p.run_secs
-    ));
-    json.push_str(&format!(
-        "  \"epochs_crossed\": {epochs_crossed},\n  \"boundary_rounds\": {},\n  \"depart_epoch\": {},\n",
-        p.boundary, p.depart_epoch
-    ));
-    json.push_str(&format!(
-        "  \"departed_at_s\": {:.3},\n  \"commits\": {},\n  \"min_committed\": {min_committed},\n  \"max_committed\": {max_committed},\n",
-        departed_at.as_secs_f64(),
-        tracker.commits
-    ));
-    json.push_str(&format!(
-        "  \"safety_violations\": {},\n  \"stall\": {{\"max_us\": {stall_us}, \"max_rounds\": {stall_rounds}, \"bound_rounds\": {STALL_BOUND_ROUNDS}, \"round_budget_us\": {ROUND_BUDGET_US}}},\n",
-        tracker.safety_violations
-    ));
-    json.push_str(&format!(
-        "  \"recovery\": {{\"restarts\": {}, \"catch_up_applied\": {}, \"catch_up_rejected\": {}, \
-         \"cross_epoch_catch_ups\": {}, \"epoch_transitions\": {}, \"restore_verifications\": {}, \
-         \"checkpoints\": {}, \"wal_appends\": {}}},\n",
-        rec.restarts,
-        rec.catch_up_applied,
-        rec.catch_up_rejected,
-        rec.cross_epoch_catch_ups,
-        rec.epoch_transitions,
-        rec.restore_verifications,
-        rec.checkpoints,
-        rec.wal_appends
-    ));
-    json.push_str(&format!(
-        "  \"chaos\": {{\"churn_windows\": {}, \"suppressed_windows\": {skipped_windows}, \"outages\": {}, \"outage_len_s\": {}}},\n",
-        cycles * 2 - skipped_windows,
-        outages.len(),
-        p.outage_len.as_secs_f64()
-    ));
-    json.push_str(&format!(
-        "  \"critical_path_dominant\": \"{}\"\n}}\n",
-        cp.dominant()
-            .map(|ph| ph.label().to_string())
-            .unwrap_or_else(|| "n/a".into())
-    ));
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_chaos.json");
-    std::fs::write(&out, &json).expect("write BENCH_chaos.json");
-    eprintln!("wrote {}", out.display());
-    println!(
+    let table = Table::new(title, headers, vec![row.map(|v| v.to_string()).to_vec()]).note(note);
+    let mut report = Report::new(
+        vec![table],
         "expected shape: reconfiguration is invisible to throughput (identical group\n\
          beacon key across reshares); every node-5 outage recovers via a certified\n\
          package whose certificate chain crosses >= 1 boundary; forged packages from\n\
          node 2 are rejected and counted; once the depart epoch activates, the two\n\
-         Byzantine parties are evicted from gossip and the cluster finishes clean."
+         Byzantine parties are evicted from gossip and the cluster finishes clean.",
     );
+    let ints = |fields: &[(&str, u64)]| {
+        let fields: Vec<(&str, String)> = fields.iter().map(|&(k, v)| (k, v.to_string())).collect();
+        json_obj(&fields)
+    };
+    let stall = ints(&[
+        ("max_us", stall_us),
+        ("max_rounds", stall_rounds),
+        ("bound_rounds", STALL_BOUND_ROUNDS),
+        ("round_budget_us", ROUND_BUDGET_US),
+    ]);
+    let recovery = ints(&[
+        ("restarts", rec.restarts),
+        ("catch_up_applied", rec.catch_up_applied),
+        ("catch_up_rejected", rec.catch_up_rejected),
+        ("cross_epoch_catch_ups", rec.cross_epoch_catch_ups),
+        ("epoch_transitions", rec.epoch_transitions),
+        ("restore_verifications", rec.restore_verifications),
+        ("checkpoints", rec.checkpoints),
+        ("wal_appends", rec.wal_appends),
+    ]);
+    let chaos = json_obj(&[
+        ("churn_windows", churn_windows.to_string()),
+        ("suppressed_windows", skipped_windows.to_string()),
+        ("outages", outages.len().to_string()),
+        ("outage_len_s", p.outage_len.as_secs_f64().to_string()),
+    ]);
+    report.artifact = Some((
+        "chaos",
+        vec![
+            ("sim_secs", p.run_secs.to_string()),
+            ("n", N.to_string()),
+            ("epochs_crossed", epochs_crossed.to_string()),
+            ("boundary_rounds", p.boundary.to_string()),
+            ("depart_epoch", p.depart_epoch.to_string()),
+            ("departed_at_s", format!("{:.3}", departed_at.as_secs_f64())),
+            ("commits", tracker.commits.to_string()),
+            ("min_committed", min_committed.to_string()),
+            ("max_committed", max_committed.to_string()),
+            // `fold_outputs` panics on the first conflicting commit.
+            ("safety_violations", "0".into()),
+            ("stall", stall),
+            ("recovery", recovery),
+            ("chaos", chaos),
+            ("critical_path_dominant", format!("\"{dominant}\"")),
+        ],
+    ));
+    report
 }

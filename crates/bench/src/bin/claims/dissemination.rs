@@ -12,19 +12,18 @@
 //! n = 13 and 40. The interesting column is `bytes / S`: flat ≈ 3–4 for
 //! ICC2 (`n/(t+1)` plus small artifacts), growing like n for ICC0.
 
-use icc_bench::{fmt_f, print_table};
-use icc_core::cluster::{Cluster, ClusterBuilder, CoreAccess};
-use icc_core::events::NodeEvent;
+use crate::{Mode, Report, Table};
+use icc_bench::{fmt_f, rounds_over_window, ClusterNode};
+use icc_core::cluster::{Cluster, ClusterBuilder};
 use icc_core::BlockPolicy;
 use icc_erasure::{icc2_cluster, Icc2Config};
 use icc_gossip::icc0_cluster;
 use icc_sim::delay::FixedDelay;
-use icc_sim::Node;
-use icc_types::{Command, SimDuration, SimTime};
+use icc_types::{SimDuration, SimTime};
 
-fn builder(n: usize, block_bytes: usize, seed: u64) -> ClusterBuilder {
+fn builder(n: usize, block_bytes: usize) -> ClusterBuilder {
     ClusterBuilder::new(n)
-        .seed(seed)
+        .seed(1)
         .network(FixedDelay::new(SimDuration::from_millis(20)))
         .protocol_delays(SimDuration::from_millis(60), SimDuration::from_millis(50))
         .block_policy(BlockPolicy {
@@ -34,11 +33,8 @@ fn builder(n: usize, block_bytes: usize, seed: u64) -> ClusterBuilder {
         })
 }
 
-/// Mean and max per-node bytes per round.
-fn measure<N>(cluster: &mut Cluster<N>, block_bytes: usize, secs: u64) -> (f64, f64)
-where
-    N: Node<External = Command, Output = NodeEvent> + CoreAccess,
-{
+/// Mean and max per-node bytes per round, normalized by the block size.
+fn measure<N: ClusterNode>(mut cluster: Cluster<N>, block_bytes: usize, secs: u64) -> (f64, f64) {
     // Pre-load enough commands that every block is full: ~200 block
     // payloads' worth, in commands of at most a quarter block (so small
     // blocks still fill; Bytes-backed commands are cheap to clone).
@@ -50,20 +46,22 @@ where
         total,
         cmd_size,
     );
-    cluster.run_for(SimDuration::from_secs(1));
-    let r0 = cluster.min_committed_round();
-    cluster.sim.reset_metrics();
-    cluster.run_for(SimDuration::from_secs(secs));
-    let rounds = (cluster.min_committed_round() - r0).max(1);
+    let rounds = rounds_over_window(
+        &mut cluster,
+        SimDuration::from_secs(1),
+        SimDuration::from_secs(secs),
+    )
+    .max(1);
     cluster.assert_safety();
     let m = cluster.sim.metrics();
+    let s = block_bytes as f64;
     (
-        m.mean_node_bytes() / rounds as f64,
-        m.max_node_bytes() as f64 / rounds as f64,
+        m.mean_node_bytes() / rounds as f64 / s,
+        m.max_node_bytes() as f64 / rounds as f64 / s,
     )
 }
 
-fn main() {
+pub fn run(_: Mode) -> Report {
     let mut rows = Vec::new();
     for &n in &[13usize, 40] {
         for &kb in &[32usize, 128, 512, 2048] {
@@ -72,35 +70,28 @@ fn main() {
             // block; a shorter window keeps the harness snappy without
             // changing the per-round averages.
             let secs = if kb >= 2048 { 3 } else { 6 };
-            let mut icc0 = icc0_cluster(builder(n, s, 1));
-            let (mean0, max0) = measure(&mut icc0, s, secs);
-            let mut icc2c = icc2_cluster(builder(n, s, 1), Icc2Config::default());
-            let (mean2, max2) = measure(&mut icc2c, s, secs);
+            let (mean0, max0) = measure(icc0_cluster(builder(n, s)), s, secs);
+            let icc2 = icc2_cluster(builder(n, s), Icc2Config::default());
+            let (mean2, max2) = measure(icc2, s, secs);
             rows.push(vec![
                 format!("{n}"),
                 format!("{kb} KiB"),
-                fmt_f(mean0 / s as f64, 1),
-                fmt_f(max0 / s as f64, 1),
-                fmt_f(mean2 / s as f64, 1),
-                fmt_f(max2 / s as f64, 1),
+                fmt_f(mean0, 1),
+                fmt_f(max0, 1),
+                fmt_f(mean2, 1),
+                fmt_f(max2, 1),
             ]);
             eprintln!("done n={n} S={kb}KiB");
         }
     }
-    print_table(
-        "E7: per-party bytes per round, normalized by block size S",
-        &[
-            "n",
-            "S",
-            "ICC0 mean/S",
-            "ICC0 max/S",
-            "ICC2 mean/S",
-            "ICC2 max/S",
-        ],
-        &rows,
-    );
-    println!(
+    let headers = "n | S | ICC0 mean/S | ICC0 max/S | ICC2 mean/S | ICC2 max/S";
+    Report::new(
+        vec![Table::new(
+            "E7: per-party bytes per round, normalized by block size S",
+            headers,
+            rows,
+        )],
         "expected shape: ICC0 grows with n (every supporter echoes the full block);\n\
-         ICC2 stays flat at ~n/(t+1)+1 ≈ 4 regardless of n — the O(S)-per-party claim."
-    );
+         ICC2 stays flat at ~n/(t+1)+1 ≈ 4 regardless of n — the O(S)-per-party claim.",
+    )
 }

@@ -17,43 +17,29 @@
 //! `Overlay::for_subnet`, every proposal by advert/request/deliver,
 //! each send counted once. The gossip sub-layer exists to *reduce* what
 //! a party sends, so its `msgs / n²` must not grow with `n` where ICC0's
-//! does not: the binary asserts that the value at n = 31 (the largest
+//! does not: the entry asserts that the value at n = 31 (the largest
 //! size in the sweep that runs the complete overlay) is at most 1.5 ×
 //! the value at n = 4. (n = 40 runs the bounded-degree overlay, where a
 //! share flood costs `n · degree` sends per share — more messages than
 //! ICC0, fewer bytes at the bottleneck party: E8, E17.)
 
-use icc_bench::{fmt_f, print_table};
-use icc_core::cluster::{Cluster, ClusterBuilder, CoreAccess};
-use icc_core::events::NodeEvent;
+use crate::{Mode, Report, Table};
+use icc_bench::{fmt_f, rounds_over_window, synchronous, ClusterNode};
+use icc_core::cluster::{Cluster, ClusterBuilder};
 use icc_core::Behavior;
 use icc_gossip::{icc0_cluster, Recipe};
-use icc_sim::delay::FixedDelay;
-use icc_sim::Node;
-use icc_types::{Command, SimDuration};
+use icc_types::SimDuration;
 
 fn builder(n: usize, behaviors: Vec<Behavior>) -> ClusterBuilder {
-    ClusterBuilder::new(n)
-        .seed(11)
-        .network(FixedDelay::new(SimDuration::from_millis(10)))
-        .protocol_delays(SimDuration::from_millis(30), SimDuration::ZERO)
-        .behaviors(behaviors)
+    synchronous(n, 11, 10, 30).behaviors(behaviors)
 }
 
-fn icc1(n: usize) -> Cluster<icc_gossip::GossipNode> {
-    Recipe::shipped(n).cluster(builder(n, vec![Behavior::Honest; n]))
-}
-
-fn msgs_per_round<N>(mut cluster: Cluster<N>, secs: u64) -> f64
-where
-    N: Node<External = Command, Output = NodeEvent> + CoreAccess,
-{
-    // Warm up one second, then measure.
-    cluster.run_for(SimDuration::from_secs(1));
-    let r0 = cluster.min_committed_round();
-    cluster.sim.reset_metrics();
-    cluster.run_for(SimDuration::from_secs(secs));
-    let rounds = cluster.min_committed_round() - r0;
+fn msgs_per_round<N: ClusterNode>(mut cluster: Cluster<N>, secs: u64) -> f64 {
+    let rounds = rounds_over_window(
+        &mut cluster,
+        SimDuration::from_secs(1),
+        SimDuration::from_secs(secs),
+    );
     cluster.assert_safety();
     if rounds == 0 {
         return f64::NAN;
@@ -61,7 +47,7 @@ where
     cluster.sim.metrics().total_messages() as f64 / rounds as f64
 }
 
-fn main() {
+pub fn run(_: Mode) -> Report {
     let mut rows = Vec::new();
     let mut icc1_per_nn = std::collections::BTreeMap::new();
     for &n in &[4usize, 7, 13, 19, 31, 40] {
@@ -70,7 +56,8 @@ fn main() {
         let honest = icc0(vec![Behavior::Honest; n], 5);
         let crashed = icc0(Behavior::first_f(n, t, Behavior::Crash), 20);
         let equiv = icc0(Behavior::first_f(n, t, Behavior::Equivocate), 10);
-        let gossip = msgs_per_round(icc1(n), 5);
+        let icc1 = Recipe::shipped(n).cluster(builder(n, vec![Behavior::Honest; n]));
+        let gossip = msgs_per_round(icc1, 5);
         let nn = (n * n) as f64;
         icc1_per_nn.insert(n, gossip / nn);
         rows.push(vec![
@@ -86,29 +73,21 @@ fn main() {
         ]);
         eprintln!("done n={n}");
     }
-    print_table(
-        "E2: messages per round (broadcast counts n - 1), synchronous network",
-        &[
-            "n",
-            "honest",
-            "honest/n^2",
-            "t crashed",
-            "crashed/n^2",
-            "t equivocating",
-            "equiv/n^2",
-            "ICC1 honest",
-            "ICC1/n^2",
-        ],
-        &rows,
-    );
-    println!(
-        "expected shape: msgs/n^2 roughly flat (O(n^2) with overwhelming probability\n\
-         in synchronous rounds); equivocation raises the constant, not the exponent;\n\
-         ICC1 stays flat up to n = 31 (complete overlay: one hop, no relays)."
-    );
     let (small, large) = (icc1_per_nn[&4], icc1_per_nn[&31]);
     assert!(
         large <= 1.5 * small,
         "ICC1 msgs/n^2 grows with n: {small:.2} at n = 4, {large:.2} at n = 31"
     );
+    let headers = "n | honest | honest/n^2 | t crashed | crashed/n^2 | t equivocating \
+                  | equiv/n^2 | ICC1 honest | ICC1/n^2";
+    Report::new(
+        vec![Table::new(
+            "E2: messages per round (broadcast counts n - 1), synchronous network",
+            headers,
+            rows,
+        )],
+        "expected shape: msgs/n^2 roughly flat (O(n^2) with overwhelming probability\n\
+         in synchronous rounds); equivocation raises the constant, not the exponent;\n\
+         ICC1 stays flat up to n = 31 (complete overlay: one hop, no relays).",
+    )
 }

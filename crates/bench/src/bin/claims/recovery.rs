@@ -17,17 +17,12 @@
 //!   finalization certificates; the restarted replica must reject them
 //!   (counted) and still catch up from the honest peer.
 //!
-//! Run with `--smoke` for the short deterministic CI variant (same
-//! scenarios, shorter windows, hard assertions only).
-//!
-//! ```text
-//! cargo run --release -p icc-bench --bin fig_recovery [-- --smoke]
-//! ```
+//! `--smoke` is the short deterministic CI variant (same scenarios,
+//! halved windows, the same hard assertions).
 
-use icc_bench::{fmt_f, print_table};
-use icc_core::cluster::ClusterBuilder;
+use crate::{Mode, Report, Table};
+use icc_bench::{fmt_f, synchronous};
 use icc_gossip::Recipe;
-use icc_sim::delay::FixedDelay;
 use icc_sim::policy::Partition;
 use icc_sim::FaultPlan;
 use icc_types::{NodeIndex, SimDuration, SimTime};
@@ -115,12 +110,9 @@ fn scenarios(smoke: bool) -> Vec<Scenario> {
     ]
 }
 
-fn run(sc: &Scenario) -> Vec<String> {
+fn run_scenario(sc: &Scenario) -> Vec<String> {
     let recipe = Recipe::shipped(sc.n);
-    let mut builder = ClusterBuilder::new(sc.n)
-        .seed(sc.seed)
-        .network(FixedDelay::new(ms(10)))
-        .protocol_delays(ms(60), SimDuration::ZERO)
+    let mut builder = synchronous(sc.n, sc.seed, 10, 60)
         .checkpoint_interval(8)
         .fault_plan(sc.plan.clone());
     if let Some(p) = &sc.partition {
@@ -150,6 +142,7 @@ fn run(sc: &Scenario) -> Vec<String> {
     let committed: Vec<u64> = (0..sc.n).map(|i| cluster.committed_round(i)).collect();
     let gap = committed.iter().max().unwrap() - committed.iter().min().unwrap();
     assert!(gap <= 3, "{}: final gap {gap} ({committed:?})", sc.name);
+    eprintln!("done {}", sc.name);
 
     vec![
         sc.name.into(),
@@ -165,40 +158,22 @@ fn run(sc: &Scenario) -> Vec<String> {
     ]
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let mut rows = Vec::new();
-    for sc in scenarios(smoke) {
-        rows.push(run(&sc));
-        eprintln!("done {}", sc.name);
-    }
-    let title = if smoke {
-        "E14 (smoke): crash-recovery and certified catch-up (delta=10ms, delta_bnd=60ms)"
-    } else {
-        "E14: crash-recovery and certified catch-up (delta=10ms, delta_bnd=60ms)"
-    };
-    print_table(
-        title,
-        &[
-            "scenario",
-            "restarts",
-            "caught up",
-            "rejected",
-            "rounds behind",
-            "catch-up lat (ms)",
-            "catch-up KiB",
-            "checkpoints",
-            "WAL appends",
-            "final gap",
-        ],
-        &rows,
+pub fn run(mode: Mode) -> Report {
+    let smoke = mode == Mode::Smoke;
+    let rows = scenarios(smoke).iter().map(run_scenario).collect();
+    let title = format!(
+        "E14{}: crash-recovery and certified catch-up (delta=10ms, delta_bnd=60ms)",
+        if smoke { " (smoke)" } else { "" }
     );
-    println!(
+    let headers = "scenario | restarts | caught up | rejected | rounds behind \
+                  | catch-up lat (ms) | catch-up KiB | checkpoints | WAL appends | final gap";
+    Report::new(
+        vec![Table::new(title, headers, rows)],
         "expected shape: every restarted replica fast-forwards via one or two\n\
          certified packages (rounds behind >> packages applied: state sync jumps,\n\
          it does not replay); forged servers are rejected and the honest peer\n\
          still closes the gap; the final committed-round gap stays <= 3 in every\n\
          scenario; partition-heal may catch up by flood replay alone when the\n\
-         release beats the advert round-trip."
-    );
+         release beats the advert round-trip.",
+    )
 }

@@ -12,31 +12,20 @@
 //! time should track 2δ; the fixed-pace baseline stays pinned at its
 //! Δbnd-derived interval.
 
+use crate::{Mode, Report, Table};
 use icc_baselines::TendermintNode;
-use icc_bench::{fmt_f, print_table};
-use icc_core::cluster::ClusterBuilder;
+use icc_bench::{fmt_f, mean_round_us, synchronous};
 use icc_gossip::icc0_cluster;
 use icc_sim::delay::FixedDelay;
 use icc_sim::SimulationBuilder;
 use icc_types::SimDuration;
 
 fn icc_round_time_ms(n: usize, delta_ms: u64) -> f64 {
-    let mut cluster = icc0_cluster(
-        ClusterBuilder::new(n)
-            .seed(5)
-            .network(FixedDelay::new(SimDuration::from_millis(delta_ms)))
-            // Conservative liveness bound, as deployed systems must choose.
-            .protocol_delays(SimDuration::from_secs(1), SimDuration::ZERO),
-    );
+    // Conservative liveness bound, as deployed systems must choose.
+    let mut cluster = icc0_cluster(synchronous(n, 5, delta_ms, 1000));
     cluster.run_for(SimDuration::from_secs(20));
     cluster.assert_safety();
-    let stats = cluster.round_stats(0);
-    let ds: Vec<u64> = stats
-        .iter()
-        .filter(|(r, _, _)| r.get() > 1)
-        .map(|(_, d, _)| d.as_micros())
-        .collect();
-    ds.iter().sum::<u64>() as f64 / ds.len().max(1) as f64 / 1000.0
+    mean_round_us(&cluster, 0) / 1000.0
 }
 
 fn tendermint_round_time_ms(n: usize, delta_ms: u64) -> f64 {
@@ -53,7 +42,7 @@ fn tendermint_round_time_ms(n: usize, delta_ms: u64) -> f64 {
     30_000.0 / committed.max(1) as f64
 }
 
-fn main() {
+pub fn run(_: Mode) -> Report {
     let n = 7;
     let mut rows = Vec::new();
     for &delta_ms in &[5u64, 10, 20, 50, 100] {
@@ -67,18 +56,14 @@ fn main() {
         ]);
         eprintln!("done delta={delta_ms}ms");
     }
-    print_table(
-        "E5: round time vs actual network delay (both configured with delta_bnd = 1s)",
-        &[
-            "delta (ms)",
-            "ICC round (ms)",
-            "ICC round/delta",
-            "fixed-pace round (ms)",
-        ],
-        &rows,
-    );
-    println!(
+    let headers = "delta (ms) | ICC round (ms) | ICC round/delta | fixed-pace round (ms)";
+    Report::new(
+        vec![Table::new(
+            "E5: round time vs actual network delay (both configured with delta_bnd = 1s)",
+            headers,
+            rows,
+        )],
         "expected shape: ICC tracks ~2x the actual delay (optimistic responsiveness);\n\
-         the Tendermint-style baseline is pinned at its 1000 ms pacing regardless of delta."
-    );
+         the Tendermint-style baseline is pinned at its 1000 ms pacing regardless of delta.",
+    )
 }

@@ -16,28 +16,17 @@
 //! produce blocks that carry nothing — the degradation the paper
 //! explicitly accepts).
 
-use icc_bench::{fmt_f, print_table, run_trials};
-use icc_core::cluster::ClusterBuilder;
+use crate::{Mode, Report, Table};
+use icc_bench::{fmt_f, mean_round_us, run_trials, synchronous};
 use icc_core::Behavior;
 use icc_gossip::icc0_cluster;
-use icc_sim::delay::FixedDelay;
 use icc_types::{SimDuration, SimTime};
 
-struct Outcome {
-    blocks_per_sec: f64,
-    mean_round_ms: f64,
-    cmds_per_sec: f64,
-    cmd_latency_ms: f64,
-}
-
-fn run(n: usize, f: usize, behavior: Behavior, secs: u64) -> Outcome {
-    let mut cluster = icc0_cluster(
-        ClusterBuilder::new(n)
-            .seed(33)
-            .network(FixedDelay::new(SimDuration::from_millis(10)))
-            .protocol_delays(SimDuration::from_millis(100), SimDuration::ZERO)
-            .behaviors(Behavior::first_f(n, f, behavior)),
-    );
+/// One cell's row: blocks/s, mean round ms, committed commands/s, mean
+/// command latency ms.
+fn run_cell(n: usize, f: usize, behavior: Behavior, secs: u64) -> [f64; 4] {
+    let behaviors = Behavior::first_f(n, f, behavior);
+    let mut cluster = icc0_cluster(synchronous(n, 33, 10, 100).behaviors(behaviors));
     // Continuous light client load so "useful payload" is measurable.
     cluster.inject_commands(
         SimTime::ZERO,
@@ -50,24 +39,18 @@ fn run(n: usize, f: usize, behavior: Behavior, secs: u64) -> Outcome {
     let observer = cluster.honest_nodes()[0];
     let committed = cluster.committed_chain(observer);
     let cmds: usize = committed.iter().map(|b| b.block().payload().len()).sum();
-    let stats = cluster.round_stats(observer);
-    let ds: Vec<u64> = stats
-        .iter()
-        .filter(|(r, _, _)| r.get() > 1)
-        .map(|(_, d, _)| d.as_micros())
-        .collect();
     let lats = cluster.command_latencies(observer);
     let mean_lat =
         lats.iter().map(|d| d.as_micros()).sum::<u64>() as f64 / lats.len().max(1) as f64 / 1000.0;
-    Outcome {
-        blocks_per_sec: committed.len() as f64 / secs as f64,
-        mean_round_ms: ds.iter().sum::<u64>() as f64 / ds.len().max(1) as f64 / 1000.0,
-        cmds_per_sec: cmds as f64 / secs as f64,
-        cmd_latency_ms: mean_lat,
-    }
+    [
+        committed.len() as f64 / secs as f64,
+        mean_round_us(&cluster, observer) / 1000.0,
+        cmds as f64 / secs as f64,
+        mean_lat,
+    ]
 }
 
-fn main() {
+pub fn run(_: Mode) -> Report {
     let n = 13;
     let t = 4;
     // One seeded, self-contained cell per (f, behavior): `run_trials`
@@ -84,33 +67,23 @@ fn main() {
         })
         .collect();
     let rows = run_trials(&cells, |_, &(f, behavior)| {
-        let o = run(n, f, behavior, 20);
+        let o = run_cell(n, f, behavior, 20);
         eprintln!("done f={f} behavior={behavior:?}");
-        vec![
-            format!("{f}"),
-            format!("{behavior:?}"),
-            fmt_f(o.blocks_per_sec, 1),
-            fmt_f(o.mean_round_ms, 1),
-            fmt_f(o.cmds_per_sec, 1),
-            fmt_f(o.cmd_latency_ms, 1),
-        ]
+        let mut row = vec![format!("{f}"), format!("{behavior:?}")];
+        row.extend(o.iter().map(|&v| fmt_f(v, 1)));
+        row
     });
-    print_table(
-        "E6: robustness under Byzantine behavior (n=13, delta=10ms, delta_bnd=100ms, 50 cmds/s offered)",
-        &[
-            "corrupt f",
-            "behavior",
-            "blocks/s",
-            "mean round (ms)",
-            "committed cmds/s",
-            "cmd latency (ms)",
-        ],
-        &rows,
-    );
-    println!(
+    let headers = "corrupt f | behavior | blocks/s | mean round (ms) | committed cmds/s \
+                  | cmd latency (ms)";
+    Report::new(
+        vec![Table::new(
+            "E6: robustness under Byzantine behavior (n=13, delta=10ms, delta_bnd=100ms, 50 cmds/s offered)",
+            headers,
+            rows,
+        )],
         "expected shape: blocks/s never collapses to zero (P1: the tree grows every\n\
          round); round time degrades from ~2*delta toward O(delta_bnd) as corrupt leaders\n\
          appear; EmptyProposals keeps block rate but lowers useful commands/s;\n\
-         equivocators cost echoes but rank disqualification contains them."
-    );
+         equivocators cost echoes but rank disqualification contains them.",
+    )
 }

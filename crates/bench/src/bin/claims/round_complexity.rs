@@ -14,24 +14,18 @@
 //! ≈ (n−t)/n), the mean and max streak of non-leader rounds, and the
 //! fit against the geometric prediction.
 
-use icc_bench::{fmt_f, print_table};
-use icc_core::cluster::ClusterBuilder;
+use crate::{Mode, Report, Table};
+use icc_bench::{fmt_f, synchronous};
 use icc_core::Behavior;
 use icc_gossip::icc0_cluster;
-use icc_sim::delay::FixedDelay;
 use icc_types::SimDuration;
 
-fn main() {
+pub fn run(_: Mode) -> Report {
     let mut rows = Vec::new();
     for &n in &[7usize, 13, 31] {
         let t = n.div_ceil(3) - 1;
-        let mut cluster = icc0_cluster(
-            ClusterBuilder::new(n)
-                .seed(21)
-                .network(FixedDelay::new(SimDuration::from_millis(10)))
-                .protocol_delays(SimDuration::from_millis(30), SimDuration::ZERO)
-                .behaviors(Behavior::first_f(n, t, Behavior::Crash)),
-        );
+        let crashed = Behavior::first_f(n, t, Behavior::Crash);
+        let mut cluster = icc0_cluster(synchronous(n, 21, 10, 30).behaviors(crashed));
         cluster.run_for(SimDuration::from_secs(60));
         cluster.assert_safety();
         let observer = cluster.honest_nodes()[0];
@@ -70,23 +64,15 @@ fn main() {
         ]);
         eprintln!("done n={n}");
     }
-    print_table(
-        "E4: leader statistics with t crashed parties (static adversary)",
-        &[
-            "n",
-            "t",
-            "rounds",
-            "leader-won frac",
-            "expect (n-t)/n",
-            "mean bad-streak",
-            "expect 1/(1-p)",
-            "max streak",
-            "log_1/p(rounds)",
-        ],
-        &rows,
-    );
-    println!(
+    let headers = "n | t | rounds | leader-won frac | expect (n-t)/n | mean bad-streak \
+                  | expect 1/(1-p) | max streak | log_1/p(rounds)";
+    Report::new(
+        vec![Table::new(
+            "E4: leader statistics with t crashed parties (static adversary)",
+            headers,
+            rows,
+        )],
         "expected shape: leader-won fraction ≈ (n−t)/n > 2/3; streaks of corrupt-leader\n\
-         rounds geometric (O(1) mean), max streak ≈ log_{{1/p}}(#rounds) (O(log n) whp)."
-    );
+         rounds geometric (O(1) mean), max streak ≈ log_{1/p}(#rounds) (O(log n) whp).",
+    )
 }

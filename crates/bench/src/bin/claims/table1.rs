@@ -1,4 +1,4 @@
-//! **Table 1** — average block rate and sent traffic per node.
+//! **E1 — Table 1**: average block rate and sent traffic per node.
 //!
 //! Paper setup (§5): subnets of 13 and 40 nodes spread over data
 //! centers with inter-DC ping RTTs of 6–110 ms, measured over a 5-minute
@@ -18,8 +18,12 @@
 //!   only, so absolute Mb/s are lower — the shape (small-vs-large
 //!   ratio, load overhead, failure-scenario changes) is the claim under
 //!   test.
+//!
+//! Windows: the paper's 5 minutes; 60 s with `--quick`; 10 s with
+//! `--smoke`, a CI test of the parallel harness itself.
 
-use icc_bench::{fmt_f, measure_window, print_table, run_trials, trial_threads};
+use crate::{Mode, Report, Table};
+use icc_bench::{fmt_f, measure_window, run_trials, trial_threads};
 use icc_core::cluster::ClusterBuilder;
 use icc_core::{Behavior, BlockPolicy};
 use icc_gossip::{GossipConfig, Overlay, Recipe};
@@ -114,23 +118,13 @@ fn run_cell(
     (m.blocks_per_sec, m.mbit_per_sec_per_node, pct)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(unknown) = args.iter().find(|a| *a != "--quick" && *a != "--smoke") {
-        eprintln!("unknown argument: {unknown} (flags: --quick, --smoke)");
-        std::process::exit(2);
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    // Paper window: 5 minutes. --quick uses 60 s for CI-speed runs;
-    // --smoke shrinks further to a CI smoke test of the harness itself.
-    let (warmup, window) = if smoke {
-        (SimDuration::from_secs(5), SimDuration::from_secs(10))
-    } else if quick {
-        (SimDuration::from_secs(20), SimDuration::from_secs(60))
-    } else {
-        (SimDuration::from_secs(20), SimDuration::from_secs(300))
-    };
+pub fn run(mode: Mode) -> Report {
+    let warmup = SimDuration::from_secs(if mode == Mode::Smoke { 5 } else { 20 });
+    let window = SimDuration::from_secs(match mode {
+        Mode::Smoke => 10,
+        Mode::Quick => 60,
+        Mode::Full => 300,
+    });
 
     // One cell per (subnet size, scenario); each builds its own seeded
     // cluster, so cells are independent and `run_trials` can fan them
@@ -144,7 +138,6 @@ fn main() {
         cells.len(),
         trial_threads().min(cells.len())
     );
-    let started = std::time::Instant::now();
     let rows = run_trials(&cells, |_, &(n, s)| {
         let (paper_rate, paper_mbps) = if n == 13 {
             s.paper_small
@@ -165,30 +158,17 @@ fn main() {
             fmt_f(pct[2], 1),
         ]
     });
-    eprintln!("table1: all cells in {:.2?}", started.elapsed());
     let title = format!(
         "Table 1: average block rate and sent traffic per node (ICC1/gossip, {}s window)",
         window.as_micros() / 1_000_000
     );
-    print_table(
-        &title,
-        &[
-            "nodes",
-            "scenario",
-            "blocks/s",
-            "paper blocks/s",
-            "Mb/s per node",
-            "paper Mb/s",
-            "lat p50 ms",
-            "lat p90 ms",
-            "lat p99 ms",
-        ],
-        &rows,
-    );
-    println!(
+    let headers = "nodes | scenario | blocks/s | paper blocks/s | Mb/s per node | paper Mb/s \
+                  | lat p50 ms | lat p90 ms | lat p99 ms";
+    Report::new(
+        vec![Table::new(title, headers, rows)],
         "note: measured traffic covers consensus artifacts only; the deployed IC's\n\
          numbers include client I/O, key resharing, logs and metrics (see EXPERIMENTS.md).\n\
          lat p50/p90/p99: finalization latency (round entry -> commit) from the\n\
-         telemetry histograms; no paper counterpart is published for these."
-    );
+         telemetry histograms; no paper counterpart is published for these.",
+    )
 }

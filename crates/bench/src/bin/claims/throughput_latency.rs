@@ -8,56 +8,33 @@
 //!
 //! Setup: fixed one-way delay δ, honest leaders, ε = 0 (fully
 //! responsive). ICC1 pushes blocks up to 4 KiB inline; "ICC1 shipped"
-//! is `Recipe::shipped`, every block by advert → request → deliver. Round time is taken from `RoundFinished` events; commit
-//! latency is the time from the proposer's `Proposed` event to each
-//! node's `Committed` event for that block.
+//! is `Recipe::shipped`, every block by advert → request → deliver.
+//! Round time is taken from `RoundFinished` events; commit latency is
+//! the time from the proposer's `Proposed` event to each node's
+//! `Committed` event for that block.
 //!
 //! A second table reads the telemetry layer's finalization-latency
 //! histogram (round entry → commit, merged across nodes) and reports
 //! p50/p90/p99 in units of δ — the distribution behind the means.
 
-use icc_bench::{fmt_f, print_table, run_trials};
-use icc_core::cluster::{Cluster, ClusterBuilder, CoreAccess};
+use crate::{Mode, Report, Table};
+use icc_bench::{fmt_f, mean_round_us, proposed_at, run_trials, synchronous, ClusterNode};
+use icc_core::cluster::{Cluster, ClusterBuilder};
 use icc_core::events::NodeEvent;
 use icc_erasure::{icc2_cluster, Icc2Config};
 use icc_gossip::{icc0_cluster, GossipConfig, Recipe};
-use icc_sim::delay::FixedDelay;
-use icc_sim::Node;
-use icc_types::{Command, SimDuration};
-use std::collections::HashMap;
+use icc_types::SimDuration;
 
 fn builder(n: usize, delta_ms: u64) -> ClusterBuilder {
-    ClusterBuilder::new(n)
-        .seed(3)
-        .network(FixedDelay::new(SimDuration::from_millis(delta_ms)))
-        .protocol_delays(SimDuration::from_millis(delta_ms * 3), SimDuration::ZERO)
+    synchronous(n, 3, delta_ms, delta_ms * 3)
 }
 
 /// Returns (mean round duration µs, mean commit latency µs, merged
 /// finalization-latency histogram in µs).
-fn measure<N>(cluster: &mut Cluster<N>, secs: u64) -> (f64, f64, icc_telemetry::Histogram)
-where
-    N: Node<External = Command, Output = NodeEvent> + CoreAccess,
-{
-    cluster.run_for(SimDuration::from_secs(secs));
+fn measure<N: ClusterNode>(mut cluster: Cluster<N>) -> (f64, f64, icc_telemetry::Histogram) {
+    cluster.run_for(SimDuration::from_secs(5));
     cluster.assert_safety();
-    // Round durations, skipping the startup round.
-    let stats = cluster.round_stats(0);
-    let durations: Vec<u64> = stats
-        .iter()
-        .filter(|(r, _, _)| r.get() > 1)
-        .map(|(_, d, _)| d.as_micros())
-        .collect();
-    let mean_round = durations.iter().sum::<u64>() as f64 / durations.len().max(1) as f64;
-    // Proposal times by block hash (across all proposers).
-    let mut proposed_at: HashMap<icc_crypto::Hash256, u64> = HashMap::new();
-    for node in 0..cluster.n() {
-        for o in cluster.events_of(node) {
-            if let NodeEvent::Proposed { hash, .. } = o.output {
-                proposed_at.entry(hash).or_insert(o.at.as_micros());
-            }
-        }
-    }
+    let proposed_at = proposed_at(&cluster);
     let mut latencies = Vec::new();
     for node in 0..cluster.n() {
         for o in cluster.events_of(node) {
@@ -73,37 +50,28 @@ where
     }
     let mean_latency = latencies.iter().sum::<u64>() as f64 / latencies.len().max(1) as f64;
     let fin = cluster.core_metrics().finalization_latency_us;
-    (mean_round, mean_latency, fin)
+    (mean_round_us(&cluster, 0), mean_latency, fin)
 }
 
-fn main() {
+pub fn run(_: Mode) -> Report {
     let n = 7;
-    // Each δ is one self-contained cell (three protocol variants, each
+    // Each δ is one self-contained cell (four protocol variants, each
     // on its own seeded cluster): `run_trials` fans the δ sweep across
     // cores with output identical to the serial loop.
     let deltas = [10u64, 20, 50];
     let both = run_trials(&deltas, |_, &delta_ms| {
         let delta = (delta_ms * 1000) as f64;
-
-        let mut icc0 = icc0_cluster(builder(n, delta_ms));
-        let (r0, l0, f0) = measure(&mut icc0, 5);
-
-        let mut icc1 = Recipe::shipped(n)
-            .with_config(GossipConfig::inline_small_blocks())
-            .cluster(builder(n, delta_ms));
-        let (r1, l1, f1) = measure(&mut icc1, 5);
-
-        let mut shipped = Recipe::shipped(n).cluster(builder(n, delta_ms));
-        let (rs, ls, _) = measure(&mut shipped, 5);
-
-        let mut icc2c = icc2_cluster(
-            builder(n, delta_ms),
-            Icc2Config {
-                inline_threshold: 0,
-            },
+        let (r0, l0, f0) = measure(icc0_cluster(builder(n, delta_ms)));
+        let (r1, l1, f1) = measure(
+            Recipe::shipped(n)
+                .with_config(GossipConfig::inline_small_blocks())
+                .cluster(builder(n, delta_ms)),
         );
-        let (r2, l2, f2) = measure(&mut icc2c, 5);
-
+        let (rs, ls, _) = measure(Recipe::shipped(n).cluster(builder(n, delta_ms)));
+        let icc2 = Icc2Config {
+            inline_threshold: 0,
+        };
+        let (r2, l2, f2) = measure(icc2_cluster(builder(n, delta_ms), icc2));
         eprintln!("done delta={delta_ms}ms");
         let means = vec![
             format!("{delta_ms}ms"),
@@ -125,34 +93,23 @@ fn main() {
         (means, percentiles)
     });
     let (rows, pct_rows): (Vec<_>, Vec<_>) = both.into_iter().unzip();
-    print_table(
+    let means = Table::new(
         "E3: round time and commit latency in units of delta (n=7, honest, eps=0)",
-        &[
-            "delta",
-            "ICC0 round/d",
-            "ICC0 lat/d",
-            "ICC1 round/d",
-            "ICC1 lat/d",
-            "ICC1 shipped round/d",
-            "ICC1 shipped lat/d",
-            "ICC2 round/d",
-            "ICC2 lat/d",
-        ],
-        &rows,
-    );
-    println!(
+        "delta | ICC0 round/d | ICC0 lat/d | ICC1 round/d | ICC1 lat/d | ICC1 shipped round/d \
+         | ICC1 shipped lat/d | ICC2 round/d | ICC2 lat/d",
+        rows,
+    )
+    .note(
         "paper: ICC0/ICC1 -> 2.00 / 3.00; ICC2 -> 3.00 / 4.00 (ICC1 over a full-mesh\n\
          overlay matches ICC0; a multi-hop overlay adds hops to both). ICC1 shipped\n\
-         sends every block by advert -> request -> deliver: two more hops per round."
+         sends every block by advert -> request -> deliver: two more hops per round.\n",
     );
-    println!();
-    print_table(
+    let percentiles = Table::new(
         "E3b: finalization latency percentiles in units of delta (telemetry histogram,\n\
          round entry -> commit; log2 buckets give <= 2x quantile resolution)",
-        &[
-            "delta", "ICC0 p50", "ICC0 p90", "ICC0 p99", "ICC1 p50", "ICC1 p90", "ICC1 p99",
-            "ICC2 p50", "ICC2 p90", "ICC2 p99",
-        ],
-        &pct_rows,
+        "delta | ICC0 p50 | ICC0 p90 | ICC0 p99 | ICC1 p50 | ICC1 p90 | ICC1 p99 | ICC2 p50 \
+         | ICC2 p90 | ICC2 p99",
+        pct_rows,
     );
+    Report::new(vec![means, percentiles], "")
 }

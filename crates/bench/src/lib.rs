@@ -1,23 +1,29 @@
-//! Shared harness utilities for the experiment binaries.
+//! Shared harness utilities for the `claims` runner.
 //!
-//! Each table and figure of the paper's evaluation has a binary in
-//! `src/bin/` (see `DESIGN.md` §2 and `EXPERIMENTS.md` for the index).
-//! Run them with, e.g.:
+//! Each table and figure of the paper's evaluation is one entry of the
+//! `claims` binary (`src/bin/claims/`), keyed by its `EXPERIMENTS.md`
+//! number (see `DESIGN.md` §2 for the index). Run them with, e.g.:
 //!
 //! ```text
-//! cargo run --release -p icc-bench --bin table1
+//! cargo run --release -p icc-bench --bin claims -- E1 E3
+//! cargo run --release -p icc-bench --bin claims -- --smoke E14 E15
+//! cargo run --release -p icc-bench --bin claims -- --list
 //! ```
 //!
-//! This library holds the pieces they share: plain-text table rendering
-//! and measurement helpers over a finished [`Cluster`].
+//! This library holds the pieces the entries share: plain-text table
+//! rendering, measurement helpers over a [`Cluster`], and the parallel
+//! trial fan-out.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use icc_core::cluster::{Cluster, CoreAccess};
+use icc_core::cluster::{Cluster, ClusterBuilder, CoreAccess};
 use icc_core::events::NodeEvent;
+use icc_crypto::Hash256;
+use icc_sim::delay::FixedDelay;
 use icc_sim::Node;
 use icc_types::{Command, SimDuration};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -66,10 +72,20 @@ pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
     out
 }
 
-/// Prints a rendered table to stdout.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    print!("{}", render_table(title, headers, rows));
-    println!();
+/// A node a [`Cluster`] can drive: ICC0/ICC1's `GossipNode` and ICC2's
+/// `Icc2Node`.
+pub trait ClusterNode: Node<External = Command, Output = NodeEvent> + CoreAccess {}
+
+impl<N: Node<External = Command, Output = NodeEvent> + CoreAccess> ClusterNode for N {}
+
+/// `n` parties on a fixed one-way delay of `delta_ms`, with a static
+/// `Δbnd` of `delta_bnd_ms` and no governor (ε = 0): the synchronous
+/// network most experiments run on.
+pub fn synchronous(n: usize, seed: u64, delta_ms: u64, delta_bnd_ms: u64) -> ClusterBuilder {
+    ClusterBuilder::new(n)
+        .seed(seed)
+        .network(FixedDelay::new(SimDuration::from_millis(delta_ms)))
+        .protocol_delays(SimDuration::from_millis(delta_bnd_ms), SimDuration::ZERO)
 }
 
 /// Measurements of one cluster run over a window.
@@ -85,21 +101,28 @@ pub struct WindowMeasurement {
     pub msgs_per_sec_per_node: f64,
 }
 
-/// Runs `cluster` for `warmup`, resets counters, runs the measurement
-/// `window`, and extracts rates.
-pub fn measure_window<N>(
+/// Runs `cluster` for `warmup`, resets the traffic counters, runs
+/// `window`, and returns the rounds every honest node committed in it.
+pub fn rounds_over_window<N: ClusterNode>(
     cluster: &mut Cluster<N>,
     warmup: SimDuration,
     window: SimDuration,
-) -> WindowMeasurement
-where
-    N: Node<External = Command, Output = NodeEvent> + CoreAccess,
-{
+) -> u64 {
     cluster.run_for(warmup);
     let start_round = cluster.min_committed_round();
     cluster.sim.reset_metrics();
     cluster.run_for(window);
-    let end_round = cluster.min_committed_round();
+    cluster.min_committed_round() - start_round
+}
+
+/// Runs `cluster` for `warmup`, resets counters, runs the measurement
+/// `window`, and extracts rates.
+pub fn measure_window<N: ClusterNode>(
+    cluster: &mut Cluster<N>,
+    warmup: SimDuration,
+    window: SimDuration,
+) -> WindowMeasurement {
+    let rounds = rounds_over_window(cluster, warmup, window);
     let honest = cluster.honest_nodes();
     let secs = window.as_secs_f64();
     let metrics = cluster.sim.metrics();
@@ -109,11 +132,37 @@ where
     let mean_bytes = honest_bytes.iter().sum::<u64>() as f64 / honest.len() as f64;
     let mean_msgs = honest_msgs.iter().sum::<u64>() as f64 / honest.len() as f64;
     WindowMeasurement {
-        blocks_per_sec: (end_round - start_round) as f64 / secs,
+        blocks_per_sec: rounds as f64 / secs,
         mbit_per_sec_per_node: mean_bytes * 8.0 / 1e6 / secs,
         max_mbit_per_sec: metrics.max_node_bytes() as f64 * 8.0 / 1e6 / secs,
         msgs_per_sec_per_node: mean_msgs / secs,
     }
+}
+
+/// Mean round duration at `node`, in µs, from its `RoundFinished`
+/// events, skipping the start-up round.
+pub fn mean_round_us<N: ClusterNode>(cluster: &Cluster<N>, node: usize) -> f64 {
+    let durations: Vec<u64> = cluster
+        .round_stats(node)
+        .iter()
+        .filter(|(r, _, _)| r.get() > 1)
+        .map(|(_, d, _)| d.as_micros())
+        .collect();
+    durations.iter().sum::<u64>() as f64 / durations.len().max(1) as f64
+}
+
+/// When each block was first proposed (µs), by block hash, across all
+/// proposers.
+pub fn proposed_at<N: ClusterNode>(cluster: &Cluster<N>) -> HashMap<Hash256, u64> {
+    let mut at = HashMap::new();
+    for node in 0..cluster.n() {
+        for o in cluster.events_of(node) {
+            if let NodeEvent::Proposed { hash, .. } = o.output {
+                at.entry(hash).or_insert(o.at.as_micros());
+            }
+        }
+    }
+    at
 }
 
 /// Formats a float with the given precision.

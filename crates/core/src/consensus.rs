@@ -228,7 +228,7 @@ pub struct ConsensusCore {
     /// Ablation switch: when set, the beacon share for round `k + 1` is
     /// only broadcast on *entering* round `k + 1` instead of the moment
     /// beacon `k` is computed. Costs one extra δ per round (see the
-    /// `fig_ablation_pipelining` experiment).
+    /// `claims E12` ablation).
     disable_beacon_pipelining: bool,
     /// Scale-out switch: when set, a party that combines the round
     /// beacon also broadcasts the *combined value* (self-certifying —

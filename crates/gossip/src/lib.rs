@@ -111,7 +111,7 @@ impl Recipe {
         }
     }
 
-    /// The scale-out configuration `fig_scale` sweeps to n = 1000: the
+    /// The scale-out configuration `claims E17` sweeps to n = 1000: the
     /// shipped overlay with [`GossipConfig::routed`] shares.
     ///
     /// # Example
@@ -153,7 +153,7 @@ impl Recipe {
     /// broadcasts each combined beacon value.
     pub fn node(&self, core: ConsensusCore) -> GossipNode {
         let core = match self.config.mode {
-            DisseminationMode::Routed { .. } => core.with_beacon_value_broadcast(),
+            DisseminationMode::Routed => core.with_beacon_value_broadcast(),
             DisseminationMode::Flood => core,
         };
         GossipNode::new(core, Arc::clone(&self.overlay), self.config)

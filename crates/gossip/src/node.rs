@@ -101,12 +101,12 @@ pub enum DisseminationMode {
     /// `n`, which is what makes n = 1000 feasible. Requires cores built
     /// with beacon-value broadcast so non-aggregators still learn the
     /// beacon ([`Recipe::node`](crate::Recipe::node) turns it on).
-    Routed {
-        /// Aggregator-set size per round (liveness degrades gracefully:
-        /// a stalled round widens the set exponentially).
-        aggregators: usize,
-    },
+    Routed,
 }
+
+/// Routed mode's aggregator-set size per round (liveness degrades
+/// gracefully: a stalled round widens the set exponentially from it).
+const ROUTED_AGGREGATORS: usize = 3;
 
 /// Routed mode's liveness watchdog period: if the committed round has
 /// not advanced between two ticks, recent own shares are re-sent to an
@@ -165,7 +165,7 @@ impl GossipConfig {
     pub fn routed() -> Self {
         GossipConfig {
             inline_threshold: 4 << 10,
-            mode: DisseminationMode::Routed { aggregators: 3 },
+            mode: DisseminationMode::Routed,
         }
     }
 }
@@ -678,45 +678,36 @@ impl GossipNode {
                 self.advertise(ctx, p.block.hash(), p.encoded_len() as u64, p.block.round());
             }
             other => {
-                let routed_k = match self.config.mode {
-                    DisseminationMode::Routed { aggregators } if is_share(&other) => {
-                        Some(aggregators)
-                    }
-                    _ => None,
-                };
+                let routed = self.config.mode == DisseminationMode::Routed && is_share(&other);
                 // Encode once; every recipient shares the same buffer.
                 let push = PushedArtifact::new(other);
-                match routed_k {
-                    // Routed: the share travels to the round's
-                    // aggregators only — O(k) sends instead of a flood
-                    // crossing every overlay edge.
-                    Some(k) => {
-                        self.mark_seen(&push, false);
-                        let round = push.msg().round();
-                        let me = ctx.me();
-                        for agg in aggregators_for(round, self.overlay.n(), k) {
-                            if agg != me {
-                                ctx.send(
-                                    agg,
-                                    GossipMessage::Push {
-                                        artifact: push.clone(),
-                                        hops: 0,
-                                    },
-                                );
-                                self.counters.shares_routed += 1;
-                            }
+                // Routed: the share travels to the round's aggregators
+                // only — O(k) sends instead of a flood crossing every
+                // overlay edge.
+                if routed {
+                    self.mark_seen(&push, false);
+                    let round = push.msg().round();
+                    let me = ctx.me();
+                    for agg in aggregators_for(round, self.overlay.n(), ROUTED_AGGREGATORS) {
+                        if agg != me {
+                            ctx.send(
+                                agg,
+                                GossipMessage::Push {
+                                    artifact: push.clone(),
+                                    hops: 0,
+                                },
+                            );
+                            self.counters.shares_routed += 1;
                         }
-                        self.remember_routed(round, push);
                     }
+                    self.remember_routed(round, push);
+                } else if self.seen(&push) == Some(true) {
                     // Rule (c): once to every neighbor, unless the
                     // identical bytes went to all of them on arrival.
-                    None if self.seen(&push) == Some(true) => {
-                        self.counters.emits_already_sent += 1;
-                    }
-                    None => {
-                        self.mark_seen(&push, true);
-                        self.push_to_neighbors(ctx, &push, 0, None);
-                    }
+                    self.counters.emits_already_sent += 1;
+                } else {
+                    self.mark_seen(&push, true);
+                    self.push_to_neighbors(ctx, &push, 0, None);
                 }
             }
         }
@@ -985,7 +976,7 @@ impl Node for GossipNode {
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg, Self::Output>) {
         let step = self.core.start(ctx.now());
         self.apply_step(ctx, step);
-        if matches!(self.config.mode, DisseminationMode::Routed { .. }) {
+        if matches!(self.config.mode, DisseminationMode::Routed) {
             ctx.set_timer(STALL_TIMEOUT, TAG_LIVENESS);
         }
     }
@@ -1015,7 +1006,7 @@ impl Node for GossipNode {
                     self.counters.pushes_deduped += 1;
                     return;
                 }
-                let routed_share = matches!(self.config.mode, DisseminationMode::Routed { .. })
+                let routed_share = matches!(self.config.mode, DisseminationMode::Routed)
                     && is_share(artifact.msg());
                 if routed_share {
                     // Routed shares terminate here (this node is one of
@@ -1130,7 +1121,7 @@ impl Node for GossipNode {
                 if committed > self.last_progress_round {
                     self.last_progress_round = committed;
                     self.stall_attempts = 0;
-                } else if let DisseminationMode::Routed { aggregators } = self.config.mode {
+                } else if self.config.mode == DisseminationMode::Routed {
                     // No progress for a whole watchdog period: the
                     // round's aggregator set may be crashed or silent.
                     // Re-send our own recent shares to an exponentially
@@ -1138,7 +1129,7 @@ impl Node for GossipNode {
                     // an honest live aggregator is always reached.
                     self.stall_attempts = self.stall_attempts.saturating_add(1);
                     let n = self.overlay.n();
-                    let widened = aggregators
+                    let widened = ROUTED_AGGREGATORS
                         .saturating_mul(1usize << self.stall_attempts.min(10))
                         .min(n);
                     let me = ctx.me();
@@ -1163,7 +1154,7 @@ impl Node for GossipNode {
                         }
                     }
                 }
-                if matches!(self.config.mode, DisseminationMode::Routed { .. }) {
+                if matches!(self.config.mode, DisseminationMode::Routed) {
                     ctx.set_timer(STALL_TIMEOUT, TAG_LIVENESS);
                 }
             }
@@ -1230,7 +1221,7 @@ impl Node for GossipNode {
     fn on_restart(&mut self, ctx: &mut Context<'_, Self::Msg, Self::Output>) {
         let step = self.core.restore(ctx.now());
         self.apply_step(ctx, step);
-        if matches!(self.config.mode, DisseminationMode::Routed { .. }) {
+        if matches!(self.config.mode, DisseminationMode::Routed) {
             ctx.set_timer(STALL_TIMEOUT, TAG_LIVENESS);
         }
     }

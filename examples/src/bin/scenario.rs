@@ -487,7 +487,7 @@ fn main() {
             report(recipe.cluster(builder), &opts)
         }
         // The scale-out configuration: bounded-degree overlay with
-        // aggregator-routed shares (what `fig_scale` sweeps to n=1000).
+        // aggregator-routed shares (what `claims E17` sweeps to n=1000).
         "icc1-routed" => report(Recipe::routed(opts.nodes).cluster(builder), &opts),
         "icc2" => report(icc2_cluster(builder, Icc2Config::default()), &opts),
         _ => unreachable!("validated in parse()"),
