@@ -35,6 +35,12 @@ pub trait CoreAccess {
     fn gossip_counters(&self) -> Option<icc_sim::GossipCounters> {
         None
     }
+
+    /// Entries held per in-memory collection, by name: the core's, and
+    /// the dissemination layer's where it keeps any.
+    fn footprint(&self) -> Vec<(&'static str, u64)> {
+        self.core().footprint()
+    }
 }
 
 /// What [`Cluster::metrics_summary`] returns: traffic totals and every

@@ -1265,6 +1265,10 @@ impl CoreAccess for GossipNode {
     fn gossip_counters(&self) -> Option<icc_sim::GossipCounters> {
         Some(self.counters)
     }
+
+    fn footprint(&self) -> Vec<(&'static str, u64)> {
+        GossipNode::footprint(self)
+    }
 }
 
 #[cfg(test)]

@@ -63,5 +63,5 @@ pub mod mesh;
 
 pub use config::{ClusterSpec, SpecError};
 pub use counters::{NetCounters, NetCountersSnapshot};
-pub use links::{LinkGauges, PeerLinkSnapshot};
+pub use links::LinkGauges;
 pub use mesh::{NetHandle, NetOptions, TcpTransport, PROTO_VERSION};

@@ -7,6 +7,7 @@
 //! with relaxed atomics (statistics, not synchronization) and read by
 //! the admin plane's `/status` endpoint without taking any lock.
 
+use icc_telemetry::PeerLinkStatus;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -48,27 +49,6 @@ pub struct LinkGauges {
     links: Vec<LinkGauge>,
 }
 
-/// A point-in-time copy of one peer's link gauges, shaped for the
-/// `/status` endpoint (see `icc_telemetry::PeerLinkStatus`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PeerLinkSnapshot {
-    /// Peer replica index.
-    pub peer: usize,
-    /// Whether the outbound connection is currently established.
-    pub connected: bool,
-    /// Frames sitting in the bounded send queue.
-    pub queue_depth: u64,
-    /// Capacity of that queue (same for every peer).
-    pub queue_capacity: u64,
-    /// Current reconnect backoff in milliseconds (0 while connected).
-    pub backoff_ms: u64,
-    /// Microseconds since the last valid inbound frame from this peer;
-    /// `u64::MAX` if none was ever seen.
-    pub last_frame_age_us: u64,
-    /// Completed reconnections to this peer.
-    pub reconnects: u64,
-}
-
 impl LinkGauges {
     /// Creates gauges for an `n`-replica mesh as seen from replica
     /// `me`. The self-link exists for index alignment but is skipped by
@@ -101,9 +81,10 @@ impl LinkGauges {
         }
     }
 
-    /// Copies every peer link (self excluded), computing frame age
-    /// against the gauge clock.
-    pub fn snapshot(&self) -> Vec<PeerLinkSnapshot> {
+    /// Copies every peer link (self excluded) in the shape `/status`
+    /// and `/metrics` serve, computing frame age against the gauge
+    /// clock.
+    pub fn snapshot(&self) -> Vec<PeerLinkStatus> {
         let now = self.now_us();
         self.links
             .iter()
@@ -111,8 +92,8 @@ impl LinkGauges {
             .filter(|(peer, _)| *peer != self.me)
             .map(|(peer, link)| {
                 let last = link.last_frame_us.load(Ordering::Relaxed);
-                PeerLinkSnapshot {
-                    peer,
+                PeerLinkStatus {
+                    peer: peer as u32,
                     connected: link.connected.load(Ordering::Relaxed),
                     queue_depth: link.queue_depth.load(Ordering::Relaxed),
                     queue_capacity: self.queue_capacity,

@@ -38,7 +38,7 @@
 
 use crate::config::ClusterSpec;
 use crate::counters::{NetCounters, NetCountersSnapshot};
-use crate::links::{LinkGauges, PeerLinkSnapshot};
+use crate::links::LinkGauges;
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use icc_sim::{RecvError, Transport, TransportEvent};
@@ -279,11 +279,6 @@ where
     /// [`drive`](icc_sim::runtime::drive) (which drops it on return).
     pub fn counters_handle(&self) -> Arc<NetCounters> {
         Arc::clone(&self.shared.counters)
-    }
-
-    /// Point-in-time per-peer link state (self excluded).
-    pub fn links(&self) -> Vec<PeerLinkSnapshot> {
-        self.shared.links.snapshot()
     }
 
     /// A keepable handle on the live per-peer link gauges, for the
@@ -831,7 +826,7 @@ mod tests {
         // t0's outbound link to 1 is up and its queue has drained.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            let links = t0.links();
+            let links = t0.links_handle().snapshot();
             assert_eq!(links.len(), 1);
             let l = links[0];
             assert_eq!(l.peer, 1);
@@ -846,7 +841,7 @@ mod tests {
         // t1 has heard an inbound frame from 0 recently.
         t1.send(NodeIndex::new(0), b"pong".to_vec());
         assert_eq!(collect_msgs(&mut t0, 1).len(), 1);
-        let l = t0.links()[0];
+        let l = t0.links_handle().snapshot()[0];
         assert!(
             l.last_frame_age_us < 5_000_000,
             "no recent frame from peer 1: {l:?}"

@@ -37,6 +37,7 @@ mod observe;
 mod report;
 
 pub use launch::Instance;
+pub use observe::{families, render_metrics, Family};
 pub use report::{parse_commit, Counters, RunReport};
 
 use icc_core::byzantine::Behavior;
@@ -52,7 +53,7 @@ use icc_sim::runtime::drive;
 use icc_telemetry::HealthInputs;
 use icc_types::{Command, SimDuration, SubnetConfig};
 use icc_wal::WalOptions;
-use observe::{render_metrics, serve_admin, ObservedNode, Published};
+use observe::{serve_admin, ObservedNode, Published};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -281,41 +282,31 @@ impl Replica {
             eprintln!("replica {}: store flush failed: {e}", s.me);
         }
         let core = node.inner.core();
-        let rec = core.recovery_stats();
-        let net = net.snapshot();
         let report = RunReport {
             me: u64::from(s.me),
             n: n as u64,
             committed_round: core.committed_round().get(),
             blocks,
             commands,
-            catch_up_applied: rec.catch_up_applied,
-            catch_up_rejected: rec.catch_up_rejected,
-            wal_appends: rec.wal_appends,
-            restarts: rec.restarts,
             recovered_round: core.last_recovered_round(),
-            restore_verifications: rec.restore_verifications,
-            cross_epoch_catch_ups: rec.cross_epoch_catch_ups,
-            epoch_transitions: rec.epoch_transitions,
             halted: core.halted().is_some(),
-            storage: core.storage_counters().fields().into(),
-            net: net.fields().into(),
-            ingress: core.ingress_stats().fields().into(),
+            families: families(&node.inner, Some(&net.snapshot()))
+                .into_iter()
+                .map(|f| (f.key.into(), f.fields.into()))
+                .collect(),
         };
         emit(format_args!("{}", report.to_line()));
 
-        // Both exports are fsync'd, their names included, before exit.
+        // Both exports are what `/trace` and `/metrics` serve live, and
+        // are fsync'd, their names included, before exit.
         let trace = || {
-            let events = core.telemetry().recorder.events();
-            let trace = icc_telemetry::chrome_trace(&events);
-            // Same invariant the simulator scenario asserts: one
-            // "ph":"i" instant per recorded flight-recorder event.
-            let instants = trace.matches("\"ph\":\"i\"").count();
-            assert_eq!(instants, events.len(), "one instant per event");
+            let trace = node.trace();
+            // One "ph":"i" instant per recorded flight-recorder event.
+            let events = core.telemetry().recorder.events().len();
+            assert_eq!(trace.matches("\"ph\":\"i\"").count(), events);
             trace
         };
-        // The exact render `/metrics` serves live.
-        let metrics = || render_metrics(&node.inner, &net, &node.links.snapshot());
+        let metrics = || node.metrics();
         let exports: [(_, _, &dyn Fn() -> String); 2] = [
             ("--trace-out", &s.trace_out, &trace),
             ("--metrics-out", &s.metrics_out, &metrics),

@@ -1,11 +1,13 @@
-//! The observability plane: one Prometheus render shared by `/metrics`
-//! and `--metrics-out`, and the [`ObservedNode`] wrapper whose publish
-//! tick refreshes what the admin endpoints serve.
+//! The observability plane: the replica's counter families and their
+//! one Prometheus render (`/metrics`, both `--metrics-out`s, the
+//! `REPORT` line's families), and the [`ObservedNode`] wrapper whose
+//! publish tick refreshes what the admin endpoints serve.
 
+use icc_core::cluster::CoreAccess;
 use icc_core::events::NodeEvent;
 use icc_core::storage::StorageCounters;
 use icc_gossip::{GossipMessage, GossipNode};
-use icc_net::{LinkGauges, NetCounters, NetCountersSnapshot, PeerLinkSnapshot};
+use icc_net::{LinkGauges, NetCounters, NetCountersSnapshot};
 use icc_sim::{Context, Node};
 use icc_telemetry::{
     chrome_trace_tagged, evaluate_health, AdminBuilder, AdminResponse, AdminServer, HealthInputs,
@@ -79,67 +81,110 @@ pub(crate) fn serve_admin(
         .serve(&format!("127.0.0.1:{port}"))
 }
 
-/// One Prometheus render of everything the replica knows, shared by
-/// the live `/metrics` endpoint and the exit-time `--metrics-out`
-/// export so the two can never disagree on names or coverage. All
-/// counter-set families go through `fields()` — a counter added to any
-/// set shows up here without touching this function.
-pub(crate) fn render_metrics(
-    node: &GossipNode,
-    net: &NetCountersSnapshot,
-    links: &[PeerLinkSnapshot],
+/// One counter family of a replica's export: `/metrics` serves it as
+/// `icc_replica_<key>{<label>="<counter>"}`, the `REPORT` line as
+/// `"<key>":{"<counter>":<value>,…}`.
+#[derive(Debug)]
+pub struct Family {
+    /// The `REPORT` key, and the `/metrics` name after `icc_replica_`.
+    pub key: &'static str,
+    /// The label the family's counters go under.
+    pub label: &'static str,
+    /// The `# HELP` text.
+    pub help: &'static str,
+    /// `(counter, value)`, in its counter set's `fields()` order.
+    pub fields: Vec<(&'static str, u64)>,
+}
+
+/// Every counter family a replica can export, in export order: key,
+/// label, help.
+pub(crate) const FAMILIES: [(&str, &str, &str); 7] = [
+    ("net", "field", "TCP mesh transport counters."),
+    ("pool", "field", "Artifact pool counters."),
+    ("gossip", "field", "Dissemination counters."),
+    ("storage", "field", "WAL and checkpoint counters."),
+    ("anomalies", "class", "Anomalies detected, by class."),
+    ("recovery", "field", "Crash-recovery counters."),
+    ("ingress", "field", "Client command ingress counters."),
+];
+
+/// The per-peer link gauges: name after `icc_replica_link_`, help.
+const LINK_GAUGES: [(&str, &str); 5] = [
+    ("connected", "Outbound link up (1) or down (0)."),
+    ("queue_depth", "Frames waiting in the send queue."),
+    ("backoff_ms", "Reconnect backoff, 0 while connected."),
+    ("reconnects", "Completed reconnections."),
+    ("last_frame_age_us", "Last inbound frame's age, -1: never."),
+];
+
+/// The counter families of `node`, read now: each counter set's
+/// `fields()` is the family, so a counter added to a set shows up in
+/// `/metrics` and `REPORT` without touching either. `net` is the TCP
+/// mesh's, absent in the simulator; `gossip` is absent under ICC2,
+/// whose node keeps none.
+pub fn families<N: CoreAccess>(node: &N, net: Option<&NetCountersSnapshot>) -> Vec<Family> {
+    let core = node.core();
+    let fields = [
+        net.map(NetCountersSnapshot::fields),
+        Some(core.pool().stats().fields()),
+        node.gossip_counters().map(|g| g.fields()),
+        Some(core.storage_counters().fields()),
+        Some(core.telemetry().anomalies.counts().fields()),
+        Some(core.recovery_stats().fields()),
+        Some(core.ingress_stats().fields()),
+    ];
+    let known = FAMILIES.iter().zip(fields);
+    known
+        .filter_map(|(&(key, label, help), fields)| {
+            Some(Family {
+                key,
+                label,
+                help,
+                fields: fields?,
+            })
+        })
+        .collect()
+}
+
+/// The one Prometheus render of a replica: its consensus counters,
+/// gauges, footprint and latency histograms, then `families`, then one
+/// gauge family per link field when `links` is not empty. The live
+/// `/metrics`, `replica --metrics-out` and `scenario --metrics-out`
+/// all write it, so a simulated node and a process export one name set.
+pub fn render_metrics<N: CoreAccess>(
+    node: &N,
+    families: &[Family],
+    links: &[PeerLinkStatus],
 ) -> String {
-    let (core, gossip) = (node.core(), node.gossip_counters());
+    let core = node.core();
     let m = &core.telemetry().metrics;
     let mut snap = PromSnapshot::new();
-    snap.counter(
-        "icc_replica_blocks_committed_total",
-        "Blocks committed by this replica.",
-        m.blocks_committed.get(),
-    );
-    snap.counter(
-        "icc_replica_commands_committed_total",
-        "Client commands committed by this replica.",
-        m.commands_committed.get(),
-    );
-    snap.counter(
-        "icc_replica_rounds_entered_total",
-        "Rounds this replica entered.",
-        m.rounds_entered.get(),
-    );
-    snap.counter(
-        "icc_replica_catch_ups_applied_total",
-        "Certified catch-up packages this replica applied.",
-        m.catch_ups_applied.get(),
-    );
-    snap.gauge(
-        "icc_replica_current_round",
-        "Round the replica is currently working on.",
-        core.current_round().get() as i64,
-    );
-    snap.gauge(
-        "icc_replica_committed_round",
-        "Highest committed (finalized-prefix) round.",
-        core.committed_round().get() as i64,
-    );
-    snap.gauge(
-        "icc_replica_finalized_frontier",
-        "Highest explicitly finalized round in the pool.",
-        core.finalized_frontier().get() as i64,
-    );
-    snap.gauge(
-        "icc_replica_epoch",
-        "Active epoch index.",
-        core.current_epoch() as i64,
-    );
+    let counters = [
+        ("rounds_entered", m.rounds_entered.get()),
+        ("blocks_proposed", m.blocks_proposed.get()),
+        ("blocks_committed", m.blocks_committed.get()),
+        ("commands_committed", m.commands_committed.get()),
+        ("catch_ups_applied", m.catch_ups_applied.get()),
+    ];
+    for (name, value) in counters {
+        let help = format!("{} by this replica.", name.replace('_', " "));
+        snap.counter(&format!("icc_replica_{name}_total"), &help, value);
+    }
+    let gauges = [
+        ("current_round", core.current_round().get()),
+        ("committed_round", core.committed_round().get()),
+        ("finalized_frontier", core.finalized_frontier().get()),
+        ("epoch", core.current_epoch()),
+    ];
+    for (name, value) in gauges {
+        let help = format!("This replica's {}.", name.replace('_', " "));
+        snap.gauge(&format!("icc_replica_{name}"), &help, value as i64);
+    }
     // Memory: entries held per collection (`icc_pool_blocks`,
     // `icc_gossip_dedup_ids`, …), each bounded by the rounds in flight.
     for (name, held) in node.footprint() {
-        snap.gauge(
-            &format!("icc_{name}"),
-            "Entries held in this in-memory collection.",
-            held as i64,
-        );
+        let help = "Entries held in this in-memory collection.";
+        snap.gauge(&format!("icc_{name}"), help, held as i64);
     }
     snap.histogram(
         "icc_replica_round_duration_us",
@@ -151,96 +196,24 @@ pub(crate) fn render_metrics(
         "Round entry to commit of that round's block, microseconds.",
         &m.finalization_latency_us,
     );
-    // Counter-set families: the field list IS the export, so the
-    // render cannot drift when a counter is added (the REPORT line
-    // iterates the same fields()).
-    let families = [
-        (
-            "icc_replica_net",
-            "TCP mesh transport counters (icc-net NetCounters).",
-            "field",
-            net.fields(),
-        ),
-        (
-            "icc_replica_pool",
-            "Artifact pool counters (verification economy).",
-            "field",
-            core.pool().stats().fields(),
-        ),
-        (
-            "icc_replica_gossip",
-            "Dissemination counters (relay fan-out, dedup, hop depths).",
-            "field",
-            gossip.fields(),
-        ),
-        (
-            "icc_replica_storage",
-            "WAL + checkpoint storage counters.",
-            "field",
-            core.storage_counters().fields(),
-        ),
-        (
-            "icc_replica_anomalies",
-            "Anomaly detector emissions by class.",
-            "class",
-            core.telemetry().anomalies.counts().fields(),
-        ),
-        (
-            "icc_replica_recovery",
-            "Crash-recovery counters (restarts, catch-up traffic).",
-            "field",
-            core.recovery_stats().fields(),
-        ),
-        (
-            "icc_replica_ingress",
-            "Client commands sent to next leaders, received, refused, dropped.",
-            "field",
-            core.ingress_stats().fields(),
-        ),
-    ];
-    for (name, help, label, fields) in &families {
-        snap.counter_series(name, help, label, fields);
+    for f in families {
+        let name = format!("icc_replica_{}", f.key);
+        snap.counter_series(&name, f.help, f.label, &f.fields);
     }
-    // Per-peer link gauges.
-    let peer_labels: Vec<String> = links.iter().map(|l| l.peer.to_string()).collect();
-    type LinkGauge = (&'static str, &'static str, fn(&PeerLinkSnapshot) -> i64);
-    let link_gauges: [LinkGauge; 5] = [
-        (
-            "icc_replica_link_connected",
-            "Outbound link established (1) or down (0), per peer.",
-            |l| i64::from(l.connected),
-        ),
-        (
-            "icc_replica_link_queue_depth",
-            "Frames waiting in the bounded send queue, per peer.",
-            |l| l.queue_depth as i64,
-        ),
-        (
-            "icc_replica_link_backoff_ms",
-            "Current reconnect backoff in ms (0 while connected), per peer.",
-            |l| l.backoff_ms as i64,
-        ),
-        (
-            "icc_replica_link_reconnects",
-            "Completed reconnections, per peer.",
-            |l| l.reconnects as i64,
-        ),
-        (
-            "icc_replica_link_last_frame_age_us",
-            "Age of the last valid inbound frame in us (-1 = never), per peer.",
-            |l| match l.last_frame_age_us {
-                u64::MAX => -1,
-                age => age as i64,
-            },
-        ),
-    ];
-    for (name, help, value) in link_gauges {
-        let series: Vec<(&str, i64)> = peer_labels
-            .iter()
-            .zip(links)
-            .map(|(s, l)| (s.as_str(), value(l)))
-            .collect();
-        snap.gauge_series(name, help, "peer", &series);
+    // Per-peer link gauges, one family per `LINK_GAUGES` row.
+    let rows: Vec<(String, [i64; 5])> = links
+        .iter()
+        .map(|l| {
+            let age = l.last_frame_age_us.try_into().unwrap_or(-1);
+            let values = [l.queue_depth, l.backoff_ms, l.reconnects].map(|v| v as i64);
+            let [depth, backoff, reconnects] = values;
+            let row = [i64::from(l.connected), depth, backoff, reconnects, age];
+            (l.peer.to_string(), row)
+        })
+        .collect();
+    for (i, (name, help)) in LINK_GAUGES.iter().enumerate().filter(|_| !links.is_empty()) {
+        let series: Vec<(&str, i64)> = rows.iter().map(|(p, row)| (p.as_str(), row[i])).collect();
+        snap.gauge_series(&format!("icc_replica_link_{name}"), help, "peer", &series);
     }
     snap.render()
 }
@@ -312,7 +285,6 @@ impl ObservedNode {
         h.peers_total = links.len() as u64;
         h.wal_io_errors = storage.io_errors;
         h.storage_halted = core.halted().is_some();
-        let metrics = render_metrics(&self.inner, &self.net.snapshot(), &links);
         let status = StatusReport {
             node: me,
             now_us,
@@ -323,34 +295,34 @@ impl ObservedNode {
             epoch: core.current_epoch(),
             halted: core.halted().map(str::to_string),
             footprint: self.inner.footprint(),
-            peers: links
-                .iter()
-                .map(|l| PeerLinkStatus {
-                    peer: l.peer as u32,
-                    connected: l.connected,
-                    queue_depth: l.queue_depth,
-                    queue_capacity: l.queue_capacity,
-                    backoff_ms: l.backoff_ms,
-                    last_frame_age_us: l.last_frame_age_us,
-                    reconnects: l.reconnects,
-                })
-                .collect(),
+            peers: links,
             anomalies: core.telemetry().recent_anomalies(),
         }
         .to_json();
         let verdict = evaluate_health(&self.health);
-        let trace = chrome_trace_tagged(
-            &core.telemetry().recorder.events(),
-            me,
-            self.clock_anchor_us,
-        );
         *read(publish) = Published {
-            metrics,
+            metrics: self.metrics(),
             status,
             health: verdict.to_json(&self.health),
             healthy: verdict.healthy,
-            trace,
+            trace: self.trace(),
         };
+    }
+
+    /// The `/metrics` body, which `--metrics-out` writes at exit.
+    pub(crate) fn metrics(&self) -> String {
+        let net = self.net.snapshot();
+        let families = families(&self.inner, Some(&net));
+        render_metrics(&self.inner, &families, &self.links.snapshot())
+    }
+
+    /// The `/trace` body, which `--trace-out` writes at exit: the
+    /// flight-recorder ring, clock-anchored so that exit files stitch
+    /// like live ones.
+    pub(crate) fn trace(&self) -> String {
+        let core = self.inner.core();
+        let events = core.telemetry().recorder.events();
+        chrome_trace_tagged(&events, core.index().get(), self.clock_anchor_us)
     }
 }
 

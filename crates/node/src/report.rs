@@ -6,6 +6,8 @@
 //! mid-line — so both parsers take any string and return `None` for a
 //! torn or foreign line, never panicking.
 
+use crate::observe::FAMILIES;
+
 /// A counter family as the report carries it: `(name, value)` in the
 /// order the family's `fields()` lists them, so a counter added to the
 /// family shows up in the REPORT line without touching this module.
@@ -26,12 +28,11 @@ impl From<Vec<(&str, u64)>> for Counters {
 }
 
 /// What a replica prints as its `REPORT` line when it exits cleanly.
-/// Each field is the JSON key of the same name. The numbers after
-/// `commands` are the core's `RecoveryStats` of that name (and
-/// `recovered_round` its last restored round); `halted` means the store
-/// failed to persist a step and the replica stopped signing (exit code
-/// 3); the families are `StorageCounters`, `NetCountersSnapshot` and
-/// `IngressStats`.
+/// Each field is the JSON key of the same name: `recovered_round` is
+/// the core's last restored round, `halted` means the store failed to
+/// persist a step and the replica stopped signing (exit code 3), and
+/// `families` are the replica's counter families ([`crate::families`]),
+/// each under its key, as `/metrics` serves them.
 #[allow(missing_docs)]
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunReport {
@@ -40,70 +41,64 @@ pub struct RunReport {
     pub committed_round: u64,
     pub blocks: u64,
     pub commands: u64,
-    pub catch_up_applied: u64,
-    pub catch_up_rejected: u64,
-    pub wal_appends: u64,
-    pub restarts: u64,
     pub recovered_round: u64,
-    pub restore_verifications: u64,
-    pub cross_epoch_catch_ups: u64,
-    pub epoch_transitions: u64,
     pub halted: bool,
-    pub storage: Counters,
-    pub net: Counters,
-    pub ingress: Counters,
+    pub families: Vec<(String, Counters)>,
 }
 
 impl RunReport {
-    fn numbers_mut(&mut self) -> [(&'static str, &mut u64); 13] {
+    fn numbers_mut(&mut self) -> [(&'static str, &mut u64); 6] {
         [
             ("me", &mut self.me),
             ("n", &mut self.n),
             ("committed_round", &mut self.committed_round),
             ("blocks", &mut self.blocks),
             ("commands", &mut self.commands),
-            ("catch_up_applied", &mut self.catch_up_applied),
-            ("catch_up_rejected", &mut self.catch_up_rejected),
-            ("wal_appends", &mut self.wal_appends),
-            ("restarts", &mut self.restarts),
             ("recovered_round", &mut self.recovered_round),
-            ("restore_verifications", &mut self.restore_verifications),
-            ("cross_epoch_catch_ups", &mut self.cross_epoch_catch_ups),
-            ("epoch_transitions", &mut self.epoch_transitions),
         ]
+    }
+
+    /// Counter `field` of family `key`, `None` if either is missing.
+    pub fn get(&self, key: &str, field: &str) -> Option<u64> {
+        let (_, family) = self.families.iter().find(|(k, _)| k == key)?;
+        family.get(field)
     }
 
     /// The `REPORT {json}` line, without its newline.
     pub fn to_line(&self) -> String {
         // One field list serves both directions; writing reads a copy.
         let numbers = self.clone().numbers_mut().map(|(k, v)| (k, *v));
-        let family = |c: &Counters| join(c.0.iter().map(|(k, v)| (k.as_str(), *v)));
-        format!(
-            "REPORT {{{},\"halted\":{},\"storage\":{{{}}},\"net\":{{{}}},\"ingress\":{{{}}}}}",
+        let mut line = format!(
+            "REPORT {{{},\"halted\":{}",
             join(numbers.into_iter()),
-            self.halted,
-            family(&self.storage),
-            family(&self.net),
-            family(&self.ingress),
-        )
+            self.halted
+        );
+        for (key, family) in &self.families {
+            let fields = join(family.0.iter().map(|(k, v)| (k.as_str(), *v)));
+            line.push_str(&format!(",\"{key}\":{{{fields}}}"));
+        }
+        line + "}"
     }
 
     /// Reads a line [`Self::to_line`] wrote. `None` for any other line,
-    /// a torn one included: every key must be there, in its place, and
-    /// the object closed with nothing after it.
+    /// a torn one included: every number must be there, in its place,
+    /// every family known and closed, and the object closed with
+    /// nothing after it.
     pub fn parse(line: &str) -> Option<RunReport> {
-        let body = line.strip_prefix("REPORT {")?.strip_suffix("}}")?;
-        let (head, rest) = body.split_once(",\"storage\":{")?;
-        let (storage, rest) = rest.split_once("},\"net\":{")?;
-        let (net, ingress) = rest.split_once("},\"ingress\":{")?;
-        let (numbers, halted) = head.rsplit_once(",\"halted\":")?;
+        let body = line.strip_prefix("REPORT {")?.strip_suffix('}')?;
+        let (numbers, rest) = body.split_once(",\"halted\":")?;
+        let (halted, mut rest) = rest.split_at(rest.find(',').unwrap_or(rest.len()));
         let mut report = RunReport {
             halted: halted.parse().ok()?,
-            storage: split(storage)?.into(),
-            net: split(net)?.into(),
-            ingress: split(ingress)?.into(),
             ..RunReport::default()
         };
+        while !rest.is_empty() {
+            let (key, tail) = rest.strip_prefix(",\"")?.split_once("\":{")?;
+            let (fields, tail) = tail.split_once('}')?;
+            FAMILIES.iter().find(|(known, _, _)| *known == key)?;
+            report.families.push((key.into(), split(fields)?.into()));
+            rest = tail;
+        }
         let numbers = split(numbers)?;
         let mut slots = report.numbers_mut();
         if numbers.len() != slots.len() {
@@ -158,8 +153,17 @@ mod tests {
     fn sample() -> RunReport {
         let mut r = RunReport {
             halted: true,
-            storage: vec![("records_appended", 12), ("io_errors", 0)].into(),
-            net: vec![("frames_sent", 7), ("decode_errors", 0)].into(),
+            families: vec![
+                (
+                    "net".into(),
+                    vec![("frames_sent", 7), ("decode_errors", 0)].into(),
+                ),
+                (
+                    "storage".into(),
+                    vec![("records_appended", 12), ("io_errors", 0)].into(),
+                ),
+                ("anomalies".into(), Counters::default()),
+            ],
             ..RunReport::default()
         };
         for (i, (_, slot)) in r.numbers_mut().into_iter().enumerate() {
@@ -176,9 +180,10 @@ mod tests {
         assert!(line.contains("\"net\":{\"frames_sent\":7,\"decode_errors\":0}"));
         assert_eq!(RunReport::parse(&line), Some(r.clone()));
         assert_eq!(
-            (r.net.get("frames_sent"), r.net.get("bytes_sent")),
+            (r.get("net", "frames_sent"), r.get("net", "bytes_sent")),
             (Some(7), None)
         );
+        assert_eq!(r.get("pool", "verify_calls"), None);
         let empty = RunReport::default();
         assert_eq!(RunReport::parse(&empty.to_line()), Some(empty));
     }

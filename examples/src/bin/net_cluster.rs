@@ -33,7 +33,11 @@
 //! * **liveness** — every replica's final committed round ≥ `--secs`;
 //! * **transport and disk** — every `REPORT` shows frames sent and
 //!   received, no decode or frame error, records appended, no storage
-//!   I/O error and no halt; the `--trace-out` trace holds events;
+//!   I/O error, no signature re-verified on restore and no halt; the
+//!   `--trace-out` trace holds events and the `/trace` clock anchor;
+//! * **observability** (`--admin`) — every live `/metrics` shows
+//!   [`METRICS_NEEDLES`]; the `--stitched-trace` timeline spans two or
+//!   more replicas with round flows between them;
 //! * **recovery** (churn) — the restarted replica applied a certified
 //!   catch-up package, a survivor redialed it, and it recovered its
 //!   pre-crash state from its own WAL with **zero** signature
@@ -43,8 +47,8 @@
 //!   epoch transition.
 
 use icc_node::{parse_commit, Instance, RunReport};
-use icc_telemetry::{http_get, stitch_chrome_traces};
-use std::collections::HashMap;
+use icc_telemetry::{extract_trace_anchor, http_get, stitch_chrome_traces};
+use std::collections::{BTreeSet, HashMap};
 use std::net::TcpListener;
 use std::process::Command;
 use std::str::FromStr;
@@ -133,6 +137,22 @@ fn parse() -> Opts {
     );
     opts
 }
+
+/// What every live `/metrics` scrape must show: consensus gauges,
+/// counter families, the per-peer link table and the footprint gauges.
+const METRICS_NEEDLES: [&str; 11] = [
+    "icc_replica_committed_round ",
+    "icc_replica_current_round ",
+    "icc_replica_blocks_committed_total ",
+    "icc_replica_net{field=",
+    "icc_replica_gossip{field=",
+    "icc_replica_storage{field=",
+    "icc_replica_anomalies{class=",
+    "icc_replica_link_connected{peer=",
+    "icc_replica_link_queue_depth{peer=",
+    "icc_pool_blocks ",
+    "icc_gossip_dedup_ids ",
+];
 
 /// Epoch boundary round for `--replace-node`. Low enough that it has
 /// certainly passed by the time the joiner spawns (a third into the
@@ -271,15 +291,17 @@ fn main() {
         for inst in &running {
             let (me, addr) = (inst.me, inst.wait_admin(Duration::from_secs(5)));
             let addr = addr.unwrap_or_else(|| usage(&format!("replica {me} announced no admin")));
-            for (path, needle) in [
-                ("/metrics", "icc_replica_committed_round"),
-                ("/health", "\"healthy\":true"),
-                ("/status", "\"peers\":["),
+            for (path, needles) in [
+                ("/metrics", &METRICS_NEEDLES[..]),
+                ("/health", &["\"healthy\":true"]),
+                ("/status", &["\"peers\":["]),
             ] {
                 let (code, body) = http_get(&addr, path, Duration::from_secs(5))
                     .unwrap_or_else(|e| usage(&format!("scrape {addr}{path}: {e}")));
                 assert_eq!(code, 200, "replica {me} {path} returned {code}: {body}");
-                assert!(body.contains(needle), "replica {me} {path} lacks {needle}");
+                for needle in needles {
+                    assert!(body.contains(needle), "replica {me} {path} lacks {needle}");
+                }
                 if (me, path) == (0, "/metrics") {
                     scrape_body = Some(body);
                 }
@@ -320,10 +342,26 @@ fn main() {
             .filter_map(|addr| http_get(&addr, "/trace", Duration::from_secs(5)).ok())
             .filter_map(|(code, body)| (code == 200).then_some(body))
             .collect();
-        assert!(!bodies.is_empty(), "no replica served /trace");
-        std::fs::write(path, stitch_chrome_traces(&bodies))
+        let stitched = stitch_chrome_traces(&bodies);
+        // Clocks aligned to one base, more than one replica on the
+        // timeline, and rounds flowing between them.
+        let pids: BTreeSet<&str> = stitched
+            .split("\"pid\":")
+            .skip(1)
+            .filter_map(|s| s.split(|c: char| !c.is_ascii_digit()).next())
+            .collect();
+        let flows = ["\"ph\":\"s\"", "\"ph\":\"f\""].map(|ph| stitched.matches(ph).count());
+        assert!(stitched.contains("\"stitchedBaseUs\":"), "no stitch base");
+        assert!(pids.len() >= 2, "stitched replicas {pids:?}");
+        assert!(flows[0] > 0 && flows[1] > 0, "no cross-node round flow");
+        std::fs::write(path, &stitched)
             .unwrap_or_else(|e| usage(&format!("--stitched-trace {path}: {e}")));
-        println!("wrote {path} ({} traces stitched)", bodies.len());
+        println!(
+            "wrote {path} ({} traces stitched, {} replicas, {} flows)",
+            bodies.len(),
+            pids.len(),
+            flows[0]
+        );
     }
 
     // Every process still running at the deadline exits on its own and
@@ -374,15 +412,16 @@ fn main() {
     for r in &reports {
         // (family, counter, whether it must be positive or zero)
         let expect = [
-            (&r.net, "frames_sent", true),
-            (&r.net, "frames_recv", true),
-            (&r.net, "decode_errors", false),
-            (&r.net, "frame_errors", false),
-            (&r.storage, "records_appended", true),
-            (&r.storage, "io_errors", false),
+            ("net", "frames_sent", true),
+            ("net", "frames_recv", true),
+            ("net", "decode_errors", false),
+            ("net", "frame_errors", false),
+            ("storage", "records_appended", true),
+            ("storage", "io_errors", false),
+            ("recovery", "restore_verifications", false),
         ];
         for (family, field, positive) in expect {
-            let value = family.get(field);
+            let value = r.get(family, field);
             let ok = value.is_some_and(|v| (v > 0) == positive);
             assert!(ok, "replica {} reported {field} {value:?}", r.me);
         }
@@ -392,8 +431,14 @@ fn main() {
         let trace = std::fs::read_to_string(path).unwrap_or_default();
         let events = trace.matches("\"ph\":\"i\"").count();
         assert!(events > 0, "--trace-out {path} holds no event");
+        // The `/trace` body: it carries the anchor the stitcher aligns on.
+        let anchor = extract_trace_anchor(&trace);
+        assert!(anchor.is_some(), "--trace-out {path} has no clock anchor");
     }
-    let reconnects: u64 = reports.iter().filter_map(|r| r.net.get("reconnects")).sum();
+    let reconnects: u64 = reports
+        .iter()
+        .filter_map(|r| r.get("net", "reconnects"))
+        .sum();
     println!(
         "done in {:?}: {} distinct rounds, per-round safety OK; liveness OK (every replica ≥ \
          round {floor}); {} reports clean (frames both ways, no decode/frame/I/O error); \
@@ -405,15 +450,16 @@ fn main() {
 
     // The SIGKILLed or retired incarnation never reports, so `stat` of
     // the victim is the restarted incarnation's number.
-    let stat = |who: usize, value: fn(&RunReport) -> u64| -> u64 {
+    let stat = |who: usize, family: &str, field: &str| -> u64 {
         let of = reports.iter().filter(|r| r.me == who as u64);
-        of.map(value).max().unwrap_or(0)
+        of.filter_map(|r| r.get(family, field)).max().unwrap_or(0)
     };
     if opts.churn {
-        let catch_ups = stat(victim, |r| r.catch_up_applied);
-        let round = stat(victim, |r| r.recovered_round);
-        let records = stat(victim, |r| r.storage.get("recovered_records").unwrap_or(0));
-        let verifications = stat(victim, |r| r.restore_verifications);
+        let catch_ups = stat(victim, "recovery", "catch_up_applied");
+        let round = reports.iter().filter(|r| r.me == victim as u64);
+        let round = round.map(|r| r.recovered_round).max().unwrap_or(0);
+        let records = stat(victim, "storage", "recovered_records");
+        let verifications = stat(victim, "recovery", "restore_verifications");
         assert!(catch_ups >= 1, "victim applied no catch-up package");
         assert!(reconnects >= 1, "no replica redialed the victim");
         assert!(round >= 1, "victim recovered nothing from its WAL");
@@ -427,10 +473,10 @@ fn main() {
     if opts.replace {
         // The retiree was killed and never reported; every other
         // original member must have crossed the boundary live.
-        let cross_epoch = stat(joiner, |r| r.cross_epoch_catch_ups);
-        let transitions = (0..n - 1).map(|me| stat(me, |r| r.epoch_transitions)).min();
-        let transitions = transitions.unwrap_or(0);
-        let joined = stat(joiner, |r| r.catch_up_applied);
+        let cross_epoch = stat(joiner, "recovery", "cross_epoch_catch_ups");
+        let transitions = (0..n - 1).map(|me| stat(me, "recovery", "epoch_transitions"));
+        let transitions = transitions.min().unwrap_or(0);
+        let joined = stat(joiner, "recovery", "catch_up_applied");
         assert!(joined >= 1, "joiner applied no catch-up package");
         assert!(
             cross_epoch >= 1,

@@ -26,19 +26,21 @@
 //! * `--interdc`              inter-datacenter delay model instead of fixed
 //! * `--trace-out <path>`     write a Chrome trace-event JSON of the run's
 //!   flight-recorder events (open in Perfetto or `chrome://tracing`)
-//! * `--metrics-out <path>`   write a Prometheus-style text snapshot of the
-//!   run's counters and latency histograms
+//! * `--metrics-out <path>`   write what the first honest node's `/metrics`
+//!   would serve (`icc_node::render_metrics`), plus its traffic by kind
 
 use icc_core::cluster::{Cluster, ClusterBuilder, CoreAccess};
 use icc_core::events::NodeEvent;
 use icc_core::Behavior;
 use icc_erasure::{icc2_cluster, Icc2Config};
 use icc_gossip::{icc0_cluster, GossipConfig, Overlay, Recipe};
+use icc_node::Family;
 use icc_sim::delay::{FixedDelay, InterDcDelay};
 use icc_sim::{FaultPlan, Node};
 use icc_types::{Command, NodeIndex, SimDuration, SimTime};
+use std::str::FromStr;
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Opts {
     nodes: usize,
     protocol: String,
@@ -72,88 +74,41 @@ fn parse() -> Opts {
         nodes: 7,
         protocol: "icc0".into(),
         delta_ms: 20,
-        delta_bnd_ms: None,
-        epsilon_ms: 0,
         secs: 10,
-        seed: 0,
-        crash: 0,
-        equivocate: 0,
-        churn: 0,
-        load: None,
-        interdc: false,
-        trace_out: None,
-        metrics_out: None,
+        ..Opts::default()
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut val = |name: &str| -> String {
+        let mut val = || {
             it.next()
-                .unwrap_or_else(|| usage(&format!("{name} requires a value")))
-                .clone()
+                .cloned()
+                .unwrap_or_else(|| usage(&format!("{flag} requires a value")))
         };
+        fn num<T: FromStr>(flag: &str, v: &str) -> T {
+            v.parse().unwrap_or_else(|_| usage(&format!("bad {flag}")))
+        }
         match flag.as_str() {
-            "--nodes" => {
-                opts.nodes = val("--nodes")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --nodes"))
-            }
-            "--protocol" => opts.protocol = val("--protocol"),
-            "--delta-ms" => {
-                opts.delta_ms = val("--delta-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --delta-ms"))
-            }
-            "--delta-bnd-ms" => {
-                opts.delta_bnd_ms = Some(
-                    val("--delta-bnd-ms")
-                        .parse()
-                        .unwrap_or_else(|_| usage("bad --delta-bnd-ms")),
-                )
-            }
-            "--epsilon-ms" => {
-                opts.epsilon_ms = val("--epsilon-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --epsilon-ms"))
-            }
-            "--secs" => {
-                opts.secs = val("--secs")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --secs"))
-            }
-            "--seed" => {
-                opts.seed = val("--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --seed"))
-            }
-            "--crash" => {
-                opts.crash = val("--crash")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --crash"))
-            }
-            "--equivocate" => {
-                opts.equivocate = val("--equivocate")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --equivocate"))
-            }
-            "--churn" => {
-                opts.churn = val("--churn")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --churn"))
-            }
+            "--nodes" => opts.nodes = num(flag, &val()),
+            "--protocol" => opts.protocol = val(),
+            "--delta-ms" => opts.delta_ms = num(flag, &val()),
+            "--delta-bnd-ms" => opts.delta_bnd_ms = Some(num(flag, &val())),
+            "--epsilon-ms" => opts.epsilon_ms = num(flag, &val()),
+            "--secs" => opts.secs = num(flag, &val()),
+            "--seed" => opts.seed = num(flag, &val()),
+            "--crash" => opts.crash = num(flag, &val()),
+            "--equivocate" => opts.equivocate = num(flag, &val()),
+            "--churn" => opts.churn = num(flag, &val()),
             "--load" => {
-                let v = val("--load");
+                let v = val();
                 let (rate, size) = v
                     .split_once('x')
                     .unwrap_or_else(|| usage("--load expects RATExBYTES, e.g. 100x1024"));
-                opts.load = Some((
-                    rate.parse().unwrap_or_else(|_| usage("bad --load rate")),
-                    size.parse().unwrap_or_else(|_| usage("bad --load size")),
-                ));
+                opts.load = Some((num("--load rate", rate), num("--load size", size)));
             }
             "--interdc" => opts.interdc = true,
-            "--trace-out" => opts.trace_out = Some(val("--trace-out")),
-            "--metrics-out" => opts.metrics_out = Some(val("--metrics-out")),
+            "--trace-out" => opts.trace_out = Some(val()),
+            "--metrics-out" => opts.metrics_out = Some(val()),
             other => usage(&format!("unknown flag {other}")),
         }
     }
@@ -296,8 +251,7 @@ where
     // Telemetry: cluster-wide finalization-latency percentiles, the
     // critical-path verdict roll-up, and the optional trace/metrics
     // exports.
-    let core_m = cluster.core_metrics();
-    let fin = &core_m.finalization_latency_us;
+    let fin = cluster.core_metrics().finalization_latency_us;
     if fin.count() > 0 {
         println!(
             "finalization latency    p50 {:.1} ms  p90 {:.1} ms  p99 {:.1} ms  max {:.1} ms",
@@ -329,118 +283,49 @@ where
     }
     if let Some(path) = &opts.trace_out {
         let trace = icc_telemetry::chrome_trace(&events);
-        // Acceptance invariant: one "ph":"i" instant per recorded
-        // flight-recorder event, no more, no fewer.
+        // One "ph":"i" instant per recorded flight-recorder event, no
+        // more, no fewer, and the phase spans derived from them.
         let instants = trace.matches("\"ph\":\"i\"").count();
-        assert_eq!(
-            instants,
-            events.len(),
-            "trace instants must match flight-recorder events"
+        assert_eq!(instants, events.len(), "trace instants != recorded events");
+        assert!(instants > 0, "the trace holds no instant");
+        assert!(
+            trace.contains("\"ph\":\"X\""),
+            "the trace holds no phase span"
         );
+        assert!(trace.starts_with("{\"displayTimeUnit\":\"ms\","));
         std::fs::write(path, &trace).unwrap_or_else(|e| usage(&format!("--trace-out {path}: {e}")));
         println!("trace written           {path} ({instants} events)");
     }
     if let Some(path) = &opts.metrics_out {
-        let m = cluster.sim.metrics();
-        let mut snap = icc_telemetry::PromSnapshot::new();
-        snap.counter(
-            "icc_committed_blocks_total",
-            "Blocks committed by the observer node.",
-            committed.len() as u64,
-        );
-        snap.counter(
-            "icc_rounds_entered_total",
-            "Rounds entered, summed over nodes.",
-            core_m.rounds_entered.get(),
-        );
-        snap.counter(
-            "icc_blocks_proposed_total",
-            "Blocks proposed, summed over nodes.",
-            core_m.blocks_proposed.get(),
-        );
-        snap.counter(
-            "icc_blocks_committed_total",
-            "Blocks committed, summed over nodes.",
-            core_m.blocks_committed.get(),
-        );
-        snap.counter(
-            "icc_commands_committed_total",
-            "Client commands committed, summed over nodes.",
-            core_m.commands_committed.get(),
-        );
-        snap.counter(
-            "icc_catch_ups_applied_total",
-            "Certified catch-up packages applied, summed over nodes.",
-            core_m.catch_ups_applied.get(),
-        );
-        snap.histogram(
-            "icc_round_duration_us",
-            "Round entry to notarized finish, microseconds.",
-            &core_m.round_duration_us,
-        );
-        snap.histogram(
-            "icc_finalization_latency_us",
-            "Round entry to commit of that round's block, microseconds.",
-            fin,
-        );
-        snap.counter(
-            "icc_sent_messages_total",
-            "Messages sent across all nodes.",
-            m.total_messages(),
-        );
-        snap.counter(
-            "icc_sent_bytes_total",
-            "Wire bytes sent across all nodes.",
-            m.total_bytes(),
-        );
-        let by_kind = m.sent_by_kind_totals();
-        let msgs: Vec<(&str, u64)> = by_kind.iter().map(|(k, (n, _))| (*k, *n)).collect();
-        let bytes: Vec<(&str, u64)> = by_kind.iter().map(|(k, (_, b))| (*k, *b)).collect();
-        snap.counter_series(
-            "icc_sent_messages_by_kind_total",
-            "Messages sent, by artifact kind.",
-            "kind",
-            &msgs,
-        );
-        snap.counter_series(
-            "icc_sent_bytes_by_kind_total",
-            "Wire bytes sent, by artifact kind.",
-            "kind",
-            &bytes,
-        );
-        snap.counter_series(
-            "icc_pool_counters",
-            "Artifact pool counters (aggregate).",
-            "field",
-            &pool.fields(),
-        );
-        snap.counter_series(
-            "icc_recovery_counters",
-            "Crash-recovery counters (aggregate).",
-            "field",
-            &rec.fields(),
-        );
-        snap.counter_series(
-            "icc_gossip_counters",
-            "Dissemination counters: relay fan-out, dedup, hop depth, \
-             aggregator routing (aggregate).",
-            "field",
-            &summary.gossip.fields(),
-        );
-        snap.counter_series(
-            "icc_ingress_counters",
-            "Client commands sent to next leaders, received, refused, dropped \
-             (aggregate).",
-            "field",
-            &summary.ingress.fields(),
-        );
-        snap.counter_series(
-            "icc_anomaly_counters",
-            "Anomalies flagged by the detector over the merged span stream.",
-            "class",
-            &anomaly_counts.fields(),
-        );
-        let text = snap.render();
+        // What the observer's `/metrics` would serve, plus its traffic
+        // by artifact kind as the engine meters it.
+        let node = cluster.sim.node(observer);
+        let sent = &m.per_node()[observer].sent_by_kind;
+        let by_kind = |pick: fn(&(u64, u64)) -> u64| sent.iter().map(move |(k, v)| (*k, pick(v)));
+        let mut families = icc_node::families(node, None);
+        families.extend([
+            Family {
+                key: "sent_messages",
+                label: "kind",
+                help: "Messages sent, by artifact kind (a broadcast counts n).",
+                fields: by_kind(|v| v.0).collect(),
+            },
+            Family {
+                key: "sent_bytes",
+                label: "kind",
+                help: "Wire bytes sent, by artifact kind.",
+                fields: by_kind(|v| v.1).collect(),
+            },
+        ]);
+        let text = icc_node::render_metrics(node, &families, &[]);
+        for needle in [
+            "icc_replica_blocks_committed_total ",
+            "icc_replica_finalization_latency_us_bucket{",
+            "icc_replica_pool{field=",
+            "icc_replica_sent_bytes{kind=",
+        ] {
+            assert!(text.contains(needle), "--metrics-out lacks {needle}");
+        }
         std::fs::write(path, text).unwrap_or_else(|e| usage(&format!("--metrics-out {path}: {e}")));
         println!("metrics written         {path}");
     }

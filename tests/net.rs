@@ -4,20 +4,26 @@
 //! of the sans-IO split. The discrete-event backend is exercised by
 //! `icc1_gossip.rs`; these tests cover the two wall-clock backends.
 
+#[path = "../crates/telemetry/tests/grammar/mod.rs"]
+mod grammar;
+
 use icc_core::byzantine::Behavior;
+use icc_core::cluster::{Cluster, ClusterBuilder, CoreAccess};
 use icc_core::consensus::ConsensusCore;
 use icc_core::delays::StaticDelays;
 use icc_core::events::NodeEvent;
 use icc_core::keys::generate_keys;
 use icc_crypto::Hash256;
-use icc_gossip::{GossipConfig, GossipNode, Recipe};
+use icc_erasure::{icc2_cluster, Icc2Config};
+use icc_gossip::{icc0_cluster, GossipConfig, GossipNode, Recipe};
 use icc_net::{ClusterSpec, NetOptions, TcpTransport};
 use icc_node::{parse_commit, Replica, RunReport, Settings};
 use icc_sim::engine::OutputRecord;
 use icc_sim::live::run_live;
 use icc_sim::runtime::drive;
+use icc_sim::Node;
 use icc_types::{Command, NodeIndex, SimDuration, SubnetConfig};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::io::Write;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -162,11 +168,59 @@ impl Sink {
     }
 }
 
+/// `/metrics` of node 0 of a simulated cluster after two seconds,
+/// through the render a replica process serves.
+fn simulated_metrics<N>(mut cluster: Cluster<N>) -> String
+where
+    N: Node<External = Command, Output = NodeEvent> + CoreAccess,
+{
+    cluster.run_for(SimDuration::from_secs(2));
+    let node = cluster.sim.node(0);
+    icc_node::render_metrics(node, &icc_node::families(node, None), &[])
+}
+
+/// A four-node cluster on the shipped recipe.
+fn icc1_metrics() -> String {
+    simulated_metrics(Recipe::shipped(N).cluster(ClusterBuilder::new(N).seed(43)))
+}
+
+/// ICC0 and ICC2 nodes go through the same render as ICC1's: ICC0
+/// declares ICC1's families; ICC2, whose node keeps no gossip layer,
+/// the same less `icc_replica_gossip` and the gossip footprint gauges.
+/// Every render passes the grammar.
+#[test]
+fn every_protocol_exports_through_the_one_render() {
+    let builder = || ClusterBuilder::new(N).seed(43);
+    let icc0 = simulated_metrics(icc0_cluster(builder()));
+    let icc2 = simulated_metrics(icc2_cluster(builder(), Icc2Config::default()));
+    let icc1 = icc1_metrics();
+    for text in [&icc0, &icc1, &icc2] {
+        grammar::validate(text);
+        assert!(text.contains("icc_replica_blocks_committed_total "));
+    }
+    let mut icc1 = families_less_transport(&icc1);
+    assert_eq!(families_less_transport(&icc0), icc1);
+    icc1.retain(|n| *n != "icc_replica_gossip" && !n.starts_with("icc_gossip_"));
+    assert_eq!(families_less_transport(&icc2), icc1);
+}
+
+/// The metric families an exposition declares, less the transport's
+/// (`icc_replica_net`, `icc_replica_link_*`), which only a process has.
+fn families_less_transport(text: &str) -> BTreeSet<&str> {
+    let declared = text.lines().filter_map(|l| l.strip_prefix("# TYPE "));
+    let names = declared.filter_map(|l| l.split(' ').next());
+    names
+        .filter(|n| *n != "icc_replica_net" && !n.starts_with("icc_replica_link_"))
+        .collect()
+}
+
 /// The replica the `replica` binary runs — keys, core, durable store,
 /// overlay, gossip config, admin plane, run loop and REPORT — four times
 /// over loopback TCP: the commits agree round by round, each REPORT
 /// line parses back to the report `run` returned, and the admin
-/// replica serves `/metrics` mid-run.
+/// replica serves `/metrics` mid-run. That scrape and a simulated
+/// node's render both pass the text-format grammar and declare the same
+/// families, the transport's aside.
 #[test]
 fn icc_node_replicas_agree_over_tcp() {
     let listeners: Vec<TcpListener> = (0..N)
@@ -228,6 +282,13 @@ fn icc_node_replicas_agree_over_tcp() {
         stop.store(true, Ordering::SeqCst);
         assert_eq!(code, 200);
         assert!(body.contains("icc_replica_committed_round"), "{body}");
+        let simulated = icc1_metrics();
+        grammar::validate(&body);
+        grammar::validate(&simulated);
+        assert_eq!(
+            families_less_transport(&body),
+            families_less_transport(&simulated)
+        );
         runs.into_iter()
             .map(|r| r.join().expect("replica thread"))
             .collect()
@@ -264,9 +325,20 @@ fn icc_node_replicas_agree_over_tcp() {
             "{report:?}"
         );
         assert!(
-            report.storage.get("records_appended") > Some(0),
+            report.get("storage", "records_appended") > Some(0),
             "{report:?}"
         );
+        let keys: Vec<&str> = report.families.iter().map(|(k, _)| k.as_str()).collect();
+        let all = [
+            "net",
+            "pool",
+            "gossip",
+            "storage",
+            "anomalies",
+            "recovery",
+            "ingress",
+        ];
+        assert_eq!(keys, all, "replica {i}");
     }
 }
 
@@ -309,7 +381,6 @@ impl icc_sim::policy::DeliveryPolicy for LopsidedCut {
 /// state) kept the sweep timer armed for the rest of the run.
 #[test]
 fn departed_peer_is_evicted_from_retry_state() {
-    use icc_core::cluster::ClusterBuilder;
     use icc_sim::delay::FixedDelay;
     use icc_sim::FaultPlan;
 
