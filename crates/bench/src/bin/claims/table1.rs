@@ -25,12 +25,10 @@
 use crate::{Mode, Report, Table};
 use icc_bench::{fmt_f, measure_window, run_trials, trial_threads};
 use icc_core::cluster::ClusterBuilder;
-use icc_core::events::NodeEvent;
 use icc_core::{Behavior, BlockPolicy};
 use icc_gossip::{GossipConfig, Overlay, Recipe};
 use icc_sim::delay::InterDcDelay;
 use icc_types::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 struct Scenario {
     label: &'static str,
@@ -108,29 +106,10 @@ fn run_cell(
     }
     let m = measure_window(&mut cluster, warmup, window);
     cluster.assert_safety();
-    // Finalization latency (round entry -> commit of that round's
-    // block) of every block every node committed over the whole run,
-    // warmup included: the samples the telemetry histogram buckets,
-    // here as exact nearest-rank quantiles in milliseconds.
-    let mut samples = Vec::new();
-    for node in 0..n {
-        let mut entered = HashMap::new();
-        for o in cluster.events_of(node) {
-            if let NodeEvent::EnteredRound { round, .. } = &o.output {
-                entered.insert(*round, o.at);
-            } else if let Some(block) = o.output.as_committed() {
-                let t0 = entered.remove(&block.round());
-                samples.extend(t0.map(|t0| o.at.saturating_since(t0).as_micros()));
-            }
-        }
-    }
-    samples.sort_unstable();
-    let pct = [0.50, 0.90, 0.99].map(|q| {
-        let rank = (q * samples.len() as f64).ceil() as usize;
-        samples
-            .get(rank.max(1) - 1)
-            .map_or(0.0, |&us| us as f64 / 1000.0)
-    });
+    // Finalization latency of every block every node committed over
+    // the whole run, warmup included: exact quantiles, not the telemetry
+    // histogram's bucket edges.
+    let pct = cluster.finalization_latency_ms([0.50, 0.90, 0.99]);
     (m.blocks_per_sec, m.mbit_per_sec_per_node, pct)
 }
 

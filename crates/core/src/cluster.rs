@@ -406,6 +406,31 @@ impl<N: Node<External = Command, Output = NodeEvent> + CoreAccess> Cluster<N> {
             .collect()
     }
 
+    /// Nearest-rank quantiles `qs` (each in `(0, 1]`, `1.0` the maximum)
+    /// of the finalization latency in milliseconds: over every block
+    /// every node committed, from that node entering the block's round
+    /// to its committing the block. Zero without a sample.
+    pub fn finalization_latency_ms<const Q: usize>(&self, qs: [f64; Q]) -> [f64; Q] {
+        let mut samples = Vec::new();
+        for node in 0..self.n() {
+            let mut entered = std::collections::HashMap::new();
+            for o in self.events_of(node) {
+                if let NodeEvent::EnteredRound { round, .. } = &o.output {
+                    entered.insert(*round, o.at);
+                } else if let Some(block) = o.output.as_committed() {
+                    let t0 = entered.remove(&block.round());
+                    samples.extend(t0.map(|t0| o.at.saturating_since(t0).as_micros()));
+                }
+            }
+        }
+        samples.sort_unstable();
+        qs.map(|q| {
+            let rank = (q * samples.len() as f64).ceil() as usize;
+            let at = samples.get(rank.max(1) - 1);
+            at.map_or(0.0, |&us| us as f64 / 1000.0)
+        })
+    }
+
     /// The highest round committed by `node`.
     pub fn committed_round(&self, node: usize) -> u64 {
         self.sim.node(node).core().committed_round().get()

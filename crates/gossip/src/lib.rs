@@ -26,7 +26,11 @@
 //!   and, once it has it, advertises in turn. The leader therefore
 //!   uploads the block `O(degree)` times instead of `n − 1` times, at
 //!   the cost of multi-hop latency — exactly the trade-off the paper
-//!   attributes to gossip networks (§1.1, Tendermint discussion).
+//!   attributes to gossip networks (§1.1, Tendermint discussion);
+//! * **what a replica missed** — after a restart, in a round that stays
+//!   open, or on hearing of rounds far ahead — it *pulls*: it tells one
+//!   neighbor what it holds and is sent what it lacks, or a certified
+//!   catch-up package if it is far behind. The rules are in [`node`].
 //!
 //! **ICC0** is this node on a full mesh with every artifact pushed
 //! inline ([`Recipe::icc0`]): with nothing advertised and nothing
@@ -57,7 +61,7 @@
 pub mod node;
 pub mod overlay;
 
-pub use node::{aggregators_for, DisseminationMode, GossipConfig, GossipMessage, GossipNode};
+pub use node::{aggregators_for, DisseminationMode, GossipConfig, GossipMessage, GossipNode, Have};
 pub use overlay::Overlay;
 
 use icc_core::cluster::{Cluster, ClusterBuilder};

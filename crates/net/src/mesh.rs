@@ -55,8 +55,8 @@ use std::time::{Duration, Instant};
 /// Wire protocol version carried in the hello frame; bumped on any
 /// frame-, codec- or id-layer change (2: payload-root block ids; 3:
 /// client commands forwarded to the next leader; 4: command leaves are
-/// BLAKE2b-256).
-pub const PROTO_VERSION: u32 = 4;
+/// BLAKE2b-256; 5: a catch-up request carries what the requester holds).
+pub const PROTO_VERSION: u32 = 5;
 
 /// Tuning for a [`TcpTransport`].
 #[derive(Debug, Clone, Copy)]
@@ -873,10 +873,11 @@ mod tests {
         assert_eq!(t1.counters().frame_errors, 1);
 
         // Peers from before the block-id change (hello version 1),
-        // before command forwarding (2) and before BLAKE2b-256 command
-        // leaves (3) are refused at the hello: they must not join and
-        // fork silently, or drop what they cannot decode.
-        for (version, errors) in [(1u32, 2), (2, 3), (3, 4)] {
+        // before command forwarding (2), before BLAKE2b-256 command
+        // leaves (3) and before the pull's summary (4) are refused at the
+        // hello: they must not join and fork silently, or drop what they
+        // cannot decode.
+        for (version, errors) in [(1u32, 2), (2, 3), (3, 4), (4, 5)] {
             let mut old = TcpStream::connect(addr1).unwrap();
             let hello = [version.to_le_bytes(), 0u32.to_le_bytes()].concat();
             old.write_all(&encode_frame(&hello)).unwrap();

@@ -28,9 +28,8 @@
 //! * [`metrics`] — per-node message/byte counters;
 //! * [`runtime`] — the wall-clock counterpart: a [`Transport`] trait
 //!   (typed inbox/outbox among indexed peers) and one shared [`drive`]
-//!   loop that runs any [`Node`] on any transport;
-//! * [`live`] — the in-process transport backend: crossbeam channels as
-//!   the network (`icc-net` provides the TCP backend).
+//!   loop that runs any [`Node`] on any transport (`icc-net` provides
+//!   the TCP backend).
 //!
 //! # Example
 //!
@@ -68,7 +67,6 @@
 pub mod delay;
 pub mod engine;
 pub mod fault;
-pub mod live;
 pub mod metrics;
 pub mod node;
 pub mod policy;

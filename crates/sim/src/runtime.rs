@@ -1,20 +1,18 @@
 //! The shared real-time driver: one event loop, pluggable transports.
 //!
 //! The discrete-event engine ([`crate::engine`]) owns virtual time and
-//! drives [`Node`]s directly. Everything that runs on the *wall clock* —
-//! the threaded channel backend in [`crate::live`] and the TCP mesh in
-//! `icc-net` — shares the single loop in [`drive`]: deliver events from
-//! a [`Transport`], fire due timers from a local heap, and drain the
-//! node's queued [`Context`] actions back into the transport. The node
-//! cannot tell the backends apart; that is the point. Before this module
-//! existed the loop was written twice (once in `live`, once ad hoc), and
-//! the two copies had already begun to diverge.
+//! drives [`Node`]s directly. What runs on the *wall clock* — the TCP
+//! mesh in `icc-net`, and any other backend — goes through the single
+//! loop in [`drive`]: deliver events from a [`Transport`], fire due
+//! timers from a local heap, and drain the node's queued [`Context`]
+//! actions back into the transport. The node cannot tell the backends
+//! apart; that is the point.
 //!
 //! A [`Transport`] is deliberately tiny: an inbox (`recv`) and an outbox
 //! (`send`/`broadcast`) of typed messages among `n` statically-indexed
 //! peers, plus an optional peer-liveness snapshot. Delivery is
 //! best-effort and unordered across peers (in-order per peer in
-//! practice for both backends); the protocols are designed for exactly
+//! practice over TCP); the protocols are designed for exactly
 //! that network model.
 
 use crate::engine::OutputRecord;
@@ -55,9 +53,8 @@ pub enum RecvError {
 /// A wall-clock message substrate connecting `n` statically-indexed
 /// nodes.
 ///
-/// Implementations: [`ChannelTransport`](crate::live::ChannelTransport)
-/// (in-process crossbeam channels) and `icc_net::TcpTransport` (real
-/// kernel sockets). Both drive the identical [`drive`] loop.
+/// Implemented by `icc_net::TcpTransport` (real kernel sockets) and by
+/// scripted test transports; all drive the identical [`drive`] loop.
 pub trait Transport {
     /// Message type carried between peers.
     type Msg: Clone;
@@ -99,9 +96,8 @@ pub trait Transport {
 
     /// Fills `alive[i]` with whether peer `i` looks reachable, returning
     /// `true` if this transport tracks liveness at all. The default
-    /// tracks nothing (channel backends cannot see peer health), which
-    /// makes [`Context::peer_up`] report every peer as up — matching the
-    /// pre-refactor live loop.
+    /// tracks nothing, which makes [`Context::peer_up`] report every
+    /// peer as up.
     fn snapshot_alive(&self, alive: &mut [bool]) -> bool {
         let _ = alive;
         false
@@ -115,8 +111,8 @@ pub trait Transport {
 /// from the same `Instant` share a clock base. Outputs are passed to
 /// `emit` as they happen, stamped with that clock.
 ///
-/// This is the whole wall-clock event loop — `run_live` threads and
-/// `icc-net` replicas both funnel through here, and the discrete-event
+/// This is the whole wall-clock event loop — `icc-net` replicas funnel
+/// through here, and the discrete-event
 /// engine mirrors the same action semantics in virtual time.
 pub fn drive<N, T>(
     mut node: N,

@@ -31,13 +31,6 @@ use crate::recorder::{SpanEvent, SpanKind};
 use std::collections::BTreeMap;
 use std::fmt;
 
-// The stall anomaly detector is the *online* counterpart of this
-// module's offline critical-path analysis; re-export it here so both
-// watchers over the span stream share one import path.
-pub use crate::anomaly::{
-    scan as scan_anomalies, AnomalyConfig, AnomalyDetector, AnomalyEvent, AnomalyKind,
-};
-
 /// The protocol phase a round spent most of its time waiting on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
@@ -162,7 +155,7 @@ impl RoundTimeline {
 /// Reconstruct per-round timelines from **one node's** span events
 /// (in recording order, as returned by a flight recorder). Rounds are
 /// returned in increasing round order; lifecycle events (`NodeDown`,
-/// `NodeUp`, `GossipRetry`, `CatchUpRequested`) do not open rounds.
+/// `NodeUp`, `CatchUpRequested`) do not open rounds.
 pub fn round_timelines(events: &[SpanEvent]) -> Vec<RoundTimeline> {
     let mut rounds: BTreeMap<u64, RoundTimeline> = BTreeMap::new();
     // Latest round-close time seen so far, to seed the next round's
@@ -223,7 +216,6 @@ pub fn round_timelines(events: &[SpanEvent]) -> Vec<RoundTimeline> {
             }
             SpanKind::Proposed
             | SpanKind::CatchUpRequested
-            | SpanKind::GossipRetry { .. }
             | SpanKind::NodeDown
             | SpanKind::NodeUp
             | SpanKind::EpochTransition { .. }

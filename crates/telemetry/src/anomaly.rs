@@ -6,13 +6,13 @@
 //! the stream looks pathological:
 //!
 //! * **round stall** — the currently open round has been open for more
-//!   than `stall_factor`× the rolling median round duration;
+//!   than [`STALL_FACTOR`]× the rolling median round duration;
 //! * **peer flap** — a peer link transitioned up/down at least
-//!   `flap_transitions` times within `flap_window_us`;
-//! * **fsync spike** — one fsync took more than `fsync_spike_factor`×
+//!   [`FLAP_TRANSITIONS`] times within [`FLAP_WINDOW_US`];
+//! * **fsync spike** — one fsync took more than [`FSYNC_SPIKE_FACTOR`]×
 //!   the rolling median fsync latency;
-//! * **catch-up storm** — at least `catch_up_count` certified
-//!   catch-ups were applied within `catch_up_window_us`.
+//! * **catch-up storm** — at least [`CATCH_UP_COUNT`] certified
+//!   catch-ups were applied within [`CATCH_UP_WINDOW_US`].
 //!
 //! Detection is deterministic and clock-agnostic: the caller stamps
 //! events with whatever clock it runs under (sim µs or wall µs), so
@@ -26,59 +26,37 @@ use crate::recorder::{AnomalyCode, SpanEvent, SpanKind};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-/// Thresholds for the rolling watcher. All windows are in the caller's
-/// clock domain (µs).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AnomalyConfig {
-    /// A round is stalled when open longer than this multiple of the
-    /// rolling median round duration.
-    pub stall_factor: u64,
-    /// Closed-round samples required before stall detection arms.
-    pub min_round_samples: usize,
-    /// Rolling window of closed-round durations for the median.
-    pub max_round_samples: usize,
-    /// Up/down transitions within [`Self::flap_window_us`] that count
-    /// as a flapping peer.
-    pub flap_transitions: usize,
-    /// Window for counting peer link transitions.
-    pub flap_window_us: u64,
-    /// An fsync is a spike when slower than this multiple of the
-    /// rolling median fsync latency.
-    pub fsync_spike_factor: u64,
-    /// Fsync samples required before spike detection arms.
-    pub min_fsync_samples: usize,
-    /// Rolling window of fsync latencies for the median.
-    pub max_fsync_samples: usize,
-    /// Minimum gap between consecutive fsync-spike emissions (a slow
-    /// disk burst should read as one anomaly, not hundreds).
-    pub fsync_cooldown_us: u64,
-    /// Catch-ups applied within [`Self::catch_up_window_us`] that
-    /// count as a storm.
-    pub catch_up_count: usize,
-    /// Window for counting applied catch-ups.
-    pub catch_up_window_us: u64,
-    /// Newest anomalies retained for `/status` readout.
-    pub retain: usize,
-}
+// The thresholds. Windows are in the caller's clock domain (µs).
 
-impl Default for AnomalyConfig {
-    fn default() -> Self {
-        Self {
-            stall_factor: 4,
-            min_round_samples: 8,
-            max_round_samples: 256,
-            flap_transitions: 4,
-            flap_window_us: 10_000_000,
-            fsync_spike_factor: 8,
-            min_fsync_samples: 16,
-            max_fsync_samples: 128,
-            fsync_cooldown_us: 1_000_000,
-            catch_up_count: 3,
-            catch_up_window_us: 5_000_000,
-            retain: 256,
-        }
-    }
-}
+/// A round is stalled when open longer than this multiple of the
+/// rolling median round duration.
+const STALL_FACTOR: u64 = 4;
+/// Closed-round samples required before stall detection arms.
+const MIN_ROUND_SAMPLES: usize = 8;
+/// Rolling window of closed-round durations for the median.
+const MAX_ROUND_SAMPLES: usize = 256;
+/// Up/down transitions within [`FLAP_WINDOW_US`] that count as a
+/// flapping peer.
+const FLAP_TRANSITIONS: usize = 4;
+/// Window for counting peer link transitions.
+const FLAP_WINDOW_US: u64 = 10_000_000;
+/// An fsync is a spike when slower than this multiple of the rolling
+/// median fsync latency.
+const FSYNC_SPIKE_FACTOR: u64 = 8;
+/// Fsync samples required before spike detection arms.
+const MIN_FSYNC_SAMPLES: usize = 16;
+/// Rolling window of fsync latencies for the median.
+const MAX_FSYNC_SAMPLES: usize = 128;
+/// Minimum gap between consecutive fsync-spike emissions (a slow disk
+/// burst should read as one anomaly, not hundreds).
+const FSYNC_COOLDOWN_US: u64 = 1_000_000;
+/// Catch-ups applied within [`CATCH_UP_WINDOW_US`] that count as a
+/// storm.
+const CATCH_UP_COUNT: usize = 3;
+/// Window for counting applied catch-ups.
+const CATCH_UP_WINDOW_US: u64 = 5_000_000;
+/// Newest anomalies retained for `/status` readout.
+const RETAIN: usize = 256;
 
 /// What the detector found, with the evidence that triggered it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -290,7 +268,6 @@ fn median(window: &VecDeque<u64>) -> u64 {
 #[derive(Debug, Clone)]
 pub struct AnomalyDetector {
     node: u32,
-    cfg: AnomalyConfig,
     // Round-stall state.
     open_round: Option<(u64, u64)>, // (round, opened_at_us)
     round_window: VecDeque<u64>,
@@ -317,23 +294,10 @@ impl Default for AnomalyDetector {
 }
 
 impl AnomalyDetector {
-    /// A detector for `node` with default thresholds.
+    /// A detector for `node`.
     pub fn new(node: u32) -> Self {
-        Self::with_config(node, AnomalyConfig::default())
-    }
-
-    /// Re-stamps the node index emitted events carry. For owners
-    /// (like a replica's telemetry bundle) that are built by
-    /// `Default` before the node index is known.
-    pub fn set_node(&mut self, node: u32) {
-        self.node = node;
-    }
-
-    /// A detector for `node` with explicit thresholds.
-    pub fn with_config(node: u32, cfg: AnomalyConfig) -> Self {
         Self {
             node,
-            cfg,
             open_round: None,
             round_window: VecDeque::new(),
             stall_flagged: None,
@@ -346,6 +310,13 @@ impl AnomalyDetector {
             retained: VecDeque::new(),
             counts: AnomalyCounts::default(),
         }
+    }
+
+    /// Re-stamps the node index emitted events carry. For owners
+    /// (like a replica's telemetry bundle) that are built by
+    /// `Default` before the node index is known.
+    pub fn set_node(&mut self, node: u32) {
+        self.node = node;
     }
 
     fn emit(&mut self, at_us: u64, kind: AnomalyKind) {
@@ -361,7 +332,7 @@ impl AnomalyDetector {
             AnomalyKind::CatchUpStorm { .. } => self.counts.catch_up_storms += 1,
         }
         self.new_q.push(ev);
-        if self.retained.len() >= self.cfg.retain.max(1) {
+        if self.retained.len() >= RETAIN {
             self.retained.pop_front();
         }
         self.retained.push_back(ev);
@@ -371,7 +342,7 @@ impl AnomalyDetector {
         if let Some((open, opened_at)) = self.open_round {
             if round >= open {
                 if count_duration && round == open {
-                    if self.round_window.len() >= self.cfg.max_round_samples.max(1) {
+                    if self.round_window.len() >= MAX_ROUND_SAMPLES {
                         self.round_window.pop_front();
                     }
                     self.round_window.push_back(at_us.saturating_sub(opened_at));
@@ -384,12 +355,10 @@ impl AnomalyDetector {
     fn check_stall(&mut self, now_us: u64) -> usize {
         let before = self.new_q.len();
         if let Some((round, opened_at)) = self.open_round {
-            if self.stall_flagged != Some(round)
-                && self.round_window.len() >= self.cfg.min_round_samples.max(1)
-            {
+            if self.stall_flagged != Some(round) && self.round_window.len() >= MIN_ROUND_SAMPLES {
                 let median_us = median(&self.round_window).max(1);
                 let waited_us = now_us.saturating_sub(opened_at);
-                if waited_us > self.cfg.stall_factor.max(1).saturating_mul(median_us) {
+                if waited_us > STALL_FACTOR.saturating_mul(median_us) {
                     self.stall_flagged = Some(round);
                     self.emit(
                         now_us,
@@ -433,19 +402,19 @@ impl AnomalyDetector {
                 // close without feeding the median, and count
                 // toward storms.
                 self.close_round(ev.round, ev.at_us, false);
-                let horizon = ev.at_us.saturating_sub(self.cfg.catch_up_window_us);
+                let horizon = ev.at_us.saturating_sub(CATCH_UP_WINDOW_US);
                 while self.catch_ups.front().is_some_and(|&t| t < horizon) {
                     self.catch_ups.pop_front();
                 }
                 self.catch_ups.push_back(ev.at_us);
-                if self.catch_ups.len() >= self.cfg.catch_up_count.max(1) {
+                if self.catch_ups.len() >= CATCH_UP_COUNT {
                     let count = self.catch_ups.len() as u64;
                     self.catch_ups.clear();
                     self.emit(
                         ev.at_us,
                         AnomalyKind::CatchUpStorm {
                             count,
-                            window_us: self.cfg.catch_up_window_us,
+                            window_us: CATCH_UP_WINDOW_US,
                         },
                     );
                 }
@@ -476,14 +445,13 @@ impl AnomalyDetector {
             // transition.
             return 0;
         }
-        let window = self.cfg.flap_window_us;
         let q = self.peer_transitions.entry(peer).or_default();
-        let horizon = at_us.saturating_sub(window);
+        let horizon = at_us.saturating_sub(FLAP_WINDOW_US);
         while q.front().is_some_and(|&t| t < horizon) {
             q.pop_front();
         }
         q.push_back(at_us);
-        if q.len() >= self.cfg.flap_transitions.max(1) {
+        if q.len() >= FLAP_TRANSITIONS {
             let transitions = q.len() as u64;
             q.clear();
             self.emit(
@@ -491,7 +459,7 @@ impl AnomalyDetector {
                 AnomalyKind::PeerFlap {
                     peer,
                     transitions,
-                    window_us: window,
+                    window_us: FLAP_WINDOW_US,
                 },
             );
         }
@@ -502,12 +470,12 @@ impl AnomalyDetector {
     /// anomalies.
     pub fn observe_fsync(&mut self, at_us: u64, latency_us: u64) -> usize {
         let before = self.new_q.len();
-        if self.fsync_window.len() >= self.cfg.min_fsync_samples.max(1) {
+        if self.fsync_window.len() >= MIN_FSYNC_SAMPLES {
             let median_us = median(&self.fsync_window).max(1);
             let cooled = self
                 .last_fsync_emit_us
-                .is_none_or(|t| at_us.saturating_sub(t) >= self.cfg.fsync_cooldown_us);
-            if cooled && latency_us > self.cfg.fsync_spike_factor.max(1).saturating_mul(median_us) {
+                .is_none_or(|t| at_us.saturating_sub(t) >= FSYNC_COOLDOWN_US);
+            if cooled && latency_us > FSYNC_SPIKE_FACTOR.saturating_mul(median_us) {
                 self.last_fsync_emit_us = Some(at_us);
                 self.emit(
                     at_us,
@@ -518,7 +486,7 @@ impl AnomalyDetector {
                 );
             }
         }
-        if self.fsync_window.len() >= self.cfg.max_fsync_samples.max(1) {
+        if self.fsync_window.len() >= MAX_FSYNC_SAMPLES {
             self.fsync_window.pop_front();
         }
         self.fsync_window.push_back(latency_us);
@@ -538,8 +506,8 @@ impl AnomalyDetector {
         std::mem::take(&mut self.new_q)
     }
 
-    /// The newest retained anomalies, oldest first (bounded by
-    /// [`AnomalyConfig::retain`]).
+    /// The newest retained anomalies, oldest first (at most
+    /// [`RETAIN`]).
     pub fn recent(&self) -> Vec<AnomalyEvent> {
         self.retained.iter().copied().collect()
     }
@@ -552,9 +520,9 @@ impl AnomalyDetector {
 
 /// Run a detector over a whole cluster's merged span events (offline
 /// analysis: scenario reports, integration tests, post-mortems).
-/// Events are grouped by node, each node gets its own detector with
-/// `cfg`, and the emitted anomalies are merged in time order.
-pub fn scan(events: &[SpanEvent], cfg: &AnomalyConfig) -> Vec<AnomalyEvent> {
+/// Events are grouped by node, each node gets its own detector, and the
+/// emitted anomalies are merged in time order.
+pub fn scan(events: &[SpanEvent]) -> Vec<AnomalyEvent> {
     use std::collections::BTreeMap;
     let mut by_node: BTreeMap<u32, Vec<&SpanEvent>> = BTreeMap::new();
     for ev in events {
@@ -562,7 +530,7 @@ pub fn scan(events: &[SpanEvent], cfg: &AnomalyConfig) -> Vec<AnomalyEvent> {
     }
     let mut out: Vec<AnomalyEvent> = Vec::new();
     for (&node, evs) in &by_node {
-        let mut det = AnomalyDetector::with_config(node, cfg.clone());
+        let mut det = AnomalyDetector::new(node);
         for ev in evs {
             det.observe(ev);
         }
@@ -599,13 +567,6 @@ mod tests {
         }
     }
 
-    fn cfg() -> AnomalyConfig {
-        AnomalyConfig {
-            min_round_samples: 4,
-            ..AnomalyConfig::default()
-        }
-    }
-
     /// Drive `n` healthy rounds of ~100µs each starting at `t0`.
     fn healthy(det: &mut AnomalyDetector, t0: u64, first_round: u64, n: u64) -> u64 {
         let mut t = t0;
@@ -620,7 +581,7 @@ mod tests {
 
     #[test]
     fn stall_flagged_once_via_tick() {
-        let mut det = AnomalyDetector::with_config(0, cfg());
+        let mut det = AnomalyDetector::new(0);
         let t = healthy(&mut det, 0, 1, 8);
         det.observe(&ev(t, 9, SpanKind::RoundStart { rank: 0, leader: 0 }));
         // Not yet stalled at 2× median.
@@ -652,9 +613,9 @@ mod tests {
 
     #[test]
     fn stall_not_armed_below_min_samples() {
-        let mut det = AnomalyDetector::with_config(0, cfg());
-        let t = healthy(&mut det, 0, 1, 2); // below min_round_samples=4
-        det.observe(&ev(t, 3, SpanKind::RoundStart { rank: 0, leader: 0 }));
+        let mut det = AnomalyDetector::new(0);
+        let t = healthy(&mut det, 0, 1, MIN_ROUND_SAMPLES as u64 - 1);
+        det.observe(&ev(t, 8, SpanKind::RoundStart { rank: 0, leader: 0 }));
         assert_eq!(det.tick(t + 1_000_000), 0);
     }
 
@@ -692,7 +653,7 @@ mod tests {
             evs.push(ev(i * 1_000, 0, SpanKind::NodeDown));
             evs.push(ev(i * 1_000 + 500, 0, SpanKind::NodeUp));
         }
-        let found = scan(&evs, &AnomalyConfig::default());
+        let found = scan(&evs);
         assert!(
             found
                 .iter()
@@ -764,18 +725,12 @@ mod tests {
 
     #[test]
     fn retained_is_bounded() {
-        let mut det = AnomalyDetector::with_config(
-            0,
-            AnomalyConfig {
-                retain: 4,
-                flap_transitions: 1,
-                ..AnomalyConfig::default()
-            },
-        );
-        for i in 0..20u64 {
+        let mut det = AnomalyDetector::new(0);
+        let flaps = RETAIN as u64 + 10;
+        for i in 0..=flaps * FLAP_TRANSITIONS as u64 {
             det.observe_peer(7, i % 2 == 0, i * 10);
         }
-        assert!(det.recent().len() <= 4);
-        assert!(det.counts().peer_flaps > 4);
+        assert_eq!(det.recent().len(), RETAIN);
+        assert_eq!(det.counts().peer_flaps, flaps);
     }
 }

@@ -87,9 +87,6 @@ fn trace_entries(events: &[SpanEvent]) -> Vec<String> {
             SpanKind::CatchUpApplied { from_round } => {
                 let _ = write!(args, ",\"from_round\":{from_round}");
             }
-            SpanKind::GossipRetry { attempts } => {
-                let _ = write!(args, ",\"attempts\":{attempts}");
-            }
             SpanKind::EpochTransition { epoch } => {
                 let _ = write!(args, ",\"epoch\":{epoch}");
             }
@@ -457,7 +454,7 @@ mod tests {
                 at_us: 160,
                 node: 1,
                 round: 1,
-                kind: SpanKind::GossipRetry { attempts: 2 },
+                kind: SpanKind::CatchUpRequested,
             },
         ]
     }

@@ -45,7 +45,7 @@ pub mod recorder;
 pub mod serve;
 
 pub use analyze::{critical_path, round_timelines, CriticalPathSummary, Phase, RoundTimeline};
-pub use anomaly::{AnomalyConfig, AnomalyCounts, AnomalyDetector, AnomalyEvent, AnomalyKind};
+pub use anomaly::{AnomalyCounts, AnomalyDetector, AnomalyEvent, AnomalyKind};
 pub use export::{
     chrome_trace, chrome_trace_tagged, extract_trace_anchor, stitch_chrome_traces, PromSnapshot,
 };

@@ -80,20 +80,15 @@ pub enum SpanKind {
     },
     /// A block of this round was explicitly finalized (committed).
     Finalized,
-    /// The gossip layer decided it had fallen behind and requested a
-    /// certified catch-up package from a peer.
+    /// The gossip layer pulled: it sent a peer what it holds, asking
+    /// for what it missed (a certified catch-up package, if it is far
+    /// enough behind).
     CatchUpRequested,
     /// A certified catch-up package was verified and installed,
     /// jumping this node forward from `from_round`.
     CatchUpApplied {
         /// The round the node was in before the jump.
         from_round: u64,
-    },
-    /// The gossip sweep re-requested an artifact that had not arrived;
-    /// `attempts` is the retry count for that artifact so far.
-    GossipRetry {
-        /// Retry attempts so far for this artifact.
-        attempts: u32,
     },
     /// The simulator took the node down (crash fault).
     NodeDown,
@@ -130,7 +125,6 @@ impl SpanKind {
             SpanKind::Finalized => "finalized",
             SpanKind::CatchUpRequested => "catch_up_requested",
             SpanKind::CatchUpApplied { .. } => "catch_up_applied",
-            SpanKind::GossipRetry { .. } => "gossip_retry",
             SpanKind::NodeDown => "node_down",
             SpanKind::NodeUp => "node_up",
             SpanKind::EpochTransition { .. } => "epoch_transition",

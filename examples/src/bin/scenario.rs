@@ -248,17 +248,13 @@ where
         "durable state           {} WAL appends, {} checkpoints",
         rec.wal_appends, rec.checkpoints
     );
-    // Telemetry: cluster-wide finalization-latency percentiles, the
-    // critical-path verdict roll-up, and the optional trace/metrics
-    // exports.
-    let fin = cluster.core_metrics().finalization_latency_us;
-    if fin.count() > 0 {
+    // Exact finalization-latency percentiles over every committed block
+    // (not the telemetry histogram's bucket edges), the critical-path
+    // verdict roll-up, and the optional trace/metrics exports.
+    let [p50, p90, p99, max] = cluster.finalization_latency_ms([0.50, 0.90, 0.99, 1.0]);
+    if max > 0.0 {
         println!(
-            "finalization latency    p50 {:.1} ms  p90 {:.1} ms  p99 {:.1} ms  max {:.1} ms",
-            fin.p50() as f64 / 1000.0,
-            fin.p90() as f64 / 1000.0,
-            fin.p99() as f64 / 1000.0,
-            fin.max() as f64 / 1000.0
+            "finalization latency    p50 {p50:.1} ms  p90 {p90:.1} ms  p99 {p99:.1} ms  max {max:.1} ms"
         );
     }
     let cp = cluster.critical_path();
@@ -269,7 +265,7 @@ where
     // Anomaly roll-up: re-run the same rolling detector the live admin
     // plane uses, offline over the merged span stream, and put what it
     // flags in the report (and the metrics export below).
-    let anomalies = icc_telemetry::anomaly::scan(&events, &icc_telemetry::AnomalyConfig::default());
+    let anomalies = icc_telemetry::anomaly::scan(&events);
     let anomaly_counts = icc_telemetry::anomaly::count(&anomalies);
     if !anomalies.is_empty() {
         println!(

@@ -235,6 +235,16 @@ fn ledger_conservation_across_byzantine_cluster() {
 /// in `consensus.rs`), so the id order decides which of an
 /// equivocator's two blocks a party supports first. The rows without
 /// commands carry only empty blocks and stayed.
+///
+/// Re-recorded when a restarted replica began to pull what its open
+/// rounds lack. Before, the crash-restart row's replica 1 came back at
+/// 725 ms to a pool emptied by the crash, and nobody re-sent what its
+/// open round had carried: it never committed again, and the row's
+/// lowest committed round was its 33. Now it pulls on restore and
+/// follows the cluster: 33 / 281722d5b69b3468 / 2 493 → 148 /
+/// 77a7fd3f4210139c / 3 230 (the verification calls are its own, for
+/// 115 more rounds). Every other row stayed: no replica of theirs ever
+/// holds a round open for four Δbnd, so none pulls.
 #[test]
 fn icc0_runs_match_recorded_reference() {
     let jitter = |b: ClusterBuilder| {
@@ -377,7 +387,7 @@ fn icc0_runs_match_recorded_reference() {
             12718,
         ),
         ("3 crashed of 10", 44, "c48f1a3bc98b0313", 4926),
-        ("crash-restart n=4", 33, "281722d5b69b3468", 2493),
+        ("crash-restart n=4", 148, "77a7fd3f4210139c", 3230),
         ("64 KiB commands, slow node", 53, "a437a0d15d66bb85", 1249),
     ];
     assert_eq!(

@@ -144,9 +144,9 @@ fn fetches_bodies_by_request(cut_ms: u64, behind: RangeInclusive<u64>) {
 /// A replica cut off for 3 × `PURGE_DEPTH` rounds receives, when the cut
 /// heals, every advert it missed, and asks for every body: most of those
 /// requests go to peers that have purged the body and stay unanswered.
-/// They do not keep the retry sweep busy for ever: the same adverts show
-/// the replica how far behind it is, a package moves its committed round
-/// past them, and the next sweep drops them.
+/// Nothing asks again: the same messages name rounds far above its own,
+/// it pulls, a package moves its committed round past them, and the ids
+/// it asked for are forgotten at its floor.
 #[test]
 fn a_request_for_a_purged_body_meets_silence_and_ends_in_catch_up() {
     let heal = 1000 + OUTAGE_MS;
@@ -156,6 +156,10 @@ fn a_request_for_a_purged_body_meets_silence_and_ends_in_catch_up() {
         group_a: vec![NodeIndex::new(3)],
     };
     let mut cluster = cluster(4, 33, |b| b.policy(cut));
+    let requests = |c: &Cluster<GossipNode>| {
+        let sent = &c.sim.metrics().per_node()[3].sent_by_kind;
+        sent.get("request").map_or(0, |(msgs, _)| *msgs)
+    };
     cluster.run_until(at(heal));
     let stuck = cluster.committed_round(3);
     let floor = min_floor(&cluster, 3);
@@ -163,17 +167,15 @@ fn a_request_for_a_purged_body_meets_silence_and_ends_in_catch_up() {
         floor > stuck + 2 * PURGE_DEPTH,
         "floor {floor}, node 3 at {stuck}"
     );
-    // 100 ms on, five round trips: every body still held has been
-    // delivered; what is outstanding was purged at every peer.
+    let before = requests(&cluster);
+    // 100 ms on, five round trips: it asked for every body it saw
+    // advertised, most of them purged at every peer.
     cluster.run_until(at(heal + 100));
-    let outstanding = cluster.sim.node(3).pending_requests() as u64;
-    assert!(
-        outstanding >= 2 * PURGE_DEPTH,
-        "{outstanding} requests outstanding"
-    );
+    let asked = requests(&cluster) - before;
+    assert!(asked >= 2 * PURGE_DEPTH, "{asked} requests");
+    assert!(cluster.sim.node(3).gossip_counters().pulls >= 1);
 
     cluster.run_for(SimDuration::from_secs(2));
-    assert_eq!(cluster.sim.node(3).pending_requests(), 0);
     let rec = cluster.recovery_stats(3);
     assert!(
         rec.catch_up_applied >= 1 && rec.catch_up_rejected == 0,
@@ -181,6 +183,22 @@ fn a_request_for_a_purged_body_meets_silence_and_ends_in_catch_up() {
     );
     let (r0, r3) = (cluster.committed_round(0), cluster.committed_round(3));
     assert!(r0.abs_diff(r3) <= 3, "node 3 still behind: {r3} vs {r0}");
+    // Nothing of the silent requests is left: node 3 remembers no more
+    // requested ids than a peer that never lagged.
+    let requested = |i: usize| {
+        let footprint = cluster.sim.node(i).footprint();
+        footprint
+            .into_iter()
+            .find(|(name, _)| *name == "gossip_requested_ids")
+            .unwrap()
+            .1
+    };
+    assert!(
+        requested(3) <= requested(0) + 2,
+        "{} vs {}",
+        requested(3),
+        requested(0)
+    );
     // What the healed cut delivered late was dropped at the peers' door.
     assert!(cluster.metrics_summary().gossip.stale_dropped > 0);
     cluster.assert_safety();

@@ -11,8 +11,8 @@
 //!    transition count.
 //! 2. A **lost quorum** (two of four nodes down, f = 1) stalls the
 //!    open round; the per-node detectors embedded in the consensus
-//!    cores flag it *live* — during the run, via the gossip sweep
-//!    tick, with no post-hoc analysis — and mirror the anomaly into
+//!    cores flag it *live* — during the run, via the gossip layer's
+//!    pull-timer tick, with no post-hoc analysis — and mirror the anomaly into
 //!    the flight-recorder span ring.
 //! 3. A node starved by `SlowLinks` falls behind over and over and
 //!    rejoins by certified catch-up each time: a **catch-up storm**,
@@ -23,7 +23,7 @@ use icc_gossip::{icc0_cluster, GossipConfig, Recipe};
 use icc_sim::delay::FixedDelay;
 use icc_sim::policy::SlowLinks;
 use icc_sim::FaultPlan;
-use icc_telemetry::{anomaly, AnomalyConfig, AnomalyKind, SpanKind};
+use icc_telemetry::{anomaly, AnomalyKind, SpanKind};
 use icc_types::{NodeIndex, SimDuration, SimTime};
 
 fn ms(v: u64) -> SimDuration {
@@ -56,7 +56,7 @@ fn flapping_peer_is_flagged_by_the_scan() {
     cluster.run_for(SimDuration::from_secs(5));
     cluster.assert_safety();
 
-    let anomalies = anomaly::scan(&cluster.flight_events(), &AnomalyConfig::default());
+    let anomalies = anomaly::scan(&cluster.flight_events());
     let flap = anomalies
         .iter()
         .find_map(|a| match a.kind {
@@ -79,8 +79,8 @@ fn lost_quorum_round_stall_is_flagged_live() {
     // Four nodes tolerate f = 1; crashing two kills the notarization
     // quorum, so the round open at t = 2 s stays open until the
     // restart at 4 s — two full seconds against a ~100 ms median. The
-    // gossip sweep keeps ticking the survivors' detectors through the
-    // silence, so the stall is flagged *during* the outage and
+    // gossip layer's pull timer keeps ticking the survivors' detectors
+    // through the silence, so the stall is flagged *during* the outage and
     // mirrored into the span ring, not reconstructed afterwards.
     let plan = FaultPlan::new()
         .crash_between(NodeIndex::new(2), at(2000), at(4000))
@@ -149,8 +149,8 @@ fn starved_node_flags_a_catch_up_storm_live() {
             .collect(),
         extra: ms(1500),
     };
-    // The shipped recipe sends every proposal by advert/request: round-
-    // tagged adverts are the behind-detection signal catch-up rides on.
+    // The shipped recipe: whatever reaches node 0 names rounds far above
+    // its own, so it pulls, and is answered with a package each time.
     let mut cluster = Recipe::shipped(4).cluster(builder(4, 11).policy(slow));
     cluster.run_for(SimDuration::from_secs(10));
     cluster.assert_safety();

@@ -1,9 +1,10 @@
 //! Crash–recovery acceptance: a replica taken down mid-run by the fault
-//! plan restarts from its checkpoint + WAL, detects from round-tagged
-//! adverts that it fell behind, fetches a *certified* catch-up package
-//! from a peer, and contributes again — all without replaying the
+//! plan restarts from its checkpoint + WAL, pulls from a peer, is sent
+//! a *certified* catch-up package because it fell behind, and
+//! contributes again — all without replaying the
 //! missed rounds artifact-by-artifact, and without trusting the serving
-//! peer (forged packages are rejected and the requester rotates).
+//! peer (forged packages are rejected and the next pull goes to the
+//! next peer).
 
 use icc_core::cluster::ClusterBuilder;
 use icc_core::{BlockPolicy, NodeEvent};
