@@ -29,6 +29,8 @@ enum EventKind<M, X> {
     Timer {
         node: NodeIndex,
         tag: u64,
+        /// The node's crash count when it set the timer.
+        lives: u32,
     },
     External {
         node: NodeIndex,
@@ -170,6 +172,7 @@ impl SimulationBuilder {
             loss_prob: self.loss_prob,
             rto: self.rto,
             alive: vec![true; n],
+            crashes: vec![0; n],
             metrics: Metrics::new(n),
             recorder: FlightRecorder::with_capacity(icc_telemetry::recorder::DEFAULT_CAPACITY),
             outputs: Vec::new(),
@@ -226,6 +229,8 @@ pub struct Simulation<N: Node> {
     loss_prob: f64,
     rto: SimDuration,
     alive: Vec<bool>,
+    /// Crashes per node: a timer set before the latest one never fires.
+    crashes: Vec<u32>,
     metrics: Metrics,
     /// Engine-level flight recorder: node lifecycle (crash/restart)
     /// span events, stamped with sim time. Consensus-phase events live
@@ -365,9 +370,10 @@ impl<N: Node> Simulation<N> {
                 self.nodes[to.as_usize()].on_message(&mut ctx, from, msg);
                 self.apply_actions(to, &mut actions);
             }
-            EventKind::Timer { node, tag } => {
-                // Timers die with the process that set them.
-                if !self.alive[node.as_usize()] {
+            EventKind::Timer { node, tag, lives } => {
+                // Timers die with the process that set them, also when
+                // it is back up before they are due.
+                if lives != self.crashes[node.as_usize()] {
                     return Some(self.now);
                 }
                 let mut ctx = Context {
@@ -423,6 +429,7 @@ impl<N: Node> Simulation<N> {
                         round: 0,
                         kind: SpanKind::NodeDown,
                     });
+                    self.crashes[i] += 1;
                     self.nodes[i].on_crash();
                 }
             }
@@ -436,6 +443,7 @@ impl<N: Node> Simulation<N> {
                         round: 0,
                         kind: SpanKind::NodeDown,
                     });
+                    self.crashes[i] += 1;
                     self.nodes[i].on_crash();
                 }
                 // Survivors evict the departed peer, in index order.
@@ -568,7 +576,15 @@ impl<N: Node> Simulation<N> {
                     );
                 }
                 Action::SetTimer { after, tag } => {
-                    self.push(self.now + after, EventKind::Timer { node: me, tag });
+                    let lives = self.crashes[me.as_usize()];
+                    self.push(
+                        self.now + after,
+                        EventKind::Timer {
+                            node: me,
+                            tag,
+                            lives,
+                        },
+                    );
                 }
                 Action::Output(output) => {
                     self.outputs.push(OutputRecord {
@@ -820,6 +836,13 @@ mod tests {
             type Msg = u32;
             type External = ();
             type Output = &'static str;
+            fn on_start(&mut self, ctx: &mut Context<'_, u32, &'static str>) {
+                // Due after the restart: it dies with the crash all the same.
+                ctx.set_timer(SimDuration::from_millis(160), 0);
+            }
+            fn on_timer(&mut self, ctx: &mut Context<'_, u32, &'static str>, _: u64) {
+                ctx.output("timer");
+            }
             fn on_message(
                 &mut self,
                 ctx: &mut Context<'_, u32, &'static str>,
@@ -868,6 +891,13 @@ mod tests {
         assert_eq!(restarted.len(), 1);
         assert_eq!(restarted[0].node, NodeIndex::new(1));
         assert_eq!(restarted[0].at, SimTime::ZERO + ms(150));
+        let timers: Vec<_> = sim
+            .outputs()
+            .iter()
+            .filter(|o| o.output == "timer")
+            .collect();
+        assert_eq!(timers.len(), 1);
+        assert_eq!(timers[0].node, NodeIndex::new(0));
         // A broadcast after the restart is delivered again.
         sim.schedule_external(SimTime::ZERO + ms(210), NodeIndex::new(0), ());
         sim.run_until(SimTime::ZERO + ms(300));
